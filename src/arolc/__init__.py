@@ -16,8 +16,10 @@ from .controllers import (
     ArolcState,
     PconConfig,
     PconState,
+    StepRecord,
     adapt_gain,
     arolc_step,
+    make_controller,
     nominal_control,
     pcon_integral_error,
     pcon_step,
@@ -25,7 +27,7 @@ from .controllers import (
     switching_control,
     uncertainty_residual,
 )
-from .delays import DelayBuffer, DelayProfile, buffer_sample, delay_at, max_delay
+from .delays import DelayBuffer, DelayProfile, delay_at, max_delay
 from .linalg import (
     invert,
     is_hurwitz,
@@ -89,7 +91,6 @@ from .trajectories import (
     CircleTrajectory,
     SinusoidTrajectory,
     WheelRampTrajectory,
-    desired_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -69,6 +69,22 @@ def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
     return code, report
 
 
+def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
+    """Write one CSV line per (lead cells, MetricsReport) row: the lead
+    columns, the per-dimension lists named in per_dim ("ae" for
+    ae_per_dim, ...), then tv, sup_error_tail and runtime. Returns the text."""
+    n = len(rows[0][1].ae_per_dim)
+    header = lead + [f"{name}_{i}" for name in per_dim for i in range(n)]
+    lines = [",".join(header + ["tv", "sup_error_tail", "runtime"])]
+    for cells, rep in rows:
+        values = [v for name in per_dim for v in getattr(rep, f"{name}_per_dim")]
+        values += [rep.tv, rep.sup_error_tail, rep.runtime]
+        lines.append(",".join(cells + [f"{v:.9g}" for v in values]))
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    return text
+
+
 def _cmd_bound(args) -> int:
     config = load_config(args.scenario)
     sc = build_scenario(config)
@@ -102,23 +118,12 @@ def _cmd_compare(args) -> int:
     label_b = Path(args.scenario_b).stem
     code_a, rep_a = _run_one(config_a, label_a, out / "a", args.quiet)
     code_b, rep_b = _run_one(config_b, label_b, out / "b", args.quiet)
-    n = len(rep_a.ae_per_dim)
-    header = ["scenario"]
-    header += [f"ae_{i}" for i in range(n)]
-    header += [f"pct_ae_{i}" for i in range(n)]
-    header += ["tv", "sup_error_tail", "runtime"]
-    lines = [",".join(header)]
-    for label, rep in ((label_a, rep_a), (label_b, rep_b)):
-        row = [label]
-        row += [f"{a:.9g}" for a in rep.ae_per_dim]
-        row += [f"{p:.9g}" for p in rep.pct_ae_per_dim]
-        row += [f"{rep.tv:.9g}", f"{rep.sup_error_tail:.9g}",
-                f"{rep.runtime:.9g}"]
-        lines.append(",".join(row))
     out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    text = _write_metrics_csv(out / "comparison.csv", ["scenario"],
+                              [([label_a], rep_a), ([label_b], rep_b)],
+                              per_dim=("ae", "pct_ae"))
     if not args.quiet:
-        print("\n".join(lines))
+        print(text, end="")
     return max(code_a, code_b)
 
 
@@ -144,7 +149,6 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = 0
-    n_dims = None
     for value in values:
         config = {sec: dict(keys) for sec, keys in base.items()}
         apply_override(config, args.param, repr(float(value)))
@@ -161,22 +165,11 @@ def _cmd_sweep(args) -> int:
         report = metrics_from_trace(trace, sc.trajectory.diameter,
                                     runtime=runtime,
                                     scenario_hash=scenario_hash(config))
-        n_dims = len(report.ae_per_dim)
-        rows.append((value, status, report))
+        rows.append(([f"{value:.9g}", status], report))
         if not args.quiet:
             print(f"{args.param}={value:g}: {status} "
                   f"ae={report.ae_per_dim} tv={report.tv:.6g}")
-    header = ["value", "status"]
-    header += [f"ae_{i}" for i in range(n_dims)]
-    header += ["tv", "sup_error_tail", "runtime"]
-    lines = [",".join(header)]
-    for value, status, rep in rows:
-        row = [f"{value:.9g}", status]
-        row += [f"{a:.9g}" for a in rep.ae_per_dim]
-        row += [f"{rep.tv:.9g}", f"{rep.sup_error_tail:.9g}",
-                f"{rep.runtime:.9g}"]
-        lines.append(",".join(row))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_metrics_csv(out / "sweep.csv", ["value", "status"], rows, per_dim=("ae",))
     return worst
 
 

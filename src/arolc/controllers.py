@@ -13,6 +13,13 @@ Two controllers are provided:
   rho = e1_dot + kappa e1 - vartheta * integral(tau, t-h..t), tau = k_b rho,
   and therefore needs the delay (or an estimate of it) to be supplied.
 
+Every controller kind (arolc, pcon, pconf, none) is an object from
+make_controller(scenario, window) with one method the simulator calls per
+control period: step(t, q, q_dot, desired) -> StepRecord. The kinds allowed
+in continuous mode (arolc, none) also have law(t, q, q_dot, desired) -> tau,
+the torque at the current gain without adaptation. The objects only hold
+state; the laws stay the module functions arolc_step and pcon_step.
+
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
 the term is linear in s, which keeps du continuous and avoids chattering.
@@ -34,12 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delays import DelayBuffer
+from .delays import DelayBuffer, delay_at
 from .stability import GainSet, build_error_system
 
 __all__ = [
     "ArolcConfig",
     "ArolcState",
+    "StepRecord",
     "PconConfig",
     "PconState",
     "sliding_variable",
@@ -49,6 +57,10 @@ __all__ = [
     "arolc_step",
     "pcon_integral_error",
     "pcon_step",
+    "ArolcController",
+    "PconController",
+    "ZeroController",
+    "make_controller",
     "uncertainty_residual",
 ]
 
@@ -149,19 +161,34 @@ def adapt_gain(state: ArolcState, s: np.ndarray, t: float, cfg: ArolcConfig) -> 
     return ArolcState(c_hat=c_hat, s_prev=s, t_prev=t)
 
 
-class ArolcStepData(NamedTuple):
-    """Full record of one control step, used by the simulator diagnostics."""
+class StepRecord(NamedTuple):
+    """One control step of any controller.
+
+    Every controller fills tau, c_hat and s_norm (zero where the law has no
+    such quantity). The adaptive-robust law also reports the tracking error,
+    the auxiliary input u = u_hat + du and its new state, which the
+    simulator diagnostics log.
+    """
 
     tau: np.ndarray
-    state: ArolcState
-    e1: np.ndarray
-    e1_dot: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    c_hat: float = 0.0
+    s_norm: float = 0.0
+    e1: np.ndarray | None = None
+    e1_dot: np.ndarray | None = None
+    u: np.ndarray | None = None
+    du: np.ndarray | None = None
+    state: ArolcState | None = None
 
 
-def _arolc_step_full(state, q, q_dot, desired, nominal_model, t, cfg) -> ArolcStepData:
+def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, cfg) -> StepRecord:
+    """Evaluate the control law at time t.
+
+    desired is the triple (qd, qd_dot, qd_ddot); nominal_model the pair
+    (Mhat(q), Nhat(q, q_dot)) already evaluated at the current state.
+    Returns the full step record; record.state is the adapted state. The
+    switching term uses the pre-update gain; the adaptation result takes
+    effect on the next step.
+    """
     qd, qd_dot, qd_ddot = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
@@ -176,19 +203,8 @@ def _arolc_step_full(state, q, q_dot, desired, nominal_model, t, cfg) -> ArolcSt
     u = u_hat + du
     m_hat, n_hat = nominal_model
     tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
-    return ArolcStepData(tau, new_state, e1, e1_dot, s, u, du)
-
-
-def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, cfg):
-    """Evaluate the control law at time t.
-
-    desired is the triple (qd, qd_dot, qd_ddot); nominal_model the pair
-    (Mhat(q), Nhat(q, q_dot)) already evaluated at the current state.
-    Returns (tau, new_state). The switching term uses the pre-update gain;
-    the adaptation result takes effect on the next step.
-    """
-    data = _arolc_step_full(state, q, q_dot, desired, nominal_model, t, cfg)
-    return data.tau, data.state
+    return StepRecord(tau, new_state.c_hat, float(np.linalg.norm(s)),
+                      e1, e1_dot, u, du, new_state)
 
 
 @dataclass(frozen=True)
@@ -211,7 +227,7 @@ class PconConfig:
 
 @dataclass
 class PconState:
-    """Input history (shared with the simulator) and current delay estimate."""
+    """The controller's own input history and current delay estimate."""
 
     input_history: DelayBuffer
     h_estimate: float = 0.0
@@ -239,6 +255,68 @@ def pcon_step(state: PconState, q, q_dot, desired, t, cfg: PconConfig):
     tau = cfg.k_b * rho
     state.input_history.push(t, tau)
     return tau, state
+
+
+class ArolcController:
+    """Adaptive-robust law bound to a plant's nominal model, holding its state."""
+
+    def __init__(self, sc, window: float):
+        self.cfg = sc.arolc
+        self.plant = sc.plant
+        self.state = self.cfg.initial_state()
+
+    def _nominal(self, q, q_dot):
+        return self.plant.nominal_mass_matrix(q), self.plant.nominal_bias_vector(q, q_dot)
+
+    def step(self, t, q, q_dot, desired) -> StepRecord:
+        record = arolc_step(self.state, q, q_dot, desired, self._nominal(q, q_dot),
+                            t, self.cfg)
+        self.state = record.state
+        return record
+
+    def law(self, t, q, q_dot, desired) -> np.ndarray:
+        """Torque at the current gain, leaving the adaptive state untouched."""
+        return arolc_step(ArolcState(self.state.c_hat), q, q_dot, desired,
+                          self._nominal(q, q_dot), t, self.cfg).tau
+
+
+class PconController:
+    """Predictor baseline with its own input history. kind = pcon is told the
+    true delay h(t); kind = pconf integrates over the fixed window sc.pconf_h."""
+
+    def __init__(self, sc, window: float):
+        self.cfg = sc.pcon
+        self.profile = sc.delay
+        self.fixed_h = sc.pconf_h if sc.controller == "pconf" else None
+        self.state = PconState(DelayBuffer(window=window, dim=sc.plant.dim))
+
+    def step(self, t, q, q_dot, desired) -> StepRecord:
+        self.state.h_estimate = (delay_at(self.profile, t) if self.fixed_h is None
+                                 else self.fixed_h)
+        tau, self.state = pcon_step(self.state, q, q_dot, desired, t, self.cfg)
+        return StepRecord(tau)
+
+
+class ZeroController:
+    """kind = none: the plant runs open loop under zero torque."""
+
+    def __init__(self, sc, window: float):
+        self.n = sc.plant.dim
+
+    def step(self, t, q, q_dot, desired) -> StepRecord:
+        return StepRecord(np.zeros(self.n))
+
+    def law(self, t, q, q_dot, desired) -> np.ndarray:
+        return np.zeros(self.n)
+
+
+_CONTROLLERS = {"arolc": ArolcController, "pcon": PconController,
+                "pconf": PconController, "none": ZeroController}
+
+
+def make_controller(sc, window: float):
+    """Controller of kind sc.controller; window sizes any input history it keeps."""
+    return _CONTROLLERS[sc.controller](sc, window)
 
 
 def uncertainty_residual(q, q_dot, q_h, q_dot_h, u_h, qdd_d, qdd_d_h,

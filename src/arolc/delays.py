@@ -1,9 +1,11 @@
 """Input-delay profiles and the timestamped command history buffer.
 
-The actuator of the simulated plant receives tau(t - h(t)). The buffer stores
-commands at their computation instants; lookups linearly interpolate between
-stored samples, return zero before the first sample (no command has reached
-the actuator yet), and hold the latest value beyond the newest sample.
+Actuator model. The actuator of the simulated plant receives tau(t - h(t)).
+Commands are stamped with their computation instants; the signal between
+them is the linear interpolation of the stamped commands, zero before the
+first command (none has reached the actuator yet), and held at the last
+command after it. DelayBuffer.sample evaluates this signal and
+DelayBuffer.integrate integrates it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DelayProfile", "delay_at", "max_delay", "DelayBuffer", "buffer_sample"]
+__all__ = ["DelayProfile", "delay_at", "max_delay", "DelayBuffer"]
 
 _PROFILE_KINDS = ("S1", "S2", "S3", "S4", "constant", "custom", "none")
 
@@ -116,8 +118,7 @@ class DelayBuffer:
             self._values.pop(0)
 
     def sample(self, t_query: float) -> np.ndarray:
-        """Command in flight at t_query: zero before history, interpolated
-        inside, held at the latest value afterwards."""
+        """Command in flight at t_query under the actuator model above."""
         times = self._times
         if not times:
             if self.dim is None:
@@ -133,10 +134,9 @@ class DelayBuffer:
         return (1.0 - lam) * self._values[i - 1] + lam * self._values[i]
 
     def integrate(self, t0: float, t1: float) -> np.ndarray:
-        """Trapezoidal integral of the stored signal over [t0, t1].
-
-        The signal is zero before the first sample and held constant after
-        the last one, matching sample(). Empty buffers integrate to zero.
+        """Integral of the actuator signal sample() describes over [t0, t1]
+        (trapezoids between knots, exact for that piecewise-linear signal).
+        Empty buffers integrate to zero.
         """
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
@@ -159,8 +159,3 @@ class DelayBuffer:
             total += 0.5 * (tt - prev_t) * (prev_v + v)
             prev_t, prev_v = tt, v
         return total
-
-
-def buffer_sample(buf: DelayBuffer, t_query: float) -> np.ndarray:
-    """Functional alias for DelayBuffer.sample."""
-    return buf.sample(t_query)

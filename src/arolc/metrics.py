@@ -46,22 +46,14 @@ def percent_error(ae: float, path_diameter: float) -> float:
     return 100.0 * ae / path_diameter
 
 
-def total_variation(u_r, u_l) -> float:
-    """Sum of absolute successive differences of both input channels.
+def total_variation(series) -> float:
+    """Sum of absolute successive differences over every channel of an
+    (N, n) input series; 0.0 for fewer than two samples.
 
     Low values mean smooth actuation; the metric is invariant under adding
-    a constant to either channel.
+    a constant to any channel.
     """
-    u_r = np.asarray(u_r, float)
-    u_l = np.asarray(u_l, float)
-    if u_r.shape != u_l.shape:
-        raise ValueError("input series must have equal length")
-    if u_r.size < 2:
-        raise ValueError("need at least two samples")
-    return float(np.abs(np.diff(u_r)).sum() + np.abs(np.diff(u_l)).sum())
-
-
-def _tv_all_dims(series: np.ndarray) -> float:
+    series = np.asarray(series, float)
     if series.shape[0] < 2:
         return 0.0
     return float(np.abs(np.diff(series, axis=0)).sum())
@@ -76,7 +68,7 @@ def metrics_from_trace(trace: Trace, path_diameter: float,
     n = trace.n
     ae = [absolute_average_error(trace, d) for d in range(n)]
     pct = [percent_error(a, path_diameter) for a in ae]
-    tv = _tv_all_dims(trace.tau_cmd)
+    tv = total_variation(trace.tau_cmd)
     tail = trace.e1[len(trace) // 2:]
     sup_tail = float(np.linalg.norm(tail, axis=1).max()) if len(tail) else 0.0
     return MetricsReport(ae_per_dim=ae, pct_ae_per_dim=pct, tv=tv,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -107,28 +108,23 @@ def load_config(source) -> dict[str, dict[str, str]]:
     return config
 
 
-def _fval(section, sec_name, key, default=None):
+def _number(text, sec_name, key, cast=float):
+    """Parse one finite number of [sec_name] key."""
+    try:
+        value = cast(text)
+    except ValueError as exc:
+        raise ScenarioError(f"bad number for [{sec_name}] {key}: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"[{sec_name}] {key} must be finite, got {text!r}")
+    return value
+
+
+def _fval(section, sec_name, key, default=None, cast=float):
     if key not in section:
         if default is None:
             raise ScenarioError(f"missing key [{sec_name}] {key}")
         return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ScenarioError(f"bad number for [{sec_name}] {key}: "
-                            f"{section[key]!r}") from exc
-
-
-def _ival(section, sec_name, key, default=None):
-    if key not in section:
-        if default is None:
-            raise ScenarioError(f"missing key [{sec_name}] {key}")
-        return default
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ScenarioError(f"bad integer for [{sec_name}] {key}: "
-                            f"{section[key]!r}") from exc
+    return _number(section[key], sec_name, key, cast)
 
 
 def _bval(section, sec_name, key, default):
@@ -147,11 +143,7 @@ def _flist(section, sec_name, key, default=None):
         if default is None:
             raise ScenarioError(f"missing key [{sec_name}] {key}")
         return default
-    try:
-        return tuple(float(x) for x in section[key].replace(",", " ").split())
-    except ValueError as exc:
-        raise ScenarioError(f"bad number list for [{sec_name}] {key}: "
-                            f"{section[key]!r}") from exc
+    return tuple(_number(x, sec_name, key) for x in section[key].replace(",", " ").split())
 
 
 def _pairs(section, sec_name, key, default):
@@ -166,7 +158,7 @@ def _pairs(section, sec_name, key, default):
         if len(parts) != 2:
             raise ScenarioError(f"bad offset pair in [{sec_name}] {key}: "
                                 f"{chunk!r}")
-        pairs.append((float(parts[0]), float(parts[1])))
+        pairs.append(tuple(_number(x, sec_name, key) for x in parts))
     if not pairs:
         raise ScenarioError(f"empty offset list in [{sec_name}] {key}")
     return tuple(pairs)
@@ -237,7 +229,7 @@ def _build_plant(config, rng):
                                     disturbance_freq=dist_freq,
                                     phases=phases), params
     if kind == "point-mass":
-        return point_mass_plant(_ival(sec, "plant", "n", 1),
+        return point_mass_plant(_fval(sec, "plant", "n", 1, cast=int),
                                 _fval(sec, "plant", "mass", 1.0)), None
     if kind == "oscillator":
         return oscillator_plant(_fval(sec, "plant", "stiffness", 1.0),
@@ -299,7 +291,7 @@ def _build_delay(config) -> DelayProfile:
 def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenario:
     """Turn a parsed config into a ready-to-run Scenario."""
     sim_sec = config["sim"]
-    seed = _ival(sim_sec, "sim", "seed", 0)
+    seed = _fval(sim_sec, "sim", "seed", 0, cast=int)
     rng = np.random.default_rng(seed)
 
     plant, plant_params = _build_plant(config, rng)

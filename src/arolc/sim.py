@@ -1,17 +1,19 @@
 """Deterministic fixed-step simulation of the input-delayed closed loop.
 
 The plant state (q, q_dot) is integrated with classical RK4 at a fixed step
-dt. The controller runs every dt_control on the sampled state; its output
-is stamped with the computation instant and pushed into a command buffer.
-The actuator receives tau_applied(t) = buffer(t - h(t)), so the delay acts
-between command computation and application, and the integrator sees the
-applied input as a known function of time (method-of-steps treatment; only
-the input is delayed, never the state).
+dt. The controller (``controllers.make_controller``) is stepped every
+dt_control on the sampled state; its command is stamped with the
+computation instant and pushed into the actuator's command buffer. The
+actuator receives tau_applied(t) = buffer(t - h(t)), the model stated in
+``arolc.delays``, so the delay acts between command computation and
+application, and the integrator sees the applied input as a known function
+of time (method-of-steps treatment; only the input is delayed, never the
+state).
 
 Two control modes exist:
 
-* "sampled" (default): zero-order-hold commands at the control rate,
-  routed through the delay buffer. This is the realistic pathway.
+* "sampled" (default): commands at the control rate, routed through the
+  delay buffer. This is the realistic pathway.
 * "continuous": the control law is re-evaluated inside every integrator
   stage from the stage state. Only valid for zero-delay scenarios; it
   realizes the exact continuous closed loop that analytic oracles
@@ -31,17 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import (
-    ArolcConfig,
-    PconConfig,
-    PconState,
-    _arolc_step_full,
-    nominal_control,
-    pcon_step,
-    sliding_variable,
-    switching_control,
-    uncertainty_residual,
-)
+from .controllers import ArolcConfig, PconConfig, make_controller, uncertainty_residual
 from .delays import DelayBuffer, DelayProfile, delay_at, max_delay
 from .plants import PlantModel
 from .stability import GainSet, delay_margin
@@ -203,39 +195,18 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
     window = max(max_delay(profile), sc.pconf_h) + 5.0 * sc.dt_control + 0.05
     buf = DelayBuffer(window=window, dim=n)
-
-    arolc_state = sc.arolc.initial_state() if sc.controller == "arolc" else None
-    pcon_state = None
-    if sc.controller in ("pcon", "pconf"):
-        pcon_state = PconState(input_history=buf, h_estimate=0.0)
-
+    controller = make_controller(sc, window)
     sampled = sc.control_mode == "sampled"
-    held = {"tau": np.zeros(n),
-            "c_hat": arolc_state.c_hat if arolc_state is not None else 0.0}
-
-    def continuous_tau(t, qq, qq_dot):
-        # control law re-evaluated at the integrator stage; the adaptive
-        # gain stays the row value (it is a slow state of the controller)
-        cfg = sc.arolc
-        qd, qd_dot, qd_ddot = trajectory(t)
-        e1 = np.asarray(qd, float) - qq
-        e1_dot = np.asarray(qd_dot, float) - qq_dot
-        u = nominal_control(e1, e1_dot, qd_ddot, cfg)
-        if cfg.switching:
-            s = sliding_variable(np.concatenate([e1, e1_dot]), cfg)
-            u = u + switching_control(s, held["c_hat"], cfg)
-        return plant.nominal_mass_matrix(qq) @ u + \
-            plant.nominal_bias_vector(qq, qq_dot)
 
     def rhs(t, yy):
         qq = yy[:n]
         qq_dot = yy[n:]
         if sampled:
             tau = buf.sample(t - delay_at(profile, t))
-        elif sc.controller == "arolc":
-            tau = continuous_tau(t, qq, qq_dot)
         else:
-            tau = held["tau"]
+            # the law re-evaluated at the integrator stage; the adaptive
+            # gain stays the row value (it is a slow state of the controller)
+            tau = controller.law(t, qq, qq_dot, trajectory(t))
         acc = plant.accel(qq, qq_dot, tau, t)
         out = np.empty(2 * n)
         out[:n] = qq_dot
@@ -294,47 +265,17 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         qq_dot = y[n:]
         desired = trajectory(t_k)
 
-        c_hat_row = 0.0
-        s_norm_row = 0.0
-        if sc.controller == "arolc":
-            data = _arolc_step_full(
-                arolc_state, qq, qq_dot, desired,
-                (plant.nominal_mass_matrix(qq),
-                 plant.nominal_bias_vector(qq, qq_dot)),
-                t_k, sc.arolc,
-            )
-            tau_cmd = data.tau
-            arolc_state = data.state
-            c_hat_row = arolc_state.c_hat
-            s_norm_row = float(np.linalg.norm(data.s))
-            if sampled:
-                buf.push(t_k, tau_cmd)
-            else:
-                held["tau"] = tau_cmd
-                held["c_hat"] = arolc_state.c_hat
-            if record_fine:
-                cmd_log["t"].append(t_k)
-                cmd_log["q"].append(qq.copy())
-                cmd_log["q_dot"].append(qq_dot.copy())
-                cmd_log["e1"].append(data.e1)
-                cmd_log["e1_dot"].append(data.e1_dot)
-                cmd_log["u"].append(data.u)
-                cmd_log["du"].append(data.du)
-                cmd_log["tau"].append(tau_cmd)
-        elif sc.controller in ("pcon", "pconf"):
-            pcon_state.h_estimate = (
-                sc.pconf_h if sc.controller == "pconf"
-                else delay_at(profile, t_k)
-            )
-            tau_cmd, pcon_state = pcon_step(
-                pcon_state, qq, qq_dot, desired, t_k, sc.pcon
-            )
-        else:
-            tau_cmd = np.zeros(n)
-            if sampled:
-                buf.push(t_k, tau_cmd)
-            else:
-                held["tau"] = tau_cmd
+        rec = controller.step(t_k, qq, qq_dot, desired)
+        buf.push(t_k, rec.tau)
+        if record_fine and rec.e1 is not None:
+            cmd_log["t"].append(t_k)
+            cmd_log["q"].append(qq.copy())
+            cmd_log["q_dot"].append(qq_dot.copy())
+            cmd_log["e1"].append(rec.e1)
+            cmd_log["e1_dot"].append(rec.e1_dot)
+            cmd_log["u"].append(rec.u)
+            cmd_log["du"].append(rec.du)
+            cmd_log["tau"].append(rec.tau)
 
         h_k = delay_at(profile, t_k)
         ts[k] = t_k
@@ -342,10 +283,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         q_dots[k] = qq_dot
         q_des[k] = desired[0]
         e1s[k] = np.asarray(desired[0], float) - qq
-        tau_cmds[k] = tau_cmd
-        tau_apps[k] = buf.sample(t_k - h_k) if sampled else tau_cmd
-        c_hats[k] = c_hat_row
-        s_norms[k] = s_norm_row
+        tau_cmds[k] = rec.tau
+        tau_apps[k] = buf.sample(t_k - h_k)
+        c_hats[k] = rec.c_hat
+        s_norms[k] = rec.s_norm
         hs[k] = h_k
 
         if record_fine and k == 0:

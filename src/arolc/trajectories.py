@@ -25,7 +25,6 @@ __all__ = [
     "SinusoidTrajectory",
     "CircleTrajectory",
     "WheelRampTrajectory",
-    "desired_trajectory",
 ]
 
 
@@ -132,8 +131,3 @@ class WheelRampTrajectory:
     @property
     def diameter(self) -> float:
         return self.path_diameter
-
-
-def desired_trajectory(spec, t: float):
-    """Evaluate a trajectory spec: returns (qd, qd_dot, qd_ddot)."""
-    return spec(t)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ class TestSimulate:
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "warp_speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, section, entry", [
+        ("scenarios/wmr_s1_arolc.ini", "payload", "offsets = 0.1 abc; 0.2 0.3"),
+        (None, "controller", "alpha = nan"),
+        (None, "sim", "duration = nan"),
+        (None, "delay", "h0 = nan"),
+    ], ids=["offsets-not-a-number", "alpha-nan", "duration-nan", "h0-nan"])
+    def test_bad_number_rejected(self, base, section, entry, tmp_path, capsys):
+        key = entry.split(" = ")[0]
+        text = Path(base).read_text() if base else FAST
+        text = re.sub(rf"^{key}\s*=.*\n", "", text, flags=re.M)
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n"))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
 
     def test_divergence_nonzero_exit_with_partial_trace(self, tmp_path, capsys):
         text = FAST.replace("kind = arolc", "kind = pcon\nkappa = 50.0\n"

@@ -8,6 +8,7 @@ from arolc.controllers import (
     PconState,
     adapt_gain,
     arolc_step,
+    make_controller,
     nominal_control,
     pcon_integral_error,
     pcon_step,
@@ -15,8 +16,11 @@ from arolc.controllers import (
     switching_control,
     uncertainty_residual,
 )
-from arolc.delays import DelayBuffer
+from arolc.delays import DelayBuffer, DelayProfile, delay_at
+from arolc.plants import TwoLinkParams, two_link_plant
+from arolc.sim import Scenario
 from arolc.stability import GainSet
+from arolc.trajectories import SinusoidTrajectory
 
 CFG = ArolcConfig.from_gains(GainSet.identity(1), alpha=2.0, epsilon=0.1,
                              gamma=1e-3, c_hat_init=1.0)
@@ -139,8 +143,9 @@ class TestArolcStep:
     def test_perfect_tracking_zero_torque(self):
         state = ArolcState(c_hat=1.0)
         desired = (np.zeros(1), np.zeros(1), np.zeros(1))
-        tau, new = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                              (np.eye(1), np.zeros(1)), 0.0, CFG)
+        out = arolc_step(state, np.zeros(1), np.zeros(1), desired,
+                         (np.eye(1), np.zeros(1)), 0.0, CFG)
+        tau, new = out.tau, out.state
         np.testing.assert_allclose(tau, [0.0])
         # s = 0 falls in the decrease/hold branch
         assert new.c_hat <= 1.0
@@ -148,8 +153,8 @@ class TestArolcStep:
     def test_identity_nominal_model_passthrough(self):
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau, _ = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                            (np.eye(1), np.zeros(1)), 0.0, CFG)
+        tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
+                         (np.eye(1), np.zeros(1)), 0.0, CFG).tau
         # tau = u exactly: u_hat = 1, du = alpha c_hat sign(s) = 2
         np.testing.assert_allclose(tau, [3.0])
 
@@ -159,8 +164,8 @@ class TestArolcStep:
         # tau = 2 * 3 + 0.5 = 6.5 (hand-evaluated independently)
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau, _ = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                            (np.array([[2.0]]), np.array([0.5])), 0.0, CFG)
+        tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
+                         (np.array([[2.0]]), np.array([0.5])), 0.0, CFG).tau
         np.testing.assert_allclose(tau, [6.5])
 
     def test_switching_disabled(self):
@@ -168,8 +173,8 @@ class TestArolcStep:
                           switching=False, c_hat_init=1.0)
         state = cfg.initial_state()
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau, _ = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                            (np.eye(1), np.zeros(1)), 0.0, cfg)
+        tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
+                         (np.eye(1), np.zeros(1)), 0.0, cfg).tau
         np.testing.assert_allclose(tau, [1.0])
 
 
@@ -225,6 +230,77 @@ class TestPcon:
         desired = (np.array([1.0]), np.array([0.5]), np.zeros(1))
         tau, _ = pcon_step(state, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [3.0 * (0.5 + 2.0 * 1.0)])
+
+
+class TestControllerProtocol:
+    """make_controller objects are the free functions plus their state."""
+
+    GAINS = GainSet.identity(2)
+    Q = np.array([0.1, -0.2])
+    Q_DOT = np.array([0.3, 0.05])
+
+    def scenario(self, kind, **kwargs):
+        return Scenario(
+            plant=two_link_plant(TwoLinkParams(), mismatch=0.2),
+            trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
+            controller=kind, arolc=ArolcConfig.from_gains(self.GAINS),
+            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0),
+            gains=self.GAINS, **kwargs,
+        )
+
+    def test_arolc_step_matches_free_function(self):
+        sc = self.scenario("arolc")
+        ctrl = make_controller(sc, window=1.0)
+        state = sc.arolc.initial_state()
+        nominal = (sc.plant.nominal_mass_matrix(self.Q),
+                   sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
+        for k in range(3):
+            t = 0.01 * k
+            rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
+            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t), nominal, t, sc.arolc)
+            state = ref.state
+            np.testing.assert_array_equal(rec.tau, ref.tau)
+            np.testing.assert_array_equal(rec.du, ref.du)
+            assert rec.c_hat == ref.c_hat == state.c_hat == ctrl.state.c_hat
+            assert rec.s_norm == ref.s_norm
+
+    @pytest.mark.parametrize("kind", ["pcon", "pconf"])
+    def test_pcon_step_matches_free_function(self, kind):
+        sc = self.scenario(kind, pconf_h=0.05)
+        ctrl = make_controller(sc, window=1.0)
+        state = PconState(input_history=DelayBuffer(window=1.0, dim=2))
+        for k in range(5):
+            t = 0.01 * k
+            state.h_estimate = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
+            ref, state = pcon_step(state, self.Q, self.Q_DOT, sc.trajectory(t), t, sc.pcon)
+            rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
+            np.testing.assert_array_equal(rec.tau, ref)
+            assert (rec.c_hat, rec.s_norm, rec.e1) == (0.0, 0.0, None)
+        assert ctrl.state.input_history.times == state.input_history.times
+
+    def test_none_commands_zero(self):
+        ctrl = make_controller(self.scenario("none"), window=1.0)
+        rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
+        np.testing.assert_array_equal(rec.tau, np.zeros(2))
+        np.testing.assert_array_equal(ctrl.law(0.0, self.Q, self.Q_DOT, None), np.zeros(2))
+
+    def test_law_does_not_adapt(self):
+        sc = self.scenario("arolc")
+        ctrl = make_controller(sc, window=1.0)
+        traj = sc.trajectory
+        ctrl.step(0.0, self.Q, self.Q_DOT, traj(0.0))
+        ctrl.step(0.01, self.Q + 0.1, self.Q_DOT, traj(0.01))
+        before = ctrl.state
+        c_hat, s_prev = before.c_hat, before.s_prev.copy()
+        tau = ctrl.law(0.013, self.Q, self.Q_DOT, traj(0.013))
+        assert ctrl.state is before
+        assert ctrl.state.c_hat == c_hat
+        np.testing.assert_array_equal(ctrl.state.s_prev, s_prev)
+        nominal = (sc.plant.nominal_mass_matrix(self.Q),
+                   sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
+        ref = arolc_step(ArolcState(before.c_hat), self.Q, self.Q_DOT, traj(0.013),
+                         nominal, 0.013, sc.arolc)
+        np.testing.assert_array_equal(tau, ref.tau)
 
 
 class _StubPlant:

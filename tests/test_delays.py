@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arolc.delays import DelayBuffer, DelayProfile, buffer_sample, delay_at, max_delay
+from arolc.delays import DelayBuffer, DelayProfile, delay_at, max_delay
 
 
 class TestDelayAt:
@@ -54,16 +54,16 @@ class TestDelayBuffer:
         return buf
 
     def test_interpolation(self):
-        np.testing.assert_allclose(buffer_sample(self.make(), 0.05), [0.5])
+        np.testing.assert_allclose(self.make().sample(0.05), [0.5])
 
     def test_prehistory_is_zero(self):
-        np.testing.assert_allclose(buffer_sample(self.make(), -0.05), [0.0])
+        np.testing.assert_allclose(self.make().sample(-0.05), [0.0])
 
     def test_exact_hit(self):
-        np.testing.assert_allclose(buffer_sample(self.make(), 0.1), [1.0])
+        np.testing.assert_allclose(self.make().sample(0.1), [1.0])
 
     def test_hold_after_latest(self):
-        np.testing.assert_allclose(buffer_sample(self.make(), 0.2), [1.0])
+        np.testing.assert_allclose(self.make().sample(0.2), [1.0])
 
     def test_strictly_increasing_required(self):
         buf = self.make()

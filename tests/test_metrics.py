@@ -65,40 +65,37 @@ class TestPercentError:
 
 class TestTotalVariation:
     def test_constant_inputs(self):
-        assert total_variation([2.0, 2.0, 2.0], [5.0, 5.0, 5.0]) == 0.0
+        assert total_variation([[2.0, 5.0], [2.0, 5.0], [2.0, 5.0]]) == 0.0
 
     def test_known_sum(self):
-        assert total_variation([0.0, 1.0, 1.0], [0.0, 0.0, 2.0]) == pytest.approx(3.0)
+        assert total_variation([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]]) == pytest.approx(3.0)
 
     def test_square_wave(self):
-        assert total_variation([0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]) \
+        assert total_variation(
+            np.column_stack([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])) \
             == pytest.approx(3.0)
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(0)
-        u_r = rng.standard_normal(50)
-        u_l = rng.standard_normal(50)
-        base = total_variation(u_r, u_l)
-        assert total_variation(u_r + 7.3, u_l) == pytest.approx(base)
-        assert total_variation(u_r, u_l - 2.2) == pytest.approx(base)
+        u = rng.standard_normal((50, 2))
+        base = total_variation(u)
+        assert total_variation(u + [7.3, 0.0]) == pytest.approx(base)
+        assert total_variation(u - [0.0, 2.2]) == pytest.approx(base)
 
     def test_concatenation_at_shared_endpoint(self):
         rng = np.random.default_rng(1)
-        u_r = rng.standard_normal(41)
-        u_l = rng.standard_normal(41)
-        whole = total_variation(u_r, u_l)
-        split = total_variation(u_r[:21], u_l[:21]) + total_variation(
-            u_r[20:], u_l[20:]
-        )
+        u = rng.standard_normal((41, 2))
+        whole = total_variation(u)
+        split = total_variation(u[:21]) + total_variation(u[20:])
         assert whole == pytest.approx(split)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            total_variation([0.0, 1.0], [0.0])
+            total_variation([[0.0, 0.0], [1.0]])
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            total_variation([1.0], [1.0])
+        assert total_variation([[1.0, 1.0]]) == 0.0
+        assert total_variation(np.zeros((0, 2))) == 0.0
 
 
 class TestReportAggregation:

@@ -236,6 +236,27 @@ class TestCausality:
         assert not np.allclose(tr_a.tau_cmd[row_at], tr_b.tau_cmd[row_at])
 
 
+class TestActuatorModel:
+    """tau_applied is the stamped commands linearly interpolated at t - h,
+    zero before the first command, for every controller kind."""
+
+    @pytest.mark.parametrize("kind", ["arolc", "pcon"])
+    def test_applied_is_interpolated_command(self, kind):
+        gains = GainSet.identity(2)
+        trace = simulate(Scenario(
+            plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
+            trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
+            controller=kind, arolc=ArolcConfig.from_gains(gains),
+            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0),
+            gains=gains, duration=1.0, dt=1e-3, dt_control=1e-2,
+        ))
+        assert np.abs(trace.tau_cmd).max() > 0.1
+        for i in range(trace.n):
+            expected = np.interp(trace.t - trace.h, trace.t, trace.tau_cmd[:, i], left=0.0)
+            np.testing.assert_allclose(trace.tau_applied[:, i], expected,
+                                       rtol=1e-12, atol=1e-12)
+
+
 class TestErrorDynamicsIdentity:
     def test_short_mismatched_run(self):
         gains = GainSet.identity(2)

@@ -5,7 +5,6 @@ from arolc.trajectories import (
     CircleTrajectory,
     SinusoidTrajectory,
     WheelRampTrajectory,
-    desired_trajectory,
 )
 
 ALL_SPECS = [
@@ -70,9 +69,9 @@ class TestSinusoid:
 def test_derivatives_match_central_differences(spec):
     dt = 1e-5
     for t in np.linspace(0.1, 20.0, 23):
-        qd_m, _, _ = desired_trajectory(spec, t - dt)
-        qd, qd_dot, qd_ddot = desired_trajectory(spec, t)
-        qd_p, _, _ = desired_trajectory(spec, t + dt)
+        qd_m, _, _ = spec(t - dt)
+        qd, qd_dot, qd_ddot = spec(t)
+        qd_p, _, _ = spec(t + dt)
         num_vel = (qd_p - qd_m) / (2.0 * dt)
         num_acc = (qd_p - 2.0 * qd + qd_m) / dt ** 2
         np.testing.assert_allclose(qd_dot, num_vel, atol=5e-8)
