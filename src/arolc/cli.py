@@ -14,6 +14,7 @@ is still written), 2 scenario parse/validation errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -130,13 +131,15 @@ def _cmd_compare(args) -> int:
 def _parse_range(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ScenarioError(f"range must be start:stop:step, got {spec!r}")
+        raise ScenarioError(f"--range must be start:stop:step, got {spec!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise ScenarioError(f"bad range {spec!r}") from exc
+        raise ScenarioError(f"bad --range {spec!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ScenarioError(f"--range needs finite start, stop and step, got {spec!r}")
     if step <= 0.0 or stop < start:
-        raise ScenarioError(f"range must increase, got {spec!r}")
+        raise ScenarioError(f"--range must increase, got {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 

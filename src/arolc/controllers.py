@@ -36,6 +36,7 @@ grows on estimator startup transients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,14 +82,14 @@ class ArolcConfig:
     switching: bool = True  # diagnostic switch; False disables du entirely
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.epsilon <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("epsilon and gamma must be positive")
-        if self.c_hat_init < self.gamma:
-            raise ValueError("c_hat_init must be at least gamma")
-        if self.dt_control <= 0.0:
-            raise ValueError("dt_control must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError("epsilon and gamma must be finite and positive")
+        if not self.gamma <= self.c_hat_init < math.inf:
+            raise ValueError("c_hat_init must be finite and at least gamma")
+        if not 0.0 < self.dt_control < math.inf:
+            raise ValueError("dt_control must be finite and positive")
         object.__setattr__(self, "K1", np.asarray(self.K1, dtype=float))
         object.__setattr__(self, "K2", np.asarray(self.K2, dtype=float))
         object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
@@ -216,9 +217,11 @@ class PconConfig:
     k_b: float = 5.0
 
     def __post_init__(self):
-        if self.kappa <= 0.0 or self.k_b <= 0.0:
-            raise ValueError("kappa and k_b must be positive")
+        if not (0.0 < self.kappa < math.inf and 0.0 < self.k_b < math.inf):
+            raise ValueError("kappa and k_b must be finite and positive")
         v = np.asarray(self.vartheta, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vartheta must be finite")
         # semidefinite allowed: vartheta = 0 degenerates to a PD law
         if np.linalg.eigvalsh(0.5 * (v + v.T))[0] < 0.0:
             raise ValueError("vartheta must be positive semidefinite")
@@ -233,8 +236,8 @@ class PconState:
     h_estimate: float = 0.0
 
     def __post_init__(self):
-        if self.h_estimate < 0.0:
-            raise ValueError("h_estimate must be nonnegative")
+        if not 0.0 <= self.h_estimate < math.inf:
+            raise ValueError("h_estimate must be finite and nonnegative")
 
 
 def pcon_integral_error(state: PconState, t: float) -> np.ndarray:

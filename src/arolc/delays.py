@@ -4,12 +4,14 @@ Actuator model. The actuator of the simulated plant receives tau(t - h(t)).
 Commands are stamped with their computation instants; the signal between
 them is the linear interpolation of the stamped commands, zero before the
 first command (none has reached the actuator yet), and held at the last
-command after it. DelayBuffer.sample evaluates this signal and
-DelayBuffer.integrate integrates it.
+command after it. DelayBuffer.sample_many evaluates this signal at an array
+of instants (DelayBuffer.sample at one) and DelayBuffer.integrate integrates
+it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -43,26 +45,22 @@ class DelayProfile:
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
-        if self.h0 < 0.0 or self.a < 0.0 or self.b < 0.0:
-            raise ValueError("delay parameters must be nonnegative")
+        if not all(0.0 <= x < math.inf for x in (self.h0, self.a, self.b)):
+            raise ValueError("delay parameters must be finite and nonnegative")
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
 
 
-def delay_at(profile: DelayProfile, t: float) -> float:
-    """Evaluate h(t) >= 0."""
+def delay_at(profile: DelayProfile, t):
+    """Evaluate h(t) >= 0 at a time or, elementwise, at an array of times."""
     kind = profile.kind
     if kind == "S1":
-        return 0.020 + 0.080 * abs(np.sin(t))
+        return 0.020 + 0.080 * np.abs(np.sin(t))
     if kind == "S2":
-        return 0.005 + 0.120 * abs(np.sin(0.1 * t))
-    if kind == "S3":
-        return 0.060
-    if kind == "S4":
-        return 0.120
-    if kind == "constant":
-        return profile.h0
+        return 0.005 + 0.120 * np.abs(np.sin(0.1 * t))
     if kind == "custom":
-        return profile.a + profile.b * abs(np.sin(profile.omega * t))
-    return 0.0
+        return profile.a + profile.b * np.abs(np.sin(profile.omega * t))
+    return np.full(np.shape(t), max_delay(profile))[()]
 
 
 def max_delay(profile: DelayProfile) -> float:
@@ -93,8 +91,8 @@ class DelayBuffer:
     """
 
     def __init__(self, window: float, dim: int | None = None):
-        if window <= 0.0:
-            raise ValueError("window must be positive")
+        if not 0.0 < window < math.inf:
+            raise ValueError("window must be positive and finite")
         self.window = float(window)
         self.dim = dim
         self._times: list[float] = []
@@ -117,21 +115,31 @@ class DelayBuffer:
             self._times.pop(0)
             self._values.pop(0)
 
-    def sample(self, t_query: float) -> np.ndarray:
-        """Command in flight at t_query under the actuator model above."""
-        times = self._times
-        if not times:
+    def sample_many(self, t_query) -> np.ndarray:
+        """Commands in flight at each instant of the 1-D array t_query under
+        the actuator model above; row i belongs to t_query[i]."""
+        t_query = np.asarray(t_query, dtype=float)
+        if not self._times:
             if self.dim is None:
                 raise ValueError("empty buffer of unknown dimension")
-            return np.zeros(self.dim)
-        i = bisect_right(times, t_query)
-        if i == 0:
-            return np.zeros_like(self._values[0])
-        if i == len(times):
-            return self._values[-1]
-        t0, t1 = times[i - 1], times[i]
-        lam = (t_query - t0) / (t1 - t0)
-        return (1.0 - lam) * self._values[i - 1] + lam * self._values[i]
+            return np.zeros((len(t_query), self.dim))
+        times = np.array(self._times)
+        values = np.array(self._values)
+        i = np.searchsorted(times, t_query, side="right")
+        out = np.empty((len(t_query),) + values.shape[1:])
+        out[i == 0] = 0.0
+        out[i == len(times)] = values[-1]
+        inner = (i > 0) & (i < len(times))
+        if inner.any():
+            j = i[inner]
+            t0, t1 = times[j - 1], times[j]
+            lam = ((t_query[inner] - t0) / (t1 - t0)).reshape((-1,) + (1,) * (values.ndim - 1))
+            out[inner] = (1.0 - lam) * values[j - 1] + lam * values[j]
+        return out
+
+    def sample(self, t_query: float) -> np.ndarray:
+        """Command in flight at t_query under the actuator model above."""
+        return self.sample_many([t_query])[0]
 
     def integrate(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the actuator signal sample() describes over [t0, t1]
@@ -152,10 +160,7 @@ class DelayBuffer:
         # knots: window ends plus every sample instant inside the window
         i = bisect_right(times, lo)
         knots = [lo] + [tt for tt in times[i:] if tt < t1] + [t1]
-        prev_t = knots[0]
-        prev_v = self.sample(prev_t)
-        for tt in knots[1:]:
-            v = self.sample(tt)
-            total += 0.5 * (tt - prev_t) * (prev_v + v)
-            prev_t, prev_v = tt, v
+        knot_values = self.sample_many(knots)
+        for k in range(1, len(knots)):
+            total += 0.5 * (knots[k] - knots[k - 1]) * (knot_values[k - 1] + knot_values[k])
         return total

@@ -86,6 +86,30 @@ def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
         raise ValueError("singular mass matrix") from exc
 
 
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a binary64 into two 26-bit halves
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it.
+
+    Veltkamp's split makes the four partial products of a * b exact, and
+    math.fsum rounds their exact sum with c correctly. Exact for finite
+    operands whose partial products neither overflow nor underflow; falls
+    back to the twice-rounded a * b + c where fsum cannot sum (infinities or
+    overflow, only reached by a state that is diverging).
+    """
+    t = _VELTKAMP * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _VELTKAMP * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    try:
+        return math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
+    except (ValueError, OverflowError):
+        return a * b + c
+
+
 # ---------------------------------------------------------------------------
 # Wheeled mobile robot
 # ---------------------------------------------------------------------------
@@ -176,12 +200,16 @@ class PayloadSchedule:
     offsets: tuple[tuple[float, float], ...] = ((0.05, 0.02),)
 
     def __post_init__(self):
-        if self.extra_mass < 0.0:
-            raise ValueError("extra_mass must be nonnegative")
-        if self.period_on <= 0.0 or self.period_off <= 0.0:
-            raise ValueError("periods must be positive")
+        if not 0.0 <= self.extra_mass < math.inf:
+            raise ValueError("extra_mass must be finite and nonnegative")
+        if not (0.0 < self.period_on < math.inf and 0.0 < self.period_off < math.inf):
+            raise ValueError("periods must be finite and positive")
         if not self.offsets:
             raise ValueError("at least one offset is required")
+        offsets = tuple((float(dx), float(dy)) for dx, dy in self.offsets)
+        if not all(math.isfinite(x) for pair in offsets for x in pair):
+            raise ValueError("offsets must be finite")
+        object.__setattr__(self, "offsets", offsets)
 
 
 def payload_mass(sched: PayloadSchedule, t: float):
@@ -210,6 +238,7 @@ class _ReducedWmrPlant(PlantModel):
         self.disturbance_amp = disturbance_amp
         self.disturbance_freq = disturbance_freq
         self.phases = np.zeros(2) if phases is None else np.asarray(phases, float)
+        self._phase_cache: dict = {}
 
     def _effective(self, t: float | None):
         p = self.params
@@ -237,12 +266,16 @@ class _ReducedWmrPlant(PlantModel):
                              self.params.I_w)
 
     @staticmethod
-    def _gyro(k_eff, r_bar, b, q_dot):
+    def _gyro_gain(k_eff, r_bar, b):
         # centre-of-mass offset couples spin rate into both wheels
         a = r_bar / 2.0
         c = r_bar / (2.0 * b)
+        return 2.0 * k_eff * a * c * c
+
+    @classmethod
+    def _gyro(cls, k_eff, r_bar, b, q_dot):
         z = q_dot[0] - q_dot[1]
-        return 2.0 * k_eff * a * c * c * z * np.array([q_dot[1], -q_dot[0]])
+        return cls._gyro_gain(k_eff, r_bar, b) * z * np.array([q_dot[1], -q_dot[0]])
 
     def bias_vector(self, q, q_dot, t: float) -> np.ndarray:
         q_dot = np.asarray(q_dot, float)
@@ -256,6 +289,48 @@ class _ReducedWmrPlant(PlantModel):
                 self.disturbance_freq * t + self.phases
             )
         return n
+
+    def _phase_constants(self, t: float):
+        """The factors of accel that only the payload changes, cached per
+        payload phase: the inertia entries, its LU factors, the gyroscopic
+        gain and the viscous factor."""
+        key = None if self.payload is None else payload_mass(self.payload, max(t, 0.0))
+        consts = self._phase_cache.get(key)
+        if consts is None:
+            p = self.params
+            m_eff, j_eff, k_eff = self._effective(t)
+            (diag, off), _ = self._inertia(m_eff, j_eff, p.r_bar, p.b, p.I_w).tolist()
+            # LU with partial pivoting keeps row 0: diag - |off| = I_w +
+            # 2 min(m a^2, j c^2) > 0. l is scaled by the reciprocal pivot.
+            lower = off * (1.0 / diag)
+            consts = (diag, -off, -lower, diag - lower * off,
+                      self._gyro_gain(k_eff, p.r_bar, p.b),
+                      self.viscous * (m_eff / p.m))
+            self._phase_cache[key] = consts
+        return consts
+
+    def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
+        """Closed form of el_accel in float arithmetic.
+
+        The bias repeats bias_vector operation for operation; the 2 x 2 solve
+        is the LU solve rounded as LAPACK's dgesv rounds it when its kernels
+        fuse multiply-adds (OpenBLAS on x86-64 with FMA), which makes it equal
+        to el_accel bit for bit there and to rounding elsewhere.
+        """
+        diag, neg_off, neg_lower, upper, gyro, visc = self._phase_constants(t)
+        qd0, qd1 = np.asarray(q_dot, float).tolist()
+        tau0, tau1 = np.asarray(tau_applied, float).tolist()
+        s = gyro * (qd0 - qd1)
+        n0, n1 = s * qd1, s * -qd0
+        if self.viscous:
+            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
+        if self.disturbance_amp:
+            d0, d1 = (self.disturbance_amp * np.sin(
+                self.disturbance_freq * t + self.phases)).tolist()
+            n0, n1 = n0 + d0, n1 + d1
+        b0, b1 = tau0 - n0, tau1 - n1
+        x1 = _fma(neg_lower, b0, b1) / upper
+        return np.array([_fma(neg_off, x1, b0) / diag, x1])
 
     def nominal_mass_matrix(self, q) -> np.ndarray:
         p = self.nominal_params

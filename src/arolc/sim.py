@@ -10,6 +10,13 @@ application, and the integrator sees the applied input as a known function
 of time (method-of-steps treatment; only the input is delayed, never the
 state).
 
+The buffer only changes at a push, so after each push the applied input of
+the coming control period is fixed. ``simulate`` therefore tabulates it once
+per period, with one vectorized delay evaluation and buffer lookup at every
+RK4 stage instant (t, t + dt/2, t + dt of each step, rounded as the stepper
+rounds them), and the stages read their rows. This is exact: every stage
+gets the value a lookup at its own instant would return.
+
 Two control modes exist:
 
 * "sampled" (default): commands at the control rate, routed through the
@@ -27,6 +34,7 @@ delayed error-dynamics identity offline (``error_dynamics_residual``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -52,6 +60,10 @@ __all__ = [
 TRACE_FLOAT_FORMAT = "%.9g"
 
 _DIVERGENCE_LIMIT = 1e8
+# Cap on each array simulate preallocates: the control-rate trace (4 + 6n
+# float64 per row) and the per-period stage table (9 + 3n float64 per RK4 step).
+_MAX_ARRAY_BYTES = 1 << 28
+_LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
 
 
 class SimulationDiverged(RuntimeError):
@@ -87,15 +99,28 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError("duration > 0 required")
-        if self.dt <= 0.0 or self.dt_control <= 0.0:
-            raise ValueError("dt and dt_control must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.dt_control < math.inf):
+            raise ValueError("dt and dt_control must be finite and positive")
         if self.dt > self.dt_control + 1e-15:
             raise ValueError("dt_integration must not exceed dt_control")
         steps = round(self.dt_control / self.dt)
         if steps < 1 or abs(steps * self.dt - self.dt_control) > 1e-9 * self.dt_control:
             raise ValueError("dt_control must be an integer multiple of dt")
+        n = self.plant.dim
+        rows, max_rows = _n_periods(self) + 1, _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
+        if rows > max_rows:
+            raise ValueError(
+                f"[sim] duration = {self.duration:g} s needs {rows} trace rows at "
+                f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
+        max_steps = _MAX_ARRAY_BYTES // (8 * (9 + 3 * n))
+        if steps > max_steps:
+            raise ValueError(
+                f"[sim] dt = {self.dt:g} s gives {steps} RK4 steps per control "
+                f"period; at most {max_steps} fit")
+        if not 0.0 <= self.pconf_h < math.inf:
+            raise ValueError("pconf_h must be finite and nonnegative")
         if self.controller not in ("arolc", "pcon", "pconf", "none"):
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.controller == "arolc" and self.arolc is None:
@@ -151,11 +176,25 @@ class Trace:
         return self.q.shape[1]
 
 
-def _rk4_step(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
+def _n_periods(sc: Scenario) -> int:
+    return max(1, round(sc.duration / sc.dt_control))
+
+
+def _stage_times(t_k, steps, dt):
+    """(steps, 3) instants t, t + dt/2, t + dt of the RK4 steps starting at
+    t = t_k + i dt, rounded exactly as _rk4_step rounds them."""
+    t = t_k + np.arange(steps) * dt
+    return np.stack([t, t + 0.5 * dt, t + dt], axis=1)
+
+
+def _rk4_step(rhs, t, y, dt, inputs):
+    """One classical RK4 step; inputs holds the applied input at t, t + dt/2
+    and t + dt (None where rhs evaluates the control law itself)."""
+    u0, u_half, u1 = inputs
+    k1 = rhs(t, y, u0)
+    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1, u_half)
+    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2, u_half)
+    k4 = rhs(t + dt, y + dt * k3, u1)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -183,7 +222,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             )
 
     steps_per_control = round(sc.dt_control / sc.dt)
-    n_periods = max(1, round(sc.duration / sc.dt_control))
+    n_periods = _n_periods(sc)
     n_rows = n_periods + 1
 
     qd0 = trajectory(0.0)[0]
@@ -198,12 +237,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     controller = make_controller(sc, window)
     sampled = sc.control_mode == "sampled"
 
-    def rhs(t, yy):
+    def rhs(t, yy, tau):
         qq = yy[:n]
         qq_dot = yy[n:]
-        if sampled:
-            tau = buf.sample(t - delay_at(profile, t))
-        else:
+        if tau is None:
             # the law re-evaluated at the integrator stage; the adaptive
             # gain stays the row value (it is a slow state of the controller)
             tau = controller.law(t, qq, qq_dot, trajectory(t))
@@ -277,14 +314,20 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             cmd_log["du"].append(rec.du)
             cmd_log["tau"].append(rec.tau)
 
-        h_k = delay_at(profile, t_k)
+        # The buffer changes only at pushes, so the applied input of the
+        # whole coming period is known now: one lookup at every stage instant.
+        stage_t = _stage_times(t_k, steps_per_control, sc.dt)
+        stage_h = delay_at(profile, stage_t)
+        stage_tau = buf.sample_many((stage_t - stage_h).ravel()).reshape(
+            steps_per_control, 3, n)
+        h_k = stage_h[0, 0]
         ts[k] = t_k
         qs[k] = qq
         q_dots[k] = qq_dot
         q_des[k] = desired[0]
         e1s[k] = np.asarray(desired[0], float) - qq
         tau_cmds[k] = rec.tau
-        tau_apps[k] = buf.sample(t_k - h_k)
+        tau_apps[k] = stage_tau[0, 0]
         c_hats[k] = rec.c_hat
         s_norms[k] = rec.s_norm
         hs[k] = h_k
@@ -299,8 +342,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
         for i in range(steps_per_control):
             t = t_k + i * sc.dt
-            y = _rk4_step(rhs, t, y, sc.dt)
-            if not np.all(np.isfinite(y)) or np.abs(y).max() > _DIVERGENCE_LIMIT:
+            y = _rk4_step(rhs, t, y, sc.dt, stage_tau[i] if sampled else _LAW_INPUTS)
+            if not np.abs(y).max() <= _DIVERGENCE_LIMIT:  # NaN fails it too
                 raise SimulationDiverged(t + sc.dt, build_trace(k + 1))
             if record_fine:
                 fine_idx += 1
@@ -383,13 +426,14 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
         return (-cfg.K2 @ fine.cmd_e1_dot[j] - cfg.K1 @ fine.cmd_e1[j]
                 + sigma - fine.cmd_du[j])
 
+    thetas = times - delay_at(profile, times)
     out_t = []
     out_r = []
     for i in range(1, n_pts - 1):
         t = float(times[i])
         if t < warmup:
             continue
-        theta = t - delay_at(profile, t)
+        theta = thetas[i]
         idx = bisect_right(cmd_times, theta)
         if idx == 0:
             continue  # lookup precedes the first command

@@ -104,6 +104,17 @@ class TestSimulate:
         assert code == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("duration = 1.0", "duration = 1e9", "[sim] duration"),
+        ("dt = 1e-3", "dt = 1e-12", "[sim] dt"),
+    ], ids=["duration", "dt"])
+    def test_oversized_arrays_rejected(self, old, new, named, tmp_path, capsys):
+        path = tmp_path / "huge.ini"
+        path.write_text(FAST.replace(old, new))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_divergence_nonzero_exit_with_partial_trace(self, tmp_path, capsys):
         text = FAST.replace("kind = arolc", "kind = pcon\nkappa = 50.0\n"
                             "k_b = 2000.0\nvartheta = 1.0")
@@ -161,3 +172,10 @@ class TestSweep:
                      "--range", "0:1:1", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "warp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["nan:1:1", "0:inf:1", "0:1:nan", "-inf:0:1"])
+    def test_non_finite_range_rejected(self, fast_ini, tmp_path, capsys, spec):
+        code = main(["sweep", str(fast_ini), "--param", "delay.h0",
+                     f"--range={spec}", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "--range" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,22 @@ from arolc.trajectories import SinusoidTrajectory
 
 CFG = ArolcConfig.from_gains(GainSet.identity(1), alpha=2.0, epsilon=0.1,
                              gamma=1e-3, c_hat_init=1.0)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["alpha", "epsilon", "gamma", "c_hat_init",
+                                       "dt_control"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_arolc_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ArolcConfig.from_gains(GainSet.identity(1), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", math.nan), ("k_b", math.inf), ("vartheta", np.array([[math.nan]])),
+    ])
+    def test_pcon_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PconConfig(**{field: value})
 
 
 class TestSlidingVariable:

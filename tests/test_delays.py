@@ -1,9 +1,14 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arolc.delays import DelayBuffer, DelayProfile, delay_at, max_delay
+
+KINDS = ("S1", "S2", "S3", "S4", "constant", "custom", "none")
 
 
 class TestDelayAt:
@@ -44,6 +49,21 @@ class TestDelayAt:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DelayProfile("S9")
+
+    @pytest.mark.parametrize("field", ["h0", "a", "b", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            DelayProfile("custom", **{field: value})
+
+    @given(st.sampled_from(KINDS),
+           st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
+    def test_vector_matches_scalar_calls(self, kind, ts):
+        profile = DelayProfile(kind, h0=0.03, a=0.01, b=0.05, omega=2.0)
+        vector = delay_at(profile, np.array(ts))
+        scalars = np.array([delay_at(profile, t) for t in ts])
+        assert vector.shape == (len(ts),)
+        assert vector.tobytes() == scalars.tobytes()
 
 
 class TestDelayBuffer:
@@ -116,3 +136,39 @@ class TestBufferIntegrate:
         buf.push(0.0, [1.0])
         buf.push(1.0, [1.0])
         np.testing.assert_allclose(buf.integrate(0.5, 2.5), [2.0])
+
+
+def _reference_sample(times, values, t):
+    """One lookup written out with bisect: zero before the first command,
+    the last command after it, linear interpolation in between."""
+    i = bisect_right(times, t)
+    if i == 0:
+        return np.zeros_like(values[0])
+    if i == len(times):
+        return values[-1]
+    lam = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return (1.0 - lam) * values[i - 1] + lam * values[i]
+
+
+_TIME = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@given(st.data())
+def test_sample_many_matches_scalar_reference(data):
+    times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
+    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+              for _ in times]
+    buf = DelayBuffer(window=data.draw(st.floats(0.1, 30.0)), dim=2)
+    for t, v in zip(times, values):
+        buf.push(t, v)
+    kept = buf.times
+    kept_values = values[len(times) - len(kept):]
+    # knots, the instants before the first and after the last command, and any
+    queries = kept + [kept[0] - 1.0, kept[-1] + 1.0]
+    queries += data.draw(st.lists(_TIME, max_size=20))
+    table = buf.sample_many(queries)
+    assert table.shape == (len(queries), 2)
+    for row, t in zip(table, queries):
+        reference = _reference_sample(kept, kept_values, t)
+        assert row.tobytes() == reference.tobytes()
+        assert buf.sample(t).tobytes() == reference.tobytes()

@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arolc.plants import (
+    _fma,
     PayloadSchedule,
     TwoLinkParams,
     WmrParams,
@@ -108,6 +112,15 @@ class TestPayload:
             m0, o0 = payload_mass(self.SCHED, t)
             m1, _ = payload_mass(self.SCHED, t + 20.0)  # 2 full cycles
             assert m0 == m1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("extra_mass", math.nan, "extra_mass"), ("extra_mass", math.inf, "extra_mass"),
+        ("period_on", math.nan, "periods"), ("period_off", math.inf, "periods"),
+        ("offsets", ((0.05, math.nan),), "offsets"),
+    ])
+    def test_non_finite_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PayloadSchedule(**{field: value})
 
     def test_offsets_cycle(self):
         _, first = payload_mass(self.SCHED, 1.0)
@@ -216,6 +229,46 @@ class TestReducedWmr:
         m_true = plant.mass_matrix(np.zeros(2), None)
         m_nom = plant.nominal_mass_matrix(np.zeros(2))
         np.testing.assert_allclose(m_nom, 0.8 * m_true, atol=1e-12)
+
+
+class TestWmrClosedFormAccel:
+    @pytest.mark.parametrize("payload", [
+        None, PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05))),
+    ], ids=["no-payload", "payload"])
+    @pytest.mark.parametrize("viscous, disturbance_amp", [(0.0, 0.0), (0.002, 0.05)],
+                             ids=["frictionless", "viscous-disturbed"])
+    def test_matches_el_accel(self, payload, viscous, disturbance_amp):
+        plant = reduced_wmr_dynamics(PARAMS, mismatch=0.2, payload=payload,
+                                     viscous=viscous, disturbance_amp=disturbance_amp,
+                                     disturbance_freq=1.3, phases=(0.3, 1.1))
+        rng = np.random.default_rng(7)
+        for t in np.linspace(0.0, 33.0, 111):  # on and off windows, every offset
+            qd = rng.standard_normal(2) * 5.0
+            tau = rng.standard_normal(2)
+            np.testing.assert_allclose(
+                plant.accel(np.zeros(2), qd, tau, float(t)),
+                el_accel(plant, np.zeros(2), qd, tau, float(t)), rtol=1e-12, atol=0.0)
+
+    def test_no_generic_solve(self, monkeypatch):
+        plant = reduced_wmr_dynamics(PARAMS, payload=PayloadSchedule(), viscous=0.002)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generic path called")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(plant, "mass_matrix", forbidden)
+        monkeypatch.setattr(plant, "bias_vector", forbidden)
+        for t in (1.0, 6.0, 11.0):
+            plant.accel(np.zeros(2), np.array([3.0, 2.0]), np.array([0.1, -0.2]), t)
+
+
+_FMA_OPERAND = st.floats(min_value=-1e100, max_value=1e100).filter(
+    lambda x: x == 0.0 or abs(x) > 1e-100)
+
+
+@given(_FMA_OPERAND, _FMA_OPERAND, _FMA_OPERAND)
+def test_fma_rounds_once(a, b, c):
+    assert _fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 class TestTwoLink:

@@ -1,5 +1,10 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from arolc.controllers import ArolcConfig, PconConfig
@@ -10,9 +15,11 @@ from arolc.plants import (
     point_mass_plant,
     two_link_plant,
 )
+from arolc.scenario_io import apply_override, build_scenario, load_config
 from arolc.sim import (
     Scenario,
     SimulationDiverged,
+    _stage_times,
     error_dynamics_residual,
     simulate,
     trace_to_csv,
@@ -257,6 +264,39 @@ class TestActuatorModel:
                                        rtol=1e-12, atol=1e-12)
 
 
+class TestInputTable:
+    @given(st.floats(min_value=0.0, max_value=1e4), st.integers(1, 200),
+           st.sampled_from([1e-4, 1e-3, 2.5e-4, 1.0 / 3.0e3]))
+    def test_stage_times_round_as_rk4(self, t_k, steps, dt):
+        table = _stage_times(t_k, steps, dt)
+        for i in range(steps):
+            t = t_k + i * dt
+            assert table[i].tolist() == [t, t + 0.5 * dt, t + dt]
+
+
+class TestPinnedTraces:
+    """sha256 over every Trace array of the first 2 s of two shipped robot
+    runs. The digests pin the simulator's floating-point results (recorded
+    with numpy 2 / OpenBLAS on x86-64), so a change that moves one bit of a
+    trace fails here."""
+
+    DIGESTS = {
+        "wmr_s1_arolc": "1f0db8d34dfff511c11b8e43e97d2f9f773b7c662686fd57179d8f0da3f11021",
+        "wmr_s1_pcon": "6d3b739977c1ca46e77415ea011747325aa18bb6b9baa16c58fcc27a95f19034",
+    }
+
+    @pytest.mark.parametrize("stem", sorted(DIGESTS))
+    def test_digest(self, stem):
+        config = load_config(f"scenarios/{stem}.ini")
+        apply_override(config, "sim.duration", "2.0")
+        trace = simulate(build_scenario(config))
+        digest = hashlib.sha256()
+        for name in ("t", "q", "q_dot", "q_desired", "e1", "tau_cmd", "tau_applied",
+                     "c_hat", "s_norm", "h"):
+            digest.update(np.ascontiguousarray(getattr(trace, name), dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.DIGESTS[stem]
+
+
 class TestErrorDynamicsIdentity:
     def test_short_mismatched_run(self):
         gains = GainSet.identity(2)
@@ -297,6 +337,12 @@ class TestWarningsAndErrors:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             simulate(free_scenario(duration=0.0))
+
+    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control", "pconf_h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            free_scenario(**{field: value}).validate()
 
     def test_dt_coarser_than_control_rejected(self):
         with pytest.raises(ValueError):
