@@ -35,6 +35,9 @@ from .stability import check_feasibility, delay_margin
 
 __all__ = ["main"]
 
+# Cap on the values one `sweep --range` may give; each value is a whole simulation.
+_MAX_SWEEP_VALUES = 10_000
+
 
 def _apply_cli_overrides(config, args) -> None:
     if getattr(args, "seed", None) is not None:
@@ -140,8 +143,11 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ScenarioError(f"--range needs finite start, stop and step, got {spec!r}")
     if step <= 0.0 or stop < start:
         raise ScenarioError(f"--range must increase, got {spec!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if not span < _MAX_SWEEP_VALUES:
+        raise ScenarioError(
+            f"--range {spec!r} gives more than {_MAX_SWEEP_VALUES} values")
+    return start + step * np.arange(int(np.floor(span)) + 1)
 
 
 def _cmd_sweep(args) -> int:

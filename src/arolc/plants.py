@@ -138,8 +138,8 @@ class WmrParams:
 
     def __post_init__(self):
         for name in ("m", "I_bar", "K", "d", "r_bar", "b", "I_w"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.d < self.b:
             raise ValueError("d must be smaller than b")
 
@@ -420,10 +420,13 @@ class TwoLinkParams:
 
     def __post_init__(self):
         for name in ("m1", "m2", "l1", "l2", "lc1", "lc2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.I1 < 0.0 or self.I2 < 0.0 or self.viscous < 0.0:
-            raise ValueError("I1, I2, viscous must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("I1", "I2", "viscous"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not math.isfinite(self.gravity):
+            raise ValueError("gravity must be finite")
 
 
 def two_link_matrices(q, q_dot, params: TwoLinkParams):

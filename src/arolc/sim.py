@@ -61,7 +61,8 @@ TRACE_FLOAT_FORMAT = "%.9g"
 
 _DIVERGENCE_LIMIT = 1e8
 # Cap on each array simulate preallocates: the control-rate trace (4 + 6n
-# float64 per row) and the per-period stage table (9 + 3n float64 per RK4 step).
+# float64 per row), the per-period stage table (9 + 3n float64 per RK4 step)
+# and the diagnostics fine grid (1 + 2n float64 per RK4 step).
 _MAX_ARRAY_BYTES = 1 << 28
 _LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
 
@@ -211,6 +212,15 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     n = plant.dim
     profile = sc.delay
     trajectory = sc.trajectory
+    steps_per_control = round(sc.dt_control / sc.dt)
+    n_periods = _n_periods(sc)
+    n_rows = n_periods + 1
+    n_fine = n_periods * steps_per_control + 1
+    max_fine = _MAX_ARRAY_BYTES // (8 * (1 + 2 * n))
+    if diagnostics and n_fine > max_fine:
+        raise ValueError(
+            f"[sim] duration = {sc.duration:g} s needs {n_fine} diagnostics rows at "
+            f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
     if sc.controller == "arolc" and sc.gains is not None:
         margin = delay_margin(sc.gains)
@@ -220,10 +230,6 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
                 f"delay margin {margin:.4g} s; boundedness is not guaranteed",
                 stacklevel=2,
             )
-
-    steps_per_control = round(sc.dt_control / sc.dt)
-    n_periods = _n_periods(sc)
-    n_rows = n_periods + 1
 
     qd0 = trajectory(0.0)[0]
     q = np.array(sc.q0, dtype=float) if sc.q0 is not None else np.asarray(qd0, float).copy()
@@ -264,7 +270,6 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
     record_fine = diagnostics
     if record_fine:
-        n_fine = n_periods * steps_per_control + 1
         fine_t = np.zeros(n_fine)
         fine_q = np.zeros((n_fine, n))
         fine_qd = np.zeros((n_fine, n))

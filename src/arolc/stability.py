@@ -16,17 +16,23 @@ where r > 1 is the Razumikhin factor and beta > 0 a free Young-inequality
 scalar. For feasible delays (Psi = Q - h E > 0) the error is uniformly
 ultimately bounded; six bound formulas cover the combinations of switching
 regime (outside/inside the boundary layer) and adaptive-gain branch.
+
+The error system (P, E and the norms lambda_min(Q), ||E||, ||B^T P||) is
+computed once per GainSet instance, on the first analysis call, and stored
+on it; every later call reuses it. GainSet keeps read-only copies of K1, K2
+and Q, and the ErrorSystem arrays are read-only too, so the stored result
+cannot go stale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     invert,
-    is_hurwitz,
     min_eig_symmetric,
     solve_lyapunov,
     spectral_norm,
@@ -45,11 +51,17 @@ __all__ = [
 ]
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 def _spd_or_raise(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    """Read-only float copy of m, which must be symmetric positive definite."""
+    m = np.array(m, dtype=float)
     if min_eig_symmetric(m) <= 0.0:
         raise ValueError(f"{name} must be symmetric positive definite")
-    return m
+    return _read_only(m)
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,9 @@ class GainSet:
 
     K1, K2 are the position/velocity error gains (n x n, SPD), Q the
     Lyapunov right-hand side (2n x 2n, SPD), r > 1 the Razumikhin factor,
-    beta > 0 the Young-inequality scalar.
+    beta > 0 the Young-inequality scalar. The matrices are stored as
+    read-only copies, so the error system cached on the instance by
+    build_error_system always matches them.
     """
 
     K1: np.ndarray
@@ -76,13 +90,18 @@ class GainSet:
             raise ValueError("K1 and K2 must have identical shape")
         if q.shape != (2 * n, 2 * n):
             raise ValueError("Q must be 2n x 2n")
-        if not self.r > 1.0:
-            raise ValueError("r must exceed 1")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not 1.0 < self.r < math.inf:
+            raise ValueError("r must be finite and exceed 1")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
         object.__setattr__(self, "K1", k1)
         object.__setattr__(self, "K2", k2)
         object.__setattr__(self, "Q", q)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: numpy would restore the
+        # arrays writable, next to a cached error system they could outdate
+        return type(self), (self.K1, self.K2, self.Q, self.r, self.beta)
 
     @property
     def n(self) -> int:
@@ -97,7 +116,9 @@ class GainSet:
 
 @dataclass(frozen=True)
 class ErrorSystem:
-    """Matrices of the delayed error dynamics and the margin matrix E."""
+    """Matrices of the delayed error dynamics, the margin matrix E, and the
+    norms the analysis reads: q_min = lambda_min(Q), e_norm = ||E||,
+    bp_norm = ||B^T P||. The arrays are read-only."""
 
     A1: np.ndarray
     B1: np.ndarray
@@ -105,6 +126,9 @@ class ErrorSystem:
     B: np.ndarray
     P: np.ndarray
     E: np.ndarray
+    q_min: float
+    e_norm: float
+    bp_norm: float
 
     @property
     def n(self) -> int:
@@ -112,36 +136,50 @@ class ErrorSystem:
 
 
 def build_error_system(gains: GainSet) -> ErrorSystem:
-    """Assemble the error-dynamics blocks, solve for P, and form E."""
+    """Assemble the error-dynamics blocks, solve for P, and form E.
+
+    The first call for a GainSet instance stores the result on it; later
+    calls return that same object.
+    """
+    cached = gains.__dict__.get("_system")
+    if cached is not None:
+        return cached
     n = gains.n
     zero = np.zeros((n, n))
     eye = np.eye(n)
     a1 = np.block([[zero, eye], [zero, zero]])
     b1 = np.block([[zero, zero], [-gains.K1, -gains.K2]])
+    # companion form of e1_ddot + K2 e1_dot + K1 e1 = 0; SPD gains make it
+    # Hurwitz, and solve_lyapunov raises if it is not
     a = a1 + b1
-    # companion form of e1_ddot + K2 e1_dot + K1 e1 = 0; SPD gains make it stable
-    assert is_hurwitz(a), "A = A1 + B1 must be Hurwitz for SPD K1, K2"
     b = np.vstack([zero, eye])
     p = solve_lyapunov(a, gains.Q)
     p_inv = invert(p)
     inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
     e = gains.beta * (p @ b1 @ inner @ b1.T @ p) + 2.0 * (gains.r / gains.beta) * p
     e = symmetrize(e)  # symmetric by construction; remove float drift
-    return ErrorSystem(A1=a1, B1=b1, A=a, B=b, P=p, E=e)
+    system = ErrorSystem(
+        *(_read_only(m) for m in (a1, b1, a, b, p, e)),
+        q_min=min_eig_symmetric(gains.Q),
+        e_norm=spectral_norm(e),
+        bp_norm=spectral_norm(b.T @ p),
+    )
+    gains.__dict__["_system"] = system
+    return system
 
 
 def delay_margin(gains: GainSet) -> float:
     """Maximum admissible input delay in seconds: lambda_min(Q) / ||E||."""
     system = build_error_system(gains)
-    return min_eig_symmetric(gains.Q) / spectral_norm(system.E)
+    return system.q_min / system.e_norm
 
 
 def check_feasibility(gains: GainSet, h: float) -> bool:
     """True iff delay h satisfies lambda_min(Q) > h ||E||."""
-    if h < 0.0:
-        raise ValueError("delay must be nonnegative")
+    if not 0.0 <= h < math.inf:
+        raise ValueError("delay must be finite and nonnegative")
     system = build_error_system(gains)
-    return min_eig_symmetric(gains.Q) > h * spectral_norm(system.E)
+    return system.q_min > h * system.e_norm
 
 
 @dataclass(frozen=True)
@@ -168,13 +206,14 @@ class BoundParams:
     h: float = 0.0
 
     def __post_init__(self):
-        for name in ("c", "Gamma", "theta_norm", "epsilon", "gamma", "c_hat", "h"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must exceed 1")
-        if self.epsilon <= 0.0 or self.gamma <= 0.0 or self.c_hat <= 0.0:
-            raise ValueError("epsilon, gamma, c_hat must be positive")
+        for name in ("c", "Gamma", "theta_norm", "h"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("epsilon", "gamma", "c_hat"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 1")
 
 
 def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
@@ -193,7 +232,7 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     lam = min_eig_symmetric(psi)
     if lam <= 0.0:
         raise ValueError("delay too large for bound")
-    bp_norm = spectral_norm(system.B.T @ system.P)
+    bp_norm = system.bp_norm
     alpha, eps, gam = bp.alpha, bp.epsilon, bp.gamma
     c, c_hat, theta = bp.c, bp.c_hat, bp.theta_norm
 
@@ -222,6 +261,8 @@ def reaching_time(e0_norm: float, bound: float, c0: float) -> float:
     Zero when the initial error already lies inside the ball. c0 is the
     assumed decay-rate margin of the Lyapunov derivative, c0 > 0.
     """
-    if c0 <= 0.0:
-        raise ValueError("c0 must be positive")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError("c0 must be finite and positive")
+    if not (0.0 <= e0_norm < math.inf and 0.0 <= bound < math.inf):
+        raise ValueError("e0_norm and bound must be finite and nonnegative")
     return max(0.0, (e0_norm - bound) / c0)

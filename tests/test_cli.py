@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arolc.cli import main
+from arolc.cli import _MAX_SWEEP_VALUES, _parse_range, main
 
 FAST = """
 [plant]
@@ -179,3 +179,16 @@ class TestSweep:
                      f"--range={spec}", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "--range" in capsys.readouterr().err
+
+    # rejected before any array is allocated: the first would ask numpy for
+    # 1e21 values, the second's count overflows to inf
+    @pytest.mark.parametrize("spec", ["0:1e12:1e-9", "-1e308:1e308:1e-300",
+                                      f"0:{_MAX_SWEEP_VALUES}:1"])
+    def test_too_many_values_rejected(self, fast_ini, tmp_path, capsys, spec):
+        code = main(["sweep", str(fast_ini), "--param", "delay.h0",
+                     f"--range={spec}", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "--range" in capsys.readouterr().err
+
+    def test_range_cap_is_inclusive(self):
+        assert len(_parse_range(f"1:{_MAX_SWEEP_VALUES}:1")) == _MAX_SWEEP_VALUES

@@ -313,6 +313,24 @@ class TestTwoLink:
         )
 
 
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", ["m", "I_bar", "K", "d", "r_bar", "b", "I_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_wmr_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WmrParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        (name, value) for name in ("m1", "m2", "l1", "l2", "lc1", "lc2")
+        for value in (math.nan, math.inf, 0.0)
+    ] + [
+        (name, value) for name in ("I1", "I2", "viscous") for value in (math.nan, math.inf, -1.0)
+    ] + [("gravity", math.nan), ("gravity", math.inf)])
+    def test_two_link_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TwoLinkParams(**{field: value})
+
+
 class TestSimplePlants:
     def test_oscillator_restoring_force(self):
         plant = oscillator_plant(stiffness=4.0, mass=2.0)

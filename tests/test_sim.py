@@ -344,6 +344,14 @@ class TestWarningsAndErrors:
         with pytest.raises(ValueError, match=field.split("_")[0]):
             free_scenario(**{field: value}).validate()
 
+    def test_oversized_diagnostics_grid_rejected(self):
+        # 2e6 control rows fit the trace cap, but 2e8 fine-grid rows of
+        # 3 float64 (about 4.8 GB) do not; raised before anything is allocated
+        sc = free_scenario(duration=2e4, dt=1e-4)
+        sc.validate()
+        with pytest.raises(ValueError, match=r"\[sim\] duration"):
+            simulate(sc, diagnostics=True)
+
     def test_dt_coarser_than_control_rejected(self):
         with pytest.raises(ValueError):
             simulate(free_scenario(dt=0.02, dt_control=0.01))

@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from arolc import stability
 from arolc.linalg import is_hurwitz, min_eig_symmetric, spectral_norm
 from arolc.stability import (
     BoundParams,
@@ -19,6 +22,47 @@ IDENTITY_GAINS = GainSet.identity(1)  # K1 = K2 = 1, Q = I2, r = 1.1, beta = 1
 # margin from the hand-assembled E = [[4.2, 2.9], [2.9, 5.8]]:
 # ||E|| = (10 + sqrt(36.2)) / 2, margin = 1 / ||E||
 HAND_MARGIN = 2.0 / (10.0 + math.sqrt(36.2))
+
+
+def _spd(rng, k, lo, hi):
+    """Random SPD k x k matrix with eigenvalues in [lo, hi)."""
+    basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    m = (basis * rng.uniform(lo, hi, k)) @ basis.T
+    return 0.5 * (m + m.T)
+
+
+def _pinned_case(seed):
+    """Seeded gain set (n = 1, 2, 3, 6 by seed) and BoundParams scalars."""
+    rng = np.random.default_rng(seed)
+    n = (1, 2, 3, 6)[seed % 4]
+    gains = GainSet(_spd(rng, n, 0.5, 3.0), _spd(rng, n, 0.5, 3.0), _spd(rng, 2 * n, 0.5, 2.0),
+                    r=2.0 - rng.random(), beta=2.0 - 1.5 * rng.random())
+    bp = dict(c=rng.uniform(0.0, 2.0), Gamma=rng.uniform(0.0, 1.0),
+              theta_norm=rng.uniform(0.0, 0.5), alpha=rng.uniform(1.5, 3.0),
+              epsilon=rng.uniform(0.05, 0.2), c_hat=rng.uniform(0.01, 2.0))
+    return gains, bp
+
+
+# seed: (delay_margin, ||E||, ultimate bounds 1-6 at h = margin / 2) as
+# float.hex, recorded before the error system was cached on the GainSet
+PINNED = {
+    0: ('0x1.f5f4f8c19ac3bp-5', '0x1.577d5bb37f7d1p+4',
+        ('0x1.4eb761bc8698cp+1', '0x1.6683b83807d0ap+2', '0x1.1c982cc9dffc2p-1', '0x1.d25b0511ee65ap-2', '0x1.6e9f3fbd250b8p-1', '0x1.293f9ce0fad14p-1')),
+    1: ('0x1.c32ff1421d06ep-7', '0x1.877baf481c150p+5',
+        ('0x1.ef05ce72b6dc2p+0', '0x1.8db35305ef672p+2', '0x1.214b43e901d5ap+2', '0x1.e88e05e3b6cfap+0', '0x1.32498cacd9c44p+1', '0x1.072cac094ecb0p+1')),
+    2: ('0x1.9301e8caec8aap-8', '0x1.58a9636e324b6p+6',
+        ('0x1.473239db27fb6p+1', '0x1.fe659e973a86ep+0', '0x1.fe65b98dded08p+0', '0x1.0413ebecbce67p+1', '0x1.01f2e67bc620ap+1', '0x1.02f07c87319cfp+1')),
+    3: ('0x1.6c210f55dd999p-8', '0x1.f96611b258081p+6',
+        ('0x1.dbb2ad3745bf9p+0', '0x1.7b34e8327e6d9p+0', '0x1.7b34fac5f3603p+0', '0x1.8212531fb9122p+0', '0x1.80246ab5d1a74p+0', '0x1.811182e4ef1b1p+0')),
+    4: ('0x1.2c276627f326ap-4', '0x1.1f5167aebafb4p+4',
+        ('0x1.6ff41fbfdc90ep+1', '0x1.69be23faf0998p+0', '0x1.69be33013a930p+0', '0x1.7998bd4018028p+0', '0x1.6a1cd4fb401aap+0', '0x1.6f12256c3e74fp+0')),
+    5: ('0x1.4e77435119da1p-7', '0x1.894b8137576e4p+5',
+        ('0x1.9704c313fd474p+1', '0x1.27226bc8b6e6ep+0', '0x1.2722898bcc73ep+0', '0x1.30a46e5aabe5dp+0', '0x1.27226bc8b6e6ep+0', '0x1.291381712efe6p+0')),
+    6: ('0x1.53c5c5fcd57fbp-7', '0x1.3ae08a13cc6f6p+6',
+        ('0x1.3c15ee5f52cc3p+1', '0x1.2c49e7c20876bp+0', '0x1.2c49fa3214b0dp+0', '0x1.32d9f2ed020fdp+0', '0x1.3da2a993cb7d7p+0', '0x1.37a2ca64cdc45p+0')),
+    7: ('0x1.013ad8580f7b3p-10', '0x1.132f74856b878p+9',
+        ('0x1.2af31c803c7f6p+1', '0x1.6b648398a3b53p-1', '0x1.6b64dca4f8c36p-1', '0x1.7f61d3830122ap-1', '0x1.8036ca46df053p-1', '0x1.7fcc2341fc479p-1')),
+}
 
 
 class TestBuildErrorSystem:
@@ -65,6 +109,75 @@ class TestBuildErrorSystem:
             assert np.abs(e - e.T).max() <= 1e-9 * np.abs(e).max()
 
 
+class TestErrorSystemCache:
+    def test_same_object(self):
+        gains = GainSet.identity(2)
+        assert build_error_system(gains) is build_error_system(gains)
+
+    def test_one_lyapunov_solve_per_gain_set(self, monkeypatch):
+        solves = []
+        real = stability.solve_lyapunov
+
+        def counting(a, q):
+            solves.append(1)
+            return real(a, q)
+
+        monkeypatch.setattr(stability, "solve_lyapunov", counting)
+        gains = GainSet.identity(2)
+        margin = delay_margin(gains)
+        check_feasibility(gains, 0.5 * margin)
+        check_feasibility(gains, 2.0 * margin)
+        bp = BoundParams(c=1.0, Gamma=0.4, theta_norm=0.2, c_hat=0.5, h=0.5 * margin)
+        for case in range(1, 7):
+            ultimate_bound(case, gains, bp)
+        assert len(solves) == 1
+
+    def test_arrays_read_only(self):
+        gains = GainSet.identity(1)
+        system = build_error_system(gains)
+        for m in (gains.K1, gains.K2, gains.Q, system.A1, system.B1, system.A,
+                  system.B, system.P, system.E):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
+
+    def test_caller_arrays_copied(self):
+        k1 = np.eye(1)
+        gains = GainSet(k1, np.eye(1), np.eye(2))
+        k1[0, 0] = 50.0  # before the first analysis call
+        assert delay_margin(gains) == delay_margin(IDENTITY_GAINS)
+        k1[0, 0] = 0.01  # after it
+        assert delay_margin(gains) == delay_margin(IDENTITY_GAINS)
+        assert gains.K1[0, 0] == 1.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda g: pickle.loads(pickle.dumps(g))])
+    def test_copies_stay_read_only(self, clone):
+        gains = GainSet.identity(2, r=1.3)
+        margin = delay_margin(gains)
+        twin = clone(gains)
+        assert not any(m.flags.writeable for m in (twin.K1, twin.K2, twin.Q))
+        assert twin.r == 1.3
+        assert delay_margin(twin) == margin
+
+    def test_cached_norms(self):
+        gains, _ = _pinned_case(2)
+        system = build_error_system(gains)
+        assert system.q_min == min_eig_symmetric(gains.Q)
+        assert system.e_norm == spectral_norm(system.E)
+        assert system.bp_norm == spectral_norm(system.B.T @ system.P)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_bit_identical_to_recorded_values(self, seed):
+        gains, bp = _pinned_case(seed)
+        margin_hex, e_norm_hex, bounds_hex = PINNED[seed]
+        margin = delay_margin(gains)
+        assert float(margin).hex() == margin_hex
+        assert float(spectral_norm(build_error_system(gains).E)).hex() == e_norm_hex
+        params = BoundParams(h=0.5 * margin, **bp)
+        bounds = tuple(float(ultimate_bound(c, gains, params)).hex() for c in range(1, 7))
+        assert bounds == bounds_hex
+
+
 class TestDelayMargin:
     def test_reference_margin(self):
         # 125 ms for the identity tuning
@@ -107,6 +220,30 @@ class TestCheckFeasibility:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             check_feasibility(IDENTITY_GAINS, -0.01)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, h):
+        with pytest.raises(ValueError, match="delay"):
+            check_feasibility(IDENTITY_GAINS, h)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("c", math.nan), ("Gamma", math.inf), ("theta_norm", math.nan), ("h", math.inf),
+        ("h", math.nan), ("epsilon", math.nan), ("gamma", math.inf), ("c_hat", math.nan),
+        ("alpha", math.nan), ("alpha", math.inf), ("c", -1.0), ("epsilon", 0.0),
+    ])
+    def test_bound_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BoundParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("r", math.inf), ("r", math.nan), ("r", 1.0),
+        ("beta", math.inf), ("beta", math.nan), ("beta", 0.0),
+    ])
+    def test_gain_set_scalars_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GainSet.identity(1, **{field: value})
 
 
 class TestUltimateBound:
@@ -171,3 +308,11 @@ class TestReachingTime:
     def test_c0_positive_required(self):
         with pytest.raises(ValueError):
             reaching_time(1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, math.nan),
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf), (-1.0, 0.1, 1.0),
+    ])
+    def test_non_finite_or_negative_rejected(self, args):
+        with pytest.raises(ValueError):
+            reaching_time(*args)
