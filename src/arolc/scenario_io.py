@@ -273,9 +273,18 @@ def _build_trajectory(config, plant_dim, wmr_params):
     raise ScenarioError(f"unknown trajectory kind: [trajectory] kind = {sec['kind']!r}")
 
 
+# [delay] parameter keys and the one kind that reads each; any other kind
+# would silently ignore them
+_DELAY_KEY_KIND = {"h0": "constant", "a": "custom", "b": "custom", "omega": "custom"}
+
+
 def _build_delay(config) -> DelayProfile:
     sec = config["delay"]
     kind = sec["kind"].strip()
+    for key, owner in _DELAY_KEY_KIND.items():
+        if key in sec and kind != owner:
+            raise ScenarioError(f"[delay] {key} applies only to kind = {owner}, "
+                                f"not kind = {kind}")
     try:
         return DelayProfile(
             kind=kind,

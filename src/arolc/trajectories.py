@@ -11,7 +11,9 @@ Three built-ins cover the test plants and the wheeled robot:
   checks and error reporting.
 * ``WheelRampTrajectory``: constant wheel rates commanded directly.
 
-A trajectory is called as traj(t) -> (qd, qd_dot, qd_ddot).
+A trajectory is called as traj(t) -> (qd, qd_dot, qd_ddot). A scalar t
+gives three (n,) arrays; a 1-D array of N times gives three (N, n) arrays
+whose row i is the scalar call at t[i], bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,24 @@ __all__ = [
     "CircleTrajectory",
     "WheelRampTrajectory",
 ]
+
+
+def _time_column(t):
+    """t as a float array: a scalar stays 0-d, a 1-D array of N times becomes
+    an (N, 1) column, so that per-coordinate constants broadcast along its
+    rows."""
+    t = np.asarray(t, float)
+    if t.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    return t[:, None] if t.ndim else t
+
+
+def _constant_rates(rates, t):
+    """(rates t, rates, 0) of a reference moving at constant rates."""
+    qd = rates * _time_column(t)
+    qd_dot = np.empty(qd.shape)
+    qd_dot[...] = rates
+    return qd, qd_dot, np.zeros(qd.shape)
 
 
 @dataclass(frozen=True)
@@ -47,12 +67,12 @@ class SinusoidTrajectory:
         return self.path_diameter if self.path_diameter > 0 \
             else 2.0 * max(self.amplitude)
 
-    def __call__(self, t: float):
+    def __call__(self, t):
         amp = np.asarray(self.amplitude, float)
         freq = np.asarray(self.frequency, float)
         ph = np.zeros(self.dim) if self.phase is None else np.asarray(self.phase, float)
         off = np.zeros(self.dim) if self.offset is None else np.asarray(self.offset, float)
-        arg = freq * t + ph
+        arg = freq * _time_column(t) + ph
         qd = off + amp * np.sin(arg)
         qd_dot = amp * freq * np.cos(arg)
         qd_ddot = -amp * freq ** 2 * np.sin(arg)
@@ -100,9 +120,8 @@ class CircleTrajectory:
         return (self.rate * (self.radius - self.b) / self.r_bar,
                 self.rate * (self.radius + self.b) / self.r_bar)
 
-    def __call__(self, t: float):
-        rates = np.array(self.wheel_rates)
-        return rates * t, rates, np.zeros(2)
+    def __call__(self, t):
+        return _constant_rates(np.array(self.wheel_rates), t)
 
     def cartesian(self, t: float):
         """(x, y, x_dot, y_dot, heading) of the reference path at time t."""
@@ -124,9 +143,8 @@ class WheelRampTrajectory:
 
     dim = 2
 
-    def __call__(self, t: float):
-        rates = np.array([self.rate_r, self.rate_l])
-        return rates * t, rates, np.zeros(2)
+    def __call__(self, t):
+        return _constant_rates(np.array([self.rate_r, self.rate_l]), t)
 
     @property
     def diameter(self) -> float:

@@ -155,17 +155,27 @@ class TestCompare:
 
 
 class TestSweep:
-    def test_aggregated_csv(self, fast_ini, tmp_path):
+    def test_aggregated_csv(self, tmp_path):
+        ini = tmp_path / "constant.ini"
+        ini.write_text(FAST.replace("kind = S1", "kind = constant"))
         out = tmp_path / "sweep"
-        code = main(["sweep", str(fast_ini), "--param", "delay.h0",
+        code = main(["sweep", str(ini), "--param", "delay.h0",
                      "--range", "0.0:0.08:0.04", "--out", str(out), "--quiet"])
-        # note: h0 is inert for kind=S1; this exercises the plumbing only
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("value,status,ae_0")
         assert len(lines) == 4
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == pytest.approx([0.0, 0.04, 0.08])
+
+    def test_sweep_of_key_ignored_by_kind_rejected(self, fast_ini, tmp_path, capsys):
+        # h0 is read only by kind = constant: over kind = S1 every value of
+        # the sweep would simulate the same run
+        code = main(["sweep", str(fast_ini), "--param", "delay.h0",
+                     "--range", "0:0.2:0.1", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "[delay] h0" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
 
     def test_bad_param_rejected(self, fast_ini, tmp_path, capsys):
         code = main(["sweep", str(fast_ini), "--param", "delay.warp",

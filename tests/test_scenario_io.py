@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arolc.delays import max_delay
 from arolc.scenario_io import (
     ScenarioError,
     apply_override,
@@ -80,6 +81,25 @@ class TestBuildScenario:
         bad = MINIMAL.replace("kind = point-mass", "kind = hovercraft")
         with pytest.raises(ScenarioError, match="hovercraft"):
             build_scenario(load_config(bad))
+
+    @pytest.mark.parametrize("kind, key", [
+        ("S1", "h0"), ("none", "h0"), ("custom", "h0"),
+        ("constant", "a"), ("S3", "b"), ("none", "omega"),
+    ])
+    def test_delay_key_ignored_by_kind_rejected(self, kind, key):
+        bad = MINIMAL.replace("[delay]\nkind = none\n",
+                              f"[delay]\nkind = {kind}\n{key} = 0.05\n")
+        with pytest.raises(ScenarioError, match=rf"\[delay\] {key}\b"):
+            build_scenario(load_config(bad))
+
+    @pytest.mark.parametrize("entries, expected", [
+        ("kind = constant\nh0 = 0.05\n", 0.05),
+        ("kind = custom\na = 0.01\nb = 0.04\nomega = 2.0\n", 0.05),
+    ])
+    def test_delay_keys_of_their_kind_accepted(self, entries, expected):
+        text = MINIMAL.replace("[delay]\nkind = none\n", f"[delay]\n{entries}")
+        sc = build_scenario(load_config(text))
+        assert max_delay(sc.delay) == pytest.approx(expected)
 
     def test_circle_requires_wmr(self):
         bad = MINIMAL.replace("kind = sinusoid", "kind = circle") \

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from arolc.controllers import ArolcConfig, PconConfig
+from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, delay_at
 from arolc.plants import (
+    PayloadSchedule,
     TwoLinkParams,
+    WmrParams,
     oscillator_plant,
     point_mass_plant,
+    reduced_wmr_dynamics,
     two_link_plant,
 )
 from arolc.scenario_io import apply_override, build_scenario, load_config
@@ -25,7 +30,7 @@ from arolc.sim import (
     trace_to_csv,
 )
 from arolc.stability import GainSet, build_error_system
-from arolc.trajectories import SinusoidTrajectory
+from arolc.trajectories import CircleTrajectory, SinusoidTrajectory
 
 ZERO_TRAJ = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
 
@@ -295,6 +300,138 @@ class TestPinnedTraces:
                      "c_hat", "s_norm", "h"):
             digest.update(np.ascontiguousarray(getattr(trace, name), dtype="<f8").tobytes())
         assert digest.hexdigest() == self.DIGESTS[stem]
+
+
+def reference_residual(trace, sc, warmup=0.5):
+    """The error-dynamics residual by its per-instant definition: for each
+    checked instant, rhs from ``uncertainty_residual`` on the two bracketing
+    command records, blended with the actuator's weight (the last record
+    after the last command)."""
+    fine = trace.fine
+    cfg = sc.arolc
+    times = fine.t
+    dt = times[1] - times[0]
+    qd_dot_d = np.array([sc.trajectory(float(t))[1] for t in times])
+    qd_ddot_d = np.array([sc.trajectory(float(t))[2] for t in times])
+    e1_dot = qd_dot_d - fine.q_dot
+    e1_ddot = (e1_dot[2:] - e1_dot[:-2]) / (2.0 * dt)
+    cmd_t = fine.cmd_t
+
+    def rhs_for(j, i, t):
+        sigma = uncertainty_residual(
+            fine.q[i], fine.q_dot[i], fine.cmd_q[j], fine.cmd_q_dot[j],
+            fine.cmd_u[j], qd_ddot_d[i], sc.trajectory(float(cmd_t[j]))[2],
+            sc.plant, sc.plant, t=t,
+        )
+        return (-cfg.K2 @ fine.cmd_e1_dot[j] - cfg.K1 @ fine.cmd_e1[j]
+                + sigma - fine.cmd_du[j])
+
+    out_t, out_r = [], []
+    for i in range(1, len(times) - 1):
+        t = float(times[i])
+        if t < warmup:
+            continue
+        theta = t - delay_at(sc.delay, t)
+        idx = bisect_right(list(cmd_t), theta)
+        if idx == 0:
+            continue
+        if idx == len(cmd_t):
+            rhs_val = rhs_for(idx - 1, i, t)
+        else:
+            lam = (theta - cmd_t[idx - 1]) / (cmd_t[idx] - cmd_t[idx - 1])
+            rhs_val = (1.0 - lam) * rhs_for(idx - 1, i, t) + lam * rhs_for(idx, i, t)
+        out_t.append(t)
+        out_r.append(float(np.linalg.norm(e1_ddot[i - 1] - rhs_val)))
+    return np.array(out_t), np.array(out_r)
+
+
+def _arolc_scenario(plant, trajectory, delay, **kwargs):
+    gains = GainSet.identity(plant.dim)
+    defaults = dict(duration=1.0, dt=1e-3, dt_control=1e-2)
+    defaults.update(kwargs)
+    return Scenario(plant=plant, trajectory=trajectory, delay=delay,
+                    controller="arolc", arolc=ArolcConfig.from_gains(gains),
+                    gains=gains, **defaults)
+
+
+RESIDUAL_SCENARIOS = {
+    "two_link_s1": lambda: _arolc_scenario(
+        two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
+        SinusoidTrajectory(), DelayProfile("S1")),
+    # the payload switches every 0.3 s, so M depends on t
+    "wmr_payload_s3": lambda: _arolc_scenario(
+        reduced_wmr_dynamics(WmrParams(), mismatch=0.1, viscous=0.2,
+                             payload=PayloadSchedule(period_on=0.3, period_off=0.3,
+                                                     offsets=((0.05, 0.02), (-0.03, 0.01)))),
+        CircleTrajectory(), DelayProfile("S3")),
+    "oscillator": lambda: _arolc_scenario(
+        oscillator_plant(stiffness=2.0), SinusoidTrajectory(amplitude=(0.5,),
+                                                            frequency=(1.3,)),
+        DelayProfile("custom", a=0.01, b=0.03, omega=2.0)),
+    "continuous": lambda: _arolc_scenario(
+        two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
+        SinusoidTrajectory(), DelayProfile("none"), control_mode="continuous"),
+}
+
+
+class TestErrorDynamicsResidual:
+    """The array pass against the per-instant definition."""
+
+    @pytest.fixture(scope="class", params=sorted(RESIDUAL_SCENARIOS))
+    def run(self, request):
+        sc = RESIDUAL_SCENARIOS[request.param]()
+        return simulate(sc, diagnostics=True), sc
+
+    @staticmethod
+    def assert_matches_reference(trace, sc, warmup=0.5):
+        times, resid = error_dynamics_residual(trace, sc, warmup)
+        ref_t, ref_r = reference_residual(trace, sc, warmup)
+        assert len(times) > 0
+        np.testing.assert_array_equal(times, ref_t)
+        np.testing.assert_allclose(resid, ref_r, rtol=0.0, atol=1e-12)
+        return times
+
+    def test_matches_reference(self, run):
+        trace, sc = run
+        times = self.assert_matches_reference(trace, sc)
+        assert times[0] >= 0.5
+
+    @pytest.mark.parametrize("warmup", [0.0, 0.2345, 0.9])
+    def test_warmup_cut(self, run, warmup):
+        trace, sc = run
+        times = self.assert_matches_reference(trace, sc, warmup)
+        assert times[0] >= warmup
+        later = trace.fine.t[1:-1][trace.fine.t[1:-1] >= warmup]
+        assert len(times) == len(later) - np.count_nonzero(
+            later - delay_at(sc.delay, later) < 0.0)
+
+    def test_lookups_before_first_command_skipped(self, run):
+        trace, sc = run
+        times = self.assert_matches_reference(trace, sc, warmup=0.0)
+        interior = trace.fine.t[1:-1]
+        np.testing.assert_array_equal(
+            times, interior[interior - delay_at(sc.delay, interior) >= 0.0])
+
+    def test_lookups_after_last_command_held(self, run):
+        # drop the command records of the last 0.3 s: the lookups of the
+        # instants after the new last command use it alone
+        trace, sc = run
+        fine = trace.fine
+        keep = fine.cmd_t <= fine.cmd_t[-1] - 0.3
+        cut = dataclasses.replace(fine, **{
+            f.name: getattr(fine, f.name)[keep]
+            for f in dataclasses.fields(fine) if f.name.startswith("cmd_")})
+        cut_trace = dataclasses.replace(trace, fine=cut)
+        times = self.assert_matches_reference(cut_trace, sc)
+        assert np.count_nonzero(times - delay_at(sc.delay, times) > cut.cmd_t[-1]) > 100
+
+    @pytest.mark.parametrize("warmup", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_warmup_rejected(self, warmup):
+        sc = RESIDUAL_SCENARIOS["oscillator"]()
+        sc.duration = 0.1
+        trace = simulate(sc, diagnostics=True)
+        with pytest.raises(ValueError, match="warmup"):
+            error_dynamics_residual(trace, sc, warmup)
 
 
 class TestErrorDynamicsIdentity:

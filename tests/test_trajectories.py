@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arolc.trajectories import (
     CircleTrajectory,
@@ -12,6 +14,12 @@ ALL_SPECS = [
                        phase=(0.1, -0.4), offset=(0.2, 0.0)),
     CircleTrajectory(),
     WheelRampTrajectory(),
+]
+# every kind, with one, two and three coordinates
+ARRAY_SPECS = ALL_SPECS + [
+    SinusoidTrajectory(amplitude=(0.7,), frequency=(1.3,)),
+    SinusoidTrajectory(amplitude=(0.5, 0.3, 0.2), frequency=(0.5, 0.7, 2.0),
+                       phase=(0.0, 1.0, -2.0), offset=(0.1, 0.2, 0.3)),
 ]
 
 
@@ -76,3 +84,36 @@ def test_derivatives_match_central_differences(spec):
         num_acc = (qd_p - 2.0 * qd + qd_m) / dt ** 2
         np.testing.assert_allclose(qd_dot, num_vel, atol=5e-8)
         np.testing.assert_allclose(qd_ddot, num_acc, atol=5e-4)
+
+
+class TestArrayCall:
+    """traj(t) over a 1-D array of N times returns three (N, n) arrays whose
+    row i is the scalar call at t[i], byte for byte."""
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: f"{type(s).__name__}{s.dim}")
+    @given(times=st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=3))
+    def test_rows_equal_scalar_calls(self, spec, times):
+        rows = spec(np.array(times))
+        for out in rows:
+            assert out.shape == (len(times), spec.dim)
+        for i, t in enumerate(times):
+            for row, scalar in zip(rows, spec(t)):
+                assert row[i].tobytes() == scalar.tobytes()
+
+    def test_times_are_not_paired_with_coordinates(self):
+        # two times for a two-coordinate sinusoid: each time sees both
+        # frequencies (a plain broadcast would pair freq[i] with t[i])
+        spec = SinusoidTrajectory(amplitude=(1.0, 1.0), frequency=(1.0, 2.0))
+        qd, _, _ = spec(np.array([0.5, 1.0]))
+        np.testing.assert_array_equal(qd, [[np.sin(0.5), np.sin(1.0)],
+                                           [np.sin(1.0), np.sin(2.0)]])
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: f"{type(s).__name__}{s.dim}")
+    def test_scalar_call_shapes(self, spec):
+        for out in spec(0.25):
+            assert out.shape == (spec.dim,)
+
+    @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: f"{type(s).__name__}{s.dim}")
+    def test_two_dimensional_times_rejected(self, spec):
+        with pytest.raises(ValueError, match="1-D"):
+            spec(np.zeros((2, 2)))
