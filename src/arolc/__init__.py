@@ -58,7 +58,6 @@ from .plants import (
     reduced_wmr_dynamics,
     two_link_matrices,
     two_link_plant,
-    wmr_matrices,
 )
 from .scenario_io import (
     ScenarioError,

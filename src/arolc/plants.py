@@ -1,32 +1,23 @@
 """Plant models exposing M(q) and N(q, q_dot, t) for M qdd + N = tau_applied.
 
 Every plant carries two faces: the true dynamics (with friction, payload and
-disturbance terms) used by the integrator, and a deterministic nominal model
-(what the controller believes) exposed via nominal_mass_matrix and
-nominal_bias_vector. Time enters the true side only, through disturbances
-and the payload schedule.
+disturbance terms) used by the integrator, and the deterministic nominal
+model the controller believes, ``plant.nominal``. The nominal model is a
+plant of the same kind built from the nominal parameters, without payload,
+friction or disturbance, or the plant itself where the controller knows it
+exactly; nominal_mass_matrix and nominal_bias_vector read it. Time enters
+the true side only, through disturbances and the payload schedule.
 
-The wheeled-mobile-robot support comes in two layers:
+``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
+plant of the differential drive, derived from the kinetic energy written
+at the axle midpoint:
 
-* ``wmr_matrices`` assembles the full 5-coordinate matrices
-  (coordinates x_c, y_c, phi, theta_r, theta_l; inputs u_r, u_l) in the
-  multiplier-eliminated form whose k1..k5 couplings tie the body
-  coordinates to the wheel angles.
+    T = 1/2 m v^2 + 1/2 (I_bar + m d^2) w^2 + 1/2 I_w (tr^2 + tl^2),
+    v = r_bar (tr + tl) / 2,  w = r_bar (tr - tl) / (2 b),
 
-* ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space plant a square
-  controller can act on. Projecting the coupled 5x5 form through the
-  constraint null space does not yield a positive definite inertia (its
-  k1..k5 entries already fold constraint elimination into the off-diagonal
-  blocks, so the projection double-counts them); the reduction is instead
-  derived from the kinetic energy of the same physical parameters, written
-  at the axle midpoint:
-
-      T = 1/2 m v^2 + 1/2 (I_bar + m d^2) w^2 + 1/2 I_w (tr^2 + tl^2),
-      v = r_bar (tr + tl) / 2,  w = r_bar (tr - tl) / (2 b),
-
-  giving a constant SPD wheel-space inertia and the gyroscopic bias
-  2 K a c^2 (tr - tl) [tl, -tr] from the centre-of-mass offset. Posture
-  (x_c, y_c, phi) is reconstructed kinematically from wheel rates.
+giving a constant SPD wheel-space inertia and the gyroscopic bias
+2 K a c^2 (tr - tl) [tl, -tr] from the centre-of-mass offset. Posture
+(x_c, y_c, phi) is reconstructed kinematically from wheel rates.
 """
 
 from __future__ import annotations
@@ -40,7 +31,6 @@ __all__ = [
     "PlantModel",
     "el_accel",
     "WmrParams",
-    "wmr_matrices",
     "PayloadSchedule",
     "payload_mass",
     "reduced_wmr_dynamics",
@@ -55,9 +45,24 @@ __all__ = [
 
 
 class PlantModel:
-    """Base class for second-order plants M(q) qdd + N(q, qd, t) = tau."""
+    """Base class for second-order plants M(q) qdd + N(q, qd, t) = tau.
+
+    nominal is the time-free model the controller believes (the plant itself
+    by default); disturbance_amp, disturbance_freq and phases describe the
+    additive torque disturbance amp * sin(freq * t + phases) of the true side.
+    """
 
     dim: int = 0
+
+    def __init__(self, nominal=None, disturbance_amp=0.0, disturbance_freq=1.0,
+                 phases=None):
+        self.nominal = self if nominal is None else nominal
+        self.disturbance_amp = disturbance_amp
+        self.disturbance_freq = disturbance_freq
+        self.phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
+
+    def disturbance(self, t: float) -> np.ndarray:
+        return self.disturbance_amp * np.sin(self.disturbance_freq * t + self.phases)
 
     def mass_matrix(self, q, t: float | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -66,10 +71,10 @@ class PlantModel:
         raise NotImplementedError
 
     def nominal_mass_matrix(self, q) -> np.ndarray:
-        raise NotImplementedError
+        return self.nominal.mass_matrix(q)
 
     def nominal_bias_vector(self, q, q_dot) -> np.ndarray:
-        raise NotImplementedError
+        return self.nominal.bias_vector(q, q_dot, None)
 
     def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
         """Forward dynamics; subclasses may override with a faster closed form."""
@@ -144,51 +149,6 @@ class WmrParams:
             raise ValueError("d must be smaller than b")
 
 
-def wmr_matrices(q, q_dot, params: WmrParams):
-    """Full 5-coordinate matrices (M_bar, V_bar, G) of the coupled model.
-
-    q = (x_c, y_c, phi, theta_r, theta_l); only phi enters M_bar, only the
-    velocities enter V_bar; G is constant. M_bar is symmetric as written.
-    """
-    q = np.asarray(q, dtype=float)
-    q_dot = np.asarray(q_dot, dtype=float)
-    if q.shape[0] != 5 or q_dot.shape[0] != 5:
-        raise ValueError("full WMR model uses 5 generalized coordinates")
-    m, i_bar, k, d = params.m, params.I_bar, params.K, params.d
-    r, b, i_w = params.r_bar, params.b, params.I_w
-    phi = q[2]
-    s, c = math.sin(phi), math.cos(phi)
-    k1 = s * (m * d * r - k * r) / b - m * r * c / 2.0
-    k2 = s * (k * r - m * d * r) / b - m * r * c / 2.0
-    k3 = c * (k * r - m * d * r) / b - m * r * s / 2.0
-    k4 = c * (m * d * r - k * r) / b - m * r * s / 2.0
-    k5 = r * (i_bar - k * d) / b
-    m_bar = np.array([
-        [m, 0.0, k * s, k1, k2],
-        [0.0, m, -k * c, k3, k4],
-        [k * s, -k * c, i_bar, -k5, k5],
-        [k1, k3, -k5, i_w, 0.0],
-        [k2, k4, k5, 0.0, i_w],
-    ])
-    phi_dot, tr_dot, tl_dot = q_dot[2], q_dot[3], q_dot[4]
-    wheel_sq = (tr_dot ** 2 - tl_dot ** 2) / (2.0 * b)
-    v_bar = np.array([
-        m * d * phi_dot ** 2 * c + m * r ** 2 * s * wheel_sq,
-        m * d * phi_dot ** 2 * c - m * r ** 2 * s * wheel_sq,
-        k * r ** 2 * wheel_sq,
-        -k * r * phi_dot ** 2 / 2.0,
-        -k * r * phi_dot ** 2 / 2.0,
-    ])
-    g = np.array([
-        [0.0, 0.0],
-        [0.0, 0.0],
-        [0.0, 0.0],
-        [1.0, 0.0],
-        [0.0, 1.0],
-    ])
-    return m_bar, v_bar, g
-
-
 @dataclass(frozen=True)
 class PayloadSchedule:
     """Square-wave payload: extra_mass held for period_on, removed for
@@ -229,15 +189,12 @@ class _ReducedWmrPlant(PlantModel):
 
     dim = 2
 
-    def __init__(self, params, nominal_params, payload, viscous,
-                 disturbance_amp, disturbance_freq, phases):
+    def __init__(self, params, payload=None, viscous=0.0, nominal=None,
+                 disturbance_amp=0.0, disturbance_freq=1.0, phases=None):
+        super().__init__(nominal, disturbance_amp, disturbance_freq, phases)
         self.params = params
-        self.nominal_params = nominal_params
         self.payload = payload
         self.viscous = viscous
-        self.disturbance_amp = disturbance_amp
-        self.disturbance_freq = disturbance_freq
-        self.phases = np.zeros(2) if phases is None else np.asarray(phases, float)
         self._phase_cache: dict = {}
 
     def _effective(self, t: float | None):
@@ -272,22 +229,17 @@ class _ReducedWmrPlant(PlantModel):
         c = r_bar / (2.0 * b)
         return 2.0 * k_eff * a * c * c
 
-    @classmethod
-    def _gyro(cls, k_eff, r_bar, b, q_dot):
-        z = q_dot[0] - q_dot[1]
-        return cls._gyro_gain(k_eff, r_bar, b) * z * np.array([q_dot[1], -q_dot[0]])
-
-    def bias_vector(self, q, q_dot, t: float) -> np.ndarray:
+    def bias_vector(self, q, q_dot, t: float | None) -> np.ndarray:
         q_dot = np.asarray(q_dot, float)
         m_eff, _, k_eff = self._effective(t)
-        n = self._gyro(k_eff, self.params.r_bar, self.params.b, q_dot)
+        z = q_dot[0] - q_dot[1]
+        n = self._gyro_gain(k_eff, self.params.r_bar, self.params.b) * z * np.array(
+            [q_dot[1], -q_dot[0]])
         if self.viscous:
             # rolling resistance scales with the carried weight
             n = n + self.viscous * (m_eff / self.params.m) * q_dot
         if self.disturbance_amp:
-            n = n + self.disturbance_amp * np.sin(
-                self.disturbance_freq * t + self.phases
-            )
+            n = n + self.disturbance(t)
         return n
 
     def _phase_constants(self, t: float):
@@ -325,20 +277,11 @@ class _ReducedWmrPlant(PlantModel):
         if self.viscous:
             n0, n1 = n0 + visc * qd0, n1 + visc * qd1
         if self.disturbance_amp:
-            d0, d1 = (self.disturbance_amp * np.sin(
-                self.disturbance_freq * t + self.phases)).tolist()
+            d0, d1 = self.disturbance(t).tolist()
             n0, n1 = n0 + d0, n1 + d1
         b0, b1 = tau0 - n0, tau1 - n1
         x1 = _fma(neg_lower, b0, b1) / upper
         return np.array([_fma(neg_off, x1, b0) / diag, x1])
-
-    def nominal_mass_matrix(self, q) -> np.ndarray:
-        p = self.nominal_params
-        return self._inertia(p.m, p.I_bar + p.m * p.d ** 2, p.r_bar, p.b, p.I_w)
-
-    def nominal_bias_vector(self, q, q_dot) -> np.ndarray:
-        p = self.nominal_params
-        return self._gyro(p.K, p.r_bar, p.b, np.asarray(q_dot, float))
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
@@ -352,9 +295,10 @@ def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
     if not -1.0 < mismatch < 1.0:
         raise ValueError("mismatch must lie in (-1, 1)")
     scale = 1.0 - mismatch
-    nominal = replace(params, m=params.m * scale, I_bar=params.I_bar * scale,
-                      K=params.K * scale, I_w=params.I_w * scale)
-    return _ReducedWmrPlant(params, nominal, payload, viscous,
+    nominal = _ReducedWmrPlant(replace(
+        params, m=params.m * scale, I_bar=params.I_bar * scale,
+        K=params.K * scale, I_w=params.I_w * scale))
+    return _ReducedWmrPlant(params, payload, viscous, nominal,
                             disturbance_amp, disturbance_freq, phases)
 
 
@@ -429,24 +373,20 @@ class TwoLinkParams:
             raise ValueError("gravity must be finite")
 
 
-def two_link_matrices(q, q_dot, params: TwoLinkParams):
-    """Mass matrix and bias (Coriolis + gravity + viscous) of the arm.
-
-    Joint angles are measured from the horizontal, so gravity torques go
-    with cos(q). Setting gravity = 0 and q_dot = 0 gives N = 0.
-    """
-    q = np.asarray(q, float)
-    q_dot = np.asarray(q_dot, float)
-    p = params
-    c2 = math.cos(q[1])
-    s2 = math.sin(q[1])
+def _two_link_inertia(q, p: TwoLinkParams) -> np.ndarray:
+    c2 = math.cos(np.asarray(q, float)[1])
     a11 = p.m1 * p.lc1 ** 2 + p.I1 + p.I2 + p.m2 * (
         p.l1 ** 2 + p.lc2 ** 2 + 2.0 * p.l1 * p.lc2 * c2
     )
     a12 = p.m2 * (p.lc2 ** 2 + p.l1 * p.lc2 * c2) + p.I2
     a22 = p.m2 * p.lc2 ** 2 + p.I2
-    m = np.array([[a11, a12], [a12, a22]])
-    h = p.m2 * p.l1 * p.lc2 * s2
+    return np.array([[a11, a12], [a12, a22]])
+
+
+def _two_link_bias(q, q_dot, p: TwoLinkParams) -> np.ndarray:
+    q = np.asarray(q, float)
+    q_dot = np.asarray(q_dot, float)
+    h = p.m2 * p.l1 * p.lc2 * math.sin(q[1])
     coriolis = np.array([
         -h * q_dot[1] * (2.0 * q_dot[0] + q_dot[1]),
         h * q_dot[0] ** 2,
@@ -460,44 +400,40 @@ def two_link_matrices(q, q_dot, params: TwoLinkParams):
     n = coriolis + grav
     if p.viscous:
         n = n + p.viscous * q_dot
-    return m, n
+    return n
+
+
+def two_link_matrices(q, q_dot, params: TwoLinkParams):
+    """Mass matrix and bias (Coriolis + gravity + viscous) of the arm.
+
+    Joint angles are measured from the horizontal, so gravity torques go
+    with cos(q). Setting gravity = 0 and q_dot = 0 gives N = 0.
+    """
+    return _two_link_inertia(q, params), _two_link_bias(q, q_dot, params)
 
 
 class _TwoLinkPlant(PlantModel):
     dim = 2
 
-    def __init__(self, params, nominal_params, disturbance_amp,
-                 disturbance_freq, phases):
+    def __init__(self, params, nominal=None, disturbance_amp=0.0,
+                 disturbance_freq=1.0, phases=None):
+        super().__init__(nominal, disturbance_amp, disturbance_freq, phases)
         self.params = params
-        self.nominal_params = nominal_params
-        self.disturbance_amp = disturbance_amp
-        self.disturbance_freq = disturbance_freq
-        self.phases = np.zeros(2) if phases is None else np.asarray(phases, float)
 
     def mass_matrix(self, q, t: float | None = None) -> np.ndarray:
-        return two_link_matrices(q, np.zeros(2), self.params)[0]
+        return _two_link_inertia(q, self.params)
 
-    def bias_vector(self, q, q_dot, t: float) -> np.ndarray:
-        n = two_link_matrices(q, q_dot, self.params)[1]
+    def bias_vector(self, q, q_dot, t: float | None) -> np.ndarray:
+        n = _two_link_bias(q, q_dot, self.params)
         if self.disturbance_amp:
-            n = n + self.disturbance_amp * np.sin(
-                self.disturbance_freq * t + self.phases
-            )
+            n = n + self.disturbance(t)
         return n
-
-    def nominal_mass_matrix(self, q) -> np.ndarray:
-        return two_link_matrices(q, np.zeros(2), self.nominal_params)[0]
-
-    def nominal_bias_vector(self, q, q_dot) -> np.ndarray:
-        return two_link_matrices(q, q_dot, self.nominal_params)[1]
 
     def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
         m, n = two_link_matrices(q, q_dot, self.params)
         rhs = np.asarray(tau_applied, float) - n
         if self.disturbance_amp:
-            rhs = rhs - self.disturbance_amp * np.sin(
-                self.disturbance_freq * t + self.phases
-            )
+            rhs = rhs - self.disturbance(t)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         return np.array([
             (m[1, 1] * rhs[0] - m[0, 1] * rhs[1]) / det,
@@ -514,8 +450,9 @@ def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
     if not -1.0 < mismatch < 1.0:
         raise ValueError("mismatch must lie in (-1, 1)")
     scale = 1.0 - mismatch
-    nominal = replace(params, m1=params.m1 * scale, m2=params.m2 * scale,
-                      I1=params.I1 * scale, I2=params.I2 * scale, viscous=0.0)
+    nominal = _TwoLinkPlant(replace(
+        params, m1=params.m1 * scale, m2=params.m2 * scale,
+        I1=params.I1 * scale, I2=params.I2 * scale, viscous=0.0))
     return _TwoLinkPlant(params, nominal, disturbance_amp, disturbance_freq,
                          phases)
 
@@ -528,18 +465,13 @@ def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
 class _PointMassPlant(PlantModel):
     def __init__(self, n, mass):
         self.dim = n
+        super().__init__()
         self.mass = mass
 
     def mass_matrix(self, q, t=None):
         return self.mass * np.eye(self.dim)
 
     def bias_vector(self, q, q_dot, t):
-        return np.zeros(self.dim)
-
-    def nominal_mass_matrix(self, q):
-        return self.mass * np.eye(self.dim)
-
-    def nominal_bias_vector(self, q, q_dot):
         return np.zeros(self.dim)
 
     def accel(self, q, q_dot, tau_applied, t):
@@ -550,6 +482,7 @@ class _OscillatorPlant(PlantModel):
     dim = 1
 
     def __init__(self, stiffness, mass):
+        super().__init__()
         self.stiffness = stiffness
         self.mass = mass
 
@@ -557,12 +490,6 @@ class _OscillatorPlant(PlantModel):
         return np.array([[self.mass]])
 
     def bias_vector(self, q, q_dot, t):
-        return np.array([self.stiffness * np.asarray(q, float)[0]])
-
-    def nominal_mass_matrix(self, q):
-        return np.array([[self.mass]])
-
-    def nominal_bias_vector(self, q, q_dot):
         return np.array([self.stiffness * np.asarray(q, float)[0]])
 
     def accel(self, q, q_dot, tau_applied, t):

@@ -43,28 +43,39 @@ class ScenarioError(ValueError):
     """Invalid scenario file content; the message names the bad entry."""
 
 
-_KNOWN_KEYS = {
+_ARM_KEYS = {"mismatch", "viscous", "disturbance_amp", "disturbance_freq"}
+_PCON_KEYS = {"kappa", "k_b", "vartheta"}
+# Per kind-selected section, the keys each kind reads besides `kind`; a key
+# the chosen kind does not read is rejected, since it would be ignored
+_KIND_KEYS = {
     "plant": {
-        "kind", "mismatch", "viscous", "disturbance_amp", "disturbance_freq",
-        # two-link
-        "m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2", "gravity",
-        # wmr
-        "m", "i_bar", "k", "d", "r_bar", "b", "i_w",
-        # point-mass / oscillator
-        "n", "mass", "stiffness",
+        "two-link": _ARM_KEYS | {"m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2",
+                                 "gravity"},
+        "wmr": _ARM_KEYS | {"m", "i_bar", "k", "d", "r_bar", "b", "i_w"},
+        "point-mass": {"n", "mass"},
+        "oscillator": {"stiffness", "mass"},
     },
     "controller": {
-        "kind", "alpha", "epsilon", "gamma", "c_hat_init", "switching",
-        "kappa", "k_b", "vartheta", "h_estimate",
+        "arolc": {"alpha", "epsilon", "gamma", "c_hat_init", "switching"},
+        "pcon": _PCON_KEYS,
+        "pconf": _PCON_KEYS | {"h_estimate"},
+        "none": set(),
     },
-    "gains": {"k1", "k2", "q", "r", "beta"},
-    "delay": {"kind", "h0", "a", "b", "omega"},
+    "delay": {
+        "constant": {"h0"},
+        "custom": {"a", "b", "omega"},
+        **{kind: set() for kind in ("S1", "S2", "S3", "S4", "none")},
+    },
     "trajectory": {
-        "kind", "path_diameter",
-        "radius", "rate", "center_x", "center_y",
-        "rate_r", "rate_l",
-        "amplitude", "frequency", "phase", "offset",
+        "circle": {"radius", "rate", "center_x", "center_y", "path_diameter"},
+        "wheel-ramp": {"rate_r", "rate_l", "path_diameter"},
+        "sinusoid": {"amplitude", "frequency", "phase", "offset", "path_diameter"},
     },
+}
+
+_KNOWN_KEYS = {
+    **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
+    "gains": {"k1", "k2", "q", "r", "beta"},
     "payload": {"extra_mass", "period_on", "period_off", "offsets",
                 "random_offsets", "offset_max"},
     "sim": {"duration", "dt", "control_dt", "seed", "q0", "qdot0",
@@ -273,18 +284,35 @@ def _build_trajectory(config, plant_dim, wmr_params):
     raise ScenarioError(f"unknown trajectory kind: [trajectory] kind = {sec['kind']!r}")
 
 
-# [delay] parameter keys and the one kind that reads each; any other kind
-# would silently ignore them
-_DELAY_KEY_KIND = {"h0": "constant", "a": "custom", "b": "custom", "omega": "custom"}
+def _reject_ignored_keys(config) -> None:
+    """Reject every entry that the chosen kinds would ignore; unknown kinds
+    are left for the builders to name."""
+    for section, kinds in _KIND_KEYS.items():
+        sec = config[section]
+        kind = sec["kind"].strip()
+        reads = kinds.get(kind if section == "delay" else kind.lower())
+        if reads is None:
+            continue
+        for key in sec:
+            if key != "kind" and key not in reads:
+                raise ScenarioError(f"[{section}] {key} does not apply to "
+                                    f"kind = {kind}")
+    payload = config.get("payload")
+    if payload is None:
+        return
+    if config["plant"]["kind"].strip().lower() != "wmr":
+        raise ScenarioError(f"[payload] applies only to [plant] kind = wmr, not "
+                            f"kind = {config['plant']['kind'].strip()}")
+    if _bval(payload, "payload", "random_offsets", False):
+        if "offsets" in payload:
+            raise ScenarioError("[payload] offsets conflicts with random_offsets = true")
+    elif "offset_max" in payload:
+        raise ScenarioError("[payload] offset_max applies only with random_offsets = true")
 
 
 def _build_delay(config) -> DelayProfile:
     sec = config["delay"]
     kind = sec["kind"].strip()
-    for key, owner in _DELAY_KEY_KIND.items():
-        if key in sec and kind != owner:
-            raise ScenarioError(f"[delay] {key} applies only to kind = {owner}, "
-                                f"not kind = {kind}")
     try:
         return DelayProfile(
             kind=kind,
@@ -299,6 +327,7 @@ def _build_delay(config) -> DelayProfile:
 
 def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenario:
     """Turn a parsed config into a ready-to-run Scenario."""
+    _reject_ignored_keys(config)
     sim_sec = config["sim"]
     seed = _fval(sim_sec, "sim", "seed", 0, cast=int)
     rng = np.random.default_rng(seed)

@@ -67,16 +67,27 @@ class SinusoidTrajectory:
         return self.path_diameter if self.path_diameter > 0 \
             else 2.0 * max(self.amplitude)
 
+    def __post_init__(self):
+        # the coefficients as read-only float arrays, built once
+        amp = np.array(self.amplitude, float)
+        freq = np.array(self.frequency, float)
+        zeros = np.zeros(self.dim)
+        phase = zeros if self.phase is None else np.array(self.phase, float)
+        offset = zeros if self.offset is None else np.array(self.offset, float)
+        if not amp.shape == freq.shape == phase.shape == offset.shape == (self.dim,):
+            raise ValueError("amplitude, frequency, phase and offset need one "
+                             "entry per coordinate")
+        for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp * freq),
+                            ("_neg_amp_freq2", -amp * freq ** 2), ("_phase", phase),
+                            ("_offset", offset)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
     def __call__(self, t):
-        amp = np.asarray(self.amplitude, float)
-        freq = np.asarray(self.frequency, float)
-        ph = np.zeros(self.dim) if self.phase is None else np.asarray(self.phase, float)
-        off = np.zeros(self.dim) if self.offset is None else np.asarray(self.offset, float)
-        arg = freq * _time_column(t) + ph
-        qd = off + amp * np.sin(arg)
-        qd_dot = amp * freq * np.cos(arg)
-        qd_ddot = -amp * freq ** 2 * np.sin(arg)
-        return qd, qd_dot, qd_ddot
+        arg = self._freq * _time_column(t) + self._phase
+        sin = np.sin(arg)
+        return (self._offset + self._amp * sin, self._amp_freq * np.cos(arg),
+                self._neg_amp_freq2 * sin)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,23 @@ dt = 1e-3
 control_dt = 1e-2
 """
 
+POINT_MASS = """
+[plant]
+kind = point-mass
+
+[controller]
+kind = none
+
+[delay]
+kind = none
+
+[trajectory]
+kind = sinusoid
+
+[sim]
+duration = 0.1
+"""
+
 
 @pytest.fixture
 def fast_ini(tmp_path):
@@ -103,6 +120,35 @@ class TestSimulate:
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, section, entry, named", [
+        (POINT_MASS, "plant", "viscous = 5", "[plant] viscous"),
+        (POINT_MASS, "plant", "mismatch = 0.5", "[plant] mismatch"),
+        (POINT_MASS, "plant", "m1 = 3", "[plant] m1"),
+        (POINT_MASS, "trajectory", "radius = 3", "[trajectory] radius"),
+        (POINT_MASS, "controller", "kappa = 2.0", "[controller] kappa"),
+        (POINT_MASS + "\n[payload]\n", "payload", "extra_mass = 1.0", "[payload]"),
+        (FAST, "plant", "mass = 2.0", "[plant] mass"),
+        (FAST, "controller", "h_estimate = 0.1", "[controller] h_estimate"),
+        (FAST, "delay", "omega = 2.0", "[delay] omega"),
+        ("scenarios/wmr_s1_arolc.ini", "trajectory", "amplitude = 0.5, 0.5",
+         "[trajectory] amplitude"),
+        ("scenarios/wmr_s1_arolc.ini", "payload", "random_offsets = true",
+         "[payload] offsets"),
+        ("scenarios/wmr_s1_arolc.ini", "payload", "offset_max = 0.03",
+         "[payload] offset_max"),
+    ], ids=["pm-viscous", "pm-mismatch", "pm-m1", "pm-radius", "none-kappa",
+            "pm-payload", "arm-mass", "arolc-h_estimate", "S1-omega",
+            "circle-amplitude", "offsets-and-random", "offset_max-not-random"])
+    def test_key_ignored_by_kind_rejected(self, base, section, entry, named,
+                                          tmp_path, capsys):
+        text = base if base.startswith("\n") else Path(base).read_text()
+        path = tmp_path / "ignored.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n"))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("old, new, named", [
         ("duration = 1.0", "duration = 1e9", "[sim] duration"),

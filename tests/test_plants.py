@@ -20,7 +20,6 @@ from arolc.plants import (
     reduced_wmr_dynamics,
     two_link_matrices,
     two_link_plant,
-    wmr_matrices,
 )
 
 PARAMS = WmrParams()
@@ -66,32 +65,6 @@ class TestElAccel:
                 plant.accel(q, qd, tau, t), el_accel(plant, q, qd, tau, t),
                 atol=1e-12,
             )
-
-
-class TestWmrMatrices:
-    def test_heading_zero_couplings(self):
-        m_bar, _, _ = wmr_matrices(np.zeros(5), np.zeros(5), PARAMS)
-        assert m_bar[0, 2] == pytest.approx(0.0)
-        assert m_bar[1, 2] == pytest.approx(-PARAMS.K)
-
-    def test_zero_velocity_bias(self):
-        q = np.array([0.3, -0.2, 0.8, 1.0, 2.0])
-        _, v_bar, _ = wmr_matrices(q, np.zeros(5), PARAMS)
-        np.testing.assert_allclose(v_bar, np.zeros(5))
-
-    def test_constant_input_map(self):
-        rng = np.random.default_rng(1)
-        expected = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        for _ in range(5):
-            _, _, g = wmr_matrices(rng.standard_normal(5), rng.standard_normal(5), PARAMS)
-            np.testing.assert_allclose(g, expected)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            q = rng.standard_normal(5)
-            m_bar, _, _ = wmr_matrices(q, rng.standard_normal(5), PARAMS)
-            np.testing.assert_allclose(m_bar, m_bar.T, atol=1e-14)
 
 
 class TestPayload:
@@ -229,6 +202,100 @@ class TestReducedWmr:
         m_true = plant.mass_matrix(np.zeros(2), None)
         m_nom = plant.nominal_mass_matrix(np.zeros(2))
         np.testing.assert_allclose(m_nom, 0.8 * m_true, atol=1e-12)
+
+
+class TestReducedWmrKineticEnergy:
+    """1/2 q_dot^T M q_dot equals the rigid-body kinetic energy written at the
+    axle midpoint: 1/2 m v^2 + 1/2 J w^2 + 1/2 I_w (tr^2 + tl^2) with
+    J = I_bar + m d^2; a payload dm at body offset (dx, 0) adds dm to m and
+    dm dx^2 to J."""
+
+    @pytest.mark.parametrize("params", [PARAMS, WmrParams(
+        m=12.0, I_bar=0.7, K=0.48, d=0.04, r_bar=0.11, b=0.2, I_w=0.004)],
+        ids=["default", "other"])
+    @pytest.mark.parametrize("dm, dx", [(0.0, 0.0), (3.5, 0.04), (2.0, -0.03)],
+                             ids=["no-payload", "payload-ahead", "payload-behind"])
+    def test_matches_rigid_body_energy(self, params, dm, dx):
+        payload = PayloadSchedule(extra_mass=dm, offsets=((dx, 0.0),)) if dm else None
+        plant = reduced_wmr_dynamics(params, payload=payload)
+        m_mat = plant.mass_matrix(np.zeros(2), 1.0)  # inside the first on-window
+        r, b = params.r_bar, params.b
+        j = params.I_bar + params.m * params.d ** 2 + dm * dx ** 2
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            tr, tl = rng.standard_normal(2) * 5.0
+            v, w = r * (tr + tl) / 2.0, r * (tr - tl) / (2.0 * b)
+            expected = (0.5 * (params.m + dm) * v ** 2 + 0.5 * j * w ** 2
+                        + 0.5 * params.I_w * (tr ** 2 + tl ** 2))
+            q_dot = np.array([tr, tl])
+            assert 0.5 * q_dot @ m_mat @ q_dot == pytest.approx(expected, rel=1e-12)
+
+
+def _disturbed_arm():
+    return two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2, disturbance_amp=0.05,
+                          disturbance_freq=1.3, phases=(0.3, 1.1))
+
+
+def _disturbed_wmr():
+    return reduced_wmr_dynamics(
+        PARAMS, mismatch=0.2, viscous=0.002, disturbance_amp=0.05, disturbance_freq=1.3,
+        phases=(0.3, 1.1),
+        payload=PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04))))
+
+
+# factory, whether its true side carries friction and a disturbance
+_PLANTS = {
+    "two-link": (_disturbed_arm, True),
+    "wmr": (_disturbed_wmr, True),
+    "point-mass": (lambda: point_mass_plant(3, mass=2.0), False),
+    "oscillator": (lambda: oscillator_plant(stiffness=4.0, mass=2.0), False),
+}
+# on and off payload windows, two offsets
+_TIMES = (0.0, 1.0, 6.0, 11.3, 17.9)
+
+
+@pytest.mark.parametrize("make, disturbed", _PLANTS.values(), ids=_PLANTS.keys())
+class TestPlantConformance:
+    def test_accel_matches_el_accel(self, make, disturbed):
+        plant = make()
+        rng = np.random.default_rng(5)
+        for t in np.linspace(0.0, 23.0, 47):
+            q, q_dot, tau = rng.standard_normal((3, plant.dim)) * 2.0
+            np.testing.assert_allclose(
+                plant.accel(q, q_dot, tau, float(t)),
+                el_accel(plant, q, q_dot, tau, float(t)), rtol=1e-12, atol=1e-12)
+
+    def test_nominal_methods_read_the_nominal_plant(self, make, disturbed):
+        plant = make()
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            q, q_dot = rng.standard_normal((2, plant.dim))
+            assert (plant.nominal_mass_matrix(q).tobytes()
+                    == plant.nominal.mass_matrix(q).tobytes())
+            assert (plant.nominal_bias_vector(q, q_dot).tobytes()
+                    == plant.nominal.bias_vector(q, q_dot, None).tobytes())
+
+    def test_nominal_has_no_friction_disturbance_or_payload(self, make, disturbed):
+        plant = make()
+        q, q_dot = np.random.default_rng(7).standard_normal((2, plant.dim))
+        # payload and disturbance enter through time, friction is odd in q_dot
+        # while the Coriolis and gyroscopic terms are even; the true side of a
+        # disturbed factory shows that the checks see all three
+        for face, clean in ((plant.nominal, True), (plant, not disturbed)):
+            m_t = [face.mass_matrix(q, t).tobytes() for t in _TIMES]
+            n_t = [face.bias_vector(q, q_dot, t).tobytes() for t in _TIMES]
+            assert (len(set(m_t)) == len(set(n_t)) == 1) == clean
+            odd = face.bias_vector(q, q_dot, 0.0) - face.bias_vector(q, -q_dot, 0.0)
+            assert (np.abs(odd).max() <= 1e-14) == clean
+
+    def test_mass_matrix_symmetric_positive_definite(self, make, disturbed):
+        plant = make()
+        rng = np.random.default_rng(8)
+        for t in _TIMES:
+            q = rng.uniform(-math.pi, math.pi, plant.dim)
+            for m in (plant.mass_matrix(q, t), plant.nominal_mass_matrix(q)):
+                np.testing.assert_array_equal(m, m.T)
+                assert np.linalg.eigvalsh(m)[0] > 0.0
 
 
 class TestWmrClosedFormAccel:

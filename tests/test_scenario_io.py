@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from arolc.scenario_io import (
     load_scenario,
     scenario_hash,
 )
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.ini"))
 
 MINIMAL = """
 [plant]
@@ -143,6 +148,20 @@ class TestBuildScenario:
         assert sc.controller == "arolc"
         assert sc.plant.dim == 2
         assert sc.arolc.c_hat_init == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+    def test_every_shipped_scenario_passes_the_key_rules(self, path):
+        load_scenario(path)
+
+    def test_random_offsets_read_offset_max(self, tmp_path):
+        text = Path("scenarios/wmr_s1_arolc.ini").read_text()
+        path = tmp_path / "random.ini"
+        path.write_text(re.sub(r"^offsets\s*=.*\n",
+                               "random_offsets = true\noffset_max = 0.01\n",
+                               text, flags=re.M))
+        offsets = load_scenario(path).plant.payload.offsets
+        assert len(offsets) == 8
+        assert max(abs(x) for pair in offsets for x in pair) <= 0.01
 
 
 class TestHashAndOverride:

@@ -72,6 +72,13 @@ class TestSinusoid:
     def test_default_diameter(self):
         assert SinusoidTrajectory(amplitude=(0.5, 0.3)).diameter == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("entries", [{"frequency": (0.5,)}, {"phase": (0.0, 0.1, 0.2)},
+                                         {"offset": (1.0,)}, {"frequency": ((0.5, 0.7),)}],
+                             ids=["frequency", "phase", "offset", "nested"])
+    def test_one_entry_per_coordinate(self, entries):
+        with pytest.raises(ValueError, match="one entry per coordinate"):
+            SinusoidTrajectory(amplitude=(0.5, 0.3), **entries)
+
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_derivatives_match_central_differences(spec):
