@@ -10,7 +10,11 @@ with the lumped uncertainty sigma evaluated independently of the controller.
 A tight residual certifies the whole control/plant/delay pipeline at once.
 """
 
+import sys
+
 from arolc import error_dynamics_residual, load_scenario, metrics_from_trace, simulate
+
+RESIDUAL_BOUND = 1e-4  # acceptance criterion 3
 
 sc = load_scenario("scenarios/two_link_s1_arolc.ini")
 print(f"scenario: two-link arm, controller={sc.controller}, delay={sc.delay.kind}, "
@@ -27,4 +31,6 @@ times, resid = error_dynamics_residual(trace, sc)
 print(f"\nerror-dynamics identity over {len(resid)} fine-grid instants:")
 print(f"  max residual  = {resid.max():.3e}")
 print(f"  mean residual = {resid.mean():.3e}")
+if not resid.max() <= RESIDUAL_BOUND:
+    sys.exit(f"the identity fails: max residual above {RESIDUAL_BOUND:g}")
 print("  (finite-difference and interpolation error only; the identity holds)")

@@ -12,7 +12,6 @@ it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +87,10 @@ class DelayBuffer:
     immediately before the cutoff is kept so interpolation at the window
     edge stays exact. The window must cover the largest delay plus the
     integration horizon of any consumer.
+
+    The history lives in preallocated arrays, rows [_lo, _hi) live, so a
+    lookup reads it without copying; a push writes one row and compacts
+    or grows the arrays only when they are full.
     """
 
     def __init__(self, window: float, dim: int | None = None):
@@ -95,46 +98,72 @@ class DelayBuffer:
             raise ValueError("window must be positive and finite")
         self.window = float(window)
         self.dim = dim
-        self._times: list[float] = []
-        self._values: list[np.ndarray] = []
+        self._t = np.empty(0)
+        self._v = np.empty(0)
+        self._lo = 0
+        self._hi = 0
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._hi - self._lo
 
     @property
     def times(self) -> list[float]:
-        return list(self._times)
+        return self._t[self._lo:self._hi].tolist()
+
+    def _history(self):
+        return self._t[self._lo:self._hi], self._v[self._lo:self._hi]
 
     def push(self, t: float, tau) -> None:
-        if self._times and t <= self._times[-1]:
+        t = float(t)
+        lo, hi = self._lo, self._hi
+        if hi > lo and t <= self._t[hi - 1]:
             raise ValueError("timestamps must be strictly increasing")
-        self._times.append(float(t))
-        self._values.append(np.asarray(tau, dtype=float))
+        value = np.asarray(tau, dtype=float)
+        if hi == len(self._t):
+            live = hi - lo
+            cap = max(16, 2 * live)
+            new_t = np.empty(cap)
+            new_v = np.empty((cap,) + value.shape)
+            if live:
+                new_t[:live] = self._t[lo:hi]
+                new_v[:live] = self._v[lo:hi]
+            self._t, self._v = new_t, new_v
+            lo, hi = 0, live
+        self._t[hi] = t
+        self._v[hi] = value
+        hi += 1
         cutoff = t - self.window
-        while len(self._times) > 2 and self._times[1] < cutoff:
-            self._times.pop(0)
-            self._values.pop(0)
+        while hi - lo > 2 and self._t[lo + 1] < cutoff:
+            lo += 1
+        self._lo, self._hi = lo, hi
 
     def sample_many(self, t_query) -> np.ndarray:
         """Commands in flight at each instant of the 1-D array t_query under
         the actuator model above; row i belongs to t_query[i]."""
         t_query = np.asarray(t_query, dtype=float)
-        if not self._times:
+        m = len(self)
+        if m == 0:
             if self.dim is None:
                 raise ValueError("empty buffer of unknown dimension")
             return np.zeros((len(t_query), self.dim))
-        times = np.array(self._times)
-        values = np.array(self._values)
+        times, values = self._history()
         i = np.searchsorted(times, t_query, side="right")
-        out = np.empty((len(t_query),) + values.shape[1:])
+        if m == 1:
+            out = np.repeat(values, len(t_query), axis=0)
+        else:
+            # blend every row on its clipped bracket, then overwrite the
+            # rows before the first and after the last command (clipping
+            # the instants too keeps their weights in [0, 1]); minimum,
+            # maximum and take cost a fraction of clip and fancy indexing
+            j = np.minimum(np.maximum(i, 1), m - 1)
+            j0 = j - 1
+            t0 = times.take(j0)
+            t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
+            lam = ((t_in - t0) / (times.take(j) - t0)).reshape(
+                (-1,) + (1,) * (values.ndim - 1))
+            out = (1.0 - lam) * values.take(j0, axis=0) + lam * values.take(j, axis=0)
         out[i == 0] = 0.0
-        out[i == len(times)] = values[-1]
-        inner = (i > 0) & (i < len(times))
-        if inner.any():
-            j = i[inner]
-            t0, t1 = times[j - 1], times[j]
-            lam = ((t_query[inner] - t0) / (t1 - t0)).reshape((-1,) + (1,) * (values.ndim - 1))
-            out[inner] = (1.0 - lam) * values[j - 1] + lam * values[j]
+        out[i == m] = values[-1]
         return out
 
     def sample(self, t_query: float) -> np.ndarray:
@@ -148,19 +177,22 @@ class DelayBuffer:
         """
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
-        if not self._times:
+        if not len(self):
             return np.zeros(self.dim if self.dim is not None else 0)
-        times = self._times
-        values = self._values
-        n = values[0].shape[0] if values[0].ndim else 1
-        total = np.zeros(n)
-        lo = max(t0, times[0])
+        times, values = self._history()
+        n = values.shape[1] if values.ndim > 1 else 1
+        lo = max(t0, times[0].item())
         if t1 <= lo:
-            return total
+            return np.zeros(n)
         # knots: window ends plus every sample instant inside the window
-        i = bisect_right(times, lo)
-        knots = [lo] + [tt for tt in times[i:] if tt < t1] + [t1]
-        knot_values = self.sample_many(knots)
+        inner = times[np.searchsorted(times, lo, side="right"):
+                      np.searchsorted(times, t1, side="left")]
+        knots = [lo] + inner.tolist() + [t1]
+        knot_values = self.sample_many(knots).reshape(len(knots), n).tolist()
+        # float trapezoids, summed left to right as an ndarray total += would
+        total = [0.0] * n
         for k in range(1, len(knots)):
-            total += 0.5 * (knots[k] - knots[k - 1]) * (knot_values[k - 1] + knot_values[k])
-        return total
+            w = 0.5 * (knots[k] - knots[k - 1])
+            total = [s + w * (a + b)
+                     for s, a, b in zip(total, knot_values[k - 1], knot_values[k])]
+        return np.array(total)

@@ -76,9 +76,16 @@ class PlantModel:
     def nominal_bias_vector(self, q, q_dot) -> np.ndarray:
         return self.nominal.bias_vector(q, q_dot, None)
 
-    def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
-        """Forward dynamics; subclasses may override with a faster closed form."""
-        return el_accel(self, q, q_dot, tau_applied, t)
+    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
+        """Forward dynamics qdd = M(q)^-1 (tau_applied - N(q, q_dot, t)).
+
+        q, q_dot and tau_applied are any length-dim sequences of floats
+        (list, tuple or ndarray); the result is a list of dim Python floats.
+        The integrator calls this at every RK4 stage on plain lists, so
+        subclasses override it with a float closed form; el_accel stays the
+        ndarray reference.
+        """
+        return el_accel(self, q, q_dot, tau_applied, t).tolist()
 
 
 def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
@@ -261,7 +268,7 @@ class _ReducedWmrPlant(PlantModel):
             self._phase_cache[key] = consts
         return consts
 
-    def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
+    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
         """Closed form of el_accel in float arithmetic.
 
         The bias repeats bias_vector operation for operation; the 2 x 2 solve
@@ -270,8 +277,8 @@ class _ReducedWmrPlant(PlantModel):
         to el_accel bit for bit there and to rounding elsewhere.
         """
         diag, neg_off, neg_lower, upper, gyro, visc = self._phase_constants(t)
-        qd0, qd1 = np.asarray(q_dot, float).tolist()
-        tau0, tau1 = np.asarray(tau_applied, float).tolist()
+        qd0, qd1 = q_dot
+        tau0, tau1 = tau_applied
         s = gyro * (qd0 - qd1)
         n0, n1 = s * qd1, s * -qd0
         if self.viscous:
@@ -281,7 +288,7 @@ class _ReducedWmrPlant(PlantModel):
             n0, n1 = n0 + d0, n1 + d1
         b0, b1 = tau0 - n0, tau1 - n1
         x1 = _fma(neg_lower, b0, b1) / upper
-        return np.array([_fma(neg_off, x1, b0) / diag, x1])
+        return [_fma(neg_off, x1, b0) / diag, x1]
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
@@ -373,34 +380,46 @@ class TwoLinkParams:
             raise ValueError("gravity must be finite")
 
 
-def _two_link_inertia(q, p: TwoLinkParams) -> np.ndarray:
-    c2 = math.cos(np.asarray(q, float)[1])
+def _two_link_inertia_terms(q1: float, p: TwoLinkParams):
+    """(M11, M12, M22) of the arm's symmetric inertia at elbow angle q1."""
+    c2 = math.cos(q1)
     a11 = p.m1 * p.lc1 ** 2 + p.I1 + p.I2 + p.m2 * (
         p.l1 ** 2 + p.lc2 ** 2 + 2.0 * p.l1 * p.lc2 * c2
     )
     a12 = p.m2 * (p.lc2 ** 2 + p.l1 * p.lc2 * c2) + p.I2
     a22 = p.m2 * p.lc2 ** 2 + p.I2
+    return a11, a12, a22
+
+
+def _two_link_bias_terms(q0: float, q1: float, qd0: float, qd1: float,
+                         p: TwoLinkParams):
+    """(N1, N2): Coriolis plus gravity, plus viscous friction when set."""
+    h = p.m2 * p.l1 * p.lc2 * math.sin(q1)
+    g = p.gravity
+    grav2 = p.m2 * p.lc2 * g * math.cos(q0 + q1)
+    n0 = -h * qd1 * (2.0 * qd0 + qd1) + (
+        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.cos(q0) + grav2)
+    try:
+        # libm pow, as numpy's float64 ** rounds it (qd0 * qd0 can differ
+        # in the last bit)
+        qd0_sq = qd0 ** 2
+    except OverflowError:  # where numpy returns inf; only a diverging state
+        qd0_sq = math.inf
+    n1 = h * qd0_sq + grav2
+    if p.viscous:
+        n0, n1 = n0 + p.viscous * qd0, n1 + p.viscous * qd1
+    return n0, n1
+
+
+def _two_link_inertia(q, p: TwoLinkParams) -> np.ndarray:
+    a11, a12, a22 = _two_link_inertia_terms(float(q[1]), p)
     return np.array([[a11, a12], [a12, a22]])
 
 
 def _two_link_bias(q, q_dot, p: TwoLinkParams) -> np.ndarray:
-    q = np.asarray(q, float)
-    q_dot = np.asarray(q_dot, float)
-    h = p.m2 * p.l1 * p.lc2 * math.sin(q[1])
-    coriolis = np.array([
-        -h * q_dot[1] * (2.0 * q_dot[0] + q_dot[1]),
-        h * q_dot[0] ** 2,
-    ])
-    g = p.gravity
-    grav = np.array([
-        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.cos(q[0])
-        + p.m2 * p.lc2 * g * math.cos(q[0] + q[1]),
-        p.m2 * p.lc2 * g * math.cos(q[0] + q[1]),
-    ])
-    n = coriolis + grav
-    if p.viscous:
-        n = n + p.viscous * q_dot
-    return n
+    q0, q1 = map(float, q)
+    qd0, qd1 = map(float, q_dot)
+    return np.array(_two_link_bias_terms(q0, q1, qd0, qd1, p))
 
 
 def two_link_matrices(q, q_dot, params: TwoLinkParams):
@@ -429,16 +448,20 @@ class _TwoLinkPlant(PlantModel):
             n = n + self.disturbance(t)
         return n
 
-    def accel(self, q, q_dot, tau_applied, t: float) -> np.ndarray:
-        m, n = two_link_matrices(q, q_dot, self.params)
-        rhs = np.asarray(tau_applied, float) - n
+    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
+        """Closed form of el_accel: the 2 x 2 inverse through its determinant."""
+        p = self.params
+        q0, q1 = q
+        qd0, qd1 = q_dot
+        tau0, tau1 = tau_applied
+        a11, a12, a22 = _two_link_inertia_terms(q1, p)
+        n0, n1 = _two_link_bias_terms(q0, q1, qd0, qd1, p)
+        r0, r1 = tau0 - n0, tau1 - n1
         if self.disturbance_amp:
-            rhs = rhs - self.disturbance(t)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        return np.array([
-            (m[1, 1] * rhs[0] - m[0, 1] * rhs[1]) / det,
-            (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det,
-        ])
+            d0, d1 = self.disturbance(t).tolist()
+            r0, r1 = r0 - d0, r1 - d1
+        det = a11 * a22 - a12 * a12
+        return [float((a22 * r0 - a12 * r1) / det), float((a11 * r1 - a12 * r0) / det)]
 
 
 def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
@@ -475,7 +498,7 @@ class _PointMassPlant(PlantModel):
         return np.zeros(self.dim)
 
     def accel(self, q, q_dot, tau_applied, t):
-        return np.asarray(tau_applied, float) / self.mass
+        return [float(u) / self.mass for u in tau_applied]
 
 
 class _OscillatorPlant(PlantModel):
@@ -493,8 +516,7 @@ class _OscillatorPlant(PlantModel):
         return np.array([self.stiffness * np.asarray(q, float)[0]])
 
     def accel(self, q, q_dot, tau_applied, t):
-        return (np.asarray(tau_applied, float)
-                - np.array([self.stiffness * np.asarray(q, float)[0]])) / self.mass
+        return [(float(tau_applied[0]) - self.stiffness * float(q[0])) / self.mass]
 
 
 def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:

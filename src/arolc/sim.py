@@ -17,6 +17,17 @@ RK4 stage instant (t, t + dt/2, t + dt of each step, rounded as the stepper
 rounds them), and the stages read their rows. This is exact: every stage
 gets the value a lookup at its own instant would return.
 
+Between control instants the integrator state is a plain list of 2n Python
+floats, (q, q_dot), and every plant's ``accel`` is a float closed form
+returning a list: for vectors of 2 to 12 entries per-call numpy overhead
+dominates the arithmetic. This is exact, not an approximation: IEEE
+rounding of +, -, * and / on floats is the rounding numpy's elementwise
+ufuncs apply, and ``_rk4_step`` keeps the operation order of the ndarray
+expression, so the traces are bit-identical to an ndarray integrator.
+Arrays begin at the control-rate boundary: the controller step, the trace
+rows and the diagnostics fine grid read the state as ndarrays, and in
+continuous mode ``rhs`` wraps each stage state for the control law.
+
 Two control modes exist:
 
 * "sampled" (default): commands at the control rate, routed through the
@@ -60,8 +71,9 @@ TRACE_FLOAT_FORMAT = "%.9g"
 
 _DIVERGENCE_LIMIT = 1e8
 # Cap on each array simulate preallocates: the control-rate trace (4 + 6n
-# float64 per row), the per-period stage table (9 + 3n float64 per RK4 step)
-# and the diagnostics fine grid (1 + 2n float64 per RK4 step).
+# float64 per row), the per-period stage table (9 + 3n float64 per RK4 step,
+# plus 32 + 12n words for its nested-list copy the stages read) and the
+# diagnostics fine grid (1 + 2n float64 per RK4 step).
 _MAX_ARRAY_BYTES = 1 << 28
 _LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
 # Fine-grid instants per block of error_dynamics_residual. Blocks bound its
@@ -118,7 +130,7 @@ class Scenario:
             raise ValueError(
                 f"[sim] duration = {self.duration:g} s needs {rows} trace rows at "
                 f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
-        max_steps = _MAX_ARRAY_BYTES // (8 * (9 + 3 * n))
+        max_steps = _MAX_ARRAY_BYTES // (8 * (41 + 15 * n))
         if steps > max_steps:
             raise ValueError(
                 f"[sim] dt = {self.dt:g} s gives {steps} RK4 steps per control "
@@ -192,14 +204,19 @@ def _stage_times(t_k, steps, dt):
 
 
 def _rk4_step(rhs, t, y, dt, inputs):
-    """One classical RK4 step; inputs holds the applied input at t, t + dt/2
-    and t + dt (None where rhs evaluates the control law itself)."""
+    """One classical RK4 step of the float list y; inputs holds the applied
+    input at t, t + dt/2 and t + dt (None where rhs evaluates the control
+    law itself). Each component is rounded as the ndarray expression
+    y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
     u0, u_half, u1 = inputs
+    half = 0.5 * dt
     k1 = rhs(t, y, u0)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1, u_half)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2, u_half)
-    k4 = rhs(t + dt, y + dt * k3, u1)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + half, [a + half * k for a, k in zip(y, k1)], u_half)
+    k3 = rhs(t + half, [a + half * k for a, k in zip(y, k2)], u_half)
+    k4 = rhs(t + dt, [a + dt * k for a, k in zip(y, k3)], u1)
+    sixth = dt / 6.0
+    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
@@ -239,12 +256,14 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
     if q.shape != (n,) or q_dot.shape != (n,):
         raise ValueError("initial state has wrong dimension")
-    y = np.concatenate([q, q_dot])
+    y = q.tolist() + q_dot.tolist()
 
     window = max(max_delay(profile), sc.pconf_h) + 5.0 * sc.dt_control + 0.05
     buf = DelayBuffer(window=window, dim=n)
     controller = make_controller(sc, window)
     sampled = sc.control_mode == "sampled"
+
+    accel = plant.accel  # as bound on the instance, wrappers included
 
     def rhs(t, yy, tau):
         qq = yy[:n]
@@ -252,12 +271,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         if tau is None:
             # the law re-evaluated at the integrator stage; the adaptive
             # gain stays the row value (it is a slow state of the controller)
-            tau = controller.law(t, qq, qq_dot, trajectory(t))
-        acc = plant.accel(qq, qq_dot, tau, t)
-        out = np.empty(2 * n)
-        out[:n] = qq_dot
-        out[n:] = acc
-        return out
+            tau = controller.law(t, np.array(qq), np.array(qq_dot), trajectory(t))
+        return qq_dot + accel(qq, qq_dot, tau, t)
 
     # control-rate records
     ts = np.zeros(n_rows)
@@ -306,16 +321,16 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
     for k in range(n_rows):
         t_k = k * sc.dt_control
-        qq = y[:n]
-        qq_dot = y[n:]
+        qq = np.array(y[:n])
+        qq_dot = np.array(y[n:])
         desired = trajectory(t_k)
 
         rec = controller.step(t_k, qq, qq_dot, desired)
         buf.push(t_k, rec.tau)
         if record_fine and rec.e1 is not None:
             cmd_log["t"].append(t_k)
-            cmd_log["q"].append(qq.copy())
-            cmd_log["q_dot"].append(qq_dot.copy())
+            cmd_log["q"].append(qq)
+            cmd_log["q_dot"].append(qq_dot)
             cmd_log["e1"].append(rec.e1)
             cmd_log["e1_dot"].append(rec.e1_dot)
             cmd_log["u"].append(rec.u)
@@ -348,10 +363,12 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         if k == n_rows - 1:
             break
 
+        stage_inputs = (stage_tau.tolist() if sampled
+                        else [_LAW_INPUTS] * steps_per_control)
         for i in range(steps_per_control):
             t = t_k + i * sc.dt
-            y = _rk4_step(rhs, t, y, sc.dt, stage_tau[i] if sampled else _LAW_INPUTS)
-            if not np.abs(y).max() <= _DIVERGENCE_LIMIT:  # NaN fails it too
+            y = _rk4_step(rhs, t, y, sc.dt, stage_inputs[i])
+            if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y):  # NaN fails it too
                 raise SimulationDiverged(t + sc.dt, build_trace(k + 1))
             if record_fine:
                 fine_idx += 1

@@ -172,3 +172,52 @@ def test_sample_many_matches_scalar_reference(data):
         reference = _reference_sample(kept, kept_values, t)
         assert row.tobytes() == reference.tobytes()
         assert buf.sample(t).tobytes() == reference.tobytes()
+
+
+def _reference_integrate(times, values, t0, t1):
+    """Trapezoids between the knots, accumulated in ndarray arithmetic: the
+    byte-level reference of the float accumulation in DelayBuffer.integrate."""
+    total = np.zeros(len(values[0]))
+    lo = max(t0, times[0])
+    if t1 <= lo:
+        return total
+    i = bisect_right(times, lo)
+    knots = [lo] + [tt for tt in times[i:] if tt < t1] + [t1]
+    knot_values = [_reference_sample(times, values, tt) for tt in knots]
+    for k in range(1, len(knots)):
+        total += 0.5 * (knots[k] - knots[k - 1]) * (knot_values[k - 1] + knot_values[k])
+    return total
+
+
+def _filled_buffer(data):
+    times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
+    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+              for _ in times]
+    buf = DelayBuffer(window=data.draw(st.floats(0.1, 30.0)), dim=2)
+    for t, v in zip(times, values):
+        buf.push(t, v)
+    return buf, values[len(times) - len(buf):]
+
+
+@given(st.data())
+def test_integrate_matches_ndarray_reference(data):
+    buf, kept_values = _filled_buffer(data)
+    t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
+    expected = _reference_integrate(buf.times, kept_values, t0, t1)
+    assert buf.integrate(t0, t1).tobytes() == expected.tobytes()
+
+
+@given(st.data())
+def test_integrate_matches_dense_quadrature(data):
+    # midpoint rule of sample_many on a dense grid that contains every
+    # command instant: each cell sees one linear piece (the jump from zero
+    # at the first command falls on a cell edge), so only rounding remains
+    buf, kept_values = _filled_buffer(data)
+    t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
+    knots = [t for t in buf.times if t0 < t < t1]
+    grid = np.union1d(np.linspace(t0, t1, 2001), knots)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    dense = (np.diff(grid)[:, None] * buf.sample_many(mid)).sum(axis=0)
+    scale = (t1 - t0) * max(1.0, np.abs(kept_values).max())
+    np.testing.assert_allclose(buf.integrate(t0, t1), dense, rtol=0.0,
+                               atol=1e-12 * scale + 1e-300)

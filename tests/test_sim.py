@@ -13,6 +13,7 @@ from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, delay_at
 from arolc.plants import (
     PayloadSchedule,
+    PlantModel,
     TwoLinkParams,
     WmrParams,
     oscillator_plant,
@@ -281,25 +282,59 @@ class TestInputTable:
 
 class TestPinnedTraces:
     """sha256 over every Trace array of the first 2 s of two shipped robot
-    runs. The digests pin the simulator's floating-point results (recorded
-    with numpy 2 / OpenBLAS on x86-64), so a change that moves one bit of a
-    trace fails here."""
+    runs, of the first 1 s of the shipped two-link run (with its fine-grid
+    q and q_dot) and of two continuous-mode runs. The digests pin the
+    simulator's floating-point results (recorded with numpy 2 / OpenBLAS on
+    x86-64), so a change that moves one bit of a trace fails here."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f0db8d34dfff511c11b8e43e97d2f9f773b7c662686fd57179d8f0da3f11021",
         "wmr_s1_pcon": "6d3b739977c1ca46e77415ea011747325aa18bb6b9baa16c58fcc27a95f19034",
     }
+    TWO_LINK_FINE_DIGEST = "506aa2b80aa0abb767ca225de2ed62f853a40862dcb480146747fe1fbe8c6e54"
+    CONTINUOUS_DIGESTS = {
+        "arolc": "cff815d081386f751cfd6c1c7ee711ad2776f4e56d8d3a16ece8da0d9aed2b20",
+        "none": "cdaba165ed138cd3bb77a57f27ec5ff0b217b131b6989777abcd7084e0f606b9",
+    }
+
+    @staticmethod
+    def digest(trace):
+        digest = hashlib.sha256()
+        arrays = [getattr(trace, name) for name in (
+            "t", "q", "q_dot", "q_desired", "e1", "tau_cmd", "tau_applied",
+            "c_hat", "s_norm", "h")]
+        if trace.fine is not None:
+            arrays += [trace.fine.q, trace.fine.q_dot]
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        return digest.hexdigest()
+
+    @staticmethod
+    def shipped(stem, duration):
+        config = load_config(f"scenarios/{stem}.ini")
+        apply_override(config, "sim.duration", duration)
+        return build_scenario(config)
 
     @pytest.mark.parametrize("stem", sorted(DIGESTS))
     def test_digest(self, stem):
-        config = load_config(f"scenarios/{stem}.ini")
-        apply_override(config, "sim.duration", "2.0")
-        trace = simulate(build_scenario(config))
-        digest = hashlib.sha256()
-        for name in ("t", "q", "q_dot", "q_desired", "e1", "tau_cmd", "tau_applied",
-                     "c_hat", "s_norm", "h"):
-            digest.update(np.ascontiguousarray(getattr(trace, name), dtype="<f8").tobytes())
-        assert digest.hexdigest() == self.DIGESTS[stem]
+        trace = simulate(self.shipped(stem, "2.0"))
+        assert self.digest(trace) == self.DIGESTS[stem]
+
+    def test_two_link_fine_grid_digest(self):
+        trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
+        assert self.digest(trace) == self.TWO_LINK_FINE_DIGEST
+
+    @pytest.mark.parametrize("kind", sorted(CONTINUOUS_DIGESTS))
+    def test_continuous_digest(self, kind):
+        # the law re-evaluated at every stage, on the ndarray-wrapped stage state
+        gains = GainSet.identity(2)
+        trace = simulate(Scenario(
+            plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2,
+                                 disturbance_amp=0.05),
+            trajectory=SinusoidTrajectory(), delay=DelayProfile("none"),
+            controller=kind, arolc=ArolcConfig.from_gains(gains), gains=gains,
+            duration=1.0, dt=1e-3, dt_control=1e-2, control_mode="continuous"))
+        assert self.digest(trace) == self.CONTINUOUS_DIGESTS[kind]
 
 
 def reference_residual(trace, sc, warmup=0.5):
@@ -489,6 +524,12 @@ class TestWarningsAndErrors:
         with pytest.raises(ValueError, match=r"\[sim\] duration"):
             simulate(sc, diagnostics=True)
 
+    def test_oversized_stage_table_rejected(self):
+        # 1e6 RK4 steps per control period: the float64 table would take
+        # 96 MB, but with the nested-list copy the stages read, 448 MB
+        with pytest.raises(ValueError, match="RK4 steps per control period"):
+            free_scenario(dt=1e-7, dt_control=0.1, duration=0.2).validate()
+
     def test_dt_coarser_than_control_rejected(self):
         with pytest.raises(ValueError):
             simulate(free_scenario(dt=0.02, dt_control=0.01))
@@ -509,6 +550,34 @@ class TestWarningsAndErrors:
         exc = excinfo.value
         assert 0.0 < exc.time <= 20.0
         assert len(exc.partial_trace) >= 1
+
+    @pytest.mark.parametrize("bad", [[0.0, math.nan], [math.nan, 0.0], [0.0, math.inf]],
+                             ids=["nan-second", "nan-first", "inf"])
+    def test_non_finite_accel_in_any_slot_diverges(self, bad):
+        # [0.0, nan] leaves q0 finite and makes q1 and q1_dot NaN: a
+        # max(map(abs, y)) test would miss it, since max skips a NaN that
+        # is not first
+        t_star = 0.1234
+
+        class Blowup(PlantModel):
+            dim = 2
+
+            def accel(self, q, q_dot, tau_applied, t):
+                return list(bad) if t > t_star else [0.0, 0.0]
+
+        sc = free_scenario(
+            plant=Blowup(), duration=1.0,
+            trajectory=SinusoidTrajectory(amplitude=(1e-12, 1e-12), frequency=(1.0, 1.0)),
+            q0=np.array([1.0, 2.0]), qdot0=np.array([0.5, -0.5]))
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc)
+        exc = excinfo.value
+        # the step over [0.123, 0.124] is the first whose stages pass t*
+        assert exc.time == pytest.approx(0.124, abs=1e-12)
+        partial = exc.partial_trace
+        assert len(partial) == 13  # rows 0.00 .. 0.12
+        assert np.isfinite(partial.q).all() and np.isfinite(partial.q_dot).all()
+        np.testing.assert_allclose(partial.q[-1], [1.06, 1.94], rtol=0, atol=1e-12)
 
 
 class TestTraceCsv:
