@@ -9,8 +9,9 @@ import numpy as np
 
 from arolc import ArolcConfig, ArolcState, GainSet, adapt_gain, switching_control
 
-cfg = ArolcConfig.from_gains(GainSet.identity(1), alpha=2.0, epsilon=0.1,
-                             gamma=1e-3, c_hat_init=1e-3)
+cfg = ArolcConfig(GainSet.identity(1), alpha=2.0, epsilon=0.1, gamma=1e-3,
+                  c_hat_init=1e-3)
+dt = 0.01  # control period: the Euler step of the adaptation
 
 print("robust-term magnitude along a ray through the boundary layer "
       f"(alpha * c_hat = {cfg.alpha * 1.0}):")
@@ -23,13 +24,13 @@ state = ArolcState(c_hat=cfg.c_hat_init)
 t = 0.0
 profile = list(np.linspace(0.0, 2.0, 40)) + list(np.linspace(2.0, 0.05, 60))
 for i, s_val in enumerate(profile):
-    t += cfg.dt_control
-    state = adapt_gain(state, np.array([s_val]), t, cfg)
+    t += dt
+    state = adapt_gain(state, np.array([s_val]), t, dt, cfg)
     if i % 10 == 9:
         print(f"  t = {t:5.2f} s  ||s|| = {s_val:6.3f}  c_hat = {state.c_hat:.4f}")
 
 print("\nthe gain never leaves its positive floor:")
 for _ in range(200):
-    t += cfg.dt_control
-    state = adapt_gain(state, np.array([0.0]), t, cfg)
+    t += dt
+    state = adapt_gain(state, np.array([0.0]), t, dt, cfg)
 print(f"  after 2 s of s = 0: c_hat = {state.c_hat:.6f} (floor {cfg.gamma})")

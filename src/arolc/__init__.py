@@ -15,13 +15,11 @@ from .controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
-    PconState,
     StepRecord,
     adapt_gain,
     arolc_step,
     make_controller,
     nominal_control,
-    pcon_integral_error,
     pcon_step,
     sliding_variable,
     switching_control,
@@ -62,6 +60,7 @@ from .plants import (
 from .scenario_io import (
     ScenarioError,
     apply_override,
+    build_gains,
     build_scenario,
     load_config,
     load_scenario,

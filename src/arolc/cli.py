@@ -26,6 +26,7 @@ from .metrics import metrics_from_trace, metrics_to_json
 from .scenario_io import (
     ScenarioError,
     apply_override,
+    build_gains,
     build_scenario,
     load_config,
     scenario_hash,
@@ -48,29 +49,33 @@ def _apply_cli_overrides(config, args) -> None:
         apply_override(config, "sim.control_dt", repr(args.control_dt))
 
 
-def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
+def _measure(config, label):
+    """Build and simulate one run; returns (trace, metrics report, the
+    SimulationDiverged raised or None). A diverged run keeps its partial trace."""
     sc = build_scenario(config, label=label)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        trace = simulate(sc)
-        code = 0
+        trace, diverged = simulate(sc), None
     except SimulationDiverged as exc:
-        trace = exc.partial_trace
-        code = 1
-        print(f"error: {exc}", file=sys.stderr)
+        trace, diverged = exc.partial_trace, exc
     runtime = time.perf_counter() - started
+    report = metrics_from_trace(trace, sc.trajectory.diameter, runtime=runtime,
+                                scenario_hash=scenario_hash(config))
+    return trace, report, diverged
+
+
+def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
+    trace, report, diverged = _measure(config, label)
+    if diverged is not None:
+        print(f"error: {diverged}", file=sys.stderr)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_to_csv(trace, out_dir / "trace.csv")
-    report = metrics_from_trace(
-        trace, sc.trajectory.diameter, runtime=runtime,
-        scenario_hash=scenario_hash(config),
-    )
     (out_dir / "metrics.json").write_text(metrics_to_json(report) + "\n")
     if not quiet:
         ae = ", ".join(f"{a:.6g}" for a in report.ae_per_dim)
         print(f"{label}: rows={len(trace)} ae=[{ae}] tv={report.tv:.6g} "
-              f"runtime={runtime:.2f}s -> {out_dir}")
-    return code, report
+              f"runtime={report.runtime:.2f}s -> {out_dir}")
+    return int(diverged is not None), report
 
 
 def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
@@ -92,12 +97,13 @@ def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
 def _cmd_bound(args) -> int:
     config = load_config(args.scenario)
     sc = build_scenario(config)
-    if sc.gains is None:
+    if sc.controller != "arolc" and "gains" not in config:
         print("error: [gains] section required for bound", file=sys.stderr)
         return 2
-    margin = delay_margin(sc.gains)
+    gains = build_gains(config, sc.plant.dim)
+    margin = delay_margin(gains)
     peak = max_delay(sc.delay)
-    feasible = check_feasibility(sc.gains, peak)
+    feasible = check_feasibility(gains, peak)
     print(f"delay margin [s]: {margin:.6f}")
     print(f"peak delay   [s]: {peak:.6f} ({sc.delay.kind})")
     print(f"feasible: {'yes' if feasible else 'no'}")
@@ -161,19 +167,9 @@ def _cmd_sweep(args) -> int:
     for value in values:
         config = {sec: dict(keys) for sec, keys in base.items()}
         apply_override(config, args.param, repr(float(value)))
-        sc = build_scenario(config, label=f"{args.param}={value:g}")
-        started = time.perf_counter()
-        try:
-            trace = simulate(sc)
-            status = "ok"
-        except SimulationDiverged as exc:
-            trace = exc.partial_trace
-            status = "diverged"
-            worst = 1
-        runtime = time.perf_counter() - started
-        report = metrics_from_trace(trace, sc.trajectory.diameter,
-                                    runtime=runtime,
-                                    scenario_hash=scenario_hash(config))
+        _, report, diverged = _measure(config, f"{args.param}={value:g}")
+        status = "ok" if diverged is None else "diverged"
+        worst = max(worst, int(diverged is not None))
         rows.append(([f"{value:.9g}", status], report))
         if not args.quiet:
             print(f"{args.param}={value:g}: {status} "

@@ -11,9 +11,12 @@ Two controllers are provided:
 * PCON, a predictor-style baseline. It filters the tracking error with the
   integral of the recent input history over the delay window,
   rho = e1_dot + kappa e1 - vartheta * integral(tau, t-h..t), tau = k_b rho,
-  and therefore needs the delay (or an estimate of it) to be supplied.
+  and therefore needs the delay (or an estimate of it) to be supplied:
+  PconConfig.h_estimate = None tells it the true delay h(t), a number fixes
+  the window (the pconf variant, spelled [controller] kind = pconf in
+  scenario files).
 
-Every controller kind (arolc, pcon, pconf, none) is an object from
+Every controller kind (arolc, pcon, none) is an object from
 make_controller(scenario, window) with one method the simulator calls per
 control period: step(t, q, q_dot, desired) -> StepRecord. The kinds allowed
 in continuous mode (arolc, none) also have law(t, q, q_dot, desired) -> tau,
@@ -50,13 +53,11 @@ __all__ = [
     "ArolcState",
     "StepRecord",
     "PconConfig",
-    "PconState",
     "sliding_variable",
     "nominal_control",
     "switching_control",
     "adapt_gain",
     "arolc_step",
-    "pcon_integral_error",
     "pcon_step",
     "ArolcController",
     "PconController",
@@ -68,18 +69,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArolcConfig:
-    """Gains and scalars of the adaptive-robust controller."""
+    """Gain set and scalars of the adaptive-robust controller.
 
-    K1: np.ndarray
-    K2: np.ndarray
-    P: np.ndarray
-    B: np.ndarray
+    K1 and K2 of gains, and the Lyapunov matrix P and input matrix B of its
+    error system, are set once from gains; the law reads them as attributes.
+    """
+
+    gains: GainSet
     alpha: float = 2.0
     epsilon: float = 0.1
     gamma: float = 1e-3
     c_hat_init: float = 1e-3
-    dt_control: float = 0.01
     switching: bool = True  # diagnostic switch; False disables du entirely
+    K1: np.ndarray = field(init=False, repr=False, compare=False)
+    K2: np.ndarray = field(init=False, repr=False, compare=False)
+    P: np.ndarray = field(init=False, repr=False, compare=False)
+    B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
@@ -88,22 +93,15 @@ class ArolcConfig:
             raise ValueError("epsilon and gamma must be finite and positive")
         if not self.gamma <= self.c_hat_init < math.inf:
             raise ValueError("c_hat_init must be finite and at least gamma")
-        if not 0.0 < self.dt_control < math.inf:
-            raise ValueError("dt_control must be finite and positive")
-        object.__setattr__(self, "K1", np.asarray(self.K1, dtype=float))
-        object.__setattr__(self, "K2", np.asarray(self.K2, dtype=float))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
+        system = build_error_system(self.gains)
+        object.__setattr__(self, "K1", self.gains.K1)
+        object.__setattr__(self, "K2", self.gains.K2)
+        object.__setattr__(self, "P", system.P)
+        object.__setattr__(self, "B", system.B)
 
     @property
     def n(self) -> int:
         return self.K1.shape[0]
-
-    @classmethod
-    def from_gains(cls, gains: GainSet, **kwargs) -> "ArolcConfig":
-        """Build the config from a GainSet, solving for P along the way."""
-        system = build_error_system(gains)
-        return cls(K1=gains.K1, K2=gains.K2, P=system.P, B=system.B, **kwargs)
 
     def initial_state(self) -> "ArolcState":
         return ArolcState(c_hat=self.c_hat_init)
@@ -144,8 +142,10 @@ def switching_control(s: np.ndarray, c_hat: float, cfg: ArolcConfig) -> np.ndarr
     return (cfg.alpha * c_hat / cfg.epsilon) * s
 
 
-def adapt_gain(state: ArolcState, s: np.ndarray, t: float, cfg: ArolcConfig) -> ArolcState:
-    """One Euler step of the adaptive gain law; returns the updated state."""
+def adapt_gain(state: ArolcState, s: np.ndarray, t: float, dt: float,
+               cfg: ArolcConfig) -> ArolcState:
+    """One Euler step of length dt (the control period) of the adaptive gain
+    law; returns the updated state."""
     s = np.asarray(s, dtype=float)
     if state.s_prev is not None and not t > state.t_prev:
         raise ValueError("time must advance between adaptation steps")
@@ -158,7 +158,7 @@ def adapt_gain(state: ArolcState, s: np.ndarray, t: float, cfg: ArolcConfig) -> 
         else:
             s_dot = (s - state.s_prev) / (t - state.t_prev)
             rate = s_norm if float(s @ s_dot) > 0.0 else -s_norm
-    c_hat = max(state.c_hat + rate * cfg.dt_control, cfg.gamma)
+    c_hat = max(state.c_hat + rate * dt, cfg.gamma)
     return ArolcState(c_hat=c_hat, s_prev=s, t_prev=t)
 
 
@@ -181,11 +181,13 @@ class StepRecord(NamedTuple):
     state: ArolcState | None = None
 
 
-def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, cfg) -> StepRecord:
+def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
+               cfg) -> StepRecord:
     """Evaluate the control law at time t.
 
     desired is the triple (qd, qd_dot, qd_ddot); nominal_model the pair
-    (Mhat(q), Nhat(q, q_dot)) already evaluated at the current state.
+    (Mhat(q), Nhat(q, q_dot)) already evaluated at the current state; dt the
+    control period, the Euler step of the gain adaptation.
     Returns the full step record; record.state is the adapted state. The
     switching term uses the pre-update gain; the adaptation result takes
     effect on the next step.
@@ -200,7 +202,7 @@ def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, cfg) -> S
         du = switching_control(s, state.c_hat, cfg)
     else:
         du = np.zeros_like(u_hat)
-    new_state = adapt_gain(state, s, t, cfg)
+    new_state = adapt_gain(state, s, t, dt, cfg)
     u = u_hat + du
     m_hat, n_hat = nominal_model
     tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
@@ -210,15 +212,19 @@ def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, cfg) -> S
 
 @dataclass(frozen=True)
 class PconConfig:
-    """Baseline predictor-controller gains."""
+    """Baseline predictor-controller gains and its integral window:
+    h_estimate = None is the true delay h(t), a number a fixed window."""
 
     kappa: float = 2.0
     vartheta: np.ndarray = field(default_factory=lambda: np.eye(1))
     k_b: float = 5.0
+    h_estimate: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.kappa < math.inf and 0.0 < self.k_b < math.inf):
             raise ValueError("kappa and k_b must be finite and positive")
+        if self.h_estimate is not None and not 0.0 <= self.h_estimate < math.inf:
+            raise ValueError("h_estimate must be finite and nonnegative")
         v = np.asarray(self.vartheta, dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("vartheta must be finite")
@@ -228,36 +234,20 @@ class PconConfig:
         object.__setattr__(self, "vartheta", v)
 
 
-@dataclass
-class PconState:
-    """The controller's own input history and current delay estimate."""
-
-    input_history: DelayBuffer
-    h_estimate: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.h_estimate < math.inf:
-            raise ValueError("h_estimate must be finite and nonnegative")
-
-
-def pcon_integral_error(state: PconState, t: float) -> np.ndarray:
-    """Integral of the stored commands over [t - h_estimate, t]."""
-    return state.input_history.integrate(t - state.h_estimate, t)
-
-
-def pcon_step(state: PconState, q, q_dot, desired, t, cfg: PconConfig):
-    """tau = k_b (e1_dot + kappa e1 - vartheta e_z); appends tau to the history."""
+def pcon_step(buffer: DelayBuffer, h, q, q_dot, desired, t, cfg: PconConfig):
+    """tau = k_b (e1_dot + kappa e1 - vartheta e_z), e_z the integral of the
+    commands in buffer over [t - h, t]; appends tau to buffer."""
     qd, qd_dot, _ = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
-    if len(state.input_history) > 0:
-        e_z = pcon_integral_error(state, t)
+    if len(buffer) > 0:
+        e_z = buffer.integrate(t - h, t)
     else:
         e_z = np.zeros_like(e1)
     rho = e1_dot + cfg.kappa * e1 - cfg.vartheta @ e_z
     tau = cfg.k_b * rho
-    state.input_history.push(t, tau)
-    return tau, state
+    buffer.push(t, tau)
+    return tau
 
 
 class ArolcController:
@@ -266,6 +256,7 @@ class ArolcController:
     def __init__(self, sc, window: float):
         self.cfg = sc.arolc
         self.plant = sc.plant
+        self.dt = sc.dt_control
         self.state = self.cfg.initial_state()
 
     def _nominal(self, q, q_dot):
@@ -273,31 +264,30 @@ class ArolcController:
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         record = arolc_step(self.state, q, q_dot, desired, self._nominal(q, q_dot),
-                            t, self.cfg)
+                            t, self.dt, self.cfg)
         self.state = record.state
         return record
 
     def law(self, t, q, q_dot, desired) -> np.ndarray:
         """Torque at the current gain, leaving the adaptive state untouched."""
         return arolc_step(ArolcState(self.state.c_hat), q, q_dot, desired,
-                          self._nominal(q, q_dot), t, self.cfg).tau
+                          self._nominal(q, q_dot), t, self.dt, self.cfg).tau
 
 
 class PconController:
-    """Predictor baseline with its own input history. kind = pcon is told the
-    true delay h(t); kind = pconf integrates over the fixed window sc.pconf_h."""
+    """Predictor baseline with its own input history, integrated over the
+    true delay h(t) or over the fixed window cfg.h_estimate."""
 
     def __init__(self, sc, window: float):
         self.cfg = sc.pcon
         self.profile = sc.delay
-        self.fixed_h = sc.pconf_h if sc.controller == "pconf" else None
-        self.state = PconState(DelayBuffer(window=window, dim=sc.plant.dim))
+        self.history = DelayBuffer(window=window, dim=sc.plant.dim)
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
-        self.state.h_estimate = (delay_at(self.profile, t) if self.fixed_h is None
-                                 else self.fixed_h)
-        tau, self.state = pcon_step(self.state, q, q_dot, desired, t, self.cfg)
-        return StepRecord(tau)
+        h = self.cfg.h_estimate
+        if h is None:
+            h = delay_at(self.profile, t)
+        return StepRecord(pcon_step(self.history, h, q, q_dot, desired, t, self.cfg))
 
 
 class ZeroController:
@@ -314,7 +304,7 @@ class ZeroController:
 
 
 _CONTROLLERS = {"arolc": ArolcController, "pcon": PconController,
-                "pconf": PconController, "none": ZeroController}
+                "none": ZeroController}
 
 
 def make_controller(sc, window: float):

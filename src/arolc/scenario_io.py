@@ -35,8 +35,8 @@ from .trajectories import (
     WheelRampTrajectory,
 )
 
-__all__ = ["ScenarioError", "load_config", "build_scenario", "load_scenario",
-           "scenario_hash", "apply_override"]
+__all__ = ["ScenarioError", "load_config", "build_gains", "build_scenario",
+           "load_scenario", "scenario_hash", "apply_override"]
 
 
 class ScenarioError(ValueError):
@@ -325,6 +325,22 @@ def _build_delay(config) -> DelayProfile:
         raise ScenarioError(f"[delay] {exc}") from exc
 
 
+def build_gains(config: dict[str, dict[str, str]], n: int) -> GainSet:
+    """The GainSet of the [gains] section for an n-joint plant (defaults for
+    absent keys, or for an absent section)."""
+    gsec = config.get("gains", {})
+    try:
+        return GainSet(
+            K1=_gain_matrix(gsec, "gains", "k1", n, 1.0),
+            K2=_gain_matrix(gsec, "gains", "k2", n, 1.0),
+            Q=_gain_matrix(gsec, "gains", "q", 2 * n, 1.0),
+            r=_fval(gsec, "gains", "r", 1.1),
+            beta=_fval(gsec, "gains", "beta", 1.0),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"[gains] {exc}") from exc
+
+
 def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenario:
     """Turn a parsed config into a ready-to-run Scenario."""
     _reject_ignored_keys(config)
@@ -340,52 +356,41 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
 
     ctrl_sec = config["controller"]
     kind = ctrl_sec["kind"].strip().lower()
-    dt_control = _fval(sim_sec, "sim", "control_dt", 1e-2)
 
-    gains = None
-    if "gains" in config or kind == "arolc":
-        gsec = config.get("gains", {})
-        n = plant.dim
-        try:
-            gains = GainSet(
-                K1=_gain_matrix(gsec, "gains", "k1", n, 1.0),
-                K2=_gain_matrix(gsec, "gains", "k2", n, 1.0),
-                Q=_gain_matrix(gsec, "gains", "q", 2 * n, 1.0),
-                r=_fval(gsec, "gains", "r", 1.1),
-                beta=_fval(gsec, "gains", "beta", 1.0),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"[gains] {exc}") from exc
+    # built for every kind, so that a bad [gains] section is never ignored
+    gains = build_gains(config, plant.dim)
 
     arolc_cfg = None
     pcon_cfg = None
-    pconf_h = 0.0
     if kind == "arolc":
         try:
-            arolc_cfg = ArolcConfig.from_gains(
+            arolc_cfg = ArolcConfig(
                 gains,
                 alpha=_fval(ctrl_sec, "controller", "alpha", 2.0),
                 epsilon=_fval(ctrl_sec, "controller", "epsilon", 0.1),
                 gamma=_fval(ctrl_sec, "controller", "gamma", 1e-3),
                 c_hat_init=_fval(ctrl_sec, "controller", "c_hat_init",
                                  _fval(ctrl_sec, "controller", "gamma", 1e-3)),
-                dt_control=dt_control,
                 switching=_bval(ctrl_sec, "controller", "switching", True),
             )
         except ValueError as exc:
             raise ScenarioError(f"[controller] {exc}") from exc
     elif kind in ("pcon", "pconf"):
+        # pconf is the file spelling of pcon with a fixed integral window
         vartheta = _gain_matrix(ctrl_sec, "controller", "vartheta", plant.dim, 1.0)
+        h_estimate = None
+        if kind == "pconf":
+            h_estimate = _fval(ctrl_sec, "controller", "h_estimate")
         try:
             pcon_cfg = PconConfig(
                 kappa=_fval(ctrl_sec, "controller", "kappa", 2.0),
                 vartheta=vartheta,
                 k_b=_fval(ctrl_sec, "controller", "k_b", 5.0),
+                h_estimate=h_estimate,
             )
         except ValueError as exc:
             raise ScenarioError(f"[controller] {exc}") from exc
-        if kind == "pconf":
-            pconf_h = _fval(ctrl_sec, "controller", "h_estimate")
+        kind = "pcon"
     elif kind != "none":
         raise ScenarioError(f"unknown controller kind: [controller] kind = "
                             f"{ctrl_sec['kind']!r}")
@@ -407,17 +412,13 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
         controller=kind,
         arolc=arolc_cfg,
         pcon=pcon_cfg,
-        gains=gains,
         duration=_fval(sim_sec, "sim", "duration"),
         dt=_fval(sim_sec, "sim", "dt", 1e-4),
-        dt_control=dt_control,
-        seed=seed,
+        dt_control=_fval(sim_sec, "sim", "control_dt", 1e-2),
         q0=np.asarray(q0, float) if q0 else None,
         qdot0=np.asarray(qdot0, float) if qdot0 else None,
         control_mode=sim_sec.get("control_mode", "sampled").strip(),
-        pconf_h=pconf_h,
         label=label,
-        meta={"config": config},
     )
     try:
         sc.validate()

@@ -39,8 +39,12 @@ Two control modes exist:
 
 ``simulate`` returns a Trace sampled at the control rate. With
 ``diagnostics=True`` the trace additionally carries the fine-grid state
-history and the per-command controller records needed to check the
-delayed error-dynamics identity offline (``error_dynamics_residual``).
+history and the per-command controller quantities that the trace rows do
+not hold (e1_dot, u, du), which ``error_dynamics_residual`` reads with the
+rows to check the delayed error-dynamics identity offline.
+
+The controller kinds are arolc, pcon (with a fixed or the true-delay
+window, see ``PconConfig.h_estimate``) and none.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 from .controllers import ArolcConfig, PconConfig, make_controller
 from .delays import DelayBuffer, DelayProfile, delay_at, max_delay
 from .plants import PlantModel
-from .stability import GainSet, delay_margin
+from .stability import delay_margin
 
 __all__ = [
     "Scenario",
@@ -99,20 +103,16 @@ class Scenario:
     plant: PlantModel
     trajectory: object
     delay: DelayProfile = field(default_factory=lambda: DelayProfile("none"))
-    controller: str = "none"  # arolc | pcon | pconf | none
+    controller: str = "none"  # arolc | pcon | none
     arolc: ArolcConfig | None = None
     pcon: PconConfig | None = None
-    gains: GainSet | None = None
     duration: float = 10.0
     dt: float = 1e-4
     dt_control: float = 1e-2
-    seed: int = 0
     q0: np.ndarray | None = None
     qdot0: np.ndarray | None = None
     control_mode: str = "sampled"
-    pconf_h: float = 0.0  # fixed integral window for the pconf variant
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if not 0.0 < self.duration < math.inf:
@@ -135,37 +135,32 @@ class Scenario:
             raise ValueError(
                 f"[sim] dt = {self.dt:g} s gives {steps} RK4 steps per control "
                 f"period; at most {max_steps} fit")
-        if not 0.0 <= self.pconf_h < math.inf:
-            raise ValueError("pconf_h must be finite and nonnegative")
-        if self.controller not in ("arolc", "pcon", "pconf", "none"):
+        if self.controller not in ("arolc", "pcon", "none"):
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.controller == "arolc" and self.arolc is None:
             raise ValueError("arolc controller requires an ArolcConfig")
-        if self.controller in ("pcon", "pconf") and self.pcon is None:
+        if self.controller == "pcon" and self.pcon is None:
             raise ValueError("pcon controller requires a PconConfig")
         if self.control_mode not in ("sampled", "continuous"):
             raise ValueError(f"unknown control mode {self.control_mode!r}")
         if self.control_mode == "continuous" and max_delay(self.delay) > 0.0:
             raise ValueError("continuous control mode requires zero delay")
-        if self.control_mode == "continuous" and self.controller in ("pcon", "pconf"):
+        if self.control_mode == "continuous" and self.controller == "pcon":
             raise ValueError("continuous control mode supports arolc or none")
 
 
 @dataclass
 class FineRecord:
-    """Integration-rate state history plus per-command controller records."""
+    """Integration-rate state history plus the per-command controller
+    quantities the trace rows lack: on adaptive-robust runs one row per
+    trace row, empty for the other kinds."""
 
     t: np.ndarray
     q: np.ndarray
     q_dot: np.ndarray
-    cmd_t: np.ndarray
-    cmd_q: np.ndarray
-    cmd_q_dot: np.ndarray
-    cmd_e1: np.ndarray
     cmd_e1_dot: np.ndarray
     cmd_u: np.ndarray
     cmd_du: np.ndarray
-    cmd_tau: np.ndarray
 
 
 @dataclass
@@ -242,8 +237,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             f"[sim] duration = {sc.duration:g} s needs {n_fine} diagnostics rows at "
             f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
-    if sc.controller == "arolc" and sc.gains is not None:
-        margin = delay_margin(sc.gains)
+    if sc.controller == "arolc":
+        margin = delay_margin(sc.arolc.gains)
         if max_delay(profile) >= margin:
             warnings.warn(
                 f"peak input delay {max_delay(profile):.4g} s reaches the "
@@ -258,7 +253,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         raise ValueError("initial state has wrong dimension")
     y = q.tolist() + q_dot.tolist()
 
-    window = max(max_delay(profile), sc.pconf_h) + 5.0 * sc.dt_control + 0.05
+    fixed_h = sc.pcon.h_estimate if sc.controller == "pcon" else None
+    window = max(max_delay(profile), fixed_h or 0.0) + 5.0 * sc.dt_control + 0.05
     buf = DelayBuffer(window=window, dim=n)
     controller = make_controller(sc, window)
     sampled = sc.control_mode == "sampled"
@@ -291,8 +287,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         fine_t = np.zeros(n_fine)
         fine_q = np.zeros((n_fine, n))
         fine_qd = np.zeros((n_fine, n))
-        cmd_log: dict[str, list] = {k: [] for k in
-                                    ("t", "q", "q_dot", "e1", "e1_dot", "u", "du", "tau")}
+        cmd_log: dict[str, list] = {k: [] for k in ("e1_dot", "u", "du")}
     fine_idx = 0
 
     def build_trace(rows: int) -> Trace:
@@ -302,14 +297,9 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
                 t=fine_t[:fine_idx + 1].copy(),
                 q=fine_q[:fine_idx + 1].copy(),
                 q_dot=fine_qd[:fine_idx + 1].copy(),
-                cmd_t=np.array(cmd_log["t"]),
-                cmd_q=np.array(cmd_log["q"]),
-                cmd_q_dot=np.array(cmd_log["q_dot"]),
-                cmd_e1=np.array(cmd_log["e1"]),
                 cmd_e1_dot=np.array(cmd_log["e1_dot"]),
                 cmd_u=np.array(cmd_log["u"]),
                 cmd_du=np.array(cmd_log["du"]),
-                cmd_tau=np.array(cmd_log["tau"]),
             )
         return Trace(
             t=ts[:rows].copy(), q=qs[:rows].copy(), q_dot=q_dots[:rows].copy(),
@@ -328,14 +318,9 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         rec = controller.step(t_k, qq, qq_dot, desired)
         buf.push(t_k, rec.tau)
         if record_fine and rec.e1 is not None:
-            cmd_log["t"].append(t_k)
-            cmd_log["q"].append(qq)
-            cmd_log["q_dot"].append(qq_dot)
-            cmd_log["e1"].append(rec.e1)
             cmd_log["e1_dot"].append(rec.e1_dot)
             cmd_log["u"].append(rec.u)
             cmd_log["du"].append(rec.du)
-            cmd_log["tau"].append(rec.tau)
 
         # The buffer changes only at pushes, so the applied input of the
         # whole coming period is known now: one lookup at every stage instant.
@@ -448,11 +433,11 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     e1_dot = qd_dot_d - fine.q_dot
     thetas = times - delay_at(sc.delay, times)
 
-    cmd_t = fine.cmd_t
+    cmd_t = trace.t  # every row of an adaptive-robust run is a command
     c = (fine.cmd_u - sc.trajectory(cmd_t)[2] - fine.cmd_e1_dot @ cfg.K2.T
-         - fine.cmd_e1 @ cfg.K1.T - fine.cmd_du)
+         - trace.e1 @ cfg.K1.T - fine.cmd_du)
     g = np.empty((len(cmd_t), n))
-    for j, (q_j, q_dot_j, u_j) in enumerate(zip(fine.cmd_q, fine.cmd_q_dot, fine.cmd_u)):
+    for j, (q_j, q_dot_j, u_j) in enumerate(zip(trace.q, trace.q_dot, fine.cmd_u)):
         g[j] = (plant.nominal_mass_matrix(q_j) @ u_j
                 + plant.nominal_bias_vector(q_j, q_dot_j))
 

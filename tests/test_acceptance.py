@@ -91,7 +91,7 @@ def test_criterion_4_uub():
     sc = load_scenario("scenarios/two_link_s1_arolc.ini")
     sc.duration = 60.0
     sc.dt = 1e-3
-    margin = delay_margin(sc.gains)
+    margin = delay_margin(sc.arolc.gains)
     assert max_delay(sc.delay) < margin
     trace = simulate(sc)
     gamma = sc.arolc.gamma
@@ -131,8 +131,8 @@ def test_criterion_6_tv_trend(wmr_runs):
 
 def test_criterion_7_switching_law():
     gains = GainSet.identity(2)
-    cfg = ArolcConfig.from_gains(gains, alpha=2.0, epsilon=0.1, gamma=1e-3,
-                                 c_hat_init=1e-3)
+    cfg = ArolcConfig(gains, alpha=2.0, epsilon=0.1, gamma=1e-3, c_hat_init=1e-3)
+    dt = 1e-2  # control period of the adaptation steps
     # continuity across the boundary layer
     rng = np.random.default_rng(3)
     jump = 0.0
@@ -154,15 +154,14 @@ def test_criterion_7_switching_law():
             break
     # adaptation branch selection on constructed slope signs
     state = ArolcState(c_hat=1.0, s_prev=np.array([1.0, 0.0]), t_prev=0.0)
-    grew = adapt_gain(state, np.array([2.0, 0.0]), 0.01, cfg).c_hat
+    grew = adapt_gain(state, np.array([2.0, 0.0]), 0.01, dt, cfg).c_hat
     state = ArolcState(c_hat=1.0, s_prev=np.array([2.0, 0.0]), t_prev=0.0)
-    shrank = adapt_gain(state, np.array([1.0, 0.0]), 0.01, cfg).c_hat
+    shrank = adapt_gain(state, np.array([1.0, 0.0]), 0.01, dt, cfg).c_hat
     state = ArolcState(c_hat=0.5e-3)
-    floored = adapt_gain(state, np.array([9.0, 0.0]), 0.01, cfg).c_hat
-    branch_ok = (grew == pytest.approx(1.0 + 2.0 * cfg.dt_control)
-                 and shrank == pytest.approx(1.0 - 1.0 * cfg.dt_control)
-                 and floored == pytest.approx(max(0.5e-3 + cfg.gamma * cfg.dt_control,
-                                                  cfg.gamma)))
+    floored = adapt_gain(state, np.array([9.0, 0.0]), 0.01, dt, cfg).c_hat
+    branch_ok = (grew == pytest.approx(1.0 + 2.0 * dt)
+                 and shrank == pytest.approx(1.0 - 1.0 * dt)
+                 and floored == pytest.approx(max(0.5e-3 + cfg.gamma * dt, cfg.gamma)))
     ok = jump < 1e-12 and cap_ok and branch_ok
     verdict(7, ok, f"boundary-layer jump {jump:.2e} < 1e-12; ||du|| <= "
                    f"alpha c_hat on 10^4 draws: {cap_ok}; adaptation branches: "
@@ -194,12 +193,12 @@ def test_criterion_8_integrator_order():
 
 def test_criterion_9_linear_closed_loop_oracle():
     gains = GainSet.identity(1)
-    cfg = ArolcConfig.from_gains(gains, switching=False)
+    cfg = ArolcConfig(gains, switching=False)
     traj = SinusoidTrajectory(amplitude=(0.5,), frequency=(0.8,))
     sc = Scenario(
         plant=point_mass_plant(1), trajectory=traj,
         delay=DelayProfile("none"), controller="arolc", arolc=cfg,
-        gains=gains, duration=5.0, dt=1e-4, dt_control=1e-2,
+        duration=5.0, dt=1e-4, dt_control=1e-2,
         control_mode="continuous",
         q0=np.array([traj(0.0)[0][0] - 1.0]),
         qdot0=np.array([traj(0.0)[1][0] + 0.5]),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from arolc.controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
-    PconState,
     adapt_gain,
     arolc_step,
     make_controller,
     nominal_control,
-    pcon_integral_error,
     pcon_step,
     sliding_variable,
     switching_control,
@@ -20,24 +19,25 @@ from arolc.controllers import (
 )
 from arolc.delays import DelayBuffer, DelayProfile, delay_at
 from arolc.plants import TwoLinkParams, two_link_plant
-from arolc.sim import Scenario
+from arolc.sim import Scenario, simulate
 from arolc.stability import GainSet
 from arolc.trajectories import SinusoidTrajectory
 
-CFG = ArolcConfig.from_gains(GainSet.identity(1), alpha=2.0, epsilon=0.1,
-                             gamma=1e-3, c_hat_init=1.0)
+CFG = ArolcConfig(GainSet.identity(1), alpha=2.0, epsilon=0.1, gamma=1e-3,
+                  c_hat_init=1.0)
+DT = 0.01  # control period of the adaptation steps
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("field", ["alpha", "epsilon", "gamma", "c_hat_init",
-                                       "dt_control"])
+    @pytest.mark.parametrize("field", ["alpha", "epsilon", "gamma", "c_hat_init"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_arolc_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            ArolcConfig.from_gains(GainSet.identity(1), **{field: value})
+            ArolcConfig(GainSet.identity(1), **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("kappa", math.nan), ("k_b", math.inf), ("vartheta", np.array([[math.nan]])),
+        ("h_estimate", math.nan), ("h_estimate", math.inf), ("h_estimate", -0.06),
     ])
     def test_pcon_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -70,7 +70,7 @@ class TestNominalControl:
         np.testing.assert_allclose(nominal_control([1.0], [2.0], [0.0], CFG), [3.0])
 
     def test_scaled_gains(self):
-        cfg = ArolcConfig(K1=2.0 * np.eye(1), K2=np.eye(1), P=CFG.P, B=CFG.B)
+        cfg = ArolcConfig(GainSet(K1=2.0 * np.eye(1), K2=np.eye(1), Q=np.eye(2)))
         np.testing.assert_allclose(nominal_control([1.0], [1.0], [1.0], cfg), [4.0])
 
 
@@ -105,8 +105,7 @@ class TestSwitchingControl:
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = rng.standard_normal(3)
-            cfg = ArolcConfig(K1=np.eye(3), K2=np.eye(3), P=np.eye(6),
-                              B=np.vstack([np.zeros((3, 3)), np.eye(3)]))
+            cfg = ArolcConfig(GainSet.identity(3))
             du = switching_control(s, 0.7, cfg)
             assert float(s @ du) >= 0.0
 
@@ -114,47 +113,45 @@ class TestSwitchingControl:
 class TestAdaptGain:
     def test_floor_branch(self):
         state = ArolcState(c_hat=0.0005)
-        cfg = ArolcConfig(K1=CFG.K1, K2=CFG.K2, P=CFG.P, B=CFG.B,
-                          gamma=1e-3, c_hat_init=1e-3, dt_control=0.01)
-        new = adapt_gain(state, [5.0], 0.01, cfg)
+        cfg = ArolcConfig(CFG.gains, gamma=1e-3, c_hat_init=1e-3)
+        new = adapt_gain(state, [5.0], 0.01, DT, cfg)
         # rate is +gamma while at/below the floor
         assert new.c_hat == pytest.approx(max(0.0005 + 1e-3 * 0.01, 1e-3))
 
     def test_growth_branch(self):
         state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.0)
-        new = adapt_gain(state, [2.0], 0.01, CFG)
-        assert new.c_hat == pytest.approx(1.0 + 2.0 * CFG.dt_control)
+        new = adapt_gain(state, [2.0], 0.01, DT, CFG)
+        assert new.c_hat == pytest.approx(1.0 + 2.0 * DT)
 
     def test_decrease_branch(self):
         state = ArolcState(c_hat=1.0, s_prev=np.array([2.0]), t_prev=0.0)
-        new = adapt_gain(state, [1.0], 0.01, CFG)
-        assert new.c_hat == pytest.approx(1.0 - 1.0 * CFG.dt_control)
+        new = adapt_gain(state, [1.0], 0.01, DT, CFG)
+        assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
     def test_equality_goes_to_decrease(self):
         state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.0)
-        new = adapt_gain(state, [1.0], 0.01, CFG)  # s_dot = 0
-        assert new.c_hat == pytest.approx(1.0 - 1.0 * CFG.dt_control)
+        new = adapt_gain(state, [1.0], 0.01, DT, CFG)  # s_dot = 0
+        assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
     def test_first_step_conservative(self):
         state = ArolcState(c_hat=1.0)
-        new = adapt_gain(state, [3.0], 0.0, CFG)
-        assert new.c_hat == pytest.approx(1.0 - 3.0 * CFG.dt_control)
+        new = adapt_gain(state, [3.0], 0.0, DT, CFG)
+        assert new.c_hat == pytest.approx(1.0 - 3.0 * DT)
 
     def test_never_below_gamma(self):
         rng = np.random.default_rng(5)
         state = ArolcState(c_hat=CFG.gamma)
         t = 0.0
-        cfg = ArolcConfig(K1=CFG.K1, K2=CFG.K2, P=CFG.P, B=CFG.B,
-                          gamma=1e-3, c_hat_init=1e-3, dt_control=0.01)
+        cfg = ArolcConfig(CFG.gains, gamma=1e-3, c_hat_init=1e-3)
         for _ in range(200):
-            t += cfg.dt_control
-            state = adapt_gain(state, rng.standard_normal(1) * 5.0, t, cfg)
+            t += DT
+            state = adapt_gain(state, rng.standard_normal(1) * 5.0, t, DT, cfg)
             assert state.c_hat >= cfg.gamma
 
     def test_time_must_advance(self):
         state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.5)
         with pytest.raises(ValueError):
-            adapt_gain(state, [1.0], 0.5, CFG)
+            adapt_gain(state, [1.0], 0.5, DT, CFG)
 
 
 class TestArolcStep:
@@ -162,7 +159,7 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.zeros(1), np.zeros(1), np.zeros(1))
         out = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, CFG)
+                         (np.eye(1), np.zeros(1)), 0.0, DT, CFG)
         tau, new = out.tau, out.state
         np.testing.assert_allclose(tau, [0.0])
         # s = 0 falls in the decrease/hold branch
@@ -172,7 +169,7 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, CFG).tau
+                         (np.eye(1), np.zeros(1)), 0.0, DT, CFG).tau
         # tau = u exactly: u_hat = 1, du = alpha c_hat sign(s) = 2
         np.testing.assert_allclose(tau, [3.0])
 
@@ -183,70 +180,76 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.array([[2.0]]), np.array([0.5])), 0.0, CFG).tau
+                         (np.array([[2.0]]), np.array([0.5])), 0.0, DT, CFG).tau
         np.testing.assert_allclose(tau, [6.5])
 
     def test_switching_disabled(self):
-        cfg = ArolcConfig(K1=CFG.K1, K2=CFG.K2, P=CFG.P, B=CFG.B,
-                          switching=False, c_hat_init=1.0)
+        cfg = ArolcConfig(CFG.gains, switching=False, c_hat_init=1.0)
         state = cfg.initial_state()
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, cfg).tau
+                         (np.eye(1), np.zeros(1)), 0.0, DT, cfg).tau
         np.testing.assert_allclose(tau, [1.0])
 
 
 class TestPcon:
-    def make_state(self, h):
-        return PconState(input_history=DelayBuffer(window=5.0, dim=1), h_estimate=h)
+    ZERO = (np.zeros(1), np.zeros(1), np.zeros(1))
+
+    @staticmethod
+    def integral(buffer, h, t):
+        """The window integral e_z, read off the torque at zero error:
+        with kappa = k_b = 1 and vartheta = I, tau = -e_z."""
+        cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=1.0)
+        return -pcon_step(buffer, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t, cfg)
 
     def test_integral_constant(self):
-        state = self.make_state(0.5)
-        state.input_history.push(-1.0, [2.0])
-        state.input_history.push(-0.01, [2.0])
-        np.testing.assert_allclose(pcon_integral_error(state, 0.0), [1.0])
+        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer.push(-1.0, [2.0])
+        buffer.push(-0.01, [2.0])
+        np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [1.0])
 
     def test_integral_empty(self):
-        state = self.make_state(0.5)
-        np.testing.assert_allclose(pcon_integral_error(state, 0.0), [0.0])
+        buffer = DelayBuffer(window=5.0, dim=1)
+        np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [0.0])
 
     def test_integral_linear(self):
-        state = self.make_state(1.0)
+        buffer = DelayBuffer(window=5.0, dim=1)
         for t in np.linspace(0.0, 1.0, 21):
-            state.input_history.push(float(t), [float(t)])
-        np.testing.assert_allclose(pcon_integral_error(state, 1.0), [0.5], atol=1e-12)
+            buffer.push(float(t), [float(t)])
+        # the step pushes its own command at t, so it comes after the ramp:
+        # 0.5 under the ramp plus 0.5 s of the held last value 1
+        np.testing.assert_allclose(self.integral(buffer, 1.5, 1.5), [1.0], atol=1e-12)
 
     def test_zero_error_zero_torque(self):
-        state = self.make_state(0.0)
+        buffer = DelayBuffer(window=5.0, dim=1)
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
-        desired = (np.zeros(1), np.zeros(1), np.zeros(1))
-        tau, _ = pcon_step(state, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        tau = pcon_step(buffer, 0.0, np.zeros(1), np.zeros(1), self.ZERO, 0.0, cfg)
         np.testing.assert_allclose(tau, [0.0])
 
     def test_filtered_error_arithmetic(self):
         # rho = 0 + 1 * 1 - 1 * 0.25 = 0.75, tau = 2 * 0.75 = 1.5
-        state = self.make_state(0.5)
-        state.input_history.push(-0.6, [0.5])
-        state.input_history.push(-0.05, [0.5])
+        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer.push(-0.6, [0.5])
+        buffer.push(-0.05, [0.5])
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau, _ = pcon_step(state, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        tau = pcon_step(buffer, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [1.5])
 
     def test_torque_appended_to_history(self):
-        state = self.make_state(0.1)
+        buffer = DelayBuffer(window=5.0, dim=1)
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau, state = pcon_step(state, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
-        np.testing.assert_allclose(state.input_history.sample(0.0), tau)
+        tau = pcon_step(buffer, 0.1, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        np.testing.assert_allclose(buffer.sample(0.0), tau)
 
     def test_zero_vartheta_reduces_to_pd(self):
-        state = self.make_state(0.5)
-        state.input_history.push(-0.6, [4.0])
-        state.input_history.push(-0.05, [4.0])
+        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer.push(-0.6, [4.0])
+        buffer.push(-0.05, [4.0])
         cfg = PconConfig(kappa=2.0, vartheta=np.zeros((1, 1)), k_b=3.0)
         desired = (np.array([1.0]), np.array([0.5]), np.zeros(1))
-        tau, _ = pcon_step(state, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        tau = pcon_step(buffer, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [3.0 * (0.5 + 2.0 * 1.0)])
 
 
@@ -257,13 +260,14 @@ class TestControllerProtocol:
     Q = np.array([0.1, -0.2])
     Q_DOT = np.array([0.3, 0.05])
 
-    def scenario(self, kind, **kwargs):
+    def scenario(self, kind, h_estimate=None, **kwargs):
         return Scenario(
             plant=two_link_plant(TwoLinkParams(), mismatch=0.2),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
-            controller=kind, arolc=ArolcConfig.from_gains(self.GAINS),
-            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0),
-            gains=self.GAINS, **kwargs,
+            controller=kind, arolc=ArolcConfig(self.GAINS),
+            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0,
+                            h_estimate=h_estimate),
+            **kwargs,
         )
 
     def test_arolc_step_matches_free_function(self):
@@ -275,7 +279,8 @@ class TestControllerProtocol:
         for k in range(3):
             t = 0.01 * k
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
-            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t), nominal, t, sc.arolc)
+            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t), nominal, t,
+                             sc.dt_control, sc.arolc)
             state = ref.state
             np.testing.assert_array_equal(rec.tau, ref.tau)
             np.testing.assert_array_equal(rec.du, ref.du)
@@ -284,17 +289,18 @@ class TestControllerProtocol:
 
     @pytest.mark.parametrize("kind", ["pcon", "pconf"])
     def test_pcon_step_matches_free_function(self, kind):
-        sc = self.scenario(kind, pconf_h=0.05)
+        # pconf: the fixed-window variant, h_estimate set
+        sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None)
         ctrl = make_controller(sc, window=1.0)
-        state = PconState(input_history=DelayBuffer(window=1.0, dim=2))
+        buffer = DelayBuffer(window=1.0, dim=2)
         for k in range(5):
             t = 0.01 * k
-            state.h_estimate = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
-            ref, state = pcon_step(state, self.Q, self.Q_DOT, sc.trajectory(t), t, sc.pcon)
+            h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
+            ref = pcon_step(buffer, h, self.Q, self.Q_DOT, sc.trajectory(t), t, sc.pcon)
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             np.testing.assert_array_equal(rec.tau, ref)
             assert (rec.c_hat, rec.s_norm, rec.e1) == (0.0, 0.0, None)
-        assert ctrl.state.input_history.times == state.input_history.times
+        assert ctrl.history.times == buffer.times
 
     def test_none_commands_zero(self):
         ctrl = make_controller(self.scenario("none"), window=1.0)
@@ -317,8 +323,43 @@ class TestControllerProtocol:
         nominal = (sc.plant.nominal_mass_matrix(self.Q),
                    sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
         ref = arolc_step(ArolcState(before.c_hat), self.Q, self.Q_DOT, traj(0.013),
-                         nominal, 0.013, sc.arolc)
+                         nominal, 0.013, sc.dt_control, sc.arolc)
         np.testing.assert_array_equal(tau, ref.tau)
+
+
+class TestArolcRunReadsScenario:
+    """An adaptive-robust run takes its control period from the Scenario and
+    its gain set from its ArolcConfig, with no second copy to disagree."""
+
+    @staticmethod
+    def scenario(gains, **kwargs):
+        return Scenario(
+            plant=two_link_plant(TwoLinkParams(), mismatch=0.2),
+            trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
+            controller="arolc", arolc=ArolcConfig(gains, c_hat_init=0.5), **kwargs)
+
+    def test_adaptation_steps_at_control_period(self):
+        sc = self.scenario(GainSet.identity(2), duration=0.3, dt=1e-4, dt_control=1e-3)
+        trace = simulate(sc)
+        cfg = sc.arolc
+        state = cfg.initial_state()
+        expected = []
+        for k, t in enumerate(trace.t):
+            e1_dot = sc.trajectory(float(t))[1] - trace.q_dot[k]
+            s = sliding_variable(np.concatenate([trace.e1[k], e1_dot]), cfg)
+            state = adapt_gain(state, s, float(t), 1e-3, cfg)
+            expected.append(state.c_hat)
+        assert np.ptp(trace.c_hat) > 0.01
+        np.testing.assert_array_equal(trace.c_hat, expected)
+
+    def test_margin_warning_reads_controller_gains(self):
+        # S1 peaks at 0.1 s: inside the margin of the identity gains
+        # (0.125 s), beyond the one of K1 = 4 I (0.055 s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(self.scenario(GainSet.identity(2), duration=0.05, dt=1e-3))
+        with pytest.warns(UserWarning, match="delay margin 0.05537 s"):
+            simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
 
 
 class _StubPlant:

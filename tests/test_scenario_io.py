@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arolc.cli import main
 from arolc.delays import max_delay
 from arolc.scenario_io import (
     ScenarioError,
     apply_override,
+    build_gains,
     build_scenario,
     load_config,
     load_scenario,
@@ -121,6 +123,20 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError, match="h_estimate"):
             build_scenario(load_config(bad))
 
+    def test_negative_h_estimate_names_key(self, tmp_path, capsys):
+        text = (SHIPPED[0].parent / "wmr_s3_pconf.ini").read_text()
+        path = tmp_path / "bad.ini"
+        path.write_text(re.sub(r"(?m)^h_estimate = 0\.06$", "h_estimate = -0.06", text))
+        assert main(["bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[controller] h_estimate must be finite and nonnegative" in err
+
+    def test_pconf_is_pcon_with_fixed_window(self):
+        sc = load_scenario(SHIPPED[0].parent / "wmr_s3_pconf.ini")
+        assert sc.controller == "pcon"
+        assert sc.pcon.h_estimate == 0.06
+        assert load_scenario(SHIPPED[0].parent / "wmr_s1_pcon.ini").pcon.h_estimate is None
+
     def test_rolling_start(self):
         cfg = load_config(MINIMAL + "\nstart = rolling\n")
         sc = build_scenario(cfg)
@@ -139,9 +155,9 @@ class TestBuildScenario:
         text = text.replace("phase = 0.0", "phase = 0.0, 0.0")
         text = text.replace("offset = 0.0", "offset = 0.0, 0.0")
         text += "\n[gains]\nk1 = 2.0, 3.0\nk2 = 1.0\n"
-        sc = build_scenario(load_config(text))
-        np.testing.assert_allclose(sc.gains.K1, np.diag([2.0, 3.0]))
-        np.testing.assert_allclose(sc.gains.K2, np.eye(2))
+        gains = build_gains(load_config(text), 2)
+        np.testing.assert_allclose(gains.K1, np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(gains.K2, np.eye(2))
 
     def test_shipped_scenarios_build(self):
         sc = load_scenario("scenarios/wmr_s1_arolc.ini")

@@ -93,7 +93,7 @@ class TestOscillator:
 class TestLinearClosedLoop:
     def test_matches_matrix_exponential(self):
         gains = GainSet.identity(1)
-        cfg = ArolcConfig.from_gains(gains, switching=False)
+        cfg = ArolcConfig(gains, switching=False)
         traj = SinusoidTrajectory(amplitude=(0.5,), frequency=(0.8,))
         sc = Scenario(
             plant=point_mass_plant(1),
@@ -101,7 +101,6 @@ class TestLinearClosedLoop:
             delay=DelayProfile("none"),
             controller="arolc",
             arolc=cfg,
-            gains=gains,
             duration=5.0,
             dt=1e-4,
             dt_control=1e-2,
@@ -153,12 +152,12 @@ class TestZeroDelayDecay:
         # at 5 s the best possible contraction is sigma_min(expm(5A)) ~ 0.06,
         # so the 1e-2 envelope is checked at 10 s
         gains = GainSet.identity(1)
-        cfg = ArolcConfig.from_gains(gains, switching=False)
+        cfg = ArolcConfig(gains, switching=False)
         traj = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
         sc = Scenario(
             plant=point_mass_plant(1), trajectory=traj,
             delay=DelayProfile("none"), controller="arolc", arolc=cfg,
-            gains=gains, duration=10.0, dt=1e-3, dt_control=1e-2,
+            duration=10.0, dt=1e-3, dt_control=1e-2,
             control_mode="continuous",
             q0=np.array([-1.0]), qdot0=np.array([0.0]),
         )
@@ -179,8 +178,7 @@ class TestDeterminism:
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S1"),
             controller="arolc",
-            arolc=ArolcConfig.from_gains(gains),
-            gains=gains,
+            arolc=ArolcConfig(gains),
             duration=1.0,
             dt=1e-3,
             dt_control=1e-2,
@@ -218,8 +216,7 @@ class TestCausality:
             plant=two_link_plant(TwoLinkParams(), mismatch=0.1),
             delay=DelayProfile("S1"),
             controller="arolc",
-            arolc=ArolcConfig.from_gains(gains),
-            gains=gains,
+            arolc=ArolcConfig(gains),
             duration=1.0,
             dt=1e-3,
             dt_control=1e-2,
@@ -259,9 +256,9 @@ class TestActuatorModel:
         trace = simulate(Scenario(
             plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
-            controller=kind, arolc=ArolcConfig.from_gains(gains),
+            controller=kind, arolc=ArolcConfig(gains),
             pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0),
-            gains=gains, duration=1.0, dt=1e-3, dt_control=1e-2,
+            duration=1.0, dt=1e-3, dt_control=1e-2,
         ))
         assert np.abs(trace.tau_cmd).max() > 0.1
         for i in range(trace.n):
@@ -332,7 +329,7 @@ class TestPinnedTraces:
             plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2,
                                  disturbance_amp=0.05),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("none"),
-            controller=kind, arolc=ArolcConfig.from_gains(gains), gains=gains,
+            controller=kind, arolc=ArolcConfig(gains),
             duration=1.0, dt=1e-3, dt_control=1e-2, control_mode="continuous"))
         assert self.digest(trace) == self.CONTINUOUS_DIGESTS[kind]
 
@@ -350,15 +347,15 @@ def reference_residual(trace, sc, warmup=0.5):
     qd_ddot_d = np.array([sc.trajectory(float(t))[2] for t in times])
     e1_dot = qd_dot_d - fine.q_dot
     e1_ddot = (e1_dot[2:] - e1_dot[:-2]) / (2.0 * dt)
-    cmd_t = fine.cmd_t
+    cmd_t = trace.t
 
     def rhs_for(j, i, t):
         sigma = uncertainty_residual(
-            fine.q[i], fine.q_dot[i], fine.cmd_q[j], fine.cmd_q_dot[j],
+            fine.q[i], fine.q_dot[i], trace.q[j], trace.q_dot[j],
             fine.cmd_u[j], qd_ddot_d[i], sc.trajectory(float(cmd_t[j]))[2],
             sc.plant, sc.plant, t=t,
         )
-        return (-cfg.K2 @ fine.cmd_e1_dot[j] - cfg.K1 @ fine.cmd_e1[j]
+        return (-cfg.K2 @ fine.cmd_e1_dot[j] - cfg.K1 @ trace.e1[j]
                 + sigma - fine.cmd_du[j])
 
     out_t, out_r = [], []
@@ -385,8 +382,7 @@ def _arolc_scenario(plant, trajectory, delay, **kwargs):
     defaults = dict(duration=1.0, dt=1e-3, dt_control=1e-2)
     defaults.update(kwargs)
     return Scenario(plant=plant, trajectory=trajectory, delay=delay,
-                    controller="arolc", arolc=ArolcConfig.from_gains(gains),
-                    gains=gains, **defaults)
+                    controller="arolc", arolc=ArolcConfig(gains), **defaults)
 
 
 RESIDUAL_SCENARIOS = {
@@ -452,13 +448,15 @@ class TestErrorDynamicsResidual:
         # instants after the new last command use it alone
         trace, sc = run
         fine = trace.fine
-        keep = fine.cmd_t <= fine.cmd_t[-1] - 0.3
+        keep = trace.t <= trace.t[-1] - 0.3
         cut = dataclasses.replace(fine, **{
             f.name: getattr(fine, f.name)[keep]
             for f in dataclasses.fields(fine) if f.name.startswith("cmd_")})
-        cut_trace = dataclasses.replace(trace, fine=cut)
+        cut_trace = dataclasses.replace(trace, fine=cut, **{
+            f.name: getattr(trace, f.name)[keep]
+            for f in dataclasses.fields(trace) if f.name != "fine"})
         times = self.assert_matches_reference(cut_trace, sc)
-        assert np.count_nonzero(times - delay_at(sc.delay, times) > cut.cmd_t[-1]) > 100
+        assert np.count_nonzero(times - delay_at(sc.delay, times) > cut_trace.t[-1]) > 100
 
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_warmup_rejected(self, warmup):
@@ -477,8 +475,7 @@ class TestErrorDynamicsIdentity:
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S1"),
             controller="arolc",
-            arolc=ArolcConfig.from_gains(gains),
-            gains=gains,
+            arolc=ArolcConfig(gains),
             duration=2.0,
             dt=1e-4,
             dt_control=1e-2,
@@ -497,8 +494,7 @@ class TestWarningsAndErrors:
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S2"),  # peak 0.125 s >= margin 0.1249 s
             controller="arolc",
-            arolc=ArolcConfig.from_gains(gains),
-            gains=gains,
+            arolc=ArolcConfig(gains),
             duration=0.1,
             dt=1e-3,
             dt_control=1e-2,
@@ -510,7 +506,7 @@ class TestWarningsAndErrors:
         with pytest.raises(ValueError, match="duration"):
             simulate(free_scenario(duration=0.0))
 
-    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control", "pconf_h"])
+    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field.split("_")[0]):
