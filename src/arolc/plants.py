@@ -8,6 +8,17 @@ friction or disturbance, or the plant itself where the controller knows it
 exactly; nominal_mass_matrix and nominal_bias_vector read it. Time enters
 the true side only, through disturbances and the payload schedule.
 
+Shape contract: ``mass_matrix(q, t)`` and ``bias_vector(q, q_dot, t)``
+take one state, q and q_dot of shape (n,) and a float t, and return (n, n)
+and (n,); or a stack of B states, q and q_dot of shape (B, n) and t of
+shape (B,), and return (B, n, n) and (B, n), row b equal to the single-state
+call on row b. A time-free face (the nominal model) takes t = None.
+``accel`` takes one state only and works on Python floats. Both methods
+evaluate one expression per entry: on Python floats (``math``
+trigonometry) for a single state, on the (B,) columns (numpy's) for a
+stack, with the same operations in the same order, so that the rows agree
+bit for bit wherever numpy's cos, sin and pow round as libm's.
+
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
 at the axle midpoint:
@@ -61,13 +72,22 @@ class PlantModel:
         self.disturbance_freq = disturbance_freq
         self.phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
 
-    def disturbance(self, t: float) -> np.ndarray:
+    def disturbance(self, t) -> np.ndarray:
+        """The (n,) disturbance at a float t; a (B, 1) column of times gives
+        its (B, n) rows."""
         return self.disturbance_amp * np.sin(self.disturbance_freq * t + self.phases)
 
-    def mass_matrix(self, q, t: float | None = None) -> np.ndarray:
+    def _disturbed(self, n: np.ndarray, t, batch: int | None) -> np.ndarray:
+        """The bias n plus the disturbance at t (at each row's time for a
+        stack of batch rows)."""
+        if not self.disturbance_amp:
+            return n
+        return n + self.disturbance(t if batch is None else np.asarray(t, float)[:, None])
+
+    def mass_matrix(self, q, t=None) -> np.ndarray:
         raise NotImplementedError
 
-    def bias_vector(self, q, q_dot, t: float) -> np.ndarray:
+    def bias_vector(self, q, q_dot, t) -> np.ndarray:
         raise NotImplementedError
 
     def nominal_mass_matrix(self, q) -> np.ndarray:
@@ -96,6 +116,33 @@ def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
         return np.linalg.solve(m, np.asarray(tau_applied, float) - n)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular mass matrix") from exc
+
+
+def _columns(x):
+    """(columns, batch) of a state: the n Python floats of a single (n,)
+    state with batch None, or the n (B,) columns of a (B, n) stack with
+    batch B."""
+    x = np.asarray(x, float)
+    if x.ndim == 1:
+        return x.tolist(), None
+    return list(x.T), len(x)
+
+
+def _batch(x) -> int | None:
+    """B of a (B, n) stack of states, None for a single (n,) state."""
+    x = np.asarray(x)
+    return None if x.ndim == 1 else len(x)
+
+
+def _stack(entries, batch: int | None) -> np.ndarray:
+    """np.array of nested entries. For a stack of batch rows the entries are
+    (B,) arrays, or floats shared by every row, and the row axis comes
+    first: (n,) entries give (B, n), (n, n) entries (B, n, n)."""
+    if batch is None:
+        return np.array(entries)
+    if isinstance(entries, (list, tuple)):
+        return np.stack([_stack(e, batch) for e in entries], axis=1)
+    return np.broadcast_to(entries, (batch,))
 
 
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a binary64 into two 26-bit halves
@@ -179,16 +226,28 @@ class PayloadSchedule:
         object.__setattr__(self, "offsets", offsets)
 
 
+def _payload_phase(sched: PayloadSchedule, t):
+    """The payload phase at time t >= 0: k while offsets[k] is carried, -1
+    in an off-window; the first on-window starts at t = 0.
+
+    Written in operators only, so that a float t gives a float and an array
+    of times an array of the same values: numpy's floor_divide rounds as
+    Python's // does.
+    """
+    period = sched.period_on + sched.period_off
+    cycle = t // period
+    on = t - cycle * period < sched.period_on
+    return (cycle % len(sched.offsets) + 1.0) * on - 1.0
+
+
 def payload_mass(sched: PayloadSchedule, t: float):
     """(mass_delta, (dx, dy)) at time t; the first on-window starts at t = 0."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    period = sched.period_on + sched.period_off
-    cycle = int(t // period)
-    phase = t - cycle * period
-    if phase < sched.period_on:
-        return sched.extra_mass, sched.offsets[cycle % len(sched.offsets)]
-    return 0.0, (0.0, 0.0)
+    k = _payload_phase(sched, t)
+    if k < 0.0:
+        return 0.0, (0.0, 0.0)
+    return sched.extra_mass, sched.offsets[int(k)]
 
 
 class _ReducedWmrPlant(PlantModel):
@@ -202,69 +261,74 @@ class _ReducedWmrPlant(PlantModel):
         self.params = params
         self.payload = payload
         self.viscous = viscous
+        # body inertia about the axle midpoint, and the wheel-to-body
+        # factors a = r/2 (forward speed) and c = r/(2b) (turn rate)
+        self._k = (params.I_bar + params.m * params.d ** 2, params.r_bar / 2.0,
+                   params.r_bar / (2.0 * params.b))
         self._phase_cache: dict = {}
 
-    def _effective(self, t: float | None):
+    def _effective(self, t):
+        """(m, J, K) with the payload carried at t: floats at a float t,
+        (B,) arrays over a (B,) array of times; the bare body at t = None."""
         p = self.params
-        m_eff = p.m
-        j_eff = p.I_bar + p.m * p.d ** 2
-        k_eff = p.K
+        m_eff, j_eff, k_eff = p.m, self._k[0], p.K
         if self.payload is not None and t is not None:
-            dm, (dx, dy) = payload_mass(self.payload, max(t, 0.0))
+            sched = self.payload
+            if np.ndim(t):
+                k = _payload_phase(sched, np.maximum(t, 0.0))
+                on = k >= 0.0
+                dm = np.where(on, sched.extra_mass, 0.0)
+                dx, dy = np.where(on, np.array(sched.offsets)[k.astype(int)].T, 0.0)
+            else:
+                dm, (dx, dy) = payload_mass(sched, max(t, 0.0))
             m_eff += dm
             j_eff += dm * (dx * dx + dy * dy)
             k_eff += dm * dx
         return m_eff, j_eff, k_eff
 
-    @staticmethod
-    def _inertia(params_m, params_j, r_bar, b, i_w):
-        a = r_bar / 2.0
-        c = r_bar / (2.0 * b)
-        diag = params_m * a * a + params_j * c * c + i_w
-        off = params_m * a * a - params_j * c * c
-        return np.array([[diag, off], [off, diag]])
+    def _inertia(self, m_eff, j_eff):
+        """(diag, off) of the symmetric wheel-space inertia."""
+        _, a, c = self._k
+        linear = m_eff * a * a
+        spin = j_eff * c * c
+        return linear + spin + self.params.I_w, linear - spin
 
-    def mass_matrix(self, q, t: float | None = None) -> np.ndarray:
-        m_eff, j_eff, _ = self._effective(t)
-        return self._inertia(m_eff, j_eff, self.params.r_bar, self.params.b,
-                             self.params.I_w)
-
-    @staticmethod
-    def _gyro_gain(k_eff, r_bar, b):
+    def _gyro_gain(self, k_eff):
         # centre-of-mass offset couples spin rate into both wheels
-        a = r_bar / 2.0
-        c = r_bar / (2.0 * b)
+        _, a, c = self._k
         return 2.0 * k_eff * a * c * c
 
-    def bias_vector(self, q, q_dot, t: float | None) -> np.ndarray:
-        q_dot = np.asarray(q_dot, float)
+    def mass_matrix(self, q, t=None) -> np.ndarray:
+        m_eff, j_eff, _ = self._effective(t)
+        diag, off = self._inertia(m_eff, j_eff)
+        # the inertia is constant in q; the state only sets the batch
+        return _stack([[diag, off], [off, diag]], _batch(q))
+
+    def bias_vector(self, q, q_dot, t) -> np.ndarray:
+        (qd0, qd1), batch = _columns(q_dot)
         m_eff, _, k_eff = self._effective(t)
-        z = q_dot[0] - q_dot[1]
-        n = self._gyro_gain(k_eff, self.params.r_bar, self.params.b) * z * np.array(
-            [q_dot[1], -q_dot[0]])
+        s = self._gyro_gain(k_eff) * (qd0 - qd1)
+        n0, n1 = s * qd1, s * -qd0
         if self.viscous:
             # rolling resistance scales with the carried weight
-            n = n + self.viscous * (m_eff / self.params.m) * q_dot
-        if self.disturbance_amp:
-            n = n + self.disturbance(t)
-        return n
+            visc = self.viscous * (m_eff / self.params.m)
+            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
+        return self._disturbed(_stack([n0, n1], batch), t, batch)
 
     def _phase_constants(self, t: float):
         """The factors of accel that only the payload changes, cached per
         payload phase: the inertia entries, its LU factors, the gyroscopic
         gain and the viscous factor."""
-        key = None if self.payload is None else payload_mass(self.payload, max(t, 0.0))
+        key = -1.0 if self.payload is None else _payload_phase(self.payload, max(t, 0.0))
         consts = self._phase_cache.get(key)
         if consts is None:
-            p = self.params
             m_eff, j_eff, k_eff = self._effective(t)
-            (diag, off), _ = self._inertia(m_eff, j_eff, p.r_bar, p.b, p.I_w).tolist()
+            diag, off = self._inertia(m_eff, j_eff)
             # LU with partial pivoting keeps row 0: diag - |off| = I_w +
             # 2 min(m a^2, j c^2) > 0. l is scaled by the reciprocal pivot.
             lower = off * (1.0 / diag)
             consts = (diag, -off, -lower, diag - lower * off,
-                      self._gyro_gain(k_eff, p.r_bar, p.b),
-                      self.viscous * (m_eff / p.m))
+                      self._gyro_gain(k_eff), self.viscous * (m_eff / self.params.m))
             self._phase_cache[key] = consts
         return consts
 
@@ -380,46 +444,70 @@ class TwoLinkParams:
             raise ValueError("gravity must be finite")
 
 
-def _two_link_inertia_terms(q1: float, p: TwoLinkParams):
-    """(M11, M12, M22) of the arm's symmetric inertia at elbow angle q1."""
-    c2 = math.cos(q1)
-    a11 = p.m1 * p.lc1 ** 2 + p.I1 + p.I2 + p.m2 * (
-        p.l1 ** 2 + p.lc2 ** 2 + 2.0 * p.l1 * p.lc2 * c2
+def _two_link_coefficients(p: TwoLinkParams):
+    """The parameter products of the arm's M and N: (inertia, bias) tuples.
+
+    Each product is a left-to-right prefix of the expression it was written
+    in, e.g. m1 lc1^2 + I1 + I2 of M11 = m1 lc1^2 + I1 + I2 + m2 (l1^2 +
+    lc2^2 + 2 l1 lc2 cos q1), so hoisting it keeps every rounding.
+    """
+    inertia = (
+        p.m1 * p.lc1 ** 2 + p.I1 + p.I2,
+        p.m2,
+        p.l1 ** 2 + p.lc2 ** 2,
+        2.0 * p.l1 * p.lc2,
+        p.lc2 ** 2,
+        p.l1 * p.lc2,
+        p.I2,
+        p.m2 * p.lc2 ** 2 + p.I2,
     )
-    a12 = p.m2 * (p.lc2 ** 2 + p.l1 * p.lc2 * c2) + p.I2
-    a22 = p.m2 * p.lc2 ** 2 + p.I2
-    return a11, a12, a22
+    bias = (
+        p.m2 * p.l1 * p.lc2,
+        (p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity,
+        p.m2 * p.lc2 * p.gravity,
+        p.viscous,
+    )
+    return inertia, bias
 
 
-def _two_link_bias_terms(q0: float, q1: float, qd0: float, qd1: float,
-                         p: TwoLinkParams):
-    """(N1, N2): Coriolis plus gravity, plus viscous friction when set."""
-    h = p.m2 * p.l1 * p.lc2 * math.sin(q1)
-    g = p.gravity
-    grav2 = p.m2 * p.lc2 * g * math.cos(q0 + q1)
-    n0 = -h * qd1 * (2.0 * qd0 + qd1) + (
-        (p.m1 * p.lc1 + p.m2 * p.l1) * g * math.cos(q0) + grav2)
+def _two_link_inertia_terms(k, c2):
+    """(M11, M12, M22) of the arm's symmetric inertia at c2 = cos(q1), the
+    elbow angle's cosine (a float, or (B,) values with M22 shared)."""
+    base11, m2, l1_lc2_sq, two_l1_lc2, lc2_sq, l1_lc2, i2, a22 = k
+    return (base11 + m2 * (l1_lc2_sq + two_l1_lc2 * c2),
+            m2 * (lc2_sq + l1_lc2 * c2) + i2, a22)
+
+
+def _float_square(x: float) -> float:
+    # libm pow, as numpy's float64 scalar ** rounds it (x * x can differ in
+    # the last bit)
     try:
-        # libm pow, as numpy's float64 ** rounds it (qd0 * qd0 can differ
-        # in the last bit)
-        qd0_sq = qd0 ** 2
+        return x ** 2
     except OverflowError:  # where numpy returns inf; only a diverging state
-        qd0_sq = math.inf
-    n1 = h * qd0_sq + grav2
-    if p.viscous:
-        n0, n1 = n0 + p.viscous * qd0, n1 + p.viscous * qd1
+        return math.inf
+
+
+def _array_square(x: np.ndarray) -> np.ndarray:
+    # float_power calls pow; power and ** square an array as x * x
+    return np.float_power(x, 2.0)
+
+
+# (cos, sin, square) for Python floats and for (B,) arrays
+_FLOAT_OPS = (math.cos, math.sin, _float_square)
+_ARRAY_OPS = (np.cos, np.sin, _array_square)
+
+
+def _two_link_bias_terms(k, q0, q1, qd0, qd1, ops):
+    """(N1, N2): Coriolis plus gravity, plus viscous friction when set."""
+    h_gain, grav1, grav2_gain, viscous = k
+    cos, sin, square = ops
+    h = h_gain * sin(q1)
+    grav2 = grav2_gain * cos(q0 + q1)
+    n0 = -h * qd1 * (2.0 * qd0 + qd1) + (grav1 * cos(q0) + grav2)
+    n1 = h * square(qd0) + grav2
+    if viscous:
+        n0, n1 = n0 + viscous * qd0, n1 + viscous * qd1
     return n0, n1
-
-
-def _two_link_inertia(q, p: TwoLinkParams) -> np.ndarray:
-    a11, a12, a22 = _two_link_inertia_terms(float(q[1]), p)
-    return np.array([[a11, a12], [a12, a22]])
-
-
-def _two_link_bias(q, q_dot, p: TwoLinkParams) -> np.ndarray:
-    q0, q1 = map(float, q)
-    qd0, qd1 = map(float, q_dot)
-    return np.array(_two_link_bias_terms(q0, q1, qd0, qd1, p))
 
 
 def two_link_matrices(q, q_dot, params: TwoLinkParams):
@@ -428,7 +516,8 @@ def two_link_matrices(q, q_dot, params: TwoLinkParams):
     Joint angles are measured from the horizontal, so gravity torques go
     with cos(q). Setting gravity = 0 and q_dot = 0 gives N = 0.
     """
-    return _two_link_inertia(q, params), _two_link_bias(q, q_dot, params)
+    arm = _TwoLinkPlant(params)
+    return arm.mass_matrix(q), arm.bias_vector(q, q_dot, None)
 
 
 class _TwoLinkPlant(PlantModel):
@@ -438,24 +527,28 @@ class _TwoLinkPlant(PlantModel):
                  disturbance_freq=1.0, phases=None):
         super().__init__(nominal, disturbance_amp, disturbance_freq, phases)
         self.params = params
+        self._inertia_k, self._bias_k = _two_link_coefficients(params)
 
-    def mass_matrix(self, q, t: float | None = None) -> np.ndarray:
-        return _two_link_inertia(q, self.params)
+    def mass_matrix(self, q, t=None) -> np.ndarray:
+        (_, q1), batch = _columns(q)
+        cos = math.cos if batch is None else np.cos
+        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, cos(q1))
+        return _stack([[a11, a12], [a12, a22]], batch)
 
-    def bias_vector(self, q, q_dot, t: float | None) -> np.ndarray:
-        n = _two_link_bias(q, q_dot, self.params)
-        if self.disturbance_amp:
-            n = n + self.disturbance(t)
-        return n
+    def bias_vector(self, q, q_dot, t) -> np.ndarray:
+        (q0, q1), batch = _columns(q)
+        (qd0, qd1), _ = _columns(q_dot)
+        ops = _FLOAT_OPS if batch is None else _ARRAY_OPS
+        n = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, ops)
+        return self._disturbed(_stack(n, batch), t, batch)
 
     def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
         """Closed form of el_accel: the 2 x 2 inverse through its determinant."""
-        p = self.params
         q0, q1 = q
         qd0, qd1 = q_dot
         tau0, tau1 = tau_applied
-        a11, a12, a22 = _two_link_inertia_terms(q1, p)
-        n0, n1 = _two_link_bias_terms(q0, q1, qd0, qd1, p)
+        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, math.cos(q1))
+        n0, n1 = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, _FLOAT_OPS)
         r0, r1 = tau0 - n0, tau1 - n1
         if self.disturbance_amp:
             d0, d1 = self.disturbance(t).tolist()
@@ -492,10 +585,12 @@ class _PointMassPlant(PlantModel):
         self.mass = mass
 
     def mass_matrix(self, q, t=None):
-        return self.mass * np.eye(self.dim)
+        m = self.mass * np.eye(self.dim)
+        batch = _batch(q)
+        return m if batch is None else np.repeat(m[None], batch, axis=0)
 
     def bias_vector(self, q, q_dot, t):
-        return np.zeros(self.dim)
+        return np.zeros(np.shape(q_dot))
 
     def accel(self, q, q_dot, tau_applied, t):
         return [float(u) / self.mass for u in tau_applied]
@@ -510,10 +605,10 @@ class _OscillatorPlant(PlantModel):
         self.mass = mass
 
     def mass_matrix(self, q, t=None):
-        return np.array([[self.mass]])
+        return np.full(np.shape(q) + (1,), self.mass)
 
     def bias_vector(self, q, q_dot, t):
-        return np.array([self.stiffness * np.asarray(q, float)[0]])
+        return self.stiffness * np.asarray(q, float)
 
     def accel(self, q, q_dot, tau_applied, t):
         return [(float(tau_applied[0]) - self.stiffness * float(q[0])) / self.mass]

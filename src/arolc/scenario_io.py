@@ -321,6 +321,8 @@ def _build_delay(config) -> DelayProfile:
             b=_fval(sec, "delay", "b", 0.0),
             omega=_fval(sec, "delay", "omega", 1.0),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"[delay] {exc}") from exc
 
@@ -337,6 +339,8 @@ def build_gains(config: dict[str, dict[str, str]], n: int) -> GainSet:
             r=_fval(gsec, "gains", "r", 1.1),
             beta=_fval(gsec, "gains", "beta", 1.0),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"[gains] {exc}") from exc
 
@@ -373,6 +377,8 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
                                  _fval(ctrl_sec, "controller", "gamma", 1e-3)),
                 switching=_bval(ctrl_sec, "controller", "switching", True),
             )
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"[controller] {exc}") from exc
     elif kind in ("pcon", "pconf"):
@@ -388,6 +394,8 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
                 k_b=_fval(ctrl_sec, "controller", "k_b", 5.0),
                 h_estimate=h_estimate,
             )
+        except ScenarioError:
+            raise
         except ValueError as exc:
             raise ScenarioError(f"[controller] {exc}") from exc
         kind = "pcon"

@@ -406,9 +406,10 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
 
         blend(c) + M_i^-1 (N_i - blend(g)) + qdd_d(t_i),
 
-    so c and g are evaluated once per command and M_i, N_i once per checked
-    instant, with one stacked solve per block of instants; the values agree
-    with the per-instant definition to rounding. Lookups after the last
+    so c and g are evaluated once per run (the nominal model on the stack of
+    command states) and M_i, N_i once per block of checked instants (the
+    true plant on the block's stacked states), with one stacked solve per
+    block; the values agree with the per-instant definition to rounding. Lookups after the last
     command use it (lam = 0). Returns (times, residual 2-norms) for all
     checked instants, skipping t < warmup and lookups into the pre-command
     past.
@@ -427,7 +428,6 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     plant = sc.plant
     times = fine.t
     dt = times[1] - times[0]
-    n = trace.n
 
     _, qd_dot_d, qd_ddot_d = sc.trajectory(times)
     e1_dot = qd_dot_d - fine.q_dot
@@ -436,15 +436,11 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     cmd_t = trace.t  # every row of an adaptive-robust run is a command
     c = (fine.cmd_u - sc.trajectory(cmd_t)[2] - fine.cmd_e1_dot @ cfg.K2.T
          - trace.e1 @ cfg.K1.T - fine.cmd_du)
-    g = np.empty((len(cmd_t), n))
-    for j, (q_j, q_dot_j, u_j) in enumerate(zip(trace.q, trace.q_dot, fine.cmd_u)):
-        g[j] = (plant.nominal_mass_matrix(q_j) @ u_j
-                + plant.nominal_bias_vector(q_j, q_dot_j))
+    g = ((plant.nominal_mass_matrix(trace.q) @ fine.cmd_u[:, :, None])[:, :, 0]
+         + plant.nominal_bias_vector(trace.q, trace.q_dot))
 
     out_t = np.empty(len(times))
     out_r = np.empty(len(times))
-    m_blk = np.empty((_RESIDUAL_BLOCK, n, n))
-    n_blk = np.empty((_RESIDUAL_BLOCK, n))
     n_out = 0
     for start in range(1, len(times) - 1, _RESIDUAL_BLOCK):
         i = np.arange(start, min(start + _RESIDUAL_BLOCK, len(times) - 1))
@@ -461,18 +457,17 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
         def blend(x):
             return (1.0 - lam) * x[j0] + lam * x[j1]
 
-        for r, p in enumerate(i):
-            t = float(times[p])
-            m_blk[r] = plant.mass_matrix(fine.q[p], t)
-            n_blk[r] = plant.bias_vector(fine.q[p], fine.q_dot[p], t)
+        t_i = times[i]
+        m_i = plant.mass_matrix(fine.q[i], t_i)
+        n_i = plant.bias_vector(fine.q[i], fine.q_dot[i], t_i)
         try:
-            m_inv_dn = np.linalg.solve(m_blk[:k], (n_blk[:k] - blend(g))[:, :, None])[:, :, 0]
+            m_inv_dn = np.linalg.solve(m_i, (n_i - blend(g))[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular mass matrix") from exc
         rhs = blend(c) + m_inv_dn + qd_ddot_d[i]
         # central difference of the realized error rate
         e1_ddot = (e1_dot[i + 1] - e1_dot[i - 1]) / (2.0 * dt)
-        out_t[n_out:n_out + k] = times[i]
+        out_t[n_out:n_out + k] = t_i
         out_r[n_out:n_out + k] = np.linalg.norm(e1_ddot - rhs, axis=1)
         n_out += k
     return out_t[:n_out].copy(), out_r[:n_out].copy()

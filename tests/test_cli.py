@@ -78,6 +78,24 @@ class TestBound:
         assert main(["bound", str(path)]) == 0
         assert "feasible: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, old, new, named", [
+        ("wmr_s1_arolc", "alpha = 2.0", "alpha = abc", "[controller] alpha"),
+        ("wmr_s1_arolc", "r = 1.1", "r = abc", "[gains] r"),
+        ("wmr_s1_pcon", "k_b = 0.072", "k_b = abc", "[controller] k_b"),
+        ("wmr_s3_pconf", "h_estimate = 0.06", "h_estimate = abc",
+         "[controller] h_estimate"),
+        ("wmr_s3_arolc", "kind = S3", "kind = constant\nh0 = abc", "[delay] h0"),
+    ], ids=["alpha", "r", "k_b", "h_estimate", "h0"])
+    def test_bad_number_named_once(self, name, old, new, named, tmp_path, capsys):
+        text = Path(f"scenarios/{name}.ini").read_text()
+        assert text.count(f"\n{old}") == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(f"\n{old}", f"\n{new}"))
+        assert main(["bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        # the section prefix appears once: inside the key's own name
+        assert err.count(named) == 1 and err.count("[") == 1, err
+
 
 class TestSimulate:
     def test_writes_artifacts(self, fast_ini, tmp_path):

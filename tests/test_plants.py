@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arolc.plants import (
     _fma,
@@ -312,6 +313,35 @@ class TestPlantConformance:
                 assert np.linalg.eigvalsh(m)[0] > 0.0
 
 
+# the payload of _disturbed_wmr switches every 5 s: draw on, off and at the
+# switch instants; a negative time reads as 0 on the payload side
+_STACK_TIME = st.one_of(st.floats(-1.0, 30.0), st.sampled_from([0.0, 5.0, 10.0, 15.0, 20.0]),
+                        st.floats(4.9999, 5.0001))
+
+
+@pytest.mark.parametrize("make", [make for make, _ in _PLANTS.values()], ids=_PLANTS.keys())
+@given(data=st.data())
+def test_stacked_calls_equal_single_state_rows(make, data):
+    # exact for the arm too: numpy's cos, sin and float_power round as the
+    # math module's cos, sin and ** do on the hosts this suite runs on
+    plant = make()
+    batch = data.draw(st.integers(1, 9), label="B")
+    q = data.draw(arrays(np.float64, (batch, plant.dim), elements=st.floats(-20.0, 20.0)))
+    q_dot = data.draw(arrays(np.float64, (batch, plant.dim), elements=st.floats(-1e3, 1e3)))
+    t = data.draw(arrays(np.float64, batch, elements=_STACK_TIME))
+    stacked = (plant.mass_matrix(q, t), plant.bias_vector(q, q_dot, t),
+               plant.nominal_mass_matrix(q), plant.nominal_bias_vector(q, q_dot))
+    n = plant.dim
+    for got, shape in zip(stacked, [(batch, n, n), (batch, n)] * 2):
+        assert got.shape == shape and got.dtype == np.float64
+    for b in range(batch):
+        rows = (plant.mass_matrix(q[b], float(t[b])),
+                plant.bias_vector(q[b], q_dot[b], float(t[b])),
+                plant.nominal_mass_matrix(q[b]), plant.nominal_bias_vector(q[b], q_dot[b]))
+        for got, row in zip(stacked, rows):
+            assert got[b].tobytes() == row.tobytes()
+
+
 class TestWmrClosedFormAccel:
     @pytest.mark.parametrize("payload", [
         None, PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05))),
@@ -433,6 +463,19 @@ def test_two_link_accel_matches_ndarray_reference_in_bulk():
     for qq, qd, u, t in zip(q.tolist(), q_dot.tolist(), tau.tolist(), rng.random(20000)):
         assert (np.array(plant.accel(qq, qd, u, t)).tobytes()
                 == reference_two_link_accel(plant, qq, qd, u, t).tobytes())
+
+
+def test_two_link_stacked_calls_match_rows_in_bulk():
+    # as above: a stack that squared qd0 as qd0 * qd0, where the single state
+    # calls pow, differs in about one row in a thousand
+    plant = _disturbed_arm()
+    rng = np.random.default_rng(13)
+    q, q_dot = rng.standard_normal((2, 20000, 2)) * [[[3.0]], [[20.0]]]
+    t = rng.random(20000) * 10.0
+    m, n = plant.mass_matrix(q, t), plant.bias_vector(q, q_dot, t)
+    for b in range(len(t)):
+        assert m[b].tobytes() == plant.mass_matrix(q[b], t[b]).tobytes()
+        assert n[b].tobytes() == plant.bias_vector(q[b], q_dot[b], t[b]).tobytes()
 
 
 class TestTwoLink:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arolc.cli import main
 from arolc.delays import max_delay
@@ -187,6 +189,22 @@ class TestHashAndOverride:
         assert scenario_hash(c1) == scenario_hash(c2)
         apply_override(c2, "sim.seed", "7")
         assert scenario_hash(c1) != scenario_hash(c2)
+
+    @given(st.data())
+    def test_override_round_trip(self, data):
+        path = data.draw(st.sampled_from(SHIPPED))
+        config = load_config(path)
+        section, key = data.draw(st.sampled_from(
+            [(s, k) for s, entries in sorted(config.items()) for k in sorted(entries)]))
+        original = config[section][key]
+        value = data.draw(st.text().filter(lambda v: v != original))
+        digest = scenario_hash(config)
+        apply_override(config, f"{section}.{key}", value)
+        assert config[section][key] == value
+        assert scenario_hash(config) != digest
+        apply_override(config, f"{section}.{key}", original)
+        assert config == load_config(path)
+        assert scenario_hash(config) == digest
 
     def test_override_unknown_key(self):
         config = load_config(MINIMAL)
