@@ -8,7 +8,8 @@ Subcommands:
   sweep     rerun a scenario over a parameter range, aggregate metrics
 
 Exit codes: 0 success, 1 runtime failure (e.g. divergence; a partial trace
-is still written), 2 scenario parse/validation errors.
+is still written), 2 scenario errors (an unreadable path, a malformed file
+or an out-of-range value).
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

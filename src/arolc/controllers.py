@@ -87,10 +87,9 @@ class ArolcConfig:
     B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and positive")
-        if not (0.0 < self.epsilon < math.inf and 0.0 < self.gamma < math.inf):
-            raise ValueError("epsilon and gamma must be finite and positive")
+        for name in ("alpha", "epsilon", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.gamma <= self.c_hat_init < math.inf:
             raise ValueError("c_hat_init must be finite and at least gamma")
         system = build_error_system(self.gains)
@@ -221,8 +220,9 @@ class PconConfig:
     h_estimate: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.kappa < math.inf and 0.0 < self.k_b < math.inf):
-            raise ValueError("kappa and k_b must be finite and positive")
+        for name in ("kappa", "k_b"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.h_estimate is not None and not 0.0 <= self.h_estimate < math.inf:
             raise ValueError("h_estimate must be finite and nonnegative")
         v = np.asarray(self.vartheta, dtype=float)

@@ -44,8 +44,9 @@ class DelayProfile:
     def __post_init__(self):
         if self.kind not in _PROFILE_KINDS:
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
-        if not all(0.0 <= x < math.inf for x in (self.h0, self.a, self.b)):
-            raise ValueError("delay parameters must be finite and nonnegative")
+        for name in ("h0", "a", "b"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not math.isfinite(self.omega):
             raise ValueError("omega must be finite")
 
@@ -90,16 +91,17 @@ class DelayBuffer:
 
     The history lives in preallocated arrays, rows [_lo, _hi) live, so a
     lookup reads it without copying; a push writes one row and compacts
-    or grows the arrays only when they are full.
+    or grows the arrays only when they are full. Every command is a vector
+    of dim entries.
     """
 
-    def __init__(self, window: float, dim: int | None = None):
+    def __init__(self, window: float, dim: int):
         if not 0.0 < window < math.inf:
             raise ValueError("window must be positive and finite")
         self.window = float(window)
         self.dim = dim
         self._t = np.empty(0)
-        self._v = np.empty(0)
+        self._v = np.empty((0, dim))
         self._lo = 0
         self._hi = 0
 
@@ -119,11 +121,13 @@ class DelayBuffer:
         if hi > lo and t <= self._t[hi - 1]:
             raise ValueError("timestamps must be strictly increasing")
         value = np.asarray(tau, dtype=float)
+        if value.shape != (self.dim,):
+            raise ValueError(f"command must have shape ({self.dim},), got {value.shape}")
         if hi == len(self._t):
             live = hi - lo
             cap = max(16, 2 * live)
             new_t = np.empty(cap)
-            new_v = np.empty((cap,) + value.shape)
+            new_v = np.empty((cap, self.dim))
             if live:
                 new_t[:live] = self._t[lo:hi]
                 new_v[:live] = self._v[lo:hi]
@@ -143,8 +147,6 @@ class DelayBuffer:
         t_query = np.asarray(t_query, dtype=float)
         m = len(self)
         if m == 0:
-            if self.dim is None:
-                raise ValueError("empty buffer of unknown dimension")
             return np.zeros((len(t_query), self.dim))
         times, values = self._history()
         i = np.searchsorted(times, t_query, side="right")
@@ -159,8 +161,7 @@ class DelayBuffer:
             j0 = j - 1
             t0 = times.take(j0)
             t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
-            lam = ((t_in - t0) / (times.take(j) - t0)).reshape(
-                (-1,) + (1,) * (values.ndim - 1))
+            lam = ((t_in - t0) / (times.take(j) - t0))[:, None]
             out = (1.0 - lam) * values.take(j0, axis=0) + lam * values.take(j, axis=0)
         out[i == 0] = 0.0
         out[i == m] = values[-1]
@@ -177,10 +178,10 @@ class DelayBuffer:
         """
         if t1 < t0:
             raise ValueError("t1 must be >= t0")
+        n = self.dim
         if not len(self):
-            return np.zeros(self.dim if self.dim is not None else 0)
-        times, values = self._history()
-        n = values.shape[1] if values.ndim > 1 else 1
+            return np.zeros(n)
+        times, _ = self._history()
         lo = max(t0, times[0].item())
         if t1 <= lo:
             return np.zeros(n)
@@ -188,7 +189,7 @@ class DelayBuffer:
         inner = times[np.searchsorted(times, lo, side="right"):
                       np.searchsorted(times, t1, side="left")]
         knots = [lo] + inner.tolist() + [t1]
-        knot_values = self.sample_many(knots).reshape(len(knots), n).tolist()
+        knot_values = self.sample_many(knots).tolist()
         # float trapezoids, summed left to right as an ndarray total += would
         total = [0.0] * n
         for k in range(1, len(knots)):

@@ -216,8 +216,9 @@ class PayloadSchedule:
     def __post_init__(self):
         if not 0.0 <= self.extra_mass < math.inf:
             raise ValueError("extra_mass must be finite and nonnegative")
-        if not (0.0 < self.period_on < math.inf and 0.0 < self.period_off < math.inf):
-            raise ValueError("periods must be finite and positive")
+        for name in ("period_on", "period_off"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.offsets:
             raise ValueError("at least one offset is required")
         offsets = tuple((float(dx), float(dy)) for dx, dy in self.offsets)
@@ -365,6 +366,8 @@ def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
     parameters by (1 - mismatch) and omits payload, friction, disturbance."""
     if not -1.0 < mismatch < 1.0:
         raise ValueError("mismatch must lie in (-1, 1)")
+    if not 0.0 <= viscous < math.inf:
+        raise ValueError("viscous must be finite and nonnegative")
     scale = 1.0 - mismatch
     nominal = _ReducedWmrPlant(replace(
         params, m=params.m * scale, I_bar=params.I_bar * scale,
@@ -616,13 +619,16 @@ class _OscillatorPlant(PlantModel):
 
 def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:
     """Friction-free unit plant M = mass * I, N = 0."""
-    if n < 1 or mass <= 0.0:
-        raise ValueError("need n >= 1 and positive mass")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0.0 < mass < math.inf:
+        raise ValueError("mass must be finite and positive")
     return _PointMassPlant(n, mass)
 
 
 def oscillator_plant(stiffness: float = 1.0, mass: float = 1.0) -> PlantModel:
     """Undamped linear oscillator; conserves energy under zero input."""
-    if stiffness <= 0.0 or mass <= 0.0:
-        raise ValueError("stiffness and mass must be positive")
+    for name, value in (("stiffness", stiffness), ("mass", mass)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
     return _OscillatorPlant(stiffness, mass)

@@ -3,7 +3,19 @@
 A scenario file has sections [plant], [controller], [gains], [delay],
 [trajectory], [payload], [sim]. Times are seconds, masses kg, lengths
 meters. '#' and ';' start comments. Unknown sections or keys are rejected,
-as are missing required keys; error messages name the offending entry.
+as are missing required keys and keys that the section's chosen kind
+ignores.
+
+Each section passes the constructor it feeds only the keys the file sets,
+each parsed as a finite number: a key left out takes the constructor's own
+default, only the constructor checks a value's range, and its ValueError
+comes back as a ScenarioError naming the [section]. Only the file
+format's own rules live here: gains k1, k2, q and vartheta are a scalar or
+a diagonal (identity when left out); sinusoid lists default to one entry
+per plant coordinate; the circle's center is center_x, center_y and its
+wheel geometry comes from [plant]; c_hat_init defaults to the file's
+gamma; pconf is pcon with a fixed window h_estimate; and the seed draws
+the payload offsets before the disturbance phases.
 """
 
 from __future__ import annotations
@@ -12,6 +24,8 @@ import configparser
 import hashlib
 import json
 import math
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,22 +57,42 @@ class ScenarioError(ValueError):
     """Invalid scenario file content; the message names the bad entry."""
 
 
-_ARM_KEYS = {"mismatch", "viscous", "disturbance_amp", "disturbance_freq"}
-_PCON_KEYS = {"kappa", "k_b", "vartheta"}
+def _field_names(cls, *skip) -> tuple[str, ...]:
+    """The constructor arguments of a dataclass, less those in skip."""
+    return tuple(f.name for f in fields(cls) if f.init and f.name not in skip)
+
+
+def _keys(*groups) -> set[str]:
+    """The file keys of groups of argument names: configparser lowercases
+    every key it reads."""
+    return {name.lower() for group in groups for name in group}
+
+
+# The numeric arguments each constructor takes from its section
+_ARM_ARGS = ("mismatch", "disturbance_amp", "disturbance_freq")
+_TWO_LINK = _field_names(TwoLinkParams)
+_WMR = _field_names(WmrParams)
+_PAYLOAD = _field_names(PayloadSchedule, "offsets")
+_AROLC = _field_names(ArolcConfig, "gains", "switching")
+_PCON = ("kappa", "k_b", "h_estimate")
+_DELAY = ("h0", "a", "b", "omega")
+_CIRCLE = ("radius", "rate", "path_diameter")
+_RAMP = _field_names(WheelRampTrajectory)
+_SINUSOID_LISTS = {"amplitude": 0.5, "frequency": 0.5, "phase": 0.0, "offset": 0.0}
+
 # Per kind-selected section, the keys each kind reads besides `kind`; a key
 # the chosen kind does not read is rejected, since it would be ignored
 _KIND_KEYS = {
     "plant": {
-        "two-link": _ARM_KEYS | {"m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2",
-                                 "gravity"},
-        "wmr": _ARM_KEYS | {"m", "i_bar", "k", "d", "r_bar", "b", "i_w"},
+        "two-link": _keys(_ARM_ARGS, _TWO_LINK),
+        "wmr": _keys(_ARM_ARGS, ("viscous",), _WMR),
         "point-mass": {"n", "mass"},
         "oscillator": {"stiffness", "mass"},
     },
     "controller": {
-        "arolc": {"alpha", "epsilon", "gamma", "c_hat_init", "switching"},
-        "pcon": _PCON_KEYS,
-        "pconf": _PCON_KEYS | {"h_estimate"},
+        "arolc": _keys(_AROLC, ("switching",)),
+        "pcon": {"kappa", "k_b", "vartheta"},
+        "pconf": {"kappa", "k_b", "vartheta", "h_estimate"},
         "none": set(),
     },
     "delay": {
@@ -67,17 +101,16 @@ _KIND_KEYS = {
         **{kind: set() for kind in ("S1", "S2", "S3", "S4", "none")},
     },
     "trajectory": {
-        "circle": {"radius", "rate", "center_x", "center_y", "path_diameter"},
-        "wheel-ramp": {"rate_r", "rate_l", "path_diameter"},
-        "sinusoid": {"amplitude", "frequency", "phase", "offset", "path_diameter"},
+        "circle": _keys(_CIRCLE, ("center_x", "center_y")),
+        "wheel-ramp": _keys(_RAMP),
+        "sinusoid": _keys(_SINUSOID_LISTS, ("path_diameter",)),
     },
 }
 
 _KNOWN_KEYS = {
     **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
     "gains": {"k1", "k2", "q", "r", "beta"},
-    "payload": {"extra_mass", "period_on", "period_off", "offsets",
-                "random_offsets", "offset_max"},
+    "payload": _keys(_field_names(PayloadSchedule), ("random_offsets", "offset_max")),
     "sim": {"duration", "dt", "control_dt", "seed", "q0", "qdot0",
             "control_mode", "start"},
 }
@@ -92,11 +125,13 @@ _REQUIRED = {
 
 
 def load_config(source) -> dict[str, dict[str, str]]:
-    """Parse an INI scenario (path or literal text) into nested dicts and
-    reject unknown sections/keys and missing required keys."""
+    """Parse an INI scenario into nested dicts and reject unknown
+    sections/keys and missing required keys. source is a path, or the text
+    itself when it holds a line break."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = Path(source).read_text() if not str(source).lstrip().startswith("[") \
-        else str(source)
+    text = str(source)
+    if "\n" not in text:
+        text = Path(text).read_text()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -130,17 +165,13 @@ def _number(text, sec_name, key, cast=float):
     return value
 
 
-def _fval(section, sec_name, key, default=None, cast=float):
-    if key not in section:
-        if default is None:
-            raise ScenarioError(f"missing key [{sec_name}] {key}")
-        return default
-    return _number(section[key], sec_name, key, cast)
+def _given(section, sec_name, names) -> dict:
+    """{name: number} of each argument in names whose key the section sets."""
+    return {name: _number(section[name.lower()], sec_name, name.lower())
+            for name in names if name.lower() in section}
 
 
-def _bval(section, sec_name, key, default):
-    if key not in section:
-        return default
+def _bval(section, sec_name, key) -> bool:
     raw = section[key].strip().lower()
     if raw in ("true", "yes", "1", "on"):
         return True
@@ -149,17 +180,11 @@ def _bval(section, sec_name, key, default):
     raise ScenarioError(f"bad boolean for [{sec_name}] {key}: {section[key]!r}")
 
 
-def _flist(section, sec_name, key, default=None):
-    if key not in section:
-        if default is None:
-            raise ScenarioError(f"missing key [{sec_name}] {key}")
-        return default
+def _flist(section, sec_name, key) -> tuple[float, ...]:
     return tuple(_number(x, sec_name, key) for x in section[key].replace(",", " ").split())
 
 
-def _pairs(section, sec_name, key, default):
-    if key not in section:
-        return default
+def _pairs(section, sec_name, key):
     pairs = []
     for chunk in section[key].split(";"):
         chunk = chunk.strip()
@@ -175,8 +200,12 @@ def _pairs(section, sec_name, key, default):
     return tuple(pairs)
 
 
-def _gain_matrix(section, sec_name, key, n, default_scalar):
-    values = _flist(section, sec_name, key, default=(default_scalar,))
+def _gain_matrix(section, sec_name, key, n):
+    """The n x n gain of a scalar or an n-entry diagonal; identity when the
+    key is left out."""
+    if key not in section:
+        return np.eye(n)
+    values = _flist(section, sec_name, key)
     if len(values) == 1:
         return values[0] * np.eye(n)
     if len(values) == n:
@@ -186,101 +215,82 @@ def _gain_matrix(section, sec_name, key, n, default_scalar):
     )
 
 
-def _build_payload(config, rng) -> PayloadSchedule | None:
-    if "payload" not in config:
+@contextmanager
+def _section(name):
+    """Report a constructor's ValueError as a ScenarioError of [name]; a
+    ScenarioError already names its entry and passes through unchanged."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"[{name}] {exc}") from exc
+
+
+def _random_offsets(payload) -> bool:
+    return "random_offsets" in payload and _bval(payload, "payload", "random_offsets")
+
+
+def _build_payload(sec, rng) -> PayloadSchedule | None:
+    if sec is None:
         return None
-    sec = config["payload"]
-    extra = _fval(sec, "payload", "extra_mass", 3.5)
-    on = _fval(sec, "payload", "period_on", 5.0)
-    off = _fval(sec, "payload", "period_off", 5.0)
-    if _bval(sec, "payload", "random_offsets", False):
-        cap = _fval(sec, "payload", "offset_max", 0.05)
-        offsets = tuple(
+    args = _given(sec, "payload", _PAYLOAD)
+    if _random_offsets(sec):
+        cap = _number(sec["offset_max"], "payload", "offset_max") \
+            if "offset_max" in sec else 0.05
+        if not 0.0 <= 2.0 * cap < math.inf:  # the width of the uniform draw
+            raise ScenarioError(f"[payload] offset_max must be nonnegative with "
+                                f"2 * offset_max finite, got {cap!r}")
+        args["offsets"] = tuple(
             (float(x), float(y)) for x, y in rng.uniform(-cap, cap, size=(8, 2))
         )
-    else:
-        offsets = _pairs(sec, "payload", "offsets", ((0.05, 0.02),))
-    return PayloadSchedule(extra_mass=extra, period_on=on, period_off=off,
-                           offsets=offsets)
+    elif "offsets" in sec:
+        args["offsets"] = _pairs(sec, "payload", "offsets")
+    return PayloadSchedule(**args)
 
 
-def _build_plant(config, rng):
-    sec = config["plant"]
+def _build_plant(sec, payload, rng):
+    """(plant, its WmrParams or None) of the [plant] section; the
+    disturbance phases are drawn after the payload offsets."""
     kind = sec["kind"].strip().lower()
-    mismatch = _fval(sec, "plant", "mismatch", 0.0)
-    viscous = _fval(sec, "plant", "viscous", 0.0)
-    dist_amp = _fval(sec, "plant", "disturbance_amp", 0.0)
-    dist_freq = _fval(sec, "plant", "disturbance_freq", 1.0)
-    if kind == "two-link":
-        params = TwoLinkParams(
-            m1=_fval(sec, "plant", "m1", 1.0), m2=_fval(sec, "plant", "m2", 1.0),
-            l1=_fval(sec, "plant", "l1", 1.0), l2=_fval(sec, "plant", "l2", 1.0),
-            lc1=_fval(sec, "plant", "lc1", 0.5), lc2=_fval(sec, "plant", "lc2", 0.5),
-            I1=_fval(sec, "plant", "i1", 0.05), I2=_fval(sec, "plant", "i2", 0.05),
-            gravity=_fval(sec, "plant", "gravity", 9.81), viscous=viscous,
-        )
-        phases = rng.uniform(0.0, 2.0 * np.pi, 2) if dist_amp else None
-        return two_link_plant(params, mismatch=mismatch,
-                              disturbance_amp=dist_amp,
-                              disturbance_freq=dist_freq, phases=phases), params
-    if kind == "wmr":
-        params = WmrParams(
-            m=_fval(sec, "plant", "m", 10.0),
-            I_bar=_fval(sec, "plant", "i_bar", 0.5),
-            K=_fval(sec, "plant", "k", 0.5),
-            d=_fval(sec, "plant", "d", 0.05),
-            r_bar=_fval(sec, "plant", "r_bar", 0.0975),
-            b=_fval(sec, "plant", "b", 0.165),
-            I_w=_fval(sec, "plant", "i_w", 0.0025),
-        )
-        payload = _build_payload(config, rng)
-        phases = rng.uniform(0.0, 2.0 * np.pi, 2) if dist_amp else None
-        return reduced_wmr_dynamics(params, mismatch=mismatch, payload=payload,
-                                    viscous=viscous, disturbance_amp=dist_amp,
-                                    disturbance_freq=dist_freq,
-                                    phases=phases), params
     if kind == "point-mass":
-        return point_mass_plant(_fval(sec, "plant", "n", 1, cast=int),
-                                _fval(sec, "plant", "mass", 1.0)), None
+        n = {"n": _number(sec["n"], "plant", "n", cast=int)} if "n" in sec else {}
+        return point_mass_plant(**n, **_given(sec, "plant", ("mass",))), None
     if kind == "oscillator":
-        return oscillator_plant(_fval(sec, "plant", "stiffness", 1.0),
-                                _fval(sec, "plant", "mass", 1.0)), None
+        return oscillator_plant(**_given(sec, "plant", ("stiffness", "mass"))), None
+    args = _given(sec, "plant", _ARM_ARGS)
+    if args.get("disturbance_amp"):
+        args["phases"] = rng.uniform(0.0, 2.0 * np.pi, 2)
+    if kind == "two-link":
+        return two_link_plant(TwoLinkParams(**_given(sec, "plant", _TWO_LINK)),
+                              **args), None
+    if kind == "wmr":
+        params = WmrParams(**_given(sec, "plant", _WMR))
+        return reduced_wmr_dynamics(params, payload=payload, **args,
+                                    **_given(sec, "plant", ("viscous",))), params
     raise ScenarioError(f"unknown plant kind: [plant] kind = {sec['kind']!r}")
 
 
-def _build_trajectory(config, plant_dim, wmr_params):
-    sec = config["trajectory"]
+def _build_trajectory(sec, plant_dim, wmr_params):
     kind = sec["kind"].strip().lower()
     if kind == "circle":
         if wmr_params is None:
             raise ScenarioError("[trajectory] kind = circle requires a wmr plant")
-        return CircleTrajectory(
-            radius=_fval(sec, "trajectory", "radius", 1.25),
-            rate=_fval(sec, "trajectory", "rate", 0.35),
-            center=(_fval(sec, "trajectory", "center_x", 0.1),
-                    _fval(sec, "trajectory", "center_y", 1.35)),
-            r_bar=wmr_params.r_bar, b=wmr_params.b,
-            path_diameter=_fval(sec, "trajectory", "path_diameter", 0.0),
-        )
+        center = tuple(_number(sec[key], "trajectory", key) if key in sec else default
+                       for key, default in zip(("center_x", "center_y"),
+                                               CircleTrajectory.center))
+        return CircleTrajectory(center=center, r_bar=wmr_params.r_bar, b=wmr_params.b,
+                                **_given(sec, "trajectory", _CIRCLE))
     if kind == "wheel-ramp":
-        return WheelRampTrajectory(
-            rate_r=_fval(sec, "trajectory", "rate_r", 3.0),
-            rate_l=_fval(sec, "trajectory", "rate_l", 2.0),
-            path_diameter=_fval(sec, "trajectory", "path_diameter", 2.5),
-        )
+        return WheelRampTrajectory(**_given(sec, "trajectory", _RAMP))
     if kind == "sinusoid":
-        amp = _flist(sec, "trajectory", "amplitude", tuple([0.5] * plant_dim))
-        freq = _flist(sec, "trajectory", "frequency", tuple([0.5] * plant_dim))
-        phase = _flist(sec, "trajectory", "phase", tuple([0.0] * len(amp)))
-        offset = _flist(sec, "trajectory", "offset", tuple([0.0] * len(amp)))
-        if not (len(amp) == len(freq) == len(phase) == len(offset) == plant_dim):
+        lists = {key: _flist(sec, "trajectory", key) if key in sec else (value,) * plant_dim
+                 for key, value in _SINUSOID_LISTS.items()}
+        if any(len(values) != plant_dim for values in lists.values()):
             raise ScenarioError(
                 f"[trajectory] lists must all have {plant_dim} entries"
             )
-        return SinusoidTrajectory(
-            amplitude=amp, frequency=freq, phase=phase, offset=offset,
-            path_diameter=_fval(sec, "trajectory", "path_diameter", 0.0),
-        )
+        return SinusoidTrajectory(**lists, **_given(sec, "trajectory", ("path_diameter",)))
     raise ScenarioError(f"unknown trajectory kind: [trajectory] kind = {sec['kind']!r}")
 
 
@@ -303,135 +313,101 @@ def _reject_ignored_keys(config) -> None:
     if config["plant"]["kind"].strip().lower() != "wmr":
         raise ScenarioError(f"[payload] applies only to [plant] kind = wmr, not "
                             f"kind = {config['plant']['kind'].strip()}")
-    if _bval(payload, "payload", "random_offsets", False):
+    if _random_offsets(payload):
         if "offsets" in payload:
             raise ScenarioError("[payload] offsets conflicts with random_offsets = true")
     elif "offset_max" in payload:
         raise ScenarioError("[payload] offset_max applies only with random_offsets = true")
 
 
-def _build_delay(config) -> DelayProfile:
-    sec = config["delay"]
-    kind = sec["kind"].strip()
-    try:
-        return DelayProfile(
-            kind=kind,
-            h0=_fval(sec, "delay", "h0", 0.0),
-            a=_fval(sec, "delay", "a", 0.0),
-            b=_fval(sec, "delay", "b", 0.0),
-            omega=_fval(sec, "delay", "omega", 1.0),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"[delay] {exc}") from exc
+def _build_controller(sec, gains, n):
+    """(kind, ArolcConfig or None, PconConfig or None) of [controller]."""
+    kind = sec["kind"].strip().lower()
+    if kind == "arolc":
+        args = _given(sec, "controller", _AROLC)
+        if "gamma" in args:
+            args.setdefault("c_hat_init", args["gamma"])
+        if "switching" in sec:
+            args["switching"] = _bval(sec, "controller", "switching")
+        return kind, ArolcConfig(gains, **args), None
+    if kind in ("pcon", "pconf"):
+        # pconf is the file spelling of pcon with a fixed integral window
+        if kind == "pconf" and "h_estimate" not in sec:
+            raise ScenarioError("missing key [controller] h_estimate")
+        return "pcon", None, PconConfig(
+            vartheta=_gain_matrix(sec, "controller", "vartheta", n),
+            **_given(sec, "controller", _PCON))
+    if kind == "none":
+        return kind, None, None
+    raise ScenarioError(f"unknown controller kind: [controller] kind = "
+                        f"{sec['kind']!r}")
 
 
 def build_gains(config: dict[str, dict[str, str]], n: int) -> GainSet:
     """The GainSet of the [gains] section for an n-joint plant (defaults for
     absent keys, or for an absent section)."""
-    gsec = config.get("gains", {})
-    try:
+    sec = config.get("gains", {})
+    with _section("gains"):
         return GainSet(
-            K1=_gain_matrix(gsec, "gains", "k1", n, 1.0),
-            K2=_gain_matrix(gsec, "gains", "k2", n, 1.0),
-            Q=_gain_matrix(gsec, "gains", "q", 2 * n, 1.0),
-            r=_fval(gsec, "gains", "r", 1.1),
-            beta=_fval(gsec, "gains", "beta", 1.0),
+            K1=_gain_matrix(sec, "gains", "k1", n),
+            K2=_gain_matrix(sec, "gains", "k2", n),
+            Q=_gain_matrix(sec, "gains", "q", 2 * n),
+            **_given(sec, "gains", ("r", "beta")),
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"[gains] {exc}") from exc
 
 
 def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenario:
     """Turn a parsed config into a ready-to-run Scenario."""
     _reject_ignored_keys(config)
-    sim_sec = config["sim"]
-    seed = _fval(sim_sec, "sim", "seed", 0, cast=int)
+    sim = config["sim"]
+    seed = _number(sim["seed"], "sim", "seed", cast=int) if "seed" in sim else 0
+    if seed < 0:
+        raise ScenarioError(f"[sim] seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
 
-    plant, plant_params = _build_plant(config, rng)
-    wmr_params = plant_params if config["plant"]["kind"].strip().lower() == "wmr" \
-        else None
-    trajectory = _build_trajectory(config, plant.dim, wmr_params)
-    delay = _build_delay(config)
-
-    ctrl_sec = config["controller"]
-    kind = ctrl_sec["kind"].strip().lower()
-
+    with _section("payload"):
+        payload = _build_payload(config.get("payload"), rng)
+    with _section("plant"):
+        plant, wmr_params = _build_plant(config["plant"], payload, rng)
+    with _section("trajectory"):
+        trajectory = _build_trajectory(config["trajectory"], plant.dim, wmr_params)
+    with _section("delay"):
+        delay = DelayProfile(config["delay"]["kind"].strip(),
+                             **_given(config["delay"], "delay", _DELAY))
     # built for every kind, so that a bad [gains] section is never ignored
     gains = build_gains(config, plant.dim)
+    with _section("controller"):
+        kind, arolc_cfg, pcon_cfg = _build_controller(config["controller"], gains,
+                                                      plant.dim)
 
-    arolc_cfg = None
-    pcon_cfg = None
-    if kind == "arolc":
-        try:
-            arolc_cfg = ArolcConfig(
-                gains,
-                alpha=_fval(ctrl_sec, "controller", "alpha", 2.0),
-                epsilon=_fval(ctrl_sec, "controller", "epsilon", 0.1),
-                gamma=_fval(ctrl_sec, "controller", "gamma", 1e-3),
-                c_hat_init=_fval(ctrl_sec, "controller", "c_hat_init",
-                                 _fval(ctrl_sec, "controller", "gamma", 1e-3)),
-                switching=_bval(ctrl_sec, "controller", "switching", True),
-            )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"[controller] {exc}") from exc
-    elif kind in ("pcon", "pconf"):
-        # pconf is the file spelling of pcon with a fixed integral window
-        vartheta = _gain_matrix(ctrl_sec, "controller", "vartheta", plant.dim, 1.0)
-        h_estimate = None
-        if kind == "pconf":
-            h_estimate = _fval(ctrl_sec, "controller", "h_estimate")
-        try:
-            pcon_cfg = PconConfig(
-                kappa=_fval(ctrl_sec, "controller", "kappa", 2.0),
-                vartheta=vartheta,
-                k_b=_fval(ctrl_sec, "controller", "k_b", 5.0),
-                h_estimate=h_estimate,
-            )
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"[controller] {exc}") from exc
-        kind = "pcon"
-    elif kind != "none":
-        raise ScenarioError(f"unknown controller kind: [controller] kind = "
-                            f"{ctrl_sec['kind']!r}")
-
-    q0 = _flist(sim_sec, "sim", "q0", ()) or None
-    qdot0 = _flist(sim_sec, "sim", "qdot0", ()) or None
-    start = sim_sec.get("start", "rest").strip().lower()
-    if start not in ("rest", "rolling"):
-        raise ScenarioError(f"[sim] start must be rest or rolling, got {start!r}")
-    if start == "rolling":
-        if qdot0 is not None:
-            raise ScenarioError("[sim] qdot0 conflicts with start = rolling")
-        qdot0 = tuple(trajectory(0.0)[1])
-
-    sc = Scenario(
-        plant=plant,
-        trajectory=trajectory,
-        delay=delay,
-        controller=kind,
-        arolc=arolc_cfg,
-        pcon=pcon_cfg,
-        duration=_fval(sim_sec, "sim", "duration"),
-        dt=_fval(sim_sec, "sim", "dt", 1e-4),
-        dt_control=_fval(sim_sec, "sim", "control_dt", 1e-2),
-        q0=np.asarray(q0, float) if q0 else None,
-        qdot0=np.asarray(qdot0, float) if qdot0 else None,
-        control_mode=sim_sec.get("control_mode", "sampled").strip(),
-        label=label,
-    )
-    try:
+    with _section("sim"):
+        q0 = _flist(sim, "sim", "q0") if "q0" in sim else ()
+        qdot0 = _flist(sim, "sim", "qdot0") if "qdot0" in sim else ()
+        start = sim.get("start", "rest").strip().lower()
+        if start not in ("rest", "rolling"):
+            raise ScenarioError(f"[sim] start must be rest or rolling, got {start!r}")
+        if start == "rolling":
+            if qdot0:
+                raise ScenarioError("[sim] qdot0 conflicts with start = rolling")
+            qdot0 = tuple(trajectory(0.0)[1])
+        args = _given(sim, "sim", ("duration", "dt"))
+        if "control_dt" in sim:
+            args["dt_control"] = _number(sim["control_dt"], "sim", "control_dt")
+        if "control_mode" in sim:
+            args["control_mode"] = sim["control_mode"].strip()
+        sc = Scenario(
+            plant=plant,
+            trajectory=trajectory,
+            delay=delay,
+            controller=kind,
+            arolc=arolc_cfg,
+            pcon=pcon_cfg,
+            q0=np.asarray(q0, float) if q0 else None,
+            qdot0=np.asarray(qdot0, float) if qdot0 else None,
+            label=label,
+            **args,
+        )
         sc.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
     return sc
 
 

@@ -115,12 +115,11 @@ class Scenario:
     label: str = ""
 
     def validate(self) -> None:
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError("duration must be finite and positive")
-        if not (0.0 < self.dt < math.inf and 0.0 < self.dt_control < math.inf):
-            raise ValueError("dt and dt_control must be finite and positive")
+        for name in ("duration", "dt", "dt_control"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.dt > self.dt_control + 1e-15:
-            raise ValueError("dt_integration must not exceed dt_control")
+            raise ValueError("dt must not exceed dt_control")
         steps = round(self.dt_control / self.dt)
         if steps < 1 or abs(steps * self.dt - self.dt_control) > 1e-9 * self.dt_control:
             raise ValueError("dt_control must be an integer multiple of dt")
@@ -128,13 +127,19 @@ class Scenario:
         rows, max_rows = _n_periods(self) + 1, _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
         if rows > max_rows:
             raise ValueError(
-                f"[sim] duration = {self.duration:g} s needs {rows} trace rows at "
+                f"duration = {self.duration:g} s needs {rows} trace rows at "
                 f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
         max_steps = _MAX_ARRAY_BYTES // (8 * (41 + 15 * n))
         if steps > max_steps:
             raise ValueError(
-                f"[sim] dt = {self.dt:g} s gives {steps} RK4 steps per control "
+                f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
                 f"period; at most {max_steps} fit")
+        # q0 defaults to the reference's start
+        q0 = self.trajectory(0.0)[0] if self.q0 is None else self.q0
+        for name, value in (("q0", q0), ("qdot0", self.qdot0)):
+            if value is not None and np.shape(value) != (n,):
+                raise ValueError(f"{name} must have {n} entries, one per plant "
+                                 f"coordinate, got shape {np.shape(value)}")
         if self.controller not in ("arolc", "pcon", "none"):
             raise ValueError(f"unknown controller kind {self.controller!r}")
         if self.controller == "arolc" and self.arolc is None:
@@ -249,8 +254,6 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     qd0 = trajectory(0.0)[0]
     q = np.array(sc.q0, dtype=float) if sc.q0 is not None else np.asarray(qd0, float).copy()
     q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
-    if q.shape != (n,) or q_dot.shape != (n,):
-        raise ValueError("initial state has wrong dimension")
     y = q.tolist() + q_dot.tolist()
 
     fixed_h = sc.pcon.h_estimate if sc.controller == "pcon" else None

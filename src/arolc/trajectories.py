@@ -117,10 +117,9 @@ class CircleTrajectory:
     dim = 2
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.rate <= 0.0:
-            raise ValueError("radius and rate must be positive")
-        if self.r_bar <= 0.0 or self.b <= 0.0:
-            raise ValueError("r_bar and b must be positive")
+        for name in ("radius", "rate", "r_bar", "b"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def diameter(self) -> float:

@@ -71,6 +71,10 @@ class TestBound:
         assert abs(float(match.group(1)) - 0.125) <= 1e-3
         assert "feasible: yes" in out
 
+    def test_directory_rejected(self, capsys):
+        assert main(["bound", "scenarios"]) == 2
+        assert "scenarios" in capsys.readouterr().err
+
     def test_infeasible_reported(self, capsys, tmp_path):
         text = FAST.replace("kind = S1", "kind = constant\nh0 = 0.2")
         path = tmp_path / "slow.ini"
@@ -199,6 +203,43 @@ class TestSimulate:
         assert code == 0
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) - 1 == pytest.approx(51, abs=1)
+
+
+class TestOutOfRange:
+    """A value the constructor rejects exits 2 naming [section] key."""
+
+    @pytest.mark.parametrize("base, section, entry", [
+        ("scenarios/two_link_s1_arolc.ini", "plant", "m1 = -1"),
+        ("scenarios/two_link_s1_arolc.ini", "plant", "mismatch = 1.5"),
+        ("scenarios/wmr_s1_arolc.ini", "plant", "d = 0.5"),
+        ("scenarios/wmr_s1_arolc.ini", "plant", "viscous = -5"),
+        (POINT_MASS, "plant", "n = 0"),
+        (POINT_MASS.replace("kind = point-mass", "kind = oscillator"), "plant",
+         "stiffness = -1"),
+        ("scenarios/wmr_s1_arolc.ini", "payload", "period_on = 0"),
+        ("scenarios/wmr_s1_arolc.ini", "trajectory", "radius = -1"),
+        ("scenarios/two_link_s1_arolc.ini", "sim", "q0 = 0.1 0.2 0.3"),
+    ], ids=["arm-m1", "arm-mismatch", "wmr-d", "wmr-viscous", "pm-n",
+            "osc-stiffness", "payload-period_on", "circle-radius", "arm-q0"])
+    def test_rejected_naming_the_key(self, base, section, entry, tmp_path, capsys):
+        key = entry.split(" = ")[0]
+        text = base if base.startswith("\n") else Path(base).read_text()
+        text = re.sub(rf"(?m)^{key}\s*=.*\n", "", text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n"))
+        assert main(["bound", str(path)]) == 2
+        assert f"[{section}] {key} " in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert f"[{section}] {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_into_range_violation(self, tmp_path, capsys):
+        code = main(["sweep", "scenarios/two_link_s1_arolc.ini", "--param", "plant.m1",
+                     "--range=-1:1:1", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "[plant] m1 must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
 class TestCompare:

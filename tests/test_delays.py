@@ -56,6 +56,11 @@ class TestDelayAt:
         with pytest.raises(ValueError, match="finite"):
             DelayProfile("custom", **{field: value})
 
+    @pytest.mark.parametrize("field", ["h0", "a", "b"])
+    def test_negative_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and nonnegative"):
+            DelayProfile("custom", **{field: -0.01})
+
     @given(st.sampled_from(KINDS),
            st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
     def test_vector_matches_scalar_calls(self, kind, ts):
@@ -102,9 +107,12 @@ class TestDelayBuffer:
         buf = DelayBuffer(window=1.0, dim=3)
         np.testing.assert_allclose(buf.sample(0.0), np.zeros(3))
 
-    def test_empty_without_dim_raises(self):
-        with pytest.raises(ValueError):
-            DelayBuffer(window=1.0).sample(0.0)
+    @pytest.mark.parametrize("tau", [1.0, [1.0, 2.0], [[1.0]]])
+    def test_push_wrong_shape_raises(self, tau):
+        buf = DelayBuffer(window=1.0, dim=1)
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):
+            buf.push(0.0, tau)
+        assert len(buf) == 0
 
 
 class TestBufferIntegrate:

@@ -89,7 +89,7 @@ class TestPayload:
 
     @pytest.mark.parametrize("field, value, message", [
         ("extra_mass", math.nan, "extra_mass"), ("extra_mass", math.inf, "extra_mass"),
-        ("period_on", math.nan, "periods"), ("period_off", math.inf, "periods"),
+        ("period_on", math.nan, "period_on"), ("period_off", math.inf, "period_off"),
         ("offsets", ((0.05, math.nan),), "offsets"),
     ])
     def test_non_finite_rejected(self, field, value, message):
@@ -536,6 +536,22 @@ class TestParamsValidation:
     def test_two_link_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TwoLinkParams(**{field: value})
+
+    @pytest.mark.parametrize("factory, kwargs, field", [
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"viscous": -5.0}, "viscous"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"viscous": math.nan}, "viscous"),
+        (point_mass_plant, {"n": 0}, "n"),
+        (point_mass_plant, {"mass": math.nan}, "mass"),
+        (point_mass_plant, {"mass": 0.0}, "mass"),
+        (oscillator_plant, {"stiffness": math.nan}, "stiffness"),
+        (oscillator_plant, {"stiffness": -1.0}, "stiffness"),
+        (oscillator_plant, {"mass": math.inf}, "mass"),
+    ], ids=["wmr-viscous-neg", "wmr-viscous-nan", "pm-n", "pm-mass-nan", "pm-mass-zero",
+            "osc-stiffness-nan", "osc-stiffness-neg", "osc-mass-inf"])
+    def test_factory_rejects_one_named_field(self, factory, kwargs, field):
+        # each message names exactly the one bad argument
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            factory(**kwargs)
 
 
 class TestSimplePlants:

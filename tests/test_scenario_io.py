@@ -7,7 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arolc.cli import main
-from arolc.delays import max_delay
+from arolc.controllers import ArolcConfig, PconConfig
+from arolc.delays import DelayProfile, max_delay
+from arolc.plants import (
+    PayloadSchedule,
+    TwoLinkParams,
+    WmrParams,
+    oscillator_plant,
+    point_mass_plant,
+    reduced_wmr_dynamics,
+    two_link_plant,
+)
 from arolc.scenario_io import (
     ScenarioError,
     apply_override,
@@ -17,6 +27,9 @@ from arolc.scenario_io import (
     load_scenario,
     scenario_hash,
 )
+from arolc.sim import Scenario
+from arolc.stability import GainSet
+from arolc.trajectories import CircleTrajectory, WheelRampTrajectory
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.ini"))
 
@@ -67,6 +80,12 @@ class TestLoadConfig:
         bad = MINIMAL.replace("[delay]\nkind = none\n", "")
         with pytest.raises(ScenarioError, match=r"\[delay\]"):
             load_config(bad)
+
+    def test_literal_text_opening_with_a_comment(self):
+        path = SHIPPED[0].parent / "wmr_s1_arolc.ini"
+        text = path.read_text()
+        assert text.startswith("#")
+        assert load_config(text) == load_config(path)
 
     def test_comments_allowed(self):
         config = load_config(MINIMAL.replace("duration = 1.0",
@@ -171,6 +190,17 @@ class TestBuildScenario:
     def test_every_shipped_scenario_passes_the_key_rules(self, path):
         load_scenario(path)
 
+    @pytest.mark.parametrize("old, new, named", [
+        (r"seed = 0", "seed = -1", "[sim] seed"),
+        (r"offsets = .*", "random_offsets = true\noffset_max = -0.01", "[payload] offset_max"),
+        (r"offsets = .*", "random_offsets = true\noffset_max = 1e308", "[payload] offset_max"),
+    ], ids=["seed", "offset_max-negative", "offset_max-huge"])
+    def test_file_only_keys_range_checked(self, old, new, named):
+        text = (SHIPPED[0].parent / "wmr_s1_arolc.ini").read_text()
+        text = re.sub(rf"(?m)^{old}$", new, text)
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            build_scenario(load_config(text))
+
     def test_random_offsets_read_offset_max(self, tmp_path):
         text = Path("scenarios/wmr_s1_arolc.ini").read_text()
         path = tmp_path / "random.ini"
@@ -180,6 +210,125 @@ class TestBuildScenario:
         offsets = load_scenario(path).plant.payload.offsets
         assert len(offsets) == 8
         assert max(abs(x) for pair in offsets for x in pair) <= 0.01
+
+
+# Every kind with no key but `kind` (and the required duration)
+BARE = """
+[plant]
+kind = {plant}
+
+[controller]
+kind = {controller}
+
+[delay]
+kind = constant
+
+[trajectory]
+kind = {trajectory}
+
+[sim]
+duration = 1.0
+{extra}"""
+
+
+def build_bare(plant="two-link", controller="none", trajectory="sinusoid", extra=""):
+    return build_scenario(load_config(BARE.format(
+        plant=plant, controller=controller, trajectory=trajectory, extra=extra)))
+
+
+class TestDefaultsStatedOnce:
+    """A key the file leaves out takes the default of the constructor it
+    feeds."""
+
+    def test_two_link(self):
+        plant = build_bare("two-link").plant
+        bare = two_link_plant(TwoLinkParams())
+        assert plant.params == TwoLinkParams()
+        assert plant.nominal.params == bare.nominal.params
+        assert (plant.disturbance_amp, plant.disturbance_freq) == \
+            (bare.disturbance_amp, bare.disturbance_freq)
+
+    def test_wmr_with_payload(self):
+        plant = build_bare("wmr", extra="\n[payload]\n").plant
+        bare = reduced_wmr_dynamics(WmrParams())
+        assert plant.params == WmrParams()
+        assert plant.nominal.params == bare.nominal.params
+        assert plant.payload == PayloadSchedule()
+        assert (plant.viscous, plant.disturbance_amp, plant.disturbance_freq) == \
+            (bare.viscous, bare.disturbance_amp, bare.disturbance_freq)
+
+    @pytest.mark.parametrize("kind, factory, attrs", [
+        ("point-mass", point_mass_plant, ("dim", "mass")),
+        ("oscillator", oscillator_plant, ("dim", "stiffness", "mass")),
+    ])
+    def test_simple_plants(self, kind, factory, attrs):
+        sc = build_bare(kind)
+        bare = factory()
+        assert [getattr(sc.plant, a) for a in attrs] == [getattr(bare, a) for a in attrs]
+        assert sc.trajectory.dim == bare.dim  # sinusoid lists sized to the plant
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("circle", CircleTrajectory()), ("wheel-ramp", WheelRampTrajectory()),
+    ])
+    def test_wmr_trajectories(self, kind, expected):
+        assert build_bare("wmr", trajectory=kind).trajectory == expected
+
+    def test_delay(self):
+        assert build_bare().delay == DelayProfile("constant")
+
+    def test_arolc(self):
+        cfg = build_bare(controller="arolc").arolc
+        bare = ArolcConfig(GainSet.identity(2))
+        names = ("alpha", "epsilon", "gamma", "c_hat_init", "switching")
+        assert [getattr(cfg, a) for a in names] == [getattr(bare, a) for a in names]
+
+    def test_c_hat_init_follows_the_files_gamma(self):
+        text = BARE.format(plant="two-link", controller="arolc\ngamma = 0.02",
+                           trajectory="sinusoid", extra="")
+        assert build_scenario(load_config(text)).arolc.c_hat_init == 0.02
+
+    @pytest.mark.parametrize("kind, h_estimate", [("pcon", None),
+                                                  ("pconf\nh_estimate = 0.05", 0.05)])
+    def test_pcon(self, kind, h_estimate):
+        sc = build_bare(controller=kind)
+        bare = PconConfig()
+        assert sc.controller == "pcon"
+        assert (sc.pcon.kappa, sc.pcon.k_b, sc.pcon.h_estimate) == \
+            (bare.kappa, bare.k_b, h_estimate)
+        np.testing.assert_array_equal(sc.pcon.vartheta, np.eye(2))
+
+    def test_gains(self):
+        gains = build_gains(load_config(BARE.format(
+            plant="two-link", controller="none", trajectory="sinusoid", extra="")), 2)
+        bare = GainSet.identity(2)
+        assert (gains.r, gains.beta) == (bare.r, bare.beta)
+        for name in ("K1", "K2", "Q"):
+            np.testing.assert_array_equal(getattr(gains, name), getattr(bare, name))
+
+    def test_sim(self):
+        sc = build_bare()
+        bare = Scenario(plant=sc.plant, trajectory=sc.trajectory)
+        names = ("dt", "dt_control", "q0", "qdot0", "control_mode")
+        assert [getattr(sc, a) for a in names] == [getattr(bare, a) for a in names]
+
+    def test_seeded_draws_pinned(self):
+        # the seed-0 draws: payload offsets first, then disturbance phases;
+        # drawing them in the other order changes both
+        text = (SHIPPED[0].parent / "wmr_s1_arolc.ini").read_text()
+        text = re.sub(r"(?m)^offsets\s*=.*$", "random_offsets = true", text)
+        text = re.sub(r"(?m)^viscous\s*=.*$", r"\g<0>\ndisturbance_amp = 0.3", text)
+        plant = build_scenario(load_config(text)).plant
+        assert plant.payload.offsets == (
+            (0.013696168732145436, -0.02302132862361297),
+            (-0.045902647606380534, -0.04834723644714709),
+            (0.031327023920027244, 0.04127555772777218),
+            (0.010663577576717986, 0.022949656098399843),
+            (0.004362499146542284, 0.04350724237877683),
+            (0.031585355412153224, -0.04972614998298519),
+            (0.03574042765875694, -0.046641442469453565),
+            (0.022965544642994412, -0.0324344379397441),
+        )
+        assert plant.phases.tolist() == [5.423513122375916, 3.402101183476623]
 
 
 class TestHashAndOverride:

@@ -487,6 +487,14 @@ class TestErrorDynamicsIdentity:
 
 
 class TestWarningsAndErrors:
+    @pytest.mark.parametrize("field", ["q0", "qdot0"])
+    def test_initial_state_of_wrong_length_rejected(self, field):
+        sc = free_scenario(**{field: np.zeros(3)})
+        with pytest.raises(ValueError, match=rf"^{field} must have 1 entries"):
+            sc.validate()
+        with pytest.raises(ValueError, match=rf"^{field} must have 1 entries"):
+            simulate(sc)
+
     def test_margin_warning(self):
         gains = GainSet.identity(2)
         sc = Scenario(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +26,12 @@ ARRAY_SPECS = ALL_SPECS + [
 
 
 class TestCircle:
+    @pytest.mark.parametrize("field", ["radius", "rate", "r_bar", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive"):
+            CircleTrajectory(**{field: value})
+
     def test_cartesian_start(self):
         x, y, x_dot, y_dot, _ = CircleTrajectory().cartesian(0.0)
         assert x == pytest.approx(0.1)
