@@ -17,8 +17,8 @@ from arolc import error_dynamics_residual, load_scenario, metrics_from_trace, si
 RESIDUAL_BOUND = 1e-4  # acceptance criterion 3
 
 sc = load_scenario("scenarios/two_link_s1_arolc.ini")
-print(f"scenario: two-link arm, controller={sc.controller}, delay={sc.delay.kind}, "
-      f"duration={sc.duration} s, dt={sc.dt} s")
+print(f"scenario: two-link arm, controller={type(sc.controller).__name__}, "
+      f"delay={sc.delay.kind}, duration={sc.duration} s, dt={sc.dt} s")
 
 trace = simulate(sc, diagnostics=True)
 report = metrics_from_trace(trace, sc.trajectory.diameter)

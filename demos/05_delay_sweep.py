@@ -15,7 +15,7 @@ from arolc import (
 )
 
 sc0 = load_scenario("scenarios/two_link_s1_arolc.ini")
-margin = delay_margin(sc0.arolc.gains)
+margin = delay_margin(sc0.controller.gains)
 print(f"delay margin for these gains: {margin * 1000:.1f} ms\n")
 print(f"{'h [ms]':>7s} {'AE joint 1':>11s} {'AE joint 2':>11s} {'sup ||e1|| tail':>16s}")
 

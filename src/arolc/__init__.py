@@ -17,6 +17,7 @@ from .controllers import (
     PconConfig,
     StepRecord,
     adapt_gain,
+    arolc_law,
     arolc_step,
     make_controller,
     nominal_control,

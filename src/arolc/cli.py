@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .controllers import ArolcConfig
 from .delays import max_delay
 from .metrics import metrics_from_trace, metrics_to_json
 from .scenario_io import (
@@ -98,7 +99,7 @@ def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
 def _cmd_bound(args) -> int:
     config = load_config(args.scenario)
     sc = build_scenario(config)
-    if sc.controller != "arolc" and "gains" not in config:
+    if not isinstance(sc.controller, ArolcConfig) and "gains" not in config:
         print("error: [gains] section required for bound", file=sys.stderr)
         return 2
     gains = build_gains(config, sc.plant.dim)

@@ -16,12 +16,13 @@ Two controllers are provided:
   the window (the pconf variant, spelled [controller] kind = pconf in
   scenario files).
 
-Every controller kind (arolc, pcon, none) is an object from
-make_controller(scenario, window) with one method the simulator calls per
-control period: step(t, q, q_dot, desired) -> StepRecord. The kinds allowed
-in continuous mode (arolc, none) also have law(t, q, q_dot, desired) -> tau,
-the torque at the current gain without adaptation. The objects only hold
-state; the laws stay the module functions arolc_step and pcon_step.
+make_controller(scenario) builds the object of scenario.controller's type
+(ArolcConfig, PconConfig, or None for zero torque) with one method the
+simulator calls per control period: step(t, q, q_dot, desired) ->
+StepRecord. Those allowed in continuous mode also have law(t, q, q_dot,
+desired) -> tau: arolc_law at the current gain, which adapts nothing. The
+objects hold state; arolc_step (arolc_law, then adapt_gain) and pcon_step
+stay module functions.
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -40,13 +41,14 @@ grows on estimator startup transients.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .delays import DelayBuffer, delay_at
-from .stability import GainSet, build_error_system
+from .delays import DelayBuffer, delay_at, history_window, max_delay
+from .stability import GainSet, build_error_system, delay_margin
 
 __all__ = [
     "ArolcConfig",
@@ -57,6 +59,7 @@ __all__ = [
     "nominal_control",
     "switching_control",
     "adapt_gain",
+    "arolc_law",
     "arolc_step",
     "pcon_step",
     "ArolcController",
@@ -180,33 +183,30 @@ class StepRecord(NamedTuple):
     state: ArolcState | None = None
 
 
-def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
-               cfg) -> StepRecord:
-    """Evaluate the control law at time t.
-
-    desired is the triple (qd, qd_dot, qd_ddot); nominal_model the pair
-    (Mhat(q), Nhat(q, q_dot)) already evaluated at the current state; dt the
-    control period, the Euler step of the gain adaptation.
-    Returns the full step record; record.state is the adapted state. The
-    switching term uses the pre-update gain; the adaptation result takes
-    effect on the next step.
-    """
+def arolc_law(c_hat, q, q_dot, desired, nominal_model, cfg):
+    """The adaptive-robust torque at gain c_hat, stateless. desired is the
+    triple (qd, qd_dot, qd_ddot); nominal_model the pair (Mhat(q),
+    Nhat(q, q_dot)) already evaluated at the current state. Returns the
+    step record (c_hat as given, no state) and the sliding variable s."""
     qd, qd_dot, qd_ddot = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
-    e = np.concatenate([e1, e1_dot])
-    s = sliding_variable(e, cfg)
+    s = sliding_variable(np.concatenate([e1, e1_dot]), cfg)
     u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
-    if cfg.switching:
-        du = switching_control(s, state.c_hat, cfg)
-    else:
-        du = np.zeros_like(u_hat)
-    new_state = adapt_gain(state, s, t, dt, cfg)
+    du = switching_control(s, c_hat, cfg) if cfg.switching else np.zeros_like(u_hat)
     u = u_hat + du
     m_hat, n_hat = nominal_model
     tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
-    return StepRecord(tau, new_state.c_hat, float(np.linalg.norm(s)),
-                      e1, e1_dot, u, du, new_state)
+    return StepRecord(tau, c_hat, float(np.linalg.norm(s)), e1, e1_dot, u, du), s
+
+
+def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
+               cfg) -> StepRecord:
+    """arolc_law at the current gain, then one adapt_gain step of length dt
+    (the control period); record.c_hat and record.state are the adapted ones."""
+    record, s = arolc_law(state.c_hat, q, q_dot, desired, nominal_model, cfg)
+    new_state = adapt_gain(state, s, t, dt, cfg)
+    return record._replace(c_hat=new_state.c_hat, state=new_state)
 
 
 @dataclass(frozen=True)
@@ -253,11 +253,18 @@ def pcon_step(buffer: DelayBuffer, h, q, q_dot, desired, t, cfg: PconConfig):
 class ArolcController:
     """Adaptive-robust law bound to a plant's nominal model, holding its state."""
 
-    def __init__(self, sc, window: float):
-        self.cfg = sc.arolc
+    def __init__(self, sc):
+        self.cfg = sc.controller
         self.plant = sc.plant
         self.dt = sc.dt_control
         self.state = self.cfg.initial_state()
+        margin = delay_margin(self.cfg.gains)
+        if max_delay(sc.delay) >= margin:
+            warnings.warn(
+                f"peak input delay {max_delay(sc.delay):.4g} s reaches the "
+                f"delay margin {margin:.4g} s; boundedness is not guaranteed",
+                stacklevel=4,  # the caller of simulate
+            )
 
     def _nominal(self, q, q_dot):
         return self.plant.nominal_mass_matrix(q), self.plant.nominal_bias_vector(q, q_dot)
@@ -270,18 +277,19 @@ class ArolcController:
 
     def law(self, t, q, q_dot, desired) -> np.ndarray:
         """Torque at the current gain, leaving the adaptive state untouched."""
-        return arolc_step(ArolcState(self.state.c_hat), q, q_dot, desired,
-                          self._nominal(q, q_dot), t, self.dt, self.cfg).tau
+        return arolc_law(self.state.c_hat, q, q_dot, desired,
+                         self._nominal(q, q_dot), self.cfg)[0].tau
 
 
 class PconController:
     """Predictor baseline with its own input history, integrated over the
     true delay h(t) or over the fixed window cfg.h_estimate."""
 
-    def __init__(self, sc, window: float):
-        self.cfg = sc.pcon
+    def __init__(self, sc):
+        self.cfg = sc.controller
         self.profile = sc.delay
-        self.history = DelayBuffer(window=window, dim=sc.plant.dim)
+        h = max_delay(self.profile) if self.cfg.h_estimate is None else self.cfg.h_estimate
+        self.history = DelayBuffer(history_window(h, sc.dt_control), dim=sc.plant.dim)
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         h = self.cfg.h_estimate
@@ -291,9 +299,9 @@ class PconController:
 
 
 class ZeroController:
-    """kind = none: the plant runs open loop under zero torque."""
+    """No controller config: the plant runs open loop under zero torque."""
 
-    def __init__(self, sc, window: float):
+    def __init__(self, sc):
         self.n = sc.plant.dim
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
@@ -303,13 +311,13 @@ class ZeroController:
         return np.zeros(self.n)
 
 
-_CONTROLLERS = {"arolc": ArolcController, "pcon": PconController,
-                "none": ZeroController}
+_CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,
+                type(None): ZeroController}
 
 
-def make_controller(sc, window: float):
-    """Controller of kind sc.controller; window sizes any input history it keeps."""
-    return _CONTROLLERS[sc.controller](sc, window)
+def make_controller(sc):
+    """The controller object of sc.controller's config type."""
+    return _CONTROLLERS[type(sc.controller)](sc)
 
 
 def uncertainty_residual(q, q_dot, q_h, q_dot_h, u_h, qdd_d, qdd_d_h,

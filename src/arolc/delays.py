@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DelayProfile", "delay_at", "max_delay", "DelayBuffer"]
+__all__ = ["DelayProfile", "delay_at", "max_delay", "history_window", "DelayBuffer"]
 
 _PROFILE_KINDS = ("S1", "S2", "S3", "S4", "constant", "custom", "none")
 
@@ -79,6 +79,11 @@ def max_delay(profile: DelayProfile) -> float:
     if kind == "custom":
         return profile.a + profile.b
     return 0.0
+
+
+def history_window(lookback: float, dt_control: float) -> float:
+    """DelayBuffer window for reads up to lookback s behind the newest push."""
+    return lookback + 5.0 * dt_control + 0.05
 
 
 class DelayBuffer:

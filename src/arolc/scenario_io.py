@@ -217,14 +217,18 @@ def _gain_matrix(section, sec_name, key, n):
 
 @contextmanager
 def _section(name):
-    """Report a constructor's ValueError as a ScenarioError of [name]; a
-    ScenarioError already names its entry and passes through unchanged."""
+    """Report a constructor's ValueError as a ScenarioError of [name], in
+    the file's spelling: the leading argument name lowercased, as
+    configparser reads keys, and Scenario.dt_control as its key control_dt.
+    A ScenarioError already names its entry and passes through unchanged."""
     try:
         yield
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"[{name}] {exc}") from exc
+        field, sep, rest = str(exc).partition(" ")
+        message = (field.lower() + sep + rest).replace("dt_control", "control_dt")
+        raise ScenarioError(f"[{name}] {message}") from exc
 
 
 def _random_offsets(payload) -> bool:
@@ -321,7 +325,7 @@ def _reject_ignored_keys(config) -> None:
 
 
 def _build_controller(sec, gains, n):
-    """(kind, ArolcConfig or None, PconConfig or None) of [controller]."""
+    """The controller config of [controller]: None for kind = none."""
     kind = sec["kind"].strip().lower()
     if kind == "arolc":
         args = _given(sec, "controller", _AROLC)
@@ -329,16 +333,15 @@ def _build_controller(sec, gains, n):
             args.setdefault("c_hat_init", args["gamma"])
         if "switching" in sec:
             args["switching"] = _bval(sec, "controller", "switching")
-        return kind, ArolcConfig(gains, **args), None
+        return ArolcConfig(gains, **args)
     if kind in ("pcon", "pconf"):
         # pconf is the file spelling of pcon with a fixed integral window
         if kind == "pconf" and "h_estimate" not in sec:
             raise ScenarioError("missing key [controller] h_estimate")
-        return "pcon", None, PconConfig(
-            vartheta=_gain_matrix(sec, "controller", "vartheta", n),
-            **_given(sec, "controller", _PCON))
+        return PconConfig(vartheta=_gain_matrix(sec, "controller", "vartheta", n),
+                          **_given(sec, "controller", _PCON))
     if kind == "none":
-        return kind, None, None
+        return None
     raise ScenarioError(f"unknown controller kind: [controller] kind = "
                         f"{sec['kind']!r}")
 
@@ -377,8 +380,7 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
     # built for every kind, so that a bad [gains] section is never ignored
     gains = build_gains(config, plant.dim)
     with _section("controller"):
-        kind, arolc_cfg, pcon_cfg = _build_controller(config["controller"], gains,
-                                                      plant.dim)
+        controller = _build_controller(config["controller"], gains, plant.dim)
 
     with _section("sim"):
         q0 = _flist(sim, "sim", "q0") if "q0" in sim else ()
@@ -399,9 +401,7 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
             plant=plant,
             trajectory=trajectory,
             delay=delay,
-            controller=kind,
-            arolc=arolc_cfg,
-            pcon=pcon_cfg,
+            controller=controller,
             q0=np.asarray(q0, float) if q0 else None,
             qdot0=np.asarray(qdot0, float) if qdot0 else None,
             label=label,

@@ -43,22 +43,20 @@ history and the per-command controller quantities that the trace rows do
 not hold (e1_dot, u, du), which ``error_dynamics_residual`` reads with the
 rows to check the delayed error-dynamics identity offline.
 
-The controller kinds are arolc, pcon (with a fixed or the true-delay
-window, see ``PconConfig.h_estimate``) and none.
+``Scenario.controller`` is an ArolcConfig, a PconConfig (with a fixed or the
+true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
-from .delays import DelayBuffer, DelayProfile, delay_at, max_delay
+from .delays import DelayBuffer, DelayProfile, delay_at, history_window, max_delay
 from .plants import PlantModel
-from .stability import delay_margin
 
 __all__ = [
     "Scenario",
@@ -103,9 +101,7 @@ class Scenario:
     plant: PlantModel
     trajectory: object
     delay: DelayProfile = field(default_factory=lambda: DelayProfile("none"))
-    controller: str = "none"  # arolc | pcon | none
-    arolc: ArolcConfig | None = None
-    pcon: PconConfig | None = None
+    controller: ArolcConfig | PconConfig | None = None  # None: zero torque
     duration: float = 10.0
     dt: float = 1e-4
     dt_control: float = 1e-2
@@ -123,8 +119,11 @@ class Scenario:
         steps = round(self.dt_control / self.dt)
         if steps < 1 or abs(steps * self.dt - self.dt_control) > 1e-9 * self.dt_control:
             raise ValueError("dt_control must be an integer multiple of dt")
+        periods = _n_periods(self)
+        if abs(periods * self.dt_control - self.duration) > 1e-9 * self.duration:
+            raise ValueError("duration must be an integer multiple of dt_control")
         n = self.plant.dim
-        rows, max_rows = _n_periods(self) + 1, _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
+        rows, max_rows = periods + 1, _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
         if rows > max_rows:
             raise ValueError(
                 f"duration = {self.duration:g} s needs {rows} trace rows at "
@@ -140,18 +139,15 @@ class Scenario:
             if value is not None and np.shape(value) != (n,):
                 raise ValueError(f"{name} must have {n} entries, one per plant "
                                  f"coordinate, got shape {np.shape(value)}")
-        if self.controller not in ("arolc", "pcon", "none"):
-            raise ValueError(f"unknown controller kind {self.controller!r}")
-        if self.controller == "arolc" and self.arolc is None:
-            raise ValueError("arolc controller requires an ArolcConfig")
-        if self.controller == "pcon" and self.pcon is None:
-            raise ValueError("pcon controller requires a PconConfig")
+        if not isinstance(self.controller, (ArolcConfig, PconConfig, type(None))):
+            raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
+                             f"None, got {type(self.controller).__name__}")
         if self.control_mode not in ("sampled", "continuous"):
             raise ValueError(f"unknown control mode {self.control_mode!r}")
         if self.control_mode == "continuous" and max_delay(self.delay) > 0.0:
             raise ValueError("continuous control mode requires zero delay")
-        if self.control_mode == "continuous" and self.controller == "pcon":
-            raise ValueError("continuous control mode supports arolc or none")
+        if self.control_mode == "continuous" and isinstance(self.controller, PconConfig):
+            raise ValueError("continuous control mode needs an ArolcConfig or None")
 
 
 @dataclass
@@ -193,7 +189,7 @@ class Trace:
 
 
 def _n_periods(sc: Scenario) -> int:
-    return max(1, round(sc.duration / sc.dt_control))
+    return round(sc.duration / sc.dt_control)
 
 
 def _stage_times(t_k, steps, dt):
@@ -242,24 +238,13 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             f"[sim] duration = {sc.duration:g} s needs {n_fine} diagnostics rows at "
             f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
-    if sc.controller == "arolc":
-        margin = delay_margin(sc.arolc.gains)
-        if max_delay(profile) >= margin:
-            warnings.warn(
-                f"peak input delay {max_delay(profile):.4g} s reaches the "
-                f"delay margin {margin:.4g} s; boundedness is not guaranteed",
-                stacklevel=2,
-            )
-
     qd0 = trajectory(0.0)[0]
     q = np.array(sc.q0, dtype=float) if sc.q0 is not None else np.asarray(qd0, float).copy()
     q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
     y = q.tolist() + q_dot.tolist()
 
-    fixed_h = sc.pcon.h_estimate if sc.controller == "pcon" else None
-    window = max(max_delay(profile), fixed_h or 0.0) + 5.0 * sc.dt_control + 0.05
-    buf = DelayBuffer(window=window, dim=n)
-    controller = make_controller(sc, window)
+    buf = DelayBuffer(window=history_window(max_delay(profile), sc.dt_control), dim=n)
+    controller = make_controller(sc)
     sampled = sc.control_mode == "sampled"
 
     accel = plant.accel  # as bound on the instance, wrappers included
@@ -422,12 +407,12 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     """
     if trace.fine is None:
         raise ValueError("error_dynamics_residual needs a diagnostics trace")
-    if sc.controller != "arolc" or sc.arolc is None:
+    if not isinstance(sc.controller, ArolcConfig):
         raise ValueError("the identity applies to adaptive-robust runs")
     if not 0.0 <= warmup < math.inf:
         raise ValueError(f"warmup must be finite and nonnegative, got {warmup!r}")
     fine = trace.fine
-    cfg = sc.arolc
+    cfg = sc.controller
     plant = sc.plant
     times = fine.t
     dt = times[1] - times[0]

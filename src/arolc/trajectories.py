@@ -48,6 +48,15 @@ def _constant_rates(rates, t):
     return qd, qd_dot, np.zeros(qd.shape)
 
 
+def _check_diameter(traj) -> None:
+    """The diameter that percent errors divide by must be positive."""
+    if not 0.0 <= traj.path_diameter < math.inf:
+        raise ValueError("path_diameter must be finite and nonnegative")
+    if not traj.diameter > 0.0:
+        raise ValueError("path_diameter must be positive: the trajectory "
+                         "gives no default diameter")
+
+
 @dataclass(frozen=True)
 class SinusoidTrajectory:
     """qd_i(t) = offset_i + amplitude_i * sin(frequency_i * t + phase_i)."""
@@ -56,7 +65,7 @@ class SinusoidTrajectory:
     frequency: tuple[float, ...] = (0.5, 0.7)
     phase: tuple[float, ...] | None = None
     offset: tuple[float, ...] | None = None
-    path_diameter: float = 0.0  # 0 -> default 2 * max amplitude
+    path_diameter: float = 0.0  # 0 -> default 2 * max |amplitude|
 
     @property
     def dim(self) -> int:
@@ -65,7 +74,7 @@ class SinusoidTrajectory:
     @property
     def diameter(self) -> float:
         return self.path_diameter if self.path_diameter > 0 \
-            else 2.0 * max(self.amplitude)
+            else 2.0 * max(map(abs, self.amplitude))
 
     def __post_init__(self):
         # the coefficients as read-only float arrays, built once
@@ -77,6 +86,7 @@ class SinusoidTrajectory:
         if not amp.shape == freq.shape == phase.shape == offset.shape == (self.dim,):
             raise ValueError("amplitude, frequency, phase and offset need one "
                              "entry per coordinate")
+        _check_diameter(self)
         for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp * freq),
                             ("_neg_amp_freq2", -amp * freq ** 2), ("_phase", phase),
                             ("_offset", offset)):
@@ -120,6 +130,7 @@ class CircleTrajectory:
         for name in ("radius", "rate", "r_bar", "b"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        _check_diameter(self)
 
     @property
     def diameter(self) -> float:
@@ -152,6 +163,9 @@ class WheelRampTrajectory:
     path_diameter: float = 2.5
 
     dim = 2
+
+    def __post_init__(self):
+        _check_diameter(self)
 
     def __call__(self, t):
         return _constant_rates(np.array([self.rate_r, self.rate_l]), t)

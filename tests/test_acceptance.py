@@ -91,10 +91,10 @@ def test_criterion_4_uub():
     sc = load_scenario("scenarios/two_link_s1_arolc.ini")
     sc.duration = 60.0
     sc.dt = 1e-3
-    margin = delay_margin(sc.arolc.gains)
+    margin = delay_margin(sc.controller.gains)
     assert max_delay(sc.delay) < margin
     trace = simulate(sc)
-    gamma = sc.arolc.gamma
+    gamma = sc.controller.gamma
     half = len(trace) // 2
     e1_dot = np.array([sc.trajectory(float(t))[1] for t in trace.t]) - trace.q_dot
     e_norm = np.linalg.norm(np.hstack([trace.e1, e1_dot]), axis=1)[half:]
@@ -173,7 +173,7 @@ def test_criterion_8_integrator_order():
         return Scenario(
             plant=oscillator_plant(stiffness=1.0, mass=1.0),
             trajectory=SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,)),
-            delay=DelayProfile("none"), controller="none",
+            delay=DelayProfile("none"),
             duration=duration, dt=dt, dt_control=1e-2,
             q0=np.array([1.0]), qdot0=np.array([0.0]),
         )
@@ -197,7 +197,7 @@ def test_criterion_9_linear_closed_loop_oracle():
     traj = SinusoidTrajectory(amplitude=(0.5,), frequency=(0.8,))
     sc = Scenario(
         plant=point_mass_plant(1), trajectory=traj,
-        delay=DelayProfile("none"), controller="arolc", arolc=cfg,
+        delay=DelayProfile("none"), controller=cfg,
         duration=5.0, dt=1e-4, dt_control=1e-2,
         control_mode="continuous",
         q0=np.array([traj(0.0)[0][0] - 1.0]),

@@ -206,25 +206,42 @@ class TestSimulate:
 
 
 class TestOutOfRange:
-    """A value the constructor rejects exits 2 naming [section] key."""
+    """A value the constructor rejects exits 2 naming [section] key, the
+    key's spelling in the file."""
 
-    @pytest.mark.parametrize("base, section, entry", [
-        ("scenarios/two_link_s1_arolc.ini", "plant", "m1 = -1"),
-        ("scenarios/two_link_s1_arolc.ini", "plant", "mismatch = 1.5"),
-        ("scenarios/wmr_s1_arolc.ini", "plant", "d = 0.5"),
-        ("scenarios/wmr_s1_arolc.ini", "plant", "viscous = -5"),
-        (POINT_MASS, "plant", "n = 0"),
+    ARM = "scenarios/two_link_s1_arolc.ini"
+    WMR = "scenarios/wmr_s1_arolc.ini"
+    RAMP = POINT_MASS.replace("kind = point-mass", "kind = point-mass\nn = 2") \
+                     .replace("kind = sinusoid", "kind = wheel-ramp")
+
+    @pytest.mark.parametrize("base, section, entry, key", [
+        (ARM, "plant", "m1 = -1", "m1"),
+        (ARM, "plant", "mismatch = 1.5", "mismatch"),
+        (WMR, "plant", "d = 0.5", "d"),
+        (WMR, "plant", "viscous = -5", "viscous"),
+        (POINT_MASS, "plant", "n = 0", "n"),
         (POINT_MASS.replace("kind = point-mass", "kind = oscillator"), "plant",
-         "stiffness = -1"),
-        ("scenarios/wmr_s1_arolc.ini", "payload", "period_on = 0"),
-        ("scenarios/wmr_s1_arolc.ini", "trajectory", "radius = -1"),
-        ("scenarios/two_link_s1_arolc.ini", "sim", "q0 = 0.1 0.2 0.3"),
+         "stiffness = -1", "stiffness"),
+        (WMR, "payload", "period_on = 0", "period_on"),
+        (WMR, "trajectory", "radius = -1", "radius"),
+        (ARM, "sim", "q0 = 0.1 0.2 0.3", "q0"),
+        (ARM, "sim", "control_dt = 0", "control_dt"),
+        (WMR, "plant", "i_bar = -1", "i_bar"),
+        (ARM, "plant", "i1 = -1", "i1"),
+        (POINT_MASS, "trajectory", "amplitude = 0", "path_diameter"),
+        (POINT_MASS, "trajectory", "path_diameter = -1", "path_diameter"),
+        (RAMP, "trajectory", "path_diameter = 0", "path_diameter"),
+        (ARM, "sim", "duration = 0.015", "duration"),
+        (ARM, "sim", "duration = 0.004", "duration"),
     ], ids=["arm-m1", "arm-mismatch", "wmr-d", "wmr-viscous", "pm-n",
-            "osc-stiffness", "payload-period_on", "circle-radius", "arm-q0"])
-    def test_rejected_naming_the_key(self, base, section, entry, tmp_path, capsys):
-        key = entry.split(" = ")[0]
+            "osc-stiffness", "payload-period_on", "circle-radius", "arm-q0",
+            "arm-control_dt", "wmr-i_bar", "arm-i1", "sinusoid-flat",
+            "sinusoid-negative-diameter", "ramp-zero-diameter", "duration-0.015",
+            "duration-0.004"])
+    def test_rejected_naming_the_key(self, base, section, entry, key, tmp_path, capsys):
         text = base if base.startswith("\n") else Path(base).read_text()
-        text = re.sub(rf"(?m)^{key}\s*=.*\n", "", text)
+        entry_key = entry.split(" = ")[0]
+        text = re.sub(rf"(?m)^{entry_key}\s*=.*\n", "", text)
         path = tmp_path / "bad.ini"
         path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n"))
         assert main(["bound", str(path)]) == 2

@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from arolc import controllers
 from arolc.controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
     adapt_gain,
+    arolc_law,
     arolc_step,
     make_controller,
     nominal_control,
@@ -260,27 +262,30 @@ class TestControllerProtocol:
     Q = np.array([0.1, -0.2])
     Q_DOT = np.array([0.3, 0.05])
 
-    def scenario(self, kind, h_estimate=None, **kwargs):
+    def scenario(self, kind, h_estimate=None, delay="S1", **kwargs):
+        controller = {
+            "arolc": ArolcConfig(self.GAINS),
+            "pcon": PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0,
+                               h_estimate=h_estimate),
+            "none": None,
+        }[kind]
         return Scenario(
             plant=two_link_plant(TwoLinkParams(), mismatch=0.2),
-            trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
-            controller=kind, arolc=ArolcConfig(self.GAINS),
-            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0,
-                            h_estimate=h_estimate),
-            **kwargs,
+            trajectory=SinusoidTrajectory(), delay=DelayProfile(delay),
+            controller=controller, **kwargs,
         )
 
     def test_arolc_step_matches_free_function(self):
         sc = self.scenario("arolc")
-        ctrl = make_controller(sc, window=1.0)
-        state = sc.arolc.initial_state()
+        ctrl = make_controller(sc)
+        state = sc.controller.initial_state()
         nominal = (sc.plant.nominal_mass_matrix(self.Q),
                    sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
         for k in range(3):
             t = 0.01 * k
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t), nominal, t,
-                             sc.dt_control, sc.arolc)
+                             sc.dt_control, sc.controller)
             state = ref.state
             np.testing.assert_array_equal(rec.tau, ref.tau)
             np.testing.assert_array_equal(rec.du, ref.du)
@@ -291,40 +296,65 @@ class TestControllerProtocol:
     def test_pcon_step_matches_free_function(self, kind):
         # pconf: the fixed-window variant, h_estimate set
         sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None)
-        ctrl = make_controller(sc, window=1.0)
+        ctrl = make_controller(sc)
         buffer = DelayBuffer(window=1.0, dim=2)
         for k in range(5):
             t = 0.01 * k
             h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
-            ref = pcon_step(buffer, h, self.Q, self.Q_DOT, sc.trajectory(t), t, sc.pcon)
+            ref = pcon_step(buffer, h, self.Q, self.Q_DOT, sc.trajectory(t), t,
+                            sc.controller)
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             np.testing.assert_array_equal(rec.tau, ref)
             assert (rec.c_hat, rec.s_norm, rec.e1) == (0.0, 0.0, None)
         assert ctrl.history.times == buffer.times
 
+    def test_pconf_window_beyond_peak_delay(self):
+        # h_estimate 0.2 s over S3's 0.06 s peak: the controller's history
+        # must reach back over its own window, not the profile's
+        sc = self.scenario("pcon", h_estimate=0.2, delay="S3", duration=1.0, dt=1e-3)
+        trace = simulate(sc)
+        buffer = DelayBuffer(window=10.0, dim=2)
+        for k, t in enumerate(trace.t):
+            ref = pcon_step(buffer, 0.2, trace.q[k], trace.q_dot[k],
+                            sc.trajectory(float(t)), float(t), sc.controller)
+            np.testing.assert_array_equal(trace.tau_cmd[k], ref)
+        assert buffer.times[0] < trace.t[-1] - 0.9  # nothing pruned
+
     def test_none_commands_zero(self):
-        ctrl = make_controller(self.scenario("none"), window=1.0)
+        ctrl = make_controller(self.scenario("none"))
         rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
         np.testing.assert_array_equal(rec.tau, np.zeros(2))
         np.testing.assert_array_equal(ctrl.law(0.0, self.Q, self.Q_DOT, None), np.zeros(2))
 
-    def test_law_does_not_adapt(self):
+    def test_law_does_not_adapt(self, monkeypatch):
         sc = self.scenario("arolc")
-        ctrl = make_controller(sc, window=1.0)
+        ctrl = make_controller(sc)
         traj = sc.trajectory
         ctrl.step(0.0, self.Q, self.Q_DOT, traj(0.0))
         ctrl.step(0.01, self.Q + 0.1, self.Q_DOT, traj(0.01))
         before = ctrl.state
         c_hat, s_prev = before.c_hat, before.s_prev.copy()
+
+        def no_adaptation(*args):
+            raise AssertionError("the law reached adapt_gain")
+
+        monkeypatch.setattr(controllers, "adapt_gain", no_adaptation)
         tau = ctrl.law(0.013, self.Q, self.Q_DOT, traj(0.013))
+        monkeypatch.undo()
         assert ctrl.state is before
         assert ctrl.state.c_hat == c_hat
         np.testing.assert_array_equal(ctrl.state.s_prev, s_prev)
         nominal = (sc.plant.nominal_mass_matrix(self.Q),
                    sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
-        ref = arolc_step(ArolcState(before.c_hat), self.Q, self.Q_DOT, traj(0.013),
-                         nominal, 0.013, sc.dt_control, sc.arolc)
-        np.testing.assert_array_equal(tau, ref.tau)
+        law, s = arolc_law(c_hat, self.Q, self.Q_DOT, traj(0.013), nominal, sc.controller)
+        np.testing.assert_array_equal(tau, law.tau)
+        assert (law.c_hat, law.state) == (c_hat, None)
+        # a step at the same gain commands the law's torque, then adapts on its s
+        step = arolc_step(before, self.Q, self.Q_DOT, traj(0.013), nominal, 0.013,
+                          sc.dt_control, sc.controller)
+        np.testing.assert_array_equal(step.tau, tau)
+        np.testing.assert_array_equal(step.state.s_prev, s)
+        assert step.c_hat == step.state.c_hat != c_hat
 
 
 class TestArolcRunReadsScenario:
@@ -336,12 +366,12 @@ class TestArolcRunReadsScenario:
         return Scenario(
             plant=two_link_plant(TwoLinkParams(), mismatch=0.2),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
-            controller="arolc", arolc=ArolcConfig(gains, c_hat_init=0.5), **kwargs)
+            controller=ArolcConfig(gains, c_hat_init=0.5), **kwargs)
 
     def test_adaptation_steps_at_control_period(self):
         sc = self.scenario(GainSet.identity(2), duration=0.3, dt=1e-4, dt_control=1e-3)
         trace = simulate(sc)
-        cfg = sc.arolc
+        cfg = sc.controller
         state = cfg.initial_state()
         expected = []
         for k, t in enumerate(trace.t):

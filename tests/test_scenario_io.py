@@ -97,7 +97,7 @@ class TestBuildScenario:
     def test_minimal(self):
         sc = build_scenario(load_config(MINIMAL))
         assert sc.plant.dim == 1
-        assert sc.controller == "none"
+        assert sc.controller is None
         assert sc.duration == 1.0
 
     def test_bad_number_names_key(self):
@@ -154,9 +154,10 @@ class TestBuildScenario:
 
     def test_pconf_is_pcon_with_fixed_window(self):
         sc = load_scenario(SHIPPED[0].parent / "wmr_s3_pconf.ini")
-        assert sc.controller == "pcon"
-        assert sc.pcon.h_estimate == 0.06
-        assert load_scenario(SHIPPED[0].parent / "wmr_s1_pcon.ini").pcon.h_estimate is None
+        assert isinstance(sc.controller, PconConfig)
+        assert sc.controller.h_estimate == 0.06
+        s1 = load_scenario(SHIPPED[0].parent / "wmr_s1_pcon.ini")
+        assert s1.controller.h_estimate is None
 
     def test_rolling_start(self):
         cfg = load_config(MINIMAL + "\nstart = rolling\n")
@@ -182,9 +183,9 @@ class TestBuildScenario:
 
     def test_shipped_scenarios_build(self):
         sc = load_scenario("scenarios/wmr_s1_arolc.ini")
-        assert sc.controller == "arolc"
+        assert isinstance(sc.controller, ArolcConfig)
         assert sc.plant.dim == 2
-        assert sc.arolc.c_hat_init == pytest.approx(0.5)
+        assert sc.controller.c_hat_init == pytest.approx(0.5)
 
     @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
     def test_every_shipped_scenario_passes_the_key_rules(self, path):
@@ -277,7 +278,7 @@ class TestDefaultsStatedOnce:
         assert build_bare().delay == DelayProfile("constant")
 
     def test_arolc(self):
-        cfg = build_bare(controller="arolc").arolc
+        cfg = build_bare(controller="arolc").controller
         bare = ArolcConfig(GainSet.identity(2))
         names = ("alpha", "epsilon", "gamma", "c_hat_init", "switching")
         assert [getattr(cfg, a) for a in names] == [getattr(bare, a) for a in names]
@@ -285,17 +286,16 @@ class TestDefaultsStatedOnce:
     def test_c_hat_init_follows_the_files_gamma(self):
         text = BARE.format(plant="two-link", controller="arolc\ngamma = 0.02",
                            trajectory="sinusoid", extra="")
-        assert build_scenario(load_config(text)).arolc.c_hat_init == 0.02
+        assert build_scenario(load_config(text)).controller.c_hat_init == 0.02
 
     @pytest.mark.parametrize("kind, h_estimate", [("pcon", None),
                                                   ("pconf\nh_estimate = 0.05", 0.05)])
     def test_pcon(self, kind, h_estimate):
-        sc = build_bare(controller=kind)
+        cfg = build_bare(controller=kind).controller
         bare = PconConfig()
-        assert sc.controller == "pcon"
-        assert (sc.pcon.kappa, sc.pcon.k_b, sc.pcon.h_estimate) == \
-            (bare.kappa, bare.k_b, h_estimate)
-        np.testing.assert_array_equal(sc.pcon.vartheta, np.eye(2))
+        assert isinstance(cfg, PconConfig)
+        assert (cfg.kappa, cfg.k_b, cfg.h_estimate) == (bare.kappa, bare.k_b, h_estimate)
+        np.testing.assert_array_equal(cfg.vartheta, np.eye(2))
 
     def test_gains(self):
         gains = build_gains(load_config(BARE.format(

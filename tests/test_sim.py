@@ -41,7 +41,6 @@ def free_scenario(**kwargs):
         plant=point_mass_plant(1),
         trajectory=ZERO_TRAJ,
         delay=DelayProfile("none"),
-        controller="none",
         duration=2.0,
         dt=1e-3,
         dt_control=1e-2,
@@ -67,7 +66,6 @@ class TestOscillator:
             plant=oscillator_plant(stiffness=1.0, mass=1.0),
             trajectory=ZERO_TRAJ,
             delay=DelayProfile("none"),
-            controller="none",
             duration=5.0,
             dt=dt,
             dt_control=1e-2,
@@ -99,8 +97,7 @@ class TestLinearClosedLoop:
             plant=point_mass_plant(1),
             trajectory=traj,
             delay=DelayProfile("none"),
-            controller="arolc",
-            arolc=cfg,
+            controller=cfg,
             duration=5.0,
             dt=1e-4,
             dt_control=1e-2,
@@ -131,7 +128,6 @@ class TestEnergyConservation:
             trajectory=SinusoidTrajectory(amplitude=(1e-12, 1e-12),
                                           frequency=(1.0, 1.0)),
             delay=DelayProfile("none"),
-            controller="none",
             duration=10.0,
             dt=1e-4,
             dt_control=1e-2,
@@ -156,7 +152,7 @@ class TestZeroDelayDecay:
         traj = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
         sc = Scenario(
             plant=point_mass_plant(1), trajectory=traj,
-            delay=DelayProfile("none"), controller="arolc", arolc=cfg,
+            delay=DelayProfile("none"), controller=cfg,
             duration=10.0, dt=1e-3, dt_control=1e-2,
             control_mode="continuous",
             q0=np.array([-1.0]), qdot0=np.array([0.0]),
@@ -177,8 +173,7 @@ class TestDeterminism:
                                  disturbance_amp=0.1),
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S1"),
-            controller="arolc",
-            arolc=ArolcConfig(gains),
+            controller=ArolcConfig(gains),
             duration=1.0,
             dt=1e-3,
             dt_control=1e-2,
@@ -215,8 +210,7 @@ class TestCausality:
         base = dict(
             plant=two_link_plant(TwoLinkParams(), mismatch=0.1),
             delay=DelayProfile("S1"),
-            controller="arolc",
-            arolc=ArolcConfig(gains),
+            controller=ArolcConfig(gains),
             duration=1.0,
             dt=1e-3,
             dt_control=1e-2,
@@ -256,8 +250,8 @@ class TestActuatorModel:
         trace = simulate(Scenario(
             plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("S1"),
-            controller=kind, arolc=ArolcConfig(gains),
-            pcon=PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0),
+            controller={"arolc": ArolcConfig(gains),
+                        "pcon": PconConfig(kappa=2.0, vartheta=np.eye(2), k_b=3.0)}[kind],
             duration=1.0, dt=1e-3, dt_control=1e-2,
         ))
         assert np.abs(trace.tau_cmd).max() > 0.1
@@ -329,7 +323,7 @@ class TestPinnedTraces:
             plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2,
                                  disturbance_amp=0.05),
             trajectory=SinusoidTrajectory(), delay=DelayProfile("none"),
-            controller=kind, arolc=ArolcConfig(gains),
+            controller=ArolcConfig(gains) if kind == "arolc" else None,
             duration=1.0, dt=1e-3, dt_control=1e-2, control_mode="continuous"))
         assert self.digest(trace) == self.CONTINUOUS_DIGESTS[kind]
 
@@ -340,7 +334,7 @@ def reference_residual(trace, sc, warmup=0.5):
     command records, blended with the actuator's weight (the last record
     after the last command)."""
     fine = trace.fine
-    cfg = sc.arolc
+    cfg = sc.controller
     times = fine.t
     dt = times[1] - times[0]
     qd_dot_d = np.array([sc.trajectory(float(t))[1] for t in times])
@@ -382,7 +376,7 @@ def _arolc_scenario(plant, trajectory, delay, **kwargs):
     defaults = dict(duration=1.0, dt=1e-3, dt_control=1e-2)
     defaults.update(kwargs)
     return Scenario(plant=plant, trajectory=trajectory, delay=delay,
-                    controller="arolc", arolc=ArolcConfig(gains), **defaults)
+                    controller=ArolcConfig(gains), **defaults)
 
 
 RESIDUAL_SCENARIOS = {
@@ -474,8 +468,7 @@ class TestErrorDynamicsIdentity:
             plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S1"),
-            controller="arolc",
-            arolc=ArolcConfig(gains),
+            controller=ArolcConfig(gains),
             duration=2.0,
             dt=1e-4,
             dt_control=1e-2,
@@ -501,8 +494,7 @@ class TestWarningsAndErrors:
             plant=two_link_plant(TwoLinkParams()),
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S2"),  # peak 0.125 s >= margin 0.1249 s
-            controller="arolc",
-            arolc=ArolcConfig(gains),
+            controller=ArolcConfig(gains),
             duration=0.1,
             dt=1e-3,
             dt_control=1e-2,
@@ -513,6 +505,13 @@ class TestWarningsAndErrors:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             simulate(free_scenario(duration=0.0))
+
+    @pytest.mark.parametrize("controller", ["arolc", GainSet.identity(1)],
+                             ids=["kind-string", "gain-set"])
+    def test_controller_must_be_a_config(self, controller):
+        with pytest.raises(ValueError, match="^controller must be an ArolcConfig, "
+                                             "a PconConfig or None, got"):
+            free_scenario(controller=controller).validate()
 
     @pytest.mark.parametrize("field", ["duration", "dt", "dt_control"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -543,8 +542,7 @@ class TestWarningsAndErrors:
             plant=two_link_plant(TwoLinkParams()),
             trajectory=SinusoidTrajectory(),
             delay=DelayProfile("S4"),
-            controller="pcon",
-            pcon=PconConfig(kappa=50.0, vartheta=np.eye(2), k_b=2000.0),
+            controller=PconConfig(kappa=50.0, vartheta=np.eye(2), k_b=2000.0),
             duration=20.0,
             dt=1e-3,
             dt_control=1e-2,

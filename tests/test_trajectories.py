@@ -79,6 +79,8 @@ class TestSinusoid:
 
     def test_default_diameter(self):
         assert SinusoidTrajectory(amplitude=(0.5, 0.3)).diameter == pytest.approx(1.0)
+        # a negative amplitude is a phase shift: its magnitude sets the diameter
+        assert SinusoidTrajectory(amplitude=(-0.5, 0.3)).diameter == pytest.approx(1.0)
 
     @pytest.mark.parametrize("entries", [{"frequency": (0.5,)}, {"phase": (0.0, 0.1, 0.2)},
                                          {"offset": (1.0,)}, {"frequency": ((0.5, 0.7),)}],
