@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delays import DelayBuffer, delay_at, history_window, max_delay
+from .delays import DelayBuffer, delay_at, max_delay
 from .stability import GainSet, build_error_system, delay_margin
 
 __all__ = [
@@ -240,10 +240,7 @@ def pcon_step(buffer: DelayBuffer, h, q, q_dot, desired, t, cfg: PconConfig):
     qd, qd_dot, _ = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
-    if len(buffer) > 0:
-        e_z = buffer.integrate(t - h, t)
-    else:
-        e_z = np.zeros_like(e1)
+    e_z = buffer.integrate(t - h, t)  # zero while the buffer is empty
     rho = e1_dot + cfg.kappa * e1 - cfg.vartheta @ e_z
     tau = cfg.k_b * rho
     buffer.push(t, tau)
@@ -288,8 +285,7 @@ class PconController:
     def __init__(self, sc):
         self.cfg = sc.controller
         self.profile = sc.delay
-        h = max_delay(self.profile) if self.cfg.h_estimate is None else self.cfg.h_estimate
-        self.history = DelayBuffer(history_window(h, sc.dt_control), dim=sc.plant.dim)
+        self.history = DelayBuffer(dim=sc.plant.dim)
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         h = self.cfg.h_estimate

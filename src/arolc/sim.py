@@ -2,13 +2,12 @@
 
 The plant state (q, q_dot) is integrated with classical RK4 at a fixed step
 dt. The controller (``controllers.make_controller``) is stepped every
-dt_control on the sampled state; its command is stamped with the
-computation instant and pushed into the actuator's command buffer. The
-actuator receives tau_applied(t) = buffer(t - h(t)), the model stated in
-``arolc.delays``, so the delay acts between command computation and
-application, and the integrator sees the applied input as a known function
-of time (method-of-steps treatment; only the input is delayed, never the
-state).
+dt_control on the sampled state and its command is pushed into the
+actuator's DelayBuffer; the plant receives the delayed command the
+actuator model of ``arolc.delays`` describes. The delay thus acts between
+command computation and application, and the integrator sees the applied
+input as a known function of time (method-of-steps treatment; only the
+input is delayed, never the state).
 
 The buffer only changes at a push, so after each push the applied input of
 the coming control period is fixed. ``simulate`` therefore tabulates it once
@@ -55,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
-from .delays import DelayBuffer, DelayProfile, delay_at, history_window, max_delay
+from .delays import DelayBuffer, DelayProfile, delay_at, interpolate, max_delay
 from .plants import PlantModel
 
 __all__ = [
@@ -75,7 +74,9 @@ _DIVERGENCE_LIMIT = 1e8
 # Cap on each array simulate preallocates: the control-rate trace (4 + 6n
 # float64 per row), the per-period stage table (9 + 3n float64 per RK4 step,
 # plus 32 + 12n words for its nested-list copy the stages read) and the
-# diagnostics fine grid (1 + 2n float64 per RK4 step).
+# diagnostics fine grid (1 + 2n float64 per RK4 step). The command histories
+# grow with the run but stay below the trace: each holds at most 2 (1 + n)
+# float64 per row (16 rows at least), and a predictor run keeps two of them.
 _MAX_ARRAY_BYTES = 1 << 28
 _LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
 # Fine-grid instants per block of error_dynamics_residual. Blocks bound its
@@ -243,7 +244,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
     y = q.tolist() + q_dot.tolist()
 
-    buf = DelayBuffer(window=history_window(max_delay(profile), sc.dt_control), dim=n)
+    buf = DelayBuffer(dim=n)
     controller = make_controller(sc)
     sampled = sc.control_mode == "sampled"
 
@@ -380,27 +381,27 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
 
         rhs_j(t_i) = -K2 e1_dot_j - K1 e1_j + sigma_j(t_i) - du_j
 
-    on the command records j0 < j1 bracketing the delay lookup t_i - h(t_i),
-    blended as (1 - lam) rhs_j0 + lam rhs_j1 with the interpolation weight
-    lam the actuator buffer uses (sigma as in ``uncertainty_residual``).
-    sigma is affine in the command-side quantities:
+    on the command records j, interpolated at the delay lookup t_i - h(t_i)
+    as the actuator interpolates its commands (``delays.interpolate``;
+    sigma as in ``uncertainty_residual``). sigma is affine in the
+    command-side quantities:
 
         rhs_j(t_i) = c_j + M_i^-1 (N_i - g_j) + qdd_d(t_i),
         c_j = u_j - qdd_d(t_j) - K2 e1_dot_j - K1 e1_j - du_j,
         g_j = Mhat(q_j) u_j + Nhat(q_j, q_dot_j),
 
-    with M_i = M(q_i, t_i), N_i = N(q_i, q_dot_i, t_i). Because the weights
-    sum to one, the blend equals
+    with M_i = M(q_i, t_i), N_i = N(q_i, q_dot_i, t_i). Because the
+    interpolation weights sum to one, the interpolated rhs equals
 
-        blend(c) + M_i^-1 (N_i - blend(g)) + qdd_d(t_i),
+        c(t_i - h) + M_i^-1 (N_i - g(t_i - h)) + qdd_d(t_i),
 
-    so c and g are evaluated once per run (the nominal model on the stack of
-    command states) and M_i, N_i once per block of checked instants (the
-    true plant on the block's stacked states), with one stacked solve per
-    block; the values agree with the per-instant definition to rounding. Lookups after the last
-    command use it (lam = 0). Returns (times, residual 2-norms) for all
-    checked instants, skipping t < warmup and lookups into the pre-command
-    past.
+    c and g interpolated like the commands, so c and g are evaluated once
+    per run (the nominal model on the stack of command states) and M_i, N_i
+    once per block of checked instants (the true plant on the block's
+    stacked states), with one stacked solve per block; the values agree
+    with the per-instant definition to rounding. Returns (times, residual
+    2-norms) for all checked instants, skipping t < warmup and lookups
+    before the first command.
 
     Requires a trace produced with diagnostics=True and a trajectory that
     accepts an array of times.
@@ -432,27 +433,19 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     n_out = 0
     for start in range(1, len(times) - 1, _RESIDUAL_BLOCK):
         i = np.arange(start, min(start + _RESIDUAL_BLOCK, len(times) - 1))
-        idx = np.searchsorted(cmd_t, thetas[i], side="right")
-        keep = (times[i] >= warmup) & (idx > 0)  # idx 0: before the first command
-        i, idx = i[keep], idx[keep]
+        # skip the warmup and lookups before the first command
+        i = i[(times[i] >= warmup) & (thetas[i] >= cmd_t[0])]
         k = len(i)
-        j0 = idx - 1
-        j1 = np.minimum(idx, len(cmd_t) - 1)  # held after the last command
-        t0 = cmd_t[j0]
-        lam = np.divide(thetas[i] - t0, cmd_t[j1] - t0, out=np.zeros(k),
-                        where=j1 > j0)[:, None]
-
-        def blend(x):
-            return (1.0 - lam) * x[j0] + lam * x[j1]
-
+        c_i = interpolate(cmd_t, c, thetas[i])
+        g_i = interpolate(cmd_t, g, thetas[i])
         t_i = times[i]
         m_i = plant.mass_matrix(fine.q[i], t_i)
         n_i = plant.bias_vector(fine.q[i], fine.q_dot[i], t_i)
         try:
-            m_inv_dn = np.linalg.solve(m_i, (n_i - blend(g))[:, :, None])[:, :, 0]
+            m_inv_dn = np.linalg.solve(m_i, (n_i - g_i)[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular mass matrix") from exc
-        rhs = blend(c) + m_inv_dn + qd_ddot_d[i]
+        rhs = c_i + m_inv_dn + qd_ddot_d[i]
         # central difference of the realized error rate
         e1_ddot = (e1_dot[i + 1] - e1_dot[i - 1]) / (2.0 * dt)
         out_t[n_out:n_out + k] = t_i

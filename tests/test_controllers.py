@@ -205,17 +205,17 @@ class TestPcon:
         return -pcon_step(buffer, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t, cfg)
 
     def test_integral_constant(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         buffer.push(-1.0, [2.0])
         buffer.push(-0.01, [2.0])
         np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [1.0])
 
     def test_integral_empty(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [0.0])
 
     def test_integral_linear(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         for t in np.linspace(0.0, 1.0, 21):
             buffer.push(float(t), [float(t)])
         # the step pushes its own command at t, so it comes after the ramp:
@@ -223,14 +223,14 @@ class TestPcon:
         np.testing.assert_allclose(self.integral(buffer, 1.5, 1.5), [1.0], atol=1e-12)
 
     def test_zero_error_zero_torque(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
         tau = pcon_step(buffer, 0.0, np.zeros(1), np.zeros(1), self.ZERO, 0.0, cfg)
         np.testing.assert_allclose(tau, [0.0])
 
     def test_filtered_error_arithmetic(self):
         # rho = 0 + 1 * 1 - 1 * 0.25 = 0.75, tau = 2 * 0.75 = 1.5
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         buffer.push(-0.6, [0.5])
         buffer.push(-0.05, [0.5])
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
@@ -239,14 +239,14 @@ class TestPcon:
         np.testing.assert_allclose(tau, [1.5])
 
     def test_torque_appended_to_history(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = pcon_step(buffer, 0.1, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(buffer.sample(0.0), tau)
 
     def test_zero_vartheta_reduces_to_pd(self):
-        buffer = DelayBuffer(window=5.0, dim=1)
+        buffer = DelayBuffer(dim=1)
         buffer.push(-0.6, [4.0])
         buffer.push(-0.05, [4.0])
         cfg = PconConfig(kappa=2.0, vartheta=np.zeros((1, 1)), k_b=3.0)
@@ -297,7 +297,7 @@ class TestControllerProtocol:
         # pconf: the fixed-window variant, h_estimate set
         sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None)
         ctrl = make_controller(sc)
-        buffer = DelayBuffer(window=1.0, dim=2)
+        buffer = DelayBuffer(dim=2)
         for k in range(5):
             t = 0.01 * k
             h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
@@ -313,7 +313,7 @@ class TestControllerProtocol:
         # must reach back over its own window, not the profile's
         sc = self.scenario("pcon", h_estimate=0.2, delay="S3", duration=1.0, dt=1e-3)
         trace = simulate(sc)
-        buffer = DelayBuffer(window=10.0, dim=2)
+        buffer = DelayBuffer(dim=2)
         for k, t in enumerate(trace.t):
             ref = pcon_step(buffer, 0.2, trace.q[k], trace.q_dot[k],
                             sc.trajectory(float(t)), float(t), sc.controller)

@@ -61,10 +61,32 @@ class TestDelayAt:
         with pytest.raises(ValueError, match=rf"^{field} must be finite and nonnegative"):
             DelayProfile("custom", **{field: -0.01})
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("S1", "a", 0.5), ("S1", "h0", 3.0), ("S2", "omega", 2.0), ("none", "b", 0.1),
+        ("constant", "a", 0.01), ("constant", "omega", 0.5), ("custom", "h0", 0.03)])
+    def test_ignored_parameter_rejected(self, kind, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} does not apply to delay profile kind '{kind}'"):
+            DelayProfile(kind, **{field: value})
+
+    def test_ignored_parameter_at_default_accepted(self):
+        assert DelayProfile("S1", h0=0.0, a=0.0, b=0.0, omega=1.0) == DelayProfile("S1")
+
+    def test_presets_exact(self):
+        assert max_delay(DelayProfile("S1")) == 0.100
+        assert max_delay(DelayProfile("S2")) == 0.125
+        ts = np.linspace(-50.0, 50.0, 1001)
+        for kind, h in (("S3", 0.060), ("S4", 0.120), ("none", 0.0)):
+            assert max_delay(DelayProfile(kind)) == h
+            assert (delay_at(DelayProfile(kind), ts) == h).all()
+        assert (delay_at(DelayProfile("constant", h0=0.03), ts) == 0.03).all()
+
     @given(st.sampled_from(KINDS),
            st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
     def test_vector_matches_scalar_calls(self, kind, ts):
-        profile = DelayProfile(kind, h0=0.03, a=0.01, b=0.05, omega=2.0)
+        params = {"constant": dict(h0=0.03),
+                  "custom": dict(a=0.01, b=0.05, omega=2.0)}.get(kind, {})
+        profile = DelayProfile(kind, **params)
         vector = delay_at(profile, np.array(ts))
         scalars = np.array([delay_at(profile, t) for t in ts])
         assert vector.shape == (len(ts),)
@@ -73,7 +95,7 @@ class TestDelayAt:
 
 class TestDelayBuffer:
     def make(self):
-        buf = DelayBuffer(window=10.0, dim=1)
+        buf = DelayBuffer(dim=1)
         buf.push(0.0, [0.0])
         buf.push(0.1, [1.0])
         return buf
@@ -95,21 +117,36 @@ class TestDelayBuffer:
         with pytest.raises(ValueError):
             buf.push(0.1, [2.0])
 
-    def test_pruning_keeps_window_exact(self):
-        buf = DelayBuffer(window=0.5, dim=1)
-        for k in range(100):
-            buf.push(0.1 * k, [float(k)])
-        # samples at 9.5..9.9 lie inside the window of the latest (9.9)
-        assert len(buf) < 100
-        np.testing.assert_allclose(buf.sample(9.65), [96.5])
+    def test_whole_history_kept(self):
+        buf = DelayBuffer(dim=1)
+        times = [0.001 * k for k in range(10_000)]
+        values = [np.array([float(k)]) for k in range(10_000)]
+        for t, v in zip(times, values):
+            buf.push(t, v)
+        assert len(buf) == 10_000
+        expected = _reference_sample(times, values, 0.0004)
+        assert buf.sample(0.0004).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, t):
+        buf = self.make()
+        with pytest.raises(ValueError, match="^t must be finite"):
+            buf.push(t, [2.0])
+        assert buf.times == [0.0, 0.1]
+
+    def test_non_finite_command_accepted(self):
+        # a diverging loop must reach the state check, not fail in the buffer
+        buf = self.make()
+        buf.push(0.2, [math.nan])
+        assert np.isnan(buf.sample(0.2)).all()
 
     def test_empty_with_dim(self):
-        buf = DelayBuffer(window=1.0, dim=3)
+        buf = DelayBuffer(dim=3)
         np.testing.assert_allclose(buf.sample(0.0), np.zeros(3))
 
     @pytest.mark.parametrize("tau", [1.0, [1.0, 2.0], [[1.0]]])
     def test_push_wrong_shape_raises(self, tau):
-        buf = DelayBuffer(window=1.0, dim=1)
+        buf = DelayBuffer(dim=1)
         with pytest.raises(ValueError, match=r"shape \(1,\)"):
             buf.push(0.0, tau)
         assert len(buf) == 0
@@ -117,30 +154,40 @@ class TestDelayBuffer:
 
 class TestBufferIntegrate:
     def test_constant_signal(self):
-        buf = DelayBuffer(window=10.0, dim=1)
+        buf = DelayBuffer(dim=1)
         buf.push(0.0, [3.0])
         buf.push(2.0, [3.0])
         np.testing.assert_allclose(buf.integrate(0.5, 1.5), [3.0])
 
     def test_linear_signal_exact(self):
-        buf = DelayBuffer(window=10.0, dim=1)
+        buf = DelayBuffer(dim=1)
         for t in np.linspace(0.0, 1.0, 11):
             buf.push(float(t) if t > 0 else 0.0, [float(t)])
         np.testing.assert_allclose(buf.integrate(0.0, 1.0), [0.5], atol=1e-12)
 
     def test_empty_history(self):
-        buf = DelayBuffer(window=1.0, dim=2)
+        buf = DelayBuffer(dim=2)
         np.testing.assert_allclose(buf.integrate(0.0, 1.0), np.zeros(2))
 
+    @pytest.mark.parametrize("bounds, name", [((0.0, math.nan), "t1"),
+                                              ((math.nan, 1.0), "t0"),
+                                              ((-math.inf, 1.0), "t0"),
+                                              ((0.0, math.inf), "t1")])
+    def test_non_finite_bounds_rejected(self, bounds, name):
+        buf = DelayBuffer(dim=1)
+        buf.push(0.0, [1.0])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            buf.integrate(*bounds)
+
     def test_zero_before_history(self):
-        buf = DelayBuffer(window=10.0, dim=1)
+        buf = DelayBuffer(dim=1)
         buf.push(1.0, [2.0])
         buf.push(2.0, [2.0])
         # signal is 0 on [0, 1), 2 on [1, 2]
         np.testing.assert_allclose(buf.integrate(0.0, 2.0), [2.0])
 
     def test_hold_after_latest(self):
-        buf = DelayBuffer(window=10.0, dim=1)
+        buf = DelayBuffer(dim=1)
         buf.push(0.0, [1.0])
         buf.push(1.0, [1.0])
         np.testing.assert_allclose(buf.integrate(0.5, 2.5), [2.0])
@@ -166,18 +213,16 @@ def test_sample_many_matches_scalar_reference(data):
     times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
     values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
               for _ in times]
-    buf = DelayBuffer(window=data.draw(st.floats(0.1, 30.0)), dim=2)
+    buf = DelayBuffer(dim=2)
     for t, v in zip(times, values):
         buf.push(t, v)
-    kept = buf.times
-    kept_values = values[len(times) - len(kept):]
     # knots, the instants before the first and after the last command, and any
-    queries = kept + [kept[0] - 1.0, kept[-1] + 1.0]
+    queries = times + [times[0] - 1.0, times[-1] + 1.0]
     queries += data.draw(st.lists(_TIME, max_size=20))
     table = buf.sample_many(queries)
     assert table.shape == (len(queries), 2)
     for row, t in zip(table, queries):
-        reference = _reference_sample(kept, kept_values, t)
+        reference = _reference_sample(times, values, t)
         assert row.tobytes() == reference.tobytes()
         assert buf.sample(t).tobytes() == reference.tobytes()
 
@@ -201,17 +246,17 @@ def _filled_buffer(data):
     times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
     values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
               for _ in times]
-    buf = DelayBuffer(window=data.draw(st.floats(0.1, 30.0)), dim=2)
+    buf = DelayBuffer(dim=2)
     for t, v in zip(times, values):
         buf.push(t, v)
-    return buf, values[len(times) - len(buf):]
+    return buf, values
 
 
 @given(st.data())
 def test_integrate_matches_ndarray_reference(data):
-    buf, kept_values = _filled_buffer(data)
+    buf, values = _filled_buffer(data)
     t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
-    expected = _reference_integrate(buf.times, kept_values, t0, t1)
+    expected = _reference_integrate(buf.times, values, t0, t1)
     assert buf.integrate(t0, t1).tobytes() == expected.tobytes()
 
 
@@ -220,12 +265,12 @@ def test_integrate_matches_dense_quadrature(data):
     # midpoint rule of sample_many on a dense grid that contains every
     # command instant: each cell sees one linear piece (the jump from zero
     # at the first command falls on a cell edge), so only rounding remains
-    buf, kept_values = _filled_buffer(data)
+    buf, values = _filled_buffer(data)
     t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
     knots = [t for t in buf.times if t0 < t < t1]
     grid = np.union1d(np.linspace(t0, t1, 2001), knots)
     mid = 0.5 * (grid[:-1] + grid[1:])
     dense = (np.diff(grid)[:, None] * buf.sample_many(mid)).sum(axis=0)
-    scale = (t1 - t0) * max(1.0, np.abs(kept_values).max())
+    scale = (t1 - t0) * max(1.0, np.abs(values).max())
     np.testing.assert_allclose(buf.integrate(t0, t1), dense, rtol=0.0,
                                atol=1e-12 * scale + 1e-300)

@@ -193,8 +193,8 @@ class TestCausality:
         rng = np.random.default_rng(0)
         commands = rng.standard_normal((60, 1))
         t_star = 0.30
-        buf_a = DelayBuffer(window=2.0, dim=1)
-        buf_b = DelayBuffer(window=2.0, dim=1)
+        buf_a = DelayBuffer(dim=1)
+        buf_b = DelayBuffer(dim=1)
         for k in range(60):
             t_k = 0.01 * k
             buf_a.push(t_k, commands[k])
