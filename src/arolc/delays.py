@@ -5,29 +5,40 @@ The plant receives tau(t - h(t)), with the input delay
     h(t) = a + b |sin(omega t)|,
 
 whose coefficients (a, b, omega) the kind of a DelayProfile picks.
-Commands are stamped with their computation instants, and a DelayBuffer
-keeps the whole stamped history of a run. The command signal is the linear
-interpolation between stamps; it is zero before the first command (none
-has reached the actuator yet) and holds the last command after it.
-``interpolate`` evaluates this signal on any stamped history,
-DelayBuffer.sample_many (and sample, at one instant) on the buffer's, and
-DelayBuffer.integrate integrates it exactly.
+Commands are stamped with their computation instants. The command signal
+is the linear interpolation between stamps; it is zero before the first
+command (none has reached the actuator yet) and holds the last command
+after it.
+
+A lookup is two steps. ``plan`` brackets each query instant among the
+stamps: its searchsorted index, the two rows around it and their weights.
+The plan depends on the instants and the stamps alone, so a caller that
+knows them early (the simulator knows every stamp and every RK4 stage
+instant before its run starts) plans many lookups at once. ``blend`` then
+evaluates the signal of the first m commands on a plan, which is the only
+step that reads the command values. ``interpolate`` is the plan followed by
+the blend, on any stamped history. A DelayBuffer keeps the whole stamped
+history of a run; DelayBuffer.sample_many (and sample, at one instant)
+interpolates it and DelayBuffer.integrate integrates it exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DelayProfile", "delay_at", "max_delay", "interpolate", "DelayBuffer"]
+__all__ = ["DelayProfile", "KIND_PARAMS", "delay_at", "max_delay", "Plan", "plan", "blend",
+           "interpolate", "DelayBuffer"]
 
 # (a, b, omega) of the kinds without parameters
 _PRESETS = {"S1": (0.020, 0.080, 1.0), "S2": (0.005, 0.120, 0.1),
             "S3": (0.060, 0.0, 1.0), "S4": (0.120, 0.0, 1.0), "none": (0.0, 0.0, 1.0)}
-# The parameters the other kinds read; every kind leaves the rest at default
-_PARAMS = {"constant": ("h0",), "custom": ("a", "b", "omega")}
+# Every kind with the parameters it reads; it leaves the rest at default
+KIND_PARAMS = {**dict.fromkeys(_PRESETS, ()), "constant": ("h0",),
+               "custom": ("a", "b", "omega")}
 
 
 @dataclass(frozen=True)
@@ -45,9 +56,7 @@ class DelayProfile:
     coefficients: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kinds = {**_PRESETS, "constant": (self.h0, 0.0, 1.0),
-                 "custom": (self.a, self.b, self.omega)}
-        if self.kind not in kinds:
+        if self.kind not in KIND_PARAMS:
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
         for name in ("h0", "a", "b"):
             if not 0.0 <= getattr(self, name) < math.inf:
@@ -57,10 +66,12 @@ class DelayProfile:
         for name in ("h0", "a", "b", "omega"):
             # a dataclass keeps each field's default as the class attribute
             if (getattr(self, name) != getattr(DelayProfile, name)
-                    and name not in _PARAMS.get(self.kind, ())):
+                    and name not in KIND_PARAMS[self.kind]):
                 raise ValueError(f"{name} does not apply to delay profile kind "
                                  f"{self.kind!r}")
-        object.__setattr__(self, "coefficients", kinds[self.kind])
+        coefficients = {**_PRESETS, "constant": (self.h0, 0.0, 1.0),
+                        "custom": (self.a, self.b, self.omega)}[self.kind]
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def delay_at(profile: DelayProfile, t):
@@ -75,31 +86,69 @@ def max_delay(profile: DelayProfile) -> float:
     return a + b
 
 
+class Plan(NamedTuple):
+    """Where query instants fall among the stamps, one entry per instant."""
+
+    index: np.ndarray  # stamps at or before the instant (searchsorted, right)
+    lo: np.ndarray     # the bracket rows j - 1 and j, j clipped to [1, stamps - 1]
+    hi: np.ndarray
+    w_lo: np.ndarray   # their weights 1 - lam and lam, repeated along a
+    w_hi: np.ndarray   # trailing axis of the command's width
+
+
+def plan(times, t_query, width: int) -> Plan:
+    """The brackets of every instant of the array t_query (any shape) among
+    the stamps times (an array, strictly increasing, at least one), for
+    commands of width entries."""
+    t_query = np.asarray(t_query, dtype=float)
+    index = np.searchsorted(times, t_query, side="right")
+    m = len(times)
+    if m == 1:
+        # every instant is before the one stamp or at or after it, so the
+        # blend reads no weight
+        hi = np.zeros(t_query.shape, dtype=np.intp)
+        lam = np.zeros(t_query.shape + (width,))
+        return Plan(index, hi, hi, 1.0 - lam, lam)
+    # clipping the instants too keeps the weights in [0, 1]; minimum,
+    # maximum and take cost a fraction of clip and fancy indexing
+    hi = np.minimum(np.maximum(index, 1), m - 1)
+    lo = hi - 1
+    t0 = times.take(lo)
+    t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
+    lam = ((t_in - t0) / (times.take(hi) - t0))[..., None]
+    # a product of equal shapes costs about half one that broadcasts the
+    # weight over the command's entries, and the blend makes two per lookup
+    lam = np.repeat(lam, width, axis=-1)
+    return Plan(index, lo, hi, 1.0 - lam, lam)
+
+
+def blend(values, m: int, brackets: Plan, before: bool = True,
+          after: bool = True) -> np.ndarray:
+    """The command signal of the first m >= 1 commands, values[:m] (one row
+    per stamp of the plan's history), at the planned instants: an array of
+    the plan's shape plus the command's. Zero where the index is 0, the
+    m-th command where it is m or more, the bracket's blend elsewhere.
+    before = False (after = False) states that no index is 0 (m or more)
+    and skips that mask."""
+    pushed = values[:m]
+    # a bracket beyond the pushed commands belongs to a held row: clip it
+    out = (brackets.w_lo * pushed.take(brackets.lo, axis=0, mode="clip")
+           + brackets.w_hi * pushed.take(brackets.hi, axis=0, mode="clip"))
+    if before:
+        out[brackets.index == 0] = 0.0
+    if after:
+        out[brackets.index >= m] = pushed[m - 1]
+    return out
+
+
 def interpolate(times, values, t_query) -> np.ndarray:
     """The command signal of the stamped history (times strictly increasing,
     values one row per stamp) at each instant of the 1-D array t_query:
     row i belongs to t_query[i]."""
-    t_query = np.asarray(t_query, dtype=float)
     m = len(times)
     if m == 0:
         return np.zeros((len(t_query),) + values.shape[1:])
-    i = np.searchsorted(times, t_query, side="right")
-    if m == 1:
-        out = np.repeat(values, len(t_query), axis=0)
-    else:
-        # blend every row on its clipped bracket, then overwrite the rows
-        # before the first and after the last command (clipping the
-        # instants too keeps their weights in [0, 1]); minimum, maximum and
-        # take cost a fraction of clip and fancy indexing
-        j = np.minimum(np.maximum(i, 1), m - 1)
-        j0 = j - 1
-        t0 = times.take(j0)
-        t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
-        lam = ((t_in - t0) / (times.take(j) - t0))[:, None]
-        out = (1.0 - lam) * values.take(j0, axis=0) + lam * values.take(j, axis=0)
-    out[i == 0] = 0.0
-    out[i == m] = values[-1]
-    return out
+    return blend(values, m, plan(times, t_query, values.shape[1]))
 
 
 class DelayBuffer:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig
-from .delays import DelayProfile
+from .delays import KIND_PARAMS, DelayProfile
 from .plants import (
     PayloadSchedule,
     TwoLinkParams,
@@ -75,7 +75,7 @@ _WMR = _field_names(WmrParams)
 _PAYLOAD = _field_names(PayloadSchedule, "offsets")
 _AROLC = _field_names(ArolcConfig, "gains", "switching")
 _PCON = ("kappa", "k_b", "h_estimate")
-_DELAY = ("h0", "a", "b", "omega")
+_DELAY = _field_names(DelayProfile, "kind")
 _CIRCLE = ("radius", "rate", "path_diameter")
 _RAMP = _field_names(WheelRampTrajectory)
 _SINUSOID_LISTS = {"amplitude": 0.5, "frequency": 0.5, "phase": 0.0, "offset": 0.0}
@@ -95,11 +95,7 @@ _KIND_KEYS = {
         "pconf": {"kappa", "k_b", "vartheta", "h_estimate"},
         "none": set(),
     },
-    "delay": {
-        "constant": {"h0"},
-        "custom": {"a", "b", "omega"},
-        **{kind: set() for kind in ("S1", "S2", "S3", "S4", "none")},
-    },
+    "delay": {kind: _keys(params) for kind, params in KIND_PARAMS.items()},
     "trajectory": {
         "circle": _keys(_CIRCLE, ("center_x", "center_y")),
         "wheel-ramp": _keys(_RAMP),

@@ -2,19 +2,24 @@
 
 The plant state (q, q_dot) is integrated with classical RK4 at a fixed step
 dt. The controller (``controllers.make_controller``) is stepped every
-dt_control on the sampled state and its command is pushed into the
-actuator's DelayBuffer; the plant receives the delayed command the
-actuator model of ``arolc.delays`` describes. The delay thus acts between
-command computation and application, and the integrator sees the applied
-input as a known function of time (method-of-steps treatment; only the
-input is delayed, never the state).
+dt_control on the sampled state and its command, stamped k dt_control, is
+written to the trace's tau_cmd row k, which is the actuator's command
+history; the plant receives the delayed command the actuator model of
+``arolc.delays`` describes. The delay thus acts between command
+computation and application, and the integrator sees the applied input as
+a known function of time (method-of-steps treatment; only the input is
+delayed, never the state).
 
-The buffer only changes at a push, so after each push the applied input of
-the coming control period is fixed. ``simulate`` therefore tabulates it once
-per period, with one vectorized delay evaluation and buffer lookup at every
-RK4 stage instant (t, t + dt/2, t + dt of each step, rounded as the stepper
-rounds them), and the stages read their rows. This is exact: every stage
-gets the value a lookup at its own instant would return.
+Where each lookup falls does not depend on the state: the command stamps,
+the RK4 stage instants (t, t + dt/2, t + dt of each step, rounded as the
+stepper rounds them), the delays h there and the lookup instants t - h are
+all known before the run starts. ``simulate`` therefore plans the lookups
+of a block of control periods at once (``delays.plan`` against the stamps
+of the whole run), and once per period blends the commands pushed so far
+(``delays.blend`` on the tau_cmd rows 0..k) into the applied input of the
+coming period; the stages read its rows. This is exact: every stage gets,
+bit for bit, the value ``delays.interpolate`` on the pushed commands
+returns at its own instant.
 
 Between control instants the integrator state is a plain list of 2n Python
 floats, (q, q_dot), and every plant's ``accel`` is a float closed form
@@ -30,7 +35,7 @@ continuous mode ``rhs`` wraps each stage state for the control law.
 Two control modes exist:
 
 * "sampled" (default): commands at the control rate, routed through the
-  delay buffer. This is the realistic pathway.
+  delayed actuator. This is the realistic pathway.
 * "continuous": the control law is re-evaluated inside every integrator
   stage from the stage state. Only valid for zero-delay scenarios; it
   realizes the exact continuous closed loop that analytic oracles
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
-from .delays import DelayBuffer, DelayProfile, delay_at, interpolate, max_delay
+from .delays import DelayProfile, Plan, blend, delay_at, interpolate, max_delay, plan
 from .plants import PlantModel
 
 __all__ = [
@@ -72,17 +77,23 @@ TRACE_FLOAT_FORMAT = "%.9g"
 
 _DIVERGENCE_LIMIT = 1e8
 # Cap on each array simulate preallocates: the control-rate trace (4 + 6n
-# float64 per row), the per-period stage table (9 + 3n float64 per RK4 step,
-# plus 32 + 12n words for its nested-list copy the stages read) and the
-# diagnostics fine grid (1 + 2n float64 per RK4 step). The command histories
-# grow with the run but stay below the trace: each holds at most 2 (1 + n)
-# float64 per row (16 rows at least), and a predictor run keeps two of them.
+# float64 per row), the applied input of a control period and the
+# diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
+# the plan of the period's block (stage instants, delays, brackets and
+# weights, 15 + 6n words per RK4 step, plus their temporaries while it is
+# built), the blended table (3n float64) and its nested-list copy the
+# stages read (32 + 12n words); with the previous period's still held while
+# the next block is planned, tracemalloc measures a peak of 79 + 33n words
+# per RK4 step (5e4 steps per period, n = 1, 2, 3). The predictor's own
+# command history grows with the run but stays below the trace: it holds at
+# most 2 (1 + n) float64 per row (16 rows at least).
 _MAX_ARRAY_BYTES = 1 << 28
 _LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
-# Fine-grid instants per block of error_dynamics_residual. Blocks bound its
-# temporaries: over the whole grid at once, a 2 s two-link run at dt = 1e-4
-# peaks about 2.7 MB higher in resident memory.
-_RESIDUAL_BLOCK = 2048
+# Instants per block: of error_dynamics_residual's fine grid, and of the RK4
+# stage instants simulate plans at once (whole control periods, one at
+# least). Blocks bound their temporaries: over the whole grid at once, a 2 s
+# two-link residual at dt = 1e-4 peaks about 2.7 MB higher in resident memory.
+_BLOCK_INSTANTS = 2048
 
 
 class SimulationDiverged(RuntimeError):
@@ -129,7 +140,7 @@ class Scenario:
             raise ValueError(
                 f"duration = {self.duration:g} s needs {rows} trace rows at "
                 f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
-        max_steps = _MAX_ARRAY_BYTES // (8 * (41 + 15 * n))
+        max_steps = _MAX_ARRAY_BYTES // (8 * (79 + 33 * n))
         if steps > max_steps:
             raise ValueError(
                 f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
@@ -193,11 +204,22 @@ def _n_periods(sc: Scenario) -> int:
     return round(sc.duration / sc.dt_control)
 
 
-def _stage_times(t_k, steps, dt):
-    """(steps, 3) instants t, t + dt/2, t + dt of the RK4 steps starting at
-    t = t_k + i dt, rounded exactly as _rk4_step rounds them."""
-    t = t_k + np.arange(steps) * dt
-    return np.stack([t, t + 0.5 * dt, t + dt], axis=1)
+def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
+    """The applied-input lookups of control periods k0 .. k1 - 1 against the
+    command stamps of the whole run. Returns the stage instants, shape
+    (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
+    t = t_k + i dt, rounded exactly as _rk4_step rounds them; h at those
+    instants; one Plan per period; and per period whether any lookup falls
+    before the first command, and whether any falls at or after the
+    period's own command (the flags of ``blend``). Commands have n entries."""
+    t = stamps[k0:k1, None] + np.arange(steps) * dt
+    t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
+    h = delay_at(profile, t)
+    brackets = plan(stamps, t - h, n)
+    index = brackets.index.reshape(k1 - k0, -1)
+    before = (index == 0).any(axis=1).tolist()
+    after = (index > np.arange(k0, k1)[:, None]).any(axis=1).tolist()
+    return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
 def _rk4_step(rhs, t, y, dt, inputs):
@@ -244,7 +266,6 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
     y = q.tolist() + q_dot.tolist()
 
-    buf = DelayBuffer(dim=n)
     controller = make_controller(sc)
     sampled = sc.control_mode == "sampled"
 
@@ -298,36 +319,37 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             h=hs[:rows].copy(), fine=fine,
         )
 
+    stamps = np.arange(n_rows) * sc.dt_control
+    periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
     for k in range(n_rows):
         t_k = k * sc.dt_control
+        p = k % periods_per_block
+        if p == 0:
+            k1 = min(k + periods_per_block, n_rows)
+            stage_t, stage_h, plans, before, after = _plan_periods(
+                profile, stamps, k, k1, steps_per_control, sc.dt, n)
+            ts[k:k1] = stage_t[:, 0, 0]
+            hs[k:k1] = stage_h[:, 0, 0]
         qq = np.array(y[:n])
         qq_dot = np.array(y[n:])
         desired = trajectory(t_k)
 
         rec = controller.step(t_k, qq, qq_dot, desired)
-        buf.push(t_k, rec.tau)
+        tau_cmds[k] = rec.tau
         if record_fine and rec.e1 is not None:
             cmd_log["e1_dot"].append(rec.e1_dot)
             cmd_log["u"].append(rec.u)
             cmd_log["du"].append(rec.du)
 
-        # The buffer changes only at pushes, so the applied input of the
-        # whole coming period is known now: one lookup at every stage instant.
-        stage_t = _stage_times(t_k, steps_per_control, sc.dt)
-        stage_h = delay_at(profile, stage_t)
-        stage_tau = buf.sample_many((stage_t - stage_h).ravel()).reshape(
-            steps_per_control, 3, n)
-        h_k = stage_h[0, 0]
-        ts[k] = t_k
+        # the commands pushed so far fix the applied input of the whole period
+        stage_tau = blend(tau_cmds, k + 1, plans[p], before[p], after[p])
         qs[k] = qq
         q_dots[k] = qq_dot
         q_des[k] = desired[0]
         e1s[k] = np.asarray(desired[0], float) - qq
-        tau_cmds[k] = rec.tau
         tau_apps[k] = stage_tau[0, 0]
         c_hats[k] = rec.c_hat
         s_norms[k] = rec.s_norm
-        hs[k] = h_k
 
         if record_fine and k == 0:
             fine_t[0] = 0.0
@@ -431,8 +453,8 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     out_t = np.empty(len(times))
     out_r = np.empty(len(times))
     n_out = 0
-    for start in range(1, len(times) - 1, _RESIDUAL_BLOCK):
-        i = np.arange(start, min(start + _RESIDUAL_BLOCK, len(times) - 1))
+    for start in range(1, len(times) - 1, _BLOCK_INSTANTS):
+        i = np.arange(start, min(start + _BLOCK_INSTANTS, len(times) - 1))
         # skip the warmup and lookups before the first command
         i = i[(times[i] >= warmup) & (thetas[i] >= cmd_t[0])]
         k = len(i)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arolc.delays import DelayBuffer, DelayProfile, delay_at, max_delay
+from arolc.delays import (
+    DelayBuffer,
+    DelayProfile,
+    blend,
+    delay_at,
+    interpolate,
+    max_delay,
+    plan,
+)
 
 KINDS = ("S1", "S2", "S3", "S4", "constant", "custom", "none")
 
@@ -225,6 +233,22 @@ def test_sample_many_matches_scalar_reference(data):
         reference = _reference_sample(times, values, t)
         assert row.tobytes() == reference.tobytes()
         assert buf.sample(t).tobytes() == reference.tobytes()
+
+
+@given(st.data())
+def test_blend_of_a_prefix_matches_interpolate(data):
+    # one plan against the whole history serves every prefix of m commands
+    times = np.array(sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True))))
+    row = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+    values = np.array(data.draw(st.lists(row, min_size=len(times), max_size=len(times))))
+    queries = np.array(data.draw(st.lists(_TIME, min_size=1, max_size=20)))
+    brackets = plan(times, queries.reshape(1, -1), 2)
+    for m in range(1, len(times) + 1):
+        expected = interpolate(times[:m], values[:m], queries)
+        assert np.array_equal(blend(values, m, brackets)[0], expected)
+        # the flags may skip a mask that selects nothing
+        before, after = (brackets.index == 0).any(), (brackets.index >= m).any()
+        assert np.array_equal(blend(values, m, brackets, before, after)[0], expected)
 
 
 def _reference_integrate(times, values, t0, t1):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arolc.cli import main
 from arolc.controllers import ArolcConfig, PconConfig
-from arolc.delays import DelayProfile, max_delay
+from arolc.delays import KIND_PARAMS, DelayProfile, max_delay
 from arolc.plants import (
     PayloadSchedule,
     TwoLinkParams,
@@ -128,6 +128,27 @@ class TestBuildScenario:
         text = MINIMAL.replace("[delay]\nkind = none\n", f"[delay]\n{entries}")
         sc = build_scenario(load_config(text))
         assert max_delay(sc.delay) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+    def test_every_delay_kind_has_its_key_set(self, kind):
+        # every kind DelayProfile accepts is accepted in a file, with the
+        # keys DelayProfile lets it set; a key it ignores is rejected even
+        # at its default, which DelayProfile itself would accept
+        for key, default in (("h0", 0.0), ("a", 0.0), ("b", 0.0), ("omega", 1.0)):
+            try:
+                DelayProfile(kind, **{key: 0.5})
+            except ValueError:
+                reads = False
+            else:
+                reads = True
+            for value in (0.5, default):
+                text = MINIMAL.replace("[delay]\nkind = none\n",
+                                       f"[delay]\nkind = {kind}\n{key} = {value}\n")
+                if reads:
+                    assert build_scenario(load_config(text)).delay.kind == kind
+                else:
+                    with pytest.raises(ScenarioError, match=rf"\[delay\] {key}\b"):
+                        build_scenario(load_config(text))
 
     def test_circle_requires_wmr(self):
         bad = MINIMAL.replace("kind = sinusoid", "kind = circle") \

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
-from arolc.delays import DelayBuffer, DelayProfile, delay_at
+from arolc.delays import DelayBuffer, DelayProfile, blend, delay_at, interpolate
 from arolc.plants import (
     PayloadSchedule,
     PlantModel,
@@ -25,7 +25,7 @@ from arolc.scenario_io import apply_override, build_scenario, load_config
 from arolc.sim import (
     Scenario,
     SimulationDiverged,
-    _stage_times,
+    _plan_periods,
     error_dynamics_residual,
     simulate,
     trace_to_csv,
@@ -262,13 +262,48 @@ class TestActuatorModel:
 
 
 class TestInputTable:
-    @given(st.floats(min_value=0.0, max_value=1e4), st.integers(1, 200),
+    @given(st.integers(0, 50_000), st.integers(1, 3), st.integers(1, 200),
            st.sampled_from([1e-4, 1e-3, 2.5e-4, 1.0 / 3.0e3]))
-    def test_stage_times_round_as_rk4(self, t_k, steps, dt):
-        table = _stage_times(t_k, steps, dt)
-        for i in range(steps):
-            t = t_k + i * dt
-            assert table[i].tolist() == [t, t + 0.5 * dt, t + dt]
+    def test_stage_times_round_as_rk4(self, k0, periods, steps, dt):
+        dt_control = steps * dt
+        k1 = k0 + periods
+        stamps = np.arange(k1 + 1) * dt_control
+        stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, k0, k1, steps, dt, 1)
+        assert stage_t.shape == (periods, steps, 3)
+        for p, k in enumerate(range(k0, k1)):
+            t_k = k * dt_control  # as simulate stamps period k
+            for i in range(steps):
+                t = t_k + i * dt  # as simulate steps RK4 step i
+                assert stage_t[p, i].tolist() == [t, t + dt / 2, t + dt]
+
+    # presets; h = 0, where lookups fall at or after the period's own
+    # command; b omega > 1, where t - h(t) is not monotone within a period
+    PROFILES = st.one_of(
+        st.sampled_from([DelayProfile(kind) for kind in ("S1", "S2", "S3", "S4", "none")]),
+        st.just(DelayProfile("constant", h0=0.0)),
+        st.builds(lambda a, b, r: DelayProfile("custom", a=a, b=b, omega=r / b),
+                  st.floats(0.0, 0.05), st.floats(0.01, 0.2), st.floats(1.1, 5.0)))
+
+    @given(PROFILES, st.integers(2, 40), st.integers(1, 12), st.integers(1, 3),
+           st.sampled_from([1e-3, 2.5e-3, 1.0 / 3.0e3]), st.integers(1, 8), st.data())
+    def test_planned_blend_matches_interpolate(self, profile, n_rows, steps, n, dt,
+                                               per_block, data):
+        # every period from the first, so the lookups before the first
+        # command of the delayed profiles are drawn too
+        stamps = np.arange(n_rows) * (steps * dt)
+        cmds = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+            min_size=n_rows, max_size=n_rows)))
+        for k0 in range(0, n_rows, per_block):
+            k1 = min(k0 + per_block, n_rows)
+            stage_t, stage_h, plans, before, after = _plan_periods(
+                profile, stamps, k0, k1, steps, dt, n)
+            assert np.array_equal(stage_h, delay_at(profile, stage_t))
+            for p, k in enumerate(range(k0, k1)):
+                theta = (stage_t[p] - stage_h[p]).ravel()
+                expected = interpolate(stamps[:k + 1], cmds[:k + 1], theta)
+                table = blend(cmds, k + 1, plans[p], before[p], after[p])
+                assert np.array_equal(table.reshape(-1, n), expected)
 
 
 class TestPinnedTraces:
@@ -528,8 +563,9 @@ class TestWarningsAndErrors:
             simulate(sc, diagnostics=True)
 
     def test_oversized_stage_table_rejected(self):
-        # 1e6 RK4 steps per control period: the float64 table would take
-        # 96 MB, but with the nested-list copy the stages read, 448 MB
+        # 1e6 RK4 steps per control period: the blended table alone would
+        # take 24 MB, but with the block plan and the nested-list copy the
+        # stages read, about 900 MB
         with pytest.raises(ValueError, match="RK4 steps per control period"):
             free_scenario(dt=1e-7, dt_control=0.1, duration=0.2).validate()
 
