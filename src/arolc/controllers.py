@@ -19,10 +19,8 @@ Two controllers are provided:
 make_controller(scenario) builds the object of scenario.controller's type
 (ArolcConfig, PconConfig, or None for zero torque) with one method the
 simulator calls per control period: step(t, q, q_dot, desired) ->
-StepRecord. Those allowed in continuous mode also have law(t, q, q_dot,
-desired) -> tau: arolc_law at the current gain, which adapts nothing. The
-objects hold state; arolc_step (arolc_law, then adapt_gain) and pcon_step
-stay module functions.
+StepRecord. The objects hold state; arolc_step (arolc_law, then
+adapt_gain) and pcon_step stay module functions.
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -263,19 +261,11 @@ class ArolcController:
                 stacklevel=4,  # the caller of simulate
             )
 
-    def _nominal(self, q, q_dot):
-        return self.plant.nominal_mass_matrix(q), self.plant.nominal_bias_vector(q, q_dot)
-
     def step(self, t, q, q_dot, desired) -> StepRecord:
-        record = arolc_step(self.state, q, q_dot, desired, self._nominal(q, q_dot),
-                            t, self.dt, self.cfg)
+        nominal = self.plant.nominal_mass_matrix(q), self.plant.nominal_bias_vector(q, q_dot)
+        record = arolc_step(self.state, q, q_dot, desired, nominal, t, self.dt, self.cfg)
         self.state = record.state
         return record
-
-    def law(self, t, q, q_dot, desired) -> np.ndarray:
-        """Torque at the current gain, leaving the adaptive state untouched."""
-        return arolc_law(self.state.c_hat, q, q_dot, desired,
-                         self._nominal(q, q_dot), self.cfg)[0].tau
 
 
 class PconController:
@@ -302,9 +292,6 @@ class ZeroController:
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         return StepRecord(np.zeros(self.n))
-
-    def law(self, t, q, q_dot, desired) -> np.ndarray:
-        return np.zeros(self.n)
 
 
 _CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,

@@ -107,8 +107,7 @@ _KNOWN_KEYS = {
     **{section: {"kind"}.union(*kinds.values()) for section, kinds in _KIND_KEYS.items()},
     "gains": {"k1", "k2", "q", "r", "beta"},
     "payload": _keys(_field_names(PayloadSchedule), ("random_offsets", "offset_max")),
-    "sim": {"duration", "dt", "control_dt", "seed", "q0", "qdot0",
-            "control_mode", "start"},
+    "sim": {"duration", "dt", "control_dt", "seed", "q0", "qdot0", "start"},
 }
 
 _REQUIRED = {
@@ -391,8 +390,6 @@ def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenar
         args = _given(sim, "sim", ("duration", "dt"))
         if "control_dt" in sim:
             args["dt_control"] = _number(sim["control_dt"], "sim", "control_dt")
-        if "control_mode" in sim:
-            args["control_mode"] = sim["control_mode"].strip()
         sc = Scenario(
             plant=plant,
             trajectory=trajectory,

@@ -29,17 +29,7 @@ rounding of +, -, * and / on floats is the rounding numpy's elementwise
 ufuncs apply, and ``_rk4_step`` keeps the operation order of the ndarray
 expression, so the traces are bit-identical to an ndarray integrator.
 Arrays begin at the control-rate boundary: the controller step, the trace
-rows and the diagnostics fine grid read the state as ndarrays, and in
-continuous mode ``rhs`` wraps each stage state for the control law.
-
-Two control modes exist:
-
-* "sampled" (default): commands at the control rate, routed through the
-  delayed actuator. This is the realistic pathway.
-* "continuous": the control law is re-evaluated inside every integrator
-  stage from the stage state. Only valid for zero-delay scenarios; it
-  realizes the exact continuous closed loop that analytic oracles
-  (matrix exponentials) describe.
+rows and the diagnostics fine grid read the state as ndarrays.
 
 ``simulate`` returns a Trace sampled at the control rate. With
 ``diagnostics=True`` the trace additionally carries the fine-grid state
@@ -59,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
-from .delays import DelayProfile, Plan, blend, delay_at, interpolate, max_delay, plan
+from .delays import DelayProfile, Plan, blend, delay_at, plan
 from .plants import PlantModel
 
 __all__ = [
@@ -88,7 +78,6 @@ _DIVERGENCE_LIMIT = 1e8
 # command history grows with the run but stays below the trace: it holds at
 # most 2 (1 + n) float64 per row (16 rows at least).
 _MAX_ARRAY_BYTES = 1 << 28
-_LAW_INPUTS = (None, None, None)  # continuous mode: every stage evaluates the law
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
 # least). Blocks bound their temporaries: over the whole grid at once, a 2 s
@@ -119,7 +108,6 @@ class Scenario:
     dt_control: float = 1e-2
     q0: np.ndarray | None = None
     qdot0: np.ndarray | None = None
-    control_mode: str = "sampled"
     label: str = ""
 
     def validate(self) -> None:
@@ -154,12 +142,6 @@ class Scenario:
         if not isinstance(self.controller, (ArolcConfig, PconConfig, type(None))):
             raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
                              f"None, got {type(self.controller).__name__}")
-        if self.control_mode not in ("sampled", "continuous"):
-            raise ValueError(f"unknown control mode {self.control_mode!r}")
-        if self.control_mode == "continuous" and max_delay(self.delay) > 0.0:
-            raise ValueError("continuous control mode requires zero delay")
-        if self.control_mode == "continuous" and isinstance(self.controller, PconConfig):
-            raise ValueError("continuous control mode needs an ArolcConfig or None")
 
 
 @dataclass
@@ -224,9 +206,8 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
 
 def _rk4_step(rhs, t, y, dt, inputs):
     """One classical RK4 step of the float list y; inputs holds the applied
-    input at t, t + dt/2 and t + dt (None where rhs evaluates the control
-    law itself). Each component is rounded as the ndarray expression
-    y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
+    input at t, t + dt/2 and t + dt. Each component is rounded as the
+    ndarray expression y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
     u0, u_half, u1 = inputs
     half = 0.5 * dt
     k1 = rhs(t, y, u0)
@@ -267,17 +248,12 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     y = q.tolist() + q_dot.tolist()
 
     controller = make_controller(sc)
-    sampled = sc.control_mode == "sampled"
 
     accel = plant.accel  # as bound on the instance, wrappers included
 
     def rhs(t, yy, tau):
         qq = yy[:n]
         qq_dot = yy[n:]
-        if tau is None:
-            # the law re-evaluated at the integrator stage; the adaptive
-            # gain stays the row value (it is a slow state of the controller)
-            tau = controller.law(t, np.array(qq), np.array(qq_dot), trajectory(t))
         return qq_dot + accel(qq, qq_dot, tau, t)
 
     # control-rate records
@@ -359,8 +335,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         if k == n_rows - 1:
             break
 
-        stage_inputs = (stage_tau.tolist() if sampled
-                        else [_LAW_INPUTS] * steps_per_control)
+        stage_inputs = stage_tau.tolist()
         for i in range(steps_per_control):
             t = t_k + i * sc.dt
             y = _rk4_step(rhs, t, y, sc.dt, stage_inputs[i])
@@ -417,13 +392,14 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
 
         c(t_i - h) + M_i^-1 (N_i - g(t_i - h)) + qdd_d(t_i),
 
-    c and g interpolated like the commands, so c and g are evaluated once
-    per run (the nominal model on the stack of command states) and M_i, N_i
-    once per block of checked instants (the true plant on the block's
-    stacked states), with one stacked solve per block; the values agree
-    with the per-instant definition to rounding. Returns (times, residual
-    2-norms) for all checked instants, skipping t < warmup and lookups
-    before the first command.
+    c and g interpolated like the commands (one plan of a block's lookups
+    blends both), so c and g are evaluated once per run (the nominal model
+    on the stack of command states) and M_i, N_i once per block of checked
+    instants (the true plant on the block's stacked states), with one
+    stacked solve per block; the values agree with the per-instant
+    definition to rounding. Returns (times, residual 2-norms) for all
+    checked instants, skipping t < warmup and lookups before the first
+    command.
 
     Requires a trace produced with diagnostics=True and a trajectory that
     accepts an array of times.
@@ -458,8 +434,9 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
         # skip the warmup and lookups before the first command
         i = i[(times[i] >= warmup) & (thetas[i] >= cmd_t[0])]
         k = len(i)
-        c_i = interpolate(cmd_t, c, thetas[i])
-        g_i = interpolate(cmd_t, g, thetas[i])
+        brackets = plan(cmd_t, thetas[i], trace.n)
+        c_i = blend(c, len(cmd_t), brackets)
+        g_i = blend(g, len(cmd_t), brackets)
         t_i = times[i]
         m_i = plant.mass_matrix(fine.q[i], t_i)
         n_i = plant.bias_vector(fine.q[i], fine.q_dot[i], t_i)

@@ -10,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from arolc.cli import main as cli_main
 from arolc.controllers import ArolcConfig, ArolcState, adapt_gain, switching_control
@@ -20,8 +19,10 @@ from arolc.metrics import metrics_from_trace
 from arolc.plants import oscillator_plant, point_mass_plant
 from arolc.scenario_io import load_scenario
 from arolc.sim import Scenario, error_dynamics_residual, simulate
-from arolc.stability import GainSet, build_error_system, delay_margin
+from arolc.stability import GainSet, delay_margin
 from arolc.trajectories import SinusoidTrajectory
+
+from sampled_data import point_mass_states
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -199,19 +200,13 @@ def test_criterion_9_linear_closed_loop_oracle():
         plant=point_mass_plant(1), trajectory=traj,
         delay=DelayProfile("none"), controller=cfg,
         duration=5.0, dt=1e-4, dt_control=1e-2,
-        control_mode="continuous",
         q0=np.array([traj(0.0)[0][0] - 1.0]),
         qdot0=np.array([traj(0.0)[1][0] + 0.5]),
     )
     trace = simulate(sc)
-    a = build_error_system(gains).A
-    e0 = np.array([1.0, -0.5])
-    worst = 0.0
-    for k, t in enumerate(trace.t):
-        expected = expm(a * t) @ e0
-        e1_dot = traj(float(t))[1][0] - trace.q_dot[k, 0]
-        worst = max(worst, abs(trace.e1[k, 0] - expected[0]),
-                    abs(e1_dot - expected[1]))
+    expected = point_mass_states(traj, gains, np.concatenate([sc.q0, sc.qdot0]),
+                                 sc.dt_control, len(trace) - 1)
+    worst = float(np.abs(np.hstack([trace.q, trace.q_dot]) - expected).max())
     ok = worst < 1e-6
-    verdict(9, ok, f"zero-delay perfect-model loop vs matrix exponential: "
-                   f"max error {worst:.2e} < 1e-6 over 5 s")
+    verdict(9, ok, f"zero-delay perfect-model sampled loop vs its exact "
+                   f"discretization: max error {worst:.2e} < 1e-6 over 5 s")

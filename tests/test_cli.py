@@ -120,12 +120,14 @@ class TestSimulate:
         assert code == 2
         assert "duration" in capsys.readouterr().err
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry", ["warp_speed = 9", "control_mode = continuous"],
+                             ids=["warp_speed", "control_mode"])
+    def test_unknown_key_rejected(self, entry, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text(FAST + "\nwarp_speed = 9\n")
+        path.write_text(FAST + f"\n{entry}\n")  # in [sim]
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "warp_speed" in capsys.readouterr().err
+        assert entry.split(" = ")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("base, section, entry", [
         ("scenarios/wmr_s1_arolc.ini", "payload", "offsets = 0.1 abc; 0.2 0.3"),

@@ -4,13 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from arolc import controllers
 from arolc.controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
     adapt_gain,
-    arolc_law,
     arolc_step,
     make_controller,
     nominal_control,
@@ -324,37 +322,6 @@ class TestControllerProtocol:
         ctrl = make_controller(self.scenario("none"))
         rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
         np.testing.assert_array_equal(rec.tau, np.zeros(2))
-        np.testing.assert_array_equal(ctrl.law(0.0, self.Q, self.Q_DOT, None), np.zeros(2))
-
-    def test_law_does_not_adapt(self, monkeypatch):
-        sc = self.scenario("arolc")
-        ctrl = make_controller(sc)
-        traj = sc.trajectory
-        ctrl.step(0.0, self.Q, self.Q_DOT, traj(0.0))
-        ctrl.step(0.01, self.Q + 0.1, self.Q_DOT, traj(0.01))
-        before = ctrl.state
-        c_hat, s_prev = before.c_hat, before.s_prev.copy()
-
-        def no_adaptation(*args):
-            raise AssertionError("the law reached adapt_gain")
-
-        monkeypatch.setattr(controllers, "adapt_gain", no_adaptation)
-        tau = ctrl.law(0.013, self.Q, self.Q_DOT, traj(0.013))
-        monkeypatch.undo()
-        assert ctrl.state is before
-        assert ctrl.state.c_hat == c_hat
-        np.testing.assert_array_equal(ctrl.state.s_prev, s_prev)
-        nominal = (sc.plant.nominal_mass_matrix(self.Q),
-                   sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
-        law, s = arolc_law(c_hat, self.Q, self.Q_DOT, traj(0.013), nominal, sc.controller)
-        np.testing.assert_array_equal(tau, law.tau)
-        assert (law.c_hat, law.state) == (c_hat, None)
-        # a step at the same gain commands the law's torque, then adapts on its s
-        step = arolc_step(before, self.Q, self.Q_DOT, traj(0.013), nominal, 0.013,
-                          sc.dt_control, sc.controller)
-        np.testing.assert_array_equal(step.tau, tau)
-        np.testing.assert_array_equal(step.state.s_prev, s)
-        assert step.c_hat == step.state.c_hat != c_hat
 
 
 class TestArolcRunReadsScenario:

@@ -329,7 +329,7 @@ class TestDefaultsStatedOnce:
     def test_sim(self):
         sc = build_bare()
         bare = Scenario(plant=sc.plant, trajectory=sc.trajectory)
-        names = ("dt", "dt_control", "q0", "qdot0", "control_mode")
+        names = ("dt", "dt_control", "q0", "qdot0")
         assert [getattr(sc, a) for a in names] == [getattr(bare, a) for a in names]
 
     def test_seeded_draws_pinned(self):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, blend, delay_at, interpolate
@@ -30,8 +29,10 @@ from arolc.sim import (
     simulate,
     trace_to_csv,
 )
-from arolc.stability import GainSet, build_error_system
+from arolc.stability import GainSet
 from arolc.trajectories import CircleTrajectory, SinusoidTrajectory
+
+from sampled_data import point_mass_states
 
 ZERO_TRAJ = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
 
@@ -101,21 +102,37 @@ class TestLinearClosedLoop:
             duration=5.0,
             dt=1e-4,
             dt_control=1e-2,
-            control_mode="continuous",
             q0=np.array([traj(0.0)[0][0] - 1.0]),  # e1(0) = 1
             qdot0=np.array([traj(0.0)[1][0]]),     # e1_dot(0) = 0
         )
         trace = simulate(sc)
-        a = build_error_system(gains).A
-        e0 = np.array([1.0, 0.0])
-        worst = 0.0
-        for k, t in enumerate(trace.t):
-            expected = expm(a * t) @ e0
-            e1_dot = traj(float(t))[1][0] - trace.q_dot[k, 0]
-            err = max(abs(trace.e1[k, 0] - expected[0]),
-                      abs(e1_dot - expected[1]))
-            worst = max(worst, err)
-        assert worst < 1e-6
+        expected = point_mass_states(traj, gains, np.concatenate([sc.q0, sc.qdot0]),
+                                     sc.dt_control, len(trace) - 1)
+        assert np.abs(np.hstack([trace.q, trace.q_dot]) - expected).max() < 1e-6
+
+
+class TestDelayedClosedLoop:
+    """The delay path against the exact discretization of its delayed
+    first-order hold. The run starts on the reference at phase 0, so the
+    first command is zero and the actuator's step up to it has height zero."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3])
+    @pytest.mark.parametrize("d", [1, 6, 12])
+    def test_matches_exact_discretization(self, d, dt):
+        gains = GainSet.identity(1)
+        traj = SinusoidTrajectory(amplitude=(0.5,), frequency=(0.8,))
+        qd, qd_dot, _ = traj(0.0)
+        sc = Scenario(
+            plant=point_mass_plant(1), trajectory=traj,
+            delay=DelayProfile("constant", h0=d * 1e-2),
+            controller=ArolcConfig(gains, switching=False),
+            duration=10.0, dt=dt, dt_control=1e-2, q0=qd, qdot0=qd_dot,
+        )
+        trace = simulate(sc)
+        assert trace.tau_cmd[0, 0] == 0.0
+        expected = point_mass_states(traj, gains, np.concatenate([qd, qd_dot]),
+                                     sc.dt_control, len(trace) - 1, delay_periods=d)
+        assert np.abs(np.hstack([trace.q, trace.q_dot]) - expected).max() <= 1e-9
 
 
 class TestEnergyConservation:
@@ -154,7 +171,6 @@ class TestZeroDelayDecay:
             plant=point_mass_plant(1), trajectory=traj,
             delay=DelayProfile("none"), controller=cfg,
             duration=10.0, dt=1e-3, dt_control=1e-2,
-            control_mode="continuous",
             q0=np.array([-1.0]), qdot0=np.array([0.0]),
         )
         trace = simulate(sc)
@@ -308,20 +324,16 @@ class TestInputTable:
 
 class TestPinnedTraces:
     """sha256 over every Trace array of the first 2 s of two shipped robot
-    runs, of the first 1 s of the shipped two-link run (with its fine-grid
-    q and q_dot) and of two continuous-mode runs. The digests pin the
-    simulator's floating-point results (recorded with numpy 2 / OpenBLAS on
-    x86-64), so a change that moves one bit of a trace fails here."""
+    runs and of the first 1 s of the shipped two-link run (with its
+    fine-grid q and q_dot). The digests pin the simulator's floating-point
+    results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
+    moves one bit of a trace fails here."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f0db8d34dfff511c11b8e43e97d2f9f773b7c662686fd57179d8f0da3f11021",
         "wmr_s1_pcon": "6d3b739977c1ca46e77415ea011747325aa18bb6b9baa16c58fcc27a95f19034",
     }
     TWO_LINK_FINE_DIGEST = "506aa2b80aa0abb767ca225de2ed62f853a40862dcb480146747fe1fbe8c6e54"
-    CONTINUOUS_DIGESTS = {
-        "arolc": "cff815d081386f751cfd6c1c7ee711ad2776f4e56d8d3a16ece8da0d9aed2b20",
-        "none": "cdaba165ed138cd3bb77a57f27ec5ff0b217b131b6989777abcd7084e0f606b9",
-    }
 
     @staticmethod
     def digest(trace):
@@ -349,18 +361,6 @@ class TestPinnedTraces:
     def test_two_link_fine_grid_digest(self):
         trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
         assert self.digest(trace) == self.TWO_LINK_FINE_DIGEST
-
-    @pytest.mark.parametrize("kind", sorted(CONTINUOUS_DIGESTS))
-    def test_continuous_digest(self, kind):
-        # the law re-evaluated at every stage, on the ndarray-wrapped stage state
-        gains = GainSet.identity(2)
-        trace = simulate(Scenario(
-            plant=two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2,
-                                 disturbance_amp=0.05),
-            trajectory=SinusoidTrajectory(), delay=DelayProfile("none"),
-            controller=ArolcConfig(gains) if kind == "arolc" else None,
-            duration=1.0, dt=1e-3, dt_control=1e-2, control_mode="continuous"))
-        assert self.digest(trace) == self.CONTINUOUS_DIGESTS[kind]
 
 
 def reference_residual(trace, sc, warmup=0.5):
@@ -428,9 +428,6 @@ RESIDUAL_SCENARIOS = {
         oscillator_plant(stiffness=2.0), SinusoidTrajectory(amplitude=(0.5,),
                                                             frequency=(1.3,)),
         DelayProfile("custom", a=0.01, b=0.03, omega=2.0)),
-    "continuous": lambda: _arolc_scenario(
-        two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2),
-        SinusoidTrajectory(), DelayProfile("none"), control_mode="continuous"),
 }
 
 
