@@ -166,16 +166,14 @@ class StepRecord(NamedTuple):
     """One control step of any controller.
 
     Every controller fills tau, c_hat and s_norm (zero where the law has no
-    such quantity). The adaptive-robust law also reports the tracking error,
-    the auxiliary input u = u_hat + du and its new state, which the
-    simulator diagnostics log.
+    such quantity). The adaptive-robust law also reports the auxiliary input
+    u = u_hat + du, its switching part du and its new state; the simulator
+    diagnostics record u and du.
     """
 
     tau: np.ndarray
     c_hat: float = 0.0
     s_norm: float = 0.0
-    e1: np.ndarray | None = None
-    e1_dot: np.ndarray | None = None
     u: np.ndarray | None = None
     du: np.ndarray | None = None
     state: ArolcState | None = None
@@ -195,7 +193,7 @@ def arolc_law(c_hat, q, q_dot, desired, nominal_model, cfg):
     u = u_hat + du
     m_hat, n_hat = nominal_model
     tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
-    return StepRecord(tau, c_hat, float(np.linalg.norm(s)), e1, e1_dot, u, du), s
+    return StepRecord(tau, c_hat, float(np.linalg.norm(s)), u, du), s
 
 
 def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,

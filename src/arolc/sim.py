@@ -31,11 +31,12 @@ expression, so the traces are bit-identical to an ndarray integrator.
 Arrays begin at the control-rate boundary: the controller step, the trace
 rows and the diagnostics fine grid read the state as ndarrays.
 
-``simulate`` returns a Trace sampled at the control rate. With
-``diagnostics=True`` the trace additionally carries the fine-grid state
-history and the per-command controller quantities that the trace rows do
-not hold (e1_dot, u, du), which ``error_dynamics_residual`` reads with the
-rows to check the delayed error-dynamics identity offline.
+``simulate`` allocates the Trace, sampled at the control rate, before the
+loop, writes each row into it and returns it: the trace is the run's only
+record. With ``diagnostics=True`` the trace additionally carries the
+fine-grid state history and the per-command controller quantities that the
+trace rows do not determine (u, du), which ``error_dynamics_residual``
+reads with the rows to check the delayed error-dynamics identity offline.
 
 ``Scenario.controller`` is an ArolcConfig, a PconConfig (with a fixed or the
 true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
@@ -44,7 +45,7 @@ true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,7 +68,8 @@ TRACE_FLOAT_FORMAT = "%.9g"
 
 _DIVERGENCE_LIMIT = 1e8
 # Cap on each array simulate preallocates: the control-rate trace (4 + 6n
-# float64 per row), the applied input of a control period and the
+# float64 per row; with diagnostics the per-command u and du add 2n, less
+# than the trace's own rows), the applied input of a control period and the
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
 # the plan of the period's block (stage instants, delays, brackets and
 # weights, 15 + 6n words per RK4 step, plus their temporaries while it is
@@ -133,27 +135,33 @@ class Scenario:
             raise ValueError(
                 f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
                 f"period; at most {max_steps} fit")
-        # q0 defaults to the reference's start
-        q0 = self.trajectory(0.0)[0] if self.q0 is None else self.q0
-        for name, value in (("q0", q0), ("qdot0", self.qdot0)):
-            if value is not None and np.shape(value) != (n,):
+        for name, value in zip(("q0", "qdot0"), self.initial_state()):
+            if value.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries, one per plant "
-                                 f"coordinate, got shape {np.shape(value)}")
+                                 f"coordinate, got shape {value.shape}")
         if not isinstance(self.controller, (ArolcConfig, PconConfig, type(None))):
             raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
                              f"None, got {type(self.controller).__name__}")
 
+    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q0, qdot0) as new float arrays: q0 defaults to the reference's
+        start, qdot0 to rest."""
+        q0 = self.trajectory(0.0)[0] if self.q0 is None else self.q0
+        qdot0 = np.zeros(self.plant.dim) if self.qdot0 is None else self.qdot0
+        return np.array(q0, dtype=float), np.array(qdot0, dtype=float)
+
 
 @dataclass
 class FineRecord:
-    """Integration-rate state history plus the per-command controller
-    quantities the trace rows lack: on adaptive-robust runs one row per
-    trace row, empty for the other kinds."""
+    """Integration-rate state history (t, q, q_dot: one row per RK4 step
+    and the initial state) plus the per-command controller quantities the
+    trace rows do not determine: the adaptive-robust law's auxiliary input
+    u and its switching part du, one row per trace row, zero on runs of the
+    other controllers."""
 
     t: np.ndarray
     q: np.ndarray
     q_dot: np.ndarray
-    cmd_e1_dot: np.ndarray
     cmd_u: np.ndarray
     cmd_du: np.ndarray
 
@@ -180,6 +188,17 @@ class Trace:
     @property
     def n(self) -> int:
         return self.q.shape[1]
+
+    def head(self, rows: int, fine_rows: int) -> "Trace":
+        """A copy of the first rows of the trace, with the first fine_rows
+        of its fine grid and the first rows of its per-command records."""
+        fine = self.fine
+        if fine is not None:
+            fine = FineRecord(fine.t[:fine_rows].copy(), fine.q[:fine_rows].copy(),
+                              fine.q_dot[:fine_rows].copy(), fine.cmd_u[:rows].copy(),
+                              fine.cmd_du[:rows].copy())
+        return Trace(*(getattr(self, f.name)[:rows].copy()
+                       for f in fields(self) if f.name != "fine"), fine=fine)
 
 
 def _n_periods(sc: Scenario) -> int:
@@ -242,9 +261,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             f"[sim] duration = {sc.duration:g} s needs {n_fine} diagnostics rows at "
             f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
-    qd0 = trajectory(0.0)[0]
-    q = np.array(sc.q0, dtype=float) if sc.q0 is not None else np.asarray(qd0, float).copy()
-    q_dot = np.array(sc.qdot0, dtype=float) if sc.qdot0 is not None else np.zeros(n)
+    q, q_dot = sc.initial_state()
     y = q.tolist() + q_dot.tolist()
 
     controller = make_controller(sc)
@@ -256,81 +273,46 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         qq_dot = yy[n:]
         return qq_dot + accel(qq, qq_dot, tau, t)
 
-    # control-rate records
-    ts = np.zeros(n_rows)
-    qs = np.zeros((n_rows, n))
-    q_dots = np.zeros((n_rows, n))
-    q_des = np.zeros((n_rows, n))
-    e1s = np.zeros((n_rows, n))
-    tau_cmds = np.zeros((n_rows, n))
-    tau_apps = np.zeros((n_rows, n))
-    c_hats = np.zeros(n_rows)
-    s_norms = np.zeros(n_rows)
-    hs = np.zeros(n_rows)
-
-    record_fine = diagnostics
-    if record_fine:
-        fine_t = np.zeros(n_fine)
-        fine_q = np.zeros((n_fine, n))
-        fine_qd = np.zeros((n_fine, n))
-        cmd_log: dict[str, list] = {k: [] for k in ("e1_dot", "u", "du")}
-    fine_idx = 0
-
-    def build_trace(rows: int) -> Trace:
-        fine = None
-        if record_fine:
-            fine = FineRecord(
-                t=fine_t[:fine_idx + 1].copy(),
-                q=fine_q[:fine_idx + 1].copy(),
-                q_dot=fine_qd[:fine_idx + 1].copy(),
-                cmd_e1_dot=np.array(cmd_log["e1_dot"]),
-                cmd_u=np.array(cmd_log["u"]),
-                cmd_du=np.array(cmd_log["du"]),
-            )
-        return Trace(
-            t=ts[:rows].copy(), q=qs[:rows].copy(), q_dot=q_dots[:rows].copy(),
-            q_desired=q_des[:rows].copy(), e1=e1s[:rows].copy(),
-            tau_cmd=tau_cmds[:rows].copy(), tau_applied=tau_apps[:rows].copy(),
-            c_hat=c_hats[:rows].copy(), s_norm=s_norms[:rows].copy(),
-            h=hs[:rows].copy(), fine=fine,
-        )
-
     stamps = np.arange(n_rows) * sc.dt_control
+    # t, the six (rows, n) arrays q .. tau_applied, then c_hat, s_norm, h
+    trace = Trace(stamps, *(np.zeros((n_rows, n)) for _ in range(6)),
+                  *(np.zeros(n_rows) for _ in range(3)))
+    fine = None
+    if diagnostics:
+        fine = trace.fine = FineRecord(
+            np.zeros(n_fine), np.zeros((n_fine, n)), np.zeros((n_fine, n)),
+            np.zeros((n_rows, n)), np.zeros((n_rows, n)))
+        fine.q[0] = q
+        fine.q_dot[0] = q_dot
+
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
     for k in range(n_rows):
         t_k = k * sc.dt_control
         p = k % periods_per_block
         if p == 0:
             k1 = min(k + periods_per_block, n_rows)
-            stage_t, stage_h, plans, before, after = _plan_periods(
+            _, stage_h, plans, before, after = _plan_periods(
                 profile, stamps, k, k1, steps_per_control, sc.dt, n)
-            ts[k:k1] = stage_t[:, 0, 0]
-            hs[k:k1] = stage_h[:, 0, 0]
+            trace.h[k:k1] = stage_h[:, 0, 0]
         qq = np.array(y[:n])
         qq_dot = np.array(y[n:])
         desired = trajectory(t_k)
 
         rec = controller.step(t_k, qq, qq_dot, desired)
-        tau_cmds[k] = rec.tau
-        if record_fine and rec.e1 is not None:
-            cmd_log["e1_dot"].append(rec.e1_dot)
-            cmd_log["u"].append(rec.u)
-            cmd_log["du"].append(rec.du)
+        trace.tau_cmd[k] = rec.tau
+        if fine is not None and rec.u is not None:
+            fine.cmd_u[k] = rec.u
+            fine.cmd_du[k] = rec.du
 
         # the commands pushed so far fix the applied input of the whole period
-        stage_tau = blend(tau_cmds, k + 1, plans[p], before[p], after[p])
-        qs[k] = qq
-        q_dots[k] = qq_dot
-        q_des[k] = desired[0]
-        e1s[k] = np.asarray(desired[0], float) - qq
-        tau_apps[k] = stage_tau[0, 0]
-        c_hats[k] = rec.c_hat
-        s_norms[k] = rec.s_norm
-
-        if record_fine and k == 0:
-            fine_t[0] = 0.0
-            fine_q[0] = qq
-            fine_qd[0] = qq_dot
+        stage_tau = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p])
+        trace.q[k] = qq
+        trace.q_dot[k] = qq_dot
+        trace.q_desired[k] = desired[0]
+        trace.e1[k] = np.asarray(desired[0], float) - qq
+        trace.tau_applied[k] = stage_tau[0, 0]
+        trace.c_hat[k] = rec.c_hat
+        trace.s_norm[k] = rec.s_norm
 
         if k == n_rows - 1:
             break
@@ -339,15 +321,15 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         for i in range(steps_per_control):
             t = t_k + i * sc.dt
             y = _rk4_step(rhs, t, y, sc.dt, stage_inputs[i])
+            j = k * steps_per_control + i + 1  # the fine row of the step's end
             if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y):  # NaN fails it too
-                raise SimulationDiverged(t + sc.dt, build_trace(k + 1))
-            if record_fine:
-                fine_idx += 1
-                fine_t[fine_idx] = t + sc.dt
-                fine_q[fine_idx] = y[:n]
-                fine_qd[fine_idx] = y[n:]
+                raise SimulationDiverged(t + sc.dt, trace.head(k + 1, j))
+            if fine is not None:
+                fine.t[j] = t + sc.dt
+                fine.q[j] = y[:n]
+                fine.q_dot[j] = y[n:]
 
-    return build_trace(n_rows)
+    return trace
 
 
 def trace_to_csv(trace: Trace, path) -> None:
@@ -421,7 +403,9 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     thetas = times - delay_at(sc.delay, times)
 
     cmd_t = trace.t  # every row of an adaptive-robust run is a command
-    c = (fine.cmd_u - sc.trajectory(cmd_t)[2] - fine.cmd_e1_dot @ cfg.K2.T
+    _, cmd_qd_dot, cmd_qd_ddot = sc.trajectory(cmd_t)
+    e1_dot_j = cmd_qd_dot - trace.q_dot  # as the law formed it, row by row
+    c = (fine.cmd_u - cmd_qd_ddot - e1_dot_j @ cfg.K2.T
          - trace.e1 @ cfg.K1.T - fine.cmd_du)
     g = ((plant.nominal_mass_matrix(trace.q) @ fine.cmd_u[:, :, None])[:, :, 0]
          + plant.nominal_bias_vector(trace.q, trace.q_dot))

@@ -303,7 +303,7 @@ class TestControllerProtocol:
                             sc.controller)
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             np.testing.assert_array_equal(rec.tau, ref)
-            assert (rec.c_hat, rec.s_norm, rec.e1) == (0.0, 0.0, None)
+            assert (rec.c_hat, rec.s_norm, rec.u) == (0.0, 0.0, None)
         assert ctrl.history.times == buffer.times
 
     def test_pconf_window_beyond_peak_delay(self):

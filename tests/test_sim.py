@@ -325,7 +325,8 @@ class TestInputTable:
 class TestPinnedTraces:
     """sha256 over every Trace array of the first 2 s of two shipped robot
     runs and of the first 1 s of the shipped two-link run (with its
-    fine-grid q and q_dot). The digests pin the simulator's floating-point
+    fine-grid q and q_dot), and over that run's error-dynamics residual.
+    The digests pin the simulator's floating-point
     results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
     moves one bit of a trace fails here."""
 
@@ -334,6 +335,8 @@ class TestPinnedTraces:
         "wmr_s1_pcon": "6d3b739977c1ca46e77415ea011747325aa18bb6b9baa16c58fcc27a95f19034",
     }
     TWO_LINK_FINE_DIGEST = "506aa2b80aa0abb767ca225de2ed62f853a40862dcb480146747fe1fbe8c6e54"
+    TWO_LINK_RESIDUAL_DIGEST = (
+        "e265ff800c39f532127738d79265375e29d33bd9e92ba1642f6c040061e35001")
 
     @staticmethod
     def digest(trace):
@@ -362,6 +365,16 @@ class TestPinnedTraces:
         trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
         assert self.digest(trace) == self.TWO_LINK_FINE_DIGEST
 
+    def test_two_link_residual_digest(self):
+        # sha256 over the (times, residual 2-norms) error_dynamics_residual
+        # returns on the same 1 s run
+        sc = self.shipped("two_link_s1_arolc", "1.0")
+        times, resid = error_dynamics_residual(simulate(sc, diagnostics=True), sc)
+        digest = hashlib.sha256()
+        for array in (times, resid):
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.TWO_LINK_RESIDUAL_DIGEST
+
 
 def reference_residual(trace, sc, warmup=0.5):
     """The error-dynamics residual by its per-instant definition: for each
@@ -379,13 +392,13 @@ def reference_residual(trace, sc, warmup=0.5):
     cmd_t = trace.t
 
     def rhs_for(j, i, t):
+        _, qd_dot_j, qd_ddot_j = sc.trajectory(float(cmd_t[j]))
         sigma = uncertainty_residual(
             fine.q[i], fine.q_dot[i], trace.q[j], trace.q_dot[j],
-            fine.cmd_u[j], qd_ddot_d[i], sc.trajectory(float(cmd_t[j]))[2],
-            sc.plant, sc.plant, t=t,
+            fine.cmd_u[j], qd_ddot_d[i], qd_ddot_j, sc.plant, sc.plant, t=t,
         )
-        return (-cfg.K2 @ fine.cmd_e1_dot[j] - cfg.K1 @ trace.e1[j]
-                + sigma - fine.cmd_du[j])
+        e1_dot_j = qd_dot_j - trace.q_dot[j]
+        return -cfg.K2 @ e1_dot_j - cfg.K1 @ trace.e1[j] + sigma - fine.cmd_du[j]
 
     out_t, out_r = [], []
     for i in range(1, len(times) - 1):
@@ -613,6 +626,51 @@ class TestWarningsAndErrors:
         assert len(partial) == 13  # rows 0.00 .. 0.12
         assert np.isfinite(partial.q).all() and np.isfinite(partial.q_dot).all()
         np.testing.assert_allclose(partial.q[-1], [1.06, 1.94], rtol=0, atol=1e-12)
+
+    def test_diverged_diagnostics_run_keeps_its_rows(self):
+        # a unit point mass whose accel turns NaN after t_blow, under the
+        # adaptive-robust law: the partial trace of a diagnostics run is the
+        # head of the same run cut short before the blow-up, its fine grid
+        # ending at the last finite RK4 step
+        class Blowup(PlantModel):
+            dim = 2
+
+            def __init__(self, t_blow):
+                super().__init__()
+                self.t_blow = t_blow
+
+            def mass_matrix(self, q, t=None):
+                return np.eye(2)
+
+            def bias_vector(self, q, q_dot, t):
+                return np.zeros(2)
+
+            def accel(self, q, q_dot, tau_applied, t):
+                return [0.0, math.nan] if t > self.t_blow else list(tau_applied)
+
+        def scenario(t_blow, duration):
+            return free_scenario(
+                plant=Blowup(t_blow), trajectory=SinusoidTrajectory(),
+                controller=ArolcConfig(GainSet.identity(2)), duration=duration,
+                q0=np.array([1.0, 2.0]), qdot0=np.array([0.5, -0.5]))
+
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(scenario(0.1234, 1.0), diagnostics=True)
+        partial = excinfo.value.partial_trace
+        fine = partial.fine
+        assert len(partial) == 13  # rows 0.00 .. 0.12
+        assert len(fine.t) == 124 and fine.t[-1] == pytest.approx(0.123, abs=1e-12)
+        assert np.isfinite(fine.q).all() and np.isfinite(fine.q_dot).all()
+        assert fine.cmd_u.shape == fine.cmd_du.shape == (13, 2)
+        assert (fine.cmd_du != 0.0).all()
+
+        full = simulate(scenario(math.inf, 0.13), diagnostics=True)
+        for f in dataclasses.fields(partial):
+            if f.name != "fine":
+                assert np.array_equal(getattr(partial, f.name), getattr(full, f.name)[:13])
+        for name, rows in (("t", 124), ("q", 124), ("q_dot", 124),
+                           ("cmd_u", 13), ("cmd_du", 13)):
+            assert np.array_equal(getattr(fine, name), getattr(full.fine, name)[:rows])
 
 
 class TestTraceCsv:
