@@ -51,10 +51,10 @@ def _apply_cli_overrides(config, args) -> None:
         apply_override(config, "sim.control_dt", repr(args.control_dt))
 
 
-def _measure(config, label):
-    """Build and simulate one run; returns (trace, metrics report, the
-    SimulationDiverged raised or None). A diverged run keeps its partial trace."""
-    sc = build_scenario(config, label=label)
+def _measure(config, sc):
+    """Simulate the scenario sc built from config; returns (trace, metrics
+    report, the SimulationDiverged raised or None). A diverged run keeps its
+    partial trace."""
     started = time.perf_counter()
     try:
         trace, diverged = simulate(sc), None
@@ -66,8 +66,8 @@ def _measure(config, label):
     return trace, report, diverged
 
 
-def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
-    trace, report, diverged = _measure(config, label)
+def _run_one(config, sc, out_dir: Path, quiet: bool) -> tuple[int, object]:
+    trace, report, diverged = _measure(config, sc)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -75,7 +75,7 @@ def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
     (out_dir / "metrics.json").write_text(metrics_to_json(report) + "\n")
     if not quiet:
         ae = ", ".join(f"{a:.6g}" for a in report.ae_per_dim)
-        print(f"{label}: rows={len(trace)} ae=[{ae}] tv={report.tv:.6g} "
+        print(f"{sc.label}: rows={len(trace)} ae=[{ae}] tv={report.tv:.6g} "
               f"runtime={report.runtime:.2f}s -> {out_dir}")
     return int(diverged is not None), report
 
@@ -83,14 +83,18 @@ def _run_one(config, label, out_dir: Path, quiet: bool) -> tuple[int, object]:
 def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
     """Write one CSV line per (lead cells, MetricsReport) row: the lead
     columns, the per-dimension lists named in per_dim ("ae" for
-    ae_per_dim, ...), then tv, sup_error_tail and runtime. Returns the text."""
-    n = len(rows[0][1].ae_per_dim)
+    ae_per_dim, ...), then tv, sup_error_tail and runtime. A row of fewer
+    plant coordinates than the widest (a sweep over plant.n) leaves its last
+    per-dimension cells empty. Returns the text."""
+    n = max(len(rep.ae_per_dim) for _, rep in rows)
     header = lead + [f"{name}_{i}" for name in per_dim for i in range(n)]
     lines = [",".join(header + ["tv", "sup_error_tail", "runtime"])]
     for cells, rep in rows:
-        values = [v for name in per_dim for v in getattr(rep, f"{name}_per_dim")]
-        values += [rep.tv, rep.sup_error_tail, rep.runtime]
-        lines.append(",".join(cells + [f"{v:.9g}" for v in values]))
+        for name in per_dim:
+            values = [f"{v:.9g}" for v in getattr(rep, f"{name}_per_dim")]
+            cells = cells + values + [""] * (n - len(values))
+        tail = [rep.tv, rep.sup_error_tail, rep.runtime]
+        lines.append(",".join(cells + [f"{v:.9g}" for v in tail]))
     text = "\n".join(lines) + "\n"
     path.write_text(text)
     return text
@@ -115,8 +119,8 @@ def _cmd_bound(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.scenario)
     _apply_cli_overrides(config, args)
-    code, _ = _run_one(config, Path(args.scenario).stem, Path(args.out),
-                       args.quiet)
+    sc = build_scenario(config, label=Path(args.scenario).stem)
+    code, _ = _run_one(config, sc, Path(args.out), args.quiet)
     return code
 
 
@@ -125,14 +129,19 @@ def _cmd_compare(args) -> int:
     config_b = load_config(args.scenario_b)
     _apply_cli_overrides(config_a, args)
     _apply_cli_overrides(config_b, args)
+    sc_a = build_scenario(config_a, label=Path(args.scenario_a).stem)
+    sc_b = build_scenario(config_b, label=Path(args.scenario_b).stem)
+    # comparison.csv has one column per plant coordinate
+    if sc_a.plant.dim != sc_b.plant.dim:
+        raise ScenarioError(
+            f"{args.scenario_a} has {sc_a.plant.dim} plant coordinates and "
+            f"{args.scenario_b} has {sc_b.plant.dim}; compare needs equal numbers")
     out = Path(args.out)
-    label_a = Path(args.scenario_a).stem
-    label_b = Path(args.scenario_b).stem
-    code_a, rep_a = _run_one(config_a, label_a, out / "a", args.quiet)
-    code_b, rep_b = _run_one(config_b, label_b, out / "b", args.quiet)
+    code_a, rep_a = _run_one(config_a, sc_a, out / "a", args.quiet)
+    code_b, rep_b = _run_one(config_b, sc_b, out / "b", args.quiet)
     out.mkdir(parents=True, exist_ok=True)
     text = _write_metrics_csv(out / "comparison.csv", ["scenario"],
-                              [([label_a], rep_a), ([label_b], rep_b)],
+                              [([sc_a.label], rep_a), ([sc_b.label], rep_b)],
                               per_dim=("ae", "pct_ae"))
     if not args.quiet:
         print(text, end="")
@@ -168,8 +177,11 @@ def _cmd_sweep(args) -> int:
     worst = 0
     for value in values:
         config = {sec: dict(keys) for sec, keys in base.items()}
-        apply_override(config, args.param, repr(float(value)))
-        _, report, diverged = _measure(config, f"{args.param}={value:g}")
+        # an integral value is written as an integer, which integer keys read
+        text = str(int(value)) if value.is_integer() else repr(float(value))
+        apply_override(config, args.param, text)
+        sc = build_scenario(config, label=f"{args.param}={value:g}")
+        _, report, diverged = _measure(config, sc)
         status = "ok" if diverged is None else "diverged"
         worst = max(worst, int(diverged is not None))
         rows.append(([f"{value:.9g}", status], report))

@@ -14,12 +14,12 @@ Two controllers are provided:
   and therefore needs the delay (or an estimate of it) to be supplied:
   PconConfig.h_estimate = None tells it the true delay h(t), a number fixes
   the window (the pconf variant, spelled [controller] kind = pconf in
-  scenario files).
+  scenario files). Its input history is the trace's tau_cmd rows so far.
 
-make_controller(scenario) builds the object of scenario.controller's type
-(ArolcConfig, PconConfig, or None for zero torque) with one method the
-simulator calls per control period: step(t, q, q_dot, desired) ->
-StepRecord. The objects hold state; arolc_step (arolc_law, then
+make_controller(scenario, trace) builds the object of scenario.controller's
+type (ArolcConfig, PconConfig, or None for zero torque) with one method the
+simulator calls per control period, row by row of trace: step(t, q, q_dot,
+desired) -> StepRecord. The objects hold state; arolc_step (arolc_law, then
 adapt_gain) and pcon_step stay module functions.
 
 The switching law uses a boundary layer of width epsilon: outside it the
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delays import DelayBuffer, delay_at, max_delay
+from .delays import integrate, max_delay
 from .stability import GainSet, build_error_system, delay_margin
 
 __all__ = [
@@ -230,23 +230,21 @@ class PconConfig:
         object.__setattr__(self, "vartheta", v)
 
 
-def pcon_step(buffer: DelayBuffer, h, q, q_dot, desired, t, cfg: PconConfig):
-    """tau = k_b (e1_dot + kappa e1 - vartheta e_z), e_z the integral of the
-    commands in buffer over [t - h, t]; appends tau to buffer."""
+def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig):
+    """tau = k_b (e1_dot + kappa e1 - vartheta e_z), e_z the integral over
+    [t - h, t] of history = (times, values, m) (``delays.integrate``)."""
     qd, qd_dot, _ = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
-    e_z = buffer.integrate(t - h, t)  # zero while the buffer is empty
+    e_z = integrate(*history, t - h, t)  # zero before the first command
     rho = e1_dot + cfg.kappa * e1 - cfg.vartheta @ e_z
-    tau = cfg.k_b * rho
-    buffer.push(t, tau)
-    return tau
+    return cfg.k_b * rho
 
 
 class ArolcController:
     """Adaptive-robust law bound to a plant's nominal model, holding its state."""
 
-    def __init__(self, sc):
+    def __init__(self, sc, trace):
         self.cfg = sc.controller
         self.plant = sc.plant
         self.dt = sc.dt_control
@@ -267,25 +265,25 @@ class ArolcController:
 
 
 class PconController:
-    """Predictor baseline with its own input history, integrated over the
-    true delay h(t) or over the fixed window cfg.h_estimate."""
+    """Predictor baseline at row k of trace: integrates the commands of rows
+    before k over the true delay, the trace's h row k, or cfg.h_estimate."""
 
-    def __init__(self, sc):
+    def __init__(self, sc, trace):
         self.cfg = sc.controller
-        self.profile = sc.delay
-        self.history = DelayBuffer(dim=sc.plant.dim)
+        self.trace = trace
+        self.k = 0
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
-        h = self.cfg.h_estimate
-        if h is None:
-            h = delay_at(self.profile, t)
-        return StepRecord(pcon_step(self.history, h, q, q_dot, desired, t, self.cfg))
+        k, self.k = self.k, self.k + 1
+        h = self.trace.h[k] if self.cfg.h_estimate is None else self.cfg.h_estimate
+        history = self.trace.t, self.trace.tau_cmd, k
+        return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg))
 
 
 class ZeroController:
     """No controller config: the plant runs open loop under zero torque."""
 
-    def __init__(self, sc):
+    def __init__(self, sc, trace):
         self.n = sc.plant.dim
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
@@ -296,9 +294,9 @@ _CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,
                 type(None): ZeroController}
 
 
-def make_controller(sc):
-    """The controller object of sc.controller's config type."""
-    return _CONTROLLERS[type(sc.controller)](sc)
+def make_controller(sc, trace):
+    """The controller object of sc.controller's config type, along trace's rows."""
+    return _CONTROLLERS[type(sc.controller)](sc, trace)
 
 
 def uncertainty_residual(q, q_dot, q_h, q_dot_h, u_h, qdd_d, qdd_d_h,

@@ -17,9 +17,12 @@ knows them early (the simulator knows every stamp and every RK4 stage
 instant before its run starts) plans many lookups at once. ``blend`` then
 evaluates the signal of the first m commands on a plan, which is the only
 step that reads the command values. ``interpolate`` is the plan followed by
-the blend, on any stamped history. A DelayBuffer keeps the whole stamped
-history of a run; DelayBuffer.sample_many (and sample, at one instant)
-interpolates it and DelayBuffer.integrate integrates it exactly.
+the blend, on any stamped history, and ``integrate`` integrates the signal
+of its first m commands exactly. A run's command history is its trace,
+the tau_cmd rows at the stamps t: the simulator blends them and the
+predictor integrates them in place. A DelayBuffer is a stamped history
+built one checked command at a time; each of its lookups is one call to
+``interpolate`` or ``integrate``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["DelayProfile", "KIND_PARAMS", "delay_at", "max_delay", "Plan", "plan", "blend",
-           "interpolate", "DelayBuffer"]
+           "interpolate", "integrate", "DelayBuffer"]
 
 # (a, b, omega) of the kinds without parameters
 _PRESETS = {"S1": (0.020, 0.080, 1.0), "S2": (0.005, 0.120, 0.1),
@@ -151,78 +154,66 @@ def interpolate(times, values, t_query) -> np.ndarray:
     return blend(values, m, plan(times, t_query, values.shape[1]))
 
 
+def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
+    """Integral over [t0, t1] of the command signal of the first m commands,
+    values[:m] at the stamps times[:m] (arrays, times strictly increasing):
+    trapezoids between knots, exact for that piecewise-linear signal; zero
+    for m = 0."""
+    for name, bound in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound!r}")
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    n = values.shape[1]
+    if not m:
+        return np.zeros(n)
+    times = times[:m]
+    lo = max(t0, times[0].item())
+    if t1 <= lo:
+        return np.zeros(n)
+    # knots: the interval's ends plus every stamp inside it
+    inner = times[np.searchsorted(times, lo, side="right"):
+                  np.searchsorted(times, t1, side="left")]
+    knots = [lo] + inner.tolist() + [t1]
+    knot_values = interpolate(times, values[:m], knots).tolist()
+    # float trapezoids, summed left to right as an ndarray total += would
+    total = [0.0] * n
+    for k in range(1, len(knots)):
+        w = 0.5 * (knots[k] - knots[k - 1])
+        total = [s + w * (a + b)
+                 for s, a, b in zip(total, knot_values[k - 1], knot_values[k])]
+    return np.array(total)
+
+
 class DelayBuffer:
-    """The whole stamped command history of a run, each command a vector of
-    dim entries, in preallocated arrays (rows [0, len) live) that a lookup
-    reads without copying; a push writes one row and doubles the arrays
-    when they are full."""
+    """A stamped history of commands of dim entries, built one command at a
+    time: push checks each stamp and command, sample and integrate read the
+    history through ``interpolate`` and ``integrate``."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._t = np.empty(0)
-        self._v = np.empty((0, dim))
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def times(self) -> list[float]:
-        return self._t[:self._n].tolist()
+        self._t: list[float] = []
+        self._v: list[np.ndarray] = []
 
     def push(self, t: float, tau) -> None:
         t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
-        n = self._n
-        if n and t <= self._t[n - 1]:
+        if self._t and t <= self._t[-1]:
             raise ValueError("timestamps must be strictly increasing")
-        value = np.asarray(tau, dtype=float)
+        value = np.array(tau, dtype=float)
         if value.shape != (self.dim,):
             raise ValueError(f"command must have shape ({self.dim},), got {value.shape}")
-        if n == len(self._t):
-            grow = max(16, n)
-            self._t = np.concatenate([self._t, np.empty(grow)])
-            self._v = np.concatenate([self._v, np.empty((grow, self.dim))])
-        self._t[n] = t
-        self._v[n] = value
-        self._n = n + 1
+        self._t.append(t)
+        self._v.append(value)
 
-    def sample_many(self, t_query) -> np.ndarray:
-        """Commands in flight at each instant of the 1-D array t_query:
-        ``interpolate`` on the whole history."""
-        return interpolate(self._t[:self._n], self._v[:self._n], t_query)
+    def _history(self):
+        return np.array(self._t), np.reshape(self._v, (-1, self.dim))
 
     def sample(self, t_query: float) -> np.ndarray:
         """Command in flight at t_query under the actuator model above."""
-        return self.sample_many([t_query])[0]
+        return interpolate(*self._history(), [t_query])[0]
 
     def integrate(self, t0: float, t1: float) -> np.ndarray:
-        """Integral of the actuator signal sample() describes over [t0, t1]
-        (trapezoids between knots, exact for that piecewise-linear signal).
-        Empty buffers integrate to zero.
-        """
-        for name, bound in (("t0", t0), ("t1", t1)):
-            if not math.isfinite(bound):
-                raise ValueError(f"{name} must be finite, got {bound!r}")
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        n = self.dim
-        if not self._n:
-            return np.zeros(n)
-        times = self._t[:self._n]
-        lo = max(t0, times[0].item())
-        if t1 <= lo:
-            return np.zeros(n)
-        # knots: the interval's ends plus every stamp inside it
-        inner = times[np.searchsorted(times, lo, side="right"):
-                      np.searchsorted(times, t1, side="left")]
-        knots = [lo] + inner.tolist() + [t1]
-        knot_values = self.sample_many(knots).tolist()
-        # float trapezoids, summed left to right as an ndarray total += would
-        total = [0.0] * n
-        for k in range(1, len(knots)):
-            w = 0.5 * (knots[k] - knots[k - 1])
-            total = [s + w * (a + b)
-                     for s, a, b in zip(total, knot_values[k - 1], knot_values[k])]
-        return np.array(total)
+        """Integral of the signal sample() describes over [t0, t1]."""
+        return integrate(*self._history(), len(self._t), t0, t1)

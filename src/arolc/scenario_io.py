@@ -215,14 +215,19 @@ def _section(name):
     """Report a constructor's ValueError as a ScenarioError of [name], in
     the file's spelling: the leading argument name lowercased, as
     configparser reads keys, and Scenario.dt_control as its key control_dt.
-    A ScenarioError already names its entry and passes through unchanged."""
+    A leading Scenario field that a section of its own sets (trajectory,
+    controller) is reported as that section. A ScenarioError already names
+    its entry and passes through unchanged."""
     try:
         yield
     except ScenarioError:
         raise
     except ValueError as exc:
         field, sep, rest = str(exc).partition(" ")
-        message = (field.lower() + sep + rest).replace("dt_control", "control_dt")
+        field = field.lower()
+        if field in _KNOWN_KEYS:
+            name, field, sep = field, "", ""
+        message = (field + sep + rest).replace("dt_control", "control_dt")
         raise ScenarioError(f"[{name}] {message}") from exc
 
 

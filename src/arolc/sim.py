@@ -3,9 +3,9 @@
 The plant state (q, q_dot) is integrated with classical RK4 at a fixed step
 dt. The controller (``controllers.make_controller``) is stepped every
 dt_control on the sampled state and its command, stamped k dt_control, is
-written to the trace's tau_cmd row k, which is the actuator's command
-history; the plant receives the delayed command the actuator model of
-``arolc.delays`` describes. The delay thus acts between command
+written to the trace's tau_cmd row k: the run's one command history, which
+the plant receives delayed as ``arolc.delays`` describes and the predictor
+baseline, handed the trace, integrates. The delay thus acts between command
 computation and application, and the integrator sees the applied input as
 a known function of time (method-of-steps treatment; only the input is
 delayed, never the state).
@@ -76,9 +76,7 @@ _DIVERGENCE_LIMIT = 1e8
 # built), the blended table (3n float64) and its nested-list copy the
 # stages read (32 + 12n words); with the previous period's still held while
 # the next block is planned, tracemalloc measures a peak of 79 + 33n words
-# per RK4 step (5e4 steps per period, n = 1, 2, 3). The predictor's own
-# command history grows with the run but stays below the trace: it holds at
-# most 2 (1 + n) float64 per row (16 rows at least).
+# per RK4 step (5e4 steps per period, n = 1, 2, 3).
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
@@ -135,13 +133,24 @@ class Scenario:
             raise ValueError(
                 f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
                 f"period; at most {max_steps} fit")
+        # the default q0 is the trajectory's start, so its dimension comes first
+        if self.trajectory.dim != n:
+            raise ValueError(f"trajectory must have {n} coordinates, one per plant "
+                             f"coordinate, got {self.trajectory.dim}")
+        cfg = self.controller
+        if not isinstance(cfg, (ArolcConfig, PconConfig, type(None))):
+            raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
+                             f"None, got {type(cfg).__name__}")
+        if cfg is not None:
+            name, gain = (("gains", cfg.K1) if isinstance(cfg, ArolcConfig)
+                          else ("vartheta", cfg.vartheta))
+            if gain.shape != (n, n):
+                raise ValueError(f"controller {name} must have shape ({n}, {n}), one row "
+                                 f"per plant coordinate, got {gain.shape}")
         for name, value in zip(("q0", "qdot0"), self.initial_state()):
             if value.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries, one per plant "
                                  f"coordinate, got shape {value.shape}")
-        if not isinstance(self.controller, (ArolcConfig, PconConfig, type(None))):
-            raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
-                             f"None, got {type(self.controller).__name__}")
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """(q0, qdot0) as new float arrays: q0 defaults to the reference's
@@ -264,8 +273,6 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     q, q_dot = sc.initial_state()
     y = q.tolist() + q_dot.tolist()
 
-    controller = make_controller(sc)
-
     accel = plant.accel  # as bound on the instance, wrappers included
 
     def rhs(t, yy, tau):
@@ -277,6 +284,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     # t, the six (rows, n) arrays q .. tau_applied, then c_hat, s_norm, h
     trace = Trace(stamps, *(np.zeros((n_rows, n)) for _ in range(6)),
                   *(np.zeros(n_rows) for _ in range(3)))
+    controller = make_controller(sc, trace)
     fine = None
     if diagnostics:
         fine = trace.fine = FineRecord(

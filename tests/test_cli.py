@@ -113,6 +113,16 @@ class TestSimulate:
                                "sup_error_tail", "runtime", "scenario_hash"}
         assert len(report["ae_per_dim"]) == 2
 
+    def test_trajectory_of_other_dimension_named(self, tmp_path, capsys):
+        # the default q0 is the trajectory's start: its check named [sim] q0,
+        # a key the file never set
+        path = tmp_path / "ramp.ini"
+        path.write_text(POINT_MASS.replace("kind = point-mass", "kind = point-mass\nn = 3")
+                        .replace("kind = sinusoid", "kind = wheel-ramp"))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [trajectory] must have 3 coordinates, one per plant coordinate, got 2\n")
+
     def test_zero_duration_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.ini"
         path.write_text(FAST.replace("duration = 1.0", "duration = 0.0"))
@@ -278,7 +288,44 @@ class TestCompare:
         assert (out / "b" / "metrics.json").exists()
 
 
+    def test_plants_of_different_dimensions_rejected(self, tmp_path, capsys):
+        # the table has one column per plant coordinate: with 3 and 2 its
+        # values would sit under the wrong headers
+        three = tmp_path / "three.ini"
+        three.write_text(POINT_MASS.replace("kind = point-mass", "kind = point-mass\nn = 3"))
+        out = tmp_path / "cmp"
+        code = main(["compare", str(three), "scenarios/margin_reference.ini",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(three) in err and "scenarios/margin_reference.ini" in err
+        assert not out.exists()  # nothing simulated
+
+
 class TestSweep:
+    @pytest.mark.parametrize("param, spec, values", [("sim.seed", "0:2:1", ["0", "1", "2"]),
+                                                     ("plant.n", "1:3:1", ["1", "2", "3"])])
+    def test_integer_key_sweeps(self, param, spec, values, tmp_path):
+        ini = tmp_path / "pm.ini"
+        ini.write_text(POINT_MASS)
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(ini), "--param", param, "--range", spec,
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == values
+        # a row of fewer coordinates leaves its last cells empty, under the
+        # header's columns
+        assert len({len(line.split(",")) for line in lines}) == 1
+
+    def test_non_integral_value_of_integer_key_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "pm.ini"
+        ini.write_text(POINT_MASS)
+        code = main(["sweep", str(ini), "--param", "sim.seed", "--range", "0:1:0.5",
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "[sim] seed: '0.5'" in capsys.readouterr().err
+
     def test_aggregated_csv(self, tmp_path):
         ini = tmp_path / "constant.ini"
         ini.write_text(FAST.replace("kind = S1", "kind = constant"))

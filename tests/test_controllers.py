@@ -17,7 +17,7 @@ from arolc.controllers import (
     switching_control,
     uncertainty_residual,
 )
-from arolc.delays import DelayBuffer, DelayProfile, delay_at
+from arolc.delays import DelayProfile, delay_at
 from arolc.plants import TwoLinkParams, two_link_plant
 from arolc.sim import Scenario, simulate
 from arolc.stability import GainSet
@@ -196,60 +196,57 @@ class TestPcon:
     ZERO = (np.zeros(1), np.zeros(1), np.zeros(1))
 
     @staticmethod
-    def integral(buffer, h, t):
+    def history(stamps, commands):
+        """The pcon_step history (times, values, m) of scalar commands, one
+        per stamp."""
+        return np.array(stamps, float), np.array(commands, float).reshape(-1, 1), len(stamps)
+
+    @staticmethod
+    def integral(history, h, t):
         """The window integral e_z, read off the torque at zero error:
         with kappa = k_b = 1 and vartheta = I, tau = -e_z."""
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=1.0)
-        return -pcon_step(buffer, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t, cfg)
+        return -pcon_step(history, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t, cfg)
 
     def test_integral_constant(self):
-        buffer = DelayBuffer(dim=1)
-        buffer.push(-1.0, [2.0])
-        buffer.push(-0.01, [2.0])
-        np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [1.0])
+        history = self.history([-1.0, -0.01], [2.0, 2.0])
+        np.testing.assert_allclose(self.integral(history, 0.5, 0.0), [1.0])
 
     def test_integral_empty(self):
-        buffer = DelayBuffer(dim=1)
-        np.testing.assert_allclose(self.integral(buffer, 0.5, 0.0), [0.0])
+        np.testing.assert_allclose(self.integral(self.history([], []), 0.5, 0.0), [0.0])
 
     def test_integral_linear(self):
-        buffer = DelayBuffer(dim=1)
-        for t in np.linspace(0.0, 1.0, 21):
-            buffer.push(float(t), [float(t)])
-        # the step pushes its own command at t, so it comes after the ramp:
+        ramp = np.linspace(0.0, 1.0, 21)
         # 0.5 under the ramp plus 0.5 s of the held last value 1
-        np.testing.assert_allclose(self.integral(buffer, 1.5, 1.5), [1.0], atol=1e-12)
+        np.testing.assert_allclose(self.integral(self.history(ramp, ramp), 1.5, 1.5), [1.0],
+                                   atol=1e-12)
+
+    def test_rows_from_m_on_are_not_read(self):
+        # a trace's rows from the current one on are not yet commands
+        times, values, _ = self.history([-0.6, -0.05, 0.0, 0.1], [0.5, 0.5, math.nan, 9.0])
+        np.testing.assert_array_equal(self.integral((times, values, 2), 0.5, 0.0),
+                                      self.integral(self.history([-0.6, -0.05], [0.5, 0.5]),
+                                                    0.5, 0.0))
 
     def test_zero_error_zero_torque(self):
-        buffer = DelayBuffer(dim=1)
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
-        tau = pcon_step(buffer, 0.0, np.zeros(1), np.zeros(1), self.ZERO, 0.0, cfg)
+        tau = pcon_step(self.history([], []), 0.0, np.zeros(1), np.zeros(1), self.ZERO, 0.0,
+                        cfg)
         np.testing.assert_allclose(tau, [0.0])
 
     def test_filtered_error_arithmetic(self):
         # rho = 0 + 1 * 1 - 1 * 0.25 = 0.75, tau = 2 * 0.75 = 1.5
-        buffer = DelayBuffer(dim=1)
-        buffer.push(-0.6, [0.5])
-        buffer.push(-0.05, [0.5])
+        history = self.history([-0.6, -0.05], [0.5, 0.5])
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau = pcon_step(buffer, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        tau = pcon_step(history, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [1.5])
 
-    def test_torque_appended_to_history(self):
-        buffer = DelayBuffer(dim=1)
-        cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=2.0)
-        desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
-        tau = pcon_step(buffer, 0.1, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
-        np.testing.assert_allclose(buffer.sample(0.0), tau)
-
     def test_zero_vartheta_reduces_to_pd(self):
-        buffer = DelayBuffer(dim=1)
-        buffer.push(-0.6, [4.0])
-        buffer.push(-0.05, [4.0])
+        history = self.history([-0.6, -0.05], [4.0, 4.0])
         cfg = PconConfig(kappa=2.0, vartheta=np.zeros((1, 1)), k_b=3.0)
         desired = (np.array([1.0]), np.array([0.5]), np.zeros(1))
-        tau = pcon_step(buffer, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
+        tau = pcon_step(history, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [3.0 * (0.5 + 2.0 * 1.0)])
 
 
@@ -275,7 +272,7 @@ class TestControllerProtocol:
 
     def test_arolc_step_matches_free_function(self):
         sc = self.scenario("arolc")
-        ctrl = make_controller(sc)
+        ctrl = make_controller(sc, None)
         state = sc.controller.initial_state()
         nominal = (sc.plant.nominal_mass_matrix(self.Q),
                    sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
@@ -292,34 +289,43 @@ class TestControllerProtocol:
 
     @pytest.mark.parametrize("kind", ["pcon", "pconf"])
     def test_pcon_step_matches_free_function(self, kind):
-        # pconf: the fixed-window variant, h_estimate set
-        sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None)
-        ctrl = make_controller(sc)
-        buffer = DelayBuffer(dim=2)
-        for k in range(5):
-            t = 0.01 * k
+        # pconf: the fixed-window variant, h_estimate set. The controller at
+        # row k reads the trace's rows 0 .. k - 1 and, for pcon, its h row
+        sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None,
+                           duration=0.04, dt=1e-3)
+        trace = simulate(sc)
+        ctrl = make_controller(sc, trace)
+        for k, t in enumerate(trace.t.tolist()):
             h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
-            ref = pcon_step(buffer, h, self.Q, self.Q_DOT, sc.trajectory(t), t,
-                            sc.controller)
+            ref = pcon_step((trace.t, trace.tau_cmd, k), h, self.Q, self.Q_DOT,
+                            sc.trajectory(t), t, sc.controller)
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             np.testing.assert_array_equal(rec.tau, ref)
             assert (rec.c_hat, rec.s_norm, rec.u) == (0.0, 0.0, None)
-        assert ctrl.history.times == buffer.times
+
+    @staticmethod
+    def assert_replays(sc):
+        """Each command of the run is pcon_step on the run's earlier rows,
+        over the true delay or the fixed window."""
+        trace = simulate(sc)
+        h_estimate = sc.controller.h_estimate
+        for k, t in enumerate(trace.t.tolist()):
+            h = delay_at(sc.delay, t) if h_estimate is None else h_estimate
+            ref = pcon_step((trace.t, trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
+                            sc.trajectory(t), t, sc.controller)
+            assert trace.tau_cmd[k].tobytes() == ref.tobytes()
+
+    def test_pcon_run_replays_from_its_own_rows(self):
+        self.assert_replays(self.scenario("pcon", delay="S1", duration=1.0, dt=1e-3))
 
     def test_pconf_window_beyond_peak_delay(self):
         # h_estimate 0.2 s over S3's 0.06 s peak: the controller's history
         # must reach back over its own window, not the profile's
-        sc = self.scenario("pcon", h_estimate=0.2, delay="S3", duration=1.0, dt=1e-3)
-        trace = simulate(sc)
-        buffer = DelayBuffer(dim=2)
-        for k, t in enumerate(trace.t):
-            ref = pcon_step(buffer, 0.2, trace.q[k], trace.q_dot[k],
-                            sc.trajectory(float(t)), float(t), sc.controller)
-            np.testing.assert_array_equal(trace.tau_cmd[k], ref)
-        assert buffer.times[0] < trace.t[-1] - 0.9  # nothing pruned
+        self.assert_replays(self.scenario("pcon", h_estimate=0.2, delay="S3", duration=1.0,
+                                          dt=1e-3))
 
     def test_none_commands_zero(self):
-        ctrl = make_controller(self.scenario("none"))
+        ctrl = make_controller(self.scenario("none"), None)
         rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
         np.testing.assert_array_equal(rec.tau, np.zeros(2))
 

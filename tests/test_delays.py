@@ -11,6 +11,7 @@ from arolc.delays import (
     DelayProfile,
     blend,
     delay_at,
+    integrate,
     interpolate,
     max_delay,
     plan,
@@ -131,7 +132,6 @@ class TestDelayBuffer:
         values = [np.array([float(k)]) for k in range(10_000)]
         for t, v in zip(times, values):
             buf.push(t, v)
-        assert len(buf) == 10_000
         expected = _reference_sample(times, values, 0.0004)
         assert buf.sample(0.0004).tobytes() == expected.tobytes()
 
@@ -140,7 +140,7 @@ class TestDelayBuffer:
         buf = self.make()
         with pytest.raises(ValueError, match="^t must be finite"):
             buf.push(t, [2.0])
-        assert buf.times == [0.0, 0.1]
+        assert buf.sample(1e9).tolist() == [1.0]  # the last command is still 0.1's
 
     def test_non_finite_command_accepted(self):
         # a diverging loop must reach the state check, not fail in the buffer
@@ -157,48 +157,57 @@ class TestDelayBuffer:
         buf = DelayBuffer(dim=1)
         with pytest.raises(ValueError, match=r"shape \(1,\)"):
             buf.push(0.0, tau)
-        assert len(buf) == 0
+        buf.push(0.0, [1.0])  # the stamp was not taken
+        assert buf.sample(0.0).tolist() == [1.0]
+
+    def test_pushed_command_is_copied(self):
+        buf = DelayBuffer(dim=1)
+        tau = np.array([1.0])
+        buf.push(0.0, tau)
+        tau[0] = 5.0
+        assert buf.sample(0.0).tolist() == [1.0]
 
 
 class TestBufferIntegrate:
+    """delays.integrate on a stamped history (times, values, m)."""
+
+    @staticmethod
+    def integral(stamps, commands, t0, t1):
+        values = np.array(commands, float).reshape(len(stamps), -1)
+        return integrate(np.array(stamps, float), values, len(stamps), t0, t1)
+
     def test_constant_signal(self):
-        buf = DelayBuffer(dim=1)
-        buf.push(0.0, [3.0])
-        buf.push(2.0, [3.0])
-        np.testing.assert_allclose(buf.integrate(0.5, 1.5), [3.0])
+        np.testing.assert_allclose(self.integral([0.0, 2.0], [3.0, 3.0], 0.5, 1.5), [3.0])
 
     def test_linear_signal_exact(self):
-        buf = DelayBuffer(dim=1)
-        for t in np.linspace(0.0, 1.0, 11):
-            buf.push(float(t) if t > 0 else 0.0, [float(t)])
-        np.testing.assert_allclose(buf.integrate(0.0, 1.0), [0.5], atol=1e-12)
+        ramp = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_allclose(self.integral(ramp, ramp, 0.0, 1.0), [0.5], atol=1e-12)
 
     def test_empty_history(self):
-        buf = DelayBuffer(dim=2)
-        np.testing.assert_allclose(buf.integrate(0.0, 1.0), np.zeros(2))
+        np.testing.assert_allclose(integrate(np.empty(0), np.empty((0, 2)), 0, 0.0, 1.0),
+                                   np.zeros(2))
 
     @pytest.mark.parametrize("bounds, name", [((0.0, math.nan), "t1"),
                                               ((math.nan, 1.0), "t0"),
                                               ((-math.inf, 1.0), "t0"),
                                               ((0.0, math.inf), "t1")])
     def test_non_finite_bounds_rejected(self, bounds, name):
-        buf = DelayBuffer(dim=1)
-        buf.push(0.0, [1.0])
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            buf.integrate(*bounds)
+            self.integral([0.0], [1.0], *bounds)
 
     def test_zero_before_history(self):
-        buf = DelayBuffer(dim=1)
-        buf.push(1.0, [2.0])
-        buf.push(2.0, [2.0])
         # signal is 0 on [0, 1), 2 on [1, 2]
-        np.testing.assert_allclose(buf.integrate(0.0, 2.0), [2.0])
+        np.testing.assert_allclose(self.integral([1.0, 2.0], [2.0, 2.0], 0.0, 2.0), [2.0])
 
     def test_hold_after_latest(self):
+        np.testing.assert_allclose(self.integral([0.0, 1.0], [1.0, 1.0], 0.5, 2.5), [2.0])
+
+    def test_buffer_integrates_its_history(self):
         buf = DelayBuffer(dim=1)
-        buf.push(0.0, [1.0])
-        buf.push(1.0, [1.0])
-        np.testing.assert_allclose(buf.integrate(0.5, 2.5), [2.0])
+        for t, v in ((0.0, 1.0), (1.0, 3.0)):
+            buf.push(t, [v])
+        assert buf.integrate(0.5, 2.5).tobytes() == \
+            self.integral([0.0, 1.0], [1.0, 3.0], 0.5, 2.5).tobytes()
 
 
 def _reference_sample(times, values, t):
@@ -216,21 +225,26 @@ def _reference_sample(times, values, t):
 _TIME = st.floats(min_value=-10.0, max_value=10.0)
 
 
+def _history(data):
+    """A drawn stamped history of 2-entry commands: (times, values) arrays."""
+    times = np.array(sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True))))
+    row = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+    return times, np.array(data.draw(st.lists(row, min_size=len(times), max_size=len(times))))
+
+
 @given(st.data())
-def test_sample_many_matches_scalar_reference(data):
-    times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
-    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
-              for _ in times]
+def test_interpolate_matches_scalar_reference(data):
+    times, values = _history(data)
     buf = DelayBuffer(dim=2)
     for t, v in zip(times, values):
         buf.push(t, v)
     # knots, the instants before the first and after the last command, and any
-    queries = times + [times[0] - 1.0, times[-1] + 1.0]
+    queries = times.tolist() + [times[0] - 1.0, times[-1] + 1.0]
     queries += data.draw(st.lists(_TIME, max_size=20))
-    table = buf.sample_many(queries)
+    table = interpolate(times, values, np.array(queries))
     assert table.shape == (len(queries), 2)
     for row, t in zip(table, queries):
-        reference = _reference_sample(times, values, t)
+        reference = _reference_sample(times.tolist(), list(values), t)
         assert row.tobytes() == reference.tobytes()
         assert buf.sample(t).tobytes() == reference.tobytes()
 
@@ -238,9 +252,7 @@ def test_sample_many_matches_scalar_reference(data):
 @given(st.data())
 def test_blend_of_a_prefix_matches_interpolate(data):
     # one plan against the whole history serves every prefix of m commands
-    times = np.array(sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True))))
-    row = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
-    values = np.array(data.draw(st.lists(row, min_size=len(times), max_size=len(times))))
+    times, values = _history(data)
     queries = np.array(data.draw(st.lists(_TIME, min_size=1, max_size=20)))
     brackets = plan(times, queries.reshape(1, -1), 2)
     for m in range(1, len(times) + 1):
@@ -253,7 +265,7 @@ def test_blend_of_a_prefix_matches_interpolate(data):
 
 def _reference_integrate(times, values, t0, t1):
     """Trapezoids between the knots, accumulated in ndarray arithmetic: the
-    byte-level reference of the float accumulation in DelayBuffer.integrate."""
+    byte-level reference of the float accumulation in delays.integrate."""
     total = np.zeros(len(values[0]))
     lo = max(t0, times[0])
     if t1 <= lo:
@@ -266,35 +278,27 @@ def _reference_integrate(times, values, t0, t1):
     return total
 
 
-def _filled_buffer(data):
-    times = sorted(data.draw(st.lists(_TIME, min_size=1, max_size=12, unique=True)))
-    values = [np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
-              for _ in times]
-    buf = DelayBuffer(dim=2)
-    for t, v in zip(times, values):
-        buf.push(t, v)
-    return buf, values
-
-
 @given(st.data())
 def test_integrate_matches_ndarray_reference(data):
-    buf, values = _filled_buffer(data)
+    # every prefix of m commands, as the predictor reads a trace's rows
+    times, values = _history(data)
     t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
-    expected = _reference_integrate(buf.times, values, t0, t1)
-    assert buf.integrate(t0, t1).tobytes() == expected.tobytes()
+    for m in range(1, len(times) + 1):
+        expected = _reference_integrate(times[:m].tolist(), list(values[:m]), t0, t1)
+        assert integrate(times, values, m, t0, t1).tobytes() == expected.tobytes()
 
 
 @given(st.data())
 def test_integrate_matches_dense_quadrature(data):
-    # midpoint rule of sample_many on a dense grid that contains every
+    # midpoint rule of interpolate on a dense grid that contains every
     # command instant: each cell sees one linear piece (the jump from zero
     # at the first command falls on a cell edge), so only rounding remains
-    buf, values = _filled_buffer(data)
+    times, values = _history(data)
     t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
-    knots = [t for t in buf.times if t0 < t < t1]
+    knots = times[(t0 < times) & (times < t1)]
     grid = np.union1d(np.linspace(t0, t1, 2001), knots)
     mid = 0.5 * (grid[:-1] + grid[1:])
-    dense = (np.diff(grid)[:, None] * buf.sample_many(mid)).sum(axis=0)
+    dense = (np.diff(grid)[:, None] * interpolate(times, values, mid)).sum(axis=0)
     scale = (t1 - t0) * max(1.0, np.abs(values).max())
-    np.testing.assert_allclose(buf.integrate(t0, t1), dense, rtol=0.0,
+    np.testing.assert_allclose(integrate(times, values, len(times), t0, t1), dense, rtol=0.0,
                                atol=1e-12 * scale + 1e-300)

@@ -533,6 +533,24 @@ class TestWarningsAndErrors:
         with pytest.raises(ValueError, match=rf"^{field} must have 1 entries"):
             simulate(sc)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(controller=PconConfig()), r"controller vartheta must have shape \(2, 2\), one "
+                                        r"row per plant coordinate, got \(1, 1\)"),
+        (dict(controller=ArolcConfig(GainSet.identity(3))),
+         r"controller gains must have shape \(2, 2\), one row per plant coordinate, "
+         r"got \(3, 3\)"),
+        (dict(trajectory=ZERO_TRAJ), "trajectory must have 2 coordinates, one per plant "
+                                     r"coordinate, got 1"),
+    ], ids=["pcon-vartheta", "arolc-gains", "trajectory"])
+    def test_dimension_of_each_part_checked(self, changes, message):
+        # each used to pass validate and fail inside the first control step
+        # (or, for the trajectory, name q0)
+        sc = Scenario(**{**dict(plant=two_link_plant(TwoLinkParams()),
+                                trajectory=SinusoidTrajectory(), duration=0.1,
+                                dt=1e-3), **changes})
+        with pytest.raises(ValueError, match="^" + message):
+            sc.validate()
+
     def test_margin_warning(self):
         gains = GainSet.identity(2)
         sc = Scenario(
