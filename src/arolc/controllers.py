@@ -275,7 +275,8 @@ class PconController:
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         k, self.k = self.k, self.k + 1
-        h = self.trace.h[k] if self.cfg.h_estimate is None else self.cfg.h_estimate
+        # a Python float, so that the window's ends are Python floats too
+        h = self.trace.h.item(k) if self.cfg.h_estimate is None else self.cfg.h_estimate
         history = self.trace.t, self.trace.tau_cmd, k
         return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg))
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -154,11 +156,37 @@ def interpolate(times, values, t_query) -> np.ndarray:
     return blend(values, m, plan(times, t_query, values.shape[1]))
 
 
+def _signal_at(ts, vs, k: int, t: float) -> list[float]:
+    """The command signal at t as ``blend`` computes it, on the float rows
+    (ts, vs): rows k - 1 and k bracket t, or k == len(vs) and t reads the
+    last row."""
+    if k == len(vs):
+        return vs[-1]
+    t_lo = ts[k - 1]
+    lam = (t - t_lo) / (ts[k] - t_lo)
+    return [(1.0 - lam) * x + lam * y for x, y in zip(vs[k - 1], vs[k])]
+
+
+def _trapezoids(knots, rows) -> list[float]:
+    """Trapezoids between the knots, each entry summed left to right as an
+    ndarray total += would sum it."""
+    widths = [0.5 * (b - a) for a, b in zip(knots, knots[1:])]
+    return [reduce(add, [w * (p + q) for w, p, q in zip(widths, col, col[1:])], 0.0)
+            for col in zip(*rows)]
+
+
 def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
     """Integral over [t0, t1] of the command signal of the first m commands,
     values[:m] at the stamps times[:m] (arrays, times strictly increasing):
     trapezoids between knots, exact for that piecewise-linear signal; zero
-    for m = 0."""
+    for m = 0.
+
+    The knots are the interval's ends and every stamp inside it. The sum
+    runs on Python floats over the rows that bracket a knot, with the
+    plan's weights and the blend's arithmetic, so it equals the blend of
+    the knots bit for bit. A stamp's weights are (1, 0): for finite
+    commands its value is its row, and a non-finite total (0 * inf is nan)
+    blends every knot."""
     for name, bound in (("t0", t0), ("t1", t1)):
         if not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound!r}")
@@ -167,21 +195,29 @@ def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
     n = values.shape[1]
     if not m:
         return np.zeros(n)
-    times = times[:m]
-    lo = max(t0, times[0].item())
-    if t1 <= lo:
+    t0, t1 = float(t0), float(t1)
+    stamps = times[:m]
+    i = int(stamps.searchsorted(t0, side="right"))
+    r = int(stamps.searchsorted(t1, side="right"))
+    # rows a .. r: the stamp at or before the window's start (the first
+    # stamp if the start is before it) through the first stamp after t1
+    a = max(i - 1, 0)
+    ts = stamps[a:r + 1].tolist()
+    vs = values[a:a + len(ts)].tolist()
+    if not i:
+        t0 = ts[0]  # the signal is zero before the first command
+    if t1 <= t0:
         return np.zeros(n)
-    # knots: the interval's ends plus every stamp inside it
-    inner = times[np.searchsorted(times, lo, side="right"):
-                  np.searchsorted(times, t1, side="left")]
-    knots = [lo] + inner.tolist() + [t1]
-    knot_values = interpolate(times, values[:m], knots).tolist()
-    # float trapezoids, summed left to right as an ndarray total += would
-    total = [0.0] * n
-    for k in range(1, len(knots)):
-        w = 0.5 * (knots[k] - knots[k - 1])
-        total = [s + w * (a + b)
-                 for s, a, b in zip(total, knot_values[k - 1], knot_values[k])]
+    # t0 falls between local rows 0 and 1, t1 between rows e - 1 and e,
+    # and the stamps of rows 1 .. stop - 1 lie strictly inside (t0, t1)
+    e = r - a
+    stop = e - (ts[e - 1] == t1)
+    knots = [t0] + ts[1:stop] + [t1]
+    rows = [_signal_at(ts, vs, 1, t0)] + vs[1:stop] + [_signal_at(ts, vs, e, t1)]
+    total = _trapezoids(knots, rows)
+    if not all(map(math.isfinite, total)):
+        rows[1:-1] = [_signal_at(ts, vs, k + 1, ts[k]) for k in range(1, stop)]
+        total = _trapezoids(knots, rows)
     return np.array(total)
 
 

@@ -169,6 +169,26 @@ def _fma(a: float, b: float, c: float) -> float:
         return a * b + c
 
 
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's halves (hi, lo) of a, as _fma splits its operands."""
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _fma_split(a: float, a_hi: float, a_lo: float, b: float, c: float) -> float:
+    """_fma(a, b, c), given the halves (a_hi, a_lo) = _split(a): an operand
+    that many calls share is split once. _fma is the fallback where fsum
+    cannot sum."""
+    t = _VELTKAMP * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    try:
+        return math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
+    except (ValueError, OverflowError):
+        return _fma(a, b, c)
+
+
 # ---------------------------------------------------------------------------
 # Wheeled mobile robot
 # ---------------------------------------------------------------------------
@@ -267,6 +287,10 @@ class _ReducedWmrPlant(PlantModel):
         self._k = (params.I_bar + params.m * params.d ** 2, params.r_bar / 2.0,
                    params.r_bar / (2.0 * params.b))
         self._phase_cache: dict = {}
+        # _payload_phase's operands, held so that accel's key reads no
+        # schedule attribute
+        self._phase_terms = None if payload is None else (
+            payload.period_on + payload.period_off, payload.period_on, len(payload.offsets))
 
     def _effective(self, t):
         """(m, J, K) with the payload carried at t: floats at a float t,
@@ -316,21 +340,19 @@ class _ReducedWmrPlant(PlantModel):
             n0, n1 = n0 + visc * qd0, n1 + visc * qd1
         return self._disturbed(_stack([n0, n1], batch), t, batch)
 
-    def _phase_constants(self, t: float):
-        """The factors of accel that only the payload changes, cached per
-        payload phase: the inertia entries, its LU factors, the gyroscopic
-        gain and the viscous factor."""
-        key = -1.0 if self.payload is None else _payload_phase(self.payload, max(t, 0.0))
-        consts = self._phase_cache.get(key)
-        if consts is None:
-            m_eff, j_eff, k_eff = self._effective(t)
-            diag, off = self._inertia(m_eff, j_eff)
-            # LU with partial pivoting keeps row 0: diag - |off| = I_w +
-            # 2 min(m a^2, j c^2) > 0. l is scaled by the reciprocal pivot.
-            lower = off * (1.0 / diag)
-            consts = (diag, -off, -lower, diag - lower * off,
-                      self._gyro_gain(k_eff), self.viscous * (m_eff / self.params.m))
-            self._phase_cache[key] = consts
+    def _phase_constants(self, key: float, t: float):
+        """The factors of accel that only the payload changes, for the
+        payload phase key at t, cached per phase: the inertia entries, its
+        LU factors with the halves (_split) of the two that multiply, the
+        gyroscopic gain and the viscous factor."""
+        m_eff, j_eff, k_eff = self._effective(t)
+        diag, off = self._inertia(m_eff, j_eff)
+        # LU with partial pivoting keeps row 0: diag - |off| = I_w +
+        # 2 min(m a^2, j c^2) > 0. l is scaled by the reciprocal pivot.
+        lower = off * (1.0 / diag)
+        consts = self._phase_cache[key] = (
+            diag, -off, *_split(-off), -lower, *_split(-lower), diag - lower * off,
+            self._gyro_gain(k_eff), self.viscous * (m_eff / self.params.m))
         return consts
 
     def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
@@ -341,7 +363,17 @@ class _ReducedWmrPlant(PlantModel):
         fuse multiply-adds (OpenBLAS on x86-64 with FMA), which makes it equal
         to el_accel bit for bit there and to rounding elsewhere.
         """
-        diag, neg_off, neg_lower, upper, gyro, visc = self._phase_constants(t)
+        terms = self._phase_terms
+        if terms is None:
+            key = -1.0
+        else:
+            # _payload_phase(self.payload, max(t, 0.0)), operation for operation
+            period, period_on, count = terms
+            t_on = 0.0 if 0.0 > t else t
+            cycle = t_on // period
+            key = (cycle % count + 1.0) * (t_on - cycle * period < period_on) - 1.0
+        (diag, neg_off, off_hi, off_lo, neg_lower, lower_hi, lower_lo, upper, gyro,
+         visc) = self._phase_cache.get(key) or self._phase_constants(key, t)
         qd0, qd1 = q_dot
         tau0, tau1 = tau_applied
         s = gyro * (qd0 - qd1)
@@ -352,8 +384,8 @@ class _ReducedWmrPlant(PlantModel):
             d0, d1 = self.disturbance(t).tolist()
             n0, n1 = n0 + d0, n1 + d1
         b0, b1 = tau0 - n0, tau1 - n1
-        x1 = _fma(neg_lower, b0, b1) / upper
-        return [_fma(neg_off, x1, b0) / diag, x1]
+        x1 = _fma_split(neg_lower, lower_hi, lower_lo, b0, b1) / upper
+        return [_fma_split(neg_off, off_hi, off_lo, x1, b0) / diag, x1]
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,

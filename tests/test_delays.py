@@ -278,14 +278,41 @@ def _reference_integrate(times, values, t0, t1):
     return total
 
 
+def _window(data, times):
+    """Drawn bounds t0 <= t1: any instants, stamps, or instants before the
+    first stamp; as Python floats or, as the predictor passes them when it
+    reads the trace's h row, as np.float64."""
+    bound = st.one_of(_TIME, st.sampled_from(times.tolist()),
+                      st.floats(-20.0, times[0], exclude_max=True))
+    t0, t1 = sorted(data.draw(st.lists(bound, min_size=2, max_size=2)))
+    if data.draw(st.booleans(), label="np.float64 bounds"):
+        return np.float64(t0), np.float64(t1)
+    return t0, t1
+
+
 @given(st.data())
 def test_integrate_matches_ndarray_reference(data):
-    # every prefix of m commands, as the predictor reads a trace's rows
+    # every prefix of m commands, as the predictor reads a trace's rows: the
+    # rows from m on hold other commands, and t1 often lies past stamp m - 1
     times, values = _history(data)
-    t0, t1 = sorted(data.draw(st.lists(_TIME, min_size=2, max_size=2)))
+    t0, t1 = _window(data, times)
     for m in range(1, len(times) + 1):
         expected = _reference_integrate(times[:m].tolist(), list(values[:m]), t0, t1)
         assert integrate(times, values, m, t0, t1).tobytes() == expected.tobytes()
+
+
+@given(st.data())
+def test_integrate_matches_ndarray_reference_with_non_finite_commands(data):
+    # 0 * inf in a stamp's (1, 0) blend is nan, which the reference keeps
+    times, values = _history(data)
+    for _ in range(data.draw(st.integers(1, 3))):
+        row, col = data.draw(st.integers(0, len(times) - 1)), data.draw(st.integers(0, 1))
+        values[row, col] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    t0, t1 = _window(data, times)
+    for m in range(1, len(times) + 1):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _reference_integrate(times[:m].tolist(), list(values[:m]), t0, t1)
+        np.testing.assert_array_equal(integrate(times, values, m, t0, t1), expected)
 
 
 @given(st.data())

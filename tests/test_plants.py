@@ -9,6 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from arolc.plants import (
     _fma,
+    _fma_split,
+    _payload_phase,
+    _split,
     PayloadSchedule,
     TwoLinkParams,
     WmrParams,
@@ -360,6 +363,59 @@ class TestWmrClosedFormAccel:
                 plant.accel(np.zeros(2), qd, tau, float(t)),
                 el_accel(plant, np.zeros(2), qd, tau, float(t)), rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def reference_accel(plant, q_dot, tau, t):
+        """The closed form as written before the split phase constants: the
+        payload phase from _payload_phase, both multiply-adds through _fma
+        on unsplit operands, and no cache."""
+        p = plant.params
+        m_eff, j_eff, k_eff = p.m, p.I_bar + p.m * p.d ** 2, p.K
+        if plant.payload is not None:
+            k = _payload_phase(plant.payload, max(t, 0.0))
+            dm, (dx, dy) = ((0.0, (0.0, 0.0)) if k < 0.0 else
+                            (plant.payload.extra_mass, plant.payload.offsets[int(k)]))
+            m_eff += dm
+            j_eff += dm * (dx * dx + dy * dy)
+            k_eff += dm * dx
+        diag, off = plant._inertia(m_eff, j_eff)
+        lower = off * (1.0 / diag)
+        qd0, qd1 = q_dot
+        s = plant._gyro_gain(k_eff) * (qd0 - qd1)
+        n0, n1 = s * qd1, s * -qd0
+        if plant.viscous:
+            visc = plant.viscous * (m_eff / p.m)
+            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
+        if plant.disturbance_amp:
+            d0, d1 = plant.disturbance(t).tolist()
+            n0, n1 = n0 + d0, n1 + d1
+        b0, b1 = tau[0] - n0, tau[1] - n1
+        x1 = _fma(-lower, b0, b1) / (diag - lower * off)
+        return [_fma(-off, x1, b0) / diag, x1]
+
+    def test_matches_reference_in_bulk(self):
+        # byte for byte over random states at random instants, at t = +-0
+        # and at the RK4 stage instants simulate produces (dt = 1 ms, ten
+        # steps per period) around every payload switch of a 40 s run
+        dt, dt_control = 1e-3, 1e-2
+        stages = [0.0, -0.0]
+        for switch in range(5, 45, 5):
+            for k in range(round(switch / dt_control) - 2, round(switch / dt_control) + 2):
+                for i in range(10):
+                    t = k * dt_control + i * dt
+                    stages += [t, t + 0.5 * dt, t + dt]
+        rng = np.random.default_rng(14)
+        times = stages + (rng.random(5000 - len(stages)) * 46.0 - 1.0).tolist()
+        schedule = PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05)))
+        for payload, viscous, disturbance_amp in [(schedule, 0.002, 0.05), (schedule, 0.0, 0.0),
+                                                  (None, 0.002, 0.0), (None, 0.0, 0.05)]:
+            plant = reduced_wmr_dynamics(PARAMS, mismatch=0.2, payload=payload,
+                                         viscous=viscous, disturbance_amp=disturbance_amp,
+                                         disturbance_freq=1.3, phases=(0.3, 1.1))
+            q_dot, tau = (rng.standard_normal((2, len(times), 2)) * [[[20.0]], [[50.0]]])
+            for qd, u, t in zip(q_dot.tolist(), tau.tolist(), times):
+                assert (np.array(plant.accel([0.0, 0.0], qd, u, t)).tobytes()
+                        == np.array(self.reference_accel(plant, qd, u, t)).tobytes())
+
     def test_no_generic_solve(self, monkeypatch):
         plant = reduced_wmr_dynamics(PARAMS, payload=PayloadSchedule(), viscous=0.002)
 
@@ -379,7 +435,24 @@ _FMA_OPERAND = st.floats(min_value=-1e100, max_value=1e100).filter(
 
 @given(_FMA_OPERAND, _FMA_OPERAND, _FMA_OPERAND)
 def test_fma_rounds_once(a, b, c):
-    assert _fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
+    exact = float(Fraction(a) * Fraction(b) + Fraction(c))
+    assert _fma(a, b, c) == exact
+    # a split ahead of the call, as accel splits its phase constants
+    a_hi, a_lo = _split(a)
+    assert a_hi + a_lo == a
+    assert _fma_split(a, a_hi, a_lo, b, c) == exact
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1.3e154, 1.3e154, 1.7e308),  # finite partial products whose sum overflows
+    (2.0749139528992096e+247, 1.5048545751016746e+165, math.inf),  # -inf + inf
+], ids=["overflow", "infinite"])
+def test_fma_falls_back_to_twice_rounded(a, b, c):
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    with pytest.raises((ValueError, OverflowError)):
+        math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
+    assert _fma(a, b, c) == _fma_split(a, a_hi, a_lo, b, c) == a * b + c == math.inf
 
 
 def reference_two_link_matrices(q, q_dot, p):

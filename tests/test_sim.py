@@ -323,16 +323,21 @@ class TestInputTable:
 
 
 class TestPinnedTraces:
-    """sha256 over every Trace array of the first 2 s of two shipped robot
+    """sha256 over every Trace array of the first 2 s of four shipped robot
     runs and of the first 1 s of the shipped two-link run (with its
     fine-grid q and q_dot), and over that run's error-dynamics residual.
     The digests pin the simulator's floating-point
     results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
-    moves one bit of a trace fails here."""
+    moves one bit of a trace fails here. The three predictor runs cover
+    its window kinds: the true delay of S1 (up to 0.1 s) and S2 (0.005 to
+    0.029 s over these 2 s) and S4's fixed h_estimate (0.12 s, 12 or 13
+    knots)."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f0db8d34dfff511c11b8e43e97d2f9f773b7c662686fd57179d8f0da3f11021",
         "wmr_s1_pcon": "6d3b739977c1ca46e77415ea011747325aa18bb6b9baa16c58fcc27a95f19034",
+        "wmr_s2_pcon": "59ef087671babe56606def017c26dcb71287e2b5dd322ed1e65807bf60064820",
+        "wmr_s4_pconf": "37b360da491a5e7ad33600ff2bc3289e608f1134d8c07402a54522570ce70ee7",
     }
     TWO_LINK_FINE_DIGEST = "506aa2b80aa0abb767ca225de2ed62f853a40862dcb480146747fe1fbe8c6e54"
     TWO_LINK_RESIDUAL_DIGEST = (
