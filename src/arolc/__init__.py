@@ -17,7 +17,6 @@ from .controllers import (
     PconConfig,
     StepRecord,
     adapt_gain,
-    arolc_law,
     arolc_step,
     make_controller,
     nominal_control,

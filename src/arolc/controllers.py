@@ -19,7 +19,7 @@ Two controllers are provided:
 make_controller(scenario, trace) builds the object of scenario.controller's
 type (ArolcConfig, PconConfig, or None for zero torque) with one method the
 simulator calls per control period, row by row of trace: step(t, q, q_dot,
-desired) -> StepRecord. The objects hold state; arolc_step (arolc_law, then
+desired) -> StepRecord. The objects hold state; arolc_step (the law, then
 adapt_gain) and pcon_step stay module functions.
 
 The switching law uses a boundary layer of width epsilon: outside it the
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .delays import integrate, max_delay
-from .stability import GainSet, build_error_system, delay_margin
+from .stability import GainSet, build_error_system, check_feasibility, delay_margin
 
 __all__ = [
     "ArolcConfig",
@@ -57,7 +57,6 @@ __all__ = [
     "nominal_control",
     "switching_control",
     "adapt_gain",
-    "arolc_law",
     "arolc_step",
     "pcon_step",
     "ArolcController",
@@ -179,30 +178,24 @@ class StepRecord(NamedTuple):
     state: ArolcState | None = None
 
 
-def arolc_law(c_hat, q, q_dot, desired, nominal_model, cfg):
-    """The adaptive-robust torque at gain c_hat, stateless. desired is the
-    triple (qd, qd_dot, qd_ddot); nominal_model the pair (Mhat(q),
-    Nhat(q, q_dot)) already evaluated at the current state. Returns the
-    step record (c_hat as given, no state) and the sliding variable s."""
+def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
+               cfg) -> StepRecord:
+    """The adaptive-robust torque at the current gain, then one adapt_gain
+    step of length dt (the control period). desired is the triple (qd,
+    qd_dot, qd_ddot); nominal_model the pair (Mhat(q), Nhat(q, q_dot))
+    already evaluated at the current state. record.c_hat and record.state
+    are the adapted ones."""
     qd, qd_dot, qd_ddot = desired
     e1 = np.asarray(qd, float) - np.asarray(q, float)
     e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
     s = sliding_variable(np.concatenate([e1, e1_dot]), cfg)
     u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
-    du = switching_control(s, c_hat, cfg) if cfg.switching else np.zeros_like(u_hat)
+    du = switching_control(s, state.c_hat, cfg) if cfg.switching else np.zeros_like(u_hat)
     u = u_hat + du
     m_hat, n_hat = nominal_model
     tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
-    return StepRecord(tau, c_hat, float(np.linalg.norm(s)), u, du), s
-
-
-def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
-               cfg) -> StepRecord:
-    """arolc_law at the current gain, then one adapt_gain step of length dt
-    (the control period); record.c_hat and record.state are the adapted ones."""
-    record, s = arolc_law(state.c_hat, q, q_dot, desired, nominal_model, cfg)
     new_state = adapt_gain(state, s, t, dt, cfg)
-    return record._replace(c_hat=new_state.c_hat, state=new_state)
+    return StepRecord(tau, new_state.c_hat, float(np.linalg.norm(s)), u, du, new_state)
 
 
 @dataclass(frozen=True)
@@ -249,11 +242,11 @@ class ArolcController:
         self.plant = sc.plant
         self.dt = sc.dt_control
         self.state = self.cfg.initial_state()
-        margin = delay_margin(self.cfg.gains)
-        if max_delay(sc.delay) >= margin:
+        peak = max_delay(sc.delay)
+        if not check_feasibility(self.cfg.gains, peak):
             warnings.warn(
-                f"peak input delay {max_delay(sc.delay):.4g} s reaches the "
-                f"delay margin {margin:.4g} s; boundedness is not guaranteed",
+                f"peak input delay {peak:.4g} s reaches the delay margin "
+                f"{delay_margin(self.cfg.gains):.4g} s; boundedness is not guaranteed",
                 stacklevel=4,  # the caller of simulate
             )
 

@@ -148,45 +148,33 @@ def _stack(entries, batch: int | None) -> np.ndarray:
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a binary64 into two 26-bit halves
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it.
-
-    Veltkamp's split makes the four partial products of a * b exact, and
-    math.fsum rounds their exact sum with c correctly. Exact for finite
-    operands whose partial products neither overflow nor underflow; falls
-    back to the twice-rounded a * b + c where fsum cannot sum (infinities or
-    overflow, only reached by a state that is diverging).
-    """
-    t = _VELTKAMP * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _VELTKAMP * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    try:
-        return math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
-    except (ValueError, OverflowError):
-        return a * b + c
-
-
 def _split(a: float) -> tuple[float, float]:
-    """Veltkamp's halves (hi, lo) of a, as _fma splits its operands."""
+    """Veltkamp's halves (hi, lo) of a, as _fma splits b."""
     t = _VELTKAMP * a
     hi = t - (t - a)
     return hi, a - hi
 
 
-def _fma_split(a: float, a_hi: float, a_lo: float, b: float, c: float) -> float:
-    """_fma(a, b, c), given the halves (a_hi, a_lo) = _split(a): an operand
-    that many calls share is split once. _fma is the fallback where fsum
-    cannot sum."""
+def _fma(a: float, a_hi: float, a_lo: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it, given the
+    halves (a_hi, a_lo) = _split(a): an operand that many calls share is
+    split once.
+
+    Veltkamp's split makes the four partial products of a * b exact, and
+    math.fsum rounds their exact sum with c correctly. Exact for finite
+    operands whose partial products neither overflow nor underflow; falls
+    back to the twice-rounded a * b + c where fsum cannot sum (infinities or
+    overflow) or a split overflows into nans, only reached by a state that
+    is diverging.
+    """
     t = _VELTKAMP * b
     b_hi = t - (t - b)
     b_lo = b - b_hi
     try:
-        return math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
+        fused = math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
     except (ValueError, OverflowError):
-        return _fma(a, b, c)
+        return a * b + c
+    return fused if fused == fused else a * b + c
 
 
 # ---------------------------------------------------------------------------
@@ -282,78 +270,59 @@ class _ReducedWmrPlant(PlantModel):
         self.params = params
         self.payload = payload
         self.viscous = viscous
-        # body inertia about the axle midpoint, and the wheel-to-body
-        # factors a = r/2 (forward speed) and c = r/(2b) (turn rate)
-        self._k = (params.I_bar + params.m * params.d ** 2, params.r_bar / 2.0,
-                   params.r_bar / (2.0 * params.b))
-        self._phase_cache: dict = {}
         # _payload_phase's operands, held so that accel's key reads no
         # schedule attribute
         self._phase_terms = None if payload is None else (
             payload.period_on + payload.period_off, payload.period_on, len(payload.offsets))
+        # the wheel-to-body factors a = r/2 (forward speed) and c = r/(2b)
+        # (turn rate), and the load (dm, dx, dy) of each payload phase: row 0
+        # the bare body, whose zero load leaves every sum exact, row k + 1
+        # while offsets[k] is carried
+        a, c = params.r_bar / 2.0, params.r_bar / (2.0 * params.b)
+        offsets = () if payload is None else payload.offsets
+        loads = [(0.0, 0.0, 0.0)] + [(payload.extra_mass, dx, dy) for dx, dy in offsets]
+        self._phases, self._lu = [], {}
+        for row, (dm, dx, dy) in enumerate(loads):
+            m_eff = params.m + dm
+            j_eff = params.I_bar + params.m * params.d ** 2 + dm * (dx * dx + dy * dy)
+            linear, spin = m_eff * a * a, j_eff * c * c
+            diag, off = linear + spin + params.I_w, linear - spin
+            # the centre-of-mass offset couples spin rate into both wheels;
+            # rolling resistance scales with the carried weight
+            gyro = 2.0 * (params.K + dm * dx) * a * c * c
+            visc = viscous * (m_eff / params.m)
+            self._phases.append((diag, off, gyro, visc))
+            # accel's constants, keyed by the row as a float: LU with partial
+            # pivoting keeps row 0, as diag - |off| = I_w + 2 min(m a^2, j c^2)
+            # > 0; l is scaled by the reciprocal pivot, and the two factors
+            # that multiply are held with their halves (_split)
+            lower = off * (1.0 / diag)
+            self._lu[float(row)] = (diag, -off, *_split(-off), -lower, *_split(-lower),
+                                    diag - lower * off, gyro, visc)
 
-    def _effective(self, t):
-        """(m, J, K) with the payload carried at t: floats at a float t,
-        (B,) arrays over a (B,) array of times; the bare body at t = None."""
-        p = self.params
-        m_eff, j_eff, k_eff = p.m, self._k[0], p.K
-        if self.payload is not None and t is not None:
-            sched = self.payload
-            if np.ndim(t):
-                k = _payload_phase(sched, np.maximum(t, 0.0))
-                on = k >= 0.0
-                dm = np.where(on, sched.extra_mass, 0.0)
-                dx, dy = np.where(on, np.array(sched.offsets)[k.astype(int)].T, 0.0)
-            else:
-                dm, (dx, dy) = payload_mass(sched, max(t, 0.0))
-            m_eff += dm
-            j_eff += dm * (dx * dx + dy * dy)
-            k_eff += dm * dx
-        return m_eff, j_eff, k_eff
-
-    def _inertia(self, m_eff, j_eff):
-        """(diag, off) of the symmetric wheel-space inertia."""
-        _, a, c = self._k
-        linear = m_eff * a * a
-        spin = j_eff * c * c
-        return linear + spin + self.params.I_w, linear - spin
-
-    def _gyro_gain(self, k_eff):
-        # centre-of-mass offset couples spin rate into both wheels
-        _, a, c = self._k
-        return 2.0 * k_eff * a * c * c
+    def _factors(self, t):
+        """(diag, off, gyro, visc) of the payload phase at t: floats at a
+        float t, (B,) columns over a (B,) array of times; row 0 at t = None."""
+        if self.payload is None or t is None:
+            return self._phases[0]
+        if np.ndim(t):
+            rows = _payload_phase(self.payload, np.maximum(t, 0.0)) + 1.0
+            return np.array(self._phases)[rows.astype(int)].T
+        return self._phases[int(_payload_phase(self.payload, max(t, 0.0))) + 1]
 
     def mass_matrix(self, q, t=None) -> np.ndarray:
-        m_eff, j_eff, _ = self._effective(t)
-        diag, off = self._inertia(m_eff, j_eff)
+        diag, off, _, _ = self._factors(t)
         # the inertia is constant in q; the state only sets the batch
         return _stack([[diag, off], [off, diag]], _batch(q))
 
     def bias_vector(self, q, q_dot, t) -> np.ndarray:
         (qd0, qd1), batch = _columns(q_dot)
-        m_eff, _, k_eff = self._effective(t)
-        s = self._gyro_gain(k_eff) * (qd0 - qd1)
+        _, _, gyro, visc = self._factors(t)
+        s = gyro * (qd0 - qd1)
         n0, n1 = s * qd1, s * -qd0
         if self.viscous:
-            # rolling resistance scales with the carried weight
-            visc = self.viscous * (m_eff / self.params.m)
             n0, n1 = n0 + visc * qd0, n1 + visc * qd1
         return self._disturbed(_stack([n0, n1], batch), t, batch)
-
-    def _phase_constants(self, key: float, t: float):
-        """The factors of accel that only the payload changes, for the
-        payload phase key at t, cached per phase: the inertia entries, its
-        LU factors with the halves (_split) of the two that multiply, the
-        gyroscopic gain and the viscous factor."""
-        m_eff, j_eff, k_eff = self._effective(t)
-        diag, off = self._inertia(m_eff, j_eff)
-        # LU with partial pivoting keeps row 0: diag - |off| = I_w +
-        # 2 min(m a^2, j c^2) > 0. l is scaled by the reciprocal pivot.
-        lower = off * (1.0 / diag)
-        consts = self._phase_cache[key] = (
-            diag, -off, *_split(-off), -lower, *_split(-lower), diag - lower * off,
-            self._gyro_gain(k_eff), self.viscous * (m_eff / self.params.m))
-        return consts
 
     def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
         """Closed form of el_accel in float arithmetic.
@@ -365,15 +334,16 @@ class _ReducedWmrPlant(PlantModel):
         """
         terms = self._phase_terms
         if terms is None:
-            key = -1.0
+            row = 0.0
         else:
-            # _payload_phase(self.payload, max(t, 0.0)), operation for operation
+            # the row _payload_phase(self.payload, max(t, 0.0)) + 1.0: its
+            # operations, operation for operation, without the final - 1.0
             period, period_on, count = terms
             t_on = 0.0 if 0.0 > t else t
             cycle = t_on // period
-            key = (cycle % count + 1.0) * (t_on - cycle * period < period_on) - 1.0
+            row = (cycle % count + 1.0) * (t_on - cycle * period < period_on)
         (diag, neg_off, off_hi, off_lo, neg_lower, lower_hi, lower_lo, upper, gyro,
-         visc) = self._phase_cache.get(key) or self._phase_constants(key, t)
+         visc) = self._lu[row]
         qd0, qd1 = q_dot
         tau0, tau1 = tau_applied
         s = gyro * (qd0 - qd1)
@@ -384,8 +354,8 @@ class _ReducedWmrPlant(PlantModel):
             d0, d1 = self.disturbance(t).tolist()
             n0, n1 = n0 + d0, n1 + d1
         b0, b1 = tau0 - n0, tau1 - n1
-        x1 = _fma_split(neg_lower, lower_hi, lower_lo, b0, b1) / upper
-        return [_fma_split(neg_off, off_hi, off_lo, x1, b0) / diag, x1]
+        x1 = _fma(neg_lower, lower_hi, lower_lo, b0, b1) / upper
+        return [_fma(neg_off, off_hi, off_lo, x1, b0) / diag, x1]
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,

@@ -18,9 +18,9 @@ from arolc.controllers import (
     uncertainty_residual,
 )
 from arolc.delays import DelayProfile, delay_at
-from arolc.plants import TwoLinkParams, two_link_plant
+from arolc.plants import TwoLinkParams, point_mass_plant, two_link_plant
 from arolc.sim import Scenario, simulate
-from arolc.stability import GainSet
+from arolc.stability import GainSet, check_feasibility, delay_margin
 from arolc.trajectories import SinusoidTrajectory
 
 CFG = ArolcConfig(GainSet.identity(1), alpha=2.0, epsilon=0.1, gamma=1e-3,
@@ -363,6 +363,33 @@ class TestArolcRunReadsScenario:
             simulate(self.scenario(GainSet.identity(2), duration=0.05, dt=1e-3))
         with pytest.warns(UserWarning, match="delay margin 0.05537 s"):
             simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
+
+
+def _boundary_gain_sets():
+    # a set where h = margin rounds to q_min > h ||E||, then seeded draws
+    yield GainSet.identity(1, k1=1.5630715621226887, k2=2.0505336300384442,
+                           q=1.9926447578529862, r=1.9494542381883877,
+                           beta=1.1900677089636442)
+    rng = np.random.default_rng(18)
+    for n in (1, 1, 2) * 10:
+        k1, k2, q = rng.uniform(0.5, 4.0, 3)
+        yield GainSet.identity(n, k1=k1, k2=k2, q=q, r=rng.uniform(1.05, 3.0),
+                               beta=rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("gains", _boundary_gain_sets())
+def test_margin_warning_iff_infeasible(gains):
+    # the run warns exactly where `arolc bound` reports the peak infeasible,
+    # one ulp either side of the margin and at it
+    n, margin = gains.K1.shape[0], delay_margin(gains)
+    for h in (math.nextafter(margin, 0.0), margin, math.nextafter(margin, math.inf)):
+        sc = Scenario(plant=point_mass_plant(n),
+                      trajectory=SinusoidTrajectory((0.5,) * n, (0.5,) * n),
+                      delay=DelayProfile("constant", h0=h), controller=ArolcConfig(gains))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_controller(sc, None)
+        assert bool(caught) == (not check_feasibility(gains, h))
 
 
 class _StubPlant:

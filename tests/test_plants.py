@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from arolc.plants import (
     _fma,
-    _fma_split,
     _payload_phase,
     _split,
     PayloadSchedule,
@@ -345,6 +344,94 @@ def test_stacked_calls_equal_single_state_rows(make, data):
             assert got[b].tobytes() == row.tobytes()
 
 
+def reference_wmr_faces(plant, q_dot, t):
+    """mass_matrix and bias_vector of one state, formulated from the payload
+    schedule at t: payload_mass gives (m, J, K), which give the inertia
+    entries and the gyroscopic gain; the bare body at t = None."""
+    p = plant.params
+    m_eff, j_eff, k_eff = p.m, p.I_bar + p.m * p.d ** 2, p.K
+    if plant.payload is not None and t is not None:
+        dm, (dx, dy) = payload_mass(plant.payload, max(t, 0.0))
+        m_eff += dm
+        j_eff += dm * (dx * dx + dy * dy)
+        k_eff += dm * dx
+    a, c = p.r_bar / 2.0, p.r_bar / (2.0 * p.b)
+    linear, spin = m_eff * a * a, j_eff * c * c
+    diag, off = linear + spin + p.I_w, linear - spin
+    qd0, qd1 = q_dot
+    s = 2.0 * k_eff * a * c * c * (qd0 - qd1)
+    n0, n1 = s * qd1, s * -qd0
+    if plant.viscous:
+        visc = plant.viscous * (m_eff / p.m)
+        n0, n1 = n0 + visc * qd0, n1 + visc * qd1
+    n = np.array([n0, n1])
+    if plant.disturbance_amp:
+        n = n + plant.disturbance(t)
+    return np.array([[diag, off], [off, diag]]), n
+
+
+def _switch_stage_times():
+    """t = +-0, t < 0, and the RK4 stage instants simulate produces (dt =
+    1 ms, ten steps per period) around every 5 s payload switch of a 40 s
+    run."""
+    dt, dt_control = 1e-3, 1e-2
+    times = [0.0, -0.0, -1e-3, -2.5]
+    for switch in range(5, 45, 5):
+        for k in range(round(switch / dt_control) - 2, round(switch / dt_control) + 2):
+            for i in range(10):
+                t = k * dt_control + i * dt
+                times += [t, t + 0.5 * dt, t + dt]
+    return times
+
+
+def _drawn_wmr_params(seed):
+    # an order of rounding that the defaults happen to hide shows for about
+    # one drawn parameter set in three
+    m, i_bar, d, r_bar, b, i_w = np.random.default_rng(seed).uniform(
+        [5.0, 0.2, 0.01, 0.05, 0.1, 0.001], [20.0, 1.0, 0.09, 0.15, 0.3, 0.01])
+    return WmrParams(m=m, I_bar=i_bar, K=m * d, d=d, r_bar=r_bar, b=b, I_w=i_w)
+
+
+# three offsets, all with dy != 0: on and off windows, every offset
+_WMR_SCHEDULE = PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05)))
+_WMR_VARIANTS = [(PARAMS, _WMR_SCHEDULE, 0.002, 0.05), (PARAMS, _WMR_SCHEDULE, 0.0, 0.0),
+                 (PARAMS, None, 0.002, 0.0), (PARAMS, None, 0.0, 0.05)] + [
+    (_drawn_wmr_params(seed), _WMR_SCHEDULE, 0.0037, 0.05) for seed in range(4)]
+
+
+def _wmr_variant(params, payload, viscous, disturbance_amp):
+    return reduced_wmr_dynamics(params, mismatch=0.2, payload=payload, viscous=viscous,
+                                disturbance_amp=disturbance_amp, disturbance_freq=1.3,
+                                phases=(0.3, 1.1))
+
+
+@pytest.mark.parametrize("params, payload, viscous, disturbance_amp", _WMR_VARIANTS)
+def test_wmr_faces_match_reference_bytes(params, payload, viscous, disturbance_amp):
+    # single-state and stacked faces, byte for byte, at the switch instants
+    # and at random instants over 40 s of on and off windows
+    rng = np.random.default_rng(15)
+    times = _switch_stage_times()
+    times += (rng.random(3000 - len(times)) * 46.0 - 1.0).tolist()
+    plant = _wmr_variant(params, payload, viscous, disturbance_amp)
+    q = rng.standard_normal((len(times), 2)) * 3.0
+    q_dot = rng.standard_normal((len(times), 2)) * 20.0
+    m_stack = plant.mass_matrix(q, np.array(times))
+    n_stack = plant.bias_vector(q, q_dot, np.array(times))
+    for b, t in enumerate(times):
+        m_ref, n_ref = reference_wmr_faces(plant, q_dot[b].tolist(), t)
+        assert plant.mass_matrix(q[b], t).tobytes() == m_stack[b].tobytes() == m_ref.tobytes()
+        assert (plant.bias_vector(q[b], q_dot[b], t).tobytes() == n_stack[b].tobytes()
+                == n_ref.tobytes())
+    # the nominal plant, and the bare body of the true one, at t = None
+    for face in [plant.nominal] + ([] if disturbance_amp else [plant]):
+        m_stack, n_stack = face.mass_matrix(q), face.bias_vector(q, q_dot, None)
+        for b in range(0, len(times), 7):
+            m_ref, n_ref = reference_wmr_faces(face, q_dot[b].tolist(), None)
+            assert face.mass_matrix(q[b]).tobytes() == m_stack[b].tobytes() == m_ref.tobytes()
+            assert (face.bias_vector(q[b], q_dot[b], None).tobytes() == n_stack[b].tobytes()
+                    == n_ref.tobytes())
+
+
 class TestWmrClosedFormAccel:
     @pytest.mark.parametrize("payload", [
         None, PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05))),
@@ -365,52 +452,23 @@ class TestWmrClosedFormAccel:
 
     @staticmethod
     def reference_accel(plant, q_dot, tau, t):
-        """The closed form as written before the split phase constants: the
-        payload phase from _payload_phase, both multiply-adds through _fma
-        on unsplit operands, and no cache."""
-        p = plant.params
-        m_eff, j_eff, k_eff = p.m, p.I_bar + p.m * p.d ** 2, p.K
-        if plant.payload is not None:
-            k = _payload_phase(plant.payload, max(t, 0.0))
-            dm, (dx, dy) = ((0.0, (0.0, 0.0)) if k < 0.0 else
-                            (plant.payload.extra_mass, plant.payload.offsets[int(k)]))
-            m_eff += dm
-            j_eff += dm * (dx * dx + dy * dy)
-            k_eff += dm * dx
-        diag, off = plant._inertia(m_eff, j_eff)
+        """The LU solve of reference_wmr_faces, both multiply-adds through
+        _fma on operands split at the call."""
+        m, n = reference_wmr_faces(plant, q_dot, t)
+        (diag, off), _ = m.tolist()
         lower = off * (1.0 / diag)
-        qd0, qd1 = q_dot
-        s = plant._gyro_gain(k_eff) * (qd0 - qd1)
-        n0, n1 = s * qd1, s * -qd0
-        if plant.viscous:
-            visc = plant.viscous * (m_eff / p.m)
-            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
-        if plant.disturbance_amp:
-            d0, d1 = plant.disturbance(t).tolist()
-            n0, n1 = n0 + d0, n1 + d1
-        b0, b1 = tau[0] - n0, tau[1] - n1
-        x1 = _fma(-lower, b0, b1) / (diag - lower * off)
-        return [_fma(-off, x1, b0) / diag, x1]
+        b0, b1 = tau[0] - n.item(0), tau[1] - n.item(1)
+        x1 = _fma(-lower, *_split(-lower), b0, b1) / (diag - lower * off)
+        return [_fma(-off, *_split(-off), x1, b0) / diag, x1]
 
     def test_matches_reference_in_bulk(self):
         # byte for byte over random states at random instants, at t = +-0
-        # and at the RK4 stage instants simulate produces (dt = 1 ms, ten
-        # steps per period) around every payload switch of a 40 s run
-        dt, dt_control = 1e-3, 1e-2
-        stages = [0.0, -0.0]
-        for switch in range(5, 45, 5):
-            for k in range(round(switch / dt_control) - 2, round(switch / dt_control) + 2):
-                for i in range(10):
-                    t = k * dt_control + i * dt
-                    stages += [t, t + 0.5 * dt, t + dt]
+        # and at the RK4 stage instants around every payload switch
+        times = _switch_stage_times()
         rng = np.random.default_rng(14)
-        times = stages + (rng.random(5000 - len(stages)) * 46.0 - 1.0).tolist()
-        schedule = PayloadSchedule(offsets=((0.05, 0.02), (-0.03, 0.04), (0.02, -0.05)))
-        for payload, viscous, disturbance_amp in [(schedule, 0.002, 0.05), (schedule, 0.0, 0.0),
-                                                  (None, 0.002, 0.0), (None, 0.0, 0.05)]:
-            plant = reduced_wmr_dynamics(PARAMS, mismatch=0.2, payload=payload,
-                                         viscous=viscous, disturbance_amp=disturbance_amp,
-                                         disturbance_freq=1.3, phases=(0.3, 1.1))
+        times += (rng.random(5000 - len(times)) * 46.0 - 1.0).tolist()
+        for variant in _WMR_VARIANTS:
+            plant = _wmr_variant(*variant)
             q_dot, tau = (rng.standard_normal((2, len(times), 2)) * [[[20.0]], [[50.0]]])
             for qd, u, t in zip(q_dot.tolist(), tau.tolist(), times):
                 assert (np.array(plant.accel([0.0, 0.0], qd, u, t)).tobytes()
@@ -436,23 +494,27 @@ _FMA_OPERAND = st.floats(min_value=-1e100, max_value=1e100).filter(
 @given(_FMA_OPERAND, _FMA_OPERAND, _FMA_OPERAND)
 def test_fma_rounds_once(a, b, c):
     exact = float(Fraction(a) * Fraction(b) + Fraction(c))
-    assert _fma(a, b, c) == exact
-    # a split ahead of the call, as accel splits its phase constants
     a_hi, a_lo = _split(a)
     assert a_hi + a_lo == a
-    assert _fma_split(a, a_hi, a_lo, b, c) == exact
+    assert _fma(a, a_hi, a_lo, b, c) == exact
 
 
-@pytest.mark.parametrize("a, b, c", [
-    (1.3e154, 1.3e154, 1.7e308),  # finite partial products whose sum overflows
-    (2.0749139528992096e+247, 1.5048545751016746e+165, math.inf),  # -inf + inf
-], ids=["overflow", "infinite"])
-def test_fma_falls_back_to_twice_rounded(a, b, c):
+@pytest.mark.parametrize("a, b, c, expected", [
+    (1.3e154, 1.3e154, 1.7e308, math.inf),  # finite partial products whose sum overflows
+    (2.0749139528992096e+247, 1.5048545751016746e+165, math.inf, math.inf),  # -inf + inf
+    (0.5, 1e308, 0.0, 5e307),  # the split of b overflows into nans
+    (1e308, 0.5, 0.0, 5e307),  # as does the split of a
+    (math.inf, 2.0, 1.0, math.inf),  # an infinite operand splits into nans
+], ids=["overflow", "infinite", "split-b-overflows", "split-a-overflows", "infinite-operand"])
+def test_fma_falls_back_to_twice_rounded(a, b, c, expected):
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(b)
-    with pytest.raises((ValueError, OverflowError)):
-        math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
-    assert _fma(a, b, c) == _fma_split(a, a_hi, a_lo, b, c) == a * b + c == math.inf
+    try:
+        fused = math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
+    except (ValueError, OverflowError):
+        fused = math.nan
+    assert math.isnan(fused)  # fsum rejects the partial products or sums a nan
+    assert _fma(a, a_hi, a_lo, b, c) == a * b + c == expected
 
 
 def reference_two_link_matrices(q, q_dot, p):
