@@ -67,10 +67,18 @@ class PlantModel:
 
     def __init__(self, nominal=None, disturbance_amp=0.0, disturbance_freq=1.0,
                  phases=None):
+        for name, value in (("disturbance_amp", disturbance_amp),
+                            ("disturbance_freq", disturbance_freq)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
+        if phases.shape != (self.dim,) or not np.isfinite(phases).all():
+            raise ValueError(f"phases must be {self.dim} finite numbers, one per plant "
+                             f"coordinate, got shape {phases.shape}")
         self.nominal = self if nominal is None else nominal
         self.disturbance_amp = disturbance_amp
         self.disturbance_freq = disturbance_freq
-        self.phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
+        self.phases = phases
 
     def disturbance(self, t) -> np.ndarray:
         """The (n,) disturbance at a float t; a (B, 1) column of times gives
@@ -126,12 +134,6 @@ def _columns(x):
     if x.ndim == 1:
         return x.tolist(), None
     return list(x.T), len(x)
-
-
-def _batch(x) -> int | None:
-    """B of a (B, n) stack of states, None for a single (n,) state."""
-    x = np.asarray(x)
-    return None if x.ndim == 1 else len(x)
 
 
 def _stack(entries, batch: int | None) -> np.ndarray:
@@ -313,7 +315,7 @@ class _ReducedWmrPlant(PlantModel):
     def mass_matrix(self, q, t=None) -> np.ndarray:
         diag, off, _, _ = self._factors(t)
         # the inertia is constant in q; the state only sets the batch
-        return _stack([[diag, off], [off, diag]], _batch(q))
+        return _stack([[diag, off], [off, diag]], None if np.ndim(q) == 1 else len(q))
 
     def bias_vector(self, q, q_dot, t) -> np.ndarray:
         (qd0, qd1), batch = _columns(q_dot)
@@ -379,10 +381,11 @@ def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
 
 
 def body_twist(q_dot, params: WmrParams):
-    """(forward speed, turn rate) from wheel rates (theta_r_dot, theta_l_dot)."""
+    """(forward speed, turn rate) from wheel rates (theta_r_dot, theta_l_dot):
+    of one pair, or (N,) series of an (N, 2) series of pairs."""
     q_dot = np.asarray(q_dot, float)
-    v = params.r_bar * (q_dot[0] + q_dot[1]) / 2.0
-    w = params.r_bar * (q_dot[0] - q_dot[1]) / (2.0 * params.b)
+    v = params.r_bar * (q_dot[..., 0] + q_dot[..., 1]) / 2.0
+    w = params.r_bar * (q_dot[..., 0] - q_dot[..., 1]) / (2.0 * params.b)
     return v, w
 
 
@@ -393,25 +396,29 @@ def reconstruct_posture(times, q_dots, params: WmrParams, pose0=(0.0, 0.0, 0.0))
     integration of the heading and midpoint integration of the position.
     Returns an array of shape (len(times), 3). The reported (x_c, y_c) is
     the centre of mass, offset d ahead of the axle midpoint.
+
+    Each running sum is a cumsum from its start value, which adds the steps
+    in the order, and with the roundings, of a loop over the rows.
     """
     times = np.asarray(times, float)
     q_dots = np.asarray(q_dots, float)
-    out = np.zeros((len(times), 3))
-    x, y, phi = pose0
-    x_a = x - params.d * math.cos(phi)
-    y_a = y - params.d * math.sin(phi)
-    out[0] = (x, y, phi)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        v0, w0 = body_twist(q_dots[i - 1], params)
-        v1, w1 = body_twist(q_dots[i], params)
-        phi_mid = phi + 0.25 * (w0 + w1) * dt
-        v_mid = 0.5 * (v0 + v1)
-        x_a += v_mid * math.cos(phi_mid) * dt
-        y_a += v_mid * math.sin(phi_mid) * dt
-        phi += 0.5 * (w0 + w1) * dt
-        out[i] = (x_a + params.d * math.cos(phi),
-                  y_a + params.d * math.sin(phi), phi)
+    if times.ndim != 1 or not len(times) or q_dots.shape != (len(times), 2):
+        raise ValueError(f"times and q_dots must be N >= 1 times and N pairs of wheel "
+                         f"rates, got shapes {times.shape} and {q_dots.shape}")
+    v, w = body_twist(q_dots, params)
+    dt = np.diff(times)
+    w_pair = w[:-1] + w[1:]
+    x, y, phi0 = pose0
+    x_a0 = x - params.d * math.cos(phi0)
+    y_a0 = y - params.d * math.sin(phi0)
+    phi = np.cumsum(np.concatenate([[phi0], 0.5 * w_pair * dt]))
+    phi_mid = phi[:-1] + 0.25 * w_pair * dt
+    v_mid = 0.5 * (v[:-1] + v[1:])
+    x_a = np.cumsum(np.concatenate([[x_a0], v_mid * np.cos(phi_mid) * dt]))
+    y_a = np.cumsum(np.concatenate([[y_a0], v_mid * np.sin(phi_mid) * dt]))
+    out = np.stack([x_a + params.d * np.cos(phi), y_a + params.d * np.sin(phi), phi],
+                   axis=1)
+    out[0] = (x, y, phi0)
     return out
 
 
@@ -583,40 +590,25 @@ def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-class _PointMassPlant(PlantModel):
-    def __init__(self, n, mass):
+class _LinearPlant(PlantModel):
+    """M = mass I, N = stiffness q: the point mass (stiffness 0) and the
+    undamped oscillator."""
+
+    def __init__(self, n, mass, stiffness=0.0):
         self.dim = n
         super().__init__()
         self.mass = mass
-
-    def mass_matrix(self, q, t=None):
-        m = self.mass * np.eye(self.dim)
-        batch = _batch(q)
-        return m if batch is None else np.repeat(m[None], batch, axis=0)
-
-    def bias_vector(self, q, q_dot, t):
-        return np.zeros(np.shape(q_dot))
-
-    def accel(self, q, q_dot, tau_applied, t):
-        return [float(u) / self.mass for u in tau_applied]
-
-
-class _OscillatorPlant(PlantModel):
-    dim = 1
-
-    def __init__(self, stiffness, mass):
-        super().__init__()
         self.stiffness = stiffness
-        self.mass = mass
 
     def mass_matrix(self, q, t=None):
-        return np.full(np.shape(q) + (1,), self.mass)
+        return self.mass * np.broadcast_to(np.eye(self.dim), np.shape(q) + (self.dim,))
 
     def bias_vector(self, q, q_dot, t):
         return self.stiffness * np.asarray(q, float)
 
     def accel(self, q, q_dot, tau_applied, t):
-        return [(float(tau_applied[0]) - self.stiffness * float(q[0])) / self.mass]
+        return [(float(u) - self.stiffness * float(x)) / self.mass
+                for u, x in zip(tau_applied, q)]
 
 
 def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:
@@ -625,7 +617,7 @@ def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:
         raise ValueError("n must be at least 1")
     if not 0.0 < mass < math.inf:
         raise ValueError("mass must be finite and positive")
-    return _PointMassPlant(n, mass)
+    return _LinearPlant(n, mass)
 
 
 def oscillator_plant(stiffness: float = 1.0, mass: float = 1.0) -> PlantModel:
@@ -633,4 +625,4 @@ def oscillator_plant(stiffness: float = 1.0, mass: float = 1.0) -> PlantModel:
     for name, value in (("stiffness", stiffness), ("mass", mass)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive")
-    return _OscillatorPlant(stiffness, mass)
+    return _LinearPlant(1, mass, stiffness)

@@ -11,15 +11,15 @@ a known function of time (method-of-steps treatment; only the input is
 delayed, never the state).
 
 Where each lookup falls does not depend on the state: the command stamps,
-the RK4 stage instants (t, t + dt/2, t + dt of each step, rounded as the
-stepper rounds them), the delays h there and the lookup instants t - h are
-all known before the run starts. ``simulate`` therefore plans the lookups
-of a block of control periods at once (``delays.plan`` against the stamps
-of the whole run), and once per period blends the commands pushed so far
+the RK4 stage instants (t, t + dt/2, t + dt of each step), the delays h
+there and the lookup instants t - h are all known before the run starts.
+``simulate`` therefore plans the stage instants and lookups of a block of
+control periods at once (``delays.plan`` against the stamps of the whole
+run), and once per period blends the commands pushed so far
 (``delays.blend`` on the tau_cmd rows 0..k) into the applied input of the
-coming period; the stages read its rows. This is exact: every stage gets,
-bit for bit, the value ``delays.interpolate`` on the pushed commands
-returns at its own instant.
+coming period; each step reads its instants and its inputs from these
+rows. This is exact: every stage gets, bit for bit, the value
+``delays.interpolate`` on the pushed commands returns at its own instant.
 
 Between control instants the integrator state is a plain list of 2n Python
 floats, (q, q_dot), and every plant's ``accel`` is a float closed form
@@ -73,10 +73,10 @@ _DIVERGENCE_LIMIT = 1e8
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
 # the plan of the period's block (stage instants, delays, brackets and
 # weights, 15 + 6n words per RK4 step, plus their temporaries while it is
-# built), the blended table (3n float64) and its nested-list copy the
-# stages read (32 + 12n words); with the previous period's still held while
-# the next block is planned, tracemalloc measures a peak of 79 + 33n words
-# per RK4 step (5e4 steps per period, n = 1, 2, 3).
+# built), the blended table (3n float64) and the nested-list copies the
+# stages read, of the table (32 + 12n words) and of the stage instants (20
+# words); tracemalloc measures a peak of 67 + 21n words per RK4 step while
+# a period is stepped (5e4 steps per period, n = 1, 2, 3).
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
@@ -128,7 +128,7 @@ class Scenario:
             raise ValueError(
                 f"duration = {self.duration:g} s needs {rows} trace rows at "
                 f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
-        max_steps = _MAX_ARRAY_BYTES // (8 * (79 + 33 * n))
+        max_steps = _MAX_ARRAY_BYTES // (8 * (67 + 21 * n))
         if steps > max_steps:
             raise ValueError(
                 f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
@@ -151,6 +151,8 @@ class Scenario:
             if value.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries, one per plant "
                                  f"coordinate, got shape {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """(q0, qdot0) as new float arrays: q0 defaults to the reference's
@@ -218,7 +220,7 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
     command stamps of the whole run. Returns the stage instants, shape
     (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
-    t = t_k + i dt, rounded exactly as _rk4_step rounds them; h at those
+    t = t_k + i dt, which _rk4_step evaluates the plant at; h at those
     instants; one Plan per period; and per period whether any lookup falls
     before the first command, and whether any falls at or after the
     period's own command (the flags of ``blend``). Commands have n entries."""
@@ -232,16 +234,18 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
-def _rk4_step(rhs, t, y, dt, inputs):
-    """One classical RK4 step of the float list y; inputs holds the applied
-    input at t, t + dt/2 and t + dt. Each component is rounded as the
-    ndarray expression y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
+def _rk4_step(rhs, instants, y, dt, inputs):
+    """One classical RK4 step of the float list y over the stage instants
+    (t, t + dt/2, t + dt); inputs holds the applied input at each. Each
+    component is rounded as the ndarray expression
+    y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
+    t0, t_half, t1 = instants
     u0, u_half, u1 = inputs
     half = 0.5 * dt
-    k1 = rhs(t, y, u0)
-    k2 = rhs(t + half, [a + half * k for a, k in zip(y, k1)], u_half)
-    k3 = rhs(t + half, [a + half * k for a, k in zip(y, k2)], u_half)
-    k4 = rhs(t + dt, [a + dt * k for a, k in zip(y, k3)], u1)
+    k1 = rhs(t0, y, u0)
+    k2 = rhs(t_half, [a + half * k for a, k in zip(y, k1)], u_half)
+    k3 = rhs(t_half, [a + half * k for a, k in zip(y, k2)], u_half)
+    k4 = rhs(t1, [a + dt * k for a, k in zip(y, k3)], u1)
     sixth = dt / 6.0
     return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
@@ -299,7 +303,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         p = k % periods_per_block
         if p == 0:
             k1 = min(k + periods_per_block, n_rows)
-            _, stage_h, plans, before, after = _plan_periods(
+            stage_t, stage_h, plans, before, after = _plan_periods(
                 profile, stamps, k, k1, steps_per_control, sc.dt, n)
             trace.h[k:k1] = stage_h[:, 0, 0]
         qq = np.array(y[:n])
@@ -325,15 +329,14 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         if k == n_rows - 1:
             break
 
-        stage_inputs = stage_tau.tolist()
-        for i in range(steps_per_control):
-            t = t_k + i * sc.dt
-            y = _rk4_step(rhs, t, y, sc.dt, stage_inputs[i])
-            j = k * steps_per_control + i + 1  # the fine row of the step's end
+        j = k * steps_per_control  # the fine row of the step's start
+        for instants, inputs in zip(stage_t[p].tolist(), stage_tau.tolist()):
+            y = _rk4_step(rhs, instants, y, sc.dt, inputs)
+            j += 1
             if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y):  # NaN fails it too
-                raise SimulationDiverged(t + sc.dt, trace.head(k + 1, j))
+                raise SimulationDiverged(instants[2], trace.head(k + 1, j))
             if fine is not None:
-                fine.t[j] = t + sc.dt
+                fine.t[j] = instants[2]
                 fine.q[j] = y[:n]
                 fine.q_dot[j] = y[n:]
 
@@ -342,19 +345,13 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
 def trace_to_csv(trace: Trace, path) -> None:
     """Write the control-rate trace with the canonical column layout."""
-    n = trace.n
-    header = ["t"]
-    header += [f"q_{i}" for i in range(n)]
-    header += [f"qd_{i}" for i in range(n)]
-    header += [f"e1_{i}" for i in range(n)]
-    header += [f"tau_cmd_{i}" for i in range(n)]
-    header += [f"tau_app_{i}" for i in range(n)]
-    header += ["c_hat", "s_norm", "h"]
-    data = np.column_stack([
-        trace.t, trace.q, trace.q_desired, trace.e1,
-        trace.tau_cmd, trace.tau_applied,
-        trace.c_hat, trace.s_norm, trace.h,
-    ])
+    columns = [("t", trace.t), ("q", trace.q), ("qd", trace.q_desired), ("e1", trace.e1),
+               ("tau_cmd", trace.tau_cmd), ("tau_app", trace.tau_applied),
+               ("c_hat", trace.c_hat), ("s_norm", trace.s_norm), ("h", trace.h)]
+    header = []
+    for name, a in columns:
+        header += [name] if a.ndim == 1 else [f"{name}_{i}" for i in range(a.shape[1])]
+    data = np.column_stack([a for _, a in columns])
     np.savetxt(path, data, fmt=TRACE_FLOAT_FORMAT, delimiter=",",
                header=",".join(header), comments="")
 

@@ -86,6 +86,10 @@ class SinusoidTrajectory:
         if not amp.shape == freq.shape == phase.shape == offset.shape == (self.dim,):
             raise ValueError("amplitude, frequency, phase and offset need one "
                              "entry per coordinate")
+        for name, array in (("amplitude", amp), ("frequency", freq), ("phase", phase),
+                            ("offset", offset)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
         _check_diameter(self)
         for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp * freq),
                             ("_neg_amp_freq2", -amp * freq ** 2), ("_phase", phase),
@@ -165,6 +169,9 @@ class WheelRampTrajectory:
     dim = 2
 
     def __post_init__(self):
+        for name in ("rate_r", "rate_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         _check_diameter(self)
 
     def __call__(self, t):

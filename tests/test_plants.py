@@ -24,8 +24,47 @@ from arolc.plants import (
     two_link_matrices,
     two_link_plant,
 )
+from arolc.scenario_io import load_scenario
+from arolc.sim import simulate
 
 PARAMS = WmrParams()
+
+
+def _posture_row_loop(times, q_dots, params, pose0):
+    """reconstruct_posture written as a loop over the rows: a trapezoid per
+    step for the heading, the midpoint heading for the axle midpoint's
+    step, the centre of mass d ahead of the midpoint."""
+    r, b, d = params.r_bar, params.b, params.d
+    out = np.zeros((len(times), 3))
+    x, y, phi = pose0
+    x_a = x - d * math.cos(phi)
+    y_a = y - d * math.sin(phi)
+    out[0] = (x, y, phi)
+    for i in range(1, len(times)):
+        dt = times[i] - times[i - 1]
+        (tr0, tl0), (tr1, tl1) = q_dots[i - 1], q_dots[i]
+        v0, w0 = r * (tr0 + tl0) / 2.0, r * (tr0 - tl0) / (2.0 * b)
+        v1, w1 = r * (tr1 + tl1) / 2.0, r * (tr1 - tl1) / (2.0 * b)
+        phi_mid = phi + 0.25 * (w0 + w1) * dt
+        v_mid = 0.5 * (v0 + v1)
+        x_a += v_mid * math.cos(phi_mid) * dt
+        y_a += v_mid * math.sin(phi_mid) * dt
+        phi += 0.5 * (w0 + w1) * dt
+        out[i] = (x_a + d * math.cos(phi), y_a + d * math.sin(phi), phi)
+    return out
+
+
+@pytest.fixture(scope="module")
+def wmr_wheel_traces():
+    """(start pose, trace) of two shipped robot runs, shortened to 3 s: the
+    adaptive-robust run under S1 and the fixed-window predictor under S3."""
+    runs = []
+    for name in ("wmr_s1_arolc", "wmr_s3_pconf"):
+        sc = load_scenario(f"scenarios/{name}.ini")
+        sc.duration = 3.0
+        x0, y0, *_ = sc.trajectory.cartesian(0.0)
+        runs.append(((x0, y0, 0.0), simulate(sc)))
+    return runs
 
 
 class TestElAccel:
@@ -189,6 +228,23 @@ class TestReducedWmr:
         assert pose[-1, 0] == pytest.approx(PARAMS.r_bar * 2.0, rel=1e-9)
         assert pose[-1, 1] == pytest.approx(0.0, abs=1e-12)
         assert pose[-1, 2] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pose0", [None, (0.3, -1.2, 2.5)], ids=["path-start", "turned"])
+    def test_posture_matches_row_loop_bytes(self, wmr_wheel_traces, pose0):
+        for start, trace in wmr_wheel_traces:
+            pose = start if pose0 is None else pose0
+            expected = _posture_row_loop(trace.t, trace.q_dot, PARAMS, pose)
+            got = reconstruct_posture(trace.t, trace.q_dot, PARAMS, pose0=pose)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("times, q_dots", [
+        ([], np.zeros((0, 2))), ([[0.0, 0.1]], np.zeros((2, 2))),
+        ([0.0, 0.1, 0.2], np.zeros((2, 2))), ([0.0, 0.1], np.zeros(2)),
+    ], ids=["empty", "nested-times", "short-rates", "one-pair"])
+    def test_posture_series_of_other_lengths_rejected(self, times, q_dots):
+        with pytest.raises(ValueError, match="^times and q_dots must be N >= 1 times"):
+            reconstruct_posture(times, q_dots, PARAMS)
 
     def test_payload_changes_inertia_only_in_on_windows(self):
         sched = PayloadSchedule(extra_mass=3.5, period_on=5.0, period_off=5.0)
@@ -681,8 +737,21 @@ class TestParamsValidation:
         (oscillator_plant, {"stiffness": math.nan}, "stiffness"),
         (oscillator_plant, {"stiffness": -1.0}, "stiffness"),
         (oscillator_plant, {"mass": math.inf}, "mass"),
+        (lambda **kw: two_link_plant(TwoLinkParams(), **kw), {"disturbance_amp": math.nan},
+         "disturbance_amp"),
+        (lambda **kw: two_link_plant(TwoLinkParams(), **kw), {"disturbance_freq": math.inf},
+         "disturbance_freq"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"disturbance_amp": -math.inf},
+         "disturbance_amp"),
+        (lambda **kw: two_link_plant(TwoLinkParams(), **kw),
+         {"disturbance_amp": 0.1, "phases": [0.0]}, "phases"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"phases": [[0.0, 1.0]]}, "phases"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"phases": [0.0, math.nan]},
+         "phases"),
     ], ids=["wmr-viscous-neg", "wmr-viscous-nan", "pm-n", "pm-mass-nan", "pm-mass-zero",
-            "osc-stiffness-nan", "osc-stiffness-neg", "osc-mass-inf"])
+            "osc-stiffness-nan", "osc-stiffness-neg", "osc-mass-inf", "arm-amp-nan",
+            "arm-freq-inf", "wmr-amp-inf", "arm-phases-short", "wmr-phases-nested",
+            "wmr-phases-nan"])
     def test_factory_rejects_one_named_field(self, factory, kwargs, field):
         # each message names exactly the one bad argument
         with pytest.raises(ValueError, match=rf"^{field} must "):

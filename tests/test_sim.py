@@ -581,10 +581,12 @@ class TestWarningsAndErrors:
                                              "a PconConfig or None, got"):
             free_scenario(controller=controller).validate()
 
-    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control"])
+    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control", "q0", "qdot0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field.split("_")[0]):
+        # the start state is one entry per coordinate of the 1-DOF plant
+        value = np.array([value]) if field.startswith("q") else value
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             free_scenario(**{field: value}).validate()
 
     def test_oversized_diagnostics_grid_rejected(self):

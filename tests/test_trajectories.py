@@ -69,6 +69,12 @@ class TestWheelRamp:
         np.testing.assert_allclose(qd_dot, [3.0, 2.0])
         np.testing.assert_allclose(qd_ddot, [0.0, 0.0])
 
+    @pytest.mark.parametrize("field", ["rate_r", "rate_l"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            WheelRampTrajectory(**{field: value})
+
 
 class TestSinusoid:
     def test_values(self):
@@ -88,6 +94,13 @@ class TestSinusoid:
     def test_one_entry_per_coordinate(self, entries):
         with pytest.raises(ValueError, match="one entry per coordinate"):
             SinusoidTrajectory(amplitude=(0.5, 0.3), **entries)
+
+    @pytest.mark.parametrize("field", ["amplitude", "frequency", "phase", "offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, field, value):
+        entries = {"amplitude": (0.5, 0.3), "frequency": (0.5, 0.7), field: (0.1, value)}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            SinusoidTrajectory(**entries)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
