@@ -27,7 +27,7 @@ for name in ("wmr_s1_arolc", "wmr_s1_pcon"):
     # and the reference wheel motion, then compare positions
     x0, y0, *_ = sc.trajectory.cartesian(0.0)
     pose = reconstruct_posture(trace.t, trace.q_dot, params, pose0=(x0, y0, 0.0))
-    ref = np.array([sc.trajectory.cartesian(float(t))[:2] for t in trace.t])
+    ref = np.column_stack(sc.trajectory.cartesian(trace.t)[:2])
     ae_xy = np.abs(pose[:, :2] - ref).mean(axis=0)
     rows.append((name, report, ae_xy))
 

@@ -109,9 +109,10 @@ class PlantModel:
 
         q, q_dot and tau_applied are any length-dim sequences of floats
         (list, tuple or ndarray); the result is a list of dim Python floats.
-        The integrator calls this at every RK4 stage on plain lists, so
-        subclasses override it with a float closed form; el_accel stays the
-        ndarray reference.
+        The integrator calls this at every RK4 stage on tuples of floats
+        and unpacks the result (any length-dim sequence), so subclasses
+        override it with a float closed form; el_accel stays the ndarray
+        reference.
         """
         return el_accel(self, q, q_dot, tau_applied, t).tolist()
 

@@ -21,15 +21,18 @@ coming period; each step reads its instants and its inputs from these
 rows. This is exact: every stage gets, bit for bit, the value
 ``delays.interpolate`` on the pushed commands returns at its own instant.
 
-Between control instants the integrator state is a plain list of 2n Python
-floats, (q, q_dot), and every plant's ``accel`` is a float closed form
-returning a list: for vectors of 2 to 12 entries per-call numpy overhead
-dominates the arithmetic. This is exact, not an approximation: IEEE
-rounding of +, -, * and / on floats is the rounding numpy's elementwise
-ufuncs apply, and ``_rk4_step`` keeps the operation order of the ndarray
-expression, so the traces are bit-identical to an ndarray integrator.
-Arrays begin at the control-rate boundary: the controller step, the trace
-rows and the diagnostics fine grid read the state as ndarrays.
+Between control instants the integrator state is a tuple of 2n Python
+floats, (q, q_dot), and every plant's ``accel`` is a float closed form: for
+vectors of 2 to 12 entries per-call numpy overhead dominates the
+arithmetic. The RK4 step is unrolled for the plant's dimension:
+``_rk4_step(n)`` compiles it from source once per n, with one local per
+entry and the divergence guard inline, so a step costs four ``accel``
+calls and a few dozen float operations. This is exact, not an
+approximation: IEEE rounding of +, -, * and / on floats is the rounding
+numpy's elementwise ufuncs apply, and the step keeps the operation order of
+the ndarray expression, so the traces are bit-identical to an ndarray
+integrator. Arrays begin at the control-rate boundary: the controller step,
+the trace rows and the diagnostics fine grid read the state as ndarrays.
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -44,6 +47,7 @@ true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -220,7 +224,7 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
     command stamps of the whole run. Returns the stage instants, shape
     (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
-    t = t_k + i dt, which _rk4_step evaluates the plant at; h at those
+    t = t_k + i dt, which the RK4 step evaluates the plant at; h at those
     instants; one Plan per period; and per period whether any lookup falls
     before the first command, and whether any falls at or after the
     period's own command (the flags of ``blend``). Commands have n entries."""
@@ -234,21 +238,50 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
-def _rk4_step(rhs, instants, y, dt, inputs):
-    """One classical RK4 step of the float list y over the stage instants
-    (t, t + dt/2, t + dt); inputs holds the applied input at each. Each
-    component is rounded as the ndarray expression
-    y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds it."""
-    t0, t_half, t1 = instants
-    u0, u_half, u1 = inputs
-    half = 0.5 * dt
-    k1 = rhs(t0, y, u0)
-    k2 = rhs(t_half, [a + half * k for a, k in zip(y, k1)], u_half)
-    k3 = rhs(t_half, [a + half * k for a, k in zip(y, k2)], u_half)
-    k4 = rhs(t1, [a + dt * k for a, k in zip(y, k3)], u1)
-    sixth = dt / 6.0
-    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+@functools.cache
+def _rk4_step(n: int):
+    """The classical RK4 step of a dimension-n plant, unrolled: compiled from
+    source once per n (as ``dataclasses`` builds its methods), with every
+    identifier built from n alone.
+
+    The step, ``rk4_step(accel, instants, y, dt, inputs)``, advances the 2n
+    floats y = (q, q_dot) over the stage instants (t, t + dt/2, t + dt);
+    inputs holds the applied input at each. It calls
+    ``accel(q, q_dot, tau, t)`` once per stage, q and q_dot as tuples, and
+    returns the new state as a tuple, or None when an entry is not within
+    +-_DIVERGENCE_LIMIT (NaN included). Each entry is rounded as the ndarray
+    expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
+    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with
+    k_s = (q_dot, qdd) at stage s.
+    """
+    def names(prefix, count=n):
+        return "".join(f"{prefix}{i}, " for i in range(count))
+
+    # stage s evaluates accel at y + h k_{s-1}, k_{s-1} = (v{s-1}_, a{s-1}_);
+    # stage 1 at y = (q1_, v1_) itself
+    lines = ["def rk4_step(accel, instants, y, dt, inputs):",
+             "    t_start, t_half, t_end = instants",
+             "    u_start, u_half, u_end = inputs",
+             f"    {names('q1_')}{names('v1_')}= y",
+             "    half = 0.5 * dt",
+             f"    {names('a1_')}= accel(({names('q1_')}), ({names('v1_')}), u_start, t_start)"]
+    for s, h, at in ((2, "half", "half"), (3, "half", "half"), (4, "dt", "end")):
+        lines += [f"    q{s}_{i} = q1_{i} + {h} * v{s - 1}_{i}" for i in range(n)]
+        lines += [f"    v{s}_{i} = v1_{i} + {h} * a{s - 1}_{i}" for i in range(n)]
+        lines.append(f"    {names(f'a{s}_')}= accel(({names(f'q{s}_')}), "
+                     f"({names(f'v{s}_')}), u_{at}, t_{at})")
+    lines.append("    sixth = dt / 6.0")
+    lines += [f"    y{i} = q1_{i} + sixth * (((v1_{i} + 2.0 * v2_{i}) + 2.0 * v3_{i}) + v4_{i})"
+              for i in range(n)]
+    lines += [f"    y{n + i} = v1_{i} + sixth * (((a1_{i} + 2.0 * a2_{i}) + 2.0 * a3_{i}) "
+              f"+ a4_{i})" for i in range(n)]
+    guard = " and ".join(f"abs(y{i}) <= {_DIVERGENCE_LIMIT!r}" for i in range(2 * n))
+    lines += [f"    if {guard}:",  # NaN fails it too
+              f"        return ({names('y', 2 * n)})",
+              "    return None"]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", f"<rk4 step, n = {n}>", "exec"), namespace)
+    return namespace["rk4_step"]
 
 
 def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
@@ -275,14 +308,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
     q, q_dot = sc.initial_state()
-    y = q.tolist() + q_dot.tolist()
-
+    y = tuple(q.tolist() + q_dot.tolist())
     accel = plant.accel  # as bound on the instance, wrappers included
-
-    def rhs(t, yy, tau):
-        qq = yy[:n]
-        qq_dot = yy[n:]
-        return qq_dot + accel(qq, qq_dot, tau, t)
+    rk4_step = _rk4_step(n)
+    dt = sc.dt
 
     stamps = np.arange(n_rows) * sc.dt_control
     # t, the six (rows, n) arrays q .. tau_applied, then c_hat, s_norm, h
@@ -304,7 +333,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         if p == 0:
             k1 = min(k + periods_per_block, n_rows)
             stage_t, stage_h, plans, before, after = _plan_periods(
-                profile, stamps, k, k1, steps_per_control, sc.dt, n)
+                profile, stamps, k, k1, steps_per_control, dt, n)
             trace.h[k:k1] = stage_h[:, 0, 0]
         qq = np.array(y[:n])
         qq_dot = np.array(y[n:])
@@ -331,9 +360,9 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
         j = k * steps_per_control  # the fine row of the step's start
         for instants, inputs in zip(stage_t[p].tolist(), stage_tau.tolist()):
-            y = _rk4_step(rhs, instants, y, sc.dt, inputs)
+            y = rk4_step(accel, instants, y, dt, inputs)
             j += 1
-            if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y):  # NaN fails it too
+            if y is None:
                 raise SimulationDiverged(instants[2], trace.head(k + 1, j))
             if fine is not None:
                 fine.t[j] = instants[2]

@@ -148,13 +148,17 @@ class CircleTrajectory:
     def __call__(self, t):
         return _constant_rates(np.array(self.wheel_rates), t)
 
-    def cartesian(self, t: float):
-        """(x, y, x_dot, y_dot, heading) of the reference path at time t."""
+    def cartesian(self, t):
+        """(x, y, x_dot, y_dot, heading) of the reference path at time t: a
+        float, or a 1-D array of N times for five (N,) arrays."""
+        t = np.asarray(t, float)
+        if t.ndim > 1:
+            raise ValueError("t must be a scalar or a 1-D array of times")
         a = self.rate * t
-        x = self.radius * math.sin(a) + self.center[0]
-        y = self.radius * math.cos(a) + self.center[1]
-        x_dot = self.radius * self.rate * math.cos(a)
-        y_dot = -self.radius * self.rate * math.sin(a)
+        x = self.radius * np.sin(a) + self.center[0]
+        y = self.radius * np.cos(a) + self.center[1]
+        x_dot = self.radius * self.rate * np.cos(a)
+        y_dot = -self.radius * self.rate * np.sin(a)
         return x, y, x_dot, y_dot, -a
 
 

@@ -15,6 +15,7 @@ from arolc.plants import (
     PlantModel,
     TwoLinkParams,
     WmrParams,
+    el_accel,
     oscillator_plant,
     point_mass_plant,
     reduced_wmr_dynamics,
@@ -25,6 +26,7 @@ from arolc.sim import (
     Scenario,
     SimulationDiverged,
     _plan_periods,
+    _rk4_step,
     error_dynamics_residual,
     simulate,
     trace_to_csv,
@@ -320,6 +322,169 @@ class TestInputTable:
                 expected = interpolate(stamps[:k + 1], cmds[:k + 1], theta)
                 table = blend(cmds, k + 1, plans[p], before[p], after[p])
                 assert np.array_equal(table.reshape(-1, n), expected)
+
+
+class _NdarrayAccelPlant(PlantModel):
+    """Coupled linear plant M qdd + D q_dot + K q = tau whose accel returns
+    el_accel's ndarray, not a list."""
+
+    def __init__(self, n, seed):
+        self.dim = n
+        super().__init__()
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        self.m = a @ a.T + n * np.eye(n)
+        self.k = rng.normal(size=(n, n))
+        self.d = rng.normal(size=(n, n))
+
+    def mass_matrix(self, q, t=None):
+        return self.m
+
+    def bias_vector(self, q, q_dot, t):
+        return self.k @ np.asarray(q, float) + self.d @ np.asarray(q_dot, float)
+
+    def accel(self, q, q_dot, tau_applied, t):
+        return el_accel(self, q, q_dot, tau_applied, t)
+
+
+def ndarray_rk4(accel, instants, y, dt, inputs):
+    """The reference RK4 step on float64 arrays; accel sees each stage state
+    as lists of Python floats."""
+    n = len(y) // 2
+
+    def f(t, state, u):
+        qdd = accel(state[:n].tolist(), state[n:].tolist(), u, t)
+        return np.concatenate([state[n:], np.asarray(qdd, float)])
+
+    t0, t_half, t1 = instants
+    u0, u_half, u1 = inputs
+    k1 = f(t0, y, u0)
+    k2 = f(t_half, y + (dt / 2) * k1, u_half)
+    k3 = f(t_half, y + (dt / 2) * k2, u_half)
+    k4 = f(t1, y + dt * k3, u1)
+    return y + (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
+
+
+class TestUnrolledStep:
+    PLANTS = {
+        "oscillator": lambda: oscillator_plant(stiffness=2.5, mass=0.7),
+        "point-mass-3": lambda: point_mass_plant(3, mass=1.3),
+        "point-mass-6": lambda: point_mass_plant(6, mass=0.9),
+        "two-link": lambda: two_link_plant(
+            TwoLinkParams(viscous=0.3), mismatch=0.1, disturbance_amp=0.5,
+            disturbance_freq=2.0, phases=(0.1, -0.7)),
+        "payload-wmr": lambda: reduced_wmr_dynamics(
+            WmrParams(), mismatch=0.2, viscous=0.05,
+            payload=PayloadSchedule(period_on=3.0, period_off=2.0,
+                                    offsets=((0.05, 0.02), (-0.1, 0.0)))),
+        "ndarray-accel-3": lambda: _NdarrayAccelPlant(3, seed=3),
+        "ndarray-accel-6": lambda: _NdarrayAccelPlant(6, seed=6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_matches_ndarray_reference_bit_for_bit(self, name):
+        plant = self.PLANTS[name]()
+        n = plant.dim
+        step = _rk4_step(n)
+        rng = np.random.default_rng(sorted(self.PLANTS).index(name))
+        for _ in range(200):
+            dt = rng.uniform(1e-4, 2e-2)
+            t = rng.uniform(0.0, 25.0)  # across the payload's phases
+            instants = [t, t + 0.5 * dt, t + dt]  # as the planner rounds them
+            y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-5.0, 5.0, n)])
+            inputs = rng.uniform(-20.0, 20.0, (3, n)).tolist()
+            got = step(plant.accel, instants, tuple(y.tolist()), dt, inputs)
+            expected = ndarray_rk4(plant.accel, instants, y, dt, inputs)
+            assert np.array(got, dtype=float).tobytes() == expected.tobytes()
+
+    def test_built_once_per_dimension(self):
+        assert _rk4_step(2) is _rk4_step(2)
+        assert _rk4_step(2) is not _rk4_step(3)
+
+    def test_four_accel_calls_per_step(self):
+        plant = point_mass_plant(2)
+        calls = []
+        inner = plant.accel
+
+        def accel(*args):
+            calls.append(args[3])
+            return inner(*args)
+
+        plant.accel = accel  # simulate reads the instance's accel
+        sc = free_scenario(plant=plant, duration=0.05,
+                           trajectory=SinusoidTrajectory(amplitude=(1e-12, 1e-12),
+                                                         frequency=(1.0, 1.0)))
+        simulate(sc)
+        assert len(calls) == 4 * 50
+
+
+class TestDivergenceGuard:
+    """An entry at exactly +-1e8 passes the guard in any slot of q or q_dot;
+    the next float beyond it stops the run at that step. With dt = 6 * 2**-12,
+    dt / 6 is a power of two and every state below is exact: each case
+    reaches its target in step STEP of the run's 128 and then holds it."""
+
+    DT = 6.0 * 2.0 ** -12
+    STEP = 61  # the sixth of the eighth period's eight steps
+
+    class Kick(PlantModel):
+        """Zero acceleration, but value in slot at the last stage of step."""
+
+        def __init__(self, n, slot, value, step):
+            self.dim = n
+            super().__init__()
+            self.slot, self.value, self.call = slot, value, 4 * step - 1
+            self.calls = 0
+
+        def accel(self, q, q_dot, tau_applied, t):
+            qdd = [0.0] * self.dim
+            if self.calls == self.call:
+                qdd[self.slot] = self.value
+            self.calls += 1
+            return qdd
+
+    def scenario(self, n, slot, target, periods=16):
+        q0, qdot0 = np.zeros(n), np.zeros(n)
+        sign = math.copysign(1.0, target)
+        if slot < n:
+            # q moves by 6 sign per step at the rate sign 2**12, which the
+            # kick stops as q reaches the target
+            q0[slot] = target - sign * 6.0 * self.STEP
+            qdot0[slot] = sign * 2.0 ** 12
+            plant = self.Kick(n, slot, -sign * 2.0 ** 24, self.STEP)
+        else:
+            # the kick sets q_dot to the target; q then grows to 0.1 target
+            plant = self.Kick(n, slot - n, target * 2.0 ** 12, self.STEP)
+        return free_scenario(
+            plant=plant, q0=q0, qdot0=qdot0, dt=self.DT, dt_control=8 * self.DT,
+            duration=periods * 8 * self.DT,
+            trajectory=SinusoidTrajectory(amplitude=(1e-12,) * n, frequency=(1.0,) * n))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("n, slot", [(1, 0), (1, 1)] + [(3, i) for i in range(6)])
+    def test_limit_passes_and_next_float_stops(self, n, slot, sign):
+        limit = sign * 1e8
+        full = simulate(self.scenario(n, slot, limit), diagnostics=True)
+        rows = np.concatenate([full.fine.q, full.fine.q_dot], axis=1)
+        assert (rows[self.STEP:, slot] == limit).all()
+        assert (rows[:self.STEP, slot] != limit).all()
+
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(self.scenario(n, slot, sign * np.nextafter(1e8, math.inf)),
+                     diagnostics=True)
+        exc = excinfo.value
+        assert exc.time == full.fine.t[self.STEP]
+        partial = exc.partial_trace
+        # the rows up to the failing step's period and the fine rows before it
+        assert len(partial) == 8 and len(partial.fine.t) == self.STEP
+        short = simulate(self.scenario(n, slot, sign * np.nextafter(1e8, math.inf),
+                                       periods=7), diagnostics=True)
+        for f in dataclasses.fields(partial):
+            if f.name != "fine":
+                assert np.array_equal(getattr(partial, f.name), getattr(short, f.name))
+        for name in ("t", "q", "q_dot"):
+            assert np.array_equal(getattr(partial.fine, name)[:57], getattr(short.fine, name))
+        assert np.array_equal(partial.fine.t, full.fine.t[:self.STEP])
 
 
 class TestPinnedTraces:

@@ -39,6 +39,23 @@ class TestCircle:
         assert x_dot == pytest.approx(1.25 * 0.35)
         assert y_dot == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("traj", [CircleTrajectory(),
+                                      CircleTrajectory(radius=3.0, rate=1.7, center=(-2.0, 0.4))])
+    def test_cartesian_over_times_matches_float_calls(self, traj):
+        # the 4001 rows of a 40 s robot trace, and scattered times
+        times = np.concatenate([np.arange(4001) * 0.01,
+                                np.random.default_rng(0).uniform(-1e3, 1e3, 500)])
+        arrays = traj.cartesian(times)
+        assert len(arrays) == 5
+        floats = np.array([traj.cartesian(float(t)) for t in times])
+        for i, array in enumerate(arrays):
+            assert array.shape == times.shape
+            np.testing.assert_array_max_ulp(array, floats[:, i], maxulp=1)
+
+    def test_cartesian_two_dimensional_times_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            CircleTrajectory().cartesian(np.zeros((2, 2)))
+
     def test_wheel_rates_constant(self):
         traj = CircleTrajectory()
         expected = (0.35 * (1.25 - traj.b) / traj.r_bar,
