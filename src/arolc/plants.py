@@ -17,7 +17,7 @@ call on row b. A time-free face (the nominal model) takes t = None.
 evaluate one expression per entry: on Python floats (``math``
 trigonometry) for a single state, on the (B,) columns (numpy's) for a
 stack, with the same operations in the same order, so that the rows agree
-bit for bit wherever numpy's cos, sin and pow round as libm's.
+bit for bit wherever numpy's cos and sin round as libm's.
 
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
@@ -148,38 +148,6 @@ def _stack(entries, batch: int | None) -> np.ndarray:
     return np.broadcast_to(entries, (batch,))
 
 
-_VELTKAMP = 134217729.0  # 2**27 + 1: splits a binary64 into two 26-bit halves
-
-
-def _split(a: float) -> tuple[float, float]:
-    """Veltkamp's halves (hi, lo) of a, as _fma splits b."""
-    t = _VELTKAMP * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _fma(a: float, a_hi: float, a_lo: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it, given the
-    halves (a_hi, a_lo) = _split(a): an operand that many calls share is
-    split once.
-
-    Veltkamp's split makes the four partial products of a * b exact, and
-    math.fsum rounds their exact sum with c correctly. Exact for finite
-    operands whose partial products neither overflow nor underflow; falls
-    back to the twice-rounded a * b + c where fsum cannot sum (infinities or
-    overflow) or a split overflows into nans, only reached by a state that
-    is diverging.
-    """
-    t = _VELTKAMP * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    try:
-        fused = math.fsum((c, a_hi * b_hi, a_hi * b_lo, a_lo * b_hi, a_lo * b_lo))
-    except (ValueError, OverflowError):
-        return a * b + c
-    return fused if fused == fused else a * b + c
-
-
 # ---------------------------------------------------------------------------
 # Wheeled mobile robot
 # ---------------------------------------------------------------------------
@@ -284,8 +252,8 @@ class _ReducedWmrPlant(PlantModel):
         a, c = params.r_bar / 2.0, params.r_bar / (2.0 * params.b)
         offsets = () if payload is None else payload.offsets
         loads = [(0.0, 0.0, 0.0)] + [(payload.extra_mass, dx, dy) for dx, dy in offsets]
-        self._phases, self._lu = [], {}
-        for row, (dm, dx, dy) in enumerate(loads):
+        self._phases = []
+        for dm, dx, dy in loads:
             m_eff = params.m + dm
             j_eff = params.I_bar + params.m * params.d ** 2 + dm * (dx * dx + dy * dy)
             linear, spin = m_eff * a * a, j_eff * c * c
@@ -294,18 +262,16 @@ class _ReducedWmrPlant(PlantModel):
             # rolling resistance scales with the carried weight
             gyro = 2.0 * (params.K + dm * dx) * a * c * c
             visc = viscous * (m_eff / params.m)
-            self._phases.append((diag, off, gyro, visc))
-            # accel's constants, keyed by the row as a float: LU with partial
-            # pivoting keeps row 0, as diag - |off| = I_w + 2 min(m a^2, j c^2)
-            # > 0; l is scaled by the reciprocal pivot, and the two factors
-            # that multiply are held with their halves (_split)
+            # accel's LU factors: partial pivoting keeps row 0, as diag - |off|
+            # = I_w + 2 min(m a^2, j c^2) > 0, and l is scaled by the
+            # reciprocal pivot
             lower = off * (1.0 / diag)
-            self._lu[float(row)] = (diag, -off, *_split(-off), -lower, *_split(-lower),
-                                    diag - lower * off, gyro, visc)
+            self._phases.append((diag, off, gyro, visc, lower, diag - lower * off))
 
     def _factors(self, t):
-        """(diag, off, gyro, visc) of the payload phase at t: floats at a
-        float t, (B,) columns over a (B,) array of times; row 0 at t = None."""
+        """(diag, off, gyro, visc, lower, upper) of the payload phase at t:
+        floats at a float t, (B,) columns over a (B,) array of times; row 0
+        at t = None."""
         if self.payload is None or t is None:
             return self._phases[0]
         if np.ndim(t):
@@ -314,13 +280,13 @@ class _ReducedWmrPlant(PlantModel):
         return self._phases[int(_payload_phase(self.payload, max(t, 0.0))) + 1]
 
     def mass_matrix(self, q, t=None) -> np.ndarray:
-        diag, off, _, _ = self._factors(t)
+        diag, off, *_ = self._factors(t)
         # the inertia is constant in q; the state only sets the batch
         return _stack([[diag, off], [off, diag]], None if np.ndim(q) == 1 else len(q))
 
     def bias_vector(self, q, q_dot, t) -> np.ndarray:
         (qd0, qd1), batch = _columns(q_dot)
-        _, _, gyro, visc = self._factors(t)
+        _, _, gyro, visc, *_ = self._factors(t)
         s = gyro * (qd0 - qd1)
         n0, n1 = s * qd1, s * -qd0
         if self.viscous:
@@ -331,22 +297,20 @@ class _ReducedWmrPlant(PlantModel):
         """Closed form of el_accel in float arithmetic.
 
         The bias repeats bias_vector operation for operation; the 2 x 2 solve
-        is the LU solve rounded as LAPACK's dgesv rounds it when its kernels
-        fuse multiply-adds (OpenBLAS on x86-64 with FMA), which makes it equal
-        to el_accel bit for bit there and to rounding elsewhere.
+        is a plain LU solve on the phase row's factors, equal to el_accel to
+        rounding.
         """
         terms = self._phase_terms
         if terms is None:
-            row = 0.0
+            row = 0
         else:
             # the row _payload_phase(self.payload, max(t, 0.0)) + 1.0: its
             # operations, operation for operation, without the final - 1.0
             period, period_on, count = terms
             t_on = 0.0 if 0.0 > t else t
             cycle = t_on // period
-            row = (cycle % count + 1.0) * (t_on - cycle * period < period_on)
-        (diag, neg_off, off_hi, off_lo, neg_lower, lower_hi, lower_lo, upper, gyro,
-         visc) = self._lu[row]
+            row = int((cycle % count + 1.0) * (t_on - cycle * period < period_on))
+        diag, off, gyro, visc, lower, upper = self._phases[row]
         qd0, qd1 = q_dot
         tau0, tau1 = tau_applied
         s = gyro * (qd0 - qd1)
@@ -357,8 +321,8 @@ class _ReducedWmrPlant(PlantModel):
             d0, d1 = self.disturbance(t).tolist()
             n0, n1 = n0 + d0, n1 + d1
         b0, b1 = tau0 - n0, tau1 - n1
-        x1 = _fma(neg_lower, lower_hi, lower_lo, b0, b1) / upper
-        return [_fma(neg_off, off_hi, off_lo, x1, b0) / diag, x1]
+        x1 = float((b1 - lower * b0) / upper)
+        return [float((b0 - off * x1) / diag), x1]
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
@@ -491,33 +455,19 @@ def _two_link_inertia_terms(k, c2):
             m2 * (lc2_sq + l1_lc2 * c2) + i2, a22)
 
 
-def _float_square(x: float) -> float:
-    # libm pow, as numpy's float64 scalar ** rounds it (x * x can differ in
-    # the last bit)
-    try:
-        return x ** 2
-    except OverflowError:  # where numpy returns inf; only a diverging state
-        return math.inf
-
-
-def _array_square(x: np.ndarray) -> np.ndarray:
-    # float_power calls pow; power and ** square an array as x * x
-    return np.float_power(x, 2.0)
-
-
-# (cos, sin, square) for Python floats and for (B,) arrays
-_FLOAT_OPS = (math.cos, math.sin, _float_square)
-_ARRAY_OPS = (np.cos, np.sin, _array_square)
+# (cos, sin) for Python floats and for (B,) arrays
+_FLOAT_OPS = (math.cos, math.sin)
+_ARRAY_OPS = (np.cos, np.sin)
 
 
 def _two_link_bias_terms(k, q0, q1, qd0, qd1, ops):
     """(N1, N2): Coriolis plus gravity, plus viscous friction when set."""
     h_gain, grav1, grav2_gain, viscous = k
-    cos, sin, square = ops
+    cos, sin = ops
     h = h_gain * sin(q1)
     grav2 = grav2_gain * cos(q0 + q1)
     n0 = -h * qd1 * (2.0 * qd0 + qd1) + (grav1 * cos(q0) + grav2)
-    n1 = h * square(qd0) + grav2
+    n1 = h * (qd0 * qd0) + grav2
     if viscous:
         n0, n1 = n0 + viscous * qd0, n1 + viscous * qd1
     return n0, n1

@@ -493,10 +493,12 @@ class TestPinnedTraces:
     fine-grid q and q_dot), and over that run's error-dynamics residual.
     The digests pin the simulator's floating-point
     results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
-    moves one bit of a trace fails here. The three predictor runs cover
-    its window kinds: the true delay of S1 (up to 0.1 s) and S2 (0.005 to
-    0.029 s over these 2 s) and S4's fixed h_estimate (0.12 s, 12 or 13
-    knots)."""
+    moves one bit of a trace fails here. The plants' accel is plain float
+    arithmetic; what still depends on the BLAS build is the controllers'
+    small @ products and the residual's stacked solve. The three predictor
+    runs cover its window kinds: the true delay of S1 (up to 0.1 s) and S2
+    (0.005 to 0.029 s over these 2 s) and S4's fixed h_estimate (0.12 s,
+    12 or 13 knots)."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f0db8d34dfff511c11b8e43e97d2f9f773b7c662686fd57179d8f0da3f11021",
