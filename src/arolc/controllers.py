@@ -20,7 +20,16 @@ make_controller(scenario, trace) builds the object of scenario.controller's
 type (ArolcConfig, PconConfig, or None for zero torque) with one method the
 simulator calls per control period, row by row of trace: step(t, q, q_dot,
 desired) -> StepRecord. The objects hold state; arolc_step (the law, then
-adapt_gain) and pcon_step stay module functions.
+its adaptation step) and pcon_step stay module functions.
+
+The control period runs on Python floats: step takes q, q_dot and the
+reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
+returns the torque as a list of floats. For vectors of 2 to 12 entries
+per-call numpy overhead dominates the arithmetic, so each law is plain list
+code over the gain rows its config holds, every matrix-vector product
+summed left to right. sliding_variable, nominal_control, switching_control
+and adapt_gain state the same law on ndarrays; the two agree to rounding
+(numpy's small @ products and norms may sum in another order).
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -41,6 +50,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +96,8 @@ class ArolcConfig:
     K2: np.ndarray = field(init=False, repr=False, compare=False)
     P: np.ndarray = field(init=False, repr=False, compare=False)
     B: np.ndarray = field(init=False, repr=False, compare=False)
+    # the rows of B^T P, K2 and K1 as lists of floats, which arolc_step reads
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha", "epsilon", "gamma"):
@@ -97,6 +110,8 @@ class ArolcConfig:
         object.__setattr__(self, "K2", self.gains.K2)
         object.__setattr__(self, "P", system.P)
         object.__setattr__(self, "B", system.B)
+        object.__setattr__(self, "rows", ((system.B.T @ system.P).tolist(),
+                                          self.K2.tolist(), self.K1.tolist()))
 
     @property
     def n(self) -> int:
@@ -111,7 +126,7 @@ class ArolcState:
     """Adaptive gain plus the memory used to estimate sign(s . s_dot)."""
 
     c_hat: float
-    s_prev: np.ndarray | None = None
+    s_prev: list[float] | np.ndarray | None = None
     t_prev: float = -np.inf
 
 
@@ -167,35 +182,65 @@ class StepRecord(NamedTuple):
     Every controller fills tau, c_hat and s_norm (zero where the law has no
     such quantity). The adaptive-robust law also reports the auxiliary input
     u = u_hat + du, its switching part du and its new state; the simulator
-    diagnostics record u and du.
+    diagnostics record u and du. Vectors are lists of floats.
     """
 
-    tau: np.ndarray
+    tau: list[float]
     c_hat: float = 0.0
     s_norm: float = 0.0
-    u: np.ndarray | None = None
-    du: np.ndarray | None = None
+    u: list[float] | None = None
+    du: list[float] | None = None
     state: ArolcState | None = None
 
 
-def arolc_step(state: ArolcState, q, q_dot, desired, nominal_model, t, dt,
+def _dot(row, x) -> float:
+    """sum_j row[j] x[j] on floats, added left to right."""
+    return reduce(add, map(mul, row, x), 0.0)
+
+
+def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
                cfg) -> StepRecord:
-    """The adaptive-robust torque at the current gain, then one adapt_gain
-    step of length dt (the control period). desired is the triple (qd,
-    qd_dot, qd_ddot); nominal_model the pair (Mhat(q), Nhat(q, q_dot))
-    already evaluated at the current state. record.c_hat and record.state
-    are the adapted ones."""
+    """The adaptive-robust torque at the current gain, then one adaptation
+    step of length dt (the control period), on floats. desired is the
+    triple (qd, qd_dot, qd_ddot); torque(q, q_dot, u) the nominal model's
+    Mhat(q) u + Nhat(q, q_dot) (a plant's ``torque`` face). record.c_hat and
+    record.state are the adapted ones.
+
+    sliding_variable, nominal_control, switching_control and adapt_gain
+    state each part on ndarrays: s = B^T P e, u_hat = (qdd_d + K2 e1_dot)
+    + K1 e1, the boundary-layer switching term and the gain's Euler step,
+    branch for branch."""
+    bp, k2, k1 = cfg.rows
+    c_hat, s_prev = state.c_hat, state.s_prev
     qd, qd_dot, qd_ddot = desired
-    e1 = np.asarray(qd, float) - np.asarray(q, float)
-    e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
-    s = sliding_variable(np.concatenate([e1, e1_dot]), cfg)
-    u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
-    du = switching_control(s, state.c_hat, cfg) if cfg.switching else np.zeros_like(u_hat)
-    u = u_hat + du
-    m_hat, n_hat = nominal_model
-    tau = np.asarray(m_hat, float) @ u + np.asarray(n_hat, float)
-    new_state = adapt_gain(state, s, t, dt, cfg)
-    return StepRecord(tau, new_state.c_hat, float(np.linalg.norm(s)), u, du, new_state)
+    e1 = [a - b for a, b in zip(qd, q)]
+    e1_dot = [a - b for a, b in zip(qd_dot, q_dot)]
+    e = e1 + e1_dot
+    s = [_dot(row, e) for row in bp]
+    s_norm = math.sqrt(_dot(s, s))
+    u_hat = [(a + _dot(r2, e1_dot)) + _dot(r1, e1) for a, r2, r1 in zip(qd_ddot, k2, k1)]
+    if cfg.switching:
+        if c_hat <= 0.0:
+            raise ValueError("c_hat must be positive")
+        gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
+        du = [gain * x for x in s]
+        u = [a + b for a, b in zip(u_hat, du)]
+    else:
+        du, u = [0.0] * len(s), u_hat
+    tau = torque(q, q_dot, u)
+
+    if s_prev is not None and not t > state.t_prev:
+        raise ValueError("time must advance between adaptation steps")
+    if c_hat <= cfg.gamma:
+        rate = cfg.gamma
+    elif s_prev is None:
+        rate = -s_norm  # no slope estimate yet: conservative branch
+    else:
+        elapsed = t - state.t_prev
+        s_dot = [(a - b) / elapsed for a, b in zip(s, s_prev)]
+        rate = s_norm if _dot(s, s_dot) > 0.0 else -s_norm
+    new_state = ArolcState(max(c_hat + rate * dt, cfg.gamma), s, t)
+    return StepRecord(tau, new_state.c_hat, s_norm, u, du, new_state)
 
 
 @dataclass(frozen=True)
@@ -207,6 +252,7 @@ class PconConfig:
     vartheta: np.ndarray = field(default_factory=lambda: np.eye(1))
     k_b: float = 5.0
     h_estimate: float | None = None
+    rows: list = field(init=False, repr=False, compare=False)  # vartheta's, as floats
 
     def __post_init__(self):
         for name in ("kappa", "k_b"):
@@ -221,17 +267,18 @@ class PconConfig:
         if np.linalg.eigvalsh(0.5 * (v + v.T))[0] < 0.0:
             raise ValueError("vartheta must be positive semidefinite")
         object.__setattr__(self, "vartheta", v)
+        object.__setattr__(self, "rows", v.tolist())
 
 
-def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig):
-    """tau = k_b (e1_dot + kappa e1 - vartheta e_z), e_z the integral over
-    [t - h, t] of history = (times, values, m) (``delays.integrate``)."""
+def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig) -> list[float]:
+    """tau = k_b ((e1_dot + kappa e1) - vartheta e_z) on floats, e_z the
+    integral over [t - h, t] of history = (times, values, m)
+    (``delays.integrate``)."""
     qd, qd_dot, _ = desired
-    e1 = np.asarray(qd, float) - np.asarray(q, float)
-    e1_dot = np.asarray(qd_dot, float) - np.asarray(q_dot, float)
     e_z = integrate(*history, t - h, t)  # zero before the first command
-    rho = e1_dot + cfg.kappa * e1 - cfg.vartheta @ e_z
-    return cfg.k_b * rho
+    kappa, k_b = cfg.kappa, cfg.k_b
+    return [k_b * ((vd - v + kappa * (pd - p)) - _dot(row, e_z))
+            for pd, p, vd, v, row in zip(qd, q, qd_dot, q_dot, cfg.rows)]
 
 
 class ArolcController:
@@ -239,7 +286,7 @@ class ArolcController:
 
     def __init__(self, sc, trace):
         self.cfg = sc.controller
-        self.plant = sc.plant
+        self.torque = sc.plant.nominal.torque
         self.dt = sc.dt_control
         self.state = self.cfg.initial_state()
         peak = max_delay(sc.delay)
@@ -251,8 +298,7 @@ class ArolcController:
             )
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
-        nominal = self.plant.nominal_mass_matrix(q), self.plant.nominal_bias_vector(q, q_dot)
-        record = arolc_step(self.state, q, q_dot, desired, nominal, t, self.dt, self.cfg)
+        record = arolc_step(self.state, q, q_dot, desired, self.torque, t, self.dt, self.cfg)
         self.state = record.state
         return record
 
@@ -281,7 +327,7 @@ class ZeroController:
         self.n = sc.plant.dim
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
-        return StepRecord(np.zeros(self.n))
+        return StepRecord([0.0] * self.n)
 
 
 _CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,

@@ -175,11 +175,11 @@ def _trapezoids(knots, rows) -> list[float]:
             for col in zip(*rows)]
 
 
-def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
+def integrate(times, values, m: int, t0: float, t1: float) -> list[float]:
     """Integral over [t0, t1] of the command signal of the first m commands,
     values[:m] at the stamps times[:m] (arrays, times strictly increasing):
-    trapezoids between knots, exact for that piecewise-linear signal; zero
-    for m = 0.
+    trapezoids between knots, exact for that piecewise-linear signal, as a
+    list of Python floats; zero for m = 0.
 
     The knots are the interval's ends and every stamp inside it. The sum
     runs on Python floats over the rows that bracket a knot, with the
@@ -194,7 +194,7 @@ def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
         raise ValueError("t1 must be >= t0")
     n = values.shape[1]
     if not m:
-        return np.zeros(n)
+        return [0.0] * n
     t0, t1 = float(t0), float(t1)
     stamps = times[:m]
     i = int(stamps.searchsorted(t0, side="right"))
@@ -207,7 +207,7 @@ def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
     if not i:
         t0 = ts[0]  # the signal is zero before the first command
     if t1 <= t0:
-        return np.zeros(n)
+        return [0.0] * n
     # t0 falls between local rows 0 and 1, t1 between rows e - 1 and e,
     # and the stamps of rows 1 .. stop - 1 lie strictly inside (t0, t1)
     e = r - a
@@ -218,7 +218,7 @@ def integrate(times, values, m: int, t0: float, t1: float) -> np.ndarray:
     if not all(map(math.isfinite, total)):
         rows[1:-1] = [_signal_at(ts, vs, k + 1, ts[k]) for k in range(1, stop)]
         total = _trapezoids(knots, rows)
-    return np.array(total)
+    return total
 
 
 class DelayBuffer:
@@ -252,4 +252,4 @@ class DelayBuffer:
 
     def integrate(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the signal sample() describes over [t0, t1]."""
-        return integrate(*self._history(), len(self._t), t0, t1)
+        return np.array(integrate(*self._history(), len(self._t), t0, t1))

@@ -12,12 +12,16 @@ Shape contract: ``mass_matrix(q, t)`` and ``bias_vector(q, q_dot, t)``
 take one state, q and q_dot of shape (n,) and a float t, and return (n, n)
 and (n,); or a stack of B states, q and q_dot of shape (B, n) and t of
 shape (B,), and return (B, n, n) and (B, n), row b equal to the single-state
-call on row b. A time-free face (the nominal model) takes t = None.
-``accel`` takes one state only and works on Python floats. Both methods
-evaluate one expression per entry: on Python floats (``math``
-trigonometry) for a single state, on the (B,) columns (numpy's) for a
-stack, with the same operations in the same order, so that the rows agree
-bit for bit wherever numpy's cos and sin round as libm's.
+call on row b. t = None reads the time-free terms alone (no payload, no
+disturbance); the nominal model has no others. ``accel`` and its inverse
+``torque`` take one state only and work on Python floats: accel(q, q_dot,
+tau, t) is the forward dynamics at time t, torque(q, q_dot, qdd) = M(q) qdd
++ N(q, q_dot) the inverse dynamics of the time-free terms, which the
+adaptive-robust law evaluates on the nominal model once per control period.
+mass_matrix and bias_vector evaluate one expression per entry: on Python
+floats (``math`` trigonometry) for a single state, on the (B,) columns
+(numpy's) for a stack, with the same operations in the same order, so that
+the rows agree bit for bit wherever numpy's cos and sin round as libm's.
 
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
@@ -87,8 +91,8 @@ class PlantModel:
 
     def _disturbed(self, n: np.ndarray, t, batch: int | None) -> np.ndarray:
         """The bias n plus the disturbance at t (at each row's time for a
-        stack of batch rows)."""
-        if not self.disturbance_amp:
+        stack of batch rows); n itself at t = None."""
+        if not self.disturbance_amp or t is None:
             return n
         return n + self.disturbance(t if batch is None else np.asarray(t, float)[:, None])
 
@@ -115,6 +119,15 @@ class PlantModel:
         reference.
         """
         return el_accel(self, q, q_dot, tau_applied, t).tolist()
+
+    def torque(self, q, q_dot, qdd) -> list[float]:
+        """Inverse dynamics M(q) qdd + N(q, q_dot) of the time-free terms
+        (mass_matrix and bias_vector at t = None), a list of dim Python
+        floats; subclasses override it with a float closed form that sums
+        each row of M(q) qdd left to right."""
+        q = np.asarray(q, float)
+        return (self.mass_matrix(q) @ np.asarray(qdd, float)
+                + self.bias_vector(q, np.asarray(q_dot, float), None)).tolist()
 
 
 def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
@@ -284,14 +297,28 @@ class _ReducedWmrPlant(PlantModel):
         # the inertia is constant in q; the state only sets the batch
         return _stack([[diag, off], [off, diag]], None if np.ndim(q) == 1 else len(q))
 
-    def bias_vector(self, q, q_dot, t) -> np.ndarray:
-        (qd0, qd1), batch = _columns(q_dot)
-        _, _, gyro, visc, *_ = self._factors(t)
+    def _bias_terms(self, gyro, visc, qd0, qd1):
+        """(N1, N2) without the disturbance: gyroscopic coupling plus
+        rolling resistance when set (floats, or (B,) columns)."""
         s = gyro * (qd0 - qd1)
         n0, n1 = s * qd1, s * -qd0
         if self.viscous:
             n0, n1 = n0 + visc * qd0, n1 + visc * qd1
-        return self._disturbed(_stack([n0, n1], batch), t, batch)
+        return n0, n1
+
+    def bias_vector(self, q, q_dot, t) -> np.ndarray:
+        (qd0, qd1), batch = _columns(q_dot)
+        _, _, gyro, visc, *_ = self._factors(t)
+        return self._disturbed(_stack(self._bias_terms(gyro, visc, qd0, qd1), batch),
+                               t, batch)
+
+    def torque(self, q, q_dot, qdd) -> list[float]:
+        """M qdd + N of the bare body (phase row 0), on floats."""
+        diag, off, gyro, visc, *_ = self._phases[0]
+        qd0, qd1 = q_dot
+        a0, a1 = qdd
+        n0, n1 = self._bias_terms(gyro, visc, qd0, qd1)
+        return [diag * a0 + off * a1 + n0, off * a0 + diag * a1 + n1]
 
     def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
         """Closed form of el_accel in float arithmetic.
@@ -519,6 +546,15 @@ class _TwoLinkPlant(PlantModel):
         det = a11 * a22 - a12 * a12
         return [float((a22 * r0 - a12 * r1) / det), float((a11 * r1 - a12 * r0) / det)]
 
+    def torque(self, q, q_dot, qdd) -> list[float]:
+        """M(q) qdd + N(q, q_dot), friction included, on floats."""
+        q0, q1 = q
+        qd0, qd1 = q_dot
+        a0, a1 = qdd
+        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, math.cos(q1))
+        n0, n1 = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, _FLOAT_OPS)
+        return [a11 * a0 + a12 * a1 + n0, a12 * a0 + a22 * a1 + n1]
+
 
 def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
                    disturbance_amp: float = 0.0,
@@ -560,6 +596,9 @@ class _LinearPlant(PlantModel):
     def accel(self, q, q_dot, tau_applied, t):
         return [(float(u) - self.stiffness * float(x)) / self.mass
                 for u, x in zip(tau_applied, q)]
+
+    def torque(self, q, q_dot, qdd):
+        return [self.mass * a + self.stiffness * x for a, x in zip(qdd, q)]
 
 
 def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:

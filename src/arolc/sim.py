@@ -31,8 +31,10 @@ calls and a few dozen float operations. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
 the ndarray expression, so the traces are bit-identical to an ndarray
-integrator. Arrays begin at the control-rate boundary: the controller step,
-the trace rows and the diagnostics fine grid read the state as ndarrays.
+integrator. The control period stays on floats too: the controller reads q
+and q_dot as slices of that tuple and the reference as lists of floats, and
+returns its command as a list (``arolc.controllers``). Arrays begin at the
+trace: its rows, the planned lookups and the diagnostics fine grid.
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -307,8 +309,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             f"[sim] duration = {sc.duration:g} s needs {n_fine} diagnostics rows at "
             f"dt = {sc.dt:g} s; at most {max_fine} fit")
 
-    q, q_dot = sc.initial_state()
-    y = tuple(q.tolist() + q_dot.tolist())
+    q0, qdot0 = sc.initial_state()
+    y = tuple(q0.tolist() + qdot0.tolist())
     accel = plant.accel  # as bound on the instance, wrappers included
     rk4_step = _rk4_step(n)
     dt = sc.dt
@@ -323,8 +325,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         fine = trace.fine = FineRecord(
             np.zeros(n_fine), np.zeros((n_fine, n)), np.zeros((n_fine, n)),
             np.zeros((n_rows, n)), np.zeros((n_rows, n)))
-        fine.q[0] = q
-        fine.q_dot[0] = q_dot
+        fine.q[0] = q0
+        fine.q_dot[0] = qdot0
 
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
     for k in range(n_rows):
@@ -335,11 +337,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             stage_t, stage_h, plans, before, after = _plan_periods(
                 profile, stamps, k, k1, steps_per_control, dt, n)
             trace.h[k:k1] = stage_h[:, 0, 0]
-        qq = np.array(y[:n])
-        qq_dot = np.array(y[n:])
-        desired = trajectory(t_k)
+        q, q_dot = y[:n], y[n:]
+        desired = [x.tolist() for x in trajectory(t_k)]
 
-        rec = controller.step(t_k, qq, qq_dot, desired)
+        rec = controller.step(t_k, q, q_dot, desired)
         trace.tau_cmd[k] = rec.tau
         if fine is not None and rec.u is not None:
             fine.cmd_u[k] = rec.u
@@ -347,10 +348,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
         # the commands pushed so far fix the applied input of the whole period
         stage_tau = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p])
-        trace.q[k] = qq
-        trace.q_dot[k] = qq_dot
+        trace.q[k] = q
+        trace.q_dot[k] = q_dot
         trace.q_desired[k] = desired[0]
-        trace.e1[k] = np.asarray(desired[0], float) - qq
+        trace.e1[k] = [a - b for a, b in zip(desired[0], q)]
         trace.tau_applied[k] = stage_tau[0, 0]
         trace.c_hat[k] = rec.c_hat
         trace.s_norm[k] = rec.s_norm

@@ -17,15 +17,22 @@ from arolc.controllers import (
     switching_control,
     uncertainty_residual,
 )
-from arolc.delays import DelayProfile, delay_at
+from arolc.delays import DelayProfile, delay_at, integrate
 from arolc.plants import TwoLinkParams, point_mass_plant, two_link_plant
 from arolc.sim import Scenario, simulate
 from arolc.stability import GainSet, check_feasibility, delay_margin
 from arolc.trajectories import SinusoidTrajectory
 
+from test_stability import _spd
+
 CFG = ArolcConfig(GainSet.identity(1), alpha=2.0, epsilon=0.1, gamma=1e-3,
                   c_hat_init=1.0)
 DT = 0.01  # control period of the adaptation steps
+
+
+def affine_torque(m_hat, n_hat):
+    """The torque face of a nominal model with constant Mhat and Nhat."""
+    return lambda q, q_dot, u: (np.asarray(m_hat, float) @ u + n_hat).tolist()
 
 
 class TestConfigValidation:
@@ -159,7 +166,7 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.zeros(1), np.zeros(1), np.zeros(1))
         out = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, DT, CFG)
+                         affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, CFG)
         tau, new = out.tau, out.state
         np.testing.assert_allclose(tau, [0.0])
         # s = 0 falls in the decrease/hold branch
@@ -169,7 +176,7 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, DT, CFG).tau
+                         affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, CFG).tau
         # tau = u exactly: u_hat = 1, du = alpha c_hat sign(s) = 2
         np.testing.assert_allclose(tau, [3.0])
 
@@ -180,15 +187,21 @@ class TestArolcStep:
         state = ArolcState(c_hat=1.0)
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.array([[2.0]]), np.array([0.5])), 0.0, DT, CFG).tau
+                         affine_torque([[2.0]], [0.5]), 0.0, DT, CFG).tau
         np.testing.assert_allclose(tau, [6.5])
+
+    def test_non_positive_gain_rejected(self):
+        desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="c_hat must be positive"):
+            arolc_step(ArolcState(c_hat=0.0), np.zeros(1), np.zeros(1), desired,
+                       affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, CFG)
 
     def test_switching_disabled(self):
         cfg = ArolcConfig(CFG.gains, switching=False, c_hat_init=1.0)
         state = cfg.initial_state()
         desired = (np.array([1.0]), np.zeros(1), np.zeros(1))
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
-                         (np.eye(1), np.zeros(1)), 0.0, DT, cfg).tau
+                         affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, cfg).tau
         np.testing.assert_allclose(tau, [1.0])
 
 
@@ -206,7 +219,8 @@ class TestPcon:
         """The window integral e_z, read off the torque at zero error:
         with kappa = k_b = 1 and vartheta = I, tau = -e_z."""
         cfg = PconConfig(kappa=1.0, vartheta=np.eye(1), k_b=1.0)
-        return -pcon_step(history, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t, cfg)
+        return -np.array(pcon_step(history, h, np.zeros(1), np.zeros(1), TestPcon.ZERO, t,
+                                   cfg))
 
     def test_integral_constant(self):
         history = self.history([-1.0, -0.01], [2.0, 2.0])
@@ -274,13 +288,11 @@ class TestControllerProtocol:
         sc = self.scenario("arolc")
         ctrl = make_controller(sc, None)
         state = sc.controller.initial_state()
-        nominal = (sc.plant.nominal_mass_matrix(self.Q),
-                   sc.plant.nominal_bias_vector(self.Q, self.Q_DOT))
         for k in range(3):
             t = 0.01 * k
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
-            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t), nominal, t,
-                             sc.dt_control, sc.controller)
+            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t),
+                             sc.plant.nominal.torque, t, sc.dt_control, sc.controller)
             state = ref.state
             np.testing.assert_array_equal(rec.tau, ref.tau)
             np.testing.assert_array_equal(rec.du, ref.du)
@@ -313,7 +325,7 @@ class TestControllerProtocol:
             h = delay_at(sc.delay, t) if h_estimate is None else h_estimate
             ref = pcon_step((trace.t, trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
                             sc.trajectory(t), t, sc.controller)
-            assert trace.tau_cmd[k].tobytes() == ref.tobytes()
+            assert trace.tau_cmd[k].tobytes() == np.array(ref).tobytes()
 
     def test_pcon_run_replays_from_its_own_rows(self):
         self.assert_replays(self.scenario("pcon", delay="S1", duration=1.0, dt=1e-3))
@@ -327,7 +339,7 @@ class TestControllerProtocol:
     def test_none_commands_zero(self):
         ctrl = make_controller(self.scenario("none"), None)
         rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
-        np.testing.assert_array_equal(rec.tau, np.zeros(2))
+        assert rec.tau == [0.0, 0.0]
 
 
 class TestArolcRunReadsScenario:
@@ -363,6 +375,15 @@ class TestArolcRunReadsScenario:
             simulate(self.scenario(GainSet.identity(2), duration=0.05, dt=1e-3))
         with pytest.warns(UserWarning, match="delay margin 0.05537 s"):
             simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
+
+    def test_margin_warning_points_at_the_caller_of_simulate(self):
+        # the warning's stacklevel counts the frames from the controller's
+        # constructor up through make_controller and simulate
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
 
 def _boundary_gain_sets():
@@ -437,3 +458,115 @@ class TestUncertaintyResidual:
         sigma = uncertainty_residual([0.0], [0.0], [0.0], [0.0], [4.0],
                                      [0.0], [0.0], plant, plant)
         np.testing.assert_allclose(sigma, [2.0])
+
+
+def _rounding(got, ref, scale):
+    """max |got - ref| / (eps scale) over the entries: the difference in
+    units of double rounding at the magnitudes that entered each sum."""
+    return float((np.abs(np.subtract(got, ref)) / (np.finfo(float).eps * scale)).max())
+
+
+class TestFloatLawMatchesNdarrayStatement:
+    """arolc_step and pcon_step on floats against the law written with the
+    ndarray helpers (sliding_variable, nominal_control, switching_control,
+    adapt_gain) and the nominal model's mass_matrix and bias_vector faces,
+    on dense gains. The two sum the small matrix-vector products in
+    different orders (numpy's may pair terms or fuse multiply-adds), so
+    they agree to rounding. The bound is in units of eps times each entry's
+    scale, the same sums taken over absolute values (as in the classical
+    bound |fl(x . y) - x . y| <= k eps |x| . |y| for k terms): every vector
+    entry within ROUNDING of it (these draws reach 1.7 at n = 6), the adapted
+    gain within 4 ulp."""
+
+    ROUNDING = 8
+    NOMINAL = {1: lambda: point_mass_plant(1, mass=1.7),
+               2: lambda: two_link_plant(TwoLinkParams(), mismatch=0.2).nominal,
+               3: lambda: point_mass_plant(3, mass=0.6),
+               6: lambda: point_mass_plant(6, mass=2.3)}
+
+    @staticmethod
+    def reference(state, q, q_dot, desired, nominal, t, dt, cfg):
+        """(tau, u, du, s, new state) of the ndarray statement, each vector
+        paired with its scale."""
+        qd, qd_dot, qd_ddot = (np.asarray(x, float) for x in desired)
+        q, q_dot = np.asarray(q, float), np.asarray(q_dot, float)
+        e1, e1_dot = qd - q, qd_dot - q_dot
+        e = np.concatenate([e1, e1_dot])
+        s = sliding_variable(e, cfg)
+        u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
+        du = switching_control(s, state.c_hat, cfg)
+        u = u_hat + du
+        m, bias = nominal.mass_matrix(q), nominal.bias_vector(q, q_dot, None)
+        tau = m @ u + bias
+        s_scale = np.abs(cfg.B.T @ cfg.P) @ np.abs(e)
+        # du = g s with g = alpha c_hat / max(||s||, epsilon): g moves with ||s||
+        gain = cfg.alpha * state.c_hat / max(np.linalg.norm(s), cfg.epsilon)
+        du_scale = 2.0 * gain * np.linalg.norm(s_scale) * np.ones_like(du)
+        u_scale = (np.abs(qd_ddot) + np.abs(cfg.K2) @ np.abs(e1_dot)
+                   + np.abs(cfg.K1) @ np.abs(e1) + du_scale)
+        tau_scale = np.abs(m) @ u_scale + np.abs(bias)
+        return ((tau, tau_scale), (u, u_scale), (du, du_scale), (s, s_scale),
+                adapt_gain(state, s, t, dt, cfg))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("branch", ["floor", "first", "grow", "shrink"])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0], ids=["inside", "outside"])
+    def test_arolc_step(self, n, branch, ratio):
+        # ratio = ||s|| / epsilon: inside or outside the boundary layer
+        rng = np.random.default_rng([n, ["floor", "first", "grow", "shrink"].index(branch),
+                                     int(4 * ratio)])
+        nominal = self.NOMINAL[n]()
+        gains = GainSet(_spd(rng, n, 0.5, 3.0), _spd(rng, n, 0.5, 3.0),
+                        _spd(rng, 2 * n, 0.5, 2.0))
+        cfg = ArolcConfig(gains, alpha=2.5, epsilon=0.2, gamma=1e-3, c_hat_init=0.8)
+        t, t_prev = 3.0, 2.99
+        for _ in range(25):
+            q, q_dot, e, qd_ddot = (rng.uniform(-2.0, 2.0, 2 * n) for _ in range(4))
+            q, q_dot, qd_ddot = q[:n], q_dot[:n], qd_ddot[:n]
+            # s is linear in e: scale e so that ||s|| = ratio epsilon
+            e *= ratio * cfg.epsilon / np.linalg.norm(sliding_variable(e, cfg))
+            desired = ((q + e[:n]).tolist(), (q_dot + e[n:]).tolist(), qd_ddot.tolist())
+            s = sliding_variable(np.concatenate(
+                [np.subtract(desired[0], q), np.subtract(desired[1], q_dot)]), cfg)
+            c_hat = cfg.gamma if branch == "floor" else float(rng.uniform(0.1, 2.0))
+            s_prev = {"floor": s, "first": None, "grow": 0.9 * s, "shrink": 1.1 * s}[branch]
+            state = ArolcState(c_hat, None if s_prev is None else s_prev.tolist(), t_prev)
+
+            rec = arolc_step(state, tuple(q.tolist()), tuple(q_dot.tolist()), desired,
+                             nominal.torque, t, DT, cfg)
+            *vectors, new = self.reference(state, q, q_dot, desired, nominal, t, DT, cfg)
+            for got, (ref, scale) in zip((rec.tau, rec.u, rec.du, rec.state.s_prev), vectors):
+                assert type(got) is list and all(type(x) is float for x in got)
+                assert _rounding(got, ref, scale) <= self.ROUNDING
+            s, s_scale = vectors[3]
+            s_norm = float(np.linalg.norm(s))
+            assert _rounding(rec.s_norm, s_norm, np.linalg.norm(s_scale)) <= self.ROUNDING
+            assert (s_norm < cfg.epsilon) == (ratio < 1.0)
+            # the branch is the reference's: grow and shrink differ by 2 ||s|| dt
+            assert abs(rec.c_hat - new.c_hat) <= 4 * np.spacing(new.c_hat)
+            assert rec.state.c_hat == rec.c_hat and rec.state.t_prev == t
+            expected = {"floor": c_hat + cfg.gamma * DT, "first": c_hat - s_norm * DT,
+                        "grow": c_hat + s_norm * DT, "shrink": c_hat - s_norm * DT}[branch]
+            assert rec.c_hat == pytest.approx(max(expected, cfg.gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_pcon_step(self, n):
+        rng = np.random.default_rng(40 + n)
+        vartheta = _spd(rng, n, 0.1, 2.0)
+        assert np.count_nonzero(vartheta - np.diag(np.diag(vartheta))) == n * n - n
+        cfg = PconConfig(kappa=1.7, vartheta=vartheta, k_b=3.1)
+        times = np.arange(30) * 0.01
+        values = rng.uniform(-5.0, 5.0, (30, n))
+        for k in range(30):
+            t, h = float(times[k]), float(rng.uniform(0.0, 0.12))
+            q, q_dot = rng.uniform(-2.0, 2.0, (2, n))
+            desired = tuple(rng.uniform(-2.0, 2.0, (3, n)).tolist())
+            got = pcon_step((times, values, k), h, tuple(q.tolist()), tuple(q_dot.tolist()),
+                            desired, t, cfg)
+            e1, e1_dot = np.subtract(desired[0], q), np.subtract(desired[1], q_dot)
+            e_z = np.array(integrate(times, values, k, t - h, t))
+            ref = cfg.k_b * (e1_dot + cfg.kappa * e1 - cfg.vartheta @ e_z)
+            scale = cfg.k_b * (np.abs(e1_dot) + cfg.kappa * np.abs(e1)
+                               + np.abs(cfg.vartheta) @ np.abs(e_z))
+            assert type(got) is list and all(type(x) is float for x in got)
+            assert _rounding(got, ref, scale) <= self.ROUNDING

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from arolc.plants import (
     _payload_phase,
     PayloadSchedule,
+    PlantModel,
     TwoLinkParams,
     WmrParams,
     body_twist,
@@ -359,6 +360,19 @@ class TestPlantConformance:
                 assert type(same) is list and all(type(v) is float for v in same)
                 assert np.array(same).tobytes() == np.array(out).tobytes()
 
+    def test_torque_matches_ndarray_faces(self, make, disturbed):
+        # the time-free faces: the robot's bare-body row, the arm's friction
+        plant = make()
+        rng = np.random.default_rng(10)
+        for face in (plant, plant.nominal):
+            for _ in range(20):
+                q, q_dot, qdd = rng.standard_normal((3, plant.dim)) * 2.0
+                got = face.torque(tuple(q.tolist()), tuple(q_dot.tolist()), qdd.tolist())
+                assert type(got) is list and all(type(x) is float for x in got)
+                np.testing.assert_allclose(
+                    got, face.mass_matrix(q) @ qdd + face.bias_vector(q, q_dot, None),
+                    rtol=1e-12)
+
     def test_mass_matrix_symmetric_positive_definite(self, make, disturbed):
         plant = make()
         rng = np.random.default_rng(8)
@@ -367,6 +381,45 @@ class TestPlantConformance:
             for m in (plant.mass_matrix(q, t), plant.nominal_mass_matrix(q)):
                 np.testing.assert_array_equal(m, m.T)
                 assert np.linalg.eigvalsh(m)[0] > 0.0
+
+
+class _NdarrayFacesPlant(PlantModel):
+    """A coupled linear plant with ndarray faces only, so that its accel and
+    torque are PlantModel's."""
+
+    dim = 2
+
+    def mass_matrix(self, q, t=None):
+        return np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    def bias_vector(self, q, q_dot, t):
+        return 0.5 * np.asarray(q, float) - 0.2 * np.asarray(q_dot, float)
+
+
+# plants without a disturbance, each at a time t where accel reads the
+# time-free dynamics: the robot's payload is off at t = 6 (its bare-body row)
+_UNDISTURBED = {
+    "ndarray-faces": (_NdarrayFacesPlant, 1.0),
+    "wmr-bare-body": (lambda: reduced_wmr_dynamics(
+        PARAMS, mismatch=0.2, viscous=0.002,
+        payload=PayloadSchedule(offsets=((0.05, 0.02),))), 6.0),
+    "wmr-nominal": (lambda: _disturbed_wmr().nominal, 1.0),
+    "two-link-friction": (lambda: two_link_plant(TwoLinkParams(viscous=0.1)), 1.0),
+    "two-link-nominal": (lambda: _disturbed_arm().nominal, 1.0),
+    "point-mass": (lambda: point_mass_plant(3, mass=2.0), 1.0),
+    "oscillator": (lambda: oscillator_plant(stiffness=4.0, mass=2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("make, t", _UNDISTURBED.values(), ids=_UNDISTURBED.keys())
+def test_torque_inverts_accel(make, t):
+    plant = make()
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        q, q_dot, qdd = (rng.standard_normal((3, plant.dim)) * 2.0).tolist()
+        tau = plant.torque(q, q_dot, qdd)
+        assert type(tau) is list and all(type(x) is float for x in tau)
+        np.testing.assert_allclose(plant.accel(q, q_dot, tau, t), qdd, rtol=1e-12, atol=1e-12)
 
 
 # the payload of _disturbed_wmr switches every 5 s: draw on, off and at the
