@@ -27,9 +27,9 @@ reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
 returns the torque as a list of floats. For vectors of 2 to 12 entries
 per-call numpy overhead dominates the arithmetic, so each law is plain list
 code over the gain rows its config holds, every matrix-vector product
-summed left to right. sliding_variable, nominal_control, switching_control
-and adapt_gain state the same law on ndarrays; the two agree to rounding
-(numpy's small @ products and norms may sum in another order).
+summed left to right. The adaptive-robust law is stated once, in four
+steps that arolc_step runs in order: sliding_variable, nominal_control,
+switching_control and adapt_gain.
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -82,8 +82,8 @@ __all__ = [
 class ArolcConfig:
     """Gain set and scalars of the adaptive-robust controller.
 
-    K1 and K2 of gains, and the Lyapunov matrix P and input matrix B of its
-    error system, are set once from gains; the law reads them as attributes.
+    rows holds the rows of B^T P (P and B of the gains' error system), K2
+    and K1 as lists of floats, set once from gains; the law reads them.
     """
 
     gains: GainSet
@@ -92,30 +92,19 @@ class ArolcConfig:
     gamma: float = 1e-3
     c_hat_init: float = 1e-3
     switching: bool = True  # diagnostic switch; False disables du entirely
-    K1: np.ndarray = field(init=False, repr=False, compare=False)
-    K2: np.ndarray = field(init=False, repr=False, compare=False)
-    P: np.ndarray = field(init=False, repr=False, compare=False)
-    B: np.ndarray = field(init=False, repr=False, compare=False)
-    # the rows of B^T P, K2 and K1 as lists of floats, which arolc_step reads
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.gains, GainSet):
+            raise ValueError(f"gains must be a GainSet, got {type(self.gains).__name__}")
         for name in ("alpha", "epsilon", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if not self.gamma <= self.c_hat_init < math.inf:
             raise ValueError("c_hat_init must be finite and at least gamma")
         system = build_error_system(self.gains)
-        object.__setattr__(self, "K1", self.gains.K1)
-        object.__setattr__(self, "K2", self.gains.K2)
-        object.__setattr__(self, "P", system.P)
-        object.__setattr__(self, "B", system.B)
         object.__setattr__(self, "rows", ((system.B.T @ system.P).tolist(),
-                                          self.K2.tolist(), self.K1.tolist()))
-
-    @property
-    def n(self) -> int:
-        return self.K1.shape[0]
+                                          self.gains.K2.tolist(), self.gains.K1.tolist()))
 
     def initial_state(self) -> "ArolcState":
         return ArolcState(c_hat=self.c_hat_init)
@@ -126,54 +115,8 @@ class ArolcState:
     """Adaptive gain plus the memory used to estimate sign(s . s_dot)."""
 
     c_hat: float
-    s_prev: list[float] | np.ndarray | None = None
-    t_prev: float = -np.inf
-
-
-def sliding_variable(e: np.ndarray, cfg: ArolcConfig) -> np.ndarray:
-    """s = B^T P e for the stacked error e = [e1; e1_dot]."""
-    e = np.asarray(e, dtype=float)
-    if e.shape[0] != 2 * cfg.n:
-        raise ValueError(f"expected error of length {2 * cfg.n}, got {e.shape[0]}")
-    return cfg.B.T @ (cfg.P @ e)
-
-
-def nominal_control(e1, e1_dot, qdd_desired, cfg: ArolcConfig) -> np.ndarray:
-    """u_hat = qdd_d + K2 e1_dot + K1 e1."""
-    return np.asarray(qdd_desired, float) + cfg.K2 @ np.asarray(e1_dot, float) \
-        + cfg.K1 @ np.asarray(e1, float)
-
-
-def switching_control(s: np.ndarray, c_hat: float, cfg: ArolcConfig) -> np.ndarray:
-    """Robust term: alpha c_hat s/||s|| outside the boundary layer,
-    alpha c_hat s/epsilon inside it (continuous at ||s|| = epsilon)."""
-    if c_hat <= 0.0:
-        raise ValueError("c_hat must be positive")
-    s = np.asarray(s, dtype=float)
-    norm = float(np.linalg.norm(s))
-    if norm >= cfg.epsilon:
-        return (cfg.alpha * c_hat / norm) * s
-    return (cfg.alpha * c_hat / cfg.epsilon) * s
-
-
-def adapt_gain(state: ArolcState, s: np.ndarray, t: float, dt: float,
-               cfg: ArolcConfig) -> ArolcState:
-    """One Euler step of length dt (the control period) of the adaptive gain
-    law; returns the updated state."""
-    s = np.asarray(s, dtype=float)
-    if state.s_prev is not None and not t > state.t_prev:
-        raise ValueError("time must advance between adaptation steps")
-    if state.c_hat <= cfg.gamma:
-        rate = cfg.gamma
-    else:
-        s_norm = float(np.linalg.norm(s))
-        if state.s_prev is None:
-            rate = -s_norm  # no slope estimate yet: conservative branch
-        else:
-            s_dot = (s - state.s_prev) / (t - state.t_prev)
-            rate = s_norm if float(s @ s_dot) > 0.0 else -s_norm
-    c_hat = max(state.c_hat + rate * dt, cfg.gamma)
-    return ArolcState(c_hat=c_hat, s_prev=s, t_prev=t)
+    s_prev: list[float] | None = None
+    t_prev: float = -math.inf
 
 
 class StepRecord(NamedTuple):
@@ -198,49 +141,79 @@ def _dot(row, x) -> float:
     return reduce(add, map(mul, row, x), 0.0)
 
 
+def sliding_variable(e, cfg: ArolcConfig) -> list[float]:
+    """s = B^T P e for the stacked error e = [e1; e1_dot]."""
+    bp, _, _ = cfg.rows
+    if len(e) != 2 * len(bp):
+        raise ValueError(f"expected error of length {2 * len(bp)}, got {len(e)}")
+    return [_dot(row, e) for row in bp]
+
+
+def nominal_control(e1, e1_dot, qdd_desired, cfg: ArolcConfig) -> list[float]:
+    """u_hat = (qdd_d + K2 e1_dot) + K1 e1."""
+    _, k2, k1 = cfg.rows
+    if not len(e1) == len(e1_dot) == len(qdd_desired) == len(k1):
+        raise ValueError(f"expected e1, e1_dot and qdd_desired of length {len(k1)}, got "
+                         f"{len(e1)}, {len(e1_dot)} and {len(qdd_desired)}")
+    return [(a + _dot(r2, e1_dot)) + _dot(r1, e1) for a, r2, r1 in zip(qdd_desired, k2, k1)]
+
+
+def switching_control(s, c_hat: float, cfg: ArolcConfig) -> list[float]:
+    """Robust term: alpha c_hat s/||s|| outside the boundary layer,
+    alpha c_hat s/epsilon inside it (continuous at ||s|| = epsilon)."""
+    if not c_hat > 0.0:  # NaN included
+        raise ValueError(f"c_hat must be positive, got {c_hat!r}")
+    s_norm = math.sqrt(_dot(s, s))
+    gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
+    return [gain * x for x in s]
+
+
+def adapt_gain(state: ArolcState, s, t: float, dt: float,
+               cfg: ArolcConfig) -> ArolcState:
+    """One Euler step of length dt (the control period) of the adaptive gain
+    law; returns the updated state, whose s_prev is s."""
+    c_hat, s_prev = state.c_hat, state.s_prev
+    if math.isnan(c_hat):
+        raise ValueError("c_hat must be a number, got nan")
+    if s_prev is not None:
+        if not t > state.t_prev:
+            raise ValueError("time must advance between adaptation steps")
+        if len(s_prev) != len(s):
+            raise ValueError(f"s_prev has {len(s_prev)} entries, s has {len(s)}")
+    if c_hat <= cfg.gamma:
+        rate = cfg.gamma
+    else:
+        s_norm = math.sqrt(_dot(s, s))
+        if s_prev is None:
+            rate = -s_norm  # no slope estimate yet: conservative branch
+        else:
+            elapsed = t - state.t_prev
+            s_dot = [(a - b) / elapsed for a, b in zip(s, s_prev)]
+            rate = s_norm if _dot(s, s_dot) > 0.0 else -s_norm
+    return ArolcState(max(c_hat + rate * dt, cfg.gamma), s, t)
+
+
 def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
                cfg) -> StepRecord:
     """The adaptive-robust torque at the current gain, then one adaptation
-    step of length dt (the control period), on floats. desired is the
-    triple (qd, qd_dot, qd_ddot); torque(q, q_dot, u) the nominal model's
-    Mhat(q) u + Nhat(q, q_dot) (a plant's ``torque`` face). record.c_hat and
-    record.state are the adapted ones.
-
-    sliding_variable, nominal_control, switching_control and adapt_gain
-    state each part on ndarrays: s = B^T P e, u_hat = (qdd_d + K2 e1_dot)
-    + K1 e1, the boundary-layer switching term and the gain's Euler step,
-    branch for branch."""
-    bp, k2, k1 = cfg.rows
-    c_hat, s_prev = state.c_hat, state.s_prev
+    step of length dt (the control period): sliding_variable,
+    nominal_control, switching_control, torque and adapt_gain, in that
+    order. desired is the triple (qd, qd_dot, qd_ddot); torque(q, q_dot, u)
+    the nominal model's Mhat(q) u + Nhat(q, q_dot) (a plant's ``torque``
+    face). record.c_hat and record.state are the adapted ones."""
     qd, qd_dot, qd_ddot = desired
     e1 = [a - b for a, b in zip(qd, q)]
     e1_dot = [a - b for a, b in zip(qd_dot, q_dot)]
-    e = e1 + e1_dot
-    s = [_dot(row, e) for row in bp]
-    s_norm = math.sqrt(_dot(s, s))
-    u_hat = [(a + _dot(r2, e1_dot)) + _dot(r1, e1) for a, r2, r1 in zip(qd_ddot, k2, k1)]
+    s = sliding_variable(e1 + e1_dot, cfg)
+    u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
     if cfg.switching:
-        if c_hat <= 0.0:
-            raise ValueError("c_hat must be positive")
-        gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
-        du = [gain * x for x in s]
+        du = switching_control(s, state.c_hat, cfg)
         u = [a + b for a, b in zip(u_hat, du)]
     else:
         du, u = [0.0] * len(s), u_hat
     tau = torque(q, q_dot, u)
-
-    if s_prev is not None and not t > state.t_prev:
-        raise ValueError("time must advance between adaptation steps")
-    if c_hat <= cfg.gamma:
-        rate = cfg.gamma
-    elif s_prev is None:
-        rate = -s_norm  # no slope estimate yet: conservative branch
-    else:
-        elapsed = t - state.t_prev
-        s_dot = [(a - b) / elapsed for a, b in zip(s, s_prev)]
-        rate = s_norm if _dot(s, s_dot) > 0.0 else -s_norm
-    new_state = ArolcState(max(c_hat + rate * dt, cfg.gamma), s, t)
-    return StepRecord(tau, new_state.c_hat, s_norm, u, du, new_state)
+    new_state = adapt_gain(state, s, t, dt, cfg)
+    return StepRecord(tau, new_state.c_hat, math.sqrt(_dot(s, s)), u, du, new_state)
 
 
 @dataclass(frozen=True)
@@ -261,6 +234,8 @@ class PconConfig:
         if self.h_estimate is not None and not 0.0 <= self.h_estimate < math.inf:
             raise ValueError("h_estimate must be finite and nonnegative")
         v = np.asarray(self.vartheta, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"vartheta must be a square matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("vartheta must be finite")
         # semidefinite allowed: vartheta = 0 degenerates to a PD law

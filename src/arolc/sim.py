@@ -148,7 +148,7 @@ class Scenario:
             raise ValueError(f"controller must be an ArolcConfig, a PconConfig or "
                              f"None, got {type(cfg).__name__}")
         if cfg is not None:
-            name, gain = (("gains", cfg.K1) if isinstance(cfg, ArolcConfig)
+            name, gain = (("gains", cfg.gains.K1) if isinstance(cfg, ArolcConfig)
                           else ("vartheta", cfg.vartheta))
             if gain.shape != (n, n):
                 raise ValueError(f"controller {name} must have shape ({n}, {n}), one row "
@@ -440,8 +440,8 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     cmd_t = trace.t  # every row of an adaptive-robust run is a command
     _, cmd_qd_dot, cmd_qd_ddot = sc.trajectory(cmd_t)
     e1_dot_j = cmd_qd_dot - trace.q_dot  # as the law formed it, row by row
-    c = (fine.cmd_u - cmd_qd_ddot - e1_dot_j @ cfg.K2.T
-         - trace.e1 @ cfg.K1.T - fine.cmd_du)
+    c = (fine.cmd_u - cmd_qd_ddot - e1_dot_j @ cfg.gains.K2.T
+         - trace.e1 @ cfg.gains.K1.T - fine.cmd_du)
     g = ((plant.nominal_mass_matrix(trace.q) @ fine.cmd_u[:, :, None])[:, :, 0]
          + plant.nominal_bias_vector(trace.q, trace.q_dot))
 

@@ -143,7 +143,7 @@ def test_criterion_7_switching_law():
         c_hat = float(rng.random() * 3 + 1e-3)
         lo = switching_control((cfg.epsilon - 1e-14) * direction, c_hat, cfg)
         hi = switching_control((cfg.epsilon + 1e-14) * direction, c_hat, cfg)
-        jump = max(jump, float(np.abs(lo - hi).max()))
+        jump = max(jump, float(np.abs(np.subtract(lo, hi)).max()))
     # magnitude cap on random inputs
     cap_ok = True
     for _ in range(10_000):
@@ -154,12 +154,12 @@ def test_criterion_7_switching_law():
             cap_ok = False
             break
     # adaptation branch selection on constructed slope signs
-    state = ArolcState(c_hat=1.0, s_prev=np.array([1.0, 0.0]), t_prev=0.0)
-    grew = adapt_gain(state, np.array([2.0, 0.0]), 0.01, dt, cfg).c_hat
-    state = ArolcState(c_hat=1.0, s_prev=np.array([2.0, 0.0]), t_prev=0.0)
-    shrank = adapt_gain(state, np.array([1.0, 0.0]), 0.01, dt, cfg).c_hat
+    state = ArolcState(c_hat=1.0, s_prev=[1.0, 0.0], t_prev=0.0)
+    grew = adapt_gain(state, [2.0, 0.0], 0.01, dt, cfg).c_hat
+    state = ArolcState(c_hat=1.0, s_prev=[2.0, 0.0], t_prev=0.0)
+    shrank = adapt_gain(state, [1.0, 0.0], 0.01, dt, cfg).c_hat
     state = ArolcState(c_hat=0.5e-3)
-    floored = adapt_gain(state, np.array([9.0, 0.0]), 0.01, dt, cfg).c_hat
+    floored = adapt_gain(state, [9.0, 0.0], 0.01, dt, cfg).c_hat
     branch_ok = (grew == pytest.approx(1.0 + 2.0 * dt)
                  and shrank == pytest.approx(1.0 - 1.0 * dt)
                  and floored == pytest.approx(max(0.5e-3 + cfg.gamma * dt, cfg.gamma)))

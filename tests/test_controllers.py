@@ -20,7 +20,7 @@ from arolc.controllers import (
 from arolc.delays import DelayProfile, delay_at, integrate
 from arolc.plants import TwoLinkParams, point_mass_plant, two_link_plant
 from arolc.sim import Scenario, simulate
-from arolc.stability import GainSet, check_feasibility, delay_margin
+from arolc.stability import GainSet, build_error_system, check_feasibility, delay_margin
 from arolc.trajectories import SinusoidTrajectory
 
 from test_stability import _spd
@@ -49,6 +49,17 @@ class TestConfigValidation:
     def test_pcon_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             PconConfig(**{field: value})
+
+    @pytest.mark.parametrize("vartheta, shape", [(np.array([1.0, 2.0]), r"\(2,\)"),
+                                                 (np.ones((2, 3)), r"\(2, 3\)"),
+                                                 (1.0, r"\(\)")])
+    def test_pcon_vartheta_not_square_rejected(self, vartheta, shape):
+        with pytest.raises(ValueError, match=f"vartheta must be a square matrix, got shape {shape}"):
+            PconConfig(vartheta=vartheta)
+
+    def test_arolc_gains_not_a_gain_set_rejected(self):
+        with pytest.raises(ValueError, match="gains must be a GainSet, got ndarray"):
+            ArolcConfig(np.eye(2))
 
 
 class TestSlidingVariable:
@@ -80,6 +91,20 @@ class TestNominalControl:
         cfg = ArolcConfig(GainSet(K1=2.0 * np.eye(1), K2=np.eye(1), Q=np.eye(2)))
         np.testing.assert_allclose(nominal_control([1.0], [1.0], [1.0], cfg), [4.0])
 
+    @pytest.mark.parametrize("e1, e1_dot, qdd", [([1.0], [1.0, 2.0], [0.0, 0.0]),
+                                                 ([1.0, 2.0], [1.0, 2.0], [0.0])])
+    def test_dimension_mismatch(self, e1, e1_dot, qdd):
+        with pytest.raises(ValueError, match="of length 2"):
+            nominal_control(e1, e1_dot, qdd, ArolcConfig(GainSet.identity(2)))
+
+
+def test_vector_helpers_return_lists_of_floats():
+    cfg = ArolcConfig(GainSet.identity(2))
+    for v in (sliding_variable((0.1, 0.2, 0.3, 0.4), cfg),
+              nominal_control((0.1, 0.2), (0.3, 0.4), (0.5, 0.6), cfg),
+              switching_control((3.0, 4.0), 1.0, cfg)):
+        assert type(v) is list and len(v) == 2 and all(type(x) is float for x in v)
+
 
 class TestSwitchingControl:
     def test_zero_s(self):
@@ -98,7 +123,12 @@ class TestSwitchingControl:
         direction = np.array([0.6, 0.8])
         below = switching_control((CFG.epsilon - 1e-14) * direction, 1.3, CFG)
         above = switching_control((CFG.epsilon + 1e-14) * direction, 1.3, CFG)
-        assert np.abs(below - above).max() < 1e-12
+        assert np.abs(np.subtract(below, above)).max() < 1e-12
+
+    @pytest.mark.parametrize("c_hat", [0.0, -1.0, math.nan])
+    def test_non_positive_gain_rejected(self, c_hat):
+        with pytest.raises(ValueError, match="c_hat must be positive"):
+            switching_control([0.5], c_hat, CFG)
 
     def test_magnitude_cap(self):
         rng = np.random.default_rng(0)
@@ -126,17 +156,17 @@ class TestAdaptGain:
         assert new.c_hat == pytest.approx(max(0.0005 + 1e-3 * 0.01, 1e-3))
 
     def test_growth_branch(self):
-        state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.0)
+        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0)
         new = adapt_gain(state, [2.0], 0.01, DT, CFG)
         assert new.c_hat == pytest.approx(1.0 + 2.0 * DT)
 
     def test_decrease_branch(self):
-        state = ArolcState(c_hat=1.0, s_prev=np.array([2.0]), t_prev=0.0)
+        state = ArolcState(c_hat=1.0, s_prev=[2.0], t_prev=0.0)
         new = adapt_gain(state, [1.0], 0.01, DT, CFG)
         assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
     def test_equality_goes_to_decrease(self):
-        state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.0)
+        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0)
         new = adapt_gain(state, [1.0], 0.01, DT, CFG)  # s_dot = 0
         assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
@@ -156,9 +186,26 @@ class TestAdaptGain:
             assert state.c_hat >= cfg.gamma
 
     def test_time_must_advance(self):
-        state = ArolcState(c_hat=1.0, s_prev=np.array([1.0]), t_prev=0.5)
-        with pytest.raises(ValueError):
+        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.5)
+        with pytest.raises(ValueError, match="time must advance"):
             adapt_gain(state, [1.0], 0.5, DT, CFG)
+
+    @pytest.mark.parametrize("s_prev", [None, [0.5]], ids=["first", "slope"])
+    def test_nan_gain_rejected(self, s_prev):
+        # max(nan + rate dt, gamma) would carry the NaN on
+        with pytest.raises(ValueError, match="c_hat must be a number"):
+            adapt_gain(ArolcState(math.nan, s_prev, 0.0), [1.0], 0.01, DT, CFG)
+
+    def test_s_prev_length_mismatch_rejected(self):
+        state = ArolcState(c_hat=1.0, s_prev=[1.0, 2.0], t_prev=0.0)
+        with pytest.raises(ValueError, match="s_prev has 2 entries, s has 1"):
+            adapt_gain(state, [1.0], 0.01, DT, CFG)
+
+    def test_next_state(self):
+        s = [2.0]
+        new = adapt_gain(ArolcState(c_hat=1.0), s, 0.25, DT, CFG)
+        assert new.s_prev is s and new.t_prev == 0.25
+        assert ArolcState(1.0).t_prev == -math.inf
 
 
 class TestArolcStep:
@@ -195,6 +242,21 @@ class TestArolcStep:
         with pytest.raises(ValueError, match="c_hat must be positive"):
             arolc_step(ArolcState(c_hat=0.0), np.zeros(1), np.zeros(1), desired,
                        affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, CFG)
+
+    def test_nan_gain_rejected(self):
+        desired = ([1.0], [0.0], [0.0])
+        for switching in (True, False):
+            cfg = ArolcConfig(CFG.gains, switching=switching, c_hat_init=1.0)
+            with pytest.raises(ValueError, match="c_hat must be"):
+                arolc_step(ArolcState(c_hat=math.nan), [0.0], [0.0], desired,
+                           affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, cfg)
+
+    def test_s_prev_length_mismatch_rejected(self):
+        desired = ([1.0], [0.0], [0.0])
+        state = ArolcState(1.0, [1.0, 2.0], 0.0)
+        with pytest.raises(ValueError, match="s_prev has 2 entries"):
+            arolc_step(state, [0.0], [0.0], desired,
+                       affine_torque(np.eye(1), np.zeros(1)), 0.01, DT, CFG)
 
     def test_switching_disabled(self):
         cfg = ArolcConfig(CFG.gains, switching=False, c_hat_init=1.0)
@@ -467,10 +529,11 @@ def _rounding(got, ref, scale):
 
 
 class TestFloatLawMatchesNdarrayStatement:
-    """arolc_step and pcon_step on floats against the law written with the
-    ndarray helpers (sliding_variable, nominal_control, switching_control,
-    adapt_gain) and the nominal model's mass_matrix and bias_vector faces,
-    on dense gains. The two sum the small matrix-vector products in
+    """arolc_step and pcon_step on floats against the law written here on
+    ndarrays, with no arolc helper: B^T P from the gains' error system,
+    np.linalg.norm, the adaptation branch chosen by s @ s_dot, and the
+    nominal model's mass_matrix and bias_vector faces, on dense gains. The
+    two sum the small matrix-vector products in
     different orders (numpy's may pair terms or fuse multiply-adds), so
     they agree to rounding. The bound is in units of eps times each entry's
     scale, the same sums taken over absolute values (as in the classical
@@ -485,28 +548,42 @@ class TestFloatLawMatchesNdarrayStatement:
                6: lambda: point_mass_plant(6, mass=2.3)}
 
     @staticmethod
+    def bp(cfg):
+        system = build_error_system(cfg.gains)
+        return system.B.T @ system.P
+
+    @staticmethod
     def reference(state, q, q_dot, desired, nominal, t, dt, cfg):
-        """(tau, u, du, s, new state) of the ndarray statement, each vector
-        paired with its scale."""
+        """(tau, u, du, s, adapted c_hat) of the ndarray statement, each
+        vector paired with its scale."""
+        bp, k1, k2 = TestFloatLawMatchesNdarrayStatement.bp(cfg), cfg.gains.K1, cfg.gains.K2
         qd, qd_dot, qd_ddot = (np.asarray(x, float) for x in desired)
         q, q_dot = np.asarray(q, float), np.asarray(q_dot, float)
         e1, e1_dot = qd - q, qd_dot - q_dot
         e = np.concatenate([e1, e1_dot])
-        s = sliding_variable(e, cfg)
-        u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
-        du = switching_control(s, state.c_hat, cfg)
+        s = bp @ e
+        s_norm = float(np.linalg.norm(s))
+        u_hat = qd_ddot + k2 @ e1_dot + k1 @ e1
+        # du = g s with g = alpha c_hat / max(||s||, epsilon): g moves with ||s||
+        gain = cfg.alpha * state.c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
+        du = gain * s
         u = u_hat + du
         m, bias = nominal.mass_matrix(q), nominal.bias_vector(q, q_dot, None)
         tau = m @ u + bias
-        s_scale = np.abs(cfg.B.T @ cfg.P) @ np.abs(e)
-        # du = g s with g = alpha c_hat / max(||s||, epsilon): g moves with ||s||
-        gain = cfg.alpha * state.c_hat / max(np.linalg.norm(s), cfg.epsilon)
+        if state.c_hat <= cfg.gamma:
+            rate = cfg.gamma
+        elif state.s_prev is None:
+            rate = -s_norm
+        else:
+            s_dot = (s - np.asarray(state.s_prev)) / (t - state.t_prev)
+            rate = s_norm if s @ s_dot > 0.0 else -s_norm
+        s_scale = np.abs(bp) @ np.abs(e)
         du_scale = 2.0 * gain * np.linalg.norm(s_scale) * np.ones_like(du)
-        u_scale = (np.abs(qd_ddot) + np.abs(cfg.K2) @ np.abs(e1_dot)
-                   + np.abs(cfg.K1) @ np.abs(e1) + du_scale)
+        u_scale = (np.abs(qd_ddot) + np.abs(k2) @ np.abs(e1_dot)
+                   + np.abs(k1) @ np.abs(e1) + du_scale)
         tau_scale = np.abs(m) @ u_scale + np.abs(bias)
         return ((tau, tau_scale), (u, u_scale), (du, du_scale), (s, s_scale),
-                adapt_gain(state, s, t, dt, cfg))
+                max(state.c_hat + rate * dt, cfg.gamma))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     @pytest.mark.parametrize("branch", ["floor", "first", "grow", "shrink"])
@@ -519,22 +596,22 @@ class TestFloatLawMatchesNdarrayStatement:
         gains = GainSet(_spd(rng, n, 0.5, 3.0), _spd(rng, n, 0.5, 3.0),
                         _spd(rng, 2 * n, 0.5, 2.0))
         cfg = ArolcConfig(gains, alpha=2.5, epsilon=0.2, gamma=1e-3, c_hat_init=0.8)
+        bp = self.bp(cfg)
         t, t_prev = 3.0, 2.99
         for _ in range(25):
             q, q_dot, e, qd_ddot = (rng.uniform(-2.0, 2.0, 2 * n) for _ in range(4))
             q, q_dot, qd_ddot = q[:n], q_dot[:n], qd_ddot[:n]
             # s is linear in e: scale e so that ||s|| = ratio epsilon
-            e *= ratio * cfg.epsilon / np.linalg.norm(sliding_variable(e, cfg))
+            e *= ratio * cfg.epsilon / np.linalg.norm(bp @ e)
             desired = ((q + e[:n]).tolist(), (q_dot + e[n:]).tolist(), qd_ddot.tolist())
-            s = sliding_variable(np.concatenate(
-                [np.subtract(desired[0], q), np.subtract(desired[1], q_dot)]), cfg)
+            s = bp @ np.concatenate([np.subtract(desired[0], q), np.subtract(desired[1], q_dot)])
             c_hat = cfg.gamma if branch == "floor" else float(rng.uniform(0.1, 2.0))
             s_prev = {"floor": s, "first": None, "grow": 0.9 * s, "shrink": 1.1 * s}[branch]
             state = ArolcState(c_hat, None if s_prev is None else s_prev.tolist(), t_prev)
 
             rec = arolc_step(state, tuple(q.tolist()), tuple(q_dot.tolist()), desired,
                              nominal.torque, t, DT, cfg)
-            *vectors, new = self.reference(state, q, q_dot, desired, nominal, t, DT, cfg)
+            *vectors, c_hat_ref = self.reference(state, q, q_dot, desired, nominal, t, DT, cfg)
             for got, (ref, scale) in zip((rec.tau, rec.u, rec.du, rec.state.s_prev), vectors):
                 assert type(got) is list and all(type(x) is float for x in got)
                 assert _rounding(got, ref, scale) <= self.ROUNDING
@@ -543,7 +620,7 @@ class TestFloatLawMatchesNdarrayStatement:
             assert _rounding(rec.s_norm, s_norm, np.linalg.norm(s_scale)) <= self.ROUNDING
             assert (s_norm < cfg.epsilon) == (ratio < 1.0)
             # the branch is the reference's: grow and shrink differ by 2 ||s|| dt
-            assert abs(rec.c_hat - new.c_hat) <= 4 * np.spacing(new.c_hat)
+            assert abs(rec.c_hat - c_hat_ref) <= 4 * np.spacing(c_hat_ref)
             assert rec.state.c_hat == rec.c_hat and rec.state.t_prev == t
             expected = {"floor": c_hat + cfg.gamma * DT, "first": c_hat - s_norm * DT,
                         "grow": c_hat + s_norm * DT, "shrink": c_hat - s_norm * DT}[branch]

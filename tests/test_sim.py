@@ -571,7 +571,7 @@ def reference_residual(trace, sc, warmup=0.5):
             fine.cmd_u[j], qd_ddot_d[i], qd_ddot_j, sc.plant, sc.plant, t=t,
         )
         e1_dot_j = qd_dot_j - trace.q_dot[j]
-        return -cfg.K2 @ e1_dot_j - cfg.K1 @ trace.e1[j] + sigma - fine.cmd_du[j]
+        return -cfg.gains.K2 @ e1_dot_j - cfg.gains.K1 @ trace.e1[j] + sigma - fine.cmd_du[j]
 
     out_t, out_r = [], []
     for i in range(1, len(times) - 1):
