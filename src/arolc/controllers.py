@@ -161,8 +161,8 @@ def nominal_control(e1, e1_dot, qdd_desired, cfg: ArolcConfig) -> list[float]:
 def switching_control(s, c_hat: float, cfg: ArolcConfig) -> list[float]:
     """Robust term: alpha c_hat s/||s|| outside the boundary layer,
     alpha c_hat s/epsilon inside it (continuous at ||s|| = epsilon)."""
-    if not c_hat > 0.0:  # NaN included
-        raise ValueError(f"c_hat must be positive, got {c_hat!r}")
+    if not 0.0 < c_hat < math.inf:  # NaN included
+        raise ValueError(f"c_hat must be positive and finite, got {c_hat!r}")
     s_norm = math.sqrt(_dot(s, s))
     gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
     return [gain * x for x in s]
@@ -173,8 +173,10 @@ def adapt_gain(state: ArolcState, s, t: float, dt: float,
     """One Euler step of length dt (the control period) of the adaptive gain
     law; returns the updated state, whose s_prev is s."""
     c_hat, s_prev = state.c_hat, state.s_prev
-    if math.isnan(c_hat):
-        raise ValueError("c_hat must be a number, got nan")
+    if not math.isfinite(c_hat):
+        raise ValueError(f"c_hat must be a number and finite, got {c_hat!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if s_prev is not None:
         if not t > state.t_prev:
             raise ValueError("time must advance between adaptation steps")
@@ -285,13 +287,14 @@ class PconController:
     def __init__(self, sc, trace):
         self.cfg = sc.controller
         self.trace = trace
+        self.stamps = trace.t.tolist()  # delays.integrate searches a list
         self.k = 0
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         k, self.k = self.k, self.k + 1
         # a Python float, so that the window's ends are Python floats too
         h = self.trace.h.item(k) if self.cfg.h_estimate is None else self.cfg.h_estimate
-        history = self.trace.t, self.trace.tau_cmd, k
+        history = self.stamps, self.trace.tau_cmd, k
         return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg))
 
 

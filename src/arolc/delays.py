@@ -28,6 +28,7 @@ built one checked command at a time; each of its lookups is one call to
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -177,9 +178,9 @@ def _trapezoids(knots, rows) -> list[float]:
 
 def integrate(times, values, m: int, t0: float, t1: float) -> list[float]:
     """Integral over [t0, t1] of the command signal of the first m commands,
-    values[:m] at the stamps times[:m] (arrays, times strictly increasing):
-    trapezoids between knots, exact for that piecewise-linear signal, as a
-    list of Python floats; zero for m = 0.
+    values[:m] (an array) at the stamps times[:m] (a list of Python floats,
+    strictly increasing): trapezoids between knots, exact for that
+    piecewise-linear signal, as a list of Python floats; zero for m = 0.
 
     The knots are the interval's ends and every stamp inside it. The sum
     runs on Python floats over the rows that bracket a knot, with the
@@ -196,13 +197,13 @@ def integrate(times, values, m: int, t0: float, t1: float) -> list[float]:
     if not m:
         return [0.0] * n
     t0, t1 = float(t0), float(t1)
-    stamps = times[:m]
-    i = int(stamps.searchsorted(t0, side="right"))
-    r = int(stamps.searchsorted(t1, side="right"))
+    # the stamps at or before each end, as searchsorted(side="right") counts
+    i = bisect_right(times, t0, 0, m)
+    r = bisect_right(times, t1, 0, m)
     # rows a .. r: the stamp at or before the window's start (the first
     # stamp if the start is before it) through the first stamp after t1
     a = max(i - 1, 0)
-    ts = stamps[a:r + 1].tolist()
+    ts = times[a:min(r + 1, m)]
     vs = values[a:a + len(ts)].tolist()
     if not i:
         t0 = ts[0]  # the signal is zero before the first command
@@ -252,4 +253,5 @@ class DelayBuffer:
 
     def integrate(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the signal sample() describes over [t0, t1]."""
-        return np.array(integrate(*self._history(), len(self._t), t0, t1))
+        values = np.reshape(self._v, (-1, self.dim))
+        return np.array(integrate(self._t, values, len(self._t), t0, t1))

@@ -23,6 +23,15 @@ floats (``math`` trigonometry) for a single state, on the (B,) columns
 (numpy's) for a stack, with the same operations in the same order, so that
 the rows agree bit for bit wherever numpy's cos and sin round as libm's.
 
+Each closed-form plant states its float forward dynamics once, as its
+``kernel``: a few statements over one state's names (positions q0, q1, ...,
+rates v0, v1, ..., the input sequence u and the time t) that assign the
+accelerations a0, a1, ..., reading constants bound from the plant once.
+Its ``accel`` runs the kernel on one state, and the simulator splices it
+into the unrolled RK4 step (``arolc.sim``), so that a step calls no
+``accel``. The base class's kernel is the call to ``accel`` itself. A
+plant's parameters are fixed once it is built.
+
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
 at the axle midpoint:
@@ -37,13 +46,17 @@ giving a constant SPD wheel-space inertia and the gyroscopic bias
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PlantModel",
+    "Kernel",
     "el_accel",
     "WmrParams",
     "PayloadSchedule",
@@ -113,12 +126,18 @@ class PlantModel:
 
         q, q_dot and tau_applied are any length-dim sequences of floats
         (list, tuple or ndarray); the result is a list of dim Python floats.
-        The integrator calls this at every RK4 stage on tuples of floats
-        and unpacks the result (any length-dim sequence), so subclasses
-        override it with a float closed form; el_accel stays the ndarray
-        reference.
+        Subclasses with a float closed form run their kernel here; el_accel
+        stays the ndarray reference.
         """
         return el_accel(self, q, q_dot, tau_applied, t).tolist()
+
+    def kernel(self) -> "Kernel":
+        """The call kernel, a0, ... = accel((q0, ...), (v0, ...), u, t), with
+        accel as bound on the instance: the integrator calls it at every
+        RK4 stage on tuples of floats and unpacks the result (any length-dim
+        sequence). Closed-form plants override it with their dynamics."""
+        a, q, v = (_entries(prefix, self.dim) for prefix in "aqv")
+        return Kernel(f"{a}= accel(({q}), ({v}), u, t)\n", {"accel": self.accel})
 
     def torque(self, q, q_dot, qdd) -> list[float]:
         """Inverse dynamics M(q) qdd + N(q, q_dot) of the time-free terms
@@ -128,6 +147,57 @@ class PlantModel:
         q = np.asarray(q, float)
         return (self.mass_matrix(q) @ np.asarray(qdd, float)
                 + self.bias_vector(q, np.asarray(q_dot, float), None)).tolist()
+
+
+class Kernel(NamedTuple):
+    """One state's float forward dynamics, as source.
+
+    source is statements over the positions q0, q1, ..., the rates v0, v1,
+    ..., the input u (a length-dim sequence of floats) and the time t that
+    assign the accelerations a0, a1, ...; its own temporaries match none of
+    these names and start with no underscore. Every other name it reads is
+    a constant, the entry of constants of that name, bound once per use.
+    """
+
+    source: str
+    constants: dict
+
+
+def _entries(prefix: str, n: int) -> str:
+    """'p0, p1, ..., ' for n entries: a tuple's items or an unpacking target."""
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+@functools.cache
+def _compile_accel(source: str, names: tuple, n: int):
+    """The function of the constants names that binds them into
+    accel(q, q_dot, u, t), which runs the kernel source on one state of a
+    dimension-n plant: compiled once per (kernel, n), on first use."""
+    code = (f"def bind({', '.join(names)}):\n"
+            "    def accel(q, q_dot, u, t):\n"
+            f"        {_entries('q', n)}= q\n"
+            f"        {_entries('v', n)}= q_dot\n"
+            f"{textwrap.indent(source, ' ' * 8)}"
+            # float(): ndarray input gives numpy scalars
+            f"        return [{', '.join(f'float(a{i})' for i in range(n))}]\n"
+            "    return accel\n")
+    namespace = {}
+    exec(compile(code, f"<accel kernel, n = {n}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+class _KernelPlant(PlantModel):
+    """A plant whose float forward dynamics is its kernel."""
+
+    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
+        """The kernel on one state (see PlantModel.accel)."""
+        return self._accel(q, q_dot, tau_applied, t)
+
+    @functools.cached_property
+    def _accel(self):
+        kernel = self.kernel()
+        return _compile_accel(kernel.source, tuple(kernel.constants),
+                              self.dim)(**kernel.constants)
 
 
 def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
@@ -243,10 +313,34 @@ def payload_mass(sched: PayloadSchedule, t: float):
     return sched.extra_mass, sched.offsets[int(k)]
 
 
-class _ReducedWmrPlant(PlantModel):
+class _ReducedWmrPlant(_KernelPlant):
     """Wheel-space (theta_r, theta_l) dynamics of the differential drive."""
 
     dim = 2
+    # The row of the payload phase at t, _payload_phase(payload, max(t, 0))
+    # + 1 operation for operation (without its final - 1.0), the bias as
+    # _bias_terms forms it plus the disturbance, then a plain LU solve on the
+    # row's factors: el_accel to rounding
+    _KERNEL = """\
+if period:
+    t_on = 0.0 if 0.0 > t else t
+    cycle = t_on // period
+    row = int((cycle % count + 1.0) * (t_on - cycle * period < period_on))
+else:
+    row = 0
+diag, off, gyro, visc, lower, upper = phases[row]
+s = gyro * (v0 - v1)
+n0, n1 = s * v1, s * -v0
+if viscous:
+    n0, n1 = n0 + visc * v0, n1 + visc * v1
+if disturbance:
+    d0, d1 = disturbance(t).tolist()
+    n0, n1 = n0 + d0, n1 + d1
+tau0, tau1 = u
+b0, b1 = tau0 - n0, tau1 - n1
+a1 = (b1 - lower * b0) / upper
+a0 = (b0 - off * a1) / diag
+"""
 
     def __init__(self, params, payload=None, viscous=0.0, nominal=None,
                  disturbance_amp=0.0, disturbance_freq=1.0, phases=None):
@@ -254,10 +348,6 @@ class _ReducedWmrPlant(PlantModel):
         self.params = params
         self.payload = payload
         self.viscous = viscous
-        # _payload_phase's operands, held so that accel's key reads no
-        # schedule attribute
-        self._phase_terms = None if payload is None else (
-            payload.period_on + payload.period_off, payload.period_on, len(payload.offsets))
         # the wheel-to-body factors a = r/2 (forward speed) and c = r/(2b)
         # (turn rate), and the load (dm, dx, dy) of each payload phase: row 0
         # the bare body, whose zero load leaves every sum exact, row k + 1
@@ -275,9 +365,9 @@ class _ReducedWmrPlant(PlantModel):
             # rolling resistance scales with the carried weight
             gyro = 2.0 * (params.K + dm * dx) * a * c * c
             visc = viscous * (m_eff / params.m)
-            # accel's LU factors: partial pivoting keeps row 0, as diag - |off|
-            # = I_w + 2 min(m a^2, j c^2) > 0, and l is scaled by the
-            # reciprocal pivot
+            # the kernel's LU factors: partial pivoting keeps row 0, as
+            # diag - |off| = I_w + 2 min(m a^2, j c^2) > 0, and l is scaled by
+            # the reciprocal pivot
             lower = off * (1.0 / diag)
             self._phases.append((diag, off, gyro, visc, lower, diag - lower * off))
 
@@ -320,36 +410,14 @@ class _ReducedWmrPlant(PlantModel):
         n0, n1 = self._bias_terms(gyro, visc, qd0, qd1)
         return [diag * a0 + off * a1 + n0, off * a0 + diag * a1 + n1]
 
-    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
-        """Closed form of el_accel in float arithmetic.
-
-        The bias repeats bias_vector operation for operation; the 2 x 2 solve
-        is a plain LU solve on the phase row's factors, equal to el_accel to
-        rounding.
-        """
-        terms = self._phase_terms
-        if terms is None:
-            row = 0
-        else:
-            # the row _payload_phase(self.payload, max(t, 0.0)) + 1.0: its
-            # operations, operation for operation, without the final - 1.0
-            period, period_on, count = terms
-            t_on = 0.0 if 0.0 > t else t
-            cycle = t_on // period
-            row = int((cycle % count + 1.0) * (t_on - cycle * period < period_on))
-        diag, off, gyro, visc, lower, upper = self._phases[row]
-        qd0, qd1 = q_dot
-        tau0, tau1 = tau_applied
-        s = gyro * (qd0 - qd1)
-        n0, n1 = s * qd1, s * -qd0
-        if self.viscous:
-            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
-        if self.disturbance_amp:
-            d0, d1 = self.disturbance(t).tolist()
-            n0, n1 = n0 + d0, n1 + d1
-        b0, b1 = tau0 - n0, tau1 - n1
-        x1 = float((b1 - lower * b0) / upper)
-        return [float((b0 - off * x1) / diag), x1]
+    def kernel(self) -> Kernel:
+        payload = self.payload
+        period, period_on, count = (None, None, None) if payload is None else (
+            payload.period_on + payload.period_off, payload.period_on, len(payload.offsets))
+        return Kernel(self._KERNEL, dict(
+            period=period, period_on=period_on, count=count, phases=self._phases,
+            viscous=self.viscous,
+            disturbance=self.disturbance if self.disturbance_amp else None))
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
@@ -510,8 +578,21 @@ def two_link_matrices(q, q_dot, params: TwoLinkParams):
     return arm.mass_matrix(q), arm.bias_vector(q, q_dot, None)
 
 
-class _TwoLinkPlant(PlantModel):
+class _TwoLinkPlant(_KernelPlant):
     dim = 2
+    # el_accel's closed form: the 2 x 2 inverse through its determinant
+    _KERNEL = """\
+m11, m12, m22 = inertia_terms(inertia_k, cos(q1))
+n0, n1 = bias_terms(bias_k, q0, q1, v0, v1, float_ops)
+tau0, tau1 = u
+r0, r1 = tau0 - n0, tau1 - n1
+if disturbance:
+    d0, d1 = disturbance(t).tolist()
+    r0, r1 = r0 - d0, r1 - d1
+det = m11 * m22 - m12 * m12
+a0 = (m22 * r0 - m12 * r1) / det
+a1 = (m11 * r1 - m12 * r0) / det
+"""
 
     def __init__(self, params, nominal=None, disturbance_amp=0.0,
                  disturbance_freq=1.0, phases=None):
@@ -532,19 +613,11 @@ class _TwoLinkPlant(PlantModel):
         n = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, ops)
         return self._disturbed(_stack(n, batch), t, batch)
 
-    def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
-        """Closed form of el_accel: the 2 x 2 inverse through its determinant."""
-        q0, q1 = q
-        qd0, qd1 = q_dot
-        tau0, tau1 = tau_applied
-        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, math.cos(q1))
-        n0, n1 = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, _FLOAT_OPS)
-        r0, r1 = tau0 - n0, tau1 - n1
-        if self.disturbance_amp:
-            d0, d1 = self.disturbance(t).tolist()
-            r0, r1 = r0 - d0, r1 - d1
-        det = a11 * a22 - a12 * a12
-        return [float((a22 * r0 - a12 * r1) / det), float((a11 * r1 - a12 * r0) / det)]
+    def kernel(self) -> Kernel:
+        return Kernel(self._KERNEL, dict(
+            inertia_terms=_two_link_inertia_terms, inertia_k=self._inertia_k, cos=math.cos,
+            bias_terms=_two_link_bias_terms, bias_k=self._bias_k, float_ops=_FLOAT_OPS,
+            disturbance=self.disturbance if self.disturbance_amp else None))
 
     def torque(self, q, q_dot, qdd) -> list[float]:
         """M(q) qdd + N(q, q_dot), friction included, on floats."""
@@ -577,7 +650,7 @@ def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-class _LinearPlant(PlantModel):
+class _LinearPlant(_KernelPlant):
     """M = mass I, N = stiffness q: the point mass (stiffness 0) and the
     undamped oscillator."""
 
@@ -593,9 +666,11 @@ class _LinearPlant(PlantModel):
     def bias_vector(self, q, q_dot, t):
         return self.stiffness * np.asarray(q, float)
 
-    def accel(self, q, q_dot, tau_applied, t):
-        return [(float(u) - self.stiffness * float(x)) / self.mass
-                for u, x in zip(tau_applied, q)]
+    def kernel(self) -> Kernel:
+        n = self.dim
+        return Kernel(f"{_entries('u', n)}= u\n" + "".join(
+            f"a{i} = (u{i} - stiffness * q{i}) / mass\n" for i in range(n)),
+            dict(stiffness=self.stiffness, mass=self.mass))
 
     def torque(self, q, q_dot, qdd):
         return [self.mass * a + self.stiffness * x for a, x in zip(qdd, q)]

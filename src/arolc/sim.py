@@ -22,19 +22,26 @@ rows. This is exact: every stage gets, bit for bit, the value
 ``delays.interpolate`` on the pushed commands returns at its own instant.
 
 Between control instants the integrator state is a tuple of 2n Python
-floats, (q, q_dot), and every plant's ``accel`` is a float closed form: for
-vectors of 2 to 12 entries per-call numpy overhead dominates the
-arithmetic. The RK4 step is unrolled for the plant's dimension:
-``_rk4_step(n)`` compiles it from source once per n, with one local per
-entry and the divergence guard inline, so a step costs four ``accel``
-calls and a few dozen float operations. This is exact, not an
+floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
+dominates the arithmetic. The RK4 step is unrolled for the plant's
+dimension and runs the plant's forward dynamics inline: each closed-form
+plant states them once, as a kernel of a few float statements
+(``plants.Kernel``), and ``_compile_step`` splices that kernel into the
+step at each of the four stages, with one local per entry and the
+divergence guard inline. It compiles once per (kernel, n), on the first
+run; a later run binds the plant's constants into the compiled step. A
+step thus calls no ``accel``, except where the plant has no kernel or an
+``accel`` is set on the instance (a tracer's wrapper, say): then the
+kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
 the ndarray expression, so the traces are bit-identical to an ndarray
 integrator. The control period stays on floats too: the controller reads q
-and q_dot as slices of that tuple and the reference as lists of floats, and
-returns its command as a list (``arolc.controllers``). Arrays begin at the
-trace: its rows, the planned lookups and the diagnostics fine grid.
+and q_dot as slices of that tuple and the reference as lists of floats
+(evaluated once per block of periods, the trajectory called on the block's
+stamps), and returns its command as a list (``arolc.controllers``). Arrays
+begin at the trace: its rows (written once per block, tau_cmd once per
+period), the planned lookups and the diagnostics fine grid.
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -51,13 +58,15 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import textwrap
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
 from .delays import DelayProfile, Plan, blend, delay_at, plan
-from .plants import PlantModel
+from .plants import Kernel, PlantModel, _entries
 
 __all__ = [
     "Scenario",
@@ -89,6 +98,9 @@ _MAX_ARRAY_BYTES = 1 << 28
 # least). Blocks bound their temporaries: over the whole grid at once, a 2 s
 # two-link residual at dt = 1e-4 peaks about 2.7 MB higher in resident memory.
 _BLOCK_INSTANTS = 2048
+# The trace rows simulate writes once per block; tau_cmd, which the blend and
+# the predictor read, is written every period and h at the block's start
+_BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "e1", "tau_applied", "c_hat", "s_norm")
 
 
 class SimulationDiverged(RuntimeError):
@@ -106,7 +118,7 @@ class Scenario:
     """Everything needed for one closed-loop run."""
 
     plant: PlantModel
-    trajectory: object
+    trajectory: object  # at a time or a 1-D array of times (arolc.trajectories)
     delay: DelayProfile = field(default_factory=lambda: DelayProfile("none"))
     controller: ArolcConfig | PconConfig | None = None  # None: zero torque
     duration: float = 10.0
@@ -240,50 +252,69 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
+# A kernel's names of one stage: q{i}, v{i}, a{i}, u and t
+_STAGE_NAME = re.compile(r"\b(?:([qva])(\d+)|([ut]))\b")
+
+
 @functools.cache
-def _rk4_step(n: int):
-    """The classical RK4 step of a dimension-n plant, unrolled: compiled from
-    source once per n (as ``dataclasses`` builds its methods), with every
-    identifier built from n alone.
+def _compile_step(source: str, names: tuple, n: int):
+    """The classical RK4 step of a dimension-n plant whose kernel is source
+    (``plants.Kernel``), unrolled: compiled from source once per (kernel,
+    n), as ``dataclasses`` builds its methods. Returns the function of the
+    kernel's constants names that binds them into the step.
 
-    The step, ``rk4_step(accel, instants, y, dt, inputs)``, advances the 2n
-    floats y = (q, q_dot) over the stage instants (t, t + dt/2, t + dt);
-    inputs holds the applied input at each. It calls
-    ``accel(q, q_dot, tau, t)`` once per stage, q and q_dot as tuples, and
-    returns the new state as a tuple, or None when an entry is not within
-    +-_DIVERGENCE_LIMIT (NaN included). Each entry is rounded as the ndarray
-    expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
-    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with
-    k_s = (q_dot, qdd) at stage s.
+    The step, ``rk4_step(instants, y, dt, inputs)``, advances the 2n floats
+    y = (q, q_dot) over the stage instants (t, t + dt/2, t + dt); inputs
+    holds the applied input at each. It runs the kernel once per stage, on
+    stage names of its own, and returns the new state as a tuple, or None
+    when an entry is not within +-_DIVERGENCE_LIMIT (NaN included). Each
+    entry is rounded as the ndarray expressions y + (dt / 2) k1,
+    y + (dt / 2) k2, y + dt k3 and y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
+    round it, with k_s = (q_dot, qdd) at stage s. The stage positions that
+    the kernel never reads are left out.
     """
-    def names(prefix, count=n):
-        return "".join(f"{prefix}{i}, " for i in range(count))
+    reads_q = {int(m[2]) for m in _STAGE_NAME.finditer(source) if m[1] == "q"}
 
-    # stage s evaluates accel at y + h k_{s-1}, k_{s-1} = (v{s-1}_, a{s-1}_);
-    # stage 1 at y = (q1_, v1_) itself
-    lines = ["def rk4_step(accel, instants, y, dt, inputs):",
-             "    t_start, t_half, t_end = instants",
-             "    u_start, u_half, u_end = inputs",
-             f"    {names('q1_')}{names('v1_')}= y",
-             "    half = 0.5 * dt",
-             f"    {names('a1_')}= accel(({names('q1_')}), ({names('v1_')}), u_start, t_start)"]
-    for s, h, at in ((2, "half", "half"), (3, "half", "half"), (4, "dt", "end")):
-        lines += [f"    q{s}_{i} = q1_{i} + {h} * v{s - 1}_{i}" for i in range(n)]
-        lines += [f"    v{s}_{i} = v1_{i} + {h} * a{s - 1}_{i}" for i in range(n)]
-        lines.append(f"    {names(f'a{s}_')}= accel(({names(f'q{s}_')}), "
-                     f"({names(f'v{s}_')}), u_{at}, t_{at})")
-    lines.append("    sixth = dt / 6.0")
-    lines += [f"    y{i} = q1_{i} + sixth * (((v1_{i} + 2.0 * v2_{i}) + 2.0 * v3_{i}) + v4_{i})"
-              for i in range(n)]
-    lines += [f"    y{n + i} = v1_{i} + sixth * (((a1_{i} + 2.0 * a2_{i}) + 2.0 * a3_{i}) "
-              f"+ a4_{i})" for i in range(n)]
-    guard = " and ".join(f"abs(y{i}) <= {_DIVERGENCE_LIMIT!r}" for i in range(2 * n))
-    lines += [f"    if {guard}:",  # NaN fails it too
-              f"        return ({names('y', 2 * n)})",
-              "    return None"]
+    def stage(s, at):
+        # the kernel on stage s: q{i} -> _q{s}_{i}, u -> _u_{at}, ...
+        def rename(m):
+            prefix, i, free = m.groups()
+            return f"_{prefix}{s}_{i}" if prefix else f"_{free}_{at}"
+
+        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 8)
+
+    # stage s runs the kernel at y + h k_{s-1}, k_{s-1} = (_v{s-1}_, _a{s-1}_);
+    # stage 1 at y = (_q1_, _v1_) itself
+    lines = [f"def bind({', '.join(names)}):",
+             "    def rk4_step(_instants, _y, _dt, _inputs):",
+             "        _t_start, _t_half, _t_end = _instants",
+             "        _u_start, _u_half, _u_end = _inputs",
+             f"        {_entries('_q1_', n)}{_entries('_v1_', n)}= _y",
+             "        _half = 0.5 * _dt",
+             stage(1, "start")]
+    for s, h, at in ((2, "_half", "half"), (3, "_half", "half"), (4, "_dt", "end")):
+        lines += [f"        _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}" for i in sorted(reads_q)]
+        lines += [f"        _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
+        lines.append(stage(s, at))
+    lines.append("        _sixth = _dt / 6.0")
+    lines += [f"        _y{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) + 2.0 * _v3_{i}) "
+              f"+ _v4_{i})" for i in range(n)]
+    lines += [f"        _y{n + i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
+              f"+ 2.0 * _a3_{i}) + _a4_{i})" for i in range(n)]
+    guard = " and ".join(f"abs(_y{i}) <= {_DIVERGENCE_LIMIT!r}" for i in range(2 * n))
+    lines += [f"        if {guard}:",  # NaN fails it too
+              f"            return ({_entries('_y', 2 * n)})",
+              "        return None",
+              "    return rk4_step"]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", f"<rk4 step, n = {n}>", "exec"), namespace)
-    return namespace["rk4_step"]
+    return namespace["bind"]
+
+
+def _rk4_step(kernel: Kernel, n: int):
+    """The unrolled RK4 step of a dimension-n plant (``_compile_step``) with
+    the kernel's constants bound."""
+    return _compile_step(kernel.source, tuple(kernel.constants), n)(**kernel.constants)
 
 
 def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
@@ -311,8 +342,10 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
     q0, qdot0 = sc.initial_state()
     y = tuple(q0.tolist() + qdot0.tolist())
-    accel = plant.accel  # as bound on the instance, wrappers included
-    rk4_step = _rk4_step(n)
+    # an accel set on the instance (a tracer's wrapper, say) is called,
+    # through the base class's call kernel
+    kernel = PlantModel.kernel(plant) if "accel" in vars(plant) else plant.kernel()
+    rk4_step = _rk4_step(kernel, n)
     dt = sc.dt
 
     stamps = np.arange(n_rows) * sc.dt_control
@@ -333,12 +366,16 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         t_k = k * sc.dt_control
         p = k % periods_per_block
         if p == 0:
-            k1 = min(k + periods_per_block, n_rows)
+            k0, k1 = k, min(k + periods_per_block, n_rows)
             stage_t, stage_h, plans, before, after = _plan_periods(
-                profile, stamps, k, k1, steps_per_control, dt, n)
-            trace.h[k:k1] = stage_h[:, 0, 0]
+                profile, stamps, k0, k1, steps_per_control, dt, n)
+            trace.h[k0:k1] = stage_h[:, 0, 0]
+            stage_t = stage_t.tolist()
+            # per period, the reference triple at its stamp
+            reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
+            rows = []  # the block's trace rows, written at its end
         q, q_dot = y[:n], y[n:]
-        desired = [x.tolist() for x in trajectory(t_k)]
+        desired = reference[p]
 
         rec = controller.step(t_k, q, q_dot, desired)
         trace.tau_cmd[k] = rec.tau
@@ -347,23 +384,21 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             fine.cmd_du[k] = rec.du
 
         # the commands pushed so far fix the applied input of the whole period
-        stage_tau = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p])
-        trace.q[k] = q
-        trace.q_dot[k] = q_dot
-        trace.q_desired[k] = desired[0]
-        trace.e1[k] = [a - b for a, b in zip(desired[0], q)]
-        trace.tau_applied[k] = stage_tau[0, 0]
-        trace.c_hat[k] = rec.c_hat
-        trace.s_norm[k] = rec.s_norm
-
-        if k == n_rows - 1:
-            break
+        stage_tau = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p]).tolist()
+        qd = desired[0]
+        rows.append((q, q_dot, qd, [a - b for a, b in zip(qd, q)], stage_tau[0][0],
+                     rec.c_hat, rec.s_norm))
+        if k == k1 - 1:
+            _write_rows(trace, k0, rows)
+            if k == n_rows - 1:
+                break
 
         j = k * steps_per_control  # the fine row of the step's start
-        for instants, inputs in zip(stage_t[p].tolist(), stage_tau.tolist()):
-            y = rk4_step(accel, instants, y, dt, inputs)
+        for instants, inputs in zip(stage_t[p], stage_tau):
+            y = rk4_step(instants, y, dt, inputs)
             j += 1
             if y is None:
+                _write_rows(trace, k0, rows)
                 raise SimulationDiverged(instants[2], trace.head(k + 1, j))
             if fine is not None:
                 fine.t[j] = instants[2]
@@ -371,6 +406,13 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
                 fine.q_dot[j] = y[n:]
 
     return trace
+
+
+def _write_rows(trace: Trace, k0: int, rows) -> None:
+    """Write rows, one (q, q_dot, q_desired, e1, tau_applied, c_hat, s_norm)
+    tuple per control period, into the trace from row k0 on."""
+    for name, column in zip(_BLOCK_COLUMNS, zip(*rows)):
+        getattr(trace, name)[k0:k0 + len(rows)] = column
 
 
 def trace_to_csv(trace: Trace, path) -> None:
@@ -418,8 +460,7 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     checked instants, skipping t < warmup and lookups before the first
     command.
 
-    Requires a trace produced with diagnostics=True and a trajectory that
-    accepts an array of times.
+    Requires a trace produced with diagnostics=True.
     """
     if trace.fine is None:
         raise ValueError("error_dynamics_residual needs a diagnostics trace")

@@ -130,6 +130,11 @@ class TestSwitchingControl:
         with pytest.raises(ValueError, match="c_hat must be positive"):
             switching_control([0.5], c_hat, CFG)
 
+    @pytest.mark.parametrize("c_hat", [math.inf, -math.inf])
+    def test_infinite_gain_rejected(self, c_hat):
+        with pytest.raises(ValueError, match="c_hat must be positive and finite"):
+            switching_control([0.5], c_hat, CFG)
+
     def test_magnitude_cap(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
@@ -196,6 +201,18 @@ class TestAdaptGain:
         with pytest.raises(ValueError, match="c_hat must be a number"):
             adapt_gain(ArolcState(math.nan, s_prev, 0.0), [1.0], 0.01, DT, CFG)
 
+    @pytest.mark.parametrize("c_hat", [math.inf, -math.inf])
+    def test_infinite_gain_rejected(self, c_hat):
+        # the gain would stay infinite (or hold at gamma, for -inf)
+        with pytest.raises(ValueError, match="c_hat must be a number and finite"):
+            adapt_gain(ArolcState(c_hat), [1.0], 0.01, DT, CFG)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -DT])
+    def test_bad_period_rejected(self, dt):
+        for c_hat in (1.0, CFG.gamma):  # both branches
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                adapt_gain(ArolcState(c_hat), [1.0], 0.01, dt, CFG)
+
     def test_s_prev_length_mismatch_rejected(self):
         state = ArolcState(c_hat=1.0, s_prev=[1.0, 2.0], t_prev=0.0)
         with pytest.raises(ValueError, match="s_prev has 2 entries, s has 1"):
@@ -251,6 +268,23 @@ class TestArolcStep:
                 arolc_step(ArolcState(c_hat=math.nan), [0.0], [0.0], desired,
                            affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, cfg)
 
+    def test_infinite_gain_rejected(self):
+        # an infinite gain gave the torque [inf]
+        desired = ([1.0], [0.0], [0.0])
+        for switching in (True, False):
+            cfg = ArolcConfig(CFG.gains, switching=switching, c_hat_init=1.0)
+            with pytest.raises(ValueError, match="c_hat must be"):
+                arolc_step(ArolcState(c_hat=math.inf), [0.0], [0.0], desired,
+                           affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, cfg)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -DT])
+    def test_bad_period_rejected(self, dt):
+        # dt = nan gave the gain nan with a finite torque
+        desired = ([1.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            arolc_step(ArolcState(c_hat=1.0), [0.0], [0.0], desired,
+                       affine_torque(np.eye(1), np.zeros(1)), 0.0, dt, CFG)
+
     def test_s_prev_length_mismatch_rejected(self):
         desired = ([1.0], [0.0], [0.0])
         state = ArolcState(1.0, [1.0, 2.0], 0.0)
@@ -274,7 +308,8 @@ class TestPcon:
     def history(stamps, commands):
         """The pcon_step history (times, values, m) of scalar commands, one
         per stamp."""
-        return np.array(stamps, float), np.array(commands, float).reshape(-1, 1), len(stamps)
+        return ([float(x) for x in stamps], np.array(commands, float).reshape(-1, 1),
+                len(stamps))
 
     @staticmethod
     def integral(history, h, t):
@@ -371,7 +406,7 @@ class TestControllerProtocol:
         ctrl = make_controller(sc, trace)
         for k, t in enumerate(trace.t.tolist()):
             h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
-            ref = pcon_step((trace.t, trace.tau_cmd, k), h, self.Q, self.Q_DOT,
+            ref = pcon_step((trace.t.tolist(), trace.tau_cmd, k), h, self.Q, self.Q_DOT,
                             sc.trajectory(t), t, sc.controller)
             rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
             np.testing.assert_array_equal(rec.tau, ref)
@@ -385,7 +420,7 @@ class TestControllerProtocol:
         h_estimate = sc.controller.h_estimate
         for k, t in enumerate(trace.t.tolist()):
             h = delay_at(sc.delay, t) if h_estimate is None else h_estimate
-            ref = pcon_step((trace.t, trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
+            ref = pcon_step((trace.t.tolist(), trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
                             sc.trajectory(t), t, sc.controller)
             assert trace.tau_cmd[k].tobytes() == np.array(ref).tobytes()
 
@@ -632,7 +667,7 @@ class TestFloatLawMatchesNdarrayStatement:
         vartheta = _spd(rng, n, 0.1, 2.0)
         assert np.count_nonzero(vartheta - np.diag(np.diag(vartheta))) == n * n - n
         cfg = PconConfig(kappa=1.7, vartheta=vartheta, k_b=3.1)
-        times = np.arange(30) * 0.01
+        times = (np.arange(30) * 0.01).tolist()
         values = rng.uniform(-5.0, 5.0, (30, n))
         for k in range(30):
             t, h = float(times[k]), float(rng.uniform(0.0, 0.12))

@@ -174,7 +174,7 @@ class TestBufferIntegrate:
     @staticmethod
     def integral(stamps, commands, t0, t1):
         values = np.array(commands, float).reshape(len(stamps), -1)
-        return integrate(np.array(stamps, float), values, len(stamps), t0, t1)
+        return integrate([float(x) for x in stamps], values, len(stamps), t0, t1)
 
     def test_constant_signal(self):
         np.testing.assert_allclose(self.integral([0.0, 2.0], [3.0, 3.0], 0.5, 1.5), [3.0])
@@ -184,7 +184,7 @@ class TestBufferIntegrate:
         np.testing.assert_allclose(self.integral(ramp, ramp, 0.0, 1.0), [0.5], atol=1e-12)
 
     def test_empty_history(self):
-        np.testing.assert_allclose(integrate(np.empty(0), np.empty((0, 2)), 0, 0.0, 1.0),
+        np.testing.assert_allclose(integrate([], np.empty((0, 2)), 0, 0.0, 1.0),
                                    np.zeros(2))
 
     @pytest.mark.parametrize("bounds, name", [((0.0, math.nan), "t1"),
@@ -298,7 +298,7 @@ def test_integrate_matches_ndarray_reference(data):
     t0, t1 = _window(data, times)
     for m in range(1, len(times) + 1):
         expected = _reference_integrate(times[:m].tolist(), list(values[:m]), t0, t1)
-        total = integrate(times, values, m, t0, t1)
+        total = integrate(times.tolist(), values, m, t0, t1)
         assert [type(x) for x in total] == [float, float]  # Python floats
         assert np.array(total).tobytes() == expected.tobytes()
 
@@ -314,7 +314,7 @@ def test_integrate_matches_ndarray_reference_with_non_finite_commands(data):
     for m in range(1, len(times) + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             expected = _reference_integrate(times[:m].tolist(), list(values[:m]), t0, t1)
-        np.testing.assert_array_equal(integrate(times, values, m, t0, t1), expected)
+        np.testing.assert_array_equal(integrate(times.tolist(), values, m, t0, t1), expected)
 
 
 @given(st.data())
@@ -329,5 +329,5 @@ def test_integrate_matches_dense_quadrature(data):
     mid = 0.5 * (grid[:-1] + grid[1:])
     dense = (np.diff(grid)[:, None] * interpolate(times, values, mid)).sum(axis=0)
     scale = (t1 - t0) * max(1.0, np.abs(values).max())
-    np.testing.assert_allclose(integrate(times, values, len(times), t0, t1), dense, rtol=0.0,
-                               atol=1e-12 * scale + 1e-300)
+    np.testing.assert_allclose(integrate(times.tolist(), values, len(times), t0, t1), dense,
+                               rtol=0.0, atol=1e-12 * scale + 1e-300)

@@ -1,4 +1,7 @@
+import ast
+import builtins
 import math
+import re
 import warnings
 
 import numpy as np
@@ -345,6 +348,25 @@ class TestPlantConformance:
             assert (len(set(m_t)) == len(set(n_t)) == 1) == clean
             odd = face.bias_vector(q, q_dot, 0.0) - face.bias_vector(q, -q_dot, 0.0)
             assert (np.abs(odd).max() <= 1e-14) == clean
+
+    def test_kernel_keeps_to_its_names(self, make, disturbed):
+        # what the RK4 step relies on when it renames a kernel per stage: the
+        # kernel reads stage names, its constants and builtins, assigns every
+        # acceleration, and its temporaries are neither stage names nor
+        # underscored (the step's own names)
+        plant = make()
+        kernel = plant.kernel()
+        n = plant.dim
+        names = [node for node in ast.walk(ast.parse(kernel.source))
+                 if isinstance(node, ast.Name)]
+        stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)} - stored
+        accelerations = {f"a{i}" for i in range(n)}
+        assert accelerations <= stored
+        for name in stored - accelerations:
+            assert not re.fullmatch(r"_.*|[qva]\d+|[ut]", name), name
+        stage = {f"{p}{i}" for p in "qv" for i in range(n)} | {"u", "t"}
+        assert read <= stage | set(kernel.constants) | set(vars(builtins))
 
     def test_accel_returns_list_of_floats(self, make, disturbed):
         plant = make()

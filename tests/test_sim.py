@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -25,6 +26,7 @@ from arolc.scenario_io import apply_override, build_scenario, load_config
 from arolc.sim import (
     Scenario,
     SimulationDiverged,
+    _compile_step,
     _plan_periods,
     _rk4_step,
     error_dynamics_residual,
@@ -241,9 +243,9 @@ class TestCausality:
             diameter = 1.0
 
             def __call__(self, t):
+                # a scalar or an array of times, row by row as the contract asks
                 qd, qd_dot, qd_ddot = shifted(t)
-                if t >= t_star:
-                    qd = qd + 0.2
+                qd = np.where((np.asarray(t) >= t_star)[..., None], qd + 0.2, qd)
                 return qd, qd_dot, qd_ddot
 
         tr_a = simulate(Scenario(trajectory=shifted, **base))
@@ -377,15 +379,22 @@ class TestUnrolledStep:
             WmrParams(), mismatch=0.2, viscous=0.05,
             payload=PayloadSchedule(period_on=3.0, period_off=2.0,
                                     offsets=((0.05, 0.02), (-0.1, 0.0)))),
+        "disturbed-wmr": lambda: reduced_wmr_dynamics(
+            WmrParams(), mismatch=0.2, viscous=0.05, disturbance_amp=0.3,
+            disturbance_freq=1.7, phases=(0.4, -1.2),
+            payload=PayloadSchedule(period_on=3.0, period_off=2.0)),
+        "bare-wmr": lambda: reduced_wmr_dynamics(WmrParams()),
         "ndarray-accel-3": lambda: _NdarrayAccelPlant(3, seed=3),
         "ndarray-accel-6": lambda: _NdarrayAccelPlant(6, seed=6),
     }
 
     @pytest.mark.parametrize("name", sorted(PLANTS))
     def test_matches_ndarray_reference_bit_for_bit(self, name):
+        # through the plant's own kernel and through the call kernel, which
+        # calls its accel
         plant = self.PLANTS[name]()
         n = plant.dim
-        step = _rk4_step(n)
+        steps = [_rk4_step(plant.kernel(), n), _rk4_step(PlantModel.kernel(plant), n)]
         rng = np.random.default_rng(sorted(self.PLANTS).index(name))
         for _ in range(200):
             dt = rng.uniform(1e-4, 2e-2)
@@ -393,13 +402,47 @@ class TestUnrolledStep:
             instants = [t, t + 0.5 * dt, t + dt]  # as the planner rounds them
             y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-5.0, 5.0, n)])
             inputs = rng.uniform(-20.0, 20.0, (3, n)).tolist()
-            got = step(plant.accel, instants, tuple(y.tolist()), dt, inputs)
             expected = ndarray_rk4(plant.accel, instants, y, dt, inputs)
-            assert np.array(got, dtype=float).tobytes() == expected.tobytes()
+            for step in steps:
+                got = step(instants, tuple(y.tolist()), dt, inputs)
+                assert np.array(got, dtype=float).tobytes() == expected.tobytes()
 
     def test_built_once_per_dimension(self):
-        assert _rk4_step(2) is _rk4_step(2)
-        assert _rk4_step(2) is not _rk4_step(3)
+        # compiled once per (kernel, n); a later run binds its constants
+        arm = two_link_plant(TwoLinkParams()).kernel()
+        key = (arm.source, tuple(arm.constants))
+        assert _compile_step(*key, 2) is _compile_step(*key, 2)
+        assert _compile_step(*key, 2) is not _compile_step(*key, 3)
+        robot = reduced_wmr_dynamics(WmrParams()).kernel()
+        assert _compile_step(*key, 2) is not _compile_step(robot.source,
+                                                            tuple(robot.constants), 2)
+        def sc():
+            return free_scenario(
+                plant=two_link_plant(TwoLinkParams(viscous=0.1)), duration=0.05,
+                trajectory=SinusoidTrajectory(amplitude=(1e-12, 1e-12), frequency=(1.0, 1.0)))
+
+        simulate(sc())
+        compiled = _compile_step.cache_info().misses
+        simulate(sc())
+        assert _compile_step.cache_info().misses == compiled
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_link_plant(TwoLinkParams(viscous=0.3), disturbance_amp=0.5),
+        lambda: reduced_wmr_dynamics(WmrParams(), viscous=0.05, disturbance_amp=0.5,
+                                     payload=PayloadSchedule()),
+    ], ids=["two-link", "wmr"])
+    @pytest.mark.parametrize("y", [(0.3, 0.7, 1e8, -1e8), (1e8, -1e8, -1e8, 1e8),
+                                   (0.3, 0.7, 1e8, 1e8), (0.3, 0.7, math.nan, 0.0)],
+                             ids=["opposed-rates", "extreme-state", "equal-rates", "nan"])
+    def test_diverging_state_through_kernel_returns_none(self, make, y):
+        # from the largest states the guard lets a step start from: the
+        # stages overflow to inf and nan with no error and no warning, and
+        # the guard stops the step
+        plant = make()
+        step = _rk4_step(plant.kernel(), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert step([1.0, 1.005, 1.01], y, 0.01, [[0.1, -0.2]] * 3) is None
 
     def test_four_accel_calls_per_step(self):
         plant = point_mass_plant(2)
