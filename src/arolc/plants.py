@@ -25,12 +25,14 @@ the rows agree bit for bit wherever numpy's cos and sin round as libm's.
 
 Each closed-form plant states its float forward dynamics once, as its
 ``kernel``: a few statements over one state's names (positions q0, q1, ...,
-rates v0, v1, ..., the input sequence u and the time t) that assign the
-accelerations a0, a1, ..., reading constants bound from the plant once.
-Its ``accel`` runs the kernel on one state, and the simulator splices it
-into the unrolled RK4 step (``arolc.sim``), so that a step calls no
-``accel``. The base class's kernel is the call to ``accel`` itself. A
-plant's parameters are fixed once it is built.
+rates v0, v1, ..., the input sequence u, the time t and the value p of the
+plant's schedule at t, if it has one) that assign the accelerations a0, a1,
+..., reading constants bound from the plant once. The schedule is the
+plant's time-only part (the robot's payload phase). Its ``accel`` runs the
+kernel on one state, and the simulator splices it into the unrolled RK4
+step (``arolc.sim``), so that a step calls no ``accel``. The base class's
+kernel is the call to ``accel`` itself. A plant's parameters are fixed once
+it is built.
 
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
@@ -153,14 +155,22 @@ class Kernel(NamedTuple):
     """One state's float forward dynamics, as source.
 
     source is statements over the positions q0, q1, ..., the rates v0, v1,
-    ..., the input u (a length-dim sequence of floats) and the time t that
-    assign the accelerations a0, a1, ...; its own temporaries match none of
-    these names and start with no underscore. Every other name it reads is
-    a constant, the entry of constants of that name, bound once per use.
+    ..., the input u (a length-dim sequence of floats), the time t and,
+    with a schedule, p, that assign the accelerations a0, a1, ...; its own
+    temporaries match none of these names and start with no underscore.
+    Every other name it reads is a constant, the entry of constants of that
+    name, bound once per use.
+
+    schedule, if not None, is the plant's time-only part: p reads its value
+    at t. It maps a float t to that value, and an ndarray of times to an
+    object array of the same shape holding the value at each, so that the
+    simulator evaluates it once for a whole block of planned RK4 stage
+    instants and hands each stage its value, as it hands it u.
     """
 
     source: str
     constants: dict
+    schedule: object = None
 
 
 def _entries(prefix: str, n: int) -> str:
@@ -169,15 +179,17 @@ def _entries(prefix: str, n: int) -> str:
 
 
 @functools.cache
-def _compile_accel(source: str, names: tuple, n: int):
-    """The function of the constants names that binds them into
-    accel(q, q_dot, u, t), which runs the kernel source on one state of a
-    dimension-n plant: compiled once per (kernel, n), on first use."""
-    code = (f"def bind({', '.join(names)}):\n"
+def _compile_accel(source: str, names: tuple, n: int, scheduled: bool):
+    """The function of the schedule and the constants names that binds them
+    into accel(q, q_dot, u, t), which runs the kernel source on one state of
+    a dimension-n plant, p = schedule(t) first if the kernel is scheduled:
+    compiled once per (kernel, n), on first use."""
+    code = (f"def bind(schedule, {', '.join(names)}):\n"
             "    def accel(q, q_dot, u, t):\n"
             f"        {_entries('q', n)}= q\n"
             f"        {_entries('v', n)}= q_dot\n"
-            f"{textwrap.indent(source, ' ' * 8)}"
+            + ("        p = schedule(t)\n" if scheduled else "")
+            + f"{textwrap.indent(source, ' ' * 8)}"
             # float(): ndarray input gives numpy scalars
             f"        return [{', '.join(f'float(a{i})' for i in range(n))}]\n"
             "    return accel\n")
@@ -196,8 +208,9 @@ class _KernelPlant(PlantModel):
     @functools.cached_property
     def _accel(self):
         kernel = self.kernel()
-        return _compile_accel(kernel.source, tuple(kernel.constants),
-                              self.dim)(**kernel.constants)
+        return _compile_accel(kernel.source, tuple(kernel.constants), self.dim,
+                              kernel.schedule is not None)(kernel.schedule,
+                                                           **kernel.constants)
 
 
 def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
@@ -317,18 +330,11 @@ class _ReducedWmrPlant(_KernelPlant):
     """Wheel-space (theta_r, theta_l) dynamics of the differential drive."""
 
     dim = 2
-    # The row of the payload phase at t, _payload_phase(payload, max(t, 0))
-    # + 1 operation for operation (without its final - 1.0), the bias as
-    # _bias_terms forms it plus the disturbance, then a plain LU solve on the
-    # row's factors: el_accel to rounding
+    # p is the row of _phases at the stage's instant (_schedule); the bias
+    # as _bias_terms forms it plus the disturbance, then a plain LU solve on
+    # the row's factors: el_accel to rounding
     _KERNEL = """\
-if period:
-    t_on = 0.0 if 0.0 > t else t
-    cycle = t_on // period
-    row = int((cycle % count + 1.0) * (t_on - cycle * period < period_on))
-else:
-    row = 0
-diag, off, gyro, visc, lower, upper = phases[row]
+diag, off, gyro, visc, lower, upper = p
 s = gyro * (v0 - v1)
 n0, n1 = s * v1, s * -v0
 if viscous:
@@ -378,8 +384,24 @@ a0 = (b0 - off * a1) / diag
         if self.payload is None or t is None:
             return self._phases[0]
         if np.ndim(t):
-            rows = _payload_phase(self.payload, np.maximum(t, 0.0)) + 1.0
-            return np.array(self._phases)[rows.astype(int)].T
+            return np.array(self._phases)[self._rows(t)].T
+        return self._schedule(t)
+
+    def _rows(self, t):
+        """The index into _phases of the payload phase at each of an array
+        of times: _payload_phase at max(t, 0), plus one; 0 without payload."""
+        if self.payload is None:
+            return np.zeros(np.shape(t), int)
+        return (_payload_phase(self.payload, np.maximum(t, 0.0)) + 1.0).astype(int)
+
+    def _schedule(self, t):
+        """The kernel's p: the row of _phases at a float t, the factors of
+        its payload phase; over an ndarray of times, an object array of the
+        same shape holding the row at each."""
+        if isinstance(t, np.ndarray):
+            return np.fromiter(self._phases, object, len(self._phases))[self._rows(t)]
+        if self.payload is None:
+            return self._phases[0]
         return self._phases[int(_payload_phase(self.payload, max(t, 0.0))) + 1]
 
     def mass_matrix(self, q, t=None) -> np.ndarray:
@@ -411,13 +433,9 @@ a0 = (b0 - off * a1) / diag
         return [diag * a0 + off * a1 + n0, off * a0 + diag * a1 + n1]
 
     def kernel(self) -> Kernel:
-        payload = self.payload
-        period, period_on, count = (None, None, None) if payload is None else (
-            payload.period_on + payload.period_off, payload.period_on, len(payload.offsets))
         return Kernel(self._KERNEL, dict(
-            period=period, period_on=period_on, count=count, phases=self._phases,
             viscous=self.viscous,
-            disturbance=self.disturbance if self.disturbance_amp else None))
+            disturbance=self.disturbance if self.disturbance_amp else None), self._schedule)
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,

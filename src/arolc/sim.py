@@ -12,14 +12,18 @@ delayed, never the state).
 
 Where each lookup falls does not depend on the state: the command stamps,
 the RK4 stage instants (t, t + dt/2, t + dt of each step), the delays h
-there and the lookup instants t - h are all known before the run starts.
-``simulate`` therefore plans the stage instants and lookups of a block of
-control periods at once (``delays.plan`` against the stamps of the whole
-run), and once per period blends the commands pushed so far
-(``delays.blend`` on the tau_cmd rows 0..k) into the applied input of the
-coming period; each step reads its instants and its inputs from these
-rows. This is exact: every stage gets, bit for bit, the value
-``delays.interpolate`` on the pushed commands returns at its own instant.
+there and the lookup instants t - h are all known before the run starts,
+and so is the plant's schedule at each instant (its time-only part, the
+robot's payload phase: ``plants.Kernel``). ``simulate`` therefore plans
+the stage instants, the schedule's values there and the lookups of a
+block of control periods at once (the schedule on the block's instants,
+``delays.plan`` against the stamps of the whole run), and once per period
+blends the commands pushed so far (``delays.blend`` on the tau_cmd rows
+0..k) into the applied input of the coming period; each step reads its
+instants, its schedule values and its inputs from these rows. This is
+exact: every stage gets, bit for bit, the schedule's value at its own
+instant and the value ``delays.interpolate`` on the pushed commands
+returns there.
 
 Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
@@ -28,11 +32,12 @@ dimension and runs the plant's forward dynamics inline: each closed-form
 plant states them once, as a kernel of a few float statements
 (``plants.Kernel``), and ``_compile_step`` splices that kernel into the
 step at each of the four stages, with one local per entry and the
-divergence guard inline. It compiles once per (kernel, n), on the first
-run; a later run binds the plant's constants into the compiled step. A
-step thus calls no ``accel``, except where the plant has no kernel or an
-``accel`` is set on the instance (a tracer's wrapper, say): then the
-kernel is the call to that ``accel``. This is exact, not an
+divergence guard inline (a stage that raises ValueError, as math's cos of
+an overflowed position does, diverges too). It compiles once per (kernel,
+n), on the first run; a later run binds the plant's constants into the
+compiled step. A step thus calls no ``accel``, except where the plant has
+no kernel or an ``accel`` is set on the instance (a tracer's wrapper,
+say): then the kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
 the ndarray expression, so the traces are bit-identical to an ndarray
@@ -41,7 +46,8 @@ and q_dot as slices of that tuple and the reference as lists of floats
 (evaluated once per block of periods, the trajectory called on the block's
 stamps), and returns its command as a list (``arolc.controllers``). Arrays
 begin at the trace: its rows (written once per block, tau_cmd once per
-period), the planned lookups and the diagnostics fine grid.
+period), the planned lookups and the diagnostics fine grid (written once
+per period).
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -252,8 +258,8 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
-# A kernel's names of one stage: q{i}, v{i}, a{i}, u and t
-_STAGE_NAME = re.compile(r"\b(?:([qva])(\d+)|([ut]))\b")
+# A kernel's names of one stage: q{i}, v{i}, a{i}, u, t and p
+_STAGE_NAME = re.compile(r"\b(?:([qva])(\d+)|([utp]))\b")
 
 
 @functools.cache
@@ -265,15 +271,23 @@ def _compile_step(source: str, names: tuple, n: int):
 
     The step, ``rk4_step(instants, y, dt, inputs)``, advances the 2n floats
     y = (q, q_dot) over the stage instants (t, t + dt/2, t + dt); inputs
-    holds the applied input at each. It runs the kernel once per stage, on
+    holds the applied input at each. A kernel that reads p has a schedule,
+    and its step's instants carry, after the three instants, the
+    schedule's value at each. The step runs the kernel once per stage, on
     stage names of its own, and returns the new state as a tuple, or None
-    when an entry is not within +-_DIVERGENCE_LIMIT (NaN included). Each
-    entry is rounded as the ndarray expressions y + (dt / 2) k1,
-    y + (dt / 2) k2, y + dt k3 and y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
-    round it, with k_s = (q_dot, qdd) at stage s. The stage positions that
-    the kernel never reads are left out.
+    when an entry is not within +-_DIVERGENCE_LIMIT (NaN included) or a
+    stage raises ValueError, as math's cos and sin do on the infinite
+    position of an overflowing stage. Each entry is rounded as the ndarray
+    expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
+    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with
+    k_s = (q_dot, qdd) at stage s. The stage positions that the kernel
+    never reads are left out.
     """
-    reads_q = {int(m[2]) for m in _STAGE_NAME.finditer(source) if m[1] == "q"}
+    reads = [m.groups() for m in _STAGE_NAME.finditer(source)]
+    reads_q = {int(i) for prefix, i, _ in reads if prefix == "q"}
+    instants = "_t_start, _t_half, _t_end, "
+    if (None, None, "p") in reads:
+        instants += "_p_start, _p_half, _p_end, "
 
     def stage(s, at):
         # the kernel on stage s: q{i} -> _q{s}_{i}, u -> _u_{at}, ...
@@ -281,22 +295,25 @@ def _compile_step(source: str, names: tuple, n: int):
             prefix, i, free = m.groups()
             return f"_{prefix}{s}_{i}" if prefix else f"_{free}_{at}"
 
-        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 8)
+        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 12)
 
     # stage s runs the kernel at y + h k_{s-1}, k_{s-1} = (_v{s-1}_, _a{s-1}_);
     # stage 1 at y = (_q1_, _v1_) itself
     lines = [f"def bind({', '.join(names)}):",
              "    def rk4_step(_instants, _y, _dt, _inputs):",
-             "        _t_start, _t_half, _t_end = _instants",
+             f"        {instants}= _instants",
              "        _u_start, _u_half, _u_end = _inputs",
              f"        {_entries('_q1_', n)}{_entries('_v1_', n)}= _y",
              "        _half = 0.5 * _dt",
+             "        try:",
              stage(1, "start")]
     for s, h, at in ((2, "_half", "half"), (3, "_half", "half"), (4, "_dt", "end")):
-        lines += [f"        _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}" for i in sorted(reads_q)]
-        lines += [f"        _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
+        lines += [f"            _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}" for i in sorted(reads_q)]
+        lines += [f"            _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
         lines.append(stage(s, at))
-    lines.append("        _sixth = _dt / 6.0")
+    lines += ["        except ValueError:",
+              "            return None",
+              "        _sixth = _dt / 6.0"]
     lines += [f"        _y{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) + 2.0 * _v3_{i}) "
               f"+ _v4_{i})" for i in range(n)]
     lines += [f"        _y{n + i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
@@ -370,7 +387,12 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             stage_t, stage_h, plans, before, after = _plan_periods(
                 profile, stamps, k0, k1, steps_per_control, dt, n)
             trace.h[k0:k1] = stage_h[:, 0, 0]
-            stage_t = stage_t.tolist()
+            step_instants = stage_t
+            if kernel.schedule is not None:
+                # each step's instants, then the schedule's value at each
+                step_instants = np.concatenate(
+                    [stage_t.astype(object), kernel.schedule(stage_t)], axis=-1)
+            step_instants = step_instants.tolist()
             # per period, the reference triple at its stamp
             reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
             rows = []  # the block's trace rows, written at its end
@@ -393,17 +415,23 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             if k == n_rows - 1:
                 break
 
-        j = k * steps_per_control  # the fine row of the step's start
-        for instants, inputs in zip(stage_t[p], stage_tau):
+        states = []  # the fine grid's rows of the period, one per step
+        for instants, inputs in zip(step_instants[p], stage_tau):
             y = rk4_step(instants, y, dt, inputs)
-            j += 1
             if y is None:
-                _write_rows(trace, k0, rows)
-                raise SimulationDiverged(instants[2], trace.head(k + 1, j))
+                break
             if fine is not None:
-                fine.t[j] = instants[2]
-                fine.q[j] = y[:n]
-                fine.q_dot[j] = y[n:]
+                states.append(y)
+        j = k * steps_per_control + 1  # the fine row after the period's first step
+        if states:
+            m = len(states)
+            block = np.array(states)
+            fine.t[j:j + m] = stage_t[p, :m, 2]
+            fine.q[j:j + m] = block[:, :n]
+            fine.q_dot[j:j + m] = block[:, n:]
+        if y is None:
+            _write_rows(trace, k0, rows)
+            raise SimulationDiverged(instants[2], trace.head(k + 1, j + len(states)))
 
     return trace
 

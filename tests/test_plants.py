@@ -353,7 +353,8 @@ class TestPlantConformance:
         # what the RK4 step relies on when it renames a kernel per stage: the
         # kernel reads stage names, its constants and builtins, assigns every
         # acceleration, and its temporaries are neither stage names nor
-        # underscored (the step's own names)
+        # underscored (the step's own names); it reads p iff it has a
+        # schedule, which the step then takes with its instants
         plant = make()
         kernel = plant.kernel()
         n = plant.dim
@@ -364,9 +365,10 @@ class TestPlantConformance:
         accelerations = {f"a{i}" for i in range(n)}
         assert accelerations <= stored
         for name in stored - accelerations:
-            assert not re.fullmatch(r"_.*|[qva]\d+|[ut]", name), name
-        stage = {f"{p}{i}" for p in "qv" for i in range(n)} | {"u", "t"}
+            assert not re.fullmatch(r"_.*|[qva]\d+|[utp]", name), name
+        stage = {f"{p}{i}" for p in "qv" for i in range(n)} | {"u", "t", "p"}
         assert read <= stage | set(kernel.constants) | set(vars(builtins))
+        assert ("p" in read) == (kernel.schedule is not None)
 
     def test_accel_returns_list_of_floats(self, make, disturbed):
         plant = make()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arolc import sim
 from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, blend, delay_at, interpolate
 from arolc.plants import (
@@ -16,6 +17,7 @@ from arolc.plants import (
     PlantModel,
     TwoLinkParams,
     WmrParams,
+    _payload_phase,
     el_accel,
     oscillator_plant,
     point_mass_plant,
@@ -367,6 +369,14 @@ def ndarray_rk4(accel, instants, y, dt, inputs):
     return y + (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
 
 
+def with_schedule(kernel, instants):
+    """A step's instants as simulate hands them to the step of kernel: the
+    schedule's value at each follows them if the kernel has one."""
+    if kernel.schedule is None:
+        return instants
+    return instants + [kernel.schedule(t) for t in instants]
+
+
 class TestUnrolledStep:
     PLANTS = {
         "oscillator": lambda: oscillator_plant(stiffness=2.5, mass=0.7),
@@ -393,19 +403,37 @@ class TestUnrolledStep:
         # through the plant's own kernel and through the call kernel, which
         # calls its accel
         plant = self.PLANTS[name]()
-        n = plant.dim
-        steps = [_rk4_step(plant.kernel(), n), _rk4_step(PlantModel.kernel(plant), n)]
         rng = np.random.default_rng(sorted(self.PLANTS).index(name))
         for _ in range(200):
             dt = rng.uniform(1e-4, 2e-2)
             t = rng.uniform(0.0, 25.0)  # across the payload's phases
-            instants = [t, t + 0.5 * dt, t + dt]  # as the planner rounds them
-            y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-5.0, 5.0, n)])
-            inputs = rng.uniform(-20.0, 20.0, (3, n)).tolist()
-            expected = ndarray_rk4(plant.accel, instants, y, dt, inputs)
-            for step in steps:
-                got = step(instants, tuple(y.tolist()), dt, inputs)
-                assert np.array(got, dtype=float).tobytes() == expected.tobytes()
+            self.assert_matches_reference(plant, t, dt, rng)
+
+    @staticmethod
+    def assert_matches_reference(plant, t, dt, rng):
+        n = plant.dim
+        instants = [t, t + 0.5 * dt, t + dt]  # as the planner rounds them
+        y = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-5.0, 5.0, n)])
+        inputs = rng.uniform(-20.0, 20.0, (3, n)).tolist()
+        expected = ndarray_rk4(plant.accel, instants, y, dt, inputs)
+        for kernel in (plant.kernel(), PlantModel.kernel(plant)):
+            step = _rk4_step(kernel, n)
+            got = step(with_schedule(kernel, instants), tuple(y.tolist()), dt, inputs)
+            assert np.array(got, dtype=float).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["payload-wmr", "disturbed-wmr"])
+    @pytest.mark.parametrize("stage", [0, 1, 2], ids=["start", "half", "end"])
+    @pytest.mark.parametrize("switch", [3.0, 5.0, 8.0])
+    def test_matches_reference_on_a_payload_switch(self, name, stage, switch):
+        # steps whose t, t + dt/2 or t + dt falls exactly on a switch of the
+        # 3 s on, 2 s off schedule; dt = 2**-k keeps each landing exact
+        plant = self.PLANTS[name]()
+        rng = np.random.default_rng([stage, int(switch)])
+        for k in range(4, 12):
+            dt = 2.0 ** -k
+            t = switch - stage * 0.5 * dt
+            assert [t, t + 0.5 * dt, t + dt][stage] == switch
+            self.assert_matches_reference(plant, t, dt, rng)
 
     def test_built_once_per_dimension(self):
         # compiled once per (kernel, n); a later run binds its constants
@@ -432,17 +460,22 @@ class TestUnrolledStep:
                                      payload=PayloadSchedule()),
     ], ids=["two-link", "wmr"])
     @pytest.mark.parametrize("y", [(0.3, 0.7, 1e8, -1e8), (1e8, -1e8, -1e8, 1e8),
-                                   (0.3, 0.7, 1e8, 1e8), (0.3, 0.7, math.nan, 0.0)],
-                             ids=["opposed-rates", "extreme-state", "equal-rates", "nan"])
+                                   (0.3, 0.7, 1e8, 1e8), (0.3, 0.7, math.nan, 0.0),
+                                   (0.3, 0.7, 1e200, 1.0)],
+                             ids=["opposed-rates", "extreme-state", "equal-rates", "nan",
+                                  "overflowing-rate"])
     def test_diverging_state_through_kernel_returns_none(self, make, y):
         # from the largest states the guard lets a step start from: the
         # stages overflow to inf and nan with no error and no warning, and
-        # the guard stops the step
-        plant = make()
-        step = _rk4_step(plant.kernel(), 2)
+        # the guard stops the step. From a rate of 1e200 the arm's third
+        # stage position is infinite, whose cos math rejects with
+        # ValueError: the step returns None there too
+        kernel = make().kernel()
+        step = _rk4_step(kernel, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert step([1.0, 1.005, 1.01], y, 0.01, [[0.1, -0.2]] * 3) is None
+            assert step(with_schedule(kernel, [1.0, 1.005, 1.01]), y, 0.01,
+                        [[0.1, -0.2]] * 3) is None
 
     def test_four_accel_calls_per_step(self):
         plant = point_mass_plant(2)
@@ -459,6 +492,38 @@ class TestUnrolledStep:
                                                          frequency=(1.0, 1.0)))
         simulate(sc)
         assert len(calls) == 4 * 50
+
+
+class TestPlannedSchedule:
+    def test_each_step_reads_the_phase_row_of_its_instants(self, monkeypatch):
+        # a 26 s robot run through the payload switches at 5, 10, 15, 20 and
+        # 25 s and all three offsets: every step gets, after its three
+        # instants, the row of _phases at the float _payload_phase of each,
+        # as the robot's accel reads it
+        sc = TestPinnedTraces.shipped("wmr_s1_arolc", "26.0")
+        plant = sc.plant
+        seen = []
+        compile_step = sim._rk4_step
+
+        def recording(kernel, n):
+            step = compile_step(kernel, n)
+
+            def rk4_step(instants, y, dt, inputs):
+                seen.append(instants)
+                return step(instants, y, dt, inputs)
+
+            return rk4_step
+
+        monkeypatch.setattr(sim, "_rk4_step", recording)
+        simulate(sc)
+        assert len(seen) == 26_000
+        read = set()
+        for instants in seen:
+            times, rows = instants[:3], instants[3:]
+            assert rows == [plant._phases[int(_payload_phase(plant.payload, t)) + 1]
+                            for t in times]
+            read.update(rows)
+        assert read == set(plant._phases)
 
 
 class TestDivergenceGuard:
@@ -532,8 +597,9 @@ class TestDivergenceGuard:
 
 class TestPinnedTraces:
     """sha256 over every Trace array of the first 2 s of four shipped robot
-    runs and of the first 1 s of the shipped two-link run (with its
-    fine-grid q and q_dot), and over that run's error-dynamics residual.
+    runs, of the first 10.5 s of a fifth (through two payload switches) and
+    of the first 1 s of the shipped two-link run (with its fine-grid q and
+    q_dot), and over that run's error-dynamics residual.
     The digests pin the simulator's floating-point
     results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
     moves one bit of a trace fails here. The plants' accel and both control
@@ -551,6 +617,9 @@ class TestPinnedTraces:
         "wmr_s4_pconf": "37b360da491a5e7ad33600ff2bc3289e608f1134d8c07402a54522570ce70ee7",
     }
     TWO_LINK_FINE_DIGEST = "b66cf96802ecba1dd2f670c2d134d6a05dae4e31e5bf77ced0651a579eefb149"
+    # the first 10.5 s of wmr_s3_arolc, across the payload switches at 5 s
+    # and 10 s
+    SWITCHES_DIGEST = "511886e2a6fd41ce8c1d96ce5db7973c73cf0702c723ef6d62e9aba8b47bd2ad"
     TWO_LINK_RESIDUAL_DIGEST = (
         "cbdd88e8440bd2389bdbd9296ff98c7ec874e4966cb5e36167dc5d44f1e3957b")
 
@@ -576,6 +645,10 @@ class TestPinnedTraces:
     def test_digest(self, stem):
         trace = simulate(self.shipped(stem, "2.0"))
         assert self.digest(trace) == self.DIGESTS[stem]
+
+    def test_digest_across_payload_switches(self):
+        trace = simulate(self.shipped("wmr_s3_arolc", "10.5"))
+        assert self.digest(trace) == self.SWITCHES_DIGEST
 
     def test_two_link_fine_grid_digest(self):
         trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
@@ -907,6 +980,36 @@ class TestWarningsAndErrors:
         for name, rows in (("t", 124), ("q", 124), ("q_dot", 124),
                            ("cmd_u", 13), ("cmd_du", 13)):
             assert np.array_equal(getattr(fine, name), getattr(full.fine, name)[:rows])
+
+
+    def test_arm_stage_overflow_diverges_with_its_rows(self):
+        # a featherweight arm (1e-150 kg links) with stiff friction: once the
+        # delayed torque arrives at t = 0.12 s, a stage rate overflows and the
+        # next stage position is infinite, whose cos math rejects with
+        # ValueError. The run ends in SimulationDiverged, with no warning,
+        # and its partial trace is the head of the run cut before it
+        def scenario(duration):
+            return Scenario(
+                plant=two_link_plant(TwoLinkParams(m1=1e-150, m2=1e-150, I1=0.0, I2=0.0,
+                                                   viscous=1e10, gravity=0.0)),
+                trajectory=SinusoidTrajectory(), delay=DelayProfile("S4"),
+                controller=ArolcConfig(GainSet.identity(2)), duration=duration,
+                dt=1e-3, dt_control=1e-2, qdot0=np.zeros(2))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDiverged) as excinfo:
+                simulate(scenario(0.5), diagnostics=True)
+        exc = excinfo.value
+        assert exc.time == pytest.approx(0.121, abs=1e-12)
+        partial = exc.partial_trace
+        assert len(partial) == 13 and len(partial.fine.t) == 121
+        full = simulate(scenario(0.12), diagnostics=True)
+        for f in dataclasses.fields(partial):
+            if f.name != "fine":
+                assert np.array_equal(getattr(partial, f.name), getattr(full, f.name))
+        for f in dataclasses.fields(partial.fine):
+            assert np.array_equal(getattr(partial.fine, f.name), getattr(full.fine, f.name))
 
 
 class TestTraceCsv:
