@@ -54,7 +54,6 @@ from .plants import (
     point_mass_plant,
     reconstruct_posture,
     reduced_wmr_dynamics,
-    two_link_matrices,
     two_link_plant,
 )
 from .scenario_io import (

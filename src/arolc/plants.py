@@ -18,21 +18,30 @@ disturbance); the nominal model has no others. ``accel`` and its inverse
 tau, t) is the forward dynamics at time t, torque(q, q_dot, qdd) = M(q) qdd
 + N(q, q_dot) the inverse dynamics of the time-free terms, which the
 adaptive-robust law evaluates on the nominal model once per control period.
-mass_matrix and bias_vector evaluate one expression per entry: on Python
-floats (``math`` trigonometry) for a single state, on the (B,) columns
-(numpy's) for a stack, with the same operations in the same order, so that
-the rows agree bit for bit wherever numpy's cos and sin round as libm's.
 
-Each closed-form plant states its float forward dynamics once, as its
-``kernel``: a few statements over one state's names (positions q0, q1, ...,
-rates v0, v1, ..., the input sequence u, the time t and the value p of the
-plant's schedule at t, if it has one) that assign the accelerations a0, a1,
-..., reading constants bound from the plant once. The schedule is the
-plant's time-only part (the robot's payload phase). Its ``accel`` runs the
-kernel on one state, and the simulator splices it into the unrolled RK4
-step (``arolc.sim``), so that a step calls no ``accel``. The base class's
-kernel is the call to ``accel`` itself. A plant's parameters are fixed once
-it is built.
+Each closed-form plant states its dynamics once, as source strings over
+one state's names: the positions q0, q1, ..., the rates v0, v1, ...,
+and the value p of the plant's schedule (its time-only part, the robot's
+payload phase), if it has one. ``_MASS`` assigns M's upper entries
+m{i}_{j} (i <= j; an entry it does not assign is zero), ``_BIAS`` N's
+time-free entries n{i}, reading no name _MASS assigns, and ``_SOLVE``,
+which also reads the input sequence u and the time t, the accelerations
+a{i} of M a = u - N less the disturbance at t. A schedule whose value is a
+row of numbers names its entries in a fourth string, ``_ROW``, which
+unpacks p before the others run (the robot's row holds M's entries
+themselves, so its _MASS is empty). Every other name they read is a
+constant of the plant. One generator (``_compile_face``) compiles every
+face from these strings, each on first use: the kernel (all of them),
+which the simulator splices into the unrolled RK4 step (``arolc.sim``), so
+that a step calls no ``accel``; ``accel``, the kernel on one state;
+``torque``, _ROW, _MASS and _BIAS at the schedule's time-free value, each
+row of M qdd + N summed left to right; ``mass_matrix``, _ROW and _MASS;
+and ``bias_vector``, _ROW and _BIAS, plus the disturbance at t.
+mass_matrix and bias_vector run on a single state's Python floats
+(``math`` trigonometry) or on a stack's (B,) columns (numpy's), with the
+same operations in the same order, so that the rows agree bit for bit
+wherever numpy's cos and sin round as libm's. A plant's parameters are
+fixed once it is built.
 
 ``reduced_wmr_dynamics`` returns the 2-DOF wheel-space (theta_r, theta_l)
 plant of the differential drive, derived from the kinetic energy written
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import textwrap
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -65,7 +75,6 @@ __all__ = [
     "payload_mass",
     "reduced_wmr_dynamics",
     "TwoLinkParams",
-    "two_link_matrices",
     "two_link_plant",
     "point_mass_plant",
     "oscillator_plant",
@@ -144,8 +153,7 @@ class PlantModel:
     def torque(self, q, q_dot, qdd) -> list[float]:
         """Inverse dynamics M(q) qdd + N(q, q_dot) of the time-free terms
         (mass_matrix and bias_vector at t = None), a list of dim Python
-        floats; subclasses override it with a float closed form that sums
-        each row of M(q) qdd left to right."""
+        floats; closed-form plants sum each row of M(q) qdd left to right."""
         q = np.asarray(q, float)
         return (self.mass_matrix(q) @ np.asarray(qdd, float)
                 + self.bias_vector(q, np.asarray(q_dot, float), None)).tolist()
@@ -157,9 +165,10 @@ class Kernel(NamedTuple):
     source is statements over the positions q0, q1, ..., the rates v0, v1,
     ..., the input u (a length-dim sequence of floats), the time t and,
     with a schedule, p, that assign the accelerations a0, a1, ...; its own
-    temporaries match none of these names and start with no underscore.
-    Every other name it reads is a constant, the entry of constants of that
-    name, bound once per use.
+    temporaries (a closed-form plant's m{i}_{j}, n{i} and _ROW names among them) match
+    none of these names and start with no underscore. Every other name it
+    reads is a constant, the entry of constants of that name, bound once
+    per use.
 
     schedule, if not None, is the plant's time-only part: p reads its value
     at t. It maps a float t to that value, and an ndarray of times to an
@@ -178,39 +187,148 @@ def _entries(prefix: str, n: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(n))
 
 
-@functools.cache
-def _compile_accel(source: str, names: tuple, n: int, scheduled: bool):
-    """The function of the schedule and the constants names that binds them
-    into accel(q, q_dot, u, t), which runs the kernel source on one state of
-    a dimension-n plant, p = schedule(t) first if the kernel is scheduled:
-    compiled once per (kernel, n), on first use."""
-    code = (f"def bind(schedule, {', '.join(names)}):\n"
-            "    def accel(q, q_dot, u, t):\n"
-            f"        {_entries('q', n)}= q\n"
-            f"        {_entries('v', n)}= q_dot\n"
-            + ("        p = schedule(t)\n" if scheduled else "")
-            + f"{textwrap.indent(source, ' ' * 8)}"
-            # float(): ndarray input gives numpy scalars
-            f"        return [{', '.join(f'float(a{i})' for i in range(n))}]\n"
-            "    return accel\n")
+def _compile(lines, name: str):
+    """The function bind that lines of Python source define, compiled under
+    the file name <name>, as ``dataclasses`` builds its methods."""
     namespace = {}
-    exec(compile(code, f"<accel kernel, n = {n}>", "exec"), namespace)
+    exec(compile("\n".join(lines) + "\n", f"<{name}>", "exec"), namespace)
     return namespace["bind"]
 
 
+# M's upper entries m{i}_{j} that a plant's _ROW and _MASS name
+_MASS_ENTRY = re.compile(r"\bm(\d+)_(\d+)\b")
+
+
+@functools.cache
+def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: tuple,
+                  n: int, scheduled: bool):
+    """The function bind(_schedule, **constants) that binds a dimension-n
+    plant's schedule (None if not scheduled) and its constants names into
+    one face compiled from its strings (see _KernelPlant): compiled once per
+    (face, strings, names, n), on first use. The face's own names start
+    with an underscore, so that no constant is shadowed.
+
+    accel(_q, _q_dot, u, t) -> [a0, ...] as Python floats (ndarray entries
+    give numpy scalars), p = _schedule(t); torque(_q, _q_dot, _qdd) ->
+    [M qdd + N] at p = _schedule(None); mass(_q, p) -> M as nested tuples
+    and bias(_q, _q_dot, p) -> (n0, ...), on floats or on (B,) columns.
+    """
+    upper = {(int(i), int(j)) for i, j in _MASS_ENTRY.findall(row + mass)}
+    # M's entries by row: the name of the upper entry, None where it is zero
+    matrix = [[f"m{min(i, j)}_{max(i, j)}" if (min(i, j), max(i, j)) in upper else None
+               for j in range(n)] for i in range(n)]
+    state = f"{_entries('q', n)}= _q\n{_entries('v', n)}= _q_dot\n"
+    bind = [f"def bind(_schedule, {', '.join(names)}):"]
+    if face == "accel":
+        args = "_q, _q_dot, u, t"
+        body = state + ("p = _schedule(t)\n" if scheduled else "") + row + mass + bias + solve
+        result = f"[{', '.join(f'float(a{i})' for i in range(n))}]"
+    elif face == "torque":
+        if scheduled:
+            bind.append("    _p_free = _schedule(None)")
+        args = "_q, _q_dot, _qdd"
+        body = (state + f"{_entries('a', n)}= _qdd\n" + ("p = _p_free\n" if scheduled else "")
+                + row + mass + bias)
+        result = "[" + ", ".join(" + ".join(
+            [f"{m} * a{j}" for j, m in enumerate(entries) if m] + [f"n{i}"])
+            for i, entries in enumerate(matrix)) + "]"
+    elif face == "mass":
+        args, body = "_q, p", f"{_entries('q', n)}= _q\n" + row + mass
+        result = "(" + "".join(f"({''.join(f'{m or 0.0}, ' for m in entries)}), "
+                               for entries in matrix) + ")"
+    else:  # bias
+        args, body = "_q, _q_dot, p", state + row + bias
+        result = f"({_entries('n', n)})"
+    return _compile(bind + [f"    def _face({args}):", textwrap.indent(body, " " * 8),
+                            f"        return {result}", "    return _face"],
+                    f"{face} face, n = {n}")
+
+
 class _KernelPlant(PlantModel):
-    """A plant whose float forward dynamics is its kernel."""
+    """A plant that states its dynamics once, as the strings _ROW, _MASS,
+    _BIAS and _SOLVE (see the module docstring), over the constants that
+    _constants() names; cos, sin (math's) and the disturbance (None without
+    one) are bound with them.
+
+    A scheduled plant lists its schedule's values in _phases, one per phase
+    (None: no schedule), and _phase(t) is the index of the phase at a float
+    t (0 at t = None) or the int array of those indices over an ndarray of
+    times; _schedule is then Kernel.schedule, and the stacked faces read
+    their p columns from the float table of _phases.
+
+    Every face is compiled from the strings (``_compile_face``) on its first
+    use and bound to the plant's constants once: the kernel runs all four
+    strings, accel the kernel on one state, torque _ROW, _MASS and _BIAS at
+    the time-free p, mass_matrix _ROW and _MASS, and bias_vector _ROW and
+    _BIAS, on one state's floats or, with numpy's cos and sin bound, on a
+    stack's columns.
+    """
+
+    _ROW = ""
+    _phases = None
+
+    def _schedule(self, t):
+        """p at t: the value of the phase at a float t (phase 0 at t = None);
+        over an ndarray of times, an object array of the same shape holding
+        the value at each."""
+        if isinstance(t, np.ndarray):
+            return self._phase_arrays[0][self._phase(t)]
+        return self._phases[self._phase(t)]
+
+    @functools.cached_property
+    def _phase_arrays(self):
+        """_phases as an object array, which _schedule indexes, and as a
+        float table, whose rows the stacked faces index."""
+        return (np.fromiter(self._phases, object, len(self._phases)),
+                np.array(self._phases, float))
+
+    def kernel(self) -> Kernel:
+        return Kernel(self._ROW + self._MASS + self._BIAS + self._SOLVE, dict(
+            self._constants(), cos=math.cos, sin=math.sin,
+            disturbance=self.disturbance if self.disturbance_amp else None),
+            None if self._phases is None else self._schedule)
+
+    @functools.cached_property
+    def _faces(self) -> dict:
+        """The faces bound so far, by (face, stacked)."""
+        return {}
+
+    def _face(self, face: str, stacked: bool = False):
+        bound = self._faces.get((face, stacked))
+        if bound is None:
+            kernel = self.kernel()
+            constants = (dict(kernel.constants, cos=np.cos, sin=np.sin) if stacked
+                         else kernel.constants)
+            bound = self._faces[face, stacked] = _compile_face(
+                face, self._ROW, self._MASS, self._BIAS, self._SOLVE, tuple(constants),
+                self.dim, kernel.schedule is not None)(kernel.schedule, **constants)
+        return bound
+
+    def _at(self, t, batch: int | None):
+        """The faces' p at t: the schedule's value (None without one), or
+        its (B,) columns at a stack's times."""
+        if self._phases is None:
+            return None
+        if batch is None or t is None:
+            return self._schedule(t)
+        return self._phase_arrays[1][self._phase(np.asarray(t, float))].T
 
     def accel(self, q, q_dot, tau_applied, t: float) -> list[float]:
         """The kernel on one state (see PlantModel.accel)."""
-        return self._accel(q, q_dot, tau_applied, t)
+        return self._face("accel")(q, q_dot, tau_applied, t)
 
-    @functools.cached_property
-    def _accel(self):
-        kernel = self.kernel()
-        return _compile_accel(kernel.source, tuple(kernel.constants), self.dim,
-                              kernel.schedule is not None)(kernel.schedule,
-                                                           **kernel.constants)
+    def torque(self, q, q_dot, qdd) -> list[float]:
+        return self._face("torque")(q, q_dot, qdd)
+
+    def mass_matrix(self, q, t=None) -> np.ndarray:
+        q, batch = _columns(q)
+        return _stack(self._face("mass", batch is not None)(q, self._at(t, batch)), batch)
+
+    def bias_vector(self, q, q_dot, t) -> np.ndarray:
+        q, batch = _columns(q)
+        q_dot, _ = _columns(q_dot)
+        n = self._face("bias", batch is not None)(q, q_dot, self._at(t, batch))
+        return self._disturbed(_stack(n, batch), t, batch)
 
 
 def el_accel(plant: PlantModel, q, q_dot, tau_applied, t: float) -> np.ndarray:
@@ -330,22 +448,27 @@ class _ReducedWmrPlant(_KernelPlant):
     """Wheel-space (theta_r, theta_l) dynamics of the differential drive."""
 
     dim = 2
-    # p is the row of _phases at the stage's instant (_schedule); the bias
-    # as _bias_terms forms it plus the disturbance, then a plain LU solve on
-    # the row's factors: el_accel to rounding
-    _KERNEL = """\
-diag, off, gyro, visc, lower, upper = p
+    # p is the row of _phases at the state's instant (_schedule): M's
+    # entries, N's gains and M's LU factors
+    _ROW = "m0_0, m0_1, m1_1, gyro, visc, lower, upper = p\n"
+    _MASS = ""
+    # gyroscopic coupling, plus rolling resistance when set
+    _BIAS = """\
 s = gyro * (v0 - v1)
 n0, n1 = s * v1, s * -v0
 if viscous:
     n0, n1 = n0 + visc * v0, n1 + visc * v1
+"""
+    # the bias plus the disturbance, then a plain LU solve on the row's
+    # factors: el_accel to rounding
+    _SOLVE = """\
 if disturbance:
     d0, d1 = disturbance(t).tolist()
     n0, n1 = n0 + d0, n1 + d1
 tau0, tau1 = u
 b0, b1 = tau0 - n0, tau1 - n1
 a1 = (b1 - lower * b0) / upper
-a0 = (b0 - off * a1) / diag
+a0 = (b0 - m0_1 * a1) / m0_0
 """
 
     def __init__(self, params, payload=None, viscous=0.0, nominal=None,
@@ -371,71 +494,25 @@ a0 = (b0 - off * a1) / diag
             # rolling resistance scales with the carried weight
             gyro = 2.0 * (params.K + dm * dx) * a * c * c
             visc = viscous * (m_eff / params.m)
-            # the kernel's LU factors: partial pivoting keeps row 0, as
-            # diag - |off| = I_w + 2 min(m a^2, j c^2) > 0, and l is scaled by
-            # the reciprocal pivot
+            # the LU factors: partial pivoting keeps row 0, as diag - |off| =
+            # I_w + 2 min(m a^2, j c^2) > 0, and l is scaled by the
+            # reciprocal pivot
             lower = off * (1.0 / diag)
-            self._phases.append((diag, off, gyro, visc, lower, diag - lower * off))
+            self._phases.append((diag, off, diag, gyro, visc, lower, diag - lower * off))
 
-    def _factors(self, t):
-        """(diag, off, gyro, visc, lower, upper) of the payload phase at t:
-        floats at a float t, (B,) columns over a (B,) array of times; row 0
-        at t = None."""
-        if self.payload is None or t is None:
-            return self._phases[0]
-        if np.ndim(t):
-            return np.array(self._phases)[self._rows(t)].T
-        return self._schedule(t)
-
-    def _rows(self, t):
-        """The index into _phases of the payload phase at each of an array
-        of times: _payload_phase at max(t, 0), plus one; 0 without payload."""
-        if self.payload is None:
-            return np.zeros(np.shape(t), int)
-        return (_payload_phase(self.payload, np.maximum(t, 0.0)) + 1.0).astype(int)
-
-    def _schedule(self, t):
-        """The kernel's p: the row of _phases at a float t, the factors of
-        its payload phase; over an ndarray of times, an object array of the
-        same shape holding the row at each."""
+    def _phase(self, t):
+        """The row of _phases at t: _payload_phase at max(t, 0), plus one;
+        row 0 without payload or at t = None."""
         if isinstance(t, np.ndarray):
-            return np.fromiter(self._phases, object, len(self._phases))[self._rows(t)]
-        if self.payload is None:
-            return self._phases[0]
-        return self._phases[int(_payload_phase(self.payload, max(t, 0.0))) + 1]
+            if self.payload is None:
+                return np.zeros(t.shape, int)
+            return (_payload_phase(self.payload, np.maximum(t, 0.0)) + 1.0).astype(int)
+        if self.payload is None or t is None:
+            return 0
+        return int(_payload_phase(self.payload, max(t, 0.0))) + 1
 
-    def mass_matrix(self, q, t=None) -> np.ndarray:
-        diag, off, *_ = self._factors(t)
-        # the inertia is constant in q; the state only sets the batch
-        return _stack([[diag, off], [off, diag]], None if np.ndim(q) == 1 else len(q))
-
-    def _bias_terms(self, gyro, visc, qd0, qd1):
-        """(N1, N2) without the disturbance: gyroscopic coupling plus
-        rolling resistance when set (floats, or (B,) columns)."""
-        s = gyro * (qd0 - qd1)
-        n0, n1 = s * qd1, s * -qd0
-        if self.viscous:
-            n0, n1 = n0 + visc * qd0, n1 + visc * qd1
-        return n0, n1
-
-    def bias_vector(self, q, q_dot, t) -> np.ndarray:
-        (qd0, qd1), batch = _columns(q_dot)
-        _, _, gyro, visc, *_ = self._factors(t)
-        return self._disturbed(_stack(self._bias_terms(gyro, visc, qd0, qd1), batch),
-                               t, batch)
-
-    def torque(self, q, q_dot, qdd) -> list[float]:
-        """M qdd + N of the bare body (phase row 0), on floats."""
-        diag, off, gyro, visc, *_ = self._phases[0]
-        qd0, qd1 = q_dot
-        a0, a1 = qdd
-        n0, n1 = self._bias_terms(gyro, visc, qd0, qd1)
-        return [diag * a0 + off * a1 + n0, off * a0 + diag * a1 + n1]
-
-    def kernel(self) -> Kernel:
-        return Kernel(self._KERNEL, dict(
-            viscous=self.viscous,
-            disturbance=self.disturbance if self.disturbance_amp else None), self._schedule)
+    def _constants(self) -> dict:
+        return dict(viscous=self.viscous)
 
 
 def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
@@ -534,117 +611,57 @@ class TwoLinkParams:
             raise ValueError("gravity must be finite")
 
 
-def _two_link_coefficients(p: TwoLinkParams):
-    """The parameter products of the arm's M and N: (inertia, bias) tuples.
-
-    Each product is a left-to-right prefix of the expression it was written
-    in, e.g. m1 lc1^2 + I1 + I2 of M11 = m1 lc1^2 + I1 + I2 + m2 (l1^2 +
-    lc2^2 + 2 l1 lc2 cos q1), so hoisting it keeps every rounding.
-    """
-    inertia = (
-        p.m1 * p.lc1 ** 2 + p.I1 + p.I2,
-        p.m2,
-        p.l1 ** 2 + p.lc2 ** 2,
-        2.0 * p.l1 * p.lc2,
-        p.lc2 ** 2,
-        p.l1 * p.lc2,
-        p.I2,
-        p.m2 * p.lc2 ** 2 + p.I2,
-    )
-    bias = (
-        p.m2 * p.l1 * p.lc2,
-        (p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity,
-        p.m2 * p.lc2 * p.gravity,
-        p.viscous,
-    )
-    return inertia, bias
-
-
-def _two_link_inertia_terms(k, c2):
-    """(M11, M12, M22) of the arm's symmetric inertia at c2 = cos(q1), the
-    elbow angle's cosine (a float, or (B,) values with M22 shared)."""
-    base11, m2, l1_lc2_sq, two_l1_lc2, lc2_sq, l1_lc2, i2, a22 = k
-    return (base11 + m2 * (l1_lc2_sq + two_l1_lc2 * c2),
-            m2 * (lc2_sq + l1_lc2 * c2) + i2, a22)
-
-
-# (cos, sin) for Python floats and for (B,) arrays
-_FLOAT_OPS = (math.cos, math.sin)
-_ARRAY_OPS = (np.cos, np.sin)
-
-
-def _two_link_bias_terms(k, q0, q1, qd0, qd1, ops):
-    """(N1, N2): Coriolis plus gravity, plus viscous friction when set."""
-    h_gain, grav1, grav2_gain, viscous = k
-    cos, sin = ops
-    h = h_gain * sin(q1)
-    grav2 = grav2_gain * cos(q0 + q1)
-    n0 = -h * qd1 * (2.0 * qd0 + qd1) + (grav1 * cos(q0) + grav2)
-    n1 = h * (qd0 * qd0) + grav2
-    if viscous:
-        n0, n1 = n0 + viscous * qd0, n1 + viscous * qd1
-    return n0, n1
-
-
-def two_link_matrices(q, q_dot, params: TwoLinkParams):
-    """Mass matrix and bias (Coriolis + gravity + viscous) of the arm.
-
-    Joint angles are measured from the horizontal, so gravity torques go
-    with cos(q). Setting gravity = 0 and q_dot = 0 gives N = 0.
-    """
-    arm = _TwoLinkPlant(params)
-    return arm.mass_matrix(q), arm.bias_vector(q, q_dot, None)
-
-
 class _TwoLinkPlant(_KernelPlant):
+    """The arm; joint angles are measured from the horizontal, so gravity
+    torques go with cos(q)."""
+
     dim = 2
+    # M11 = m1 lc1^2 + I1 + I2 + m2 (l1^2 + lc2^2 + 2 l1 lc2 cos q1),
+    # M12 = m2 (lc2^2 + l1 lc2 cos q1) + I2, M22 = m2 lc2^2 + I2
+    _MASS = """\
+c1 = cos(q1)
+m0_0 = inertia11 + m2 * (l1_lc2_sq + two_l1_lc2 * c1)
+m0_1 = m2 * (lc2_sq + l1_lc2 * c1) + i2
+m1_1 = inertia22
+"""
+    # Coriolis plus gravity, plus viscous friction when set
+    _BIAS = """\
+h = h_gain * sin(q1)
+grav2 = grav2_gain * cos(q0 + q1)
+n0 = -h * v1 * (2.0 * v0 + v1) + (grav1 * cos(q0) + grav2)
+n1 = h * (v0 * v0) + grav2
+if viscous:
+    n0, n1 = n0 + viscous * v0, n1 + viscous * v1
+"""
     # el_accel's closed form: the 2 x 2 inverse through its determinant
-    _KERNEL = """\
-m11, m12, m22 = inertia_terms(inertia_k, cos(q1))
-n0, n1 = bias_terms(bias_k, q0, q1, v0, v1, float_ops)
+    _SOLVE = """\
 tau0, tau1 = u
 r0, r1 = tau0 - n0, tau1 - n1
 if disturbance:
     d0, d1 = disturbance(t).tolist()
     r0, r1 = r0 - d0, r1 - d1
-det = m11 * m22 - m12 * m12
-a0 = (m22 * r0 - m12 * r1) / det
-a1 = (m11 * r1 - m12 * r0) / det
+det = m0_0 * m1_1 - m0_1 * m0_1
+a0 = (m1_1 * r0 - m0_1 * r1) / det
+a1 = (m0_0 * r1 - m0_1 * r0) / det
 """
 
     def __init__(self, params, nominal=None, disturbance_amp=0.0,
                  disturbance_freq=1.0, phases=None):
         super().__init__(nominal, disturbance_amp, disturbance_freq, phases)
         self.params = params
-        self._inertia_k, self._bias_k = _two_link_coefficients(params)
 
-    def mass_matrix(self, q, t=None) -> np.ndarray:
-        (_, q1), batch = _columns(q)
-        cos = math.cos if batch is None else np.cos
-        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, cos(q1))
-        return _stack([[a11, a12], [a12, a22]], batch)
-
-    def bias_vector(self, q, q_dot, t) -> np.ndarray:
-        (q0, q1), batch = _columns(q)
-        (qd0, qd1), _ = _columns(q_dot)
-        ops = _FLOAT_OPS if batch is None else _ARRAY_OPS
-        n = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, ops)
-        return self._disturbed(_stack(n, batch), t, batch)
-
-    def kernel(self) -> Kernel:
-        return Kernel(self._KERNEL, dict(
-            inertia_terms=_two_link_inertia_terms, inertia_k=self._inertia_k, cos=math.cos,
-            bias_terms=_two_link_bias_terms, bias_k=self._bias_k, float_ops=_FLOAT_OPS,
-            disturbance=self.disturbance if self.disturbance_amp else None))
-
-    def torque(self, q, q_dot, qdd) -> list[float]:
-        """M(q) qdd + N(q, q_dot), friction included, on floats."""
-        q0, q1 = q
-        qd0, qd1 = q_dot
-        a0, a1 = qdd
-        a11, a12, a22 = _two_link_inertia_terms(self._inertia_k, math.cos(q1))
-        n0, n1 = _two_link_bias_terms(self._bias_k, q0, q1, qd0, qd1, _FLOAT_OPS)
-        return [a11 * a0 + a12 * a1 + n0, a12 * a0 + a22 * a1 + n1]
+    def _constants(self) -> dict:
+        # each product is a left-to-right prefix of the expression it was
+        # written in (inertia11 of M11 above), so hoisting it keeps every
+        # rounding
+        p = self.params
+        return dict(
+            inertia11=p.m1 * p.lc1 ** 2 + p.I1 + p.I2, m2=p.m2,
+            l1_lc2_sq=p.l1 ** 2 + p.lc2 ** 2, two_l1_lc2=2.0 * p.l1 * p.lc2,
+            lc2_sq=p.lc2 ** 2, l1_lc2=p.l1 * p.lc2, i2=p.I2,
+            inertia22=p.m2 * p.lc2 ** 2 + p.I2, h_gain=p.m2 * p.l1 * p.lc2,
+            grav1=(p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity,
+            grav2_gain=p.m2 * p.lc2 * p.gravity, viscous=p.viscous)
 
 
 def two_link_plant(params: TwoLinkParams, mismatch: float = 0.0,
@@ -677,21 +694,14 @@ class _LinearPlant(_KernelPlant):
         super().__init__()
         self.mass = mass
         self.stiffness = stiffness
+        # the strings, for n coordinates
+        self._MASS = "".join(f"m{i}_{i} = mass\n" for i in range(n))
+        self._BIAS = "".join(f"n{i} = stiffness * q{i}\n" for i in range(n))
+        self._SOLVE = f"{_entries('u', n)}= u\n" + "".join(
+            f"a{i} = (u{i} - n{i}) / m{i}_{i}\n" for i in range(n))
 
-    def mass_matrix(self, q, t=None):
-        return self.mass * np.broadcast_to(np.eye(self.dim), np.shape(q) + (self.dim,))
-
-    def bias_vector(self, q, q_dot, t):
-        return self.stiffness * np.asarray(q, float)
-
-    def kernel(self) -> Kernel:
-        n = self.dim
-        return Kernel(f"{_entries('u', n)}= u\n" + "".join(
-            f"a{i} = (u{i} - stiffness * q{i}) / mass\n" for i in range(n)),
-            dict(stiffness=self.stiffness, mass=self.mass))
-
-    def torque(self, q, q_dot, qdd):
-        return [self.mass * a + self.stiffness * x for a, x in zip(qdd, q)]
+    def _constants(self) -> dict:
+        return dict(mass=self.mass, stiffness=self.stiffness)
 
 
 def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:

@@ -29,14 +29,15 @@ Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
 dominates the arithmetic. The RK4 step is unrolled for the plant's
 dimension and runs the plant's forward dynamics inline: each closed-form
-plant states them once, as a kernel of a few float statements
-(``plants.Kernel``), and ``_compile_step`` splices that kernel into the
-step at each of the four stages, with one local per entry and the
-divergence guard inline (a stage that raises ValueError, as math's cos of
-an overflowed position does, diverges too). It compiles once per (kernel,
-n), on the first run; a later run binds the plant's constants into the
-compiled step. A step thus calls no ``accel``, except where the plant has
-no kernel or an ``accel`` is set on the instance (a tracer's wrapper,
+plant states its M, N and solve once, as source, and its kernel is the
+three together (``plants.Kernel``). ``_compile_step`` splices that kernel
+into the step at each of the four stages, with one local per entry and
+the divergence guard inline (a stage that raises ValueError, as math's cos
+of an overflowed position does, diverges too). It compiles once per
+(kernel, n), on the first run, through the compile helper that also
+builds the plants' faces; a later run binds the plant's constants into
+the compiled step. A step thus calls no ``accel``, except where the plant
+has no kernel or an ``accel`` is set on the instance (a tracer's wrapper,
 say): then the kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
@@ -72,7 +73,7 @@ import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
 from .delays import DelayProfile, Plan, blend, delay_at, plan
-from .plants import Kernel, PlantModel, _entries
+from .plants import Kernel, PlantModel, _compile, _entries
 
 __all__ = [
     "Scenario",
@@ -93,11 +94,10 @@ _DIVERGENCE_LIMIT = 1e8
 # than the trace's own rows), the applied input of a control period and the
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
 # the plan of the period's block (stage instants, delays, brackets and
-# weights, 15 + 6n words per RK4 step, plus their temporaries while it is
-# built), the blended table (3n float64) and the nested-list copies the
-# stages read, of the table (32 + 12n words) and of the stage instants (20
-# words); tracemalloc measures a peak of 67 + 21n words per RK4 step while
-# a period is stepped (5e4 steps per period, n = 1, 2, 3).
+# weights, plus their temporaries while it is built), the blended table and
+# the nested-list copies the stages read, of the table and of the stage
+# instants with the schedule's values; its peak is _step_words(n) per RK4
+# step.
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
@@ -110,8 +110,8 @@ _BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "e1", "tau_applied", "c_hat", "s_no
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the state leaves the finite range; carries the failure
-    time and the trace accumulated so far."""
+    """Raised when the state leaves the finite range or the adaptive gain
+    overflows; carries the failure time and the trace accumulated so far."""
 
     def __init__(self, time: float, partial_trace: "Trace"):
         super().__init__(f"simulation diverged at t = {time:.6g} s")
@@ -152,7 +152,7 @@ class Scenario:
             raise ValueError(
                 f"duration = {self.duration:g} s needs {rows} trace rows at "
                 f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
-        max_steps = _MAX_ARRAY_BYTES // (8 * (67 + 21 * n))
+        max_steps = _MAX_ARRAY_BYTES // (8 * _step_words(n))
         if steps > max_steps:
             raise ValueError(
                 f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
@@ -234,6 +234,17 @@ class Trace:
                               fine.cmd_du[:rows].copy())
         return Trace(*(getattr(self, f.name)[:rows].copy()
                        for f in fields(self) if f.name != "fine"), fine=fine)
+
+
+def _step_words(n: int) -> int:
+    """Words per RK4 step that simulate holds while it steps a control
+    period of a dimension-n plant: the growth of tracemalloc's peak per
+    step of a period (1e3 to 2e4 steps under S1) is 99 + 33n for point
+    masses of n = 1, 2, 3 and the arm, and 3 words more where the kernel
+    has a schedule (its value at each of a step's three instants: 168 on
+    the scheduled robot). A period's fixed part, about 1e3 words, is left
+    out."""
+    return 102 + 33 * n
 
 
 def _n_periods(sc: Scenario) -> int:
@@ -323,9 +334,7 @@ def _compile_step(source: str, names: tuple, n: int):
               f"            return ({_entries('_y', 2 * n)})",
               "        return None",
               "    return rk4_step"]
-    namespace = {}
-    exec(compile("\n".join(lines) + "\n", f"<rk4 step, n = {n}>", "exec"), namespace)
-    return namespace["bind"]
+    return _compile(lines, f"rk4 step, n = {n}")
 
 
 def _rk4_step(kernel: Kernel, n: int):
@@ -339,8 +348,9 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
     Deterministic: identical scenarios produce bit-identical traces. Raises
     SimulationDiverged (with the partial trace attached) if the state blows
-    up. Emits a warning when an adaptive-robust run is configured with a
-    peak delay at or beyond the Razumikhin margin of its gain set.
+    up or an adaptation step drives c_hat to inf. Emits a warning when an
+    adaptive-robust run is configured with a peak delay at or beyond the
+    Razumikhin margin of its gain set.
     """
     sc.validate()
     plant = sc.plant
@@ -410,6 +420,11 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         qd = desired[0]
         rows.append((q, q_dot, qd, [a - b for a, b in zip(qd, q)], stage_tau[0][0],
                      rec.c_hat, rec.s_norm))
+        if not math.isfinite(rec.c_hat):
+            # the adaptation overflowed (a diverging error's ||s||): no law
+            # runs on this gain, so the run diverges at this period
+            _write_rows(trace, k0, rows)
+            raise SimulationDiverged(t_k, trace.head(k + 1, k * steps_per_control + 1))
         if k == k1 - 1:
             _write_rows(trace, k0, rows)
             if k == n_rows - 1:

@@ -23,11 +23,12 @@ from arolc.plants import (
     point_mass_plant,
     reconstruct_posture,
     reduced_wmr_dynamics,
-    two_link_matrices,
     two_link_plant,
 )
 from arolc.scenario_io import load_scenario
 from arolc.sim import simulate
+
+from coupled_plant import coupled_plant, reference_faces
 
 PARAMS = WmrParams()
 
@@ -310,6 +311,7 @@ _PLANTS = {
     "wmr": (_disturbed_wmr, True),
     "point-mass": (lambda: point_mass_plant(3, mass=2.0), False),
     "oscillator": (lambda: oscillator_plant(stiffness=4.0, mass=2.0), False),
+    "coupled-3": (coupled_plant, True),
 }
 # on and off payload windows, two offsets
 _TIMES = (0.0, 1.0, 6.0, 11.3, 17.9)
@@ -432,6 +434,7 @@ _UNDISTURBED = {
     "two-link-nominal": (lambda: _disturbed_arm().nominal, 1.0),
     "point-mass": (lambda: point_mass_plant(3, mass=2.0), 1.0),
     "oscillator": (lambda: oscillator_plant(stiffness=4.0, mass=2.0), 1.0),
+    "coupled-3-nominal": (lambda: coupled_plant().nominal, 1.0),
 }
 
 
@@ -698,7 +701,8 @@ def test_two_link_float_forms_match_ndarray_reference(
     if disturbance_amp:
         n_ref = n_ref + plant.disturbance(t)
     assert n.tobytes() == n_ref.tobytes()
-    m, n = two_link_matrices(q, q_dot, plant.nominal.params)
+    m, n = plant.nominal.mass_matrix(np.array(q)), plant.nominal.bias_vector(
+        np.array(q), np.array(q_dot), None)
     m_ref, n_ref = reference_two_link_matrices(q, q_dot, plant.nominal.params)
     assert m.tobytes() == m_ref.tobytes() and n.tobytes() == n_ref.tobytes()
 
@@ -728,18 +732,36 @@ def test_two_link_stacked_calls_match_rows_in_bulk():
         assert n[b].tobytes() == plant.bias_vector(q[b], q_dot[b], t[b]).tobytes()
 
 
+def test_coupled_plant_faces_match_reference_bytes():
+    # a plant beyond the shipped ones (n = 3, M13 structurally zero, a
+    # schedule and a disturbance): single-state and stacked faces, byte for
+    # byte, on and off its 2 s load windows, at t = None and on the nominal
+    plant = coupled_plant()
+    rng = np.random.default_rng(16)
+    times = [0.0, 2.0, 4.0, -0.5] + (rng.random(500) * 12.0 - 1.0).tolist()
+    q, q_dot = rng.standard_normal((2, len(times), 3)) * [[[3.0]], [[20.0]]]
+    for face, t in ((plant, np.array(times)), (plant, None), (plant.nominal, None)):
+        m_stack, n_stack = face.mass_matrix(q, t), face.bias_vector(q, q_dot, t)
+        for b in range(len(times)):
+            t_b = None if t is None else times[b]
+            m_ref, n_ref = reference_faces(face, q[b], q_dot[b], t_b)
+            assert face.mass_matrix(q[b], t_b).tobytes() == m_stack[b].tobytes() == m_ref.tobytes()
+            assert (face.bias_vector(q[b], q_dot[b], t_b).tobytes() == n_stack[b].tobytes()
+                    == n_ref.tobytes())
+
+
 class TestTwoLink:
     def test_zero_velocity_no_gravity(self):
-        params = TwoLinkParams(gravity=0.0)
-        _, n = two_link_matrices([0.4, -0.7], np.zeros(2), params)
+        arm = two_link_plant(TwoLinkParams(gravity=0.0))
+        n = arm.bias_vector(np.array([0.4, -0.7]), np.zeros(2), None)
         np.testing.assert_allclose(n, np.zeros(2))
 
     def test_mass_matrix_spd(self):
         rng = np.random.default_rng(4)
-        params = TwoLinkParams()
+        arm = two_link_plant(TwoLinkParams())
         for _ in range(50):
             q = rng.uniform(-math.pi, math.pi, 2)
-            m, _ = two_link_matrices(q, np.zeros(2), params)
+            m = arm.mass_matrix(q)
             np.testing.assert_allclose(m, m.T, atol=1e-12)
             assert np.linalg.eigvalsh(m)[0] > 0.0
 
@@ -748,8 +770,9 @@ class TestTwoLink:
         # energy derivation gives M12 = m2 (l1 l2 cos q2 + l2^2)
         params = TwoLinkParams(m1=1.3, m2=1.3, l1=0.8, l2=0.8, lc1=0.8,
                                lc2=0.8, I1=0.0, I2=0.0)
+        arm = two_link_plant(params)
         for q2 in (math.pi / 2, 0.3, -1.1):
-            m, _ = two_link_matrices([0.2, q2], np.zeros(2), params)
+            m = arm.mass_matrix(np.array([0.2, q2]))
             expected = params.m2 * (params.l1 * params.l2 * math.cos(q2)
                                     + params.l2 ** 2)
             assert m[0, 1] == pytest.approx(expected, rel=1e-12)

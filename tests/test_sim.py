@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 from bisect import bisect_right
 
@@ -38,6 +39,7 @@ from arolc.sim import (
 from arolc.stability import GainSet
 from arolc.trajectories import CircleTrajectory, SinusoidTrajectory
 
+from coupled_plant import coupled_plant
 from sampled_data import point_mass_states
 
 ZERO_TRAJ = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
@@ -396,6 +398,7 @@ class TestUnrolledStep:
         "bare-wmr": lambda: reduced_wmr_dynamics(WmrParams()),
         "ndarray-accel-3": lambda: _NdarrayAccelPlant(3, seed=3),
         "ndarray-accel-6": lambda: _NdarrayAccelPlant(6, seed=6),
+        "coupled-3": coupled_plant,
     }
 
     @pytest.mark.parametrize("name", sorted(PLANTS))
@@ -786,6 +789,17 @@ class TestErrorDynamicsResidual:
         times = self.assert_matches_reference(cut_trace, sc)
         assert np.count_nonzero(times - delay_at(sc.delay, times) > cut_trace.t[-1]) > 100
 
+    @pytest.mark.parametrize("payload", [None, PayloadSchedule(period_on=0.3, period_off=0.3)],
+                             ids=["bare", "payload"])
+    def test_blocks_inside_the_warmup(self, payload):
+        # at dt = 1e-4 the first two blocks of checked instants lie wholly
+        # before the 0.5 s warmup: the robot's faces see stacks of no state
+        sc = _arolc_scenario(
+            reduced_wmr_dynamics(WmrParams(), mismatch=0.1, payload=payload),
+            CircleTrajectory(), DelayProfile("S3"), duration=0.6, dt=1e-4)
+        times = self.assert_matches_reference(simulate(sc, diagnostics=True), sc)
+        assert times[0] >= 0.5
+
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_warmup_rejected(self, warmup):
         sc = RESIDUAL_SCENARIOS["oscillator"]()
@@ -887,6 +901,37 @@ class TestWarningsAndErrors:
         # stages read, about 900 MB
         with pytest.raises(ValueError, match="RK4 steps per control period"):
             free_scenario(dt=1e-7, dt_control=0.1, duration=0.2).validate()
+
+    @pytest.mark.parametrize("make, n", [
+        (lambda: point_mass_plant(1), 1), (lambda: point_mass_plant(2), 2),
+        (lambda: point_mass_plant(3), 3), (lambda: two_link_plant(TwoLinkParams()), 2),
+        (lambda: reduced_wmr_dynamics(WmrParams(), payload=PayloadSchedule(
+            period_on=0.004, period_off=0.004)), 2),
+    ], ids=["point-mass-1", "point-mass-2", "point-mass-3", "arm", "scheduled-robot"])
+    def test_period_peak_within_the_validated_count(self, make, n):
+        # what validate caps: the growth of the peak per RK4 step of a
+        # period, from two runs of two periods under S1 (the robot through
+        # its payload switches), each compiled before it is traced. The
+        # period's fixed part cancels; list over-allocation moves the
+        # measured growth by a few hundredths of a word, so one word per
+        # step is allowed on top of the count
+        def peak(steps, dt=1e-5):
+            sc = free_scenario(plant=make(), delay=DelayProfile("S1"),
+                               trajectory=SinusoidTrajectory(amplitude=(0.1,) * n,
+                                                             frequency=(1.0,) * n),
+                               controller=ArolcConfig(GainSet.identity(n)),
+                               duration=2 * steps * dt, dt=dt, dt_control=steps * dt)
+            simulate(sc)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                simulate(sc)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        words_per_step = (peak(3000) - peak(1000)) / (8 * 2000)
+        assert words_per_step < sim._step_words(n) + 1
 
     def test_dt_coarser_than_control_rejected(self):
         with pytest.raises(ValueError):
@@ -1010,6 +1055,28 @@ class TestWarningsAndErrors:
                 assert np.array_equal(getattr(partial, f.name), getattr(full, f.name))
         for f in dataclasses.fields(partial.fine):
             assert np.array_equal(getattr(partial.fine, f.name), getattr(full.fine, f.name))
+
+    @pytest.mark.parametrize("kind, time, rows", [("S4", 0.01, 2), ("none", 0.001, 1)])
+    def test_overflowed_adaptation_diverges_with_its_rows(self, kind, time, rows):
+        # a reference of amplitude 1e155: ||s|| overflows, and under S4 the
+        # second period's adaptation drives c_hat to inf while the delayed
+        # state is still finite. The run ends in SimulationDiverged at that
+        # period, its row recording the infinite gain; without a delay the
+        # state itself diverges in the first step
+        sc = Scenario(
+            plant=two_link_plant(TwoLinkParams()),
+            trajectory=SinusoidTrajectory(amplitude=(1e155, 1e155), frequency=(1.0, 1.0)),
+            delay=DelayProfile(kind), controller=ArolcConfig(GainSet.identity(2)),
+            duration=1.0, dt=1e-3, dt_control=1e-2)
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc, diagnostics=True)
+        exc = excinfo.value
+        assert exc.time == pytest.approx(time, abs=1e-12)
+        partial = exc.partial_trace
+        assert len(partial) == rows and len(partial.fine.t) == 10 * rows - 9
+        assert np.isfinite(partial.q).all() and np.isfinite(partial.q_dot).all()
+        assert np.isfinite(partial.c_hat[:-1]).all()
+        assert (partial.c_hat[-1] == math.inf) == (kind == "S4")
 
 
 class TestTraceCsv:
