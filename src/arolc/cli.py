@@ -103,10 +103,13 @@ def _write_metrics_csv(path: Path, lead: list[str], rows, per_dim) -> str:
 def _cmd_bound(args) -> int:
     config = load_config(args.scenario)
     sc = build_scenario(config)
-    if not isinstance(sc.controller, ArolcConfig) and "gains" not in config:
+    if isinstance(sc.controller, ArolcConfig):
+        gains = sc.controller.gains  # its error system is already built
+    elif "gains" in config:
+        gains = build_gains(config, sc.plant.dim)
+    else:
         print("error: [gains] section required for bound", file=sys.stderr)
         return 2
-    gains = build_gains(config, sc.plant.dim)
     margin = delay_margin(gains)
     peak = max_delay(sc.delay)
     feasible = check_feasibility(gains, peak)

@@ -72,7 +72,9 @@ def spectral_norm(m) -> float:
         return float(np.linalg.norm(a))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    # svd returns the singular values in descending order; norm(a, 2) is
+    # their maximum, reached through its axis handling
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def invert(m) -> np.ndarray:
@@ -98,22 +100,28 @@ def solve_lyapunov(a, q) -> np.ndarray:
     """Solve A^T P + P A = -Q for symmetric positive definite P.
 
     Uses the Kronecker vectorization (I (x) A^T + A^T (x) I) vec(P) = -vec(Q)
-    with one step of iterative refinement. A must be Hurwitz and Q symmetric
-    positive definite; the returned P is symmetrized and satisfies
+    with one step of iterative refinement. The operator is one broadcast
+    product pair, entry (i n + k, j n + l) = I[i, j] A^T[k, l] + A^T[i, j]
+    I[k, l], so its entries are exactly those of the two np.kron products
+    summed. A must be Hurwitz and Q symmetric positive definite (checked by
+    its Cholesky factorization); the returned P is symmetrized and satisfies
     max|A^T P + P A + Q| <= 1e-10 * max|Q|.
     """
     a = _as_square(a)
     q = _check_symmetric(_as_square(q), "Q")
     if a.shape != q.shape:
         raise ValueError(f"dimension mismatch: A {a.shape}, Q {q.shape}")
-    if min_eig_symmetric(q) <= 0.0:
-        raise ValueError("Q must be positive definite")
+    try:
+        np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("Q must be positive definite") from exc
     if not is_hurwitz(a):
         raise ValueError("unstable A")
 
     n = a.shape[0]
-    eye = np.eye(n)
-    k = np.kron(eye, a.T) + np.kron(a.T, eye)
+    eye, at = np.eye(n), a.T
+    k = (eye[:, None, :, None] * at[None, :, None, :]
+         + at[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
 
     def _solve(rhs: np.ndarray) -> np.ndarray:
         try:

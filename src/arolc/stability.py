@@ -17,17 +17,25 @@ scalar. For feasible delays (Psi = Q - h E > 0) the error is uniformly
 ultimately bounded; six bound formulas cover the combinations of switching
 regime (outside/inside the boundary layer) and adaptive-gain branch.
 
-The error system (P, E and the norms lambda_min(Q), ||E||, ||B^T P||) is
-computed once per GainSet instance, on the first analysis call, and stored
-on it; every later call reuses it. GainSet keeps read-only copies of K1, K2
-and Q, and the ErrorSystem arrays are read-only too, so the stored result
-cannot go stale.
+Each piece of the analysis is computed once per GainSet instance and
+stored on it:
+
+- lambda_min(Q), when the GainSet is built (the check that Q is SPD);
+- the error system (P, E and the norms ||E||, ||B^T P||), on the first
+  analysis call;
+- lambda_min(Psi(h)) for the last delay h that ultimate_bound was asked
+  for, which all six bound cases share. Only that one h is kept, so the
+  store does not grow.
+
+GainSet keeps read-only copies of K1, K2 and Q, and the ErrorSystem arrays
+are read-only too, so the stored results cannot go stale; copy and pickle
+rebuild a GainSet from its gains alone, without them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +64,14 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _spd_or_raise(m: np.ndarray, name: str) -> np.ndarray:
-    """Read-only float copy of m, which must be symmetric positive definite."""
+def _spd_or_raise(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """Read-only float copy of m, which must be symmetric positive definite,
+    and its smallest eigenvalue."""
     m = np.array(m, dtype=float)
-    if min_eig_symmetric(m) <= 0.0:
+    lam = min_eig_symmetric(m)
+    if lam <= 0.0:
         raise ValueError(f"{name} must be symmetric positive definite")
-    return _read_only(m)
+    return _read_only(m), lam
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,8 @@ class GainSet:
     Lyapunov right-hand side (2n x 2n, SPD), r > 1 the Razumikhin factor,
     beta > 0 the Young-inequality scalar. The matrices are stored as
     read-only copies, so the error system cached on the instance by
-    build_error_system always matches them.
+    build_error_system always matches them. _q_min is lambda_min(Q), kept
+    from the SPD check for the error system's q_min.
     """
 
     K1: np.ndarray
@@ -80,11 +91,12 @@ class GainSet:
     Q: np.ndarray
     r: float = 1.1
     beta: float = 1.0
+    _q_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k1 = _spd_or_raise(self.K1, "K1")
-        k2 = _spd_or_raise(self.K2, "K2")
-        q = _spd_or_raise(self.Q, "Q")
+        k1, _ = _spd_or_raise(self.K1, "K1")
+        k2, _ = _spd_or_raise(self.K2, "K2")
+        q, q_min = _spd_or_raise(self.Q, "Q")
         n = k1.shape[0]
         if k2.shape != (n, n):
             raise ValueError("K1 and K2 must have identical shape")
@@ -97,6 +109,7 @@ class GainSet:
         object.__setattr__(self, "K1", k1)
         object.__setattr__(self, "K2", k2)
         object.__setattr__(self, "Q", q)
+        object.__setattr__(self, "_q_min", q_min)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__: numpy would restore the
@@ -145,14 +158,14 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
     if cached is not None:
         return cached
     n = gains.n
-    zero = np.zeros((n, n))
-    eye = np.eye(n)
-    a1 = np.block([[zero, eye], [zero, zero]])
-    b1 = np.block([[zero, zero], [-gains.K1, -gains.K2]])
+    a1 = np.eye(2 * n, k=n)
+    b1 = np.zeros((2 * n, 2 * n))
+    b1[n:, :n] = -gains.K1
+    b1[n:, n:] = -gains.K2
     # companion form of e1_ddot + K2 e1_dot + K1 e1 = 0; SPD gains make it
     # Hurwitz, and solve_lyapunov raises if it is not
     a = a1 + b1
-    b = np.vstack([zero, eye])
+    b = np.eye(2 * n, n, k=-n)
     p = solve_lyapunov(a, gains.Q)
     p_inv = invert(p)
     inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
@@ -160,7 +173,7 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
     e = symmetrize(e)  # symmetric by construction; remove float drift
     system = ErrorSystem(
         *(_read_only(m) for m in (a1, b1, a, b, p, e)),
-        q_min=min_eig_symmetric(gains.Q),
+        q_min=gains._q_min,
         e_norm=spectral_norm(e),
         bp_norm=spectral_norm(b.T @ p),
     )
@@ -228,8 +241,12 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     if case_id not in (1, 2, 3, 4, 5, 6):
         raise ValueError("case_id must be 1..6")
     system = build_error_system(gains)
-    psi = symmetrize(gains.Q - bp.h * system.E)
-    lam = min_eig_symmetric(psi)
+    h, lam = gains.__dict__.get("_psi", (None, None))
+    if h != bp.h:
+        # Psi = Q - h E and its smallest eigenvalue, kept for the last h only
+        h = bp.h
+        lam = min_eig_symmetric(symmetrize(gains.Q - h * system.E))
+        gains.__dict__["_psi"] = (h, lam)
     if lam <= 0.0:
         raise ValueError("delay too large for bound")
     bp_norm = system.bp_norm

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arolc import stability
 from arolc.cli import _MAX_SWEEP_VALUES, _parse_range, main
 
 FAST = """
@@ -70,6 +71,34 @@ class TestBound:
         assert match, out
         assert abs(float(match.group(1)) - 0.125) <= 1e-3
         assert "feasible: yes" in out
+
+    @pytest.mark.parametrize("stem, peak, kind, feasible", [
+        ("margin_reference", "0.100000", "S1", "yes"),
+        ("two_link_s1_arolc", "0.100000", "S1", "yes"),
+        ("wmr_s1_arolc", "0.100000", "S1", "yes"),
+        ("wmr_s1_pcon", "0.100000", "S1", "yes"),
+        ("wmr_s2_arolc", "0.125000", "S2", "no"),
+        ("wmr_s2_pcon", "0.125000", "S2", "no"),
+        ("wmr_s3_arolc", "0.060000", "S3", "yes"),
+        ("wmr_s3_pconf", "0.060000", "S3", "yes"),
+        ("wmr_s4_arolc", "0.120000", "S4", "yes"),
+        ("wmr_s4_pconf", "0.120000", "S4", "yes"),
+    ])
+    def test_shipped_scenarios_one_lyapunov_solve(self, stem, peak, kind, feasible,
+                                                  monkeypatch, capsys):
+        solves = []
+        real = stability.solve_lyapunov
+
+        def counting(a, q):
+            solves.append(1)
+            return real(a, q)
+
+        monkeypatch.setattr(stability, "solve_lyapunov", counting)
+        assert main(["bound", f"scenarios/{stem}.ini"]) == 0
+        assert capsys.readouterr().out == ("delay margin [s]: 0.124870\n"
+                                           f"peak delay   [s]: {peak} ({kind})\n"
+                                           f"feasible: {feasible}\n")
+        assert len(solves) == 1
 
     def test_directory_rejected(self, capsys):
         assert main(["bound", "scenarios"]) == 2

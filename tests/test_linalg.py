@@ -60,6 +60,11 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("q", [np.diag([1.0, 0.0]), np.ones((2, 2))], ids=["diag", "rank-1"])
+    def test_semidefinite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="Q must be positive definite"):
+            solve_lyapunov(-np.eye(2), q)
+
 
 class TestMinEigSymmetric:
     def test_identity(self):

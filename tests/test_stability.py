@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arolc import stability
-from arolc.linalg import is_hurwitz, min_eig_symmetric, spectral_norm
+from arolc.linalg import is_hurwitz, min_eig_symmetric, solve_lyapunov, spectral_norm
 from arolc.stability import (
     BoundParams,
     GainSet,
@@ -176,6 +176,168 @@ class TestErrorSystemCache:
         params = BoundParams(h=0.5 * margin, **bp)
         bounds = tuple(float(ultimate_bound(c, gains, params)).hex() for c in range(1, 7))
         assert bounds == bounds_hex
+
+
+def _kron_solve_lyapunov(a, q):
+    """Reference Lyapunov solve: the operator from two np.kron products, one
+    solve and at most one refinement step."""
+    m = a.shape[0]
+    eye = np.eye(m)
+    k = np.kron(eye, a.T) + np.kron(a.T, eye)
+
+    def solve(rhs):
+        return np.linalg.solve(k, rhs.flatten(order="F")).reshape((m, m), order="F")
+
+    p = solve(-q)
+    p = 0.5 * (p + p.T)
+    resid = a.T @ p + p @ a + q
+    if np.abs(resid).max() > 1e-10 * np.abs(q).max():
+        p = p - solve(resid)
+        p = 0.5 * (p + p.T)
+    return p
+
+
+def _block_error_system(gains):
+    """Reference P, E, lambda_min(Q), ||E|| and ||B^T P||: the blocks from
+    np.block/np.vstack, P from _kron_solve_lyapunov, the norms from
+    np.linalg.norm(., 2)."""
+    n = gains.n
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    a1 = np.block([[zero, eye], [zero, zero]])
+    b1 = np.block([[zero, zero], [-gains.K1, -gains.K2]])
+    b = np.vstack([zero, eye])
+    q = 0.5 * (gains.Q + gains.Q.T)
+    p = _kron_solve_lyapunov(a1 + b1, q)
+    p_inv = np.linalg.inv(p)
+    inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
+    e = gains.beta * (p @ b1 @ inner @ b1.T @ p) + 2.0 * (gains.r / gains.beta) * p
+    e = 0.5 * (e + e.T)
+    return (p, e, float(np.linalg.eigvalsh(q)[0]), float(np.linalg.norm(e, 2)),
+            float(np.linalg.norm(b.T @ p, 2)))
+
+
+def _seeded_gains(seed, n):
+    rng = np.random.default_rng([seed, n])
+    return GainSet(_spd(rng, n, 0.05, 30.0), _spd(rng, n, 0.05, 30.0), _spd(rng, 2 * n, 0.01, 20.0),
+                   r=2.0 - rng.random(), beta=2.0 - 1.5 * rng.random())
+
+
+class TestReferenceFormulation:
+    """The error system byte for byte against the np.block/np.kron/norm(., 2)
+    formulation. P matters beyond the margin: ArolcConfig.rows = B^T P feeds
+    every AROLC trace."""
+
+    @staticmethod
+    def assert_same_bytes(gains):
+        system = build_error_system(gains)
+        p, e, q_min, e_norm, bp_norm = _block_error_system(gains)
+        assert system.P.tobytes() == p.tobytes()
+        assert system.E.tobytes() == e.tobytes()
+        got = (system.q_min, system.e_norm, system.bp_norm)
+        assert [float(v).hex() for v in got] == [v.hex() for v in (q_min, e_norm, bp_norm)]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_cases(self, seed):
+        self.assert_same_bytes(_pinned_case(seed)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_seeded_gain_sets(self, n):
+        for seed in range(12):
+            self.assert_same_bytes(_seeded_gains(seed, n))
+
+    def test_identity_gains(self):
+        # exact zeros in P and E: their signs must match too
+        for n in (1, 2, 3):
+            self.assert_same_bytes(GainSet.identity(n, k1=2.0, k2=3.0, q=0.5))
+
+    def test_lyapunov_operator(self):
+        rng = np.random.default_rng(31)
+        for m in range(1, 13):
+            a = rng.standard_normal((m, m))
+            a -= (np.abs(a).sum(axis=1).max() + 1.0) * np.eye(m)  # Gershgorin discs in Re <= -1
+            q = _spd(rng, m, 0.1, 5.0)
+            assert solve_lyapunov(a, q).tobytes() == _kron_solve_lyapunov(a, q).tobytes()
+
+    def test_spectral_norm(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            x = rng.standard_normal((int(rng.integers(1, 13)), int(rng.integers(1, 13))))
+            assert float(spectral_norm(x)).hex() == float(np.linalg.norm(x, 2)).hex()
+
+
+class TestPsiReuse:
+    @staticmethod
+    def count_psi_solves(monkeypatch):
+        solves = []
+        real = stability.min_eig_symmetric
+
+        def counting(m):
+            solves.append(1)
+            return real(m)
+
+        monkeypatch.setattr(stability, "min_eig_symmetric", counting)
+        return solves
+
+    def test_one_psi_solve_per_gain_set_and_delay(self, monkeypatch):
+        gains, bp = _pinned_case(5)
+        margin = delay_margin(gains)
+        solves = self.count_psi_solves(monkeypatch)
+        for h in (0.5 * margin, 0.25 * margin):
+            params = BoundParams(h=h, **bp)
+            for case in range(1, 7):
+                ultimate_bound(case, gains, params)
+            ultimate_bound(3, gains, params)
+        assert len(solves) == 2
+
+    def test_one_lambda_min_of_q_per_gain_set(self, monkeypatch):
+        gains, bp = _pinned_case(6)
+        q = 0.5 * (gains.Q + gains.Q.T)
+        inputs = []
+        real = np.linalg.eigvalsh
+
+        def recording(m, *args, **kwargs):
+            inputs.append(np.array(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        twin = GainSet(gains.K1, gains.K2, gains.Q, gains.r, gains.beta)
+        margin = delay_margin(twin)
+        check_feasibility(twin, 0.5 * margin)
+        params = BoundParams(h=0.5 * margin, **bp)
+        for case in range(1, 7):
+            ultimate_bound(case, twin, params)
+        assert sum(m.shape == q.shape and np.array_equal(m, q) for m in inputs) == 1
+
+    def test_revisited_delay_matches_fresh_gain_sets(self):
+        gains, bp = _pinned_case(3)
+        margin = delay_margin(gains)
+        for h in (0.5 * margin, 0.2 * margin, 0.5 * margin, 0.0, 0.2 * margin):
+            params = BoundParams(h=h, **bp)
+            fresh, _ = _pinned_case(3)
+            for case in range(1, 7):
+                got = float(ultimate_bound(case, gains, params))
+                assert got.hex() == float(ultimate_bound(case, fresh, params)).hex()
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda g: pickle.loads(pickle.dumps(g))])
+    def test_copies_carry_no_stored_psi(self, clone):
+        gains, bp = _pinned_case(1)
+        params = BoundParams(h=0.5 * delay_margin(gains), **bp)
+        bound = ultimate_bound(2, gains, params)
+        assert "_psi" in gains.__dict__
+        twin = clone(gains)
+        assert "_psi" not in twin.__dict__ and "_system" not in twin.__dict__
+        assert float(ultimate_bound(2, twin, params)).hex() == float(bound).hex()
+
+    def test_infeasible_delay_raises_on_every_call(self, monkeypatch):
+        gains = GainSet.identity(1)  # margin 0.1249
+        solves = self.count_psi_solves(monkeypatch)
+        bp = BoundParams(h=0.2)
+        for case in (1, 1, 2, 3, 4, 5, 6, 1):
+            with pytest.raises(ValueError, match="delay too large"):
+                ultimate_bound(case, gains, bp)
+        assert len(solves) == 1
+        assert ultimate_bound(1, gains, BoundParams(Gamma=0.5, h=0.0)) == pytest.approx(1.0)
 
 
 class TestDelayMargin:
