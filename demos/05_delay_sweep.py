@@ -29,7 +29,11 @@ for h in (0.0, 0.02, 0.045, 0.08, 0.1, 0.12):
     print(f"{h * 1000:7.1f} {rep.ae_per_dim[0]:11.4f} {rep.ae_per_dim[1]:11.4f} "
           f"{rep.sup_error_tail:16.4f}")
 
+# h0 applies only to kind = constant, so the command line sweeps a copy of
+# the file with that kind
 print("\nsame sweep through the command-line interface:")
-print("  arolc sweep scenarios/two_link_s1_arolc.ini "
-      "--param delay.h0 --range 0:0.12:0.02 --out out/sweep")
-print("  (set [delay] kind = constant first, or pass a modified copy)")
+print("  mkdir -p out")
+print("  sed 's/^kind = S1$/kind = constant/' scenarios/two_link_s1_arolc.ini "
+      "> out/two_link_constant.ini")
+print("  arolc sweep out/two_link_constant.ini --param delay.h0 "
+      "--range 0:0.12:0.02 --out out/sweep")

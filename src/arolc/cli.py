@@ -43,12 +43,20 @@ _MAX_SWEEP_VALUES = 10_000
 
 
 def _apply_cli_overrides(config, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        apply_override(config, "sim.seed", str(args.seed))
-    if getattr(args, "dt", None) is not None:
-        apply_override(config, "sim.dt", repr(args.dt))
-    if getattr(args, "control_dt", None) is not None:
-        apply_override(config, "sim.control_dt", repr(args.control_dt))
+    """Write the --seed, --dt and --control-dt flags that are given into
+    the config's [sim] section."""
+    for key, value in (("seed", args.seed), ("dt", args.dt),
+                       ("control_dt", args.control_dt)):
+        if value is not None:
+            apply_override(config, f"sim.{key}", repr(value))
+
+
+def _load(path, args):
+    """(config, scenario) of the scenario file at path under the command
+    line's overrides; the scenario is labelled with the file's stem."""
+    config = load_config(path)
+    _apply_cli_overrides(config, args)
+    return config, build_scenario(config, label=Path(path).stem)
 
 
 def _measure(config, sc):
@@ -120,20 +128,14 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = load_config(args.scenario)
-    _apply_cli_overrides(config, args)
-    sc = build_scenario(config, label=Path(args.scenario).stem)
+    config, sc = _load(args.scenario, args)
     code, _ = _run_one(config, sc, Path(args.out), args.quiet)
     return code
 
 
 def _cmd_compare(args) -> int:
-    config_a = load_config(args.scenario_a)
-    config_b = load_config(args.scenario_b)
-    _apply_cli_overrides(config_a, args)
-    _apply_cli_overrides(config_b, args)
-    sc_a = build_scenario(config_a, label=Path(args.scenario_a).stem)
-    sc_b = build_scenario(config_b, label=Path(args.scenario_b).stem)
+    config_a, sc_a = _load(args.scenario_a, args)
+    config_b, sc_b = _load(args.scenario_b, args)
     # comparison.csv has one column per plant coordinate
     if sc_a.plant.dim != sc_b.plant.dim:
         raise ScenarioError(

@@ -57,6 +57,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"vartheta must be a square matrix, got shape {shape}"):
             PconConfig(vartheta=vartheta)
 
+    def test_pcon_vartheta_not_psd_rejected(self):
+        with pytest.raises(ValueError, match="^vartheta must be positive semidefinite$"):
+            PconConfig(vartheta=np.diag([1.0, -1e-3]))
+
     def test_arolc_gains_not_a_gain_set_rejected(self):
         with pytest.raises(ValueError, match="gains must be a GainSet, got ndarray"):
             ArolcConfig(np.eye(2))

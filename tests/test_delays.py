@@ -195,6 +195,10 @@ class TestBufferIntegrate:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             self.integral([0.0], [1.0], *bounds)
 
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ValueError, match="^t1 must be >= t0$"):
+            self.integral([0.0], [1.0], 1.0, 0.5)
+
     def test_zero_before_history(self):
         # signal is 0 on [0, 1), 2 on [1, 2]
         np.testing.assert_allclose(self.integral([1.0, 2.0], [2.0, 2.0], 0.0, 2.0), [2.0])

@@ -65,6 +65,45 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError, match="Q must be positive definite"):
             solve_lyapunov(-np.eye(2), q)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: A \(2, 2\), Q \(3, 3\)"):
+            solve_lyapunov(-np.eye(2), np.eye(3))
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        real = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        return calls
+
+    def test_refinement_step_reaches_the_residual(self, monkeypatch):
+        # lightly damped (eigenvalues -1.1e-6 +- 6.33j): the first solve
+        # misses the 1e-10 max|Q| residual by about 9x, the refined P meets
+        # it with about 16x to spare
+        a = np.array([[-0.020429249827821034, -2.1839269725590658],
+                      [18.335499685873227, 0.020426961449230757]])
+        q = np.eye(2)
+        calls = self.count_solves(monkeypatch)
+        p = solve_lyapunov(a, q)
+        assert len(calls) == 2
+        assert np.abs(a.T @ p + p @ a + q).max() <= 1e-10 * np.abs(q).max()
+        np.testing.assert_array_equal(p, p.T)
+
+    def test_residual_out_of_reach_rejected(self, monkeypatch):
+        # eigenvalues -1.5e-8 +- 0.187j: the operator is so ill-conditioned
+        # that the refined P still misses the residual by about 1000x
+        a = np.array([[-0.3313915091304589, 1.8912750043832163],
+                      [-0.07647299408067113, 0.33139147984378714]])
+        calls = self.count_solves(monkeypatch)
+        with pytest.raises(ValueError, match="did not reach required residual"):
+            solve_lyapunov(a, np.eye(2))
+        assert len(calls) == 2
+
 
 class TestMinEigSymmetric:
     def test_identity(self):
@@ -96,6 +135,10 @@ class TestMinEigSymmetric:
         m = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
         assert min_eig_symmetric(m) == pytest.approx(1.0, rel=1e-9)
 
+    def test_all_zero_input(self):
+        # no scale to measure the asymmetry against: symmetric as it stands
+        assert min_eig_symmetric(np.zeros((3, 3))) == 0.0
+
 
 class TestSpectralNorm:
     def test_zero(self):
@@ -115,6 +158,13 @@ class TestSpectralNorm:
         for _ in range(20):
             m = rng.standard_normal((4, 4))
             assert spectral_norm(m) == pytest.approx(spectral_norm(m.T), rel=1e-12)
+
+    def test_vector_is_its_euclidean_norm(self):
+        assert spectral_norm([3.0, 4.0]) == 5.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_input(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
 
 
 class TestInvert:
@@ -142,6 +192,27 @@ class TestInvert:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_ill_conditioned_rejected(self):
+        # the 8 x 8 Hilbert matrix (condition number about 1.5e10) has an
+        # inverse in floats, but max|M M^-1 - I| is about 1e-7
+        hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
+        with pytest.raises(ValueError, match="too ill-conditioned to invert"):
+            invert(hilbert)
+
+
+@pytest.mark.parametrize("func", [is_hurwitz, min_eig_symmetric, invert,
+                                  lambda m: solve_lyapunov(m, np.eye(2))],
+                         ids=["is_hurwitz", "min_eig_symmetric", "invert", "solve_lyapunov"])
+@pytest.mark.parametrize("m, message", [
+    (np.ones((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+    (np.ones(2), r"expected a square matrix, got shape \(2,\)"),
+    (np.array([[-1.0, 0.0], [0.0, math.nan]]), "matrix has non-finite entries"),
+    (np.array([[-1.0, math.inf], [0.0, -1.0]]), "matrix has non-finite entries"),
+], ids=["2x3", "vector", "nan", "inf"])
+def test_square_finite_input_required(func, m, message):
+    with pytest.raises(ValueError, match=message):
+        func(m)
 
 
 class TestIsHurwitz:

@@ -97,6 +97,14 @@ class TestElAccel:
             el_accel(plant, [math.pi], np.zeros(1), [0.0], 0.0), [0.0], atol=1e-12
         )
 
+    def test_singular_mass_matrix_rejected(self):
+        class Massless(point_mass_plant(2).__class__):
+            def mass_matrix(self, q, t):
+                return np.zeros((2, 2))
+
+        with pytest.raises(ValueError, match="^singular mass matrix$"):
+            el_accel(Massless(2, 1.0), np.zeros(2), np.zeros(2), [1.0, 0.0], 0.0)
+
     def test_fast_path_matches_generic(self):
         plant = two_link_plant(TwoLinkParams(viscous=0.1), mismatch=0.2,
                                disturbance_amp=0.05)
@@ -135,10 +143,15 @@ class TestPayload:
         ("extra_mass", math.nan, "extra_mass"), ("extra_mass", math.inf, "extra_mass"),
         ("period_on", math.nan, "period_on"), ("period_off", math.inf, "period_off"),
         ("offsets", ((0.05, math.nan),), "offsets"),
+        ("offsets", (), "at least one offset is required"),
     ])
     def test_non_finite_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             PayloadSchedule(**{field: value})
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            payload_mass(self.SCHED, -1e-9)
 
     def test_offsets_cycle(self):
         _, first = payload_mass(self.SCHED, 1.0)
@@ -830,10 +843,11 @@ class TestParamsValidation:
         (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"phases": [[0.0, 1.0]]}, "phases"),
         (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"phases": [0.0, math.nan]},
          "phases"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"mismatch": 1.0}, "mismatch"),
     ], ids=["wmr-viscous-neg", "wmr-viscous-nan", "pm-n", "pm-mass-nan", "pm-mass-zero",
             "osc-stiffness-nan", "osc-stiffness-neg", "osc-mass-inf", "arm-amp-nan",
             "arm-freq-inf", "wmr-amp-inf", "arm-phases-short", "wmr-phases-nested",
-            "wmr-phases-nan"])
+            "wmr-phases-nan", "wmr-mismatch-one"])
     def test_factory_rejects_one_named_field(self, factory, kwargs, field):
         # each message names exactly the one bad argument
         with pytest.raises(ValueError, match=rf"^{field} must "):

@@ -384,3 +384,89 @@ class TestHashAndOverride:
     def test_override_requires_dot(self):
         with pytest.raises(ScenarioError):
             apply_override(load_config(MINIMAL), "duration", "2.0")
+
+
+def kinds_file(plant="two-link", controller="none", delay="constant",
+               trajectory="sinusoid", **entries):
+    """A scenario of the given kinds that `arolc bound` would accept;
+    entries maps a section to lines added under it."""
+    kinds = {"plant": plant, "controller": controller, "delay": delay,
+             "trajectory": trajectory}
+    sections = [f"[{name}]\nkind = {kind}\n{entries.pop(name, '')}"
+                for name, kind in kinds.items()]
+    entries["sim"] = "duration = 1.0\n" + entries.get("sim", "")
+    entries.setdefault("gains", "")
+    sections += [f"[{name}]\n{lines}" for name, lines in entries.items()]
+    return "\n".join(sections)
+
+
+def shipped_with(stem, key, new):
+    """The shipped scenario stem with the line that sets key replaced by new."""
+    text = (SHIPPED[0].parent / f"{stem}.ini").read_text()
+    pattern = rf"(?m)^{key}\s*=.*$"
+    assert len(re.findall(pattern, text)) == 1
+    return re.sub(pattern, new, text)
+
+
+# One case per rule of the file format: (the file, what its error names)
+MALFORMED = {
+    "unknown-plant-kind": (kinds_file(plant="hovercraft"), "[plant] kind"),
+    "unknown-controller-kind": (kinds_file(controller="lqr"), "[controller] kind"),
+    # delay kinds are case-sensitive
+    "unknown-delay-kind": (kinds_file(delay="s1"), "[delay]"),
+    "unknown-trajectory-kind": (kinds_file(trajectory="spiral"), "[trajectory] kind"),
+    "ignored-two-link": (kinds_file(plant="two-link\nmass = 2"), "[plant] mass"),
+    "ignored-wmr": (kinds_file(plant="wmr\nm1 = 1"), "[plant] m1"),
+    "ignored-point-mass": (kinds_file(plant="point-mass\nviscous = 5"), "[plant] viscous"),
+    "ignored-oscillator": (kinds_file(plant="oscillator\nn = 2"), "[plant] n"),
+    "ignored-arolc": (kinds_file(controller="arolc\nkappa = 1"), "[controller] kappa"),
+    "ignored-pcon": (kinds_file(controller="pcon\nh_estimate = 0.1"),
+                     "[controller] h_estimate"),
+    "ignored-pconf": (kinds_file(controller="pconf\nh_estimate = 0.1\nalpha = 2"),
+                      "[controller] alpha"),
+    "ignored-none": (kinds_file(controller="none\nvartheta = 1"), "[controller] vartheta"),
+    "ignored-S1": (kinds_file(delay="S1\nh0 = 0.05"), "[delay] h0"),
+    "ignored-S2": (kinds_file(delay="S2\na = 0.05"), "[delay] a"),
+    "ignored-S3": (kinds_file(delay="S3\nb = 0.05"), "[delay] b"),
+    "ignored-S4": (kinds_file(delay="S4\nomega = 2"), "[delay] omega"),
+    "ignored-none-delay": (kinds_file(delay="none\nh0 = 0.05"), "[delay] h0"),
+    "ignored-constant": (kinds_file(delay="constant\na = 0.05"), "[delay] a"),
+    "ignored-custom": (kinds_file(delay="custom\nh0 = 0.05"), "[delay] h0"),
+    "ignored-circle": (kinds_file(plant="wmr", trajectory="circle\namplitude = 1"),
+                       "[trajectory] amplitude"),
+    "ignored-wheel-ramp": (kinds_file(plant="wmr", trajectory="wheel-ramp\nradius = 1"),
+                           "[trajectory] radius"),
+    "ignored-sinusoid": (kinds_file(trajectory="sinusoid\nrate = 1"), "[trajectory] rate"),
+    "pconf-without-h_estimate": (kinds_file(controller="pconf"), "[controller] h_estimate"),
+    "bad-number": (shipped_with("wmr_s1_arolc", "m", "m = heavy"), "[plant] m"),
+    "bad-boolean": (kinds_file(controller="arolc\nswitching = maybe"),
+                    "[controller] switching"),
+    "bad-offset-pair": (shipped_with("wmr_s1_arolc", "offsets", "offsets = 0.05 0.02 0.01"),
+                        "[payload] offsets"),
+    "empty-offset-list": (shipped_with("wmr_s1_arolc", "offsets", "offsets = ;"),
+                          "[payload] offsets"),
+    "gain-not-scalar-or-diagonal": (kinds_file(gains="k1 = 1, 2, 3"), "[gains] k1"),
+    "sinusoid-list-length": (kinds_file(trajectory="sinusoid\namplitude = 0.5, 0.5, 0.5"),
+                             "[trajectory] lists must all have 2 entries"),
+    "circle-without-wmr": (kinds_file(trajectory="circle"), "[trajectory] kind = circle"),
+    "payload-without-wmr": (kinds_file(payload=""), "[payload] applies only to"),
+    "offsets-and-random": (shipped_with("wmr_s1_arolc", "offsets",
+                                        "offsets = 0.01 0.01\nrandom_offsets = true"),
+                           "[payload] offsets"),
+    "offset_max-not-random": (shipped_with("wmr_s1_arolc", "offsets", "offset_max = 0.03"),
+                              "[payload] offset_max"),
+    "negative-seed": (shipped_with("wmr_s1_arolc", "seed", "seed = -1"), "[sim] seed"),
+    "bad-start": (shipped_with("wmr_s1_arolc", "start", "start = flying"), "[sim] start"),
+    "malformed-ini": (kinds_file() + "\nthis line has no equals sign\n",
+                      "malformed scenario file"),
+}
+
+
+@pytest.mark.parametrize("text, named", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_exits_2_naming_the_entry(text, named, tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err, captured.err

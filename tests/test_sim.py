@@ -800,6 +800,18 @@ class TestErrorDynamicsResidual:
         times = self.assert_matches_reference(simulate(sc, diagnostics=True), sc)
         assert times[0] >= 0.5
 
+    @pytest.mark.parametrize("controller, diagnostics, message", [
+        (None, False, "needs a diagnostics trace"),
+        (PconConfig(), True, "the identity applies to adaptive-robust runs"),
+    ], ids=["no-diagnostics", "not-arolc"])
+    def test_trace_without_the_identity_rejected(self, controller, diagnostics, message):
+        sc = RESIDUAL_SCENARIOS["oscillator"]()
+        sc.controller = controller or sc.controller
+        sc.duration = 0.1
+        trace = simulate(sc, diagnostics=diagnostics)
+        with pytest.raises(ValueError, match=message):
+            error_dynamics_residual(trace, sc)
+
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_warmup_rejected(self, warmup):
         sc = RESIDUAL_SCENARIOS["oscillator"]()
@@ -936,6 +948,10 @@ class TestWarningsAndErrors:
     def test_dt_coarser_than_control_rejected(self):
         with pytest.raises(ValueError):
             simulate(free_scenario(dt=0.02, dt_control=0.01))
+
+    def test_control_period_not_a_multiple_of_dt_rejected(self):
+        with pytest.raises(ValueError, match="^dt_control must be an integer multiple of dt$"):
+            free_scenario(dt=0.003, dt_control=0.01).validate()
 
     def test_divergence_carries_partial_trace(self):
         sc = Scenario(

@@ -407,6 +407,18 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=field):
             GainSet.identity(1, **{field: value})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"K1": np.diag([1.0, -1.0])}, "K1 must be symmetric positive definite"),
+        ({"K2": np.zeros((2, 2))}, "K2 must be symmetric positive definite"),
+        ({"Q": np.diag([1.0, 1.0, 1.0, 0.0])}, "Q must be symmetric positive definite"),
+        ({"K2": np.eye(3)}, "K1 and K2 must have identical shape"),
+        ({"Q": np.eye(2)}, "Q must be 2n x 2n"),
+    ], ids=["K1-indefinite", "K2-zero", "Q-semidefinite", "K2-shape", "Q-shape"])
+    def test_gain_set_matrices_rejected(self, changes, message):
+        gains = {"K1": np.eye(2), "K2": np.eye(2), "Q": np.eye(4), **changes}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GainSet(**gains)
+
 
 class TestUltimateBound:
     def test_case1_zero_disturbance(self):
