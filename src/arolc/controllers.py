@@ -25,11 +25,16 @@ its adaptation step) and pcon_step stay module functions.
 The control period runs on Python floats: step takes q, q_dot and the
 reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
 returns the torque as a list of floats. For vectors of 2 to 12 entries
-per-call numpy overhead dominates the arithmetic, so each law is plain list
-code over the gain rows its config holds, every matrix-vector product
-summed left to right. The adaptive-robust law is stated once, in four
-steps that arolc_step runs in order: sliding_variable, nominal_control,
-switching_control and adapt_gain.
+per-call numpy overhead dominates the arithmetic, so each law is plain
+float code over the gain rows its config holds, every matrix-vector
+product summed left to right. The adaptive-robust law is stated in four
+steps: sliding_variable, nominal_control, switching_control and
+adapt_gain. arolc_step runs them in that order, compiled as one function
+for the plant's dimension n (``_compile_law``, once per n, as the
+simulator compiles its RK4 period): every row product unrolled in the
+helpers' order, one local per entry, ||s|| formed once. The first step on
+a config binds its rows into that law, so the records are the helpers'
+bit for bit; the helpers stay the law's reference.
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -47,6 +52,7 @@ grows on estimator startup transients.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -57,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .delays import integrate, max_delay
+from .plants import _compile, _entries
 from .stability import GainSet, build_error_system, check_feasibility, delay_margin
 
 __all__ = [
@@ -84,6 +91,8 @@ class ArolcConfig:
 
     rows holds the rows of B^T P (P and B of the gains' error system), K2
     and K1 as lists of floats, set once from gains; the law reads them.
+    The first arolc_step on a config binds them into the compiled law and
+    stores it on the config.
     """
 
     gains: GainSet
@@ -105,6 +114,11 @@ class ArolcConfig:
         system = build_error_system(self.gains)
         object.__setattr__(self, "rows", ((system.B.T @ system.P).tolist(),
                                           self.gains.K2.tolist(), self.gains.K1.tolist()))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, without the bound law
+        return type(self), (self.gains, self.alpha, self.epsilon, self.gamma,
+                            self.c_hat_init, self.switching)
 
     def initial_state(self) -> "ArolcState":
         return ArolcState(c_hat=self.c_hat_init)
@@ -200,22 +214,116 @@ def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
     """The adaptive-robust torque at the current gain, then one adaptation
     step of length dt (the control period): sliding_variable,
     nominal_control, switching_control, torque and adapt_gain, in that
-    order. desired is the triple (qd, qd_dot, qd_ddot); torque(q, q_dot, u)
-    the nominal model's Mhat(q) u + Nhat(q, q_dot) (a plant's ``torque``
-    face). record.c_hat and record.state are the adapted ones."""
-    qd, qd_dot, qd_ddot = desired
-    e1 = [a - b for a, b in zip(qd, q)]
-    e1_dot = [a - b for a, b in zip(qd_dot, q_dot)]
-    s = sliding_variable(e1 + e1_dot, cfg)
-    u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
-    if cfg.switching:
-        du = switching_control(s, state.c_hat, cfg)
-        u = [a + b for a, b in zip(u_hat, du)]
-    else:
-        du, u = [0.0] * len(s), u_hat
-    tau = torque(q, q_dot, u)
-    new_state = adapt_gain(state, s, t, dt, cfg)
-    return StepRecord(tau, new_state.c_hat, math.sqrt(_dot(s, s)), u, du, new_state)
+    order, run as the law compiled for the plant's dimension
+    (``_compile_law``). desired is the triple (qd, qd_dot, qd_ddot);
+    torque(q, q_dot, u) the nominal model's Mhat(q) u + Nhat(q, q_dot) (a
+    plant's ``torque`` face). record.c_hat and record.state are the
+    adapted ones."""
+    law = cfg.__dict__.get("_law") or _bind_law(cfg)
+    return law(state, q, q_dot, desired, torque, t, dt)
+
+
+def _sum(terms) -> str:
+    """The source of _dot's sum of terms: ((0.0 + t0) + t1) + ..."""
+    return reduce(lambda total, term: f"({total} + {term})", terms, "0.0")
+
+
+@functools.cache
+def _compile_law(n: int):
+    """arolc_step for n coordinates, unrolled: compiled once per n, as the
+    simulator compiles its RK4 period. Returns the function that binds a
+    config's gain rows (bp{i}_{j}, k2_{i}_{j} and k1_{i}_{j}, the entries
+    of B^T P, K2 and K1) and scalars into the law.
+
+    The law runs the four helpers' operations in their order, each row
+    product unrolled in _dot's order, and forms ||s|| once, for the
+    switching term, the adaptation and the record alike; it returns the
+    record the helpers' composition returns, bit for bit, and raises their
+    errors (ValueError) on a bad c_hat or dt, on time that does not
+    advance, and on inputs of the wrong length.
+    """
+    rng = range(n)
+    e = [f"ep{j}" for j in rng] + [f"ev{j}" for j in rng]  # e1, then e1_dot
+    s, du = _entries("s", n), _entries("du", n)
+    lines = [
+        "def bind(" + "".join(f"bp{i}_{j}, " for i in rng for j in range(2 * n))
+        + "".join(f"{k}_{i}_{j}, " for k in ("k2", "k1") for i in rng for j in rng)
+        + "alpha, epsilon, gamma, switching, sqrt, inf, lengths, ArolcState, StepRecord):",
+        "    def law(state, q, q_dot, desired, torque, t, dt):",
+        "        c_hat, s_prev, t_prev = state.c_hat, state.s_prev, state.t_prev",
+        "        try:",
+        "            qd, qd_dot, qd_ddot = desired",
+        f"            {_entries('q', n)}= q",
+        f"            {_entries('v', n)}= q_dot",
+        f"            {_entries('r', n)}= qd",
+        f"            {_entries('rv', n)}= qd_dot",
+        f"            {_entries('ra', n)}= qd_ddot",
+        "        except ValueError:",
+        f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None"]
+    lines += [f"        ep{i} = r{i} - q{i}" for i in rng]
+    lines += [f"        ev{i} = rv{i} - v{i}" for i in rng]
+    lines += [f"        s{i} = {_sum(f'bp{i}_{j} * {x}' for j, x in enumerate(e))}" for i in rng]
+    lines += [f"        s_norm = sqrt({_sum(f's{i} * s{i}' for i in rng)})"]
+    lines += [f"        uh{i} = (ra{i} + {_sum(f'k2_{i}_{j} * ev{j}' for j in rng)}) + "
+              f"{_sum(f'k1_{i}_{j} * ep{j}' for j in rng)}" for i in rng]
+    lines += [
+        "        if switching:",
+        "            if not 0.0 < c_hat < inf:  # NaN included",
+        "                raise ValueError(f'c_hat must be positive and finite, got {c_hat!r}')",
+        "            gain = alpha * c_hat / (s_norm if s_norm >= epsilon else epsilon)"]
+    lines += [f"            du{i} = gain * s{i}" for i in rng]
+    lines += [
+        f"            du = [{du}]",
+        f"            u = [{''.join(f'uh{i} + du{i}, ' for i in rng)}]",
+        "        else:",
+        f"            du = [{'0.0, ' * n}]",
+        f"            u = [{_entries('uh', n)}]",
+        "        tau = torque(q, q_dot, u)",
+        "        if not -inf < c_hat < inf:",
+        "            raise ValueError(f'c_hat must be a number and finite, got {c_hat!r}')",
+        "        if not 0.0 < dt < inf:",
+        "            raise ValueError(f'dt must be finite and positive, got {dt!r}')",
+        "        if s_prev is not None:",
+        "            if not t > t_prev:",
+        "                raise ValueError('time must advance between adaptation steps')",
+        f"            if len(s_prev) != {n}:",
+        f"                raise ValueError(f's_prev has {{len(s_prev)}} entries, s has {n}')",
+        "        if c_hat <= gamma:",
+        "            rate = gamma",
+        "        elif s_prev is None:",
+        "            rate = -s_norm  # no slope estimate yet: conservative branch",
+        "        else:",
+        f"            {_entries('sp', n)}= s_prev",
+        "            elapsed = t - t_prev",
+        f"            rate = s_norm if {_sum(f's{i} * ((s{i} - sp{i}) / elapsed)' for i in rng)} "
+        "> 0.0 else -s_norm",
+        "        c_new = c_hat + rate * dt",
+        "        if gamma > c_new:  # max(c_new, gamma)",
+        "            c_new = gamma",
+        f"        return StepRecord(tau, c_new, s_norm, u, du, ArolcState(c_new, [{s}], t))",
+        "    return law"]
+    return _compile(lines, f"arolc law, n = {n}")
+
+
+def _lengths(n: int, q, q_dot, desired) -> str:
+    """The law's message for inputs of the wrong length."""
+    if len(desired) != 3:
+        return f"expected desired = (qd, qd_dot, qd_ddot), got {len(desired)} entries"
+    got = [len(x) for x in (q, q_dot, *desired)]
+    return (f"expected q, q_dot, qd, qd_dot and qd_ddot of length {n}, got "
+            f"{got[0]}, {got[1]}, {got[2]}, {got[3]} and {got[4]}")
+
+
+def _bind_law(cfg: ArolcConfig):
+    """cfg's law (``_compile_law``), bound to its rows and scalars and stored
+    on cfg on first use."""
+    bp, k2, k1 = cfg.rows
+    n = len(k1)
+    law = _compile_law(n)(*(x for rows in (bp, k2, k1) for row in rows for x in row),
+                          cfg.alpha, cfg.epsilon, cfg.gamma, cfg.switching, math.sqrt,
+                          math.inf, _lengths, ArolcState, StepRecord)
+    cfg.__dict__["_law"] = law
+    return law
 
 
 @dataclass(frozen=True)

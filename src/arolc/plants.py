@@ -25,15 +25,18 @@ and the value p of the plant's schedule (its time-only part, the robot's
 payload phase), if it has one. ``_MASS`` assigns M's upper entries
 m{i}_{j} (i <= j; an entry it does not assign is zero), ``_BIAS`` N's
 time-free entries n{i}, reading no name _MASS assigns, and ``_SOLVE``,
-which also reads the input sequence u and the time t, the accelerations
-a{i} of M a = u - N less the disturbance at t. A schedule whose value is a
-row of numbers names its entries in a fourth string, ``_ROW``, which
-unpacks p before the others run (the robot's row holds M's entries
-themselves, so its _MASS is empty). Every other name they read is a
-constant of the plant. One generator (``_compile_face``) compiles every
-face from these strings, each on first use: the kernel (all of them),
-which the simulator splices into the unrolled RK4 step (``arolc.sim``), so
-that a step calls no ``accel``; ``accel``, the kernel on one state;
+which also reads the input's entries u0, u1, ... and the time t, the
+accelerations a{i} of M a = u - N less the disturbance at t. _SOLVE reads
+t only in its ``if disturbance:`` block, which a plant without a
+disturbance leaves out of its faces (``_KernelPlant._solve``), so that
+their source reads no time. A schedule whose value is a row of numbers
+names its entries in a fourth string, ``_ROW``, which unpacks p before
+the others run (the robot's row holds M's entries themselves, so its
+_MASS is empty). Every other name they read is a constant of the plant.
+One generator (``_compile_face``) compiles every face from these strings,
+each on first use: the kernel (all of them), which the simulator splices
+into the unrolled RK4 period (``arolc.sim``), so that a step calls no
+``accel``; ``accel``, the kernel on one state;
 ``torque``, _ROW, _MASS and _BIAS at the schedule's time-free value, each
 row of M qdd + N summed left to right; ``mass_matrix``, _ROW and _MASS;
 and ``bias_vector``, _ROW and _BIAS, plus the disturbance at t.
@@ -143,12 +146,13 @@ class PlantModel:
         return el_accel(self, q, q_dot, tau_applied, t).tolist()
 
     def kernel(self) -> "Kernel":
-        """The call kernel, a0, ... = accel((q0, ...), (v0, ...), u, t), with
-        accel as bound on the instance: the integrator calls it at every
-        RK4 stage on tuples of floats and unpacks the result (any length-dim
-        sequence). Closed-form plants override it with their dynamics."""
-        a, q, v = (_entries(prefix, self.dim) for prefix in "aqv")
-        return Kernel(f"{a}= accel(({q}), ({v}), u, t)\n", {"accel": self.accel})
+        """The call kernel, a0, ... = accel((q0, ...), (v0, ...), (u0, ...),
+        t), with accel as bound on the instance: the integrator calls it at
+        every RK4 stage on tuples of floats and unpacks the result (any
+        length-dim sequence). Closed-form plants override it with their
+        dynamics."""
+        a, q, v, u = (_entries(prefix, self.dim) for prefix in "aqvu")
+        return Kernel(f"{a}= accel(({q}), ({v}), ({u}), t)\n", {"accel": self.accel})
 
     def torque(self, q, q_dot, qdd) -> list[float]:
         """Inverse dynamics M(q) qdd + N(q, q_dot) of the time-free terms
@@ -163,12 +167,14 @@ class Kernel(NamedTuple):
     """One state's float forward dynamics, as source.
 
     source is statements over the positions q0, q1, ..., the rates v0, v1,
-    ..., the input u (a length-dim sequence of floats), the time t and,
-    with a schedule, p, that assign the accelerations a0, a1, ...; its own
-    temporaries (a closed-form plant's m{i}_{j}, n{i} and _ROW names among them) match
-    none of these names and start with no underscore. Every other name it
-    reads is a constant, the entry of constants of that name, bound once
-    per use.
+    ..., the input's entries u0, u1, ... (floats), the time t and, with a
+    schedule, p, that assign the accelerations a0, a1, ...; its own
+    temporaries (a closed-form plant's m{i}_{j}, n{i} and _ROW names among
+    them) match none of these names and start with no underscore. Every
+    other name it reads is a constant, the entry of constants of that name,
+    bound once per use. A source that never names t is handed no time: the
+    simulator's period loop passes the stage instants only to a kernel that
+    reads them (a disturbed plant's, or the call kernel's).
 
     schedule, if not None, is the plant's time-only part: p reads its value
     at t. It maps a float t to that value, and an ndarray of times to an
@@ -197,6 +203,8 @@ def _compile(lines, name: str):
 
 # M's upper entries m{i}_{j} that a plant's _ROW and _MASS name
 _MASS_ENTRY = re.compile(r"\bm(\d+)_(\d+)\b")
+# _SOLVE's disturbance: its "if disturbance:" line and the indented lines under it
+_DISTURBANCE_BLOCK = re.compile(r"^if disturbance:\n(?:    .*\n)+", re.M)
 
 
 @functools.cache
@@ -208,7 +216,7 @@ def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: 
     (face, strings, names, n), on first use. The face's own names start
     with an underscore, so that no constant is shadowed.
 
-    accel(_q, _q_dot, u, t) -> [a0, ...] as Python floats (ndarray entries
+    accel(_q, _q_dot, _u, t) -> [a0, ...] as Python floats (ndarray entries
     give numpy scalars), p = _schedule(t); torque(_q, _q_dot, _qdd) ->
     [M qdd + N] at p = _schedule(None); mass(_q, p) -> M as nested tuples
     and bias(_q, _q_dot, p) -> (n0, ...), on floats or on (B,) columns.
@@ -220,8 +228,9 @@ def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: 
     state = f"{_entries('q', n)}= _q\n{_entries('v', n)}= _q_dot\n"
     bind = [f"def bind(_schedule, {', '.join(names)}):"]
     if face == "accel":
-        args = "_q, _q_dot, u, t"
-        body = state + ("p = _schedule(t)\n" if scheduled else "") + row + mass + bias + solve
+        args = "_q, _q_dot, _u, t"
+        body = (state + f"{_entries('u', n)}= _u\n" + ("p = _schedule(t)\n" if scheduled else "")
+                + row + mass + bias + solve)
         result = f"[{', '.join(f'float(a{i})' for i in range(n))}]"
     elif face == "torque":
         if scheduled:
@@ -257,11 +266,12 @@ class _KernelPlant(PlantModel):
     their p columns from the float table of _phases.
 
     Every face is compiled from the strings (``_compile_face``) on its first
-    use and bound to the plant's constants once: the kernel runs all four
-    strings, accel the kernel on one state, torque _ROW, _MASS and _BIAS at
-    the time-free p, mass_matrix _ROW and _MASS, and bias_vector _ROW and
-    _BIAS, on one state's floats or, with numpy's cos and sin bound, on a
-    stack's columns.
+    use and bound to the plant's constants once, _SOLVE less its
+    disturbance where the plant has none (``_solve``): the kernel runs all
+    four strings, accel the kernel on one state, torque _ROW, _MASS and
+    _BIAS at the time-free p, mass_matrix _ROW and _MASS, and bias_vector
+    _ROW and _BIAS, on one state's floats or, with numpy's cos and sin
+    bound, on a stack's columns.
     """
 
     _ROW = ""
@@ -282,8 +292,13 @@ class _KernelPlant(PlantModel):
         return (np.fromiter(self._phases, object, len(self._phases)),
                 np.array(self._phases, float))
 
+    def _solve(self) -> str:
+        """_SOLVE, less its ``if disturbance:`` block where the plant has no
+        disturbance: the source then reads no time."""
+        return self._SOLVE if self.disturbance_amp else _DISTURBANCE_BLOCK.sub("", self._SOLVE)
+
     def kernel(self) -> Kernel:
-        return Kernel(self._ROW + self._MASS + self._BIAS + self._SOLVE, dict(
+        return Kernel(self._ROW + self._MASS + self._BIAS + self._solve(), dict(
             self._constants(), cos=math.cos, sin=math.sin,
             disturbance=self.disturbance if self.disturbance_amp else None),
             None if self._phases is None else self._schedule)
@@ -300,7 +315,7 @@ class _KernelPlant(PlantModel):
             constants = (dict(kernel.constants, cos=np.cos, sin=np.sin) if stacked
                          else kernel.constants)
             bound = self._faces[face, stacked] = _compile_face(
-                face, self._ROW, self._MASS, self._BIAS, self._SOLVE, tuple(constants),
+                face, self._ROW, self._MASS, self._BIAS, self._solve(), tuple(constants),
                 self.dim, kernel.schedule is not None)(kernel.schedule, **constants)
         return bound
 
@@ -465,8 +480,7 @@ if viscous:
 if disturbance:
     d0, d1 = disturbance(t).tolist()
     n0, n1 = n0 + d0, n1 + d1
-tau0, tau1 = u
-b0, b1 = tau0 - n0, tau1 - n1
+b0, b1 = u0 - n0, u1 - n1
 a1 = (b1 - lower * b0) / upper
 a0 = (b0 - m0_1 * a1) / m0_0
 """
@@ -635,8 +649,7 @@ if viscous:
 """
     # el_accel's closed form: the 2 x 2 inverse through its determinant
     _SOLVE = """\
-tau0, tau1 = u
-r0, r1 = tau0 - n0, tau1 - n1
+r0, r1 = u0 - n0, u1 - n1
 if disturbance:
     d0, d1 = disturbance(t).tolist()
     r0, r1 = r0 - d0, r1 - d1
@@ -697,8 +710,7 @@ class _LinearPlant(_KernelPlant):
         # the strings, for n coordinates
         self._MASS = "".join(f"m{i}_{i} = mass\n" for i in range(n))
         self._BIAS = "".join(f"n{i} = stiffness * q{i}\n" for i in range(n))
-        self._SOLVE = f"{_entries('u', n)}= u\n" + "".join(
-            f"a{i} = (u{i} - n{i}) / m{i}_{i}\n" for i in range(n))
+        self._SOLVE = "".join(f"a{i} = (u{i} - n{i}) / m{i}_{i}\n" for i in range(n))
 
     def _constants(self) -> dict:
         return dict(mass=self.mass, stiffness=self.stiffness)

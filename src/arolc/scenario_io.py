@@ -2,8 +2,10 @@
 
 A scenario file has sections [plant], [controller], [gains], [delay],
 [trajectory], [payload], [sim]. Times are seconds, masses kg, lengths
-meters. '#' and ';' start comments. Unknown sections or keys are rejected,
-as are missing required keys.
+meters. '#' starts a comment anywhere on a line, ';' only at the start of
+one: inside a value it separates the [payload] offsets, so a number
+followed by '; note' is not a number. Unknown sections or keys are
+rejected, as are missing required keys.
 
 [plant], [controller], [delay] and [trajectory] each select a kind. The
 table _KINDS is the one statement of what each kind reads: per kind, the
@@ -310,7 +312,8 @@ def load_config(source) -> dict[str, dict[str, str]]:
     """Parse an INI scenario into nested dicts and reject unknown
     sections/keys and missing required keys. source is a path, or the text
     itself when it holds a line break."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' is no inline comment: it separates the offsets pairs
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     text = str(source)
     if "\n" not in text:
         text = Path(text).read_text()

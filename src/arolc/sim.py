@@ -19,33 +19,41 @@ the stage instants, the schedule's values there and the lookups of a
 block of control periods at once (the schedule on the block's instants,
 ``delays.plan`` against the stamps of the whole run), and once per period
 blends the commands pushed so far (``delays.blend`` on the tau_cmd rows
-0..k) into the applied input of the coming period; each step reads its
-instants, its schedule values and its inputs from these rows. This is
-exact: every stage gets, bit for bit, the schedule's value at its own
-instant and the value ``delays.interpolate`` on the pushed commands
+0..k) into the applied input of the coming period, one flat row of 3n
+floats per step: its input at t, t + dt/2 and t + dt. Each step reads its
+row, and its instants and schedule values where its kernel reads them.
+This is exact: every stage gets, bit for bit, the schedule's value at its
+own instant and the value ``delays.interpolate`` on the pushed commands
 returns there.
 
 Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
-dominates the arithmetic. The RK4 step is unrolled for the plant's
-dimension and runs the plant's forward dynamics inline: each closed-form
-plant states its M, N and solve once, as source, and its kernel is the
-three together (``plants.Kernel``). ``_compile_step`` splices that kernel
-into the step at each of the four stages, with one local per entry and
-the divergence guard inline (a stage that raises ValueError, as math's cos
-of an overflowed position does, diverges too). It compiles once per
-(kernel, n), on the first run, through the compile helper that also
-builds the plants' faces; a later run binds the plant's constants into
-the compiled step. A step thus calls no ``accel``, except where the plant
-has no kernel or an ``accel`` is set on the instance (a tracer's wrapper,
-say): then the kernel is the call to that ``accel``. This is exact, not an
+dominates the arithmetic. The RK4 steps of a control period are one
+function, unrolled for the plant's dimension, that runs the plant's
+forward dynamics inline: each closed-form plant states its M, N and solve
+once, as source, and its kernel is the three together (``plants.Kernel``).
+``_compile_step`` splices that kernel into a loop over the period's steps
+at each of the four stages of a step, with one local per entry, the state
+kept in locals from step to step and the divergence guard inline (a stage
+that raises ValueError, as math's cos of an overflowed position does,
+diverges too); the period returns how many steps it completed. A kernel
+names the input's entries u0, u1, ... as it names q0 and v0, and it gets
+the stage instants only when it reads t: a plant without a disturbance
+leaves its disturbance lines out of its kernel, so an undisturbed run
+builds no instants for its steps. The period compiles once per (kernel,
+n), on the first run, through the compile helper that also builds the
+plants' faces; a later run binds the plant's constants into the compiled
+period. A step thus calls no ``accel``, except where the plant has no
+kernel or an ``accel`` is set on the instance (a tracer's wrapper, say):
+then the kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
 the ndarray expression, so the traces are bit-identical to an ndarray
 integrator. The control period stays on floats too: the controller reads q
 and q_dot as slices of that tuple and the reference as lists of floats
 (evaluated once per block of periods, the trajectory called on the block's
-stamps), and returns its command as a list (``arolc.controllers``). Arrays
+stamps), and returns its command as a list (``arolc.controllers``, whose
+adaptive-robust law is compiled for n as well, on the first run). Arrays
 begin at the trace: its rows (written once per block, tau_cmd once per
 period), the planned lookups and the diagnostics fine grid (written once
 per period).
@@ -95,9 +103,9 @@ _DIVERGENCE_LIMIT = 1e8
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
 # the plan of the period's block (stage instants, delays, brackets and
 # weights, plus their temporaries while it is built), the blended table and
-# the nested-list copies the stages read, of the table and of the stage
-# instants with the schedule's values; its peak is _step_words(n) per RK4
-# step.
+# the list copies the steps read: the table's flat rows, and the stage
+# instants and the schedule's values where the kernel reads them; its peak
+# is at most _step_words(n) per RK4 step.
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
@@ -238,12 +246,14 @@ class Trace:
 
 def _step_words(n: int) -> int:
     """Words per RK4 step that simulate holds while it steps a control
-    period of a dimension-n plant: the growth of tracemalloc's peak per
-    step of a period (1e3 to 2e4 steps under S1) is 99 + 33n for point
-    masses of n = 1, 2, 3 and the arm, and 3 words more where the kernel
-    has a schedule (its value at each of a step's three instants: 168 on
-    the scheduled robot). A period's fixed part, about 1e3 words, is left
-    out."""
+    period of a dimension-n plant, at most: the growth of tracemalloc's
+    peak per step of a period (1e3 to 2e4 steps under S1) is 31 + 33n for
+    point masses of n = 2, 3 and 6 and for the arm (74 at n = 1, by the
+    allocator's rounding), 20 words more where the kernel reads t (the
+    step's instants) and 11 more where it has a schedule (its values
+    there): 108 on the scheduled robot, 161 on a disturbed, scheduled
+    plant of n = 3. The count bounds each of these with 30 words or more
+    to spare. A period's fixed part, about 1e3 words, is left out."""
     return 102 + 33 * n
 
 
@@ -269,77 +279,102 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
 
 
-# A kernel's names of one stage: q{i}, v{i}, a{i}, u, t and p
-_STAGE_NAME = re.compile(r"\b(?:([qva])(\d+)|([utp]))\b")
+# A kernel's names of one stage: q{i}, v{i}, a{i}, u{i}, t and p
+_STAGE_NAME = re.compile(r"\b(?:([qvau])(\d+)|([tp]))\b")
+
+
+def _reads(source: str, free: str) -> bool:
+    """Whether a kernel's source reads the time t or the schedule's value p."""
+    return any(m.group(3) == free for m in _STAGE_NAME.finditer(source))
 
 
 @functools.cache
 def _compile_step(source: str, names: tuple, n: int):
-    """The classical RK4 step of a dimension-n plant whose kernel is source
-    (``plants.Kernel``), unrolled: compiled from source once per (kernel,
-    n), as ``dataclasses`` builds its methods. Returns the function of the
-    kernel's constants names that binds them into the step.
+    """The classical RK4 steps of one control period of a dimension-n plant
+    whose kernel is source (``plants.Kernel``), unrolled: compiled from
+    source once per (kernel, n), as ``dataclasses`` builds its methods.
+    Returns the function of the kernel's constants names that binds them
+    into the period.
 
-    The step, ``rk4_step(instants, y, dt, inputs)``, advances the 2n floats
-    y = (q, q_dot) over the stage instants (t, t + dt/2, t + dt); inputs
-    holds the applied input at each. A kernel that reads p has a schedule,
-    and its step's instants carry, after the three instants, the
-    schedule's value at each. The step runs the kernel once per stage, on
-    stage names of its own, and returns the new state as a tuple, or None
-    when an entry is not within +-_DIVERGENCE_LIMIT (NaN included) or a
+    The period, ``rk4_period(y, dt, inputs, instants, values, append)``,
+    advances the 2n floats y = (q, q_dot) by one step per row of inputs,
+    keeping the state in locals from step to step. Row i of inputs is step
+    i's applied input as one flat row of 3n floats, its value at the stage
+    instants t, t + dt/2 and t + dt one after the other. instants and
+    values are read only where the kernel reads t and p: row i of instants
+    is step i's three instants, row i of values the schedule's value at
+    each; the period of a kernel that reads neither ignores them. append,
+    if not None, receives the state after each step, as a tuple.
+
+    Returns (y, m): the state after the last of the m steps the period
+    completed. m is the number of rows unless a step diverges: an entry of
+    its new state is not within +-_DIVERGENCE_LIMIT (NaN included), or a
     stage raises ValueError, as math's cos and sin do on the infinite
-    position of an overflowing stage. Each entry is rounded as the ndarray
-    expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
-    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with
-    k_s = (q_dot, qdd) at stage s. The stage positions that the kernel
-    never reads are left out.
+    position of an overflowing stage. The period then stops, and returns
+    None for y and the index of that step for m. The step runs the kernel
+    once per stage, on stage names of its own. Each entry is rounded as
+    the ndarray expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
+    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with k_s = (q_dot,
+    qdd) at stage s. The stage positions that the kernel never reads are
+    left out.
     """
-    reads = [m.groups() for m in _STAGE_NAME.finditer(source)]
-    reads_q = {int(i) for prefix, i, _ in reads if prefix == "q"}
-    instants = "_t_start, _t_half, _t_end, "
-    if (None, None, "p") in reads:
-        instants += "_p_start, _p_half, _p_end, "
+    reads_q = {int(m.group(2)) for m in _STAGE_NAME.finditer(source) if m.group(1) == "q"}
+    # each step's row of inputs, then its instants and its values where read
+    targets = ["(" + "".join(_entries(f"_u_{at}_", n) for at in ("start", "half", "end")) + ")"]
+    tables = ["_inputs"]
+    for free, table in (("t", "_instants"), ("p", "_values")):
+        if _reads(source, free):
+            targets.append(f"(_{free}_start, _{free}_half, _{free}_end)")
+            tables.append(table)
+    loop = (f"for _m, {targets[0]} in enumerate(_inputs):" if len(tables) == 1 else
+            f"for _m, ({', '.join(targets)}) in enumerate(zip({', '.join(tables)})):")
 
     def stage(s, at):
-        # the kernel on stage s: q{i} -> _q{s}_{i}, u -> _u_{at}, ...
+        # the kernel on stage s: q{i} -> _q{s}_{i}, u{i} -> _u_{at}_{i}, t -> _t_{at}
         def rename(m):
             prefix, i, free = m.groups()
+            if prefix == "u":
+                return f"_u_{at}_{i}"
             return f"_{prefix}{s}_{i}" if prefix else f"_{free}_{at}"
 
-        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 12)
+        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 16)
 
     # stage s runs the kernel at y + h k_{s-1}, k_{s-1} = (_v{s-1}_, _a{s-1}_);
-    # stage 1 at y = (_q1_, _v1_) itself
+    # stage 1 at y = (_q1_, _v1_) itself, which the step then advances in place
+    state = _entries("_q1_", n) + _entries("_v1_", n)
     lines = [f"def bind({', '.join(names)}):",
-             "    def rk4_step(_instants, _y, _dt, _inputs):",
-             f"        {instants}= _instants",
-             "        _u_start, _u_half, _u_end = _inputs",
-             f"        {_entries('_q1_', n)}{_entries('_v1_', n)}= _y",
+             "    def rk4_period(_y, _dt, _inputs, _instants, _values, _append):",
+             f"        {state}= _y",
              "        _half = 0.5 * _dt",
-             "        try:",
+             "        _sixth = _dt / 6.0",
+             f"        {loop}",
+             "            try:",
              stage(1, "start")]
     for s, h, at in ((2, "_half", "half"), (3, "_half", "half"), (4, "_dt", "end")):
-        lines += [f"            _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}" for i in sorted(reads_q)]
-        lines += [f"            _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
+        lines += [f"                _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}"
+                  for i in sorted(reads_q)]
+        lines += [f"                _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
         lines.append(stage(s, at))
-    lines += ["        except ValueError:",
-              "            return None",
-              "        _sixth = _dt / 6.0"]
-    lines += [f"        _y{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) + 2.0 * _v3_{i}) "
-              f"+ _v4_{i})" for i in range(n)]
-    lines += [f"        _y{n + i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
+    lines += ["            except ValueError:",
+              "                return None, _m"]
+    lines += [f"            _q1_{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) "
+              f"+ 2.0 * _v3_{i}) + _v4_{i})" for i in range(n)]
+    lines += [f"            _v1_{i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
               f"+ 2.0 * _a3_{i}) + _a4_{i})" for i in range(n)]
-    guard = " and ".join(f"abs(_y{i}) <= {_DIVERGENCE_LIMIT!r}" for i in range(2 * n))
-    lines += [f"        if {guard}:",  # NaN fails it too
-              f"            return ({_entries('_y', 2 * n)})",
-              "        return None",
-              "    return rk4_step"]
-    return _compile(lines, f"rk4 step, n = {n}")
+    guard = " and ".join(f"abs({name}) <= {_DIVERGENCE_LIMIT!r}"
+                         for name in state.rstrip(", ").split(", "))
+    lines += [f"            if not ({guard}):",  # NaN fails it too
+              "                return None, _m",
+              "            if _append is not None:",
+              f"                _append(({state}))",
+              f"        return ({state}), len(_inputs)",
+              "    return rk4_period"]
+    return _compile(lines, f"rk4 period, n = {n}")
 
 
-def _rk4_step(kernel: Kernel, n: int):
-    """The unrolled RK4 step of a dimension-n plant (``_compile_step``) with
-    the kernel's constants bound."""
+def _rk4_period(kernel: Kernel, n: int):
+    """The unrolled RK4 period of a dimension-n plant (``_compile_step``)
+    with the kernel's constants bound."""
     return _compile_step(kernel.source, tuple(kernel.constants), n)(**kernel.constants)
 
 
@@ -372,7 +407,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     # an accel set on the instance (a tracer's wrapper, say) is called,
     # through the base class's call kernel
     kernel = PlantModel.kernel(plant) if "accel" in vars(plant) else plant.kernel()
-    rk4_step = _rk4_step(kernel, n)
+    rk4_period = _rk4_period(kernel, n)
+    reads_time = _reads(kernel.source, "t")
     dt = sc.dt
 
     stamps = np.arange(n_rows) * sc.dt_control
@@ -389,6 +425,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         fine.q_dot[0] = qdot0
 
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
+    append = None
     for k in range(n_rows):
         t_k = k * sc.dt_control
         p = k % periods_per_block
@@ -397,12 +434,13 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             stage_t, stage_h, plans, before, after = _plan_periods(
                 profile, stamps, k0, k1, steps_per_control, dt, n)
             trace.h[k0:k1] = stage_h[:, 0, 0]
-            step_instants = stage_t
+            # per period, each step's instants and the schedule's value at
+            # each, where the kernel reads them
+            instants = values = [None] * (k1 - k0)
+            if reads_time:
+                instants = stage_t.tolist()
             if kernel.schedule is not None:
-                # each step's instants, then the schedule's value at each
-                step_instants = np.concatenate(
-                    [stage_t.astype(object), kernel.schedule(stage_t)], axis=-1)
-            step_instants = step_instants.tolist()
+                values = kernel.schedule(stage_t).tolist()
             # per period, the reference triple at its stamp
             reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
             rows = []  # the block's trace rows, written at its end
@@ -415,10 +453,12 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             fine.cmd_u[k] = rec.u
             fine.cmd_du[k] = rec.du
 
-        # the commands pushed so far fix the applied input of the whole period
-        stage_tau = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p]).tolist()
+        # the commands pushed so far fix the applied input of the whole
+        # period: one flat row of 3n floats per step
+        inputs = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p]).reshape(
+            steps_per_control, 3 * n).tolist()
         qd = desired[0]
-        rows.append((q, q_dot, qd, [a - b for a, b in zip(qd, q)], stage_tau[0][0],
+        rows.append((q, q_dot, qd, [a - b for a, b in zip(qd, q)], inputs[0][:n],
                      rec.c_hat, rec.s_norm))
         if not math.isfinite(rec.c_hat):
             # the adaptation overflowed (a diverging error's ||s||): no law
@@ -430,23 +470,19 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             if k == n_rows - 1:
                 break
 
-        states = []  # the fine grid's rows of the period, one per step
-        for instants, inputs in zip(step_instants[p], stage_tau):
-            y = rk4_step(instants, y, dt, inputs)
-            if y is None:
-                break
-            if fine is not None:
-                states.append(y)
+        if fine is not None:
+            states = []  # the fine grid's rows of the period, one per step
+            append = states.append
+        y, m = rk4_period(y, dt, inputs, instants[p], values[p], append)
         j = k * steps_per_control + 1  # the fine row after the period's first step
-        if states:
-            m = len(states)
+        if fine is not None and m:
             block = np.array(states)
             fine.t[j:j + m] = stage_t[p, :m, 2]
             fine.q[j:j + m] = block[:, :n]
             fine.q_dot[j:j + m] = block[:, n:]
         if y is None:
             _write_rows(trace, k0, rows)
-            raise SimulationDiverged(instants[2], trace.head(k + 1, j + len(states)))
+            raise SimulationDiverged(float(stage_t[p, m, 2]), trace.head(k + 1, j + m))
 
     return trace
 

@@ -38,8 +38,7 @@ if friction:
     n0, n1, n2 = n0 + friction * v0, n1 + friction * v1, n2 + friction * v2
 """
     _SOLVE = """\
-tau0, tau1, tau2 = u
-r0, r1, r2 = tau0 - n0, tau1 - n1, tau2 - n2
+r0, r1, r2 = u0 - n0, u1 - n1, u2 - n2
 if disturbance:
     d0, d1, d2 = disturbance(t).tolist()
     r0, r1, r2 = r0 - d0, r1 - d1, r2 - d2

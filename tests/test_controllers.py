@@ -1,13 +1,18 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arolc.controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
+    StepRecord,
+    _dot,
     adapt_gain,
     arolc_step,
     make_controller,
@@ -303,6 +308,134 @@ class TestArolcStep:
         tau = arolc_step(state, np.zeros(1), np.zeros(1), desired,
                          affine_torque(np.eye(1), np.zeros(1)), 0.0, DT, cfg).tau
         np.testing.assert_allclose(tau, [1.0])
+
+
+def composed_step(state, q, q_dot, desired, torque, t, dt, cfg):
+    """The law as the four helpers state it, composed in arolc_step's order:
+    the reference the compiled law keeps to, bit for bit."""
+    qd, qd_dot, qd_ddot = desired
+    e1 = [a - b for a, b in zip(qd, q)]
+    e1_dot = [a - b for a, b in zip(qd_dot, q_dot)]
+    s = sliding_variable(e1 + e1_dot, cfg)
+    u_hat = nominal_control(e1, e1_dot, qd_ddot, cfg)
+    if cfg.switching:
+        du = switching_control(s, state.c_hat, cfg)
+        u = [a + b for a, b in zip(u_hat, du)]
+    else:
+        du, u = [0.0] * len(s), u_hat
+    tau = torque(q, q_dot, u)
+    new_state = adapt_gain(state, s, t, dt, cfg)
+    return StepRecord(tau, new_state.c_hat, math.sqrt(_dot(s, s)), u, du, new_state)
+
+
+def _bits(record):
+    """The bytes of every float of a record, in field order."""
+    floats = [*record.tau, record.c_hat, record.s_norm, *record.u, *record.du,
+              record.state.c_hat, *record.state.s_prev, record.state.t_prev]
+    assert all(type(x) is float for x in floats)
+    return np.array(floats).tobytes()
+
+
+_FLOATS = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def _law_cases(draw):
+    """A config of n = 1, 2, 3 or 6 (dense SPD gains, switching on or off)
+    and one step's arguments: c_hat at the floor or above it, a first step
+    or one with s_prev, and a state on the reference (s = 0, inside the
+    boundary layer), off it, or at zero with a reference of -0.0."""
+    n = draw(st.sampled_from([1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gains = GainSet(_spd(rng, n, 0.5, 3.0), _spd(rng, n, 0.5, 3.0), _spd(rng, 2 * n, 0.5, 2.0))
+    cfg = ArolcConfig(gains, alpha=draw(st.floats(0.1, 5.0)), epsilon=draw(st.floats(0.01, 1.0)),
+                      gamma=1e-3, c_hat_init=1e-3, switching=draw(st.booleans()))
+    vector = st.lists(_FLOATS, min_size=n, max_size=n)
+    q, q_dot, qd_ddot = draw(vector), draw(vector), draw(vector)
+    reference = draw(st.sampled_from(["off", "on", "signed-zeros"]))
+    if reference == "signed-zeros":
+        # every error entry and product -0.0: only the sums' 0.0 + makes s
+        # and u_hat +0.0
+        q, q_dot, desired = [0.0] * n, [0.0] * n, ([-0.0] * n,) * 3
+    else:
+        desired = ((q, q_dot) if reference == "on" else (draw(vector), draw(vector))) + (
+            qd_ddot,)
+    c_hat = draw(st.one_of(st.just(cfg.gamma), st.floats(cfg.gamma, 20.0)))
+    t_prev = draw(st.floats(0.0, 10.0))
+    s_prev = draw(st.one_of(st.none(), vector))
+    state = ArolcState(c_hat, s_prev, -math.inf if s_prev is None else t_prev)
+    return cfg, state, tuple(q), tuple(q_dot), desired, t_prev + draw(st.floats(1e-3, 1.0))
+
+
+class TestCompiledLaw:
+    """arolc_step runs the law compiled for the plant's dimension; it returns
+    the record of the four helpers' composition bit for bit, and raises
+    their errors."""
+
+    @given(_law_cases())
+    def test_matches_the_helpers_bit_for_bit(self, case):
+        cfg, state, q, q_dot, desired, t = case
+        torque = point_mass_plant(len(q), mass=1.7).torque
+        got = arolc_step(state, q, q_dot, desired, torque, t, DT, cfg)
+        expected = composed_step(state, q, q_dot, desired, torque, t, DT, cfg)
+        assert _bits(got) == _bits(expected)
+        assert got.state.s_prev == expected.state.s_prev and got.state.t_prev == t
+
+    def test_on_the_reference_s_is_zero_inside_the_layer(self):
+        cfg = ArolcConfig(GainSet.identity(2), c_hat_init=1.0)
+        state = cfg.initial_state()
+        q = (0.3, -0.2)
+        rec = arolc_step(state, q, (0.1, 0.4), (list(q), [0.1, 0.4], [0.5, -0.5]),
+                         point_mass_plant(2).torque, 0.0, DT, cfg)
+        assert rec.s_norm == 0.0 and rec.du == [0.0, 0.0] and rec.u == [0.5, -0.5]
+        assert rec.c_hat == 1.0  # the first step: the conservative branch at ||s|| = 0
+
+    def test_config_pickles_after_its_first_step(self):
+        # the bound law stays behind; the clone binds its own
+        cfg = ArolcConfig(GainSet.identity(2), alpha=3.0, c_hat_init=0.7, switching=False)
+        args = (cfg.initial_state(), (0.1, 0.2), (0.0, 0.1), ([0.3, -0.1],) * 3,
+                point_mass_plant(2).torque, 0.0, DT)
+        rec = arolc_step(*args, cfg)
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert (clone.alpha, clone.c_hat_init, clone.switching) == (3.0, 0.7, False)
+        assert _bits(arolc_step(*args, clone)) == _bits(rec)
+
+    @pytest.mark.parametrize("switching", [True, False], ids=["switching", "no-switching"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("case, message", [
+        ("nan-gain", "c_hat must be"), ("inf-gain", "c_hat must be"),
+        ("q", r"q, q_dot, qd, qd_dot and qd_ddot of length \d, got \d+, "),
+        ("q_dot", "q_dot, qd"), ("qd_ddot", "qd_ddot of length"),
+        ("s_prev", "s_prev has"), ("time", "time must advance"),
+        ("dt", "dt must be finite and positive")])
+    def test_errors_of_the_helpers(self, switching, n, case, message):
+        cfg = ArolcConfig(GainSet.identity(n), c_hat_init=1.0, switching=switching)
+        state = ArolcState(1.0, [0.1] * n, 0.5)
+        q, q_dot, desired = [0.2] * n, [0.0] * n, ([0.0] * n, [0.0] * n, [0.0] * n)
+        t, dt = 1.0, DT
+        if case == "nan-gain":
+            state = ArolcState(math.nan, None)
+        elif case == "inf-gain":
+            state = ArolcState(math.inf, None)
+        elif case == "q":
+            q = q + [0.0]
+        elif case == "q_dot":
+            q_dot = q_dot[1:]
+        elif case == "qd_ddot":
+            desired = desired[:2] + ([0.0] * (n + 2),)
+        elif case == "s_prev":
+            state = ArolcState(1.0, [0.1] * (n + 1), 0.5)
+        elif case == "time":
+            t = 0.5
+        else:
+            dt = math.nan
+        torque = point_mass_plant(n).torque
+        with pytest.raises(ValueError, match=message):
+            arolc_step(state, q, q_dot, desired, torque, t, dt, cfg)
+        # the helpers' length errors name e, e1 or the torque face's unpacking
+        lengths = case in ("q", "q_dot", "qd_ddot")
+        with pytest.raises(ValueError, match=None if lengths else message):
+            composed_step(state, q, q_dot, desired, torque, t, dt, cfg)
 
 
 class TestPcon:

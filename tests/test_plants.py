@@ -369,7 +369,8 @@ class TestPlantConformance:
         # kernel reads stage names, its constants and builtins, assigns every
         # acceleration, and its temporaries are neither stage names nor
         # underscored (the step's own names); it reads p iff it has a
-        # schedule, which the step then takes with its instants
+        # schedule, and t iff it has a disturbance, which the step then
+        # takes with its inputs
         plant = make()
         kernel = plant.kernel()
         n = plant.dim
@@ -380,10 +381,12 @@ class TestPlantConformance:
         accelerations = {f"a{i}" for i in range(n)}
         assert accelerations <= stored
         for name in stored - accelerations:
-            assert not re.fullmatch(r"_.*|[qva]\d+|[utp]", name), name
-        stage = {f"{p}{i}" for p in "qv" for i in range(n)} | {"u", "t", "p"}
+            assert not re.fullmatch(r"_.*|[qvau]\d+|[tp]", name), name
+        stage = {f"{p}{i}" for p in "qvu" for i in range(n)} | {"t", "p"}
         assert read <= stage | set(kernel.constants) | set(vars(builtins))
         assert ("p" in read) == (kernel.schedule is not None)
+        assert ("t" in read) == disturbed == bool(plant.disturbance_amp)
+        assert not re.search(r"\bt\b", plant.nominal.kernel().source)
 
     def test_accel_returns_list_of_floats(self, make, disturbed):
         plant = make()

@@ -91,6 +91,21 @@ class TestLoadConfig:
         config = load_config(MINIMAL.replace("duration = 1.0",
                                              "duration = 1.0  # one second"))
         assert config["sim"]["duration"].strip() == "1.0"
+        config = load_config(MINIMAL.replace("[sim]", "; a full-line comment\n[sim]"))
+        assert config["sim"]["duration"] == "1.0"
+
+    def test_semicolon_separates_offsets_not_a_comment(self):
+        # with a space before each ';', as with none, every pair is read
+        text = (SHIPPED[0].parent / "wmr_s1_arolc.ini").read_text()
+        text = re.sub(r"(?m)^offsets = .*$", "offsets = 0.05 0.02 ; -0.03 0.04", text)
+        assert build_scenario(load_config(text)).plant.payload.offsets == (
+            (0.05, 0.02), (-0.03, 0.04))
+
+    def test_number_then_semicolon_note_rejected(self, tmp_path, capsys):
+        path = tmp_path / "note.ini"
+        path.write_text(MINIMAL.replace("duration = 1.0", "duration = 1.0 ; one second"))
+        assert main(["bound", str(path)]) == 2
+        assert "[sim] duration" in capsys.readouterr().err
 
 
 class TestBuildScenario:

@@ -31,7 +31,7 @@ from arolc.sim import (
     SimulationDiverged,
     _compile_step,
     _plan_periods,
-    _rk4_step,
+    _rk4_period,
     error_dynamics_residual,
     simulate,
     trace_to_csv,
@@ -371,12 +371,15 @@ def ndarray_rk4(accel, instants, y, dt, inputs):
     return y + (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
 
 
-def with_schedule(kernel, instants):
-    """A step's instants as simulate hands them to the step of kernel: the
-    schedule's value at each follows them if the kernel has one."""
-    if kernel.schedule is None:
-        return instants
-    return instants + [kernel.schedule(t) for t in instants]
+def one_step(kernel, instants, y, dt, inputs):
+    """One RK4 step from y through the period of kernel, handed as simulate
+    hands them its inputs at the step's instants as one flat row, the
+    instants and the schedule's value at each (None without a schedule).
+    Returns the period's (state, completed steps)."""
+    values = None if kernel.schedule is None else [kernel.schedule(t) for t in instants]
+    period = _rk4_period(kernel, len(y) // 2)
+    return period(tuple(y), dt, [[x for row in inputs for x in row]], [instants], [values],
+                  None)
 
 
 class TestUnrolledStep:
@@ -420,8 +423,8 @@ class TestUnrolledStep:
         inputs = rng.uniform(-20.0, 20.0, (3, n)).tolist()
         expected = ndarray_rk4(plant.accel, instants, y, dt, inputs)
         for kernel in (plant.kernel(), PlantModel.kernel(plant)):
-            step = _rk4_step(kernel, n)
-            got = step(with_schedule(kernel, instants), tuple(y.tolist()), dt, inputs)
+            got, completed = one_step(kernel, instants, y.tolist(), dt, inputs)
+            assert completed == 1
             assert np.array(got, dtype=float).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", ["payload-wmr", "disturbed-wmr"])
@@ -474,11 +477,33 @@ class TestUnrolledStep:
         # stage position is infinite, whose cos math rejects with
         # ValueError: the step returns None there too
         kernel = make().kernel()
-        step = _rk4_step(kernel, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert step(with_schedule(kernel, [1.0, 1.005, 1.01]), y, 0.01,
-                        [[0.1, -0.2]] * 3) is None
+            assert one_step(kernel, [1.0, 1.005, 1.01], y, 0.01,
+                            [[0.1, -0.2]] * 3) == (None, 0)
+
+    @pytest.mark.parametrize("name", ["oscillator", "two-link", "payload-wmr",
+                                      "disturbed-wmr", "ndarray-accel-3"])
+    def test_period_runs_its_steps_in_turn(self, name):
+        # a period of several steps ends where its steps, taken one period
+        # at a time, end, and hands append the state after each
+        plant = self.PLANTS[name]()
+        n = plant.dim
+        rng = np.random.default_rng(11)
+        dt, t = 1e-3, 2.9995  # across the payload switch at 3 s
+        y = tuple(np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)]))
+        instants = [[t + i * dt, t + i * dt + 0.5 * dt, t + (i + 1) * dt] for i in range(4)]
+        inputs = rng.uniform(-5.0, 5.0, (4, 3, n)).tolist()
+        for kernel in (plant.kernel(), PlantModel.kernel(plant)):
+            schedule = kernel.schedule or (lambda t: None)
+            values = [[schedule(x) for x in row] for row in instants]
+            states, stepped = [], y
+            end, completed = _rk4_period(kernel, n)(
+                y, dt, [sum(row, []) for row in inputs], instants, values, states.append)
+            assert completed == 4 and end == states[-1]
+            for i in range(4):
+                stepped, _ = one_step(kernel, instants[i], stepped, dt, inputs[i])
+                assert states[i] == stepped
 
     def test_four_accel_calls_per_step(self):
         plant = point_mass_plant(2)
@@ -503,29 +528,35 @@ class TestPlannedSchedule:
         # 25 s and all three offsets: every step gets, after its three
         # instants, the row of _phases at the float _payload_phase of each,
         # as the robot's accel reads it
+        # (its instants, which its undisturbed kernel does not read, are
+        # not handed to it: simulate stamps step i of period k at
+        # t = k dt_control + i dt, which the planner rounds as TestInputTable
+        # checks)
         sc = TestPinnedTraces.shipped("wmr_s1_arolc", "26.0")
         plant = sc.plant
         seen = []
-        compile_step = sim._rk4_step
+        compile_period = sim._rk4_period
 
         def recording(kernel, n):
-            step = compile_step(kernel, n)
+            period = compile_period(kernel, n)
 
-            def rk4_step(instants, y, dt, inputs):
-                seen.append(instants)
-                return step(instants, y, dt, inputs)
+            def rk4_period(y, dt, inputs, instants, values, append):
+                assert instants is None and len(values) == len(inputs)
+                seen.append(values)
+                return period(y, dt, inputs, instants, values, append)
 
-            return rk4_step
+            return rk4_period
 
-        monkeypatch.setattr(sim, "_rk4_step", recording)
+        monkeypatch.setattr(sim, "_rk4_period", recording)
         simulate(sc)
-        assert len(seen) == 26_000
+        assert len(seen) == 2_600 and sum(map(len, seen)) == 26_000
         read = set()
-        for instants in seen:
-            times, rows = instants[:3], instants[3:]
-            assert rows == [plant._phases[int(_payload_phase(plant.payload, t)) + 1]
-                            for t in times]
-            read.update(rows)
+        for k, values in enumerate(seen):
+            for i, rows in enumerate(values):
+                t = k * sc.dt_control + i * sc.dt
+                assert rows == [plant._phases[int(_payload_phase(plant.payload, x)) + 1]
+                                for x in (t, t + sc.dt / 2, t + sc.dt)]
+                read.update(rows)
         assert read == set(plant._phases)
 
 
@@ -574,28 +605,74 @@ class TestDivergenceGuard:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
     @pytest.mark.parametrize("n, slot", [(1, 0), (1, 1)] + [(3, i) for i in range(6)])
     def test_limit_passes_and_next_float_stops(self, n, slot, sign):
+        self.assert_limit_passes_and_next_float_stops(n, slot, sign, diagnostics=True)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("n, slot", [(1, 0), (1, 1)] + [(3, i) for i in range(6)])
+    def test_next_float_stops_without_diagnostics(self, n, slot, sign):
+        # the time and the rows of a run that keeps no fine grid, which the
+        # period's count of completed steps alone determines
+        self.assert_limit_passes_and_next_float_stops(n, slot, sign, diagnostics=False)
+
+    def assert_limit_passes_and_next_float_stops(self, n, slot, sign, diagnostics):
         limit = sign * 1e8
         full = simulate(self.scenario(n, slot, limit), diagnostics=True)
         rows = np.concatenate([full.fine.q, full.fine.q_dot], axis=1)
         assert (rows[self.STEP:, slot] == limit).all()
         assert (rows[:self.STEP, slot] != limit).all()
 
+        beyond = sign * np.nextafter(1e8, math.inf)
         with pytest.raises(SimulationDiverged) as excinfo:
-            simulate(self.scenario(n, slot, sign * np.nextafter(1e8, math.inf)),
-                     diagnostics=True)
+            simulate(self.scenario(n, slot, beyond), diagnostics=diagnostics)
         exc = excinfo.value
         assert exc.time == full.fine.t[self.STEP]
-        partial = exc.partial_trace
         # the rows up to the failing step's period and the fine rows before it
-        assert len(partial) == 8 and len(partial.fine.t) == self.STEP
-        short = simulate(self.scenario(n, slot, sign * np.nextafter(1e8, math.inf),
-                                       periods=7), diagnostics=True)
+        self.assert_head(exc.partial_trace, simulate(
+            self.scenario(n, slot, beyond, periods=7), diagnostics=diagnostics), self.STEP)
+        if diagnostics:
+            assert np.array_equal(exc.partial_trace.fine.t, full.fine.t[:self.STEP])
+
+    @pytest.mark.parametrize("diagnostics", [True, False], ids=["diagnostics", "plain"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("n, slot", [(1, 0), (3, 0), (3, 2)])
+    def test_closed_form_kernel_stops_past_the_limit(self, n, slot, sign, diagnostics):
+        # a free point mass, whose closed-form kernel reads no time, moving
+        # by 6 sign per step: q reaches the limit at step STEP and passes it
+        # at the next, whose end is the divergence time
+        def scenario(periods):
+            q0, qdot0 = np.zeros(n), np.zeros(n)
+            q0[slot] = sign * (1e8 - 6.0 * self.STEP)
+            qdot0[slot] = sign * 2.0 ** 12
+            return free_scenario(
+                plant=point_mass_plant(n), q0=q0, qdot0=qdot0, dt=self.DT,
+                dt_control=8 * self.DT, duration=periods * 8 * self.DT,
+                trajectory=SinusoidTrajectory(amplitude=(1e-12,) * n, frequency=(1.0,) * n))
+
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(scenario(16), diagnostics=diagnostics)
+        exc = excinfo.value
+        assert exc.time == (self.STEP + 1) * self.DT
+        partial = exc.partial_trace
+        self.assert_head(partial, simulate(scenario(7), diagnostics=diagnostics), self.STEP + 1)
+        if diagnostics:
+            assert partial.fine.q[-1, slot] == sign * 1e8
+            assert partial.fine.t[-1] == self.STEP * self.DT
+
+    @staticmethod
+    def assert_head(partial, short, fine_rows):
+        """partial holds the 8 rows up to the failing step's period, the
+        rows of the 7-period run short, and with diagnostics fine_rows fine
+        rows, short's 57 first; without, no fine grid."""
+        assert len(partial) == 8
         for f in dataclasses.fields(partial):
             if f.name != "fine":
                 assert np.array_equal(getattr(partial, f.name), getattr(short, f.name))
+        if short.fine is None:
+            assert partial.fine is None
+            return
+        assert len(partial.fine.t) == fine_rows
         for name in ("t", "q", "q_dot"):
             assert np.array_equal(getattr(partial.fine, name)[:57], getattr(short.fine, name))
-        assert np.array_equal(partial.fine.t, full.fine.t[:self.STEP])
 
 
 class TestPinnedTraces:
@@ -625,6 +702,16 @@ class TestPinnedTraces:
     SWITCHES_DIGEST = "511886e2a6fd41ce8c1d96ce5db7973c73cf0702c723ef6d62e9aba8b47bd2ad"
     TWO_LINK_RESIDUAL_DIGEST = (
         "cbdd88e8440bd2389bdbd9296ff98c7ec874e4966cb5e36167dc5d44f1e3957b")
+    # runs whose kernel reads t, which no shipped scenario has: the shipped
+    # robot and arm scenarios on the disturbed plants of TestUnrolledStep,
+    # the robot for 6 s through its payload switches at 3 s and 5 s, the
+    # arm for 1 s with its fine-grid q and q_dot
+    DISTURBED_DIGESTS = {
+        "disturbed-wmr": "7b85c10ff2dab0a103c3823a4db16a68d5da0444971052ef14efbaea9e1cc1a4",
+        "two-link": "25a845fdfb1521e48b03a323f197033ffc7809c6fed9759cc25363749cfad7cb",
+    }
+    DISTURBED_RUNS = {"disturbed-wmr": ("wmr_s1_arolc", "6.0", False),
+                      "two-link": ("two_link_s1_arolc", "1.0", True)}
 
     @staticmethod
     def digest(trace):
@@ -656,6 +743,14 @@ class TestPinnedTraces:
     def test_two_link_fine_grid_digest(self):
         trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
         assert self.digest(trace) == self.TWO_LINK_FINE_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(DISTURBED_RUNS))
+    def test_disturbed_digest(self, name):
+        stem, duration, diagnostics = self.DISTURBED_RUNS[name]
+        sc = dataclasses.replace(self.shipped(stem, duration),
+                                 plant=TestUnrolledStep.PLANTS[name]())
+        trace = simulate(sc, diagnostics=diagnostics)
+        assert self.digest(trace) == self.DISTURBED_DIGESTS[name]
 
     def test_two_link_residual_digest(self):
         # sha256 over the (times, residual 2-norms) error_dynamics_residual
@@ -919,7 +1014,9 @@ class TestWarningsAndErrors:
         (lambda: point_mass_plant(3), 3), (lambda: two_link_plant(TwoLinkParams()), 2),
         (lambda: reduced_wmr_dynamics(WmrParams(), payload=PayloadSchedule(
             period_on=0.004, period_off=0.004)), 2),
-    ], ids=["point-mass-1", "point-mass-2", "point-mass-3", "arm", "scheduled-robot"])
+        (coupled_plant, 3),
+    ], ids=["point-mass-1", "point-mass-2", "point-mass-3", "arm", "scheduled-robot",
+            "disturbed-scheduled-3"])
     def test_period_peak_within_the_validated_count(self, make, n):
         # what validate caps: the growth of the peak per RK4 step of a
         # period, from two runs of two periods under S1 (the robot through
