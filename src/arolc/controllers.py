@@ -36,6 +36,27 @@ helpers' order, one local per entry, ||s|| formed once. The first step on
 a config binds its rows into that law, so the records are the helpers'
 bit for bit; the helpers stay the law's reference.
 
+The predictor's step is compiled the same way (``_compile_window``, once
+per n), around a trapezoid table that each PconController fills for its
+run. The window integral is a sum of trapezoids between knots: the
+window's start, the stamps inside it, and t. Only two of them change from
+one period to the next: the first, which starts at the blended value at
+t - h, and the last, which ends at the held last command at t. Every inner
+one, 0.5 (t_{g+1} - t_g) (v_g + v_{g+1}), is a fixed number once command
+g + 1 exists, so the table adds it once, when that command lands, and
+drops rows that fall out of reach of the window (keeping at most the window
+plus 2 * _SLACK rows). A period then sums 0.0, the first trapezoid, the
+table's terms for the window and the last one, left to right per entry,
+as ``delays._trapezoids`` sums them: e_z is ``delays.integrate``'s bit for
+bit, and ``integrate`` stays the reference that the step calls itself
+where the table does not serve (a non-finite total among those cases).
+pcon_step, the name the controller calls once per period, runs the table
+when it is handed one and the plain (times, values, m) history otherwise.
+
+GainSet, ArolcConfig and PconConfig compare and hash by value over their
+fields, arrays included (``stability._ValueEquality``); what a config
+caches (its rows, the bound law, the gains' error system) takes no part.
+
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
 the term is linear in s, which keeps du continuous and avoids chattering.
@@ -55,6 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
@@ -64,7 +86,8 @@ import numpy as np
 
 from .delays import integrate, max_delay
 from .plants import _compile, _entries
-from .stability import GainSet, build_error_system, check_feasibility, delay_margin
+from .stability import (GainSet, _ValueEquality, build_error_system, check_feasibility,
+                        delay_margin)
 
 __all__ = [
     "ArolcConfig",
@@ -85,14 +108,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ArolcConfig:
+@dataclass(frozen=True, eq=False)
+class ArolcConfig(_ValueEquality):
     """Gain set and scalars of the adaptive-robust controller.
 
     rows holds the rows of B^T P (P and B of the gains' error system), K2
     and K1 as lists of floats, set once from gains; the law reads them.
     The first arolc_step on a config binds them into the compiled law and
-    stores it on the config.
+    stores it on the config. Configs compare and hash by value
+    (``_ValueEquality``), the rows and the law left out.
     """
 
     gains: GainSet
@@ -326,10 +350,12 @@ def _bind_law(cfg: ArolcConfig):
     return law
 
 
-@dataclass(frozen=True)
-class PconConfig:
+@dataclass(frozen=True, eq=False)
+class PconConfig(_ValueEquality):
     """Baseline predictor-controller gains and its integral window:
-    h_estimate = None is the true delay h(t), a number a fixed window."""
+    h_estimate = None is the true delay h(t), a number a fixed window.
+    vartheta is kept as a read-only float copy; configs compare and hash
+    by value (``_ValueEquality``), the rows left out."""
 
     kappa: float = 2.0
     vartheta: np.ndarray = field(default_factory=lambda: np.eye(1))
@@ -343,7 +369,7 @@ class PconConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if self.h_estimate is not None and not 0.0 <= self.h_estimate < math.inf:
             raise ValueError("h_estimate must be finite and nonnegative")
-        v = np.asarray(self.vartheta, dtype=float)
+        v = np.array(self.vartheta, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"vartheta must be a square matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -351,19 +377,128 @@ class PconConfig:
         # semidefinite allowed: vartheta = 0 degenerates to a PD law
         if np.linalg.eigvalsh(0.5 * (v + v.T))[0] < 0.0:
             raise ValueError("vartheta must be positive semidefinite")
+        v.setflags(write=False)
         object.__setattr__(self, "vartheta", v)
         object.__setattr__(self, "rows", v.tolist())
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: numpy would restore
+        # vartheta writable, next to rows it could outdate
+        return type(self), (self.kappa, self.vartheta, self.k_b, self.h_estimate)
 
-def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig) -> list[float]:
+
+def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
+              table=None) -> list[float]:
     """tau = k_b ((e1_dot + kappa e1) - vartheta e_z) on floats, e_z the
     integral over [t - h, t] of history = (times, values, m)
-    (``delays.integrate``)."""
+    (``delays.integrate``). table, a trapezoid table of this history bound
+    to cfg (``_bind_window``), runs the step compiled for the plant's
+    dimension instead; it returns the same torque bit for bit."""
+    if table is not None:
+        return table(history, h, q, q_dot, desired, t)
     qd, qd_dot, _ = desired
     e_z = integrate(*history, t - h, t)  # zero before the first command
     kappa, k_b = cfg.kappa, cfg.k_b
     return [k_b * ((vd - v + kappa * (pd - p)) - _dot(row, e_z))
             for pd, p, vd, v, row in zip(qd, q, qd_dot, q_dot, cfg.rows)]
+
+
+# rows a trapezoid table keeps behind its window's first row before it
+# drops the oldest ones, so it holds at most the window plus twice this
+_SLACK = 32
+
+
+@functools.cache
+def _compile_window(n: int):
+    """pcon_step for n coordinates over its trapezoid table, unrolled:
+    compiled once per n. Returns the function that binds a config's
+    vartheta entries (th{i}_{j}), kappa and k_b into a fresh table and its
+    step, step(history, h, q, q_dot, desired, t).
+
+    The step lands the history's new commands, each with the trapezoid of
+    the interval it closes, and sums the window as the module docstring
+    states. It hands the integral to ``integrate`` itself where the table
+    does not serve: a window that integrate rejects, a history that was
+    rewound or whose window reaches rows the table dropped, a t on or
+    before the last stamp, and a non-finite total.
+    """
+    rng = range(n)
+    x, y, a, b, z = (_entries(c, n) for c in "xyabz")
+    lines = [
+        "def bind(" + "".join(f"th{i}_{j}, " for i in rng for j in rng)
+        + "kappa, k_b, inf, bisect_right, integrate, lengths):",
+        "    rows = []  # the landed commands from row base on",
+        "    terms = []  # the trapezoids of the landed intervals from interval base on",
+        "    base = 0",
+        "    def step(history, h, q, q_dot, desired, t):",
+        "        nonlocal base",
+        "        times, values, m = history",
+        "        try:",
+        "            qd, qd_dot, _ = desired",
+        f"            {_entries('p', n)}= q",
+        f"            {_entries('v', n)}= q_dot",
+        f"            {_entries('r', n)}= qd",
+        f"            {_entries('rv', n)}= qd_dot",
+        "        except ValueError:",
+        f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None",
+        "        t0 = t - h",
+        "        i = -1  # the window's first bracket; -1 leaves e_z to integrate",
+        "        if not (-inf < t0 <= t < inf) or m < base + len(rows):",
+        "            pass  # a window integrate rejects, or a rewound history",
+        "        elif not m or t0 == t:",
+        f"            {z}= {'0.0, ' * n}",
+        "            i = 0",
+        "        elif times[m - 1] < t:",
+        "            for j in range(base + len(rows), m):",
+        f"                {y}= row = values[j].tolist()",
+        "                if j:",
+        f"                    {x}= rows[-1]",
+        "                    w = 0.5 * (times[j] - times[j - 1])",
+        f"                    terms.append(({''.join(f'w * (x{c} + y{c}), ' for c in rng)}))",
+        "                rows.append(row)",
+        "            i = bisect_right(times, t0, 0, m)",
+        "            if not i:  # the signal is zero before the first command",
+        "                t0 = times[0]",
+        "                i = 1",
+        f"            if i - base > {2 * _SLACK}:",
+        f"                del rows[:i - base - {_SLACK}]",
+        f"                del terms[:i - base - {_SLACK}]",
+        f"                base = i - {_SLACK}",
+        f"            {x}= rows[m - 1 - base]",
+        "            if i == m:  # the window lies in the last command's hold",
+        "                w = 0.5 * (t - t0)"]
+    lines += [f"                z{c} = 0.0 + w * (x{c} + x{c})" for c in rng]
+    lines += [
+        "            elif i > base:",
+        f"                {a}= rows[i - 1 - base]",
+        f"                {b}= rows[i - base]",
+        "                ta, tb = times[i - 1], times[i]",
+        "                lam = (t0 - ta) / (tb - ta)",
+        "                w = 0.5 * (tb - t0)"]
+    lines += [f"                z{c} = 0.0 + w * (((1.0 - lam) * a{c} + lam * b{c}) + b{c})"
+              for c in rng]
+    lines += [f"                for {y}in terms[i - base:m - 1 - base]:"]
+    lines += [f"                    z{c} += y{c}" for c in rng]
+    lines += ["                w = 0.5 * (t - times[m - 1])"]
+    lines += [f"                z{c} += w * (x{c} + x{c})" for c in rng]
+    lines += [
+        "            else:",
+        "                i = -1",
+        f"        if i < 0 or not ({' and '.join(f'-inf < z{c} < inf' for c in rng)}):",
+        f"            {z}= integrate(times, values, m, t - h, t)",
+        "        return [" + "".join(
+            f"k_b * ((rv{i} - v{i} + kappa * (r{i} - p{i})) - "
+            f"{_sum(f'th{i}_{j} * z{j}' for j in rng)}), " for i in rng) + "]",
+        "    return step"]
+    return _compile(lines, f"pcon window, n = {n}")
+
+
+def _bind_window(cfg: PconConfig):
+    """A fresh trapezoid table bound to cfg: the step that ``pcon_step``
+    runs for one history (``_compile_window``)."""
+    n = len(cfg.rows)
+    return _compile_window(n)(*(x for row in cfg.rows for x in row), cfg.kappa, cfg.k_b,
+                              math.inf, bisect_right, integrate, _lengths)
 
 
 class ArolcController:
@@ -390,12 +525,14 @@ class ArolcController:
 
 class PconController:
     """Predictor baseline at row k of trace: integrates the commands of rows
-    before k over the true delay, the trace's h row k, or cfg.h_estimate."""
+    before k over the true delay, the trace's h row k, or cfg.h_estimate,
+    through its own trapezoid table (``_bind_window``)."""
 
     def __init__(self, sc, trace):
         self.cfg = sc.controller
         self.trace = trace
         self.stamps = trace.t.tolist()  # delays.integrate searches a list
+        self.table = _bind_window(self.cfg)
         self.k = 0
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
@@ -403,7 +540,8 @@ class PconController:
         # a Python float, so that the window's ends are Python floats too
         h = self.trace.h.item(k) if self.cfg.h_estimate is None else self.cfg.h_estimate
         history = self.stamps, self.trace.tau_cmd, k
-        return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg))
+        return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg,
+                                    self.table))
 
 
 class ZeroController:

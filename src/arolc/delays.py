@@ -23,6 +23,12 @@ the tau_cmd rows at the stamps t: the simulator blends them and the
 predictor integrates them in place. A DelayBuffer is a stamped history
 built one checked command at a time; each of its lookups is one call to
 ``interpolate`` or ``integrate``.
+
+``integrate`` is the reference for the window integral. The predictor's
+compiled step (``controllers._compile_window``) sums the same trapezoids
+from a table it fills as commands land, in ``_trapezoids``' order, and
+equals it bit for bit; it calls ``integrate`` itself for every case its
+table does not cover, a non-finite total among them.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ rebuild a GainSet from its gains alone, without them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,8 +74,31 @@ def _spd_or_raise(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     return _read_only(m), lam
 
 
-@dataclass(frozen=True)
-class GainSet:
+class _ValueEquality:
+    """Equality and hash by value for a frozen dataclass (declared with
+    eq=False) whose compared fields may hold read-only float arrays: two
+    instances of one class are equal when every compared field is, an array
+    by its shape and entries, and the hash is taken over the same key, an
+    array as its bytes. Values cached in an instance's __dict__ outside its
+    fields (an analysis result, a bound law) take no part in either."""
+
+    def _key(self) -> tuple:
+        # + 0.0 reads -0.0 as 0.0, so that equal entries have equal bytes;
+        # the arrays are finite, so bytes equality is value equality
+        return tuple((x.shape, (x + 0.0).tobytes()) if isinstance(x, np.ndarray) else x
+                     for x in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class GainSet(_ValueEquality):
     """Controller gains plus the scalar analysis parameters.
 
     K1, K2 are the position/velocity error gains (n x n, SPD), Q the
@@ -83,7 +106,8 @@ class GainSet:
     beta > 0 the Young-inequality scalar. The matrices are stored as
     read-only copies, so the error system cached on the instance by
     build_error_system always matches them. _q_min is lambda_min(Q), kept
-    from the SPD check for the error system's q_min.
+    from the SPD check for the error system's q_min. Two gain sets are
+    equal when their gains are (``_ValueEquality``).
     """
 
     K1: np.ndarray

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import warnings
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arolc import controllers
 from arolc.controllers import (
     ArolcConfig,
     ArolcState,
     PconConfig,
     StepRecord,
+    _SLACK,
+    _bind_window,
     _dot,
     adapt_gain,
     arolc_step,
@@ -496,6 +500,206 @@ class TestPcon:
         desired = (np.array([1.0]), np.array([0.5]), np.zeros(1))
         tau = pcon_step(history, 0.5, np.zeros(1), np.zeros(1), desired, 0.0, cfg)
         np.testing.assert_allclose(tau, [3.0 * (0.5 + 2.0 * 1.0)])
+
+
+@st.composite
+def _window_cases(draw):
+    """A predictor config of n = 1, 2, 3 or 6 (dense PSD vartheta) and a
+    history of up to 150 commands, with one window per period: the true
+    delay a + b |sin(omega t)| (whose start can move back when b omega > 1),
+    or a fixed h of zero, under one period, over more than ten stamps, or
+    reaching before the first stamp. The stamps are a period dt apart, as
+    a run's are, or at drawn gaps; one command may hold inf."""
+    n = draw(st.sampled_from([1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cfg = PconConfig(kappa=draw(st.floats(0.1, 5.0)), vartheta=_spd(rng, n, 0.1, 2.0),
+                     k_b=draw(st.floats(0.1, 5.0)))
+    periods, dt = draw(st.integers(1, 150)), 0.01
+    gaps = dt * (np.ones(periods) if draw(st.booleans()) else rng.uniform(0.2, 1.8, periods))
+    times = (draw(st.floats(-1.0, 1.0)) + np.cumsum(gaps)).tolist()
+    values = rng.uniform(-5.0, 5.0, (periods, n))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, periods - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf]))
+    kind = draw(st.sampled_from(["true", "zero", "short", "long", "before"]))
+    if kind == "true":
+        a, b, omega = draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.6)), draw(
+            st.floats(0.1, 40.0))
+        windows = [a + b * abs(math.sin(omega * t)) for t in times]
+    else:
+        low, high = {"zero": (0.0, 0.0), "short": (1e-4, 0.99 * dt), "long": (11 * dt, 1.2),
+                     "before": (times[-1] - times[0], 3.0)}[kind]
+        windows = [draw(st.floats(low, high))] * periods
+    return cfg, times, values, windows, rng
+
+
+def _inputs(rng, n):
+    """q, q_dot and the reference triple of one period, as lists of floats."""
+    q, q_dot, *desired = rng.uniform(-2.0, 2.0, (5, n)).tolist()
+    return q, q_dot, tuple(desired)
+
+
+def _tables(table):
+    """The rows and trapezoid terms a table holds, and the index of its
+    first row."""
+    cells = dict(zip(table.__code__.co_freevars, (c.cell_contents for c in table.__closure__)))
+    return cells["rows"], cells["terms"], cells["base"]
+
+
+class TestCompiledWindow:
+    """pcon_step over a trapezoid table runs the step compiled for n; its
+    torque is the plain history's bit for bit, its fallbacks included."""
+
+    @given(_window_cases())
+    def test_matches_the_plain_history_bit_for_bit(self, case):
+        cfg, times, values, windows, rng = case
+        table = _bind_window(cfg)
+        for k, (t, h) in enumerate(zip(times, windows)):
+            args = (times, values, k), h, *_inputs(rng, len(cfg.rows)), t, cfg
+            got = pcon_step(*args, table)
+            assert type(got) is list and all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(pcon_step(*args)).tobytes()
+
+    def test_non_finite_total_takes_the_fallback(self, monkeypatch):
+        # the window sums over a command holding inf: integrate itself
+        # computes those periods, and only those
+        calls = []
+
+        def counted(times, values, m, t0, t1):
+            calls.append(m)
+            return integrate(times, values, m, t0, t1)
+
+        monkeypatch.setattr(controllers, "integrate", counted)
+        cfg = PconConfig(vartheta=np.eye(2))
+        table = _bind_window(cfg)
+        times = (np.arange(30) * 0.01).tolist()
+        values = np.ones((30, 2))
+        values[10, 1] = math.inf
+        rng = np.random.default_rng(5)
+        fallbacks, non_finite = [], []
+        for k, t in enumerate(times):
+            args = (times, values, k), 0.05, *_inputs(rng, 2), t, cfg
+            before = len(calls)
+            got = pcon_step(*args, table)
+            if len(calls) > before:
+                fallbacks.append(k)
+            if not all(map(math.isfinite, integrate(times, values, k, t - 0.05, t))):
+                non_finite.append(k)
+            assert np.array(got).tobytes() == np.array(pcon_step(*args)).tobytes()
+        assert non_finite == [11, 12, 13, 14, 15] and fallbacks == non_finite
+
+    @pytest.mark.parametrize("case", ["rewound", "t-on-the-last-stamp", "nan-window",
+                                      "first-dropped-row", "first-kept-row"])
+    def test_history_the_table_cannot_serve(self, case):
+        # after 200 periods of a 0.05 s window the table has dropped its
+        # oldest rows; a window that then reaches back past them, as a true
+        # delay whose start moves back can, is integrate's
+        cfg = PconConfig(vartheta=np.eye(3))
+        table = _bind_window(cfg)
+        times = (np.arange(300) * 0.01).tolist()
+        rng = np.random.default_rng(6)
+        values = rng.uniform(-5.0, 5.0, (300, 3))
+        for k in range(200):
+            pcon_step((times, values, k), 0.05, *_inputs(rng, 3), times[k], cfg, table)
+        _, _, base = _tables(table)
+        assert base > 100
+        # the window's first bracket is rows (base - 1, base) or (base, base + 1)
+        start = {"first-dropped-row": base - 1, "first-kept-row": base}.get(case, 0)
+        m, t, h = {"rewound": (5, times[5], 0.05), "t-on-the-last-stamp": (200, times[199], 0.05),
+                   "nan-window": (200, times[200], math.nan)}.get(
+            case, (200, times[200], times[200] - (times[start] + 0.004)))
+        args = (times, values, m), h, *_inputs(rng, 3), t, cfg
+        if case == "nan-window":
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                pcon_step(*args, table)
+        else:
+            assert np.array(pcon_step(*args, table)).tobytes() == np.array(
+                pcon_step(*args)).tobytes()
+
+    @pytest.mark.parametrize("h", [0.005, 0.12, 2.0], ids=["hold", "window", "beyond"])
+    def test_table_stays_bounded_by_the_window(self, h):
+        cfg = PconConfig(vartheta=np.eye(2))
+        table = _bind_window(cfg)
+        times, values = (np.arange(2000) * 0.01).tolist(), np.ones((2000, 2))
+        rng = np.random.default_rng(7)
+        for k, t in enumerate(times):
+            pcon_step((times, values, k), h, *_inputs(rng, 2), t, cfg, table)
+        rows, terms, _ = _tables(table)
+        assert len(rows) <= round(h / 0.01) + 2 * _SLACK + 2
+        assert len(terms) == len(rows) - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("case, message", [
+        ("q", r"q, q_dot, qd, qd_dot and qd_ddot of length \d, got \d+, "),
+        ("q_dot", "q_dot, qd"), ("desired", r"desired = \(qd, qd_dot, qd_ddot\)")])
+    def test_inputs_of_the_wrong_length(self, n, case, message):
+        cfg = PconConfig(vartheta=np.eye(n))
+        q, q_dot, desired = [0.0] * n, [0.0] * n, ([0.0] * n,) * 3
+        if case == "q":
+            q = q + [0.0]
+        elif case == "q_dot":
+            q_dot = q_dot[1:]
+        else:
+            desired = desired[:2]
+        with pytest.raises(ValueError, match=message):
+            pcon_step(([0.0], np.zeros((1, n)), 1), 0.05, q, q_dot, desired, 0.01, cfg,
+                      _bind_window(cfg))
+
+
+class TestConfigEquality:
+    """GainSet, ArolcConfig and PconConfig compare and hash by value, their
+    cached analysis and bound law left out, and survive pickle and copy."""
+
+    @staticmethod
+    def configs(n, k1=1.0, h_estimate=None):
+        gains = GainSet.identity(n, k1=k1)
+        return (gains, ArolcConfig(gains, alpha=1.5),
+                PconConfig(vartheta=k1 * np.eye(n), h_estimate=h_estimate))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equal_values_are_equal(self, n):
+        for a, b in zip(self.configs(n), self.configs(n)):
+            assert a == b and not a != b and hash(a) == hash(b)
+            assert {a: "config"}[b] == "config"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_different_values_differ(self, n):
+        for a, b in zip(self.configs(n), self.configs(n, k1=2.0)):
+            assert a != b and not a == b
+        assert self.configs(n)[2] != self.configs(n, h_estimate=0.1)[2]
+        assert self.configs(n)[0] != self.configs(n + 1)[0]
+        assert self.configs(n)[2] != "config"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_results_take_no_part(self, n):
+        gains, arolc, pcon = self.configs(n)
+        delay_margin(gains)
+        build_error_system(gains)
+        arolc_step(arolc.initial_state(), [0.1] * n, [0.0] * n, ([0.0] * n,) * 3,
+                   point_mass_plant(n).torque, 0.0, DT, arolc)
+        assert "_system" in gains.__dict__ and "_law" in arolc.__dict__
+        for a, b in zip((gains, arolc, pcon), self.configs(n)):
+            assert a == b and hash(a) == hash(b)
+
+    def test_signed_zero_entries_are_equal(self):
+        a, b = PconConfig(vartheta=np.zeros((2, 2))), PconConfig(vartheta=-np.zeros((2, 2)))
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pickle_and_copy(self, n):
+        for config in self.configs(n, h_estimate=0.05):
+            for clone in (pickle.loads(pickle.dumps(config)), copy.copy(config),
+                          copy.deepcopy(config)):
+                assert clone == config and hash(clone) == hash(config)
+        pcon = self.configs(n)[2]
+        assert not pcon.vartheta.flags.writeable
+        assert not pickle.loads(pickle.dumps(pcon)).vartheta.flags.writeable
+
+    def test_pcon_keeps_its_own_vartheta(self):
+        v = np.eye(2)
+        cfg = PconConfig(vartheta=v)
+        v[0, 0] = 5.0
+        assert cfg.vartheta[0, 0] == 1.0 and cfg.rows[0][0] == 1.0
 
 
 class TestControllerProtocol:

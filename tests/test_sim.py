@@ -688,7 +688,8 @@ class TestPinnedTraces:
     sets P once per gain set and the residual's stacked solve. The three
     predictor runs cover its window kinds: the true delay of S1 (up to
     0.1 s) and S2 (0.005 to 0.029 s over these 2 s) and S4's fixed
-    h_estimate (0.12 s, 12 or 13 knots)."""
+    h_estimate (0.12 s, 12 or 13 knots); two more S4 runs take a window of
+    zero length and one that starts before the first command."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f5e7f384e35941bf3d1bd09ca300e8441f8fd9bf25d6cc35abb2b1b851a1350",
@@ -712,6 +713,13 @@ class TestPinnedTraces:
     }
     DISTURBED_RUNS = {"disturbed-wmr": ("wmr_s1_arolc", "6.0", False),
                       "two-link": ("two_link_s1_arolc", "1.0", True)}
+    # the first 2 s of wmr_s4_pconf with other fixed windows: zero length
+    # (every integral zero), and 0.5 s, which reaches back before the first
+    # command for the first 50 periods
+    WINDOW_DIGESTS = {
+        "0": "f69736b35b8ff0dc4a316e20c774cde2e6b5b68bd94e20f2202921b2c5f22bad",
+        "0.5": "8f307c078b366fddac16c968d5a19f2604cc2a4d8ce3ab10ba4743c5b99336f7",
+    }
 
     @staticmethod
     def digest(trace):
@@ -751,6 +759,14 @@ class TestPinnedTraces:
                                  plant=TestUnrolledStep.PLANTS[name]())
         trace = simulate(sc, diagnostics=diagnostics)
         assert self.digest(trace) == self.DISTURBED_DIGESTS[name]
+
+    @pytest.mark.parametrize("h_estimate", sorted(WINDOW_DIGESTS))
+    def test_fixed_window_digest(self, h_estimate):
+        config = load_config("scenarios/wmr_s4_pconf.ini")
+        apply_override(config, "sim.duration", "2.0")
+        apply_override(config, "controller.h_estimate", h_estimate)
+        trace = simulate(build_scenario(config))
+        assert self.digest(trace) == self.WINDOW_DIGESTS[h_estimate]
 
     def test_two_link_residual_digest(self):
         # sha256 over the (times, residual 2-norms) error_dynamics_residual
