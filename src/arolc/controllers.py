@@ -393,9 +393,12 @@ def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
     integral over [t - h, t] of history = (times, values, m)
     (``delays.integrate``). table, a trapezoid table of this history bound
     to cfg (``_bind_window``), runs the step compiled for the plant's
-    dimension instead; it returns the same torque bit for bit."""
+    dimension instead; both give the same torque bit for bit, and the same
+    ValueError for inputs of the wrong length."""
     if table is not None:
         return table(history, h, q, q_dot, desired, t)
+    if len(desired) != 3 or any(len(x) != len(cfg.rows) for x in (q, q_dot, *desired[:2])):
+        raise ValueError(_lengths(len(cfg.rows), q, q_dot, desired))
     qd, qd_dot, _ = desired
     e_z = integrate(*history, t - h, t)  # zero before the first command
     kappa, k_b = cfg.kappa, cfg.k_b

@@ -11,15 +11,16 @@ command (none has reached the actuator yet) and holds the last command
 after it.
 
 A lookup is two steps. ``plan`` brackets each query instant among the
-stamps: its searchsorted index, the two rows around it and their weights.
-The plan depends on the instants and the stamps alone, so a caller that
-knows them early (the simulator knows every stamp and every RK4 stage
-instant before its run starts) plans many lookups at once. ``blend`` then
-evaluates the signal of the first m commands on a plan, which is the only
-step that reads the command values. ``interpolate`` is the plan followed by
-the blend, on any stamped history, and ``integrate`` integrates the signal
-of its first m commands exactly. A run's command history is its trace,
-the tau_cmd rows at the stamps t: the simulator blends them and the
+stamps: its searchsorted index, the flat positions of the entries of the
+two rows around it (lo and hi stacked) and their weights. The plan depends
+on the instants and the stamps alone, so a caller that knows them early
+(the simulator knows every stamp and every RK4 stage instant before its run
+starts) plans many lookups at once. ``blend`` then evaluates the signal of
+the first m commands on a plan's arrays (one take, one product, one sum),
+the only step that reads the command values. ``interpolate`` is the plan
+followed by the blend, on any stamped history, and ``integrate`` integrates
+the signal of its first m commands exactly. A run's command history is its
+trace, the tau_cmd rows at the stamps t: the simulator blends them and the
 predictor integrates them in place. A DelayBuffer is a stamped history
 built one checked command at a time; each of its lookups is one call to
 ``interpolate`` or ``integrate``.
@@ -99,13 +100,12 @@ def max_delay(profile: DelayProfile) -> float:
 
 
 class Plan(NamedTuple):
-    """Where query instants fall among the stamps, one entry per instant."""
+    """Where query instants of shape S fall among the stamps."""
 
-    index: np.ndarray  # stamps at or before the instant (searchsorted, right)
-    lo: np.ndarray     # the bracket rows j - 1 and j, j clipped to [1, stamps - 1]
-    hi: np.ndarray
-    w_lo: np.ndarray   # their weights 1 - lam and lam, repeated along a
-    w_hi: np.ndarray   # trailing axis of the command's width
+    index: np.ndarray   # S: stamps at or before the instant (searchsorted, right)
+    take: np.ndarray    # (2,) + S + (width,): the flat positions in the values of
+                        # rows j - 1 and j, j clipped to [1, stamps - 1]
+    weight: np.ndarray  # alike: their weights 1 - lam and lam
 
 
 def plan(times, t_query, width: int) -> Plan:
@@ -118,38 +118,42 @@ def plan(times, t_query, width: int) -> Plan:
     if m == 1:
         # every instant is before the one stamp or at or after it, so the
         # blend reads no weight
-        hi = np.zeros(t_query.shape, dtype=np.intp)
-        lam = np.zeros(t_query.shape + (width,))
-        return Plan(index, hi, hi, 1.0 - lam, lam)
-    # clipping the instants too keeps the weights in [0, 1]; minimum,
-    # maximum and take cost a fraction of clip and fancy indexing
-    hi = np.minimum(np.maximum(index, 1), m - 1)
-    lo = hi - 1
-    t0 = times.take(lo)
-    t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
-    lam = ((t_in - t0) / (times.take(hi) - t0))[..., None]
-    # a product of equal shapes costs about half one that broadcasts the
-    # weight over the command's entries, and the blend makes two per lookup
-    lam = np.repeat(lam, width, axis=-1)
-    return Plan(index, lo, hi, 1.0 - lam, lam)
+        lo = hi = np.zeros(t_query.shape, dtype=np.intp)
+        lam = np.zeros(t_query.shape)
+    else:
+        # clipping the instants too keeps the weights in [0, 1]; minimum,
+        # maximum and take cost a fraction of clip and fancy indexing
+        hi = np.minimum(np.maximum(index, 1), m - 1)
+        lo = hi - 1
+        t0 = times.take(lo)
+        t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
+        lam = (t_in - t0) / (times.take(hi) - t0)
+    rows, lams = np.stack((lo, hi)) * width, np.stack((1.0 - lam, lam))
+    take, weight = np.empty(rows.shape + (width,), np.intp), np.empty(rows.shape + (width,))
+    # one strided write per entry: a broadcast would loop once per instant
+    for j in range(width):
+        take[..., j], weight[..., j] = rows + j, lams
+    return Plan(index, take, weight)
 
 
-def blend(values, m: int, brackets: Plan, before: bool = True,
+def blend(values, m: int, index, take, weight, before: bool = True,
           after: bool = True) -> np.ndarray:
-    """The command signal of the first m >= 1 commands, values[:m] (one row
-    per stamp of the plan's history), at the planned instants: an array of
-    the plan's shape plus the command's. Zero where the index is 0, the
-    m-th command where it is m or more, the bracket's blend elsewhere.
-    before = False (after = False) states that no index is 0 (m or more)
-    and skips that mask."""
-    pushed = values[:m]
-    # a bracket beyond the pushed commands belongs to a held row: clip it
-    out = (brackets.w_lo * pushed.take(brackets.lo, axis=0, mode="clip")
-           + brackets.w_hi * pushed.take(brackets.hi, axis=0, mode="clip"))
-    if before:
-        out[brackets.index == 0] = 0.0
-    if after:
-        out[brackets.index >= m] = pushed[m - 1]
+    """The command signal of the first m >= 1 commands (values one row per
+    stamp of the plan's history) at the instants of a plan's arrays: an
+    array of take's shape less its leading axis. Zero where the index is 0,
+    the m-th command where it is m or more, the bracket's blend elsewhere;
+    rows past the m-th are read only there. before = False (after = False)
+    states that no index is 0 (m or more) and skips that mask. take and
+    weight may lay the instants out in any shape, index in the same order."""
+    both = values.take(take)
+    both *= weight
+    out = both[0] + both[1]
+    if before or after:
+        rows = out.reshape(index.shape + values.shape[1:])  # one per instant
+        if before:
+            rows[index == 0] = 0.0
+        if after:
+            rows[index >= m] = values[m - 1]
     return out
 
 
@@ -160,7 +164,7 @@ def interpolate(times, values, t_query) -> np.ndarray:
     m = len(times)
     if m == 0:
         return np.zeros((len(t_query),) + values.shape[1:])
-    return blend(values, m, plan(times, t_query, values.shape[1]))
+    return blend(values, m, *plan(times, t_query, values.shape[1]))
 
 
 def _signal_at(ts, vs, k: int, t: float) -> list[float]:

@@ -177,8 +177,8 @@ class Kernel(NamedTuple):
     reads them (a disturbed plant's, or the call kernel's).
 
     schedule, if not None, is the plant's time-only part: p reads its value
-    at t. It maps a float t to that value, and an ndarray of times to an
-    object array of the same shape holding the value at each, so that the
+    at t. It maps a float t to that value, and an ndarray of times to
+    nested lists of the same shape holding the value at each, so that the
     simulator evaluates it once for a whole block of planned RK4 stage
     instants and hands each stage its value, as it hands it u.
     """
@@ -279,11 +279,17 @@ class _KernelPlant(PlantModel):
 
     def _schedule(self, t):
         """p at t: the value of the phase at a float t (phase 0 at t = None);
-        over an ndarray of times, an object array of the same shape holding
-        the value at each."""
-        if isinstance(t, np.ndarray):
-            return self._phase_arrays[0][self._phase(t)]
-        return self._phases[self._phase(t)]
+        over an ndarray of times, nested lists of the same shape holding the
+        value at each (one value, repeated, where the times share a phase)."""
+        if not isinstance(t, np.ndarray):
+            return self._phases[self._phase(t)]
+        phase = self._phase(t)
+        if phase.size and (phase == phase.flat[0]).all():
+            value = self._phases[phase.flat[0]]
+            for size in reversed(t.shape):
+                value = [value] * size
+            return value
+        return self._phase_arrays[0][phase].tolist()
 
     @functools.cached_property
     def _phase_arrays(self):
@@ -439,14 +445,15 @@ def _payload_phase(sched: PayloadSchedule, t):
     """The payload phase at time t >= 0: k while offsets[k] is carried, -1
     in an off-window; the first on-window starts at t = 0.
 
-    Written in operators only, so that a float t gives a float and an array
-    of times an array of the same values: numpy's floor_divide rounds as
-    Python's // does.
+    A float t gives a float, an array of times an array of the same values:
+    numpy's floor_divide rounds as Python's // does, and the remainder of
+    the cycle is an integer one, exact for cycles below 2**53.
     """
     period = sched.period_on + sched.period_off
     cycle = t // period
     on = t - cycle * period < sched.period_on
-    return (cycle % len(sched.offsets) + 1.0) * on - 1.0
+    whole = cycle.astype(np.int64) if isinstance(cycle, np.ndarray) else int(cycle)
+    return (whole % len(sched.offsets) + 1.0) * on - 1.0
 
 
 def payload_mass(sched: PayloadSchedule, t: float):

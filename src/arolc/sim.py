@@ -15,16 +15,16 @@ the RK4 stage instants (t, t + dt/2, t + dt of each step), the delays h
 there and the lookup instants t - h are all known before the run starts,
 and so is the plant's schedule at each instant (its time-only part, the
 robot's payload phase: ``plants.Kernel``). ``simulate`` therefore plans
-the stage instants, the schedule's values there and the lookups of a
-block of control periods at once (the schedule on the block's instants,
-``delays.plan`` against the stamps of the whole run), and once per period
-blends the commands pushed so far (``delays.blend`` on the tau_cmd rows
-0..k) into the applied input of the coming period, one flat row of 3n
-floats per step: its input at t, t + dt/2 and t + dt. Each step reads its
-row, and its instants and schedule values where its kernel reads them.
-This is exact: every stage gets, bit for bit, the schedule's value at its
-own instant and the value ``delays.interpolate`` on the pushed commands
-returns there.
+the stage instants, the schedule's values there and the lookups of a block
+of control periods at once (the schedule on the block's instants,
+``delays.plan`` against the stamps of the whole run, one row per period),
+and once per period blends the pushed commands (``delays.blend`` on the
+tau_cmd rows 0..k) into the applied input of the coming period, one flat
+row of 3n floats per step: its input at t, t + dt/2 and t + dt. Each step
+reads its row, and its instants and schedule values where its kernel reads
+them. This is exact: every stage gets, bit for bit, the schedule's value
+at its own instant and the value ``delays.interpolate`` on the pushed
+commands returns there.
 
 Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
@@ -80,7 +80,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .controllers import ArolcConfig, PconConfig, make_controller
-from .delays import DelayProfile, Plan, blend, delay_at, plan
+from .delays import DelayProfile, blend, delay_at, plan
 from .plants import Kernel, PlantModel, _compile, _entries
 
 __all__ = [
@@ -101,20 +101,20 @@ _DIVERGENCE_LIMIT = 1e8
 # float64 per row; with diagnostics the per-command u and du add 2n, less
 # than the trace's own rows), the applied input of a control period and the
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
-# the plan of the period's block (stage instants, delays, brackets and
-# weights, plus their temporaries while it is built), the blended table and
-# the list copies the steps read: the table's flat rows, and the stage
-# instants and the schedule's values where the kernel reads them; its peak
-# is at most _step_words(n) per RK4 step.
+# the plan of the period's block (stage instants, delays, indices, take
+# positions and weights, plus their temporaries while it is built), the
+# blended table and the list copies the steps read: the table's flat rows,
+# and the stage instants and the schedule's values where the kernel reads
+# them; its peak is at most _step_words(n) per RK4 step.
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
 # least). Blocks bound their temporaries: over the whole grid at once, a 2 s
 # two-link residual at dt = 1e-4 peaks about 2.7 MB higher in resident memory.
 _BLOCK_INSTANTS = 2048
-# The trace rows simulate writes once per block; tau_cmd, which the blend and
-# the predictor read, is written every period and h at the block's start
-_BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "e1", "tau_applied", "c_hat", "s_norm")
+# The trace rows simulate writes once per block (and e1 from them); tau_cmd,
+# which the blend and the predictor read, every period and h at its start
+_BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "tau_applied", "c_hat", "s_norm")
 
 
 class SimulationDiverged(RuntimeError):
@@ -247,13 +247,13 @@ class Trace:
 def _step_words(n: int) -> int:
     """Words per RK4 step that simulate holds while it steps a control
     period of a dimension-n plant, at most: the growth of tracemalloc's
-    peak per step of a period (1e3 to 2e4 steps under S1) is 31 + 33n for
-    point masses of n = 2, 3 and 6 and for the arm (74 at n = 1, by the
-    allocator's rounding), 20 words more where the kernel reads t (the
-    step's instants) and 11 more where it has a schedule (its values
-    there): 108 on the scheduled robot, 161 on a disturbed, scheduled
-    plant of n = 3. The count bounds each of these with 30 words or more
-    to spare. A period's fixed part, about 1e3 words, is left out."""
+    peak per step of a period (1e3 to 3e3 steps under S1, peaking as the
+    next block is planned) is 54 + 24n for point masses of n = 1, 2 and 3
+    and for the arm, 20 words more where the kernel reads t (the step's
+    instants) and 11 more where the schedule switches within a block (its
+    values there): 113 on a robot switching every 4 ms, 147 on a disturbed,
+    scheduled plant of n = 3. The count bounds each of these with 50 words
+    or more to spare. A period's fixed part, about 1e3 words, is left out."""
     return 102 + 33 * n
 
 
@@ -266,17 +266,21 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     command stamps of the whole run. Returns the stage instants, shape
     (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
     t = t_k + i dt, which the RK4 step evaluates the plant at; h at those
-    instants; one Plan per period; and per period whether any lookup falls
-    before the first command, and whether any falls at or after the
-    period's own command (the flags of ``blend``). Commands have n entries."""
+    instants; the plan's arrays, one row per period (take and weight of
+    shape (2, steps, 3n), one flat row per step); and per period whether
+    any lookup falls before the first command, and whether any falls at or
+    after the period's own command (the flags of ``blend``). Commands have
+    n entries."""
     t = stamps[k0:k1, None] + np.arange(steps) * dt
     t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
     h = delay_at(profile, t)
-    brackets = plan(stamps, t - h, n)
-    index = brackets.index.reshape(k1 - k0, -1)
+    index, take, weight = plan(stamps, t - h, n)
+    index = index.reshape(k1 - k0, -1)
     before = (index == 0).any(axis=1).tolist()
     after = (index > np.arange(k0, k1)[:, None]).any(axis=1).tolist()
-    return t, h, [Plan(*rows) for rows in zip(*brackets)], before, after
+    take, weight = (np.ascontiguousarray(a.reshape(2, k1 - k0, steps, -1).swapaxes(0, 1))
+                    for a in (take, weight))
+    return t, h, (index, take, weight), before, after
 
 
 # A kernel's names of one stage: q{i}, v{i}, a{i}, u{i}, t and p
@@ -431,7 +435,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         p = k % periods_per_block
         if p == 0:
             k0, k1 = k, min(k + periods_per_block, n_rows)
-            stage_t, stage_h, plans, before, after = _plan_periods(
+            stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
                 profile, stamps, k0, k1, steps_per_control, dt, n)
             trace.h[k0:k1] = stage_h[:, 0, 0]
             # per period, each step's instants and the schedule's value at
@@ -440,7 +444,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             if reads_time:
                 instants = stage_t.tolist()
             if kernel.schedule is not None:
-                values = kernel.schedule(stage_t).tolist()
+                values = kernel.schedule(stage_t)
             # per period, the reference triple at its stamp
             reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
             rows = []  # the block's trace rows, written at its end
@@ -455,11 +459,9 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
         # the commands pushed so far fix the applied input of the whole
         # period: one flat row of 3n floats per step
-        inputs = blend(trace.tau_cmd, k + 1, plans[p], before[p], after[p]).reshape(
-            steps_per_control, 3 * n).tolist()
-        qd = desired[0]
-        rows.append((q, q_dot, qd, [a - b for a, b in zip(qd, q)], inputs[0][:n],
-                     rec.c_hat, rec.s_norm))
+        inputs = blend(trace.tau_cmd, k + 1, index[p], take[p], weight[p], before[p],
+                       after[p]).tolist()
+        rows.append((q, q_dot, desired[0], inputs[0][:n], rec.c_hat, rec.s_norm))
         if not math.isfinite(rec.c_hat):
             # the adaptation overflowed (a diverging error's ||s||): no law
             # runs on this gain, so the run diverges at this period
@@ -474,6 +476,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             states = []  # the fine grid's rows of the period, one per step
             append = states.append
         y, m = rk4_period(y, dt, inputs, instants[p], values[p], append)
+        del inputs  # gone before the next period's blend lists its own
         j = k * steps_per_control + 1  # the fine row after the period's first step
         if fine is not None and m:
             block = np.array(states)
@@ -488,10 +491,12 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
 
 
 def _write_rows(trace: Trace, k0: int, rows) -> None:
-    """Write rows, one (q, q_dot, q_desired, e1, tau_applied, c_hat, s_norm)
-    tuple per control period, into the trace from row k0 on."""
+    """Write rows, one (q, q_dot, q_desired, tau_applied, c_hat, s_norm)
+    tuple per control period, into the trace from row k0 on, and their e1."""
+    k1 = k0 + len(rows)
     for name, column in zip(_BLOCK_COLUMNS, zip(*rows)):
-        getattr(trace, name)[k0:k0 + len(rows)] = column
+        getattr(trace, name)[k0:k1] = column
+    trace.e1[k0:k1] = trace.q_desired[k0:k1] - trace.q[k0:k1]
 
 
 def trace_to_csv(trace: Trace, path) -> None:
@@ -574,8 +579,8 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
         i = i[(times[i] >= warmup) & (thetas[i] >= cmd_t[0])]
         k = len(i)
         brackets = plan(cmd_t, thetas[i], trace.n)
-        c_i = blend(c, len(cmd_t), brackets)
-        g_i = blend(g, len(cmd_t), brackets)
+        c_i = blend(c, len(cmd_t), *brackets)
+        g_i = blend(g, len(cmd_t), *brackets)
         t_i = times[i]
         m_i = plant.mass_matrix(fine.q[i], t_i)
         n_i = plant.bias_vector(fine.q[i], fine.q_dot[i], t_i)

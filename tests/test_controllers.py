@@ -631,19 +631,25 @@ class TestCompiledWindow:
     @pytest.mark.parametrize("n", [1, 2, 6])
     @pytest.mark.parametrize("case, message", [
         ("q", r"q, q_dot, qd, qd_dot and qd_ddot of length \d, got \d+, "),
-        ("q_dot", "q_dot, qd"), ("desired", r"desired = \(qd, qd_dot, qd_ddot\)")])
+        ("q_dot", "q_dot, qd"), ("q-and-q_dot", r"of length (\d), got \d+, \d+, \1, \1 and \1$"),
+        ("desired", r"desired = \(qd, qd_dot, qd_ddot\)")])
     def test_inputs_of_the_wrong_length(self, n, case, message):
+        # the compiled step and the plain path alike: a longer q with a
+        # shorter q_dot, which a zip of them turned into a shorter torque
         cfg = PconConfig(vartheta=np.eye(n))
         q, q_dot, desired = [0.0] * n, [0.0] * n, ([0.0] * n,) * 3
         if case == "q":
             q = q + [0.0]
         elif case == "q_dot":
             q_dot = q_dot[1:]
+        elif case == "q-and-q_dot":
+            q, q_dot = [1.0] * (n + 1), [0.0] * (n - 1)
         else:
             desired = desired[:2]
-        with pytest.raises(ValueError, match=message):
-            pcon_step(([0.0], np.zeros((1, n)), 1), 0.05, q, q_dot, desired, 0.01, cfg,
-                      _bind_window(cfg))
+        for table in (_bind_window(cfg), None):
+            with pytest.raises(ValueError, match=message):
+                pcon_step(([0.0], np.zeros((1, n)), 1), 0.05, q, q_dot, desired, 0.01, cfg,
+                          table)
 
 
 class TestConfigEquality:

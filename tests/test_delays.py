@@ -261,10 +261,10 @@ def test_blend_of_a_prefix_matches_interpolate(data):
     brackets = plan(times, queries.reshape(1, -1), 2)
     for m in range(1, len(times) + 1):
         expected = interpolate(times[:m], values[:m], queries)
-        assert np.array_equal(blend(values, m, brackets)[0], expected)
+        assert np.array_equal(blend(values, m, *brackets)[0], expected)
         # the flags may skip a mask that selects nothing
         before, after = (brackets.index == 0).any(), (brackets.index >= m).any()
-        assert np.array_equal(blend(values, m, brackets, before, after)[0], expected)
+        assert np.array_equal(blend(values, m, *brackets, before, after)[0], expected)
 
 
 def _reference_integrate(times, values, t0, t1):

@@ -161,6 +161,30 @@ class TestPayload:
         assert second == (-0.03, 0.04)
         assert third == first
 
+    @given(st.floats(1e-3, 20.0), st.floats(1e-3, 20.0),
+           st.lists(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=8))
+    def test_array_phase_matches_the_float_phase(self, period_on, period_off, offsets,
+                                                 cycles):
+        # instants at and next to multiples of the cycle and of period_on
+        # (the switches among them), t = 0 and t < 0: the robot's array
+        # phase is the float _payload_phase of each instant plus one, and
+        # the cycle's integer remainder is its float remainder
+        sched = PayloadSchedule(period_on=period_on, period_off=period_off, offsets=offsets)
+        period = period_on + period_off
+        marks = [0.0, -period_on]
+        for k in cycles:
+            marks += [k * period, k * period + period_on, k * period_on]
+        t = [x for mark in marks for x in (math.nextafter(mark, -math.inf), mark,
+                                           math.nextafter(mark, math.inf))]
+        phase = reduced_wmr_dynamics(PARAMS, payload=sched)._phase(np.array(t))
+        for x, got in zip(t, phase.tolist()):
+            x = max(x, 0.0)
+            cycle = x // period
+            float_remainder = (cycle % len(offsets) + 1.0) * (x - cycle * period < period_on)
+            assert got == int(_payload_phase(sched, x)) + 1 == int(float_remainder)
+
 
 def axle_frame_matrices(phi, params):
     """Independent 5-coordinate Lagrangian at the axle midpoint, used as the

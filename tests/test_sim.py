@@ -320,13 +320,13 @@ class TestInputTable:
             min_size=n_rows, max_size=n_rows)))
         for k0 in range(0, n_rows, per_block):
             k1 = min(k0 + per_block, n_rows)
-            stage_t, stage_h, plans, before, after = _plan_periods(
+            stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
                 profile, stamps, k0, k1, steps, dt, n)
             assert np.array_equal(stage_h, delay_at(profile, stage_t))
             for p, k in enumerate(range(k0, k1)):
                 theta = (stage_t[p] - stage_h[p]).ravel()
                 expected = interpolate(stamps[:k + 1], cmds[:k + 1], theta)
-                table = blend(cmds, k + 1, plans[p], before[p], after[p])
+                table = blend(cmds, k + 1, index[p], take[p], weight[p], before[p], after[p])
                 assert np.array_equal(table.reshape(-1, n), expected)
 
 
@@ -689,7 +689,9 @@ class TestPinnedTraces:
     predictor runs cover its window kinds: the true delay of S1 (up to
     0.1 s) and S2 (0.005 to 0.029 s over these 2 s) and S4's fixed
     h_estimate (0.12 s, 12 or 13 knots); two more S4 runs take a window of
-    zero length and one that starts before the first command."""
+    zero length and one that starts before the first command. Three more
+    robot runs hold the last command: their stage lookups fall at or after
+    the period's own stamp."""
 
     DIGESTS = {
         "wmr_s1_arolc": "1f5e7f384e35941bf3d1bd09ca300e8441f8fd9bf25d6cc35abb2b1b851a1350",
@@ -719,6 +721,16 @@ class TestPinnedTraces:
     WINDOW_DIGESTS = {
         "0": "f69736b35b8ff0dc4a316e20c774cde2e6b5b68bd94e20f2202921b2c5f22bad",
         "0.5": "8f307c078b366fddac16c968d5a19f2604cc2a4d8ce3ab10ba4743c5b99336f7",
+    }
+
+    # the first 2 s of wmr_s1_arolc under a delay (kind none, or constant
+    # at h0 s) whose lookups fall in the last command's hold: on every
+    # period at none and 4 ms, and at one control period, 10 ms, where an
+    # end stage's lookup lands exactly on the period's own stamp
+    HOLD_DIGESTS = {
+        "none": "906771a6ae91501070214b09168a4ed6e3445aa9b7c8aca7873fbedab8f059ea",
+        "0.004": "607658a650efe6487f781ad964a94ea4386483c1c8535645e3445dad63672e15",
+        "0.01": "5b819e67a273c591c2243b257d29c482c2883337ea88923c93e6b38830742aec",
     }
 
     @staticmethod
@@ -767,6 +779,20 @@ class TestPinnedTraces:
         apply_override(config, "controller.h_estimate", h_estimate)
         trace = simulate(build_scenario(config))
         assert self.digest(trace) == self.WINDOW_DIGESTS[h_estimate]
+
+    @pytest.mark.parametrize("h0", sorted(HOLD_DIGESTS))
+    def test_hold_digest(self, h0):
+        config = load_config("scenarios/wmr_s1_arolc.ini")
+        apply_override(config, "sim.duration", "2.0")
+        apply_override(config, "delay.kind", "none" if h0 == "none" else "constant")
+        if h0 != "none":
+            apply_override(config, "delay.h0", h0)
+        sc = build_scenario(config)
+        steps = round(sc.dt_control / sc.dt)
+        *_, after = _plan_periods(sc.delay, np.arange(201) * sc.dt_control, 0, 201, steps,
+                                  sc.dt, 2)
+        assert all(after) if h0 != "0.01" else any(after)
+        assert self.digest(simulate(sc)) == self.HOLD_DIGESTS[h0]
 
     def test_two_link_residual_digest(self):
         # sha256 over the (times, residual 2-norms) error_dynamics_residual
