@@ -16,13 +16,9 @@ from .controllers import (
     ArolcState,
     PconConfig,
     StepRecord,
-    adapt_gain,
     arolc_step,
     make_controller,
-    nominal_control,
     pcon_step,
-    sliding_variable,
-    switching_control,
     uncertainty_residual,
 )
 from .delays import DelayBuffer, DelayProfile, delay_at, max_delay

@@ -20,26 +20,23 @@ make_controller(scenario, trace) builds the object of scenario.controller's
 type (ArolcConfig, PconConfig, or None for zero torque) with one method the
 simulator calls per control period, row by row of trace: step(t, q, q_dot,
 desired) -> StepRecord. The objects hold state; arolc_step (the law, then
-its adaptation step) and pcon_step stay module functions.
+its adaptation step) and pcon_step stay module functions, each law's one
+entry point.
 
 The control period runs on Python floats: step takes q, q_dot and the
 reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
 returns the torque as a list of floats. For vectors of 2 to 12 entries
-per-call numpy overhead dominates the arithmetic, so each law is plain
-float code over the gain rows its config holds, every matrix-vector
-product summed left to right. The adaptive-robust law is stated in four
-steps: sliding_variable, nominal_control, switching_control and
-adapt_gain. arolc_step runs them in that order, compiled as one function
-for the plant's dimension n (``_compile_law``, once per n, as the
-simulator compiles its RK4 period): every row product unrolled in the
-helpers' order, one local per entry, ||s|| formed once. The first step on
-a config binds its rows into that law, so the records are the helpers'
-bit for bit; the helpers stay the law's reference.
+per-call numpy overhead dominates the arithmetic, so each law is float
+code over the gain rows its config holds, generated for the plant's
+dimension n and compiled once per n, as the simulator compiles its RK4
+period: every row product unrolled and summed left to right, one local per
+entry. The adaptive-robust law is ``_compile_law``; the first step on a
+config binds the config's rows into it.
 
-The predictor's step is compiled the same way (``_compile_window``, once
-per n), around a trapezoid table that each PconController fills for its
-run. The window integral is a sum of trapezoids between knots: the
-window's start, the stamps inside it, and t. Only two of them change from
+The predictor's step is compiled the same way (``_compile_window``), around
+a trapezoid table that each PconController fills for its run. The window
+integral is a sum of trapezoids between knots: the window's start, the
+stamps inside it, and t. Only two of them change from
 one period to the next: the first, which starts at the blended value at
 t - h, and the last, which ends at the held last command at t. Every inner
 one, 0.5 (t_{g+1} - t_g) (v_g + v_{g+1}), is a fixed number once command
@@ -48,10 +45,9 @@ drops rows that fall out of reach of the window (keeping at most the window
 plus 2 * _SLACK rows). A period then sums 0.0, the first trapezoid, the
 table's terms for the window and the last one, left to right per entry,
 as ``delays._trapezoids`` sums them: e_z is ``delays.integrate``'s bit for
-bit, and ``integrate`` stays the reference that the step calls itself
-where the table does not serve (a non-finite total among those cases).
-pcon_step, the name the controller calls once per period, runs the table
-when it is handed one and the plain (times, values, m) history otherwise.
+bit, and the step calls ``integrate`` itself where the table does not serve
+(a non-finite total among those cases). pcon_step runs the table it is
+handed, or a fresh one for a single call.
 
 GainSet, ArolcConfig and PconConfig compare and hash by value over their
 fields, arrays included (``stability._ValueEquality``); what a config
@@ -78,14 +74,12 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
+from ._codegen import _compile, _entries, _sum
 from .delays import integrate, max_delay
-from .plants import _compile, _entries
 from .stability import (GainSet, _ValueEquality, build_error_system, check_feasibility,
                         delay_margin)
 
@@ -94,10 +88,6 @@ __all__ = [
     "ArolcState",
     "StepRecord",
     "PconConfig",
-    "sliding_variable",
-    "nominal_control",
-    "switching_control",
-    "adapt_gain",
     "arolc_step",
     "pcon_step",
     "ArolcController",
@@ -130,6 +120,8 @@ class ArolcConfig(_ValueEquality):
     def __post_init__(self):
         if not isinstance(self.gains, GainSet):
             raise ValueError(f"gains must be a GainSet, got {type(self.gains).__name__}")
+        if not isinstance(self.switching, bool):
+            raise ValueError(f"switching must be a bool, got {self.switching!r}")
         for name in ("alpha", "epsilon", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -174,82 +166,16 @@ class StepRecord(NamedTuple):
     state: ArolcState | None = None
 
 
-def _dot(row, x) -> float:
-    """sum_j row[j] x[j] on floats, added left to right."""
-    return reduce(add, map(mul, row, x), 0.0)
-
-
-def sliding_variable(e, cfg: ArolcConfig) -> list[float]:
-    """s = B^T P e for the stacked error e = [e1; e1_dot]."""
-    bp, _, _ = cfg.rows
-    if len(e) != 2 * len(bp):
-        raise ValueError(f"expected error of length {2 * len(bp)}, got {len(e)}")
-    return [_dot(row, e) for row in bp]
-
-
-def nominal_control(e1, e1_dot, qdd_desired, cfg: ArolcConfig) -> list[float]:
-    """u_hat = (qdd_d + K2 e1_dot) + K1 e1."""
-    _, k2, k1 = cfg.rows
-    if not len(e1) == len(e1_dot) == len(qdd_desired) == len(k1):
-        raise ValueError(f"expected e1, e1_dot and qdd_desired of length {len(k1)}, got "
-                         f"{len(e1)}, {len(e1_dot)} and {len(qdd_desired)}")
-    return [(a + _dot(r2, e1_dot)) + _dot(r1, e1) for a, r2, r1 in zip(qdd_desired, k2, k1)]
-
-
-def switching_control(s, c_hat: float, cfg: ArolcConfig) -> list[float]:
-    """Robust term: alpha c_hat s/||s|| outside the boundary layer,
-    alpha c_hat s/epsilon inside it (continuous at ||s|| = epsilon)."""
-    if not 0.0 < c_hat < math.inf:  # NaN included
-        raise ValueError(f"c_hat must be positive and finite, got {c_hat!r}")
-    s_norm = math.sqrt(_dot(s, s))
-    gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
-    return [gain * x for x in s]
-
-
-def adapt_gain(state: ArolcState, s, t: float, dt: float,
-               cfg: ArolcConfig) -> ArolcState:
-    """One Euler step of length dt (the control period) of the adaptive gain
-    law; returns the updated state, whose s_prev is s."""
-    c_hat, s_prev = state.c_hat, state.s_prev
-    if not math.isfinite(c_hat):
-        raise ValueError(f"c_hat must be a number and finite, got {c_hat!r}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if s_prev is not None:
-        if not t > state.t_prev:
-            raise ValueError("time must advance between adaptation steps")
-        if len(s_prev) != len(s):
-            raise ValueError(f"s_prev has {len(s_prev)} entries, s has {len(s)}")
-    if c_hat <= cfg.gamma:
-        rate = cfg.gamma
-    else:
-        s_norm = math.sqrt(_dot(s, s))
-        if s_prev is None:
-            rate = -s_norm  # no slope estimate yet: conservative branch
-        else:
-            elapsed = t - state.t_prev
-            s_dot = [(a - b) / elapsed for a, b in zip(s, s_prev)]
-            rate = s_norm if _dot(s, s_dot) > 0.0 else -s_norm
-    return ArolcState(max(c_hat + rate * dt, cfg.gamma), s, t)
-
-
 def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
                cfg) -> StepRecord:
     """The adaptive-robust torque at the current gain, then one adaptation
-    step of length dt (the control period): sliding_variable,
-    nominal_control, switching_control, torque and adapt_gain, in that
-    order, run as the law compiled for the plant's dimension
-    (``_compile_law``). desired is the triple (qd, qd_dot, qd_ddot);
-    torque(q, q_dot, u) the nominal model's Mhat(q) u + Nhat(q, q_dot) (a
-    plant's ``torque`` face). record.c_hat and record.state are the
-    adapted ones."""
+    step of length dt (the control period), run as the law compiled for the
+    plant's dimension (``_compile_law``, which states the law's order).
+    desired is the triple (qd, qd_dot, qd_ddot); torque(q, q_dot, u) the
+    nominal model's Mhat(q) u + Nhat(q, q_dot) (a plant's ``torque``
+    face). record.c_hat and record.state are the adapted ones."""
     law = cfg.__dict__.get("_law") or _bind_law(cfg)
     return law(state, q, q_dot, desired, torque, t, dt)
-
-
-def _sum(terms) -> str:
-    """The source of _dot's sum of terms: ((0.0 + t0) + t1) + ..."""
-    return reduce(lambda total, term: f"({total} + {term})", terms, "0.0")
 
 
 @functools.cache
@@ -259,12 +185,16 @@ def _compile_law(n: int):
     config's gain rows (bp{i}_{j}, k2_{i}_{j} and k1_{i}_{j}, the entries
     of B^T P, K2 and K1) and scalars into the law.
 
-    The law runs the four helpers' operations in their order, each row
-    product unrolled in _dot's order, and forms ||s|| once, for the
-    switching term, the adaptation and the record alike; it returns the
-    record the helpers' composition returns, bit for bit, and raises their
-    errors (ValueError) on a bad c_hat or dt, on time that does not
-    advance, and on inputs of the wrong length.
+    The law, in order: the errors e1 = qd - q and e1_dot = qd_dot - q_dot;
+    the sliding variable s = B^T P e, e = [e1; e1_dot], and ||s||, formed
+    once for the switching term, the adaptation and the record alike; the
+    nominal part u_hat = (qd_ddot + K2 e1_dot) + K1 e1; the switching part
+    du = alpha c_hat s / max(||s||, epsilon), zero with switching off; the
+    torque at u = u_hat + du; and one Euler step of the adaptive gain
+    (module docstring), clamped below at gamma. Every row product sums its
+    terms left to right from 0.0 (``_sum``). It raises ValueError on a bad
+    c_hat or dt, on time that does not advance, and on inputs of the wrong
+    length.
     """
     rng = range(n)
     e = [f"ep{j}" for j in rng] + [f"ev{j}" for j in rng]  # e1, then e1_dot
@@ -390,20 +320,13 @@ class PconConfig(_ValueEquality):
 def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
               table=None) -> list[float]:
     """tau = k_b ((e1_dot + kappa e1) - vartheta e_z) on floats, e_z the
-    integral over [t - h, t] of history = (times, values, m)
-    (``delays.integrate``). table, a trapezoid table of this history bound
-    to cfg (``_bind_window``), runs the step compiled for the plant's
-    dimension instead; both give the same torque bit for bit, and the same
-    ValueError for inputs of the wrong length."""
-    if table is not None:
-        return table(history, h, q, q_dot, desired, t)
-    if len(desired) != 3 or any(len(x) != len(cfg.rows) for x in (q, q_dot, *desired[:2])):
-        raise ValueError(_lengths(len(cfg.rows), q, q_dot, desired))
-    qd, qd_dot, _ = desired
-    e_z = integrate(*history, t - h, t)  # zero before the first command
-    kappa, k_b = cfg.kappa, cfg.k_b
-    return [k_b * ((vd - v + kappa * (pd - p)) - _dot(row, e_z))
-            for pd, p, vd, v, row in zip(qd, q, qd_dot, q_dot, cfg.rows)]
+    integral over [t - h, t] of history = (times, values, m), zero before
+    the first command, by the step compiled for the plant's dimension over
+    a trapezoid table (``_compile_window``). table is such a table bound to
+    cfg (``_bind_window``), kept from call to call along one history;
+    without one the call binds a fresh table. Inputs of the wrong length
+    raise ValueError."""
+    return (table or _bind_window(cfg))(history, h, q, q_dot, desired, t)
 
 
 # rows a trapezoid table keeps behind its window's first row before it

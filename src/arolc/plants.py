@@ -69,6 +69,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._codegen import _compile, _entries
+
 __all__ = [
     "PlantModel",
     "Kernel",
@@ -186,19 +188,6 @@ class Kernel(NamedTuple):
     source: str
     constants: dict
     schedule: object = None
-
-
-def _entries(prefix: str, n: int) -> str:
-    """'p0, p1, ..., ' for n entries: a tuple's items or an unpacking target."""
-    return "".join(f"{prefix}{i}, " for i in range(n))
-
-
-def _compile(lines, name: str):
-    """The function bind that lines of Python source define, compiled under
-    the file name <name>, as ``dataclasses`` builds its methods."""
-    namespace = {}
-    exec(compile("\n".join(lines) + "\n", f"<{name}>", "exec"), namespace)
-    return namespace["bind"]
 
 
 # M's upper entries m{i}_{j} that a plant's _ROW and _MASS name

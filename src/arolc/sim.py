@@ -41,9 +41,9 @@ names the input's entries u0, u1, ... as it names q0 and v0, and it gets
 the stage instants only when it reads t: a plant without a disturbance
 leaves its disturbance lines out of its kernel, so an undisturbed run
 builds no instants for its steps. The period compiles once per (kernel,
-n), on the first run, through the compile helper that also builds the
-plants' faces; a later run binds the plant's constants into the compiled
-period. A step thus calls no ``accel``, except where the plant has no
+n), on the first run, through the compile helper (``_codegen``) that also
+builds the plants' faces; a later run binds the plant's constants into the
+compiled period. A step thus calls no ``accel``, except where the plant has no
 kernel or an ``accel`` is set on the instance (a tracer's wrapper, say):
 then the kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
@@ -79,9 +79,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._codegen import _compile, _entries
 from .controllers import ArolcConfig, PconConfig, make_controller
 from .delays import DelayProfile, blend, delay_at, plan
-from .plants import Kernel, PlantModel, _compile, _entries
+from .plants import Kernel, PlantModel
 
 __all__ = [
     "Scenario",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arolc.cli import main as cli_main
-from arolc.controllers import ArolcConfig, ArolcState, adapt_gain, switching_control
+from arolc.controllers import ArolcConfig, ArolcState, arolc_step
 from arolc.delays import DelayProfile, max_delay
 from arolc.linalg import min_eig_symmetric, solve_lyapunov
 from arolc.metrics import metrics_from_trace
@@ -134,6 +134,17 @@ def test_criterion_7_switching_law():
     gains = GainSet.identity(2)
     cfg = ArolcConfig(gains, alpha=2.0, epsilon=0.1, gamma=1e-3, c_hat_init=1e-3)
     dt = 1e-2  # control period of the adaptation steps
+    torque = point_mass_plant(2).torque
+    assert [row[2:] for row in cfg.rows[0]] == [[1.0, 0.0], [0.0, 1.0]]
+
+    def law_at(s, state, t=0.0):
+        # the law simulate runs, at the sliding variable s: e1 = 0 and
+        # e1_dot = s give s exactly, the e1_dot block of the identity
+        # gains' B^T P being I
+        zero = [0.0, 0.0]
+        return arolc_step(state, zero, zero, (zero, [float(x) for x in s], zero), torque, t,
+                          dt, cfg)
+
     # continuity across the boundary layer
     rng = np.random.default_rng(3)
     jump = 0.0
@@ -141,25 +152,25 @@ def test_criterion_7_switching_law():
         direction = rng.standard_normal(2)
         direction /= np.linalg.norm(direction)
         c_hat = float(rng.random() * 3 + 1e-3)
-        lo = switching_control((cfg.epsilon - 1e-14) * direction, c_hat, cfg)
-        hi = switching_control((cfg.epsilon + 1e-14) * direction, c_hat, cfg)
+        lo = law_at((cfg.epsilon - 1e-14) * direction, ArolcState(c_hat)).du
+        hi = law_at((cfg.epsilon + 1e-14) * direction, ArolcState(c_hat)).du
         jump = max(jump, float(np.abs(np.subtract(lo, hi)).max()))
     # magnitude cap on random inputs
     cap_ok = True
     for _ in range(10_000):
         s = rng.standard_normal(2) * 10.0 ** rng.integers(-4, 3)
         c_hat = float(rng.random() * 5 + 1e-4)
-        du = switching_control(s, c_hat, cfg)
+        du = law_at(s, ArolcState(c_hat)).du
         if np.linalg.norm(du) > cfg.alpha * c_hat * (1.0 + 1e-12):
             cap_ok = False
             break
     # adaptation branch selection on constructed slope signs
     state = ArolcState(c_hat=1.0, s_prev=[1.0, 0.0], t_prev=0.0)
-    grew = adapt_gain(state, [2.0, 0.0], 0.01, dt, cfg).c_hat
+    grew = law_at([2.0, 0.0], state, 0.01).c_hat
     state = ArolcState(c_hat=1.0, s_prev=[2.0, 0.0], t_prev=0.0)
-    shrank = adapt_gain(state, [1.0, 0.0], 0.01, dt, cfg).c_hat
+    shrank = law_at([1.0, 0.0], state, 0.01).c_hat
     state = ArolcState(c_hat=0.5e-3)
-    floored = adapt_gain(state, [9.0, 0.0], 0.01, dt, cfg).c_hat
+    floored = law_at([9.0, 0.0], state, 0.01).c_hat
     branch_ok = (grew == pytest.approx(1.0 + 2.0 * dt)
                  and shrank == pytest.approx(1.0 - 1.0 * dt)
                  and floored == pytest.approx(max(0.5e-3 + cfg.gamma * dt, cfg.gamma)))

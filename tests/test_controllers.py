@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 import warnings
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -16,14 +18,9 @@ from arolc.controllers import (
     StepRecord,
     _SLACK,
     _bind_window,
-    _dot,
-    adapt_gain,
     arolc_step,
     make_controller,
-    nominal_control,
     pcon_step,
-    sliding_variable,
-    switching_control,
     uncertainty_residual,
 )
 from arolc.delays import DelayProfile, delay_at, integrate
@@ -34,8 +31,10 @@ from arolc.trajectories import SinusoidTrajectory
 
 from test_stability import _spd
 
-CFG = ArolcConfig(GainSet.identity(1), alpha=2.0, epsilon=0.1, gamma=1e-3,
-                  c_hat_init=1.0)
+# identity gains of each dimension under one set of scalars
+CFGS = {n: ArolcConfig(GainSet.identity(n), alpha=2.0, epsilon=0.1, gamma=1e-3, c_hat_init=1.0)
+        for n in (1, 2, 3)}
+CFG = CFGS[1]
 DT = 0.01  # control period of the adaptation steps
 
 
@@ -74,167 +73,199 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gains must be a GainSet, got ndarray"):
             ArolcConfig(np.eye(2))
 
+    @pytest.mark.parametrize("switching", ["false", 0, 1.0, None, np.bool_(True)])
+    def test_arolc_switching_not_a_bool_rejected(self, switching):
+        # a truthy string such as 'false' would switch the robust term on
+        with pytest.raises(ValueError, match="switching must be a bool, got "):
+            ArolcConfig(GainSet.identity(1), switching=switching, c_hat_init=1.0)
+
+
+def law_at(s, state, cfg=None, t=0.01, dt=DT):
+    """arolc_step's record at the sliding variable s: the errors e1 = 0 and
+    e1_dot = s, which give s exactly under identity gains (the e1_dot block
+    of their B^T P is I); cfg defaults to CFGS[len(s)]."""
+    zero = [0.0] * len(s)
+    return arolc_step(state, zero, zero, (zero, [float(x) for x in s], zero),
+                      point_mass_plant(len(s)).torque, t, dt, cfg or CFGS[len(s)])
+
+
+def test_identity_gains_pass_e1_dot_through_to_s():
+    for n, cfg in CFGS.items():
+        bp, _, _ = cfg.rows
+        assert [row[n:] for row in bp] == np.eye(n).tolist()
+
 
 class TestSlidingVariable:
+    """s = B^T P e, read off the adapted state's s_prev."""
+
+    @staticmethod
+    def s(e1, e1_dot, cfg=CFG):
+        zero = [0.0] * len(e1)
+        rec = arolc_step(ArolcState(1.0), zero, zero, (e1, e1_dot, zero),
+                         point_mass_plant(len(e1)).torque, 0.0, DT, cfg)
+        return rec.state.s_prev
+
     def test_zero_error(self):
-        np.testing.assert_allclose(sliding_variable(np.zeros(2), CFG), [0.0])
+        assert self.s([0.0], [0.0]) == [0.0]
 
     def test_position_component(self):
         # bottom row of P = [0.5, 1.0]; e = [1, 0] -> s = 0.5
-        np.testing.assert_allclose(sliding_variable([1.0, 0.0], CFG), [0.5])
+        assert self.s([1.0], [0.0]) == [0.5]
 
     def test_velocity_component(self):
-        np.testing.assert_allclose(sliding_variable([0.0, 1.0], CFG), [1.0])
+        assert self.s([0.0], [1.0]) == [1.0]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sliding_variable(np.zeros(3), CFG)
+        with pytest.raises(ValueError, match="of length 1, got 1, 1, 1, 2 and 1"):
+            self.s([0.0], [0.0, 0.0])
 
 
 class TestNominalControl:
+    """u_hat = (qdd_d + K2 e1_dot) + K1 e1: the record's u with switching off."""
+
+    @staticmethod
+    def u_hat(e1, e1_dot, qdd, gains=CFG.gains):
+        cfg = ArolcConfig(gains, switching=False)
+        zero = [0.0] * len(e1)
+        return arolc_step(cfg.initial_state(), zero, zero, (e1, e1_dot, qdd),
+                          point_mass_plant(len(e1)).torque, 0.0, DT, cfg).u
+
     def test_perfect_tracking(self):
-        np.testing.assert_allclose(
-            nominal_control([0.0], [0.0], [2.5], CFG), [2.5]
-        )
+        assert self.u_hat([0.0], [0.0], [2.5]) == [2.5]
 
     def test_unit_gains(self):
-        np.testing.assert_allclose(nominal_control([1.0], [2.0], [0.0], CFG), [3.0])
+        assert self.u_hat([1.0], [2.0], [0.0]) == [3.0]
 
     def test_scaled_gains(self):
-        cfg = ArolcConfig(GainSet(K1=2.0 * np.eye(1), K2=np.eye(1), Q=np.eye(2)))
-        np.testing.assert_allclose(nominal_control([1.0], [1.0], [1.0], cfg), [4.0])
+        gains = GainSet(K1=2.0 * np.eye(1), K2=np.eye(1), Q=np.eye(2))
+        assert self.u_hat([1.0], [1.0], [1.0], gains) == [4.0]
 
     @pytest.mark.parametrize("e1, e1_dot, qdd", [([1.0], [1.0, 2.0], [0.0, 0.0]),
                                                  ([1.0, 2.0], [1.0, 2.0], [0.0])])
     def test_dimension_mismatch(self, e1, e1_dot, qdd):
         with pytest.raises(ValueError, match="of length 2"):
-            nominal_control(e1, e1_dot, qdd, ArolcConfig(GainSet.identity(2)))
+            self.u_hat(e1, e1_dot, qdd, GainSet.identity(2))
 
 
 def test_vector_helpers_return_lists_of_floats():
-    cfg = ArolcConfig(GainSet.identity(2))
-    for v in (sliding_variable((0.1, 0.2, 0.3, 0.4), cfg),
-              nominal_control((0.1, 0.2), (0.3, 0.4), (0.5, 0.6), cfg),
-              switching_control((3.0, 4.0), 1.0, cfg)):
+    rec = law_at((3.0, 4.0), ArolcState(1.0))
+    for v in (rec.tau, rec.u, rec.du, rec.state.s_prev):
         assert type(v) is list and len(v) == 2 and all(type(x) is float for x in v)
 
 
 class TestSwitchingControl:
+    """The robust term du, read off the record at a chosen s."""
+
     def test_zero_s(self):
-        np.testing.assert_allclose(switching_control(np.zeros(2), 1.0, CFG), [0.0, 0.0])
+        assert law_at([0.0, 0.0], ArolcState(1.0)).du == [0.0, 0.0]
 
     def test_outside_boundary_layer(self):
         # ||s|| = 5: unit direction scaled by alpha * c_hat = 2
-        np.testing.assert_allclose(
-            switching_control([3.0, 4.0], 1.0, CFG), [1.2, 1.6]
-        )
+        np.testing.assert_allclose(law_at([3.0, 4.0], ArolcState(1.0)).du, [1.2, 1.6])
 
     def test_inside_boundary_layer(self):
-        np.testing.assert_allclose(switching_control([0.05], 1.0, CFG), [1.0])
+        np.testing.assert_allclose(law_at([0.05], ArolcState(1.0)).du, [1.0])
 
     def test_continuity_at_boundary(self):
         direction = np.array([0.6, 0.8])
-        below = switching_control((CFG.epsilon - 1e-14) * direction, 1.3, CFG)
-        above = switching_control((CFG.epsilon + 1e-14) * direction, 1.3, CFG)
+        below = law_at((CFG.epsilon - 1e-14) * direction, ArolcState(1.3)).du
+        above = law_at((CFG.epsilon + 1e-14) * direction, ArolcState(1.3)).du
         assert np.abs(np.subtract(below, above)).max() < 1e-12
 
     @pytest.mark.parametrize("c_hat", [0.0, -1.0, math.nan])
     def test_non_positive_gain_rejected(self, c_hat):
         with pytest.raises(ValueError, match="c_hat must be positive"):
-            switching_control([0.5], c_hat, CFG)
+            law_at([0.5], ArolcState(c_hat))
 
     @pytest.mark.parametrize("c_hat", [math.inf, -math.inf])
     def test_infinite_gain_rejected(self, c_hat):
         with pytest.raises(ValueError, match="c_hat must be positive and finite"):
-            switching_control([0.5], c_hat, CFG)
+            law_at([0.5], ArolcState(c_hat))
 
     def test_magnitude_cap(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             s = rng.standard_normal(2) * 10.0 ** rng.integers(-3, 2)
             c_hat = float(rng.random() * 4 + 1e-3)
-            du = switching_control(s, c_hat, CFG)
+            du = law_at(s, ArolcState(c_hat)).du
             assert np.linalg.norm(du) <= CFG.alpha * c_hat * (1 + 1e-12)
 
     def test_parallel_to_s(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             s = rng.standard_normal(3)
-            cfg = ArolcConfig(GainSet.identity(3))
-            du = switching_control(s, 0.7, cfg)
+            du = law_at(s, ArolcState(0.7)).du
             assert float(s @ du) >= 0.0
 
 
 class TestAdaptGain:
+    """The adaptation step: the record's c_hat and next state at a chosen s."""
+
     def test_floor_branch(self):
-        state = ArolcState(c_hat=0.0005)
         cfg = ArolcConfig(CFG.gains, gamma=1e-3, c_hat_init=1e-3)
-        new = adapt_gain(state, [5.0], 0.01, DT, cfg)
+        new = law_at([5.0], ArolcState(c_hat=0.0005), cfg)
         # rate is +gamma while at/below the floor
         assert new.c_hat == pytest.approx(max(0.0005 + 1e-3 * 0.01, 1e-3))
 
     def test_growth_branch(self):
-        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0)
-        new = adapt_gain(state, [2.0], 0.01, DT, CFG)
+        new = law_at([2.0], ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0))
         assert new.c_hat == pytest.approx(1.0 + 2.0 * DT)
 
     def test_decrease_branch(self):
-        state = ArolcState(c_hat=1.0, s_prev=[2.0], t_prev=0.0)
-        new = adapt_gain(state, [1.0], 0.01, DT, CFG)
+        new = law_at([1.0], ArolcState(c_hat=1.0, s_prev=[2.0], t_prev=0.0))
         assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
     def test_equality_goes_to_decrease(self):
-        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0)
-        new = adapt_gain(state, [1.0], 0.01, DT, CFG)  # s_dot = 0
+        new = law_at([1.0], ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.0))  # s_dot = 0
         assert new.c_hat == pytest.approx(1.0 - 1.0 * DT)
 
     def test_first_step_conservative(self):
-        state = ArolcState(c_hat=1.0)
-        new = adapt_gain(state, [3.0], 0.0, DT, CFG)
+        new = law_at([3.0], ArolcState(c_hat=1.0), t=0.0)
         assert new.c_hat == pytest.approx(1.0 - 3.0 * DT)
 
     def test_never_below_gamma(self):
         rng = np.random.default_rng(5)
-        state = ArolcState(c_hat=CFG.gamma)
-        t = 0.0
         cfg = ArolcConfig(CFG.gains, gamma=1e-3, c_hat_init=1e-3)
+        state = cfg.initial_state()
+        t = 0.0
         for _ in range(200):
             t += DT
-            state = adapt_gain(state, rng.standard_normal(1) * 5.0, t, DT, cfg)
+            state = law_at(rng.standard_normal(1) * 5.0, state, cfg, t).state
             assert state.c_hat >= cfg.gamma
 
     def test_time_must_advance(self):
-        state = ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.5)
         with pytest.raises(ValueError, match="time must advance"):
-            adapt_gain(state, [1.0], 0.5, DT, CFG)
+            law_at([1.0], ArolcState(c_hat=1.0, s_prev=[1.0], t_prev=0.5), t=0.5)
 
     @pytest.mark.parametrize("s_prev", [None, [0.5]], ids=["first", "slope"])
     def test_nan_gain_rejected(self, s_prev):
-        # max(nan + rate dt, gamma) would carry the NaN on
+        # max(nan + rate dt, gamma) would carry the NaN on; with switching
+        # off, the adaptation step is the one to see the gain
+        cfg = ArolcConfig(CFG.gains, switching=False, c_hat_init=1.0)
         with pytest.raises(ValueError, match="c_hat must be a number"):
-            adapt_gain(ArolcState(math.nan, s_prev, 0.0), [1.0], 0.01, DT, CFG)
+            law_at([1.0], ArolcState(math.nan, s_prev, 0.0), cfg)
 
     @pytest.mark.parametrize("c_hat", [math.inf, -math.inf])
     def test_infinite_gain_rejected(self, c_hat):
         # the gain would stay infinite (or hold at gamma, for -inf)
+        cfg = ArolcConfig(CFG.gains, switching=False, c_hat_init=1.0)
         with pytest.raises(ValueError, match="c_hat must be a number and finite"):
-            adapt_gain(ArolcState(c_hat), [1.0], 0.01, DT, CFG)
+            law_at([1.0], ArolcState(c_hat), cfg)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -DT])
     def test_bad_period_rejected(self, dt):
         for c_hat in (1.0, CFG.gamma):  # both branches
             with pytest.raises(ValueError, match="dt must be finite and positive"):
-                adapt_gain(ArolcState(c_hat), [1.0], 0.01, dt, CFG)
+                law_at([1.0], ArolcState(c_hat), dt=dt)
 
     def test_s_prev_length_mismatch_rejected(self):
         state = ArolcState(c_hat=1.0, s_prev=[1.0, 2.0], t_prev=0.0)
         with pytest.raises(ValueError, match="s_prev has 2 entries, s has 1"):
-            adapt_gain(state, [1.0], 0.01, DT, CFG)
+            law_at([1.0], state)
 
     def test_next_state(self):
-        s = [2.0]
-        new = adapt_gain(ArolcState(c_hat=1.0), s, 0.25, DT, CFG)
-        assert new.s_prev is s and new.t_prev == 0.25
+        new = law_at([2.0], ArolcState(c_hat=1.0), t=0.25).state
+        assert new.s_prev == [2.0] and new.t_prev == 0.25
         assert ArolcState(1.0).t_prev == -math.inf
 
 
@@ -314,9 +345,70 @@ class TestArolcStep:
         np.testing.assert_allclose(tau, [1.0])
 
 
+def _dot(row, x) -> float:
+    """sum_j row[j] x[j] on floats, added left to right."""
+    return reduce(add, map(mul, row, x), 0.0)
+
+
+def sliding_variable(e, cfg: ArolcConfig) -> list[float]:
+    """s = B^T P e for the stacked error e = [e1; e1_dot]."""
+    bp, _, _ = cfg.rows
+    if len(e) != 2 * len(bp):
+        raise ValueError(f"expected error of length {2 * len(bp)}, got {len(e)}")
+    return [_dot(row, e) for row in bp]
+
+
+def nominal_control(e1, e1_dot, qdd_desired, cfg: ArolcConfig) -> list[float]:
+    """u_hat = (qdd_d + K2 e1_dot) + K1 e1."""
+    _, k2, k1 = cfg.rows
+    if not len(e1) == len(e1_dot) == len(qdd_desired) == len(k1):
+        raise ValueError(f"expected e1, e1_dot and qdd_desired of length {len(k1)}, got "
+                         f"{len(e1)}, {len(e1_dot)} and {len(qdd_desired)}")
+    return [(a + _dot(r2, e1_dot)) + _dot(r1, e1) for a, r2, r1 in zip(qdd_desired, k2, k1)]
+
+
+def switching_control(s, c_hat: float, cfg: ArolcConfig) -> list[float]:
+    """Robust term: alpha c_hat s/||s|| outside the boundary layer,
+    alpha c_hat s/epsilon inside it (continuous at ||s|| = epsilon)."""
+    if not 0.0 < c_hat < math.inf:  # NaN included
+        raise ValueError(f"c_hat must be positive and finite, got {c_hat!r}")
+    s_norm = math.sqrt(_dot(s, s))
+    gain = cfg.alpha * c_hat / (s_norm if s_norm >= cfg.epsilon else cfg.epsilon)
+    return [gain * x for x in s]
+
+
+def adapt_gain(state: ArolcState, s, t: float, dt: float,
+               cfg: ArolcConfig) -> ArolcState:
+    """One Euler step of length dt (the control period) of the adaptive gain
+    law; returns the updated state, whose s_prev is s."""
+    c_hat, s_prev = state.c_hat, state.s_prev
+    if not math.isfinite(c_hat):
+        raise ValueError(f"c_hat must be a number and finite, got {c_hat!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if s_prev is not None:
+        if not t > state.t_prev:
+            raise ValueError("time must advance between adaptation steps")
+        if len(s_prev) != len(s):
+            raise ValueError(f"s_prev has {len(s_prev)} entries, s has {len(s)}")
+    if c_hat <= cfg.gamma:
+        rate = cfg.gamma
+    else:
+        s_norm = math.sqrt(_dot(s, s))
+        if s_prev is None:
+            rate = -s_norm  # no slope estimate yet: conservative branch
+        else:
+            elapsed = t - state.t_prev
+            s_dot = [(a - b) / elapsed for a, b in zip(s, s_prev)]
+            rate = s_norm if _dot(s, s_dot) > 0.0 else -s_norm
+    return ArolcState(max(c_hat + rate * dt, cfg.gamma), s, t)
+
+
 def composed_step(state, q, q_dot, desired, torque, t, dt, cfg):
-    """The law as the four helpers state it, composed in arolc_step's order:
-    the reference the compiled law keeps to, bit for bit."""
+    """The law in four float steps (sliding_variable, nominal_control,
+    switching_control, adapt_gain), each row product summed left to right
+    from 0.0, composed in the compiled law's order: the reference that
+    arolc_step keeps to, bit for bit."""
     qd, qd_dot, qd_ddot = desired
     e1 = [a - b for a, b in zip(qd, q)]
     e1_dot = [a - b for a, b in zip(qd_dot, q_dot)]
@@ -373,8 +465,8 @@ def _law_cases(draw):
 
 class TestCompiledLaw:
     """arolc_step runs the law compiled for the plant's dimension; it returns
-    the record of the four helpers' composition bit for bit, and raises
-    their errors."""
+    the record of the four-step float reference (composed_step) bit for
+    bit, and raises the reference's errors."""
 
     @given(_law_cases())
     def test_matches_the_helpers_bit_for_bit(self, case):
@@ -436,7 +528,7 @@ class TestCompiledLaw:
         torque = point_mass_plant(n).torque
         with pytest.raises(ValueError, match=message):
             arolc_step(state, q, q_dot, desired, torque, t, dt, cfg)
-        # the helpers' length errors name e, e1 or the torque face's unpacking
+        # the reference's length errors name e, e1 or the torque face's unpacking
         lengths = case in ("q", "q_dot", "qd_ddot")
         with pytest.raises(ValueError, match=None if lengths else message):
             composed_step(state, q, q_dot, desired, torque, t, dt, cfg)
@@ -546,9 +638,27 @@ def _tables(table):
     return cells["rows"], cells["terms"], cells["base"]
 
 
+def plain_pcon(history, h, q, q_dot, desired, t, cfg):
+    """The predictor's torque from the plain history: integrate's e_z, then
+    each row's sum left to right from 0.0. The reference that the compiled
+    window keeps to, bit for bit."""
+    qd, qd_dot, _ = desired
+    e_z = integrate(*history, t - h, t)  # zero before the first command
+    kappa, k_b = cfg.kappa, cfg.k_b
+    return [k_b * ((vd - v + kappa * (pd - p)) - _dot(row, e_z))
+            for pd, p, vd, v, row in zip(qd, q, qd_dot, q_dot, cfg.rows)]
+
+
+def _same(a, b):
+    """a and b hold the same floats, bit for bit."""
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
 class TestCompiledWindow:
-    """pcon_step over a trapezoid table runs the step compiled for n; its
-    torque is the plain history's bit for bit, its fallbacks included."""
+    """pcon_step runs the step compiled for n over a trapezoid table; its
+    torque is the plain history's (plain_pcon) bit for bit, its fallbacks
+    included, whether one table is carried along the history or each call
+    binds a fresh one."""
 
     @given(_window_cases())
     def test_matches_the_plain_history_bit_for_bit(self, case):
@@ -558,7 +668,17 @@ class TestCompiledWindow:
             args = (times, values, k), h, *_inputs(rng, len(cfg.rows)), t, cfg
             got = pcon_step(*args, table)
             assert type(got) is list and all(type(x) is float for x in got)
-            assert np.array(got).tobytes() == np.array(pcon_step(*args)).tobytes()
+            assert _same(got, plain_pcon(*args))
+
+    @given(_window_cases())
+    def test_carried_table_matches_a_fresh_one_bit_for_bit(self, case):
+        # the carried table lands each command once and drops the rows
+        # behind its window's reach (_SLACK); a fresh one lands them all
+        cfg, times, values, windows, rng = case
+        table = _bind_window(cfg)
+        for k, (t, h) in enumerate(zip(times, windows)):
+            args = (times, values, k), h, *_inputs(rng, len(cfg.rows)), t, cfg
+            assert _same(pcon_step(*args, table), pcon_step(*args))
 
     def test_non_finite_total_takes_the_fallback(self, monkeypatch):
         # the window sums over a command holding inf: integrate itself
@@ -585,7 +705,7 @@ class TestCompiledWindow:
                 fallbacks.append(k)
             if not all(map(math.isfinite, integrate(times, values, k, t - 0.05, t))):
                 non_finite.append(k)
-            assert np.array(got).tobytes() == np.array(pcon_step(*args)).tobytes()
+            assert _same(got, plain_pcon(*args))
         assert non_finite == [11, 12, 13, 14, 15] and fallbacks == non_finite
 
     @pytest.mark.parametrize("case", ["rewound", "t-on-the-last-stamp", "nan-window",
@@ -613,8 +733,7 @@ class TestCompiledWindow:
             with pytest.raises(ValueError, match="t0 must be finite"):
                 pcon_step(*args, table)
         else:
-            assert np.array(pcon_step(*args, table)).tobytes() == np.array(
-                pcon_step(*args)).tobytes()
+            assert _same(pcon_step(*args, table), plain_pcon(*args))
 
     @pytest.mark.parametrize("h", [0.005, 0.12, 2.0], ids=["hold", "window", "beyond"])
     def test_table_stays_bounded_by_the_window(self, h):
@@ -634,8 +753,8 @@ class TestCompiledWindow:
         ("q_dot", "q_dot, qd"), ("q-and-q_dot", r"of length (\d), got \d+, \d+, \1, \1 and \1$"),
         ("desired", r"desired = \(qd, qd_dot, qd_ddot\)")])
     def test_inputs_of_the_wrong_length(self, n, case, message):
-        # the compiled step and the plain path alike: a longer q with a
-        # shorter q_dot, which a zip of them turned into a shorter torque
+        # with a carried table and without one: a longer q with a shorter
+        # q_dot, which a zip of them would turn into a shorter torque
         cfg = PconConfig(vartheta=np.eye(n))
         q, q_dot, desired = [0.0] * n, [0.0] * n, ([0.0] * n,) * 3
         if case == "q":
@@ -803,10 +922,9 @@ class TestArolcRunReadsScenario:
         cfg = sc.controller
         state = cfg.initial_state()
         expected = []
-        for k, t in enumerate(trace.t):
-            e1_dot = sc.trajectory(float(t))[1] - trace.q_dot[k]
-            s = sliding_variable(np.concatenate([trace.e1[k], e1_dot]), cfg)
-            state = adapt_gain(state, s, float(t), 1e-3, cfg)
+        for k, t in enumerate(trace.t.tolist()):
+            state = arolc_step(state, trace.q[k].tolist(), trace.q_dot[k].tolist(),
+                               sc.trajectory(t), sc.plant.nominal.torque, t, 1e-3, cfg).state
             expected.append(state.c_hat)
         assert np.ptp(trace.c_hat) > 0.01
         np.testing.assert_array_equal(trace.c_hat, expected)
