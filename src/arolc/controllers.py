@@ -140,9 +140,10 @@ class ArolcConfig(_ValueEquality):
         return ArolcState(c_hat=self.c_hat_init)
 
 
-@dataclass(frozen=True)
-class ArolcState:
-    """Adaptive gain plus the memory used to estimate sign(s . s_dot)."""
+class ArolcState(NamedTuple):
+    """Adaptive gain plus the memory used to estimate sign(s . s_dot); a
+    tuple, which the law builds once per period in a fraction of a frozen
+    dataclass's time."""
 
     c_hat: float
     s_prev: list[float] | None = None

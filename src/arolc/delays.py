@@ -108,10 +108,14 @@ class Plan(NamedTuple):
     weight: np.ndarray  # alike: their weights 1 - lam and lam
 
 
-def plan(times, t_query, width: int) -> Plan:
+def plan(times, t_query, width: int, first: int = 0) -> Plan:
     """The brackets of every instant of the array t_query (any shape) among
     the stamps times (an array, strictly increasing, at least one), for
-    commands of width entries."""
+    commands of width entries. times may be the stamps first, first + 1,
+    ... of a longer history, whose rows the plan then indexes: where those
+    stamps bracket every instant (the one at or before the earliest, or the
+    history's first, through the one after the latest, or its last) and
+    number two at least where it has two, the plan is the whole history's."""
     t_query = np.asarray(t_query, dtype=float)
     index = np.searchsorted(times, t_query, side="right")
     m = len(times)
@@ -132,8 +136,8 @@ def plan(times, t_query, width: int) -> Plan:
     take, weight = np.empty(rows.shape + (width,), np.intp), np.empty(rows.shape + (width,))
     # one strided write per entry: a broadcast would loop once per instant
     for j in range(width):
-        take[..., j], weight[..., j] = rows + j, lams
-    return Plan(index, take, weight)
+        take[..., j], weight[..., j] = rows + (first * width + j), lams
+    return Plan(index + first, take, weight)
 
 
 def blend(values, m: int, index, take, weight, before: bool = True,

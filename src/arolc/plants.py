@@ -26,13 +26,18 @@ payload phase), if it has one. ``_MASS`` assigns M's upper entries
 m{i}_{j} (i <= j; an entry it does not assign is zero), ``_BIAS`` N's
 time-free entries n{i}, reading no name _MASS assigns, and ``_SOLVE``,
 which also reads the input's entries u0, u1, ... and the time t, the
-accelerations a{i} of M a = u - N less the disturbance at t. _SOLVE reads
-t only in its ``if disturbance:`` block, which a plant without a
-disturbance leaves out of its faces (``_KernelPlant._solve``), so that
-their source reads no time. A schedule whose value is a row of numbers
-names its entries in a fourth string, ``_ROW``, which unpacks p before
-the others run (the robot's row holds M's entries themselves, so its
-_MASS is empty). Every other name they read is a constant of the plant.
+accelerations a{i} of M a = u - N less the disturbance at t. A string
+may hold a top-level ``if <constant>:`` block (``if viscous:``, ``if
+disturbance:``), which is resolved when the faces are built (``_fold``):
+the body stays, dedented, where the plant's constant is truthy, and the
+block goes where it is not, so no face tests it at run time. _SOLVE reads
+t only in its ``if disturbance:`` block, so that the faces of a plant
+without a disturbance read no time. A schedule whose value is a row of
+numbers names its entries in a fourth string, ``_ROW``, one line that
+unpacks p before the others run, into names no other string assigns (the
+robot's row holds M's entries themselves, so its _MASS is empty; the
+simulator unpacks a row again only when p changes). Every other name they
+read is a constant of the plant.
 One generator (``_compile_face``) compiles every face from these strings,
 each on first use: the kernel (all of them), which the simulator splices
 into the unrolled RK4 period (``arolc.sim``), so that a step calls no
@@ -182,7 +187,10 @@ class Kernel(NamedTuple):
     at t. It maps a float t to that value, and an ndarray of times to
     nested lists of the same shape holding the value at each, so that the
     simulator evaluates it once for a whole block of planned RK4 stage
-    instants and hands each stage its value, as it hands it u.
+    instants and hands each stage its value, as it hands it u. A source
+    whose first line only unpacks p (``name, ... = p``, a plant's _ROW)
+    assigns those names nowhere else: the simulator's period runs that
+    line only when a stage's p is not the object it last unpacked.
     """
 
     source: str
@@ -192,8 +200,17 @@ class Kernel(NamedTuple):
 
 # M's upper entries m{i}_{j} that a plant's _ROW and _MASS name
 _MASS_ENTRY = re.compile(r"\bm(\d+)_(\d+)\b")
-# _SOLVE's disturbance: its "if disturbance:" line and the indented lines under it
-_DISTURBANCE_BLOCK = re.compile(r"^if disturbance:\n(?:    .*\n)+", re.M)
+# a top-level "if <constant>:" line and the indented lines under it
+_CONSTANT_BLOCK = re.compile(r"^if (\w+):\n((?:    .*\n)+)", re.M)
+
+
+def _fold(source: str, constants: dict) -> str:
+    """source with each top-level ``if <constant>:`` block resolved: its
+    body, dedented, where the constant is truthy, nothing where it is not.
+    The branch is decided when the strings are built, as it would be at
+    run time, so no face and no RK4 stage tests the constant."""
+    return _CONSTANT_BLOCK.sub(
+        lambda m: textwrap.dedent(m.group(2)) if constants[m.group(1)] else "", source)
 
 
 @functools.cache
@@ -251,16 +268,16 @@ class _KernelPlant(PlantModel):
     A scheduled plant lists its schedule's values in _phases, one per phase
     (None: no schedule), and _phase(t) is the index of the phase at a float
     t (0 at t = None) or the int array of those indices over an ndarray of
-    times; _schedule is then Kernel.schedule, and the stacked faces read
-    their p columns from the float table of _phases.
+    times; it may key the windows of its phases (``_window``). _schedule is
+    then Kernel.schedule, and the stacked faces read their p columns from
+    the float table of _phases.
 
     Every face is compiled from the strings (``_compile_face``) on its first
-    use and bound to the plant's constants once, _SOLVE less its
-    disturbance where the plant has none (``_solve``): the kernel runs all
-    four strings, accel the kernel on one state, torque _ROW, _MASS and
-    _BIAS at the time-free p, mass_matrix _ROW and _MASS, and bias_vector
-    _ROW and _BIAS, on one state's floats or, with numpy's cos and sin
-    bound, on a stack's columns.
+    use and bound to the plant's constants once, each ``if <constant>:``
+    block resolved (``_strings``): the kernel runs all four strings, accel
+    the kernel on one state, torque _ROW, _MASS and _BIAS at the time-free
+    p, mass_matrix _ROW and _MASS, and bias_vector _ROW and _BIAS, on one
+    state's floats or, with numpy's cos and sin bound, on a stack's columns.
     """
 
     _ROW = ""
@@ -269,16 +286,27 @@ class _KernelPlant(PlantModel):
     def _schedule(self, t):
         """p at t: the value of the phase at a float t (phase 0 at t = None);
         over an ndarray of times, nested lists of the same shape holding the
-        value at each (one value, repeated, where the times share a phase)."""
+        value at each. Where the earliest and the latest of the times share
+        a window (``_window``), so do all of them: the phase is then found
+        at the earliest alone, and its value repeated."""
         if not isinstance(t, np.ndarray):
             return self._phases[self._phase(t)]
-        phase = self._phase(t)
-        if phase.size and (phase == phase.flat[0]).all():
-            value = self._phases[phase.flat[0]]
-            for size in reversed(t.shape):
-                value = [value] * size
-            return value
-        return self._phase_arrays[0][phase].tolist()
+        if t.size:
+            first, last = t.min().item(), t.max().item()
+            window = self._window(first)
+            if window is not None and window == self._window(last):
+                value = self._phases[self._phase(first)]
+                for size in reversed(t.shape):
+                    value = [value] * size
+                return value
+        return self._phase_arrays[0][self._phase(t)].tolist()
+
+    def _window(self, t: float):
+        """A key of the schedule's window at a float t: two instants with
+        equal keys, and every instant between them, are in one phase. None,
+        the default, knows no window, and _schedule then finds the phase
+        of every time."""
+        return None
 
     @functools.cached_property
     def _phase_arrays(self):
@@ -287,16 +315,16 @@ class _KernelPlant(PlantModel):
         return (np.fromiter(self._phases, object, len(self._phases)),
                 np.array(self._phases, float))
 
-    def _solve(self) -> str:
-        """_SOLVE, less its ``if disturbance:`` block where the plant has no
-        disturbance: the source then reads no time."""
-        return self._SOLVE if self.disturbance_amp else _DISTURBANCE_BLOCK.sub("", self._SOLVE)
+    def _strings(self, constants: dict) -> list:
+        """_ROW, _MASS, _BIAS and _SOLVE, each top-level ``if <constant>:``
+        block resolved on constants (``_fold``)."""
+        return [_fold(s, constants) for s in (self._ROW, self._MASS, self._BIAS, self._SOLVE)]
 
     def kernel(self) -> Kernel:
-        return Kernel(self._ROW + self._MASS + self._BIAS + self._solve(), dict(
-            self._constants(), cos=math.cos, sin=math.sin,
-            disturbance=self.disturbance if self.disturbance_amp else None),
-            None if self._phases is None else self._schedule)
+        constants = dict(self._constants(), cos=math.cos, sin=math.sin,
+                         disturbance=self.disturbance if self.disturbance_amp else None)
+        return Kernel("".join(self._strings(constants)), constants,
+                      None if self._phases is None else self._schedule)
 
     @functools.cached_property
     def _faces(self) -> dict:
@@ -310,8 +338,8 @@ class _KernelPlant(PlantModel):
             constants = (dict(kernel.constants, cos=np.cos, sin=np.sin) if stacked
                          else kernel.constants)
             bound = self._faces[face, stacked] = _compile_face(
-                face, self._ROW, self._MASS, self._BIAS, self._solve(), tuple(constants),
-                self.dim, kernel.schedule is not None)(kernel.schedule, **constants)
+                face, *self._strings(kernel.constants), tuple(constants), self.dim,
+                kernel.schedule is not None)(kernel.schedule, **constants)
         return bound
 
     def _at(self, t, batch: int | None):
@@ -430,17 +458,31 @@ class PayloadSchedule:
         object.__setattr__(self, "offsets", offsets)
 
 
+def _payload_window(sched: PayloadSchedule, t):
+    """(cycle, on) at time t >= 0: the index t // (period_on + period_off)
+    of the payload cycle, and whether t falls in that cycle's on-window
+    (its first period_on). Each on- and each off-window is one (cycle, on)
+    pair: t // period never decreases as t grows, nor does t - cycle *
+    period within one cycle, so the instants between two of equal pairs
+    share it.
+
+    A float t gives floats, an array of times arrays of the same values:
+    numpy's floor_divide rounds as Python's // does.
+    """
+    period = sched.period_on + sched.period_off
+    cycle = t // period
+    return cycle, t - cycle * period < sched.period_on
+
+
 def _payload_phase(sched: PayloadSchedule, t):
     """The payload phase at time t >= 0: k while offsets[k] is carried, -1
     in an off-window; the first on-window starts at t = 0.
 
-    A float t gives a float, an array of times an array of the same values:
-    numpy's floor_divide rounds as Python's // does, and the remainder of
-    the cycle is an integer one, exact for cycles below 2**53.
+    A float t gives a float, an array of times an array of the same values
+    (``_payload_window``); the remainder of the cycle is an integer one,
+    exact for cycles below 2**53.
     """
-    period = sched.period_on + sched.period_off
-    cycle = t // period
-    on = t - cycle * period < sched.period_on
+    cycle, on = _payload_window(sched, t)
     whole = cycle.astype(np.int64) if isinstance(cycle, np.ndarray) else int(cycle)
     return (whole % len(sched.offsets) + 1.0) * on - 1.0
 
@@ -520,6 +562,13 @@ a0 = (b0 - m0_1 * a1) / m0_0
         if self.payload is None or t is None:
             return 0
         return int(_payload_phase(self.payload, max(t, 0.0))) + 1
+
+    def _window(self, t: float):
+        """The (cycle, on) pair of _payload_window at max(t, 0); 0 without
+        payload, where every instant is in row 0."""
+        if self.payload is None:
+            return 0
+        return _payload_window(self.payload, max(t, 0.0))
 
     def _constants(self) -> dict:
         return dict(viscous=self.viscous)

@@ -16,11 +16,13 @@ there and the lookup instants t - h are all known before the run starts,
 and so is the plant's schedule at each instant (its time-only part, the
 robot's payload phase: ``plants.Kernel``). ``simulate`` therefore plans
 the stage instants, the schedule's values there and the lookups of a block
-of control periods at once (the schedule on the block's instants,
-``delays.plan`` against the stamps of the whole run, one row per period),
-and once per period blends the pushed commands (``delays.blend`` on the
-tau_cmd rows 0..k) into the applied input of the coming period, one flat
-row of 3n floats per step: its input at t, t + dt/2 and t + dt. Each step
+of control periods at once (the schedule on the block's instants, found
+at its first and last instant alone where they share a window of the
+schedule, and ``delays.plan`` among the stamps that bracket the block's
+lookups, one row per period), and once per period blends the pushed
+commands (``delays.blend`` on the tau_cmd rows 0..k) into the applied
+input of the coming period, one flat row of 3n floats per step: its input
+at t, t + dt/2 and t + dt. Each step
 reads its row, and its instants and schedule values where its kernel reads
 them. This is exact: every stage gets, bit for bit, the schedule's value
 at its own instant and the value ``delays.interpolate`` on the pushed
@@ -34,16 +36,21 @@ forward dynamics inline: each closed-form plant states its M, N and solve
 once, as source, and its kernel is the three together (``plants.Kernel``).
 ``_compile_step`` splices that kernel into a loop over the period's steps
 at each of the four stages of a step, with one local per entry, the state
-kept in locals from step to step and the divergence guard inline (a stage
-that raises ValueError, as math's cos of an overflowed position does,
-diverges too); the period returns how many steps it completed. A kernel
+kept in locals from step to step and the divergence guard inline, chained
+comparisons that NaN fails (a stage that raises ValueError, as math's cos
+of an overflowed position does, diverges too); the period returns how many
+steps it completed. A kernel whose first line unpacks the schedule's row
+(a plant's _ROW) runs that line at a stage only when the stage's value is
+not the row it last unpacked, once per period inside one phase. A kernel
 names the input's entries u0, u1, ... as it names q0 and v0, and it gets
-the stage instants only when it reads t: a plant without a disturbance
-leaves its disturbance lines out of its kernel, so an undisturbed run
-builds no instants for its steps. The period compiles once per (kernel,
-n), on the first run, through the compile helper (``_codegen``) that also
-builds the plants' faces; a later run binds the plant's constants into the
-compiled period. A step thus calls no ``accel``, except where the plant has no
+the stage instants only when it reads t. A plant's kernel branches on no
+constant: each ``if <constant>:`` block of its strings is resolved when
+the kernel is built (``plants._fold``), so a plant without a disturbance
+leaves its disturbance lines out, and an undisturbed run builds no
+instants for its steps. The period compiles once per (kernel, n), on the
+first run, through the compile helper (``_codegen``) that also builds the
+plants' faces; a later run binds the plant's constants into the compiled
+period. A step thus calls no ``accel``, except where the plant has no
 kernel or an ``accel`` is set on the instance (a tracer's wrapper, say):
 then the kernel is the call to that ``accel``. This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
@@ -54,9 +61,9 @@ and q_dot as slices of that tuple and the reference as lists of floats
 (evaluated once per block of periods, the trajectory called on the block's
 stamps), and returns its command as a list (``arolc.controllers``, whose
 adaptive-robust law is compiled for n as well, on the first run). Arrays
-begin at the trace: its rows (written once per block, tau_cmd once per
-period), the planned lookups and the diagnostics fine grid (written once
-per period).
+begin at the trace: its rows (collected as one flat list of floats and
+written once per block, tau_cmd once per period), the planned lookups and
+the diagnostics fine grid (written once per period).
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -116,6 +123,9 @@ _BLOCK_INSTANTS = 2048
 # The trace rows simulate writes once per block (and e1 from them); tau_cmd,
 # which the blend and the predictor read, every period and h at its start
 _BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "tau_applied", "c_hat", "s_norm")
+# Rows trace_to_csv formats at once: tracemalloc's peak while it writes the
+# 4001 rows of a 40 s robot run is 0.8 MB so, 3.2 MB with all rows at once
+_CSV_CHUNK_ROWS = 512
 
 
 class SimulationDiverged(RuntimeError):
@@ -264,7 +274,8 @@ def _n_periods(sc: Scenario) -> int:
 
 def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
-    command stamps of the whole run. Returns the stage instants, shape
+    command stamps of the whole run, searched among the stamps that bracket
+    them (``delays.plan``'s first). Returns the stage instants, shape
     (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
     t = t_k + i dt, which the RK4 step evaluates the plant at; h at those
     instants; the plan's arrays, one row per period (take and weight of
@@ -275,7 +286,12 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     t = stamps[k0:k1, None] + np.arange(steps) * dt
     t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
     h = delay_at(profile, t)
-    index, take, weight = plan(stamps, t - h, n)
+    lookups = t - h
+    # searched among the stamps that bracket them alone: from the one at or
+    # before the earliest through the one after the latest, two at least
+    last = min(int(stamps.searchsorted(lookups.max(), "right")) + 1, len(stamps))
+    first = max(min(int(stamps.searchsorted(lookups.min(), "right")) - 1, last - 2), 0)
+    index, take, weight = plan(stamps[first:last], lookups, n, first)
     index = index.reshape(k1 - k0, -1)
     before = (index == 0).any(axis=1).tolist()
     after = (index > np.arange(k0, k1)[:, None]).any(axis=1).tolist()
@@ -286,6 +302,8 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
 
 # A kernel's names of one stage: q{i}, v{i}, a{i}, u{i}, t and p
 _STAGE_NAME = re.compile(r"\b(?:([qvau])(\d+)|([tp]))\b")
+# A kernel's first line where it unpacks p alone (a plant's _ROW)
+_ROW_UNPACK = re.compile(r"\A([\w, ]+) = p\n")
 
 
 def _reads(source: str, free: str) -> bool:
@@ -317,7 +335,9 @@ def _compile_step(source: str, names: tuple, n: int):
     stage raises ValueError, as math's cos and sin do on the infinite
     position of an overflowing stage. The period then stops, and returns
     None for y and the index of that step for m. The step runs the kernel
-    once per stage, on stage names of its own. Each entry is rounded as
+    once per stage, on stage names of its own; a first kernel line that
+    only unpacks p (``plants.Kernel``) runs where the stage's p is not the
+    object the period last unpacked. Each entry is rounded as
     the ndarray expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
     y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with k_s = (q_dot,
     qdd) at stage s. The stage positions that the kernel never reads are
@@ -334,6 +354,10 @@ def _compile_step(source: str, names: tuple, n: int):
     loop = (f"for _m, {targets[0]} in enumerate(_inputs):" if len(tables) == 1 else
             f"for _m, ({', '.join(targets)}) in enumerate(zip({', '.join(tables)})):")
 
+    # a row unpack runs only when the stage's p is not the row last unpacked
+    row = _ROW_UNPACK.match(source)
+    body = source[row.end():] if row else source
+
     def stage(s, at):
         # the kernel on stage s: q{i} -> _q{s}_{i}, u{i} -> _u_{at}_{i}, t -> _t_{at}
         def rename(m):
@@ -342,7 +366,10 @@ def _compile_step(source: str, names: tuple, n: int):
                 return f"_u_{at}_{i}"
             return f"_{prefix}{s}_{i}" if prefix else f"_{free}_{at}"
 
-        return textwrap.indent(_STAGE_NAME.sub(rename, source), " " * 16)
+        # (stage 3 reads the p that stage 2 has unpacked)
+        unpack = (f"if _p_{at} is not _p_row:\n    {row.group(1)} = _p_row = _p_{at}\n"
+                  if row and s != 3 else "")
+        return textwrap.indent(unpack + _STAGE_NAME.sub(rename, body), " " * 16)
 
     # stage s runs the kernel at y + h k_{s-1}, k_{s-1} = (_v{s-1}_, _a{s-1}_);
     # stage 1 at y = (_q1_, _v1_) itself, which the step then advances in place
@@ -352,6 +379,7 @@ def _compile_step(source: str, names: tuple, n: int):
              f"        {state}= _y",
              "        _half = 0.5 * _dt",
              "        _sixth = _dt / 6.0",
+             "        _p_row = None",
              f"        {loop}",
              "            try:",
              stage(1, "start")]
@@ -366,7 +394,7 @@ def _compile_step(source: str, names: tuple, n: int):
               f"+ 2.0 * _v3_{i}) + _v4_{i})" for i in range(n)]
     lines += [f"            _v1_{i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
               f"+ 2.0 * _a3_{i}) + _a4_{i})" for i in range(n)]
-    guard = " and ".join(f"abs({name}) <= {_DIVERGENCE_LIMIT!r}"
+    guard = " and ".join(f"{-_DIVERGENCE_LIMIT!r} <= {name} <= {_DIVERGENCE_LIMIT!r}"
                          for name in state.rstrip(", ").split(", "))
     lines += [f"            if not ({guard}):",  # NaN fails it too
               "                return None, _m",
@@ -448,7 +476,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
                 values = kernel.schedule(stage_t)
             # per period, the reference triple at its stamp
             reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
-            rows = []  # the block's trace rows, written at its end
+            rows = []  # the block's trace rows, flat, written at its end
         q, q_dot = y[:n], y[n:]
         desired = reference[p]
 
@@ -462,7 +490,11 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         # period: one flat row of 3n floats per step
         inputs = blend(trace.tau_cmd, k + 1, index[p], take[p], weight[p], before[p],
                        after[p]).tolist()
-        rows.append((q, q_dot, desired[0], inputs[0][:n], rec.c_hat, rec.s_norm))
+        rows += y
+        rows += desired[0]
+        rows += inputs[0][:n]
+        rows.append(rec.c_hat)
+        rows.append(rec.s_norm)
         if not math.isfinite(rec.c_hat):
             # the adaptation overflowed (a diverging error's ||s||): no law
             # runs on this gain, so the run diverges at this period
@@ -491,17 +523,26 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     return trace
 
 
-def _write_rows(trace: Trace, k0: int, rows) -> None:
-    """Write rows, one (q, q_dot, q_desired, tau_applied, c_hat, s_norm)
-    tuple per control period, into the trace from row k0 on, and their e1."""
-    k1 = k0 + len(rows)
-    for name, column in zip(_BLOCK_COLUMNS, zip(*rows)):
-        getattr(trace, name)[k0:k1] = column
+def _write_rows(trace: Trace, k0: int, rows: list) -> None:
+    """Write rows, the floats q, q_dot, q_desired, tau_applied (n each),
+    c_hat and s_norm of one control period after another, into the trace
+    from row k0 on, and their e1."""
+    n = trace.n
+    block = np.array(rows).reshape(-1, 4 * n + 2)
+    k1 = k0 + len(block)
+    for i, name in enumerate(_BLOCK_COLUMNS[:4]):
+        getattr(trace, name)[k0:k1] = block[:, i * n:(i + 1) * n]
+    trace.c_hat[k0:k1] = block[:, 4 * n]
+    trace.s_norm[k0:k1] = block[:, 4 * n + 1]
     trace.e1[k0:k1] = trace.q_desired[k0:k1] - trace.q[k0:k1]
 
 
 def trace_to_csv(trace: Trace, path) -> None:
-    """Write the control-rate trace with the canonical column layout."""
+    """Write the control-rate trace with the canonical column layout: a
+    header line, then one line per row, each value in TRACE_FLOAT_FORMAT,
+    as ``np.savetxt`` writes them. The rows are formatted _CSV_CHUNK_ROWS at
+    a time, by one ``%`` of the repeated row format over the chunk's values,
+    which bounds the text held at once."""
     columns = [("t", trace.t), ("q", trace.q), ("qd", trace.q_desired), ("e1", trace.e1),
                ("tau_cmd", trace.tau_cmd), ("tau_app", trace.tau_applied),
                ("c_hat", trace.c_hat), ("s_norm", trace.s_norm), ("h", trace.h)]
@@ -509,8 +550,12 @@ def trace_to_csv(trace: Trace, path) -> None:
     for name, a in columns:
         header += [name] if a.ndim == 1 else [f"{name}_{i}" for i in range(a.shape[1])]
     data = np.column_stack([a for _, a in columns])
-    np.savetxt(path, data, fmt=TRACE_FLOAT_FORMAT, delimiter=",",
-               header=",".join(header), comments="")
+    row = ",".join([TRACE_FLOAT_FORMAT] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(data), _CSV_CHUNK_ROWS):
+            chunk = data[start:start + _CSV_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def error_dynamics_residual(trace: Trace, sc: Scenario,
@@ -543,7 +588,8 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     stacked solve per block; the values agree with the per-instant
     definition to rounding. Returns (times, residual 2-norms) for all
     checked instants, skipping t < warmup and lookups before the first
-    command.
+    command; empty arrays where the fine grid has no interior instant (a
+    run diverged in its first step, say).
 
     Requires a trace produced with diagnostics=True.
     """
@@ -557,6 +603,8 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
     cfg = sc.controller
     plant = sc.plant
     times = fine.t
+    if len(times) < 3:  # no interior instant
+        return np.empty(0), np.empty(0)
     dt = times[1] - times[0]
 
     _, qd_dot_d, qd_ddot_d = sc.trajectory(times)

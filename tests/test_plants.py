@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arolc.plants import (
+    _fold,
     _payload_phase,
     PayloadSchedule,
     PlantModel,
@@ -184,6 +185,25 @@ class TestPayload:
             cycle = x // period
             float_remainder = (cycle % len(offsets) + 1.0) * (x - cycle * period < period_on)
             assert got == int(_payload_phase(sched, x)) + 1 == int(float_remainder)
+
+
+class TestFold:
+    SOURCE = "a = 1\nif k:\n    b = k * 2\n    c = b\nd = 4\nif j:\n    e = 5\n"
+
+    @pytest.mark.parametrize("k, j, expected", [
+        (0.5, None, "a = 1\nb = k * 2\nc = b\nd = 4\n"),
+        (0.0, print, "a = 1\nd = 4\ne = 5\n"),
+        (0.0, None, "a = 1\nd = 4\n"),
+    ])
+    def test_block_kept_where_the_constant_is_truthy(self, k, j, expected):
+        assert _fold(self.SOURCE, {"k": k, "j": j}) == expected
+
+    def test_every_shipped_plant_folds_its_own_constants(self):
+        # the robot's rolling resistance and the disturbances stay where set
+        bare, rolling = (reduced_wmr_dynamics(PARAMS, viscous=v).kernel().source
+                         for v in (0.0, 0.002))
+        assert "visc * v0" not in bare and "\nn0, n1 = n0 + visc * v0" in rolling
+        assert "\nd0, d1 = disturbance(t).tolist()" in _disturbed_arm().kernel().source
 
 
 def axle_frame_matrices(phi, params):
@@ -411,6 +431,22 @@ class TestPlantConformance:
         assert ("p" in read) == (kernel.schedule is not None)
         assert ("t" in read) == disturbed == bool(plant.disturbance_amp)
         assert not re.search(r"\bt\b", plant.nominal.kernel().source)
+
+    def test_kernel_branches_on_no_constant(self, make, disturbed):
+        # each "if <constant>:" block is resolved when the strings are built,
+        # so no kernel tests viscous, friction or disturbance; a first line
+        # that unpacks p assigns names that no later line assigns
+        plant = make()
+        for face in (plant, plant.nominal):
+            tree = ast.parse(face.kernel().source)
+            assert not any(isinstance(node, ast.If) for node in ast.walk(tree))
+            first, *rest = tree.body
+            if isinstance(first, ast.Assign) and ast.unparse(first.value) == "p":
+                row = {node.id for node in ast.walk(first.targets[0])
+                       if isinstance(node, ast.Name)}
+                later = {node.id for line in rest for node in ast.walk(line)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+                assert row and not row & later
 
     def test_accel_returns_list_of_floats(self, make, disturbed):
         plant = make()

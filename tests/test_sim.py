@@ -29,6 +29,7 @@ from arolc.scenario_io import apply_override, build_scenario, load_config
 from arolc.sim import (
     Scenario,
     SimulationDiverged,
+    Trace,
     _compile_step,
     _plan_periods,
     _rk4_period,
@@ -505,6 +506,41 @@ class TestUnrolledStep:
                 stepped, _ = one_step(kernel, instants[i], stepped, dt, inputs[i])
                 assert states[i] == stepped
 
+    @pytest.mark.parametrize("name", ["payload-wmr", "disturbed-wmr", "coupled-3"])
+    def test_period_follows_a_changing_schedule(self, name):
+        # a six-step period whose schedule value changes between steps,
+        # inside a step (at its half and at its end stage) and back again,
+        # and at last takes an equal value in a new object: bit for bit as
+        # the steps taken one at a time, through the period and through the
+        # ndarray reference on the plant's accel, which read the same values
+        plant = self.PLANTS[name]()
+        n = plant.dim
+        a, b = plant._phases[:2]
+        a_copy = tuple(a) if isinstance(a, tuple) else float(np.float64(a))
+        dt, t = 1e-3, 1.0
+        instants = [[t + i * dt, t + i * dt + 0.5 * dt, t + (i + 1) * dt] for i in range(6)]
+        # the value at each of the 13 instants, in time order: steps (a, a,
+        # a), (a, b, b), (b, b, a), (a, a, a), (a, b, a), (a, a', a')
+        pattern = [a, a, a, b, b, b, a, a, a, b, a, a_copy, a_copy]
+        at = dict(zip(sorted({x for row in instants for x in row}), pattern, strict=True))
+        plant._schedule = at.__getitem__  # the kernel's and accel's schedule
+        kernel = plant.kernel()
+        rng = np.random.default_rng(23)
+        y = np.concatenate([rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)])
+        inputs = rng.uniform(-5.0, 5.0, (6, 3, n)).tolist()
+        period = _rk4_period(kernel, n)
+        values = [[at[x] for x in row] for row in instants]
+        states = []
+        period(tuple(y), dt, [sum(row, []) for row in inputs], instants, values, states.append)
+        for i in range(6):
+            stepped, _ = one_step(kernel, instants[i], y.tolist(), dt, inputs[i])
+            y = ndarray_rk4(plant.accel, instants[i], y, dt, inputs[i])
+            assert np.array(states[i]).tobytes() == np.array(stepped).tobytes() == y.tobytes()
+        # the values matter: under a alone, the period ends elsewhere
+        held, _ = period(tuple(states[0]), dt, [sum(row, []) for row in inputs[1:]],
+                         instants[1:], [[a] * 3] * 5, None)
+        assert held != states[-1]
+
     def test_four_accel_calls_per_step(self):
         plant = point_mass_plant(2)
         calls = []
@@ -558,6 +594,57 @@ class TestPlannedSchedule:
                                 for x in (t, t + sc.dt / 2, t + sc.dt)]
                 read.update(rows)
         assert read == set(plant._phases)
+
+
+class TestBlockSchedule:
+    """The schedule on a block's stage instants, found at the block's first
+    and last instant alone where they share a payload window, against the
+    schedule at each instant; blocks that start or end exactly on a
+    switch."""
+
+    DT = 2.0 ** -10  # binary steps, on which the binary switches land exactly
+    STEPS = 4
+
+    # (schedule, whether its switches land on the binary stamps exactly)
+    @pytest.mark.parametrize("sched, lands", [
+        (PayloadSchedule(period_on=5.0, period_off=5.0,
+                         offsets=((0.05, 0.02), (-0.03, 0.04))), True),
+        (PayloadSchedule(period_on=2.0 ** -6, period_off=3 * 2.0 ** -7,
+                         offsets=((0.05, 0.02), (-0.03, 0.04), (0.01, -0.02))), True),
+        # 4 ms on and off with one offset: a block whose first and last
+        # instants lie in on-windows of two cycles reads phase 1 at both
+        (PayloadSchedule(period_on=0.004, period_off=0.004, offsets=((0.05, 0.02),)), False),
+        (PayloadSchedule(period_on=0.004, period_off=0.006), False),
+    ], ids=["shipped", "binary", "4ms-one-offset", "4ms"])
+    def test_block_values_match_each_instant(self, sched, lands):
+        plant = reduced_wmr_dynamics(WmrParams(), payload=sched)
+        dt_control = self.STEPS * self.DT
+        period = sched.period_on + sched.period_off
+        switches = [c * period + x for c in range(1, 4) for x in (0.0, sched.period_on)]
+        stamps = np.arange(round(switches[-1] / dt_control) + 200) * dt_control
+        starts = ends = 0
+        for switch in switches:
+            k = int(switch // dt_control)
+            for size in (1, 3, 68):
+                for k0 in {max(k + j, 0) for j in (-size - 1, -size, -size + 1, -1, 0, 1)}:
+                    stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, k0, k0 + size,
+                                                self.STEPS, self.DT, 2)
+                    starts += stage_t.min() == switch
+                    ends += stage_t.max() == switch
+                    expected = [[[plant._schedule(x) for x in step] for step in rows]
+                                for rows in stage_t.tolist()]
+                    assert plant._schedule(stage_t) == expected
+        if lands:
+            assert starts and ends  # blocks that start and end on a switch
+
+    def test_cycles_sharing_a_phase_are_told_apart(self):
+        # 4 ms on, 4 ms off, one offset: instants 0.001 and 0.009 both read
+        # phase 1, of cycles 0 and 1, with the off-window between them
+        plant = reduced_wmr_dynamics(WmrParams(), payload=PayloadSchedule(
+            period_on=0.004, period_off=0.004, offsets=((0.05, 0.02),)))
+        t = np.array([0.001, 0.005, 0.009])
+        assert plant._phase(0.001) == plant._phase(0.009) == 1
+        assert plant._schedule(t) == [plant._phases[1], plant._phases[0], plant._phases[1]]
 
 
 class TestDivergenceGuard:
@@ -949,6 +1036,28 @@ class TestErrorDynamicsResidual:
         with pytest.raises(ValueError, match=message):
             error_dynamics_residual(trace, sc)
 
+    def test_run_diverged_in_its_first_step(self):
+        # a start far beyond the divergence limit's reach: the partial
+        # trace holds one fine row and no interior instant to check
+        sc = dataclasses.replace(TestPinnedTraces.shipped("two_link_s1_arolc", "0.02"),
+                                 q0=np.array([1e7, 0.0]), qdot0=np.array([9e7, 0.0]))
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc, diagnostics=True)
+        partial = excinfo.value.partial_trace
+        assert len(partial.fine.t) == 1
+        times, resid = error_dynamics_residual(partial, sc)
+        assert times.shape == resid.shape == (0,)
+
+    @pytest.mark.parametrize("fine_rows", [1, 2, 3])
+    def test_fine_grid_without_interior_instants(self, fine_rows):
+        # a grid of one or two rows has no interior instant; three rows
+        # have one, whose lookup falls before the first command
+        sc = RESIDUAL_SCENARIOS["oscillator"]()
+        sc.duration = 0.1
+        trace = simulate(sc, diagnostics=True).head(1, fine_rows)
+        times, resid = error_dynamics_residual(trace, sc, warmup=0.0)
+        assert times.shape == resid.shape == (0,)
+
     @pytest.mark.parametrize("warmup", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_warmup_rejected(self, warmup):
         sc = RESIDUAL_SCENARIOS["oscillator"]()
@@ -1234,7 +1343,58 @@ class TestWarningsAndErrors:
         assert (partial.c_hat[-1] == math.inf) == (kind == "S4")
 
 
+def savetxt_csv(trace, path):
+    """trace.csv as np.savetxt writes it: the byte reference of trace_to_csv."""
+    n = trace.n
+    header = (["t"] + [f"{name}_{i}" for name in ("q", "qd", "e1", "tau_cmd", "tau_app")
+                       for i in range(n)] + ["c_hat", "s_norm", "h"])
+    data = np.column_stack([trace.t, trace.q, trace.q_desired, trace.e1, trace.tau_cmd,
+                            trace.tau_applied, trace.c_hat, trace.s_norm, trace.h])
+    np.savetxt(path, data, fmt="%.9g", delimiter=",", header=",".join(header), comments="")
+
+
+# values whose text is easy to get wrong: signed zero, nan, infinities,
+# subnormals and the extremes of the exponent
+SPECIAL_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e-300, 1e300,
+                  -1e300, 123456789.5]
+
+
 class TestTraceCsv:
+    @staticmethod
+    def assert_bytes_match_savetxt(trace, tmp_path):
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        savetxt_csv(trace, tmp_path / "savetxt.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    # one row; a row short of one 512-row chunk, the chunk and a row over
+    # it; two chunks and a row
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_bytes_match_savetxt(self, tmp_path, n, rows):
+        rng = np.random.default_rng([n, rows])
+
+        def column(*shape):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+            a.reshape(-1)[rng.integers(0, a.size, len(SPECIAL_VALUES))] = SPECIAL_VALUES
+            return a
+
+        trace = Trace(column(rows), *(column(rows, n) for _ in range(6)),
+                      *(column(rows) for _ in range(3)))
+        self.assert_bytes_match_savetxt(trace, tmp_path)
+
+    def test_diverged_partial_trace_bytes_match_savetxt(self, tmp_path):
+        # the rows up to the period whose adaptation drove c_hat to inf
+        sc = Scenario(
+            plant=two_link_plant(TwoLinkParams()),
+            trajectory=SinusoidTrajectory(amplitude=(1e155, 1e155), frequency=(1.0, 1.0)),
+            delay=DelayProfile("S4"), controller=ArolcConfig(GainSet.identity(2)),
+            duration=1.0, dt=1e-3, dt_control=1e-2)
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc)
+        partial = excinfo.value.partial_trace
+        assert partial.c_hat[-1] == math.inf
+        self.assert_bytes_match_savetxt(partial, tmp_path)
+
     def test_header_and_roundtrip(self, tmp_path):
         trace = simulate(free_scenario(duration=0.5))
         path = tmp_path / "trace.csv"
