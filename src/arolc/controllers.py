@@ -31,7 +31,8 @@ code over the gain rows its config holds, generated for the plant's
 dimension n and compiled once per n, as the simulator compiles its RK4
 period: every row product unrolled and summed left to right, one local per
 entry. The adaptive-robust law is ``_compile_law``; the first step on a
-config binds the config's rows into it.
+config binds the config's rows into it. Both compiled laws unpack their
+inputs in the same lines (``_unpack_inputs``).
 
 The predictor's step is compiled the same way (``_compile_window``), around
 a trapezoid table that each PconController fills for its run. The window
@@ -50,8 +51,10 @@ bit, and the step calls ``integrate`` itself where the table does not serve
 handed, or a fresh one for a single call.
 
 GainSet, ArolcConfig and PconConfig compare and hash by value over their
-fields, arrays included (``stability._ValueEquality``); what a config
-caches (its rows, the bound law, the gains' error system) takes no part.
+fields, arrays included, and pickle and copy rebuild them through
+__init__ (``stability._ValueEquality``); what a config caches (its rows,
+the bound law, the gains' error system) takes no part in either. Their
+scalars' range checks are ``_checks.require``'s.
 
 The switching law uses a boundary layer of width epsilon: outside it the
 robust term has constant magnitude alpha * c_hat along s/||s||, inside it
@@ -78,6 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import require
 from ._codegen import _compile, _entries, _sum
 from .delays import integrate, max_delay
 from .stability import (GainSet, _ValueEquality, build_error_system, check_feasibility,
@@ -122,19 +126,12 @@ class ArolcConfig(_ValueEquality):
             raise ValueError(f"gains must be a GainSet, got {type(self.gains).__name__}")
         if not isinstance(self.switching, bool):
             raise ValueError(f"switching must be a bool, got {self.switching!r}")
-        for name in ("alpha", "epsilon", "gamma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require("positive", alpha=self.alpha, epsilon=self.epsilon, gamma=self.gamma)
         if not self.gamma <= self.c_hat_init < math.inf:
             raise ValueError("c_hat_init must be finite and at least gamma")
         system = build_error_system(self.gains)
         object.__setattr__(self, "rows", ((system.B.T @ system.P).tolist(),
                                           self.gains.K2.tolist(), self.gains.K1.tolist()))
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, without the bound law
-        return type(self), (self.gains, self.alpha, self.epsilon, self.gamma,
-                            self.c_hat_init, self.switching)
 
     def initial_state(self) -> "ArolcState":
         return ArolcState(c_hat=self.c_hat_init)
@@ -206,15 +203,7 @@ def _compile_law(n: int):
         + "alpha, epsilon, gamma, switching, sqrt, inf, lengths, ArolcState, StepRecord):",
         "    def law(state, q, q_dot, desired, torque, t, dt):",
         "        c_hat, s_prev, t_prev = state.c_hat, state.s_prev, state.t_prev",
-        "        try:",
-        "            qd, qd_dot, qd_ddot = desired",
-        f"            {_entries('q', n)}= q",
-        f"            {_entries('v', n)}= q_dot",
-        f"            {_entries('r', n)}= qd",
-        f"            {_entries('rv', n)}= qd_dot",
-        f"            {_entries('ra', n)}= qd_ddot",
-        "        except ValueError:",
-        f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None"]
+        *_unpack_inputs(n)]
     lines += [f"        ep{i} = r{i} - q{i}" for i in rng]
     lines += [f"        ev{i} = rv{i} - v{i}" for i in rng]
     lines += [f"        s{i} = {_sum(f'bp{i}_{j} * {x}' for j, x in enumerate(e))}" for i in rng]
@@ -260,6 +249,19 @@ def _compile_law(n: int):
     return _compile(lines, f"arolc law, n = {n}")
 
 
+def _unpack_inputs(n: int) -> list[str]:
+    """The lines that unpack a compiled law's inputs q, q_dot and desired =
+    (qd, qd_dot, qd_ddot) into q{i}, v{i}, r{i}, rv{i} and ra{i}, for n
+    coordinates; a wrong length raises ``_lengths``' message (bound as
+    lengths)."""
+    return ["        try:",
+            "            qd, qd_dot, qd_ddot = desired",
+            *(f"            {_entries(prefix, n)}= {name}" for prefix, name in
+              (("q", "q"), ("v", "q_dot"), ("r", "qd"), ("rv", "qd_dot"), ("ra", "qd_ddot"))),
+            "        except ValueError:",
+            f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None"]
+
+
 def _lengths(n: int, q, q_dot, desired) -> str:
     """The law's message for inputs of the wrong length."""
     if len(desired) != 3:
@@ -295,27 +297,19 @@ class PconConfig(_ValueEquality):
     rows: list = field(init=False, repr=False, compare=False)  # vartheta's, as floats
 
     def __post_init__(self):
-        for name in ("kappa", "k_b"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if self.h_estimate is not None and not 0.0 <= self.h_estimate < math.inf:
-            raise ValueError("h_estimate must be finite and nonnegative")
+        require("positive", kappa=self.kappa, k_b=self.k_b)
+        if self.h_estimate is not None:
+            require("nonnegative", h_estimate=self.h_estimate)
         v = np.array(self.vartheta, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"vartheta must be a square matrix, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vartheta must be finite")
+        require("finite", vartheta=v)
         # semidefinite allowed: vartheta = 0 degenerates to a PD law
         if np.linalg.eigvalsh(0.5 * (v + v.T))[0] < 0.0:
             raise ValueError("vartheta must be positive semidefinite")
         v.setflags(write=False)
         object.__setattr__(self, "vartheta", v)
         object.__setattr__(self, "rows", v.tolist())
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: numpy would restore
-        # vartheta writable, next to rows it could outdate
-        return type(self), (self.kappa, self.vartheta, self.k_b, self.h_estimate)
 
 
 def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
@@ -342,12 +336,13 @@ def _compile_window(n: int):
     vartheta entries (th{i}_{j}), kappa and k_b into a fresh table and its
     step, step(history, h, q, q_dot, desired, t).
 
-    The step lands the history's new commands, each with the trapezoid of
-    the interval it closes, and sums the window as the module docstring
-    states. It hands the integral to ``integrate`` itself where the table
-    does not serve: a window that integrate rejects, a history that was
-    rewound or whose window reaches rows the table dropped, a t on or
-    before the last stamp, and a non-finite total.
+    The step unpacks its inputs (``_unpack_inputs``), lands the history's
+    new commands, each with the trapezoid of the interval it closes, and
+    sums the window as the module docstring states. It hands the integral
+    to ``integrate`` itself where the table does not serve: a window that
+    integrate rejects, a history that was rewound or whose window reaches
+    rows the table dropped, a t on or before the last stamp, and a
+    non-finite total.
     """
     rng = range(n)
     x, y, a, b, z = (_entries(c, n) for c in "xyabz")
@@ -360,14 +355,7 @@ def _compile_window(n: int):
         "    def step(history, h, q, q_dot, desired, t):",
         "        nonlocal base",
         "        times, values, m = history",
-        "        try:",
-        "            qd, qd_dot, _ = desired",
-        f"            {_entries('p', n)}= q",
-        f"            {_entries('v', n)}= q_dot",
-        f"            {_entries('r', n)}= qd",
-        f"            {_entries('rv', n)}= qd_dot",
-        "        except ValueError:",
-        f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None",
+        *_unpack_inputs(n),
         "        t0 = t - h",
         "        i = -1  # the window's first bracket; -1 leaves e_z to integrate",
         "        if not (-inf < t0 <= t < inf) or m < base + len(rows):",
@@ -414,7 +402,7 @@ def _compile_window(n: int):
         f"        if i < 0 or not ({' and '.join(f'-inf < z{c} < inf' for c in rng)}):",
         f"            {z}= integrate(times, values, m, t - h, t)",
         "        return [" + "".join(
-            f"k_b * ((rv{i} - v{i} + kappa * (r{i} - p{i})) - "
+            f"k_b * ((rv{i} - v{i} + kappa * (r{i} - q{i})) - "
             f"{_sum(f'th{i}_{j} * z{j}' for j in rng)}), " for i in rng) + "]",
         "    return step"]
     return _compile(lines, f"pcon window, n = {n}")

@@ -12,10 +12,11 @@ after it.
 
 A lookup is two steps. ``plan`` brackets each query instant among the
 stamps: its searchsorted index, the flat positions of the entries of the
-two rows around it (lo and hi stacked) and their weights. The plan depends
-on the instants and the stamps alone, so a caller that knows them early
-(the simulator knows every stamp and every RK4 stage instant before its run
-starts) plans many lookups at once. ``blend`` then evaluates the signal of
+two rows around it (lo and hi stacked) and their weights, searching only
+the stamps that bracket the instants. The plan depends on the instants and
+the stamps alone, so a caller that knows them early (the simulator knows
+every stamp and every RK4 stage instant before its run starts) plans many
+lookups at once. ``blend`` then evaluates the signal of
 the first m commands on a plan's arrays (one take, one product, one sum),
 the only step that reads the command values. ``interpolate`` is the plan
 followed by the blend, on any stamped history, and ``integrate`` integrates
@@ -42,6 +43,8 @@ from operator import add
 from typing import NamedTuple
 
 import numpy as np
+
+from ._checks import require
 
 __all__ = ["DelayProfile", "KIND_PARAMS", "delay_at", "max_delay", "Plan", "plan", "blend",
            "interpolate", "integrate", "DelayBuffer"]
@@ -71,11 +74,8 @@ class DelayProfile:
     def __post_init__(self):
         if self.kind not in KIND_PARAMS:
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
-        for name in ("h0", "a", "b"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
+        require("nonnegative", h0=self.h0, a=self.a, b=self.b)
+        require("finite", omega=self.omega)
         for name in ("h0", "a", "b", "omega"):
             # a dataclass keeps each field's default as the class attribute
             if (getattr(self, name) != getattr(DelayProfile, name)
@@ -108,15 +108,22 @@ class Plan(NamedTuple):
     weight: np.ndarray  # alike: their weights 1 - lam and lam
 
 
-def plan(times, t_query, width: int, first: int = 0) -> Plan:
+def plan(times, t_query, width: int) -> Plan:
     """The brackets of every instant of the array t_query (any shape) among
     the stamps times (an array, strictly increasing, at least one), for
-    commands of width entries. times may be the stamps first, first + 1,
-    ... of a longer history, whose rows the plan then indexes: where those
-    stamps bracket every instant (the one at or before the earliest, or the
-    history's first, through the one after the latest, or its last) and
-    number two at least where it has two, the plan is the whole history's."""
+    commands of width entries. It searches only the stamps that bracket
+    the instants: from the one at or before the earliest (or the first)
+    through the one after the latest (or the last), two at least where the
+    latest is not before the first stamp. The plan blends as one over every
+    stamp does."""
     t_query = np.asarray(t_query, dtype=float)
+    first = 0
+    if t_query.size and len(times) > 2:
+        lo, hi = t_query.min(), t_query.max()
+        if lo <= hi:  # no NaN, which min and max carry
+            last = min(int(times.searchsorted(hi, "right")) + 1, len(times))
+            first = max(min(int(times.searchsorted(lo, "right")) - 1, last - 2), 0)
+            times = times[first:last]
     index = np.searchsorted(times, t_query, side="right")
     m = len(times)
     if m == 1:

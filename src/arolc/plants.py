@@ -74,6 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import require
 from ._codegen import _compile, _entries
 
 __all__ = [
@@ -105,10 +106,7 @@ class PlantModel:
 
     def __init__(self, nominal=None, disturbance_amp=0.0, disturbance_freq=1.0,
                  phases=None):
-        for name, value in (("disturbance_amp", disturbance_amp),
-                            ("disturbance_freq", disturbance_freq)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        require("finite", disturbance_amp=disturbance_amp, disturbance_freq=disturbance_freq)
         phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
         if phases.shape != (self.dim,) or not np.isfinite(phases).all():
             raise ValueError(f"phases must be {self.dim} finite numbers, one per plant "
@@ -427,9 +425,8 @@ class WmrParams:
     I_w: float = 0.0025
 
     def __post_init__(self):
-        for name in ("m", "I_bar", "K", "d", "r_bar", "b", "I_w"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require("positive", m=self.m, I_bar=self.I_bar, K=self.K, d=self.d,
+                r_bar=self.r_bar, b=self.b, I_w=self.I_w)
         if not self.d < self.b:
             raise ValueError("d must be smaller than b")
 
@@ -445,16 +442,12 @@ class PayloadSchedule:
     offsets: tuple[tuple[float, float], ...] = ((0.05, 0.02),)
 
     def __post_init__(self):
-        if not 0.0 <= self.extra_mass < math.inf:
-            raise ValueError("extra_mass must be finite and nonnegative")
-        for name in ("period_on", "period_off"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require("nonnegative", extra_mass=self.extra_mass)
+        require("positive", period_on=self.period_on, period_off=self.period_off)
         if not self.offsets:
             raise ValueError("at least one offset is required")
         offsets = tuple((float(dx), float(dy)) for dx, dy in self.offsets)
-        if not all(math.isfinite(x) for pair in offsets for x in pair):
-            raise ValueError("offsets must be finite")
+        require("finite", offsets=offsets)
         object.__setattr__(self, "offsets", offsets)
 
 
@@ -489,6 +482,7 @@ def _payload_phase(sched: PayloadSchedule, t):
 
 def payload_mass(sched: PayloadSchedule, t: float):
     """(mass_delta, (dx, dy)) at time t; the first on-window starts at t = 0."""
+    require("finite", t=t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     k = _payload_phase(sched, t)
@@ -584,8 +578,7 @@ def reduced_wmr_dynamics(params: WmrParams, mismatch: float = 0.0,
     parameters by (1 - mismatch) and omits payload, friction, disturbance."""
     if not -1.0 < mismatch < 1.0:
         raise ValueError("mismatch must lie in (-1, 1)")
-    if not 0.0 <= viscous < math.inf:
-        raise ValueError("viscous must be finite and nonnegative")
+    require("nonnegative", viscous=viscous)
     scale = 1.0 - mismatch
     nominal = _ReducedWmrPlant(replace(
         params, m=params.m * scale, I_bar=params.I_bar * scale,
@@ -660,14 +653,10 @@ class TwoLinkParams:
     viscous: float = 0.0
 
     def __post_init__(self):
-        for name in ("m1", "m2", "l1", "l2", "lc1", "lc2"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("I1", "I2", "viscous"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not math.isfinite(self.gravity):
-            raise ValueError("gravity must be finite")
+        require("positive", m1=self.m1, m2=self.m2, l1=self.l1, l2=self.l2, lc1=self.lc1,
+                lc2=self.lc2)
+        require("nonnegative", I1=self.I1, I2=self.I2, viscous=self.viscous)
+        require("finite", gravity=self.gravity)
 
 
 class _TwoLinkPlant(_KernelPlant):
@@ -765,14 +754,11 @@ def point_mass_plant(n: int = 1, mass: float = 1.0) -> PlantModel:
     """Friction-free unit plant M = mass * I, N = 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 < mass < math.inf:
-        raise ValueError("mass must be finite and positive")
+    require("positive", mass=mass)
     return _LinearPlant(n, mass)
 
 
 def oscillator_plant(stiffness: float = 1.0, mass: float = 1.0) -> PlantModel:
     """Undamped linear oscillator; conserves energy under zero input."""
-    for name, value in (("stiffness", stiffness), ("mass", mass)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive")
+    require("positive", stiffness=stiffness, mass=mass)
     return _LinearPlant(1, mass, stiffness)

@@ -86,6 +86,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._checks import require
 from ._codegen import _compile, _entries
 from .controllers import ArolcConfig, PconConfig, make_controller
 from .delays import DelayProfile, blend, delay_at, plan
@@ -154,9 +155,7 @@ class Scenario:
     label: str = ""
 
     def validate(self) -> None:
-        for name in ("duration", "dt", "dt_control"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require("positive", duration=self.duration, dt=self.dt, dt_control=self.dt_control)
         if self.dt > self.dt_control + 1e-15:
             raise ValueError("dt must not exceed dt_control")
         steps = round(self.dt_control / self.dt)
@@ -190,12 +189,12 @@ class Scenario:
             if gain.shape != (n, n):
                 raise ValueError(f"controller {name} must have shape ({n}, {n}), one row "
                                  f"per plant coordinate, got {gain.shape}")
-        for name, value in zip(("q0", "qdot0"), self.initial_state()):
+        start = dict(zip(("q0", "qdot0"), self.initial_state()))
+        for name, value in start.items():
             if value.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries, one per plant "
                                  f"coordinate, got shape {value.shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
+        require("finite", **start)
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         """(q0, qdot0) as new float arrays: q0 defaults to the reference's
@@ -274,8 +273,7 @@ def _n_periods(sc: Scenario) -> int:
 
 def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
-    command stamps of the whole run, searched among the stamps that bracket
-    them (``delays.plan``'s first). Returns the stage instants, shape
+    command stamps of the whole run. Returns the stage instants, shape
     (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
     t = t_k + i dt, which the RK4 step evaluates the plant at; h at those
     instants; the plan's arrays, one row per period (take and weight of
@@ -286,12 +284,7 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     t = stamps[k0:k1, None] + np.arange(steps) * dt
     t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
     h = delay_at(profile, t)
-    lookups = t - h
-    # searched among the stamps that bracket them alone: from the one at or
-    # before the earliest through the one after the latest, two at least
-    last = min(int(stamps.searchsorted(lookups.max(), "right")) + 1, len(stamps))
-    first = max(min(int(stamps.searchsorted(lookups.min(), "right")) - 1, last - 2), 0)
-    index, take, weight = plan(stamps[first:last], lookups, n, first)
+    index, take, weight = plan(stamps, t - h, n)
     index = index.reshape(k1 - k0, -1)
     before = (index == 0).any(axis=1).tolist()
     after = (index > np.arange(k0, k1)[:, None]).any(axis=1).tolist()

@@ -29,7 +29,9 @@ stored on it:
 
 GainSet keeps read-only copies of K1, K2 and Q, and the ErrorSystem arrays
 are read-only too, so the stored results cannot go stale; copy and pickle
-rebuild a GainSet from its gains alone, without them.
+rebuild a GainSet through __init__ from its gains alone, without them
+(``_ValueEquality``, as the controller configs). ``_checks.require``
+states the range checks of the scalars.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._checks import require
 from .linalg import (
     invert,
     min_eig_symmetric,
@@ -80,7 +83,12 @@ class _ValueEquality:
     instances of one class are equal when every compared field is, an array
     by its shape and entries, and the hash is taken over the same key, an
     array as its bytes. Values cached in an instance's __dict__ outside its
-    fields (an analysis result, a bound law) take no part in either."""
+    fields (an analysis result, a bound law) take no part in either. pickle
+    and copy rebuild an instance through __init__ from its init fields: numpy
+    would restore an array writable, next to derived values it could outdate."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def _key(self) -> tuple:
         # + 0.0 reads -0.0 as 0.0, so that equal entries have equal bytes;
@@ -126,19 +134,12 @@ class GainSet(_ValueEquality):
             raise ValueError("K1 and K2 must have identical shape")
         if q.shape != (2 * n, 2 * n):
             raise ValueError("Q must be 2n x 2n")
-        if not 1.0 < self.r < math.inf:
-            raise ValueError("r must be finite and exceed 1")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be finite and positive")
+        require("above 1", r=self.r)
+        require("positive", beta=self.beta)
         object.__setattr__(self, "K1", k1)
         object.__setattr__(self, "K2", k2)
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "_q_min", q_min)
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: numpy would restore the
-        # arrays writable, next to a cached error system they could outdate
-        return type(self), (self.K1, self.K2, self.Q, self.r, self.beta)
 
     @property
     def n(self) -> int:
@@ -213,8 +214,7 @@ def delay_margin(gains: GainSet) -> float:
 
 def check_feasibility(gains: GainSet, h: float) -> bool:
     """True iff delay h satisfies lambda_min(Q) > h ||E||."""
-    if not 0.0 <= h < math.inf:
-        raise ValueError("delay must be finite and nonnegative")
+    require("nonnegative", delay=h)
     system = build_error_system(gains)
     return system.q_min > h * system.e_norm
 
@@ -243,14 +243,10 @@ class BoundParams:
     h: float = 0.0
 
     def __post_init__(self):
-        for name in ("c", "Gamma", "theta_norm", "h"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        for name in ("epsilon", "gamma", "c_hat"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 1.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and exceed 1")
+        require("nonnegative", c=self.c, Gamma=self.Gamma, theta_norm=self.theta_norm,
+                h=self.h)
+        require("positive", epsilon=self.epsilon, gamma=self.gamma, c_hat=self.c_hat)
+        require("above 1", alpha=self.alpha)
 
 
 def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
@@ -302,8 +298,7 @@ def reaching_time(e0_norm: float, bound: float, c0: float) -> float:
     Zero when the initial error already lies inside the ball. c0 is the
     assumed decay-rate margin of the Lyapunov derivative, c0 > 0.
     """
-    if not 0.0 < c0 < math.inf:
-        raise ValueError("c0 must be finite and positive")
+    require("positive", c0=c0)
     if not (0.0 <= e0_norm < math.inf and 0.0 <= bound < math.inf):
         raise ValueError("e0_norm and bound must be finite and nonnegative")
     return max(0.0, (e0_norm - bound) / c0)

@@ -18,10 +18,11 @@ whose row i is the scalar call at t[i], bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import require
 
 __all__ = [
     "SinusoidTrajectory",
@@ -50,8 +51,7 @@ def _constant_rates(rates, t):
 
 def _check_diameter(traj) -> None:
     """The diameter that percent errors divide by must be positive."""
-    if not 0.0 <= traj.path_diameter < math.inf:
-        raise ValueError("path_diameter must be finite and nonnegative")
+    require("nonnegative", path_diameter=traj.path_diameter)
     if not traj.diameter > 0.0:
         raise ValueError("path_diameter must be positive: the trajectory "
                          "gives no default diameter")
@@ -86,10 +86,7 @@ class SinusoidTrajectory:
         if not amp.shape == freq.shape == phase.shape == offset.shape == (self.dim,):
             raise ValueError("amplitude, frequency, phase and offset need one "
                              "entry per coordinate")
-        for name, array in (("amplitude", amp), ("frequency", freq), ("phase", phase),
-                            ("offset", offset)):
-            if not np.isfinite(array).all():
-                raise ValueError(f"{name} must be finite")
+        require("finite", amplitude=amp, frequency=freq, phase=phase, offset=offset)
         _check_diameter(self)
         for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp * freq),
                             ("_neg_amp_freq2", -amp * freq ** 2), ("_phase", phase),
@@ -131,9 +128,7 @@ class CircleTrajectory:
     dim = 2
 
     def __post_init__(self):
-        for name in ("radius", "rate", "r_bar", "b"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        require("positive", radius=self.radius, rate=self.rate, r_bar=self.r_bar, b=self.b)
         _check_diameter(self)
 
     @property
@@ -173,9 +168,7 @@ class WheelRampTrajectory:
     dim = 2
 
     def __post_init__(self):
-        for name in ("rate_r", "rate_l"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require("finite", rate_r=self.rate_r, rate_l=self.rate_l)
         _check_diameter(self)
 
     def __call__(self, t):

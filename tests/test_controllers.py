@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -45,18 +46,22 @@ def affine_torque(m_hat, n_hat):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field", ["alpha", "epsilon", "gamma", "c_hat_init"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_arolc_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             ArolcConfig(GainSet.identity(1), **{field: value})
+        assert str(info.value).startswith(f"{field} must be ")  # scenario_io's key
 
     @pytest.mark.parametrize("field, value", [
         ("kappa", math.nan), ("k_b", math.inf), ("vartheta", np.array([[math.nan]])),
         ("h_estimate", math.nan), ("h_estimate", math.inf), ("h_estimate", -0.06),
+        ("kappa", math.inf), ("kappa", 0.0), ("k_b", math.nan), ("k_b", -1.0),
+        ("vartheta", np.array([[math.inf]])), ("vartheta", np.array([[-math.inf]])),
     ])
     def test_pcon_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             PconConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} must be ")
 
     @pytest.mark.parametrize("vartheta, shape", [(np.array([1.0, 2.0]), r"\(2,\)"),
                                                  (np.ones((2, 3)), r"\(2, 3\)"),
@@ -751,7 +756,8 @@ class TestCompiledWindow:
     @pytest.mark.parametrize("case, message", [
         ("q", r"q, q_dot, qd, qd_dot and qd_ddot of length \d, got \d+, "),
         ("q_dot", "q_dot, qd"), ("q-and-q_dot", r"of length (\d), got \d+, \d+, \1, \1 and \1$"),
-        ("desired", r"desired = \(qd, qd_dot, qd_ddot\)")])
+        ("desired", r"desired = \(qd, qd_dot, qd_ddot\)"),
+        ("qd_ddot", r"qd_ddot of length (\d), got \1, \1, \1, \1 and \d+$")])
     def test_inputs_of_the_wrong_length(self, n, case, message):
         # with a carried table and without one: a longer q with a shorter
         # q_dot, which a zip of them would turn into a shorter torque
@@ -763,6 +769,8 @@ class TestCompiledWindow:
             q_dot = q_dot[1:]
         elif case == "q-and-q_dot":
             q, q_dot = [1.0] * (n + 1), [0.0] * (n - 1)
+        elif case == "qd_ddot":  # the predictor does not read it, but checks it
+            desired = (*desired[:2], [0.0] * (n + 1))
         else:
             desired = desired[:2]
         for table in (_bind_window(cfg), None):
@@ -819,6 +827,32 @@ class TestConfigEquality:
         pcon = self.configs(n)[2]
         assert not pcon.vartheta.flags.writeable
         assert not pickle.loads(pickle.dumps(pcon)).vartheta.flags.writeable
+
+    @staticmethod
+    def other(value):
+        """A valid value of a config field other than value: a config with
+        each of its init fields other."""
+        if isinstance(value, bool):
+            return not value
+        if value is None:
+            return 0.05
+        if dataclasses.is_dataclass(value):
+            return type(value)(**{f.name: TestConfigEquality.other(getattr(value, f.name))
+                                  for f in dataclasses.fields(value) if f.init})
+        return 2.0 * value  # positive scalars, SPD and PSD matrices
+
+    @pytest.mark.parametrize("config", [GainSet.identity(2), ArolcConfig(GainSet.identity(2)),
+                                        PconConfig(vartheta=np.eye(2))],
+                             ids=["GainSet", "ArolcConfig", "PconConfig"])
+    def test_every_init_field_survives_pickle_and_copy(self, config):
+        changed = self.other(config)
+        names = [f.name for f in dataclasses.fields(config) if f.init]
+        for name in names:
+            assert not np.array_equal(getattr(changed, name), getattr(config, name)), name
+        for clone in (pickle.loads(pickle.dumps(changed)), copy.copy(changed),
+                      copy.deepcopy(changed)):
+            for name in names:
+                assert np.array_equal(getattr(clone, name), getattr(changed, name)), name
 
     def test_pcon_keeps_its_own_vartheta(self):
         v = np.eye(2)

@@ -60,10 +60,11 @@ class TestDelayAt:
             DelayProfile("S9")
 
     @pytest.mark.parametrize("field", ["h0", "a", "b", "omega"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite") as info:
             DelayProfile("custom", **{field: value})
+        assert str(info.value).startswith(f"{field} must be ")  # scenario_io's key
 
     @pytest.mark.parametrize("field", ["h0", "a", "b"])
     def test_negative_rejected_naming_the_field(self, field):

@@ -145,14 +145,25 @@ class TestPayload:
         ("period_on", math.nan, "period_on"), ("period_off", math.inf, "period_off"),
         ("offsets", ((0.05, math.nan),), "offsets"),
         ("offsets", (), "at least one offset is required"),
+        ("extra_mass", -1.0, "extra_mass"), ("period_on", math.inf, "period_on"),
+        ("period_on", 0.0, "period_on"), ("period_off", math.nan, "period_off"),
+        ("period_off", -1.0, "period_off"), ("offsets", ((math.inf, 0.0),), "offsets"),
+        ("offsets", ((0.0, -math.inf),), "offsets"),
     ])
     def test_non_finite_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             PayloadSchedule(**{field: value})
+        assert str(info.value).startswith(message)  # scenario_io's key leads
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="^t must be nonnegative$"):
             payload_mass(self.SCHED, -1e-9)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # NaN and inf reached the integer cast of the payload phase
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            payload_mass(self.SCHED, t)
 
     def test_offsets_cycle(self):
         _, first = payload_mass(self.SCHED, 1.0)
@@ -873,8 +884,9 @@ class TestParamsValidation:
     @pytest.mark.parametrize("field", ["m", "I_bar", "K", "d", "r_bar", "b", "I_w"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_wmr_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             WmrParams(**{field: value})
+        assert str(info.value).startswith(f"{field} must be ")  # scenario_io's key
 
     @pytest.mark.parametrize("field, value", [
         (name, value) for name in ("m1", "m2", "l1", "l2", "lc1", "lc2")
@@ -883,8 +895,9 @@ class TestParamsValidation:
         (name, value) for name in ("I1", "I2", "viscous") for value in (math.nan, math.inf, -1.0)
     ] + [("gravity", math.nan), ("gravity", math.inf)])
     def test_two_link_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             TwoLinkParams(**{field: value})
+        assert str(info.value).startswith(f"{field} must be ")
 
     @pytest.mark.parametrize("factory, kwargs, field", [
         (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"viscous": -5.0}, "viscous"),
@@ -907,10 +920,23 @@ class TestParamsValidation:
         (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"phases": [0.0, math.nan]},
          "phases"),
         (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"mismatch": 1.0}, "mismatch"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"viscous": math.inf}, "viscous"),
+        (point_mass_plant, {"mass": math.inf}, "mass"),
+        (oscillator_plant, {"stiffness": math.inf}, "stiffness"),
+        (oscillator_plant, {"mass": math.nan}, "mass"),
+        (oscillator_plant, {"mass": 0.0}, "mass"),
+        (lambda **kw: two_link_plant(TwoLinkParams(), **kw), {"disturbance_amp": math.inf},
+         "disturbance_amp"),
+        (lambda **kw: two_link_plant(TwoLinkParams(), **kw), {"disturbance_freq": math.nan},
+         "disturbance_freq"),
+        (lambda **kw: reduced_wmr_dynamics(PARAMS, **kw), {"disturbance_freq": -math.inf},
+         "disturbance_freq"),
     ], ids=["wmr-viscous-neg", "wmr-viscous-nan", "pm-n", "pm-mass-nan", "pm-mass-zero",
             "osc-stiffness-nan", "osc-stiffness-neg", "osc-mass-inf", "arm-amp-nan",
             "arm-freq-inf", "wmr-amp-inf", "arm-phases-short", "wmr-phases-nested",
-            "wmr-phases-nan", "wmr-mismatch-one"])
+            "wmr-phases-nan", "wmr-mismatch-one", "wmr-viscous-inf", "pm-mass-inf",
+            "osc-stiffness-inf", "osc-mass-nan", "osc-mass-zero", "arm-amp-inf",
+            "arm-freq-nan", "wmr-freq-neg-inf"])
     def test_factory_rejects_one_named_field(self, factory, kwargs, field):
         # each message names exactly the one bad argument
         with pytest.raises(ValueError, match=rf"^{field} must "):

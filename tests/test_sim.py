@@ -1094,6 +1094,18 @@ class TestWarningsAndErrors:
         with pytest.raises(ValueError, match=rf"^{field} must have 1 entries"):
             simulate(sc)
 
+    @pytest.mark.parametrize("field", ["duration", "dt", "dt_control"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_period_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive$"):
+            free_scenario(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["q0", "qdot0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            free_scenario(**{field: np.array([value])}).validate()
+
     @pytest.mark.parametrize("changes, message", [
         (dict(controller=PconConfig()), r"controller vartheta must have shape \(2, 2\), one "
                                         r"row per plant coordinate, got \(1, 1\)"),

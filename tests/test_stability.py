@@ -383,10 +383,11 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError):
             check_feasibility(IDENTITY_GAINS, -0.01)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -0.01])
     def test_non_finite_delay_rejected(self, h):
-        with pytest.raises(ValueError, match="delay"):
+        with pytest.raises(ValueError, match="delay") as info:
             check_feasibility(IDENTITY_GAINS, h)
+        assert str(info.value).startswith("delay must be ")
 
 
 class TestInputValidation:
@@ -394,18 +395,23 @@ class TestInputValidation:
         ("c", math.nan), ("Gamma", math.inf), ("theta_norm", math.nan), ("h", math.inf),
         ("h", math.nan), ("epsilon", math.nan), ("gamma", math.inf), ("c_hat", math.nan),
         ("alpha", math.nan), ("alpha", math.inf), ("c", -1.0), ("epsilon", 0.0),
+        ("c", math.inf), ("Gamma", math.nan), ("Gamma", -1.0), ("theta_norm", math.inf),
+        ("theta_norm", -1.0), ("h", -1.0), ("epsilon", math.inf), ("gamma", math.nan),
+        ("gamma", 0.0), ("c_hat", math.inf), ("c_hat", -1.0), ("alpha", 1.0),
     ])
     def test_bound_params_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             BoundParams(**{field: value})
+        assert str(info.value).startswith(f"{field} must be ")  # scenario_io's key
 
     @pytest.mark.parametrize("field, value", [
         ("r", math.inf), ("r", math.nan), ("r", 1.0),
         ("beta", math.inf), ("beta", math.nan), ("beta", 0.0),
     ])
     def test_gain_set_scalars_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=field) as info:
             GainSet.identity(1, **{field: value})
+        assert str(info.value).startswith(f"{field} must be ")
 
     @pytest.mark.parametrize("changes, message", [
         ({"K1": np.diag([1.0, -1.0])}, "K1 must be symmetric positive definite"),
@@ -486,7 +492,11 @@ class TestReachingTime:
     @pytest.mark.parametrize("args", [
         (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.1, math.nan),
         (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf), (-1.0, 0.1, 1.0),
+        (1.0, 0.1, -1.0),
     ])
     def test_non_finite_or_negative_rejected(self, args):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             reaching_time(*args)
+        # c0 is checked before the pair, each message naming its arguments first
+        bad_c0 = not 0.0 < args[2] < math.inf
+        assert str(info.value).startswith("c0 must be " if bad_c0 else "e0_norm and bound ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,11 +114,18 @@ class TestSinusoid:
             SinusoidTrajectory(amplitude=(0.5, 0.3), **entries)
 
     @pytest.mark.parametrize("field", ["amplitude", "frequency", "phase", "offset"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, field, value):
         entries = {"amplitude": (0.5, 0.3), "frequency": (0.5, 0.7), field: (0.1, value)}
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             SinusoidTrajectory(**entries)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_path_diameter_out_of_range_rejected(spec, value):
+    with pytest.raises(ValueError, match="^path_diameter must be finite and nonnegative$"):
+        dataclasses.replace(spec, path_diameter=value)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
