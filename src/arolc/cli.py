@@ -27,6 +27,7 @@ from .delays import max_delay
 from .metrics import metrics_from_trace, metrics_to_json
 from .scenario_io import (
     ScenarioError,
+    analyse_gains,
     apply_override,
     build_gains,
     build_scenario,
@@ -118,6 +119,7 @@ def _cmd_bound(args) -> int:
     else:
         print("error: [gains] section required for bound", file=sys.stderr)
         return 2
+    analyse_gains(gains)
     margin = delay_margin(gains)
     peak = max_delay(sc.delay)
     feasible = check_feasibility(gains, peak)

@@ -1,10 +1,18 @@
 """Small dense linear algebra used by the stability analysis and the simulator.
 
-Everything here operates on plain numpy arrays. Matrices in this package are
-tiny (state dimension 2n <= 10), so direct dense methods are used throughout.
+Everything here operates on plain numpy arrays, and direct dense methods
+are used throughout. The matrices are small: the error system of an n-joint
+plant is 2n x 2n, and its Lyapunov solve works on the dense (2n)^2 x (2n)^2
+Kronecker operator, 144 x 144 for the n = 6 gain sets that the delay-margin
+benchmark draws. Each public function checks its input in one pass per
+array: ``_as_square`` tests a square matrix's entries for finiteness, and
+``_as_symmetric`` takes the finiteness test from the same max|M| that
+scales its symmetry tolerance.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,29 +31,68 @@ SYMMETRY_RTOL = 1e-9
 
 _LYAPUNOV_RTOL = 1e-10
 _INVERT_ATOL = 1e-10
+# solve_lyapunov's certificate accepts an n x n A only when every A + D
+# with ||D||_2 <= _HURWITZ_RTOL * n * max|A| is Hurwitz as well: far beyond
+# the reach of an eigenvalue solve's rounding, so that is_hurwitz agrees
+_HURWITZ_RTOL = 1e-8
+# below this max|M|, M + M^T cannot overflow, so an M equal to its
+# transpose is its own (M + M^T)/2, bit for bit
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
-def _as_square(m) -> np.ndarray:
+def _square(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return a
+
+
+def _as_square(m) -> np.ndarray:
+    a = _square(m)
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _scaled(m) -> tuple[np.ndarray, float]:
+    """m as a square float array with finite entries, and max|m|. max|m|
+    is NaN or inf exactly when an entry is not finite, so one pass over |m|
+    gives both the finiteness test and the scale."""
+    a = _square(m)
+    scale = np.abs(a).max()
+    if not scale < math.inf:
+        raise ValueError("matrix has non-finite entries")
+    return a, scale
+
+
+def _as_symmetric(m, what: str) -> tuple[np.ndarray, float]:
+    """(M + M^T)/2 and its largest absolute entry, for a square M with
+    finite entries that is symmetric within SYMMETRY_RTOL; what names M
+    in the asymmetry's message."""
+    a, scale = _scaled(m)
+    if scale == 0.0:
+        return a, scale
+    asymmetry = np.abs(a - a.T).max()
+    if asymmetry == 0.0 and scale <= _HALF_MAX:
+        return a, scale
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise ValueError(f"{what} is not symmetric")
+    a = 0.5 * (a + a.T)
+    return a, np.abs(a).max()
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """True iff the Cholesky factorization of m's lower triangle succeeds."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def symmetrize(m) -> np.ndarray:
     """Return (M + M^T)/2."""
     a = _as_square(m)
-    return 0.5 * (a + a.T)
-
-
-def _check_symmetric(a: np.ndarray, what: str) -> np.ndarray:
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return a
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{what} is not symmetric")
     return 0.5 * (a + a.T)
 
 
@@ -61,7 +108,7 @@ def min_eig_symmetric(m) -> float:
     The input is symmetrized before the eigensolve; inputs that are
     asymmetric beyond a small relative tolerance are rejected.
     """
-    a = _check_symmetric(_as_square(m), "min_eig_symmetric input")
+    a, _ = _as_symmetric(m, "min_eig_symmetric input")
     return float(np.linalg.eigvalsh(a)[0])
 
 
@@ -106,17 +153,26 @@ def solve_lyapunov(a, q) -> np.ndarray:
     summed. A must be Hurwitz and Q symmetric positive definite (checked by
     its Cholesky factorization); the returned P is symmetrized and satisfies
     max|A^T P + P A + Q| <= 1e-10 * max|Q|.
+
+    The solve itself certifies A Hurwitz, by Lyapunov's theorem: with
+    W = -(A^T P + P A) = Q - resid, resid the computed residual, Cholesky
+    factors of P and of W - 2 sigma trace(P) I make every A + D with
+    ||D||_2 <= sigma Hurwitz, since (A + D)^T P + P (A + D) = -W + D^T P
+    + P D and ||P||_2 <= trace(P). For an n x n A, sigma = 1e-8 n max|A|,
+    at least 1e-8 ||A||_2, keeps the certified eigenvalues far beyond the
+    rounding of an eigenvalue solve. Only a solve that fails (a singular
+    operator, a non-finite P, a residual out of reach) or a certificate
+    that fails runs that eigenvalue test, is_hurwitz, which picks the
+    message: "unstable A" for an A that it finds not Hurwitz, the solve's
+    own failure otherwise. A Hurwitz A whose solve succeeds returns P
+    without a certificate.
     """
-    a = _as_square(a)
-    q = _check_symmetric(_as_square(q), "Q")
+    a, a_scale = _scaled(a)
+    q, scale = _as_symmetric(q, "Q")
     if a.shape != q.shape:
         raise ValueError(f"dimension mismatch: A {a.shape}, Q {q.shape}")
-    try:
-        np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Q must be positive definite") from exc
-    if not is_hurwitz(a):
-        raise ValueError("unstable A")
+    if not _positive_definite(q):
+        raise ValueError("Q must be positive definite")
 
     n = a.shape[0]
     eye, at = np.eye(n), a.T
@@ -130,14 +186,28 @@ def solve_lyapunov(a, q) -> np.ndarray:
             raise ValueError("singular Lyapunov system") from exc
         return x.reshape((n, n), order="F")
 
-    p = _solve(-q)
-    p = 0.5 * (p + p.T)
-    tol = _LYAPUNOV_RTOL * np.abs(q).max()
-    resid = a.T @ p + p @ a + q
-    if np.abs(resid).max() > tol:
-        p = p - _solve(resid)
-        p = 0.5 * (p + p.T)
-        resid = a.T @ p + p @ a + q
-        if np.abs(resid).max() > tol:
-            raise ValueError("Lyapunov solve did not reach required residual")
+    tol = _LYAPUNOV_RTOL * scale
+    # an A that is not Hurwitz can overflow P, its residual or the
+    # certificate's margin: every test below reads NaN and inf as a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            p = _solve(-q)
+            p = 0.5 * (p + p.T)
+            resid = a.T @ p + p @ a + q
+            if not np.abs(resid).max() <= tol:
+                if not np.isfinite(p).all():
+                    raise ValueError("Lyapunov solve gave a non-finite P")
+                p = p - _solve(resid)
+                p = 0.5 * (p + p.T)
+                resid = a.T @ p + p @ a + q
+                if not np.abs(resid).max() <= tol:
+                    raise ValueError("Lyapunov solve did not reach required residual")
+        except ValueError:
+            if not is_hurwitz(a):
+                raise ValueError("unstable A") from None
+            raise
+        w = q - resid
+        w.flat[::n + 1] -= (2.0 * _HURWITZ_RTOL * n * a_scale) * p.trace()
+        if not (_positive_definite(p) and _positive_definite(w)) and not is_hurwitz(a):
+            raise ValueError("unstable A")
     return p

@@ -108,9 +108,10 @@ class PlantModel:
                  phases=None):
         require("finite", disturbance_amp=disturbance_amp, disturbance_freq=disturbance_freq)
         phases = np.zeros(self.dim) if phases is None else np.asarray(phases, float)
-        if phases.shape != (self.dim,) or not np.isfinite(phases).all():
+        if phases.shape != (self.dim,):
             raise ValueError(f"phases must be {self.dim} finite numbers, one per plant "
                              f"coordinate, got shape {phases.shape}")
+        require("finite", phases=phases)
         self.nominal = self if nominal is None else nominal
         self.disturbance_amp = disturbance_amp
         self.disturbance_freq = disturbance_freq

@@ -57,14 +57,14 @@ from .plants import (
     two_link_plant,
 )
 from .sim import Scenario
-from .stability import GainSet
+from .stability import ErrorSystem, GainSet, build_error_system
 from .trajectories import (
     CircleTrajectory,
     SinusoidTrajectory,
     WheelRampTrajectory,
 )
 
-__all__ = ["ScenarioError", "load_config", "build_gains", "build_scenario",
+__all__ = ["ScenarioError", "load_config", "build_gains", "analyse_gains", "build_scenario",
            "load_scenario", "scenario_hash", "apply_override"]
 
 
@@ -163,9 +163,12 @@ def _section(name):
     spelling: the leading argument name lowercased, as configparser reads
     keys, and Scenario.dt_control as its key control_dt. A leading Scenario
     field that a section of its own sets (trajectory, controller) is
-    reported as that section."""
+    reported as that section. A ScenarioError raised inside, which already
+    names its section, passes through."""
     try:
         yield
+    except ScenarioError:
+        raise
     except ValueError as exc:
         field, sep, rest = str(exc).partition(" ")
         field = field.lower()
@@ -235,6 +238,7 @@ def _arolc(sec, gains):
         args.setdefault("c_hat_init", args["gamma"])
     if "switching" in sec:
         args["switching"] = _bval(sec, "switching")
+    analyse_gains(gains)  # stored on gains, where ArolcConfig reads B^T P
     return ArolcConfig(gains, **args)
 
 
@@ -367,6 +371,15 @@ def build_gains(config: dict[str, dict[str, str]], n: int) -> GainSet:
     with _section("gains"):
         return GainSet(K1=_gain_matrix(sec, "k1", n), K2=_gain_matrix(sec, "k2", n),
                        Q=_gain_matrix(sec, "q", 2 * n), **_given(sec, ("r", "beta")))
+
+
+def analyse_gains(gains: GainSet) -> ErrorSystem:
+    """The error system of the [gains] section's gains (build_error_system).
+    Gains that the analysis rejects, an error system that is not Hurwitz or
+    an E that overflows, are a fault of the section: the ValueError is
+    reported as a ScenarioError of [gains]."""
+    with _section("gains"):
+        return build_error_system(gains)
 
 
 def build_scenario(config: dict[str, dict[str, str]], label: str = "") -> Scenario:

@@ -193,8 +193,11 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
     b = np.eye(2 * n, n, k=-n)
     p = solve_lyapunov(a, gains.Q)
     p_inv = invert(p)
-    inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
-    e = gains.beta * (p @ b1 @ inner @ b1.T @ p) + 2.0 * (gains.r / gains.beta) * p
+    # gains as large as 1e200 overflow E: symmetrize rejects its non-finite
+    # entries, so that the overflow is a ValueError and not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
+        e = gains.beta * (p @ b1 @ inner @ b1.T @ p) + 2.0 * (gains.r / gains.beta) * p
     e = symmetrize(e)  # symmetric by construction; remove float drift
     system = ErrorSystem(
         *(_read_only(m) for m in (a1, b1, a, b, p, e)),
@@ -265,7 +268,9 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     if h != bp.h:
         # Psi = Q - h E and its smallest eigenvalue, kept for the last h only
         h = bp.h
-        lam = min_eig_symmetric(symmetrize(gains.Q - h * system.E))
+        psi = gains.Q - h * system.E
+        # min_eig_symmetric tests the entries, which symmetrize would test first
+        lam = min_eig_symmetric(0.5 * (psi + psi.T))
         gains.__dict__["_psi"] = (h, lam)
     if lam <= 0.0:
         raise ValueError("delay too large for bound")
@@ -275,21 +280,21 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
 
     if case_id == 1:
         mu = theta * bp_norm / lam
-        return mu + np.sqrt(2.0 * bp.Gamma / lam + mu * mu)
+        return mu + math.sqrt(2.0 * bp.Gamma / lam + mu * mu)
     if case_id == 2:
         mu = max(0.0, 2.0 * c - (alpha + 1.0) * c_hat + theta) * bp_norm / lam
-        return mu + np.sqrt(2.0 * bp.Gamma / lam + mu * mu)
+        return mu + math.sqrt(2.0 * bp.Gamma / lam + mu * mu)
     if case_id == 3:
         mu = max(0.0, c - alpha * c_hat + theta) / lam
-        return mu + np.sqrt(2.0 * (bp.Gamma + gam * gam) / lam + mu * mu)
+        return mu + math.sqrt(2.0 * (bp.Gamma + gam * gam) / lam + mu * mu)
     if case_id == 4:
         num = 4.0 * alpha * bp.Gamma * c_hat + eps * (c_hat + theta) ** 2
-        return np.sqrt(num / (2.0 * alpha * c_hat * lam))
+        return math.sqrt(num / (2.0 * alpha * c_hat * lam))
     if case_id == 5:
         num = 4.0 * alpha * bp.Gamma * c_hat + eps * max(0.0, 2.0 * c - c_hat + theta) ** 2
-        return np.sqrt(num / (2.0 * alpha * c_hat * lam))
+        return math.sqrt(num / (2.0 * alpha * c_hat * lam))
     num = 4.0 * alpha * c_hat * (bp.Gamma + gam * gam) + eps * (c + theta) ** 2
-    return np.sqrt(num / (2.0 * alpha * c_hat * lam))
+    return math.sqrt(num / (2.0 * alpha * c_hat * lam))
 
 
 def reaching_time(e0_norm: float, bound: float, c0: float) -> float:

@@ -129,6 +129,22 @@ class TestBound:
         # the section prefix appears once: inside the key's own name
         assert err.count(named) == 1 and err.count("[") == 1, err
 
+    @pytest.mark.parametrize("k1, message", [
+        ("1e200", "matrix has non-finite entries"),
+        ("1e-320", "unstable A"),
+        ("-1.0", "k1 must be symmetric positive definite"),
+    ], ids=["overflow", "not-hurwitz", "indefinite"])
+    @pytest.mark.parametrize("name", ["wmr_s1_pcon", "wmr_s1_arolc"])
+    def test_gains_the_analysis_rejects(self, name, k1, message, tmp_path, capsys):
+        # gains that pass GainSet but not the analysis are the [gains]
+        # section's fault, for either law
+        text = Path(f"scenarios/{name}.ini").read_text()
+        assert text.count("\nk1 = 1.0\n") == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("\nk1 = 1.0\n", f"\nk1 = {k1}\n"))
+        assert main(["bound", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: [gains] {message}\n"
+
 
 class TestSimulate:
     def test_writes_artifacts(self, fast_ini, tmp_path):

@@ -44,7 +44,7 @@ class TestSolveLyapunov:
     def test_random_residual_and_spd(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            n = int(rng.integers(1, 6))  # state dim 2n <= 10 in practice
+            n = int(rng.integers(1, 13))  # through the 12 x 12 error system of n = 6
             a = random_hurwitz(rng, n)
             q = random_spd(rng, n)
             p = solve_lyapunov(a, q)
@@ -55,6 +55,12 @@ class TestSolveLyapunov:
     def test_unstable_a_rejected(self):
         with pytest.raises(ValueError, match="unstable A"):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_non_finite_p_rejected(self):
+        # A is Hurwitz (eigenvalue -1e-320), but P = 1/(2e-320) overflows:
+        # a NaN-safe residual test reports it, with no warning on the way
+        with pytest.raises(ValueError, match="^Lyapunov solve gave a non-finite P$"):
+            solve_lyapunov(np.array([[-1e-320]]), np.eye(1))
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(ValueError):

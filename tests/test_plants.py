@@ -942,6 +942,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=rf"^{field} must "):
             factory(**kwargs)
 
+    @pytest.mark.parametrize("phases, message", [
+        ([0.0, math.nan], "phases must be finite"),
+        ([math.inf, 1.0], "phases must be finite"),
+        ([0.0, 1.0, 2.0], r"phases must be 2 finite numbers, one per plant coordinate, "
+                          r"got shape \(3,\)"),
+    ], ids=["nan", "inf", "three"])
+    def test_phases_fault_named(self, phases, message):
+        # a right-shaped phases with a bad entry is not told its shape is wrong
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reduced_wmr_dynamics(PARAMS, phases=phases)
+
 
 class TestSimplePlants:
     def test_oscillator_restoring_force(self):
