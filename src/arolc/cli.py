@@ -7,6 +7,10 @@ Subcommands:
             metrics table
   sweep     rerun a scenario over a parameter range, aggregate metrics
 
+The --seed, --dt and --control-dt flags are sim.* overrides, applied before
+a sweep's --param. Every run command builds all its scenarios before it
+simulates any (``_build``), so a rejected value exits 2 before the first run.
+
 Exit codes: 0 success, 1 runtime failure (e.g. divergence; a partial trace
 is still written), 2 scenario errors (an unreadable path, a malformed file
 or an out-of-range value).
@@ -43,21 +47,24 @@ __all__ = ["main"]
 _MAX_SWEEP_VALUES = 10_000
 
 
-def _apply_cli_overrides(config, args) -> None:
-    """Write the --seed, --dt and --control-dt flags that are given into
-    the config's [sim] section."""
-    for key, value in (("seed", args.seed), ("dt", args.dt),
-                       ("control_dt", args.control_dt)):
-        if value is not None:
-            apply_override(config, f"sim.{key}", repr(value))
+def _flags(args) -> list[tuple[str, str]]:
+    """The (sim.key, text) override pairs of the --seed, --dt and
+    --control-dt flags that are given."""
+    return [(key, repr(value)) for key, value in vars(args).items()
+            if key.startswith("sim.") and value is not None]
 
 
-def _load(path, args):
-    """(config, scenario) of the scenario file at path under the command
-    line's overrides; the scenario is labelled with the file's stem."""
-    config = load_config(path)
-    _apply_cli_overrides(config, args)
-    return config, build_scenario(config, label=Path(path).stem)
+def _build(runs) -> list:
+    """(config, scenario) of each run, a (parsed config, label, overrides)
+    triple: the overrides, (dotted key, text) pairs, are applied in order
+    to a copy of the config. Every run is built before any is simulated."""
+    built = []
+    for config, label, overrides in runs:
+        config = {sec: dict(keys) for sec, keys in config.items()}
+        for key, text in overrides:
+            apply_override(config, key, text)
+        built.append((config, build_scenario(config, label=label)))
+    return built
 
 
 def _measure(config, sc):
@@ -130,14 +137,16 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config, sc = _load(args.scenario, args)
+    path = args.scenario
+    [(config, sc)] = _build([(load_config(path), Path(path).stem, _flags(args))])
     code, _ = _run_one(config, sc, Path(args.out), args.quiet)
     return code
 
 
 def _cmd_compare(args) -> int:
-    config_a, sc_a = _load(args.scenario_a, args)
-    config_b, sc_b = _load(args.scenario_b, args)
+    (config_a, sc_a), (config_b, sc_b) = _build(
+        (load_config(path), Path(path).stem, _flags(args))
+        for path in (args.scenario_a, args.scenario_b))
     # comparison.csv has one column per plant coordinate
     if sc_a.plant.dim != sc_b.plant.dim:
         raise ScenarioError(
@@ -176,18 +185,17 @@ def _parse_range(spec: str) -> np.ndarray:
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.scenario)
-    _apply_cli_overrides(base, args)
     values = _parse_range(args.range)
+    flags = _flags(args)
+    # an integral value is written as an integer, which integer keys read
+    texts = [str(int(value)) if value.is_integer() else repr(float(value)) for value in values]
+    runs = _build((base, f"{args.param}={value:g}", flags + [(args.param, text)])
+                  for value, text in zip(values, texts))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     worst = 0
-    for value in values:
-        config = {sec: dict(keys) for sec, keys in base.items()}
-        # an integral value is written as an integer, which integer keys read
-        text = str(int(value)) if value.is_integer() else repr(float(value))
-        apply_override(config, args.param, text)
-        sc = build_scenario(config, label=f"{args.param}={value:g}")
+    for value, (config, sc) in zip(values, runs):
         _, report, diverged = _measure(config, sc)
         status = "ok" if diverged is None else "diverged"
         worst = max(worst, int(diverged is not None))
@@ -213,11 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None,
+        # each a sim.* override, applied before a sweep's --param
+        p.add_argument("--seed", dest="sim.seed", metavar="SEED", type=int)
+        p.add_argument("--dt", dest="sim.dt", metavar="DT", type=float,
                        help="integration step override [s]")
-        p.add_argument("--control-dt", dest="control_dt", type=float,
-                       default=None, help="control period override [s]")
+        p.add_argument("--control-dt", dest="sim.control_dt", metavar="CONTROL_DT",
+                       type=float, help="control period override [s]")
         p.add_argument("--quiet", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")

@@ -84,6 +84,7 @@ import numpy as np
 from ._checks import require
 from ._codegen import _compile, _entries, _sum
 from .delays import integrate, max_delay
+from .linalg import symmetrize
 from .stability import (GainSet, _ValueEquality, build_error_system, check_feasibility,
                         delay_margin)
 
@@ -305,7 +306,7 @@ class PconConfig(_ValueEquality):
             raise ValueError(f"vartheta must be a square matrix, got shape {v.shape}")
         require("finite", vartheta=v)
         # semidefinite allowed: vartheta = 0 degenerates to a PD law
-        if np.linalg.eigvalsh(0.5 * (v + v.T))[0] < 0.0:
+        if np.linalg.eigvalsh(symmetrize(v))[0] < 0.0:
             raise ValueError("vartheta must be positive semidefinite")
         v.setflags(write=False)
         object.__setattr__(self, "vartheta", v)
@@ -446,7 +447,7 @@ class PconController:
     def __init__(self, sc, trace):
         self.cfg = sc.controller
         self.trace = trace
-        self.stamps = trace.t.tolist()  # delays.integrate searches a list
+        self.stamps = trace.t.tolist()  # the compiled step bisects a list
         self.table = _bind_window(self.cfg)
         self.k = 0
 

@@ -20,7 +20,8 @@ lookups at once. ``blend`` then evaluates the signal of
 the first m commands on a plan's arrays (one take, one product, one sum),
 the only step that reads the command values. ``interpolate`` is the plan
 followed by the blend, on any stamped history, and ``integrate`` integrates
-the signal of its first m commands exactly. A run's command history is its
+the signal of its first m commands exactly: the plan and the blend at its
+knots, summed as trapezoids (``_trapezoids``). A run's command history is its
 trace, the tau_cmd rows at the stamps t: the simulator blends them and the
 predictor integrates them in place. A DelayBuffer is a stamped history
 built one checked command at a time; each of its lookups is one call to
@@ -36,7 +37,6 @@ table does not cover, a non-finite total among them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -178,17 +178,6 @@ def interpolate(times, values, t_query) -> np.ndarray:
     return blend(values, m, *plan(times, t_query, values.shape[1]))
 
 
-def _signal_at(ts, vs, k: int, t: float) -> list[float]:
-    """The command signal at t as ``blend`` computes it, on the float rows
-    (ts, vs): rows k - 1 and k bracket t, or k == len(vs) and t reads the
-    last row."""
-    if k == len(vs):
-        return vs[-1]
-    t_lo = ts[k - 1]
-    lam = (t - t_lo) / (ts[k] - t_lo)
-    return [(1.0 - lam) * x + lam * y for x, y in zip(vs[k - 1], vs[k])]
-
-
 def _trapezoids(knots, rows) -> list[float]:
     """Trapezoids between the knots, each entry summed left to right as an
     ndarray total += would sum it."""
@@ -199,48 +188,30 @@ def _trapezoids(knots, rows) -> list[float]:
 
 def integrate(times, values, m: int, t0: float, t1: float) -> list[float]:
     """Integral over [t0, t1] of the command signal of the first m commands,
-    values[:m] (an array) at the stamps times[:m] (a list of Python floats,
-    strictly increasing): trapezoids between knots, exact for that
-    piecewise-linear signal, as a list of Python floats; zero for m = 0.
+    values[:m] (an array) at the stamps times[:m] (strictly increasing):
+    trapezoids between knots, exact for that piecewise-linear signal, as a
+    list of Python floats; zero for m = 0.
 
-    The knots are the interval's ends and every stamp inside it. The sum
-    runs on Python floats over the rows that bracket a knot, with the
-    plan's weights and the blend's arithmetic, so it equals the blend of
-    the knots bit for bit. A stamp's weights are (1, 0): for finite
-    commands its value is its row, and a non-finite total (0 * inf is nan)
-    blends every knot."""
+    The knots are the interval's ends, the start clipped to the first stamp
+    (the signal is zero before it), and every stamp strictly inside. Their
+    values are the blend of the plan of the knots, a stamp's weights (1, 0):
+    0 * inf is nan there, silently as on Python floats."""
     for name, bound in (("t0", t0), ("t1", t1)):
         if not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound!r}")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     n = values.shape[1]
-    if not m:
+    stamps = np.asarray(times[:m], dtype=float)
+    if m:
+        t0 = max(t0, stamps[0])
+    if not m or t1 <= t0:
         return [0.0] * n
-    t0, t1 = float(t0), float(t1)
-    # the stamps at or before each end, as searchsorted(side="right") counts
-    i = bisect_right(times, t0, 0, m)
-    r = bisect_right(times, t1, 0, m)
-    # rows a .. r: the stamp at or before the window's start (the first
-    # stamp if the start is before it) through the first stamp after t1
-    a = max(i - 1, 0)
-    ts = times[a:min(r + 1, m)]
-    vs = values[a:a + len(ts)].tolist()
-    if not i:
-        t0 = ts[0]  # the signal is zero before the first command
-    if t1 <= t0:
-        return [0.0] * n
-    # t0 falls between local rows 0 and 1, t1 between rows e - 1 and e,
-    # and the stamps of rows 1 .. stop - 1 lie strictly inside (t0, t1)
-    e = r - a
-    stop = e - (ts[e - 1] == t1)
-    knots = [t0] + ts[1:stop] + [t1]
-    rows = [_signal_at(ts, vs, 1, t0)] + vs[1:stop] + [_signal_at(ts, vs, e, t1)]
-    total = _trapezoids(knots, rows)
-    if not all(map(math.isfinite, total)):
-        rows[1:-1] = [_signal_at(ts, vs, k + 1, ts[k]) for k in range(1, stop)]
-        total = _trapezoids(knots, rows)
-    return total
+    inside = stamps[stamps.searchsorted(t0, "right"):stamps.searchsorted(t1, "left")]
+    knots = np.concatenate(([t0], inside, [t1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = blend(values, m, *plan(stamps, knots, n))
+    return _trapezoids(knots.tolist(), rows.tolist())
 
 
 class DelayBuffer:

@@ -35,8 +35,7 @@ _INVERT_ATOL = 1e-10
 # with ||D||_2 <= _HURWITZ_RTOL * n * max|A| is Hurwitz as well: far beyond
 # the reach of an eigenvalue solve's rounding, so that is_hurwitz agrees
 _HURWITZ_RTOL = 1e-8
-# below this max|M|, M + M^T cannot overflow, so an M equal to its
-# transpose is its own (M + M^T)/2, bit for bit
+# below this max|M|, M + M^T cannot overflow
 _HALF_MAX = 0.5 * np.finfo(float).max
 
 
@@ -73,11 +72,11 @@ def _as_symmetric(m, what: str) -> tuple[np.ndarray, float]:
     if scale == 0.0:
         return a, scale
     asymmetry = np.abs(a - a.T).max()
-    if asymmetry == 0.0 and scale <= _HALF_MAX:
+    if asymmetry == 0.0:
         return a, scale
     if asymmetry > SYMMETRY_RTOL * scale:
         raise ValueError(f"{what} is not symmetric")
-    a = 0.5 * (a + a.T)
+    a = symmetrize(a)
     return a, np.abs(a).max()
 
 
@@ -91,9 +90,9 @@ def _positive_definite(m: np.ndarray) -> bool:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Return (M + M^T)/2."""
-    a = _as_square(m)
-    return 0.5 * (a + a.T)
+    """Return (M + M^T)/2, halving first where M + M^T would overflow."""
+    a, scale = _scaled(m)
+    return 0.5 * (a + a.T) if scale <= _HALF_MAX else 0.5 * a + 0.5 * a.T
 
 
 def is_hurwitz(a) -> bool:
@@ -163,9 +162,10 @@ def solve_lyapunov(a, q) -> np.ndarray:
     rounding of an eigenvalue solve. Only a solve that fails (a singular
     operator, a non-finite P, a residual out of reach) or a certificate
     that fails runs that eigenvalue test, is_hurwitz, which picks the
-    message: "unstable A" for an A that it finds not Hurwitz, the solve's
-    own failure otherwise. A Hurwitz A whose solve succeeds returns P
-    without a certificate.
+    message: "A is not Hurwitz to working precision" for an A that it finds
+    not Hurwitz (an eigenvalue whose real part rounds to 0 counts, as for
+    k2 = 1e-300 or 1e200), the solve's own failure otherwise. A Hurwitz A
+    whose solve succeeds returns P without a certificate.
     """
     a, a_scale = _scaled(a)
     q, scale = _as_symmetric(q, "Q")
@@ -176,8 +176,6 @@ def solve_lyapunov(a, q) -> np.ndarray:
 
     n = a.shape[0]
     eye, at = np.eye(n), a.T
-    k = (eye[:, None, :, None] * at[None, :, None, :]
-         + at[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
 
     def _solve(rhs: np.ndarray) -> np.ndarray:
         try:
@@ -187,9 +185,12 @@ def solve_lyapunov(a, q) -> np.ndarray:
         return x.reshape((n, n), order="F")
 
     tol = _LYAPUNOV_RTOL * scale
-    # an A that is not Hurwitz can overflow P, its residual or the
-    # certificate's margin: every test below reads NaN and inf as a failure
+    # entries of A near the float range can overflow the operator, and an A
+    # that is not Hurwitz P, its residual or the certificate's margin: every
+    # test below reads NaN and inf as a failure
     with np.errstate(over="ignore", invalid="ignore"):
+        k = (eye[:, None, :, None] * at[None, :, None, :]
+             + at[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
         try:
             p = _solve(-q)
             p = 0.5 * (p + p.T)
@@ -204,10 +205,10 @@ def solve_lyapunov(a, q) -> np.ndarray:
                     raise ValueError("Lyapunov solve did not reach required residual")
         except ValueError:
             if not is_hurwitz(a):
-                raise ValueError("unstable A") from None
+                raise ValueError("A is not Hurwitz to working precision") from None
             raise
         w = q - resid
         w.flat[::n + 1] -= (2.0 * _HURWITZ_RTOL * n * a_scale) * p.trace()
         if not (_positive_definite(p) and _positive_definite(w)) and not is_hurwitz(a):
-            raise ValueError("unstable A")
+            raise ValueError("A is not Hurwitz to working precision")
     return p

@@ -158,23 +158,28 @@ class Scenario:
         require("positive", duration=self.duration, dt=self.dt, dt_control=self.dt_control)
         if self.dt > self.dt_control + 1e-15:
             raise ValueError("dt must not exceed dt_control")
+        # the quotients meet the caps before round(), which overflows on inf:
+        # one that rounds to the cap or above fails here
+        n = self.plant.dim
+        max_rows = _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
+        if not self.duration / self.dt_control + 1.0 < max_rows + 0.5:
+            raise ValueError(
+                f"duration = {self.duration:g} s needs more than {max_rows} trace rows "
+                f"at dt_control = {self.dt_control:g} s")
+        max_steps = _MAX_ARRAY_BYTES // (8 * _step_words(n))
+        if not self.dt_control / self.dt < max_steps + 0.5:
+            # a period longer than the run is at fault before its step count
+            if self.dt_control > self.duration:
+                raise ValueError(f"dt_control = {self.dt_control:g} s exceeds duration = "
+                                 f"{self.duration:g} s")
+            raise ValueError(f"dt = {self.dt:g} s gives more than {max_steps} RK4 steps "
+                             f"per control period of {self.dt_control:g} s")
         steps = round(self.dt_control / self.dt)
         if steps < 1 or abs(steps * self.dt - self.dt_control) > 1e-9 * self.dt_control:
             raise ValueError("dt_control must be an integer multiple of dt")
         periods = _n_periods(self)
         if abs(periods * self.dt_control - self.duration) > 1e-9 * self.duration:
             raise ValueError("duration must be an integer multiple of dt_control")
-        n = self.plant.dim
-        rows, max_rows = periods + 1, _MAX_ARRAY_BYTES // (8 * (4 + 6 * n))
-        if rows > max_rows:
-            raise ValueError(
-                f"duration = {self.duration:g} s needs {rows} trace rows at "
-                f"control_dt = {self.dt_control:g} s; at most {max_rows} fit")
-        max_steps = _MAX_ARRAY_BYTES // (8 * _step_words(n))
-        if steps > max_steps:
-            raise ValueError(
-                f"dt = {self.dt:g} s gives {steps} RK4 steps per control "
-                f"period; at most {max_steps} fit")
         # the default q0 is the trajectory's start, so its dimension comes first
         if self.trajectory.dim != n:
             raise ValueError(f"trajectory must have {n} coordinates, one per plant "

@@ -1,11 +1,12 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arolc import stability
+from arolc import cli, stability
 from arolc.cli import _MAX_SWEEP_VALUES, _parse_range, main
 
 FAST = """
@@ -131,7 +132,7 @@ class TestBound:
 
     @pytest.mark.parametrize("k1, message", [
         ("1e200", "matrix has non-finite entries"),
-        ("1e-320", "unstable A"),
+        ("1e-320", "a is not Hurwitz to working precision"),
         ("-1.0", "k1 must be symmetric positive definite"),
     ], ids=["overflow", "not-hurwitz", "indefinite"])
     @pytest.mark.parametrize("name", ["wmr_s1_pcon", "wmr_s1_arolc"])
@@ -144,6 +145,26 @@ class TestBound:
         path.write_text(text.replace("\nk1 = 1.0\n", f"\nk1 = {k1}\n"))
         assert main(["bound", str(path)]) == 2
         assert capsys.readouterr().err == f"error: [gains] {message}\n"
+
+
+    @pytest.mark.parametrize("key, entry", [("k1", "k1 = 1.0"), ("k2", "k2 = 1.0"),
+                                            ("q", "q = 1.0")])
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_gain_at_the_float_limit_named(self, key, entry, command, tmp_path, capsys):
+        # 1e308 overflowed M + M^T (and, for k2, the Lyapunov operator) with
+        # a numpy warning; each is a [gains] error
+        text = Path("scenarios/wmr_s1_arolc.ini").read_text()
+        assert text.count(f"\n{entry}\n") == 1
+        path = tmp_path / "big.ini"
+        path.write_text(text.replace(f"\n{entry}\n", f"\n{key} = 1e308\n"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(path)] + (["--out", str(out)] if command != "bound"
+                                                else []))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [gains] ")
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -252,6 +273,42 @@ class TestSimulate:
         assert "diverged" in capsys.readouterr().err
         assert (out / "trace.csv").exists()
         assert len((out / "trace.csv").read_text().splitlines()) > 1
+
+    def test_vartheta_at_the_float_limit_diverges(self, tmp_path, capsys):
+        # 1e308 overflowed vartheta + vartheta^T in the semidefinite check
+        text = Path("scenarios/wmr_s1_pcon.ini").read_text()
+        assert text.count("\nvartheta = 14.0\n") == 1
+        path = tmp_path / "big.ini"
+        path.write_text(text.replace("\nvartheta = 14.0\n", "\nvartheta = 1e308\n"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert "simulation diverged" in capsys.readouterr().err
+        assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("duration", "1e308"), ("control_dt", "1e308"),
+                                            ("dt", "1e-320")])
+    def test_counts_beyond_float_named(self, key, value, tmp_path, capsys):
+        # the row and step counts, duration / control_dt and control_dt / dt,
+        # overflow to inf: each is refused before it is rounded
+        plain = tmp_path / "pm.ini"
+        plain.write_text(POINT_MASS)
+        path = tmp_path / "big.ini"
+        path.write_text(re.sub(rf"(?m)^{key} = .*\n", "", POINT_MASS)
+                        .replace("[sim]\n", f"[sim]\n{key} = {value}\n"))
+        commands = [["simulate", str(path)],
+                    ["sweep", str(plain), "--param", f"sim.{key}", f"--range={value}:{value}:1"]]
+        if key == "dt":
+            commands += [["simulate", str(plain), "--dt", value],
+                         ["sweep", str(plain), "--dt", value, "--param", "sim.seed",
+                          "--range", "0:0:1"]]
+        for command in commands:
+            out = tmp_path / "o"
+            assert main(command + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: [sim] {key} = "), command
+            assert not out.exists()
 
     def test_overrides(self, fast_ini, tmp_path):
         out = tmp_path / "o"
@@ -415,6 +472,30 @@ class TestSweep:
                      f"--range={spec}", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "--range" in capsys.readouterr().err
+
+    def test_rejected_last_value_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        # every value is built before the first run: 0.105 s is no multiple
+        # of the 0.01 s control period, so 0.1 s does not run either
+        ini = tmp_path / "pm.ini"
+        ini.write_text(POINT_MASS)
+        runs = []
+        monkeypatch.setattr(cli, "simulate", runs.append)
+        out = tmp_path / "s"
+        code = main(["sweep", str(ini), "--param", "sim.duration",
+                     "--range", "0.1:0.105:0.005", "--out", str(out)])
+        assert code == 2
+        assert "[sim] duration must be an integer multiple" in capsys.readouterr().err
+        assert runs == []
+        assert not out.exists()
+
+    def test_param_overrides_the_flag(self, tmp_path):
+        # --dt 0.003 alone is rejected (no divisor of the 0.01 s period);
+        # the --param value is applied after it and wins
+        ini = tmp_path / "pm.ini"
+        ini.write_text(POINT_MASS)
+        args = ["sweep", str(ini), "--dt", "0.003", "--out", str(tmp_path / "s"), "--quiet"]
+        assert main(args + ["--param", "sim.seed", "--range", "0:0:1"]) == 2
+        assert main(args + ["--param", "sim.dt", "--range", "0.002:0.002:1"]) == 0
 
     def test_range_cap_is_inclusive(self):
         assert len(_parse_range(f"1:{_MAX_SWEEP_VALUES}:1")) == _MAX_SWEEP_VALUES

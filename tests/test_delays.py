@@ -322,6 +322,75 @@ def test_integrate_matches_ndarray_reference_with_non_finite_commands(data):
         np.testing.assert_array_equal(integrate(times.tolist(), values, m, t0, t1), expected)
 
 
+def _float_integrate(times, values, m, t0, t1):
+    """integrate on Python float rows: the rows that bracket a knot, the
+    plan's weights with the blend's arithmetic, a stamp's row read as its
+    value and every knot re-blended where that total is not finite. The
+    bit-exact reference of the blend of the knots."""
+    def signal_at(ts, vs, k, t):
+        if k == len(vs):
+            return vs[-1]
+        lam = (t - ts[k - 1]) / (ts[k] - ts[k - 1])
+        return [(1.0 - lam) * x + lam * y for x, y in zip(vs[k - 1], vs[k])]
+
+    def trapezoids(knots, rows):
+        widths = [0.5 * (b - a) for a, b in zip(knots, knots[1:])]
+        totals = []
+        for col in zip(*rows):
+            total = 0.0
+            for w, p, q in zip(widths, col, col[1:]):
+                total += w * (p + q)
+            totals.append(total)
+        return totals
+
+    n = values.shape[1]
+    if not m:
+        return [0.0] * n
+    t0, t1 = float(t0), float(t1)
+    i, r = bisect_right(times, t0, 0, m), bisect_right(times, t1, 0, m)
+    a = max(i - 1, 0)
+    ts = times[a:min(r + 1, m)]
+    vs = values[a:a + len(ts)].tolist()
+    if not i:
+        t0 = ts[0]
+    if t1 <= t0:
+        return [0.0] * n
+    e = r - a
+    stop = e - (ts[e - 1] == t1)
+    knots = [t0] + ts[1:stop] + [t1]
+    rows = [signal_at(ts, vs, 1, t0)] + vs[1:stop] + [signal_at(ts, vs, e, t1)]
+    total = trapezoids(knots, rows)
+    if not all(map(math.isfinite, total)):
+        rows[1:-1] = [signal_at(ts, vs, k + 1, ts[k]) for k in range(1, stop)]
+        total = trapezoids(knots, rows)
+    return total
+
+
+@given(st.data())
+def test_integrate_matches_float_reference(data):
+    # every m from 0, rows holding +-inf, nan and -0.0, windows that start
+    # before the first stamp or end on a stamp. Bit for bit but for a nan's
+    # sign and payload: Python floats and numpy's vector loops propagate
+    # different operands of nan + nan
+    times, values = _history(data)
+    special = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0])
+    for _ in range(data.draw(st.integers(0, 4))):
+        row, col = data.draw(st.integers(0, len(times) - 1)), data.draw(st.integers(0, 1))
+        values[row, col] = data.draw(special)
+    t0, t1 = _window(data, times)
+    for m in range(len(times) + 1):
+        expected = _float_integrate(times.tolist(), values, m, t0, t1)
+        total = integrate(times.tolist(), values, m, t0, t1)
+        assert [type(x) for x in total] == [float, float]
+        assert _bits(total) == _bits(expected)
+
+
+def _bits(x) -> bytes:
+    """The bytes of the array of x, every nan one nan."""
+    x = np.array(x)
+    return np.where(np.isnan(x), math.nan, x).tobytes()
+
+
 @given(st.data())
 def test_integrate_matches_dense_quadrature(data):
     # midpoint rule of interpolate on a dense grid that contains every

@@ -9,6 +9,7 @@ from arolc.linalg import (
     min_eig_symmetric,
     solve_lyapunov,
     spectral_norm,
+    symmetrize,
 )
 
 
@@ -53,7 +54,7 @@ class TestSolveLyapunov:
             assert min_eig_symmetric(p) > 0.0
 
     def test_unstable_a_rejected(self):
-        with pytest.raises(ValueError, match="unstable A"):
+        with pytest.raises(ValueError, match="A is not Hurwitz to working precision"):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
     def test_non_finite_p_rejected(self):
@@ -144,6 +145,15 @@ class TestMinEigSymmetric:
     def test_all_zero_input(self):
         # no scale to measure the asymmetry against: symmetric as it stands
         assert min_eig_symmetric(np.zeros((3, 3))) == 0.0
+
+    def test_entries_at_the_float_limit(self):
+        # M + M^T overflows here: a symmetric M is its own symmetric part, an
+        # asymmetric one within tolerance is halved before the sum
+        big = np.finfo(float).max
+        assert min_eig_symmetric(np.diag([big, 1e308])) == 1e308
+        m = np.array([[1e308, 1e308], [1e308 * (1 + 1e-12), 1e308]])
+        assert np.isfinite(symmetrize(m)).all()
+        assert symmetrize(m)[0, 1] == symmetrize(m)[1, 0] > 1e308
 
 
 class TestSpectralNorm:

@@ -87,7 +87,7 @@ def ref_solve_lyapunov(a, q):
     except np.linalg.LinAlgError as exc:
         raise ValueError("Q must be positive definite") from exc
     if not _ref_is_hurwitz(a):
-        raise ValueError("unstable A")
+        raise ValueError("A is not Hurwitz to working precision")
     n = a.shape[0]
     eye, at = np.eye(n), a.T
     k = (eye[:, None, :, None] * at[None, :, None, :]
@@ -329,7 +329,7 @@ class TestEigenSolveOnlyOnFailure:
 
     def test_failed_solve_runs_eigvals_once(self, monkeypatch):
         calls = self.count_eigvals(monkeypatch)
-        with pytest.raises(ValueError, match="^unstable A$"):
+        with pytest.raises(ValueError, match="^A is not Hurwitz to working precision$"):
             solve_lyapunov(np.array([[0.0, 1.0], [1.0, -1.0]]), np.eye(2))
         assert len(calls) == 1
 
@@ -338,7 +338,7 @@ class TestEigenSolveOnlyOnFailure:
         # indefinite: the eigenvalue test finds A (eigenvalues 1, -2) unstable
         a = np.diag([1.0, -2.0])
         calls = self.count_eigvals(monkeypatch)
-        with pytest.raises(ValueError, match="^unstable A$"):
+        with pytest.raises(ValueError, match="^A is not Hurwitz to working precision$"):
             solve_lyapunov(a, np.eye(2))
         assert len(calls) == 1
         assert not linalg.is_hurwitz(a)
