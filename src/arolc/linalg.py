@@ -2,16 +2,18 @@
 
 Everything here operates on plain numpy arrays, and direct dense methods
 are used throughout. The matrices are small: the error system of an n-joint
-plant is 2n x 2n, and its Lyapunov solve works on the dense (2n)^2 x (2n)^2
-Kronecker operator, 144 x 144 for the n = 6 gain sets that the delay-margin
-benchmark draws. Each public function checks its input in one pass per
-array: ``_as_square`` tests a square matrix's entries for finiteness, and
-``_as_symmetric`` takes the finiteness test from the same max|M| that
-scales its symmetry tolerance.
+plant is m x m, m = 2n, and its Lyapunov solve works on the dense r x r
+system in the r = m(m+1)/2 free entries of the symmetric P, built by one
+np.bincount from an index plan cached per m: 78 x 78 for the n = 6 gain
+sets that the delay-margin benchmark draws. Each public function checks its
+input in one pass per array: ``_as_square`` tests a square matrix's entries
+for finiteness, and ``_as_symmetric`` takes the finiteness test from the
+same max|M| that scales its symmetry tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -142,16 +144,54 @@ def invert(m) -> np.ndarray:
     return inv
 
 
+@functools.cache
+def _lyapunov_plan(m: int) -> tuple[np.ndarray, ...]:
+    """Index plan of the symmetric Lyapunov system of an m x m A.
+
+    The unknowns are P[a, b], a <= b, and the equations the entries (i, j),
+    i <= j, of A^T P + P A = -Q, both in np.triu_indices order;
+    unknown[a, b] = unknown[b, a] numbers the unknown P[a, b]. Equation
+    (i, j), i < j, has 2m terms, A[k, i] P[k, j] and P[i, k] A[k, j] for
+    k < m; equation (i, i), whose two sums are equal, is taken halved as
+    (A^T P)[i, i] = -Q[i, i] / 2, with m terms. The r x r operator,
+    r = m(m+1)/2, is np.bincount(target, weights=A.ravel()[source]): target
+    is a term's flat position in the operator, source its entry of A. Only
+    P[i, j]'s two terms in equation (i, j) share a position, so every
+    entry of the operator is an entry of A or A[i, i] + A[j, j], as in the
+    Kronecker operator, whatever the order of the terms. rhs_scale is 1/2
+    on the equations (i, i) and 1 on the others. Returns (rows, cols,
+    unknown, rhs_scale, target, source), all read-only.
+    """
+    rows, cols = np.triu_indices(m)
+    r = rows.size
+    unknown = np.empty((m, m), dtype=np.intp)
+    unknown[rows, cols] = unknown[cols, rows] = np.arange(r)
+    k = np.arange(m)
+    eq = r * np.arange(r)[:, None]
+    strict = rows < cols
+    target = np.concatenate([(eq + unknown[k, cols[:, None]]).ravel(),
+                             (eq + unknown[rows[:, None], k])[strict].ravel()])
+    source = np.concatenate([(m * k + rows[:, None]).ravel(),
+                             (m * k + cols[:, None])[strict].ravel()])
+    plan = rows, cols, unknown, np.where(strict, 1.0, 0.5), target, source
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve A^T P + P A = -Q for symmetric positive definite P.
 
-    Uses the Kronecker vectorization (I (x) A^T + A^T (x) I) vec(P) = -vec(Q)
-    with one step of iterative refinement. The operator is one broadcast
-    product pair, entry (i n + k, j n + l) = I[i, j] A^T[k, l] + A^T[i, j]
-    I[k, l], so its entries are exactly those of the two np.kron products
-    summed. A must be Hurwitz and Q symmetric positive definite (checked by
-    its Cholesky factorization); the returned P is symmetrized and satisfies
-    max|A^T P + P A + Q| <= 1e-10 * max|Q|.
+    P and A^T P + P A are symmetric, so the solve takes the r = m(m+1)/2
+    equations (i, j), i <= j, in the r unknowns P[a, b], a <= b, of an m x m
+    A: 10 x 10 at m = 4, 78 x 78 at m = 12, where the Kronecker
+    vectorization (I (x) A^T + A^T (x) I) vec(P) = -vec(Q) is m^2 x m^2. The
+    operator is one np.bincount over a cached index plan per m
+    (_lyapunov_plan), its entries those of the Kronecker operator; it is
+    solved with one step of iterative refinement, and the solution fills
+    both triangles of P, so P is exactly symmetric. A must be Hurwitz and Q
+    symmetric positive definite (checked by its Cholesky factorization);
+    the returned P satisfies max|A^T P + P A + Q| <= 1e-10 * max|Q|.
 
     The solve itself certifies A Hurwitz, by Lyapunov's theorem: with
     W = -(A^T P + P A) = Q - resid, resid the computed residual, Cholesky
@@ -175,31 +215,29 @@ def solve_lyapunov(a, q) -> np.ndarray:
         raise ValueError("Q must be positive definite")
 
     n = a.shape[0]
-    eye, at = np.eye(n), a.T
+    rows, cols, unknown, rhs_scale, target, source = _lyapunov_plan(n)
+    r = rows.size
 
     def _solve(rhs: np.ndarray) -> np.ndarray:
         try:
-            x = np.linalg.solve(k, rhs.flatten(order="F"))
+            x = np.linalg.solve(k, rhs_scale * rhs[rows, cols])
         except np.linalg.LinAlgError as exc:
             raise ValueError("singular Lyapunov system") from exc
-        return x.reshape((n, n), order="F")
+        return x[unknown]
 
     tol = _LYAPUNOV_RTOL * scale
     # entries of A near the float range can overflow the operator, and an A
     # that is not Hurwitz P, its residual or the certificate's margin: every
     # test below reads NaN and inf as a failure
     with np.errstate(over="ignore", invalid="ignore"):
-        k = (eye[:, None, :, None] * at[None, :, None, :]
-             + at[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
+        k = np.bincount(target, weights=a.ravel()[source], minlength=r * r).reshape(r, r)
         try:
             p = _solve(-q)
-            p = 0.5 * (p + p.T)
             resid = a.T @ p + p @ a + q
             if not np.abs(resid).max() <= tol:
                 if not np.isfinite(p).all():
                     raise ValueError("Lyapunov solve gave a non-finite P")
                 p = p - _solve(resid)
-                p = 0.5 * (p + p.T)
                 resid = a.T @ p + p @ a + q
                 if not np.abs(resid).max() <= tol:
                     raise ValueError("Lyapunov solve did not reach required residual")

@@ -160,21 +160,24 @@ def _gain_matrix(section, key, n):
 @contextmanager
 def _section(name):
     """Report a ValueError as a ScenarioError of [name], in the file's
-    spelling: the leading argument name lowercased, as configparser reads
-    keys, and Scenario.dt_control as its key control_dt. A leading Scenario
-    field that a section of its own sets (trajectory, controller) is
-    reported as that section. A ScenarioError raised inside, which already
-    names its section, passes through."""
+    spelling: Scenario.dt_control as its key control_dt, and a leading word
+    that names a key of the section lowercased, as configparser reads keys
+    (K1 as k1); any other leading word stays as written ("A is not Hurwitz
+    ..."). A leading Scenario field that a section of its own sets
+    (trajectory, controller) is reported as that section. A ScenarioError
+    raised inside, which already names its section, passes through."""
     try:
         yield
     except ScenarioError:
         raise
     except ValueError as exc:
-        field, sep, rest = str(exc).partition(" ")
-        field = field.lower()
-        if field in _KNOWN_KEYS:
-            name, field, sep = field, "", ""
-        message = (field + sep + rest).replace("dt_control", "control_dt")
+        message = str(exc).replace("dt_control", "control_dt")
+        field, sep, rest = message.partition(" ")
+        key = field.lower()
+        if key in _KNOWN_KEYS:
+            name, message = key, rest
+        elif key in _KNOWN_KEYS[name]:
+            message = key + sep + rest
         raise ScenarioError(f"[{name}] {message}") from exc
 
 

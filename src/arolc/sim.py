@@ -78,6 +78,7 @@ true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import re
@@ -121,6 +122,8 @@ _MAX_ARRAY_BYTES = 1 << 28
 # least). Blocks bound their temporaries: over the whole grid at once, a 2 s
 # two-link residual at dt = 1e-4 peaks about 2.7 MB higher in resident memory.
 _BLOCK_INSTANTS = 2048
+# the blend's context of a period whose command is finite
+_NO_ERRSTATE = contextlib.nullcontext()
 # The trace rows simulate writes once per block (and e1 from them); tau_cmd,
 # which the blend and the predictor read, every period and h at its start
 _BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "tau_applied", "c_hat", "s_norm")
@@ -485,17 +488,22 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
             fine.cmd_du[k] = rec.du
 
         # the commands pushed so far fix the applied input of the whole
-        # period: one flat row of 3n floats per step
-        inputs = blend(trace.tau_cmd, k + 1, index[p], take[p], weight[p], before[p],
-                       after[p]).tolist()
+        # period: one flat row of 3n floats per step. A non-finite command
+        # (the law overflowed, as for c_hat_init = 1e308) is NaN where its
+        # bracket weighs it 0, silently, and ends the run below
+        finite = all(map(math.isfinite, rec.tau))
+        with _NO_ERRSTATE if finite else np.errstate(invalid="ignore"):
+            inputs = blend(trace.tau_cmd, k + 1, index[p], take[p], weight[p], before[p],
+                           after[p]).tolist()
         rows += y
         rows += desired[0]
         rows += inputs[0][:n]
         rows.append(rec.c_hat)
         rows.append(rec.s_norm)
-        if not math.isfinite(rec.c_hat):
-            # the adaptation overflowed (a diverging error's ||s||): no law
-            # runs on this gain, so the run diverges at this period
+        if not (finite and math.isfinite(rec.c_hat)):
+            # the command or the adaptation overflowed (a diverging error's
+            # ||s||): no input follows from it, or no law runs on this gain,
+            # so the run diverges at this period
             _write_rows(trace, k0, rows)
             raise SimulationDiverged(t_k, trace.head(k + 1, k * steps_per_control + 1))
         if k == k1 - 1:

@@ -194,11 +194,16 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
     p = solve_lyapunov(a, gains.Q)
     p_inv = invert(p)
     # gains as large as 1e200 overflow E: symmetrize rejects its non-finite
-    # entries, so that the overflow is a ValueError and not a warning
+    # entries, so that the overflow is a ValueError that names E, and not a
+    # warning
     with np.errstate(over="ignore", invalid="ignore"):
         inner = a1 @ p_inv @ a1.T + b1 @ p_inv @ b1.T + p_inv
         e = gains.beta * (p @ b1 @ inner @ b1.T @ p) + 2.0 * (gains.r / gains.beta) * p
-    e = symmetrize(e)  # symmetric by construction; remove float drift
+    try:
+        e = symmetrize(e)  # symmetric by construction; remove float drift
+    except ValueError:
+        raise ValueError("E has non-finite entries: the gains overflow the margin "
+                         "analysis") from None
     system = ErrorSystem(
         *(_read_only(m) for m in (a1, b1, a, b, p, e)),
         q_min=gains._q_min,

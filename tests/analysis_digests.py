@@ -1,7 +1,7 @@
 """Print one sha256 per gain dimension over the Razumikhin analysis, and each
 shipped scenario's `arolc bound` output.
 
-    python tests/analysis_digests.py [ROOT]
+    python tests/analysis_digests.py [ROOT] [--values PATH]
 
 Imports arolc from ROOT/src and reads ROOT/scenarios, ROOT being the
 checkout this script sits in unless given, so that one script reads the
@@ -14,10 +14,14 @@ float.hex of the delay margin, lambda_min(Q), ||E||, ||B^T P|| and the six
 ultimate bounds at h = margin / 2. Then it prints "<stem> <exit code>
 <output>" for `arolc bound` on each scenario, the output's lines joined by
 " | ". A change meant to leave the analysis bit-identical prints the same
-lines for both checkouts. This is a plain script, not a test: it checks
-nothing and exits 0 unless a run fails.
+lines for both checkouts. With --values, it also saves each draw's margin,
+P and E to the .npz file PATH, as arrays margin_<n>, P_<n> and E_<n> with
+one row per draw, so that two checkouts' files state the size of a move.
+This is a plain script, not a test: it checks nothing and exits 0 unless a
+run fails.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -26,7 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
+_parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+_parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent,
+                     help="checkout whose src and scenarios to read (default: this one)")
+_parser.add_argument("--values", type=Path, metavar="PATH",
+                     help="save each draw's margin, P and E to this .npz file")
+ARGS = _parser.parse_args()
+ROOT = ARGS.root.resolve()
 sys.path.insert(0, str(ROOT / "src"))
 
 from arolc import cli, stability  # noqa: E402
@@ -41,8 +51,10 @@ def spd(rng: np.random.Generator, k: int, lo: float, hi: float) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def analysis_digest(n: int) -> str:
+def analysis_digest(n: int, values: dict[str, np.ndarray]) -> str:
+    """The sha256 of the n-joint draws; their margins, P and E go to values."""
     sha = hashlib.sha256()
+    margins, ps, es = [], [], []
     for seed in range(DRAWS):
         rng = np.random.default_rng([seed, n, 3535])
         k1, k2, q = spd(rng, n, 0.05, 30.0), spd(rng, n, 0.05, 30.0), spd(rng, 2 * n, 0.01, 20.0)
@@ -61,6 +73,10 @@ def analysis_digest(n: int) -> str:
         sha.update(np.ascontiguousarray(system.E, dtype="<f8").tobytes())
         for value in [margin, system.q_min, system.e_norm, system.bp_norm, *bounds]:
             sha.update(float(value).hex().encode())
+        margins.append(margin)
+        ps.append(system.P)
+        es.append(system.E)
+    values.update({f"margin_{n}": np.array(margins), f"P_{n}": np.array(ps), f"E_{n}": np.array(es)})
     return sha.hexdigest()
 
 
@@ -72,8 +88,11 @@ def bound_output(path: Path) -> str:
 
 
 def main() -> None:
+    values: dict[str, np.ndarray] = {}
     for n in N_VALUES:
-        print(f"n={n}", analysis_digest(n), flush=True)
+        print(f"n={n}", analysis_digest(n, values), flush=True)
+    if ARGS.values is not None:
+        np.savez(ARGS.values, **values)
     for path in sorted((ROOT / "scenarios").glob("*.ini")):
         print(path.stem, bound_output(path), flush=True)
 

@@ -131,8 +131,8 @@ class TestBound:
         assert err.count(named) == 1 and err.count("[") == 1, err
 
     @pytest.mark.parametrize("k1, message", [
-        ("1e200", "matrix has non-finite entries"),
-        ("1e-320", "a is not Hurwitz to working precision"),
+        ("1e200", "E has non-finite entries: the gains overflow the margin analysis"),
+        ("1e-320", "A is not Hurwitz to working precision"),
         ("-1.0", "k1 must be symmetric positive definite"),
     ], ids=["overflow", "not-hurwitz", "indefinite"])
     @pytest.mark.parametrize("name", ["wmr_s1_pcon", "wmr_s1_arolc"])
@@ -145,6 +145,24 @@ class TestBound:
         path.write_text(text.replace("\nk1 = 1.0\n", f"\nk1 = {k1}\n"))
         assert main(["bound", str(path)]) == 2
         assert capsys.readouterr().err == f"error: [gains] {message}\n"
+
+    @pytest.mark.parametrize("k1", ["1e200", "1e308"])
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_gains_that_overflow_e_named(self, k1, command, tmp_path, capsys):
+        # the error system's E overflows: the message names E and the gains,
+        # not a matrix, with no numpy warning
+        text = Path("scenarios/wmr_s1_arolc.ini").read_text()
+        path = tmp_path / "big.ini"
+        path.write_text(text.replace("\nk1 = 1.0\n", f"\nk1 = {k1}\n"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(path)] + (["--out", str(out)] if command != "bound"
+                                                else []))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: [gains] E has non-finite entries: the gains "
+                                           "overflow the margin analysis\n")
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("key, entry", [("k1", "k1 = 1.0"), ("k2", "k2 = 1.0"),
@@ -287,6 +305,24 @@ class TestSimulate:
         assert code == 1
         assert "simulation diverged" in capsys.readouterr().err
         assert (out / "trace.csv").exists()
+
+    def test_non_finite_command_diverges_at_its_period(self, tmp_path, capsys):
+        # c_hat_init = 1e308 makes the first command NaN: the run ends at
+        # that period, as for a non-finite c_hat, and nothing warns (the
+        # blend's 0 * inf, then total_variation's inf - inf, did)
+        text = Path("scenarios/wmr_s1_arolc.ini").read_text()
+        assert text.count("\nc_hat_init = 0.5\n") == 1 and text.count("\nduration = 40.0\n") == 1
+        path = tmp_path / "big.ini"
+        path.write_text(text.replace("\nc_hat_init = 0.5\n", "\nc_hat_init = 1e308\n")
+                        .replace("\nduration = 40.0\n", "\nduration = 0.3\n"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: simulation diverged at t = 0 s\n"
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 2 and ",nan,nan," in rows[1]
 
     @pytest.mark.parametrize("key, value", [("duration", "1e308"), ("control_dt", "1e308"),
                                             ("dt", "1e-320")])
