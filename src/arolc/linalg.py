@@ -5,10 +5,16 @@ are used throughout. The matrices are small: the error system of an n-joint
 plant is m x m, m = 2n, and its Lyapunov solve works on the dense r x r
 system in the r = m(m+1)/2 free entries of the symmetric P, built by one
 np.bincount from an index plan cached per m: 78 x 78 for the n = 6 gain
-sets that the delay-margin benchmark draws. Each public function checks its
-input in one pass per array: ``_as_square`` tests a square matrix's entries
-for finiteness, and ``_as_symmetric`` takes the finiteness test from the
-same max|M| that scales its symmetry tolerance.
+sets that the delay-margin benchmark draws.
+
+Each invariant is checked once. A public function checks its input in one
+pass per array: ``_as_square`` tests a square matrix's entries for
+finiteness, and ``_as_symmetric`` takes that test from the same max|M| that
+scales its symmetry tolerance. The cores ``_solve_lyapunov`` and ``_invert``
+take checked input: ``stability.GainSet`` keeps the symmetrized Q and max|Q|
+of its SPD check (``_min_eig``) for the Lyapunov core, whose P is finite and
+goes to ``_invert``. The core's one stacked Cholesky call shows Q positive
+definite and certifies A Hurwitz.
 """
 
 from __future__ import annotations
@@ -78,23 +84,19 @@ def _as_symmetric(m, what: str) -> tuple[np.ndarray, float]:
         return a, scale
     if asymmetry > SYMMETRY_RTOL * scale:
         raise ValueError(f"{what} is not symmetric")
-    a = symmetrize(a)
+    a = _symmetric_part(a, scale)
     return a, np.abs(a).max()
 
 
-def _positive_definite(m: np.ndarray) -> bool:
-    """True iff the Cholesky factorization of m's lower triangle succeeds."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _symmetric_part(a: np.ndarray, scale: float) -> np.ndarray:
+    """(A + A^T)/2 of an A with finite entries and max|A| = scale, halving
+    first where A + A^T would overflow."""
+    return 0.5 * (a + a.T) if scale <= _HALF_MAX else 0.5 * a + 0.5 * a.T
 
 
 def symmetrize(m) -> np.ndarray:
     """Return (M + M^T)/2, halving first where M + M^T would overflow."""
-    a, scale = _scaled(m)
-    return 0.5 * (a + a.T) if scale <= _HALF_MAX else 0.5 * a + 0.5 * a.T
+    return _symmetric_part(*_scaled(m))
 
 
 def is_hurwitz(a) -> bool:
@@ -109,8 +111,13 @@ def min_eig_symmetric(m) -> float:
     The input is symmetrized before the eigensolve; inputs that are
     asymmetric beyond a small relative tolerance are rejected.
     """
-    a, _ = _as_symmetric(m, "min_eig_symmetric input")
-    return float(np.linalg.eigvalsh(a)[0])
+    return _min_eig(m)[0]
+
+
+def _min_eig(m) -> tuple[float, np.ndarray, float]:
+    """min_eig_symmetric(m), the symmetrized m it read, and its max|.|."""
+    a, scale = _as_symmetric(m, "min_eig_symmetric input")
+    return float(np.linalg.eigvalsh(a)[0]), a, scale
 
 
 def spectral_norm(m) -> float:
@@ -131,7 +138,11 @@ def invert(m) -> np.ndarray:
     Raises ValueError when the matrix is singular or so badly conditioned
     that max|M M^-1 - I| exceeds 1e-10.
     """
-    a = _as_square(m)
+    return _invert(_as_square(m))
+
+
+def _invert(a: np.ndarray) -> np.ndarray:
+    """invert(a) for a square a with finite entries."""
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -190,8 +201,8 @@ def solve_lyapunov(a, q) -> np.ndarray:
     (_lyapunov_plan), its entries those of the Kronecker operator; it is
     solved with one step of iterative refinement, and the solution fills
     both triangles of P, so P is exactly symmetric. A must be Hurwitz and Q
-    symmetric positive definite (checked by its Cholesky factorization);
-    the returned P satisfies max|A^T P + P A + Q| <= 1e-10 * max|Q|.
+    symmetric positive definite; the returned P satisfies
+    max|A^T P + P A + Q| <= 1e-10 * max|Q|.
 
     The solve itself certifies A Hurwitz, by Lyapunov's theorem: with
     W = -(A^T P + P A) = Q - resid, resid the computed residual, Cholesky
@@ -199,21 +210,27 @@ def solve_lyapunov(a, q) -> np.ndarray:
     ||D||_2 <= sigma Hurwitz, since (A + D)^T P + P (A + D) = -W + D^T P
     + P D and ||P||_2 <= trace(P). For an n x n A, sigma = 1e-8 n max|A|,
     at least 1e-8 ||A||_2, keeps the certified eigenvalues far beyond the
-    rounding of an eigenvalue solve. Only a solve that fails (a singular
-    operator, a non-finite P, a residual out of reach) or a certificate
-    that fails runs that eigenvalue test, is_hurwitz, which picks the
-    message: "A is not Hurwitz to working precision" for an A that it finds
-    not Hurwitz (an eigenvalue whose real part rounds to 0 counts, as for
-    k2 = 1e-300 or 1e200), the solve's own failure otherwise. A Hurwitz A
-    whose solve succeeds returns P without a certificate.
+    rounding of an eigenvalue solve. One np.linalg.cholesky call on the
+    stack of Q, P and that W shows Q positive definite too. Only a failed
+    solve (a singular operator, a non-finite P, a residual out of reach) or
+    factorization tests Q alone ("Q must be positive definite"), then runs
+    is_hurwitz, which picks the message: "A is not Hurwitz to working
+    precision" for an A that it finds not Hurwitz (an eigenvalue whose real
+    part rounds to 0 counts, as for k2 = 1e-300 or 1e200), the solve's own
+    failure otherwise. A Hurwitz A whose solve succeeds returns P without a
+    certificate.
     """
     a, a_scale = _scaled(a)
     q, scale = _as_symmetric(q, "Q")
     if a.shape != q.shape:
         raise ValueError(f"dimension mismatch: A {a.shape}, Q {q.shape}")
-    if not _positive_definite(q):
-        raise ValueError("Q must be positive definite")
+    return _solve_lyapunov(a, a_scale, q, scale)
 
+
+def _solve_lyapunov(a: np.ndarray, a_scale: float, q: np.ndarray, scale: float) -> np.ndarray:
+    """solve_lyapunov(a, q) for a square, finite a with max|a| = a_scale and
+    a symmetric, finite q of its shape with max|q| = scale. P is finite: a
+    Hurwitz A has no zero row, so a non-finite P has a non-finite residual."""
     n = a.shape[0]
     rows, cols, unknown, rhs_scale, target, source = _lyapunov_plan(n)
     r = rows.size
@@ -242,11 +259,23 @@ def solve_lyapunov(a, q) -> np.ndarray:
                 if not np.abs(resid).max() <= tol:
                     raise ValueError("Lyapunov solve did not reach required residual")
         except ValueError:
-            if not is_hurwitz(a):
-                raise ValueError("A is not Hurwitz to working precision") from None
+            _raise_for_q_or_a(q, a)
             raise
         w = q - resid
         w.flat[::n + 1] -= (2.0 * _HURWITZ_RTOL * n * a_scale) * p.trace()
-        if not (_positive_definite(p) and _positive_definite(w)) and not is_hurwitz(a):
-            raise ValueError("A is not Hurwitz to working precision")
+        try:
+            np.linalg.cholesky(np.stack((q, p, w)))
+        except np.linalg.LinAlgError:
+            _raise_for_q_or_a(q, a)
     return p
+
+
+def _raise_for_q_or_a(q: np.ndarray, a: np.ndarray) -> None:
+    """Raise the message of a failed solve or factorization that Q or A
+    explains, Q's first."""
+    try:
+        np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        raise ValueError("Q must be positive definite") from None
+    if not is_hurwitz(a):
+        raise ValueError("A is not Hurwitz to working precision") from None

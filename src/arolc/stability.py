@@ -20,12 +20,18 @@ regime (outside/inside the boundary layer) and adaptive-gain branch.
 Each piece of the analysis is computed once per GainSet instance and
 stored on it:
 
-- lambda_min(Q), when the GainSet is built (the check that Q is SPD);
+- lambda_min(Q), the symmetrized Q and max|Q|, when the GainSet is built
+  (the check that Q is SPD);
 - the error system (P, E and the norms ||E||, ||B^T P||), on the first
   analysis call;
 - lambda_min(Psi(h)) for the last delay h that ultimate_bound was asked
   for, which all six bound cases share. Only that one h is kept, so the
   store does not grow.
+
+Each invariant is checked once: GainSet checks the gains; linalg's
+Lyapunov core, in one stacked Cholesky call, shows the kept Q positive
+definite and A Hurwitz; symmetrize tests E; one finiteness test on Psi,
+symmetrized here, precedes its one eigvalsh call.
 
 GainSet keeps read-only copies of K1, K2 and Q, and the ErrorSystem arrays
 are read-only too, so the stored results cannot go stale; copy and pickle
@@ -36,6 +42,7 @@ states the range checks of the scalars.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -43,9 +50,11 @@ import numpy as np
 
 from ._checks import require
 from .linalg import (
-    invert,
-    min_eig_symmetric,
-    solve_lyapunov,
+    _invert,
+    _min_eig,
+    _solve_lyapunov,
+    _symmetric_part,
+    solve_lyapunov,  # noqa: F401 - the build calls the core; tools patch this name here
     spectral_norm,
     symmetrize,
 )
@@ -67,14 +76,14 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _spd_or_raise(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+def _spd_or_raise(m: np.ndarray, name: str) -> tuple[np.ndarray, float, tuple]:
     """Read-only float copy of m, which must be symmetric positive definite,
-    and its smallest eigenvalue."""
+    its smallest eigenvalue, and (its read-only symmetrized copy, max|.|)."""
     m = np.array(m, dtype=float)
-    lam = min_eig_symmetric(m)
+    lam, sym, scale = _min_eig(m)
     if lam <= 0.0:
         raise ValueError(f"{name} must be symmetric positive definite")
-    return _read_only(m), lam
+    return _read_only(m), lam, (_read_only(sym), scale)
 
 
 class _ValueEquality:
@@ -114,8 +123,9 @@ class GainSet(_ValueEquality):
     beta > 0 the Young-inequality scalar. The matrices are stored as
     read-only copies, so the error system cached on the instance by
     build_error_system always matches them. _q_min is lambda_min(Q), kept
-    from the SPD check for the error system's q_min. Two gain sets are
-    equal when their gains are (``_ValueEquality``).
+    from the SPD check for the error system's q_min, and _q_sym the
+    (symmetrized Q, max|Q|) it read, for the Lyapunov solve. Two gain sets
+    are equal when their gains are (``_ValueEquality``).
     """
 
     K1: np.ndarray
@@ -124,11 +134,12 @@ class GainSet(_ValueEquality):
     r: float = 1.1
     beta: float = 1.0
     _q_min: float = field(init=False, repr=False, compare=False)
+    _q_sym: tuple[np.ndarray, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k1, _ = _spd_or_raise(self.K1, "K1")
-        k2, _ = _spd_or_raise(self.K2, "K2")
-        q, q_min = _spd_or_raise(self.Q, "Q")
+        k1, _, _ = _spd_or_raise(self.K1, "K1")
+        k2, _, _ = _spd_or_raise(self.K2, "K2")
+        q, q_min, q_sym = _spd_or_raise(self.Q, "Q")
         n = k1.shape[0]
         if k2.shape != (n, n):
             raise ValueError("K1 and K2 must have identical shape")
@@ -140,6 +151,7 @@ class GainSet(_ValueEquality):
         object.__setattr__(self, "K2", k2)
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "_q_min", q_min)
+        object.__setattr__(self, "_q_sym", q_sym)
 
     @property
     def n(self) -> int:
@@ -173,6 +185,13 @@ class ErrorSystem:
         return self.B.shape[1]
 
 
+@functools.cache
+def _constant_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A1 = [[0, I], [0, 0]] and B = [0; I] of the n-joint error system,
+    read-only."""
+    return _read_only(np.eye(2 * n, k=n)), _read_only(np.eye(2 * n, n, k=-n))
+
+
 def build_error_system(gains: GainSet) -> ErrorSystem:
     """Assemble the error-dynamics blocks, solve for P, and form E.
 
@@ -183,16 +202,16 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
     if cached is not None:
         return cached
     n = gains.n
-    a1 = np.eye(2 * n, k=n)
+    a1, b = _constant_blocks(n)
     b1 = np.zeros((2 * n, 2 * n))
     b1[n:, :n] = -gains.K1
     b1[n:, n:] = -gains.K2
     # companion form of e1_ddot + K2 e1_dot + K1 e1 = 0; SPD gains make it
-    # Hurwitz, and solve_lyapunov raises if it is not
+    # Hurwitz, and the Lyapunov solve raises if it is not; its entries are
+    # finite, 1 or the checked gains'
     a = a1 + b1
-    b = np.eye(2 * n, n, k=-n)
-    p = solve_lyapunov(a, gains.Q)
-    p_inv = invert(p)
+    p = _solve_lyapunov(a, np.abs(a).max(), *gains._q_sym)
+    p_inv = _invert(p)
     # gains as large as 1e200 overflow E: symmetrize rejects its non-finite
     # entries, so that the overflow is a ValueError that names E, and not a
     # warning
@@ -205,7 +224,7 @@ def build_error_system(gains: GainSet) -> ErrorSystem:
         raise ValueError("E has non-finite entries: the gains overflow the margin "
                          "analysis") from None
     system = ErrorSystem(
-        *(_read_only(m) for m in (a1, b1, a, b, p, e)),
+        a1, _read_only(b1), _read_only(a), b, _read_only(p), _read_only(e),
         q_min=gains._q_min,
         e_norm=spectral_norm(e),
         bp_norm=spectral_norm(b.T @ p),
@@ -264,7 +283,10 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     within each group the branches follow the adaptive law: gain increasing,
     gain decreasing, gain at its floor. Negative intermediate factors are
     clamped to zero: a negative factor means the decrease condition already
-    holds for every error, so zero is the valid conservative value.
+    holds for every error, so zero is the valid conservative value. A bound
+    whose terms overflow the float range (c or theta_norm near 1e308) is
+    +inf. A delay whose h E overflows is too large for the bound, as is one
+    with lambda_min(Q - h E) <= 0.
     """
     if case_id not in (1, 2, 3, 4, 5, 6):
         raise ValueError("case_id must be 1..6")
@@ -273,9 +295,13 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     if h != bp.h:
         # Psi = Q - h E and its smallest eigenvalue, kept for the last h only
         h = bp.h
-        psi = gains.Q - h * system.E
-        # min_eig_symmetric tests the entries, which symmetrize would test first
-        lam = min_eig_symmetric(0.5 * (psi + psi.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = gains.Q - h * system.E
+        scale = np.abs(psi).max()
+        # Q and E are finite, so a non-finite Psi is h E overflowed, and so
+        # far beyond lambda_min(Q) that no such delay is feasible
+        lam = (float(np.linalg.eigvalsh(_symmetric_part(psi, scale))[0])
+               if scale < math.inf else -math.inf)
         gains.__dict__["_psi"] = (h, lam)
     if lam <= 0.0:
         raise ValueError("delay too large for bound")
@@ -293,13 +319,17 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
         mu = max(0.0, c - alpha * c_hat + theta) / lam
         return mu + math.sqrt(2.0 * (bp.Gamma + gam * gam) / lam + mu * mu)
     if case_id == 4:
-        num = 4.0 * alpha * bp.Gamma * c_hat + eps * (c_hat + theta) ** 2
-        return math.sqrt(num / (2.0 * alpha * c_hat * lam))
-    if case_id == 5:
-        num = 4.0 * alpha * bp.Gamma * c_hat + eps * max(0.0, 2.0 * c - c_hat + theta) ** 2
-        return math.sqrt(num / (2.0 * alpha * c_hat * lam))
-    num = 4.0 * alpha * c_hat * (bp.Gamma + gam * gam) + eps * (c + theta) ** 2
-    return math.sqrt(num / (2.0 * alpha * c_hat * lam))
+        num, x = 4.0 * alpha * bp.Gamma * c_hat, c_hat + theta
+    elif case_id == 5:
+        num, x = 4.0 * alpha * bp.Gamma * c_hat, max(0.0, 2.0 * c - c_hat + theta)
+    else:
+        num, x = 4.0 * alpha * c_hat * (bp.Gamma + gam * gam), c + theta
+    # a float's ** 2 raises OverflowError where * gives inf; ** stays, as x * x
+    # rounds some squares otherwise
+    try:
+        return math.sqrt((num + eps * x ** 2) / (2.0 * alpha * c_hat * lam))
+    except OverflowError:
+        return math.inf
 
 
 def reaching_time(e0_norm: float, bound: float, c0: float) -> float:

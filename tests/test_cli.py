@@ -88,13 +88,13 @@ class TestBound:
     def test_shipped_scenarios_one_lyapunov_solve(self, stem, peak, kind, feasible,
                                                   monkeypatch, capsys):
         solves = []
-        real = stability.solve_lyapunov
+        real = stability._solve_lyapunov
 
-        def counting(a, q):
+        def counting(*args):
             solves.append(1)
-            return real(a, q)
+            return real(*args)
 
-        monkeypatch.setattr(stability, "solve_lyapunov", counting)
+        monkeypatch.setattr(stability, "_solve_lyapunov", counting)
         assert main(["bound", f"scenarios/{stem}.ini"]) == 0
         assert capsys.readouterr().out == ("delay margin [s]: 0.124870\n"
                                            f"peak delay   [s]: {peak} ({kind})\n"

@@ -433,3 +433,31 @@ class TestEigenSolveOnlyOnFailure:
         assert len(calls) == 1
         assert not linalg.is_hurwitz(a)
 
+
+
+class TestOneLyapunovCore:
+    """build_error_system hands GainSet's checked Q to the core that
+    solve_lyapunov calls after its own checks: one solve, one set of
+    messages."""
+
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_build_p_byte_equal_to_public_solve(self, n, asymmetric):
+        for seed in range(12):
+            args, _ = _draw(seed, n, asymmetric)
+            system = build_error_system(GainSet(*args))
+            assert system.P.tobytes() == solve_lyapunov(system.A, args[2]).tobytes()
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((2, 2)),  # a singular operator: the solve fails
+        np.diag([1.0, -2.0]),  # the solve succeeds, the factorization fails
+        np.array([[0.0, 1.0], [1.0, -1.0]]),
+    ], ids=["singular", "indefinite-p", "saddle"])
+    def test_q_message_before_a_message(self, a):
+        # Q was checked before the solve: an indefinite Q still names Q
+        # first, whichever step of the solve fails, though A is not Hurwitz
+        assert not linalg.is_hurwitz(a)
+        with pytest.raises(ValueError, match="^Q must be positive definite$"):
+            solve_lyapunov(a, np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="^A is not Hurwitz to working precision$"):
+            solve_lyapunov(a, np.eye(2))

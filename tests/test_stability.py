@@ -121,13 +121,13 @@ class TestErrorSystemCache:
 
     def test_one_lyapunov_solve_per_gain_set(self, monkeypatch):
         solves = []
-        real = stability.solve_lyapunov
+        real = stability._solve_lyapunov
 
-        def counting(a, q):
+        def counting(*args):
             solves.append(1)
-            return real(a, q)
+            return real(*args)
 
-        monkeypatch.setattr(stability, "solve_lyapunov", counting)
+        monkeypatch.setattr(stability, "_solve_lyapunov", counting)
         gains = GainSet.identity(2)
         margin = delay_margin(gains)
         check_feasibility(gains, 0.5 * margin)
@@ -347,14 +347,16 @@ class TestSymmetricLyapunovSystem:
 class TestPsiReuse:
     @staticmethod
     def count_psi_solves(monkeypatch):
+        # ultimate_bound's eigvalsh call on Psi, the one eigvalsh call of an
+        # analysis once the GainSet is built
         solves = []
-        real = stability.min_eig_symmetric
+        real = np.linalg.eigvalsh
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             solves.append(1)
-            return real(m)
+            return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(stability, "min_eig_symmetric", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return solves
 
     def test_one_psi_solve_per_gain_set_and_delay(self, monkeypatch):
@@ -417,6 +419,35 @@ class TestPsiReuse:
                 ultimate_bound(case, gains, bp)
         assert len(solves) == 1
         assert ultimate_bound(1, gains, BoundParams(Gamma=0.5, h=0.0)) == pytest.approx(1.0)
+
+
+class TestCallBudget:
+    """The factorizations and eigenvalue solves of one analysis of a fresh
+    GainSet: Q is checked when it is built, so the rest costs one stacked
+    Cholesky call (Q, P and the certificate's W), one eigvalsh call on Psi
+    and no eigvals call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_one_cholesky_one_psi_eigvalsh_no_eigvals(self, n, monkeypatch):
+        calls = {"cholesky": [], "eigvalsh": [], "eigvals": []}
+        for name, record in calls.items():
+            def counting(m, *args, _real=getattr(np.linalg, name), _record=record, **kwargs):
+                _record.append(np.shape(m))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for seed in range(4):
+            gains = _seeded_gains(seed, n)
+            for record in calls.values():
+                record.clear()
+            margin = delay_margin(gains)
+            check_feasibility(gains, 0.5 * margin)
+            check_feasibility(gains, 2.0 * margin)
+            bp = BoundParams(c=1.0, Gamma=0.4, theta_norm=0.2, c_hat=0.5, h=0.5 * margin)
+            for case in range(1, 7):
+                ultimate_bound(case, gains, bp)
+            m = 2 * n
+            assert calls == {"cholesky": [(3, m, m)], "eigvalsh": [(m, m)], "eigvals": []}
 
 
 class TestDelayMargin:
@@ -552,6 +583,31 @@ class TestUltimateBound:
     def test_bad_case_id(self):
         with pytest.raises(ValueError):
             ultimate_bound(7, IDENTITY_GAINS, BoundParams())
+
+    @pytest.mark.parametrize("case", range(1, 7))
+    def test_delay_whose_h_e_overflows_is_too_large(self, case):
+        # h E overflows Psi: the delay's own message, and no warning
+        gains = GainSet.identity(2)
+        for _ in range(2):  # the stored lambda_min answers the second call
+            with pytest.raises(ValueError, match="^delay too large for bound$"):
+                ultimate_bound(case, gains, BoundParams(h=1e308))
+
+    # the scalars that each case reads, past Psi's lambda_min
+    READS = {1: {"theta_norm", "Gamma"}, 2: {"c", "theta_norm", "Gamma"},
+             3: {"c", "theta_norm", "Gamma"}, 4: {"theta_norm", "Gamma"},
+             5: {"c", "theta_norm", "Gamma"}, 6: {"c", "theta_norm", "Gamma"}}
+
+    @pytest.mark.parametrize("field", ["c", "theta_norm", "Gamma"])
+    @pytest.mark.parametrize("case", range(1, 7))
+    def test_overflowing_terms_give_inf(self, case, field):
+        # c or theta_norm = 1e308 overflowed ** 2 into an OverflowError
+        # (cases 4-6); every case that reads the scalar now reads +inf, and
+        # one that does not keeps its bound
+        gains = GainSet.identity(2)
+        got = ultimate_bound(case, gains, BoundParams(h=0.05, **{field: 1e308}))
+        want = math.inf if field in self.READS[case] else ultimate_bound(
+            case, gains, BoundParams(h=0.05))
+        assert got == want
 
 
 class TestReachingTime:
