@@ -17,25 +17,34 @@ Two controllers are provided:
   scenario files). Its input history is the trace's tau_cmd rows so far.
 
 make_controller(scenario, trace) builds the object of scenario.controller's
-type (ArolcConfig, PconConfig, or None for zero torque) with one method the
-simulator calls per control period, row by row of trace: step(t, q, q_dot,
-desired) -> StepRecord. The objects hold state; arolc_step (the law, then
-its adaptation step) and pcon_step stay module functions, each law's one
-entry point.
+type (ArolcConfig, PconConfig, or None for zero torque), along trace's
+rows, with two methods: step(t, q, q_dot, desired) -> StepRecord, one
+control period, and kernel() -> Law, the run's law as source, which the
+simulator splices into its block of control periods (``arolc.sim``) as it
+splices a plant's kernel. The objects hold state; arolc_step (the law,
+then its adaptation step) and pcon_step stay module functions, each law's
+one entry point. Where one of them is replaced on this module by a wrapper
+(a tracer's span), kernel() is the call to step, which calls the wrapper
+once per period (``_call_law``).
 
 The control period runs on Python floats: step takes q, q_dot and the
 reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
 returns the torque as a list of floats. For vectors of 2 to 12 entries
 per-call numpy overhead dominates the arithmetic, so each law is float
 code over the gain rows its config holds, generated for the plant's
-dimension n and compiled once per n, as the simulator compiles its RK4
-period: every row product unrolled and summed left to right, one local per
-entry. The adaptive-robust law is ``_compile_law``; the first step on a
-config binds the config's rows into it. Both compiled laws unpack their
-inputs in the same lines (``_unpack_inputs``).
+dimension n and compiled once per n, as the simulator compiles its block
+of control periods: every row product unrolled and summed left to right,
+one local per entry. The adaptive-robust law's statements are
+``_law_lines``: compiled with their checks as arolc_step (``_compile_law``;
+the first step on a config binds the config's rows into it), and without
+them, the nominal model's torque spliced in, as the Law of a run
+(``ArolcController.kernel``), whose checks hold for the whole run and are
+made once. Both compiled laws unpack their inputs in the same lines
+(``_unpack_inputs``).
 
 The predictor's step is compiled the same way (``_compile_window``), around
-a trapezoid table that each PconController fills for its run. The window
+a trapezoid table that each PconController fills for its run; its Law
+calls that table directly. The window
 integral is a sum of trapezoids between knots: the window's start, the
 stamps inside it, and t. Only two of them change from
 one period to the next: the first, which starts at the blended value at
@@ -74,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -82,9 +92,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import require
-from ._codegen import _compile, _entries, _sum
+from ._codegen import _compile, _entries, _rename, _sum
 from .delays import integrate, max_delay
 from .linalg import symmetrize
+from .plants import _TORQUE_IO
 from .stability import (GainSet, _ValueEquality, build_error_system, check_feasibility,
                         delay_margin)
 
@@ -92,6 +103,7 @@ __all__ = [
     "ArolcConfig",
     "ArolcState",
     "StepRecord",
+    "Law",
     "PconConfig",
     "arolc_step",
     "pcon_step",
@@ -165,6 +177,47 @@ class StepRecord(NamedTuple):
     state: ArolcState | None = None
 
 
+class Law(NamedTuple):
+    """One control period of a controller, as source, which the simulator
+    splices into its block of control periods (``arolc.sim``) as it splices
+    a plant's ``plants.Kernel``.
+
+    source is statements over the period's instant t, its row k, the state
+    entries q0, q1, ..., and v0, v1, ... (floats) and desired, the reference
+    triple (qd, qd_dot, qd_ddot) of lists; they assign the command's
+    entries tau0, tau1, ..., the trace's c_hat and s_norm and, where
+    auxiliary, the law's auxiliary input u0, u1, ... and its switching part
+    du0, du1, ... (the names ``_LAW_IO`` matches). Every other name is a
+    constant (the entry of constants of that name, bound once per run) or
+    one of the law's temporaries; state
+    holds the names that carry from one period to the next, with their
+    values at the run's start. The statements hold no string literal.
+    """
+
+    source: str
+    constants: dict
+    state: dict
+    auxiliary: bool = False
+
+
+# The names a Law's source shares with the block it is spliced into: the
+# state's entries, the command, the auxiliary input and its switching part,
+# the period's instant and row, the reference, c_hat and s_norm
+_LAW_IO = re.compile(r"(q|v|tau|u|du)(\d+)|t|k|desired|c_hat|s_norm")
+
+
+def _call_law(step, n: int, auxiliary: bool) -> Law:
+    """The law that calls a controller's step once per period, which looks
+    up arolc_step and pcon_step where it runs them: the path of a run whose
+    law is wrapped (a tracer's span, say)."""
+    tau, q, v, u, du = (_entries(prefix, n) for prefix in ("tau", "q", "v", "u", "du"))
+    source = (f"rec = step(t, ({q}), ({v}), desired)\n{tau}= rec.tau\n"
+              "c_hat = rec.c_hat\ns_norm = rec.s_norm\n")
+    if auxiliary:
+        source += f"{u}= rec.u\n{du}= rec.du\n"
+    return Law(source, {"step": step}, {}, auxiliary)
+
+
 def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
                cfg) -> StepRecord:
     """The adaptive-robust torque at the current gain, then one adaptation
@@ -177,12 +230,14 @@ def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
     return law(state, q, q_dot, desired, torque, t, dt)
 
 
-@functools.cache
-def _compile_law(n: int):
-    """arolc_step for n coordinates, unrolled: compiled once per n, as the
-    simulator compiles its RK4 period. Returns the function that binds a
-    config's gain rows (bp{i}_{j}, k2_{i}_{j} and k1_{i}_{j}, the entries
-    of B^T P, K2 and K1) and scalars into the law.
+def _law_lines(n: int, torque: str, checks: bool) -> list[str]:
+    """The adaptive-robust law for n coordinates, as statements over q{i},
+    v{i}, r{i}, rv{i} and ra{i} (q, q_dot and the reference triple's
+    entries), the state c_hat, s_prev and t_prev, t, dt and the gain rows
+    (bp{i}_{j}, k2_{i}_{j} and k1_{i}_{j}, the entries of B^T P, K2 and K1)
+    and scalars; torque is the statements that assign tau{i}, the nominal
+    model's Mhat(q) u + Nhat(q, q_dot), from q{i}, v{i} and u{i}. The lines
+    assign tau{i}, u{i}, du{i}, s{i}, s_norm and c_new.
 
     The law, in order: the errors e1 = qd - q and e1_dot = qd_dot - q_dot;
     the sliding variable s = B^T P e, e = [e1; e1_dot], and ||s||, formed
@@ -191,63 +246,101 @@ def _compile_law(n: int):
     du = alpha c_hat s / max(||s||, epsilon), zero with switching off; the
     torque at u = u_hat + du; and one Euler step of the adaptive gain
     (module docstring), clamped below at gamma. Every row product sums its
-    terms left to right from 0.0 (``_sum``). It raises ValueError on a bad
-    c_hat or dt, on time that does not advance, and on inputs of the wrong
-    length.
+    terms left to right from 0.0 (``_sum``). With checks, the lines raise
+    ValueError on a bad c_hat or dt and on time that does not advance or an
+    s_prev of the wrong length, where arolc_step checks them; without, the
+    caller has checked them once for its run (``ArolcController.kernel``).
     """
     rng = range(n)
     e = [f"ep{j}" for j in rng] + [f"ev{j}" for j in rng]  # e1, then e1_dot
-    s, du = _entries("s", n), _entries("du", n)
+    lines = [f"ep{i} = r{i} - q{i}" for i in rng]
+    lines += [f"ev{i} = rv{i} - v{i}" for i in rng]
+    lines += [f"s{i} = {_sum(f'bp{i}_{j} * {x}' for j, x in enumerate(e))}" for i in rng]
+    lines += [f"s_norm = sqrt({_sum(f's{i} * s{i}' for i in rng)})"]
+    lines += [f"uh{i} = (ra{i} + {_sum(f'k2_{i}_{j} * ev{j}' for j in rng)}) + "
+              f"{_sum(f'k1_{i}_{j} * ep{j}' for j in rng)}" for i in rng]
+    lines.append("if switching:")
+    if checks:
+        lines += ["    if not 0.0 < c_hat < inf:  # NaN included",
+                  "        raise ValueError(f'c_hat must be positive and finite, got {c_hat!r}')"]
+    lines.append("    gain = alpha * c_hat / (s_norm if s_norm >= epsilon else epsilon)")
+    lines += [f"    du{i} = gain * s{i}" for i in rng]
+    lines += [f"    u{i} = uh{i} + du{i}" for i in rng]
+    lines.append("else:")
+    lines += [f"    du{i} = 0.0" for i in rng]
+    lines += [f"    u{i} = uh{i}" for i in rng]
+    lines += torque.splitlines()
+    if checks:
+        lines += [
+            "if not -inf < c_hat < inf:",
+            "    raise ValueError(f'c_hat must be a number and finite, got {c_hat!r}')",
+            "if not 0.0 < dt < inf:",
+            "    raise ValueError(f'dt must be finite and positive, got {dt!r}')",
+            "if s_prev is not None:",
+            "    if not t > t_prev:",
+            "        raise ValueError('time must advance between adaptation steps')",
+            f"    if len(s_prev) != {n}:",
+            f"        raise ValueError(f's_prev has {{len(s_prev)}} entries, s has {n}')"]
+    lines += [
+        "if c_hat <= gamma:",
+        "    rate = gamma",
+        "elif s_prev is None:",
+        "    rate = -s_norm  # no slope estimate yet: conservative branch",
+        "else:",
+        f"    {_entries('sp', n)}= s_prev",
+        "    elapsed = t - t_prev",
+        f"    rate = s_norm if {_sum(f's{i} * ((s{i} - sp{i}) / elapsed)' for i in rng)} "
+        "> 0.0 else -s_norm",
+        "c_new = c_hat + rate * dt",
+        "if gamma > c_new:  # max(c_new, gamma)",
+        "    c_new = gamma"]
+    return lines
+
+
+@functools.cache
+def _compile_law(n: int):
+    """arolc_step for n coordinates, unrolled: compiled once per n from the
+    law's statements (``_law_lines``, with their checks), as the simulator
+    compiles its block of control periods. Returns the function that binds
+    a config's gain rows and scalars (``_law_constants``) into the law. The
+    law unpacks its inputs, raising ValueError on inputs of the wrong
+    length, calls torque at u, and returns the StepRecord of the period."""
+    tau, u, du, s = (_entries(prefix, n) for prefix in ("tau", "u", "du", "s"))
+    torque = f"{tau}= torque(({_entries('q', n)}), ({_entries('v', n)}), [{u}])"
     lines = [
-        "def bind(" + "".join(f"bp{i}_{j}, " for i in rng for j in range(2 * n))
-        + "".join(f"{k}_{i}_{j}, " for k in ("k2", "k1") for i in rng for j in rng)
-        + "alpha, epsilon, gamma, switching, sqrt, inf, lengths, ArolcState, StepRecord):",
+        f"def bind({', '.join(_law_names(n))}, lengths, ArolcState, StepRecord):",
         "    def law(state, q, q_dot, desired, torque, t, dt):",
         "        c_hat, s_prev, t_prev = state.c_hat, state.s_prev, state.t_prev",
-        *_unpack_inputs(n)]
-    lines += [f"        ep{i} = r{i} - q{i}" for i in rng]
-    lines += [f"        ev{i} = rv{i} - v{i}" for i in rng]
-    lines += [f"        s{i} = {_sum(f'bp{i}_{j} * {x}' for j, x in enumerate(e))}" for i in rng]
-    lines += [f"        s_norm = sqrt({_sum(f's{i} * s{i}' for i in rng)})"]
-    lines += [f"        uh{i} = (ra{i} + {_sum(f'k2_{i}_{j} * ev{j}' for j in rng)}) + "
-              f"{_sum(f'k1_{i}_{j} * ep{j}' for j in rng)}" for i in rng]
-    lines += [
-        "        if switching:",
-        "            if not 0.0 < c_hat < inf:  # NaN included",
-        "                raise ValueError(f'c_hat must be positive and finite, got {c_hat!r}')",
-        "            gain = alpha * c_hat / (s_norm if s_norm >= epsilon else epsilon)"]
-    lines += [f"            du{i} = gain * s{i}" for i in rng]
-    lines += [
-        f"            du = [{du}]",
-        f"            u = [{''.join(f'uh{i} + du{i}, ' for i in rng)}]",
-        "        else:",
-        f"            du = [{'0.0, ' * n}]",
-        f"            u = [{_entries('uh', n)}]",
-        "        tau = torque(q, q_dot, u)",
-        "        if not -inf < c_hat < inf:",
-        "            raise ValueError(f'c_hat must be a number and finite, got {c_hat!r}')",
-        "        if not 0.0 < dt < inf:",
-        "            raise ValueError(f'dt must be finite and positive, got {dt!r}')",
-        "        if s_prev is not None:",
-        "            if not t > t_prev:",
-        "                raise ValueError('time must advance between adaptation steps')",
-        f"            if len(s_prev) != {n}:",
-        f"                raise ValueError(f's_prev has {{len(s_prev)}} entries, s has {n}')",
-        "        if c_hat <= gamma:",
-        "            rate = gamma",
-        "        elif s_prev is None:",
-        "            rate = -s_norm  # no slope estimate yet: conservative branch",
-        "        else:",
-        f"            {_entries('sp', n)}= s_prev",
-        "            elapsed = t - t_prev",
-        f"            rate = s_norm if {_sum(f's{i} * ((s{i} - sp{i}) / elapsed)' for i in rng)} "
-        "> 0.0 else -s_norm",
-        "        c_new = c_hat + rate * dt",
-        "        if gamma > c_new:  # max(c_new, gamma)",
-        "            c_new = gamma",
-        f"        return StepRecord(tau, c_new, s_norm, u, du, ArolcState(c_new, [{s}], t))",
+        *_unpack_inputs(n),
+        *("        " + line for line in _law_lines(n, torque, checks=True)),
+        f"        return StepRecord([{tau}], c_new, s_norm, [{u}], [{du}], "
+        f"ArolcState(c_new, [{s}], t))",
         "    return law"]
     return _compile(lines, f"arolc law, n = {n}")
+
+
+def _law_names(n: int) -> list[str]:
+    """The names of the law's constants (``_law_constants``), in order."""
+    rng = range(n)
+    return ([f"bp{i}_{j}" for i in rng for j in range(2 * n)]
+            + [f"{k}_{i}_{j}" for k in ("k2", "k1") for i in rng for j in rng]
+            + ["alpha", "epsilon", "gamma", "switching", "sqrt", "inf"])
+
+
+def _law_constants(cfg: ArolcConfig) -> dict:
+    """cfg's gain rows and scalars under the law's names (``_law_names``)."""
+    bp, k2, k1 = cfg.rows
+    values = [x for rows in (bp, k2, k1) for row in rows for x in row]
+    values += [cfg.alpha, cfg.epsilon, cfg.gamma, cfg.switching, math.sqrt, math.inf]
+    return dict(zip(_law_names(len(k1)), values, strict=True))
+
+
+def _reference_lines(n: int) -> list[str]:
+    """The lines that unpack desired = (qd, qd_dot, qd_ddot) into r{i},
+    rv{i} and ra{i}, for n coordinates."""
+    return ["qd, qd_dot, qd_ddot = desired",
+            *(f"{_entries(prefix, n)}= {name}" for prefix, name in
+              (("r", "qd"), ("rv", "qd_dot"), ("ra", "qd_ddot")))]
 
 
 def _unpack_inputs(n: int) -> list[str]:
@@ -255,10 +348,12 @@ def _unpack_inputs(n: int) -> list[str]:
     (qd, qd_dot, qd_ddot) into q{i}, v{i}, r{i}, rv{i} and ra{i}, for n
     coordinates; a wrong length raises ``_lengths``' message (bound as
     lengths)."""
+    reference = _reference_lines(n)
     return ["        try:",
-            "            qd, qd_dot, qd_ddot = desired",
-            *(f"            {_entries(prefix, n)}= {name}" for prefix, name in
-              (("q", "q"), ("v", "q_dot"), ("r", "qd"), ("rv", "qd_dot"), ("ra", "qd_ddot"))),
+            f"            {reference[0]}",
+            f"            {_entries('q', n)}= q",
+            f"            {_entries('v', n)}= q_dot",
+            *(f"            {line}" for line in reference[1:]),
             "        except ValueError:",
             f"            raise ValueError(lengths({n}, q, q_dot, desired)) from None"]
 
@@ -275,11 +370,8 @@ def _lengths(n: int, q, q_dot, desired) -> str:
 def _bind_law(cfg: ArolcConfig):
     """cfg's law (``_compile_law``), bound to its rows and scalars and stored
     on cfg on first use."""
-    bp, k2, k1 = cfg.rows
-    n = len(k1)
-    law = _compile_law(n)(*(x for rows in (bp, k2, k1) for row in rows for x in row),
-                          cfg.alpha, cfg.epsilon, cfg.gamma, cfg.switching, math.sqrt,
-                          math.inf, _lengths, ArolcState, StepRecord)
+    law = _compile_law(len(cfg.rows[2]))(**_law_constants(cfg), lengths=_lengths,
+                                          ArolcState=ArolcState, StepRecord=StepRecord)
     cfg.__dict__["_law"] = law
     return law
 
@@ -324,6 +416,11 @@ def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
     raise ValueError."""
     return (table or _bind_window(cfg))(history, h, q, q_dot, desired, t)
 
+
+# the module's laws, kept where a wrapper set on the module (a tracer's span)
+# does not replace them: a controller whose law function is not its own
+# runs the call path (``_call_law``)
+_LAWS = (arolc_step, pcon_step)
 
 # rows a trapezoid table keeps behind its window's first row before it
 # drops the oldest ones, so it holds at most the window plus twice this
@@ -422,7 +519,8 @@ class ArolcController:
 
     def __init__(self, sc, trace):
         self.cfg = sc.controller
-        self.torque = sc.plant.nominal.torque
+        self.nominal = sc.plant.nominal
+        self.torque = self.nominal.torque
         self.dt = sc.dt_control
         self.state = self.cfg.initial_state()
         peak = max_delay(sc.delay)
@@ -437,6 +535,36 @@ class ArolcController:
         record = arolc_step(self.state, q, q_dot, desired, self.torque, t, self.dt, self.cfg)
         self.state = record.state
         return record
+
+    def kernel(self) -> Law:
+        """The law of a run from the config's initial state: ``_law_lines``
+        with the nominal model's torque (``plants.PlantModel.torque_kernel``,
+        its names but q, v, a and tau prefixed nom_, a read as u) spliced
+        in, and the state c_hat, s_prev and t_prev carried from period to
+        period; the call path where arolc_step is wrapped. What arolc_step
+        checks every period holds for the whole run, so it is checked once:
+        the control period here, c_hat_init by the config (the clamp keeps
+        c_hat at gamma or above, and a run ends where it is not finite);
+        time advances and s_prev has n entries by the run's own periods."""
+        n = len(self.cfg.rows[2])
+        if arolc_step is not _LAWS[0]:
+            return _call_law(self.step, n, True)
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        torque = self.nominal.torque_kernel()
+
+        def rename(name):
+            if _TORQUE_IO.fullmatch(name):
+                return "u" + name[1:] if name[0] == "a" else name
+            return "nom_" + name
+
+        source = "\n".join([*_reference_lines(n),
+                            *_law_lines(n, _rename(torque.source, rename), checks=False),
+                            "c_hat = c_new", f"s_prev = {_entries('s', n)}", "t_prev = t"])
+        constants = {**_law_constants(self.cfg), "dt": self.dt,
+                     **{"nom_" + name: value for name, value in torque.constants.items()}}
+        return Law(source + "\n", constants,
+                   {"c_hat": self.cfg.c_hat_init, "s_prev": None, "t_prev": -math.inf}, True)
 
 
 class PconController:
@@ -459,6 +587,22 @@ class PconController:
         return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg,
                                     self.table))
 
+    def kernel(self) -> Law:
+        """The law of a run from row 0: the controller's trapezoid table
+        called at row k on the trace's rows and its h row k (or the fixed
+        window), c_hat and s_norm zero; the call path where pcon_step is
+        wrapped."""
+        n = len(self.cfg.rows)
+        if pcon_step is not _LAWS[1]:
+            return _call_law(self.step, n, False)
+        h = "h_item(k)" if self.cfg.h_estimate is None else "h_estimate"
+        source = (f"{_entries('tau', n)}= table((stamps, tau_cmd, k), {h}, "
+                  f"({_entries('q', n)}), ({_entries('v', n)}), desired, t)\n"
+                  "c_hat = 0.0\ns_norm = 0.0\n")
+        return Law(source, dict(table=self.table, stamps=self.stamps,
+                                tau_cmd=self.trace.tau_cmd, h_item=self.trace.h.item,
+                                h_estimate=self.cfg.h_estimate), {})
+
 
 class ZeroController:
     """No controller config: the plant runs open loop under zero torque."""
@@ -468,6 +612,11 @@ class ZeroController:
 
     def step(self, t, q, q_dot, desired) -> StepRecord:
         return StepRecord([0.0] * self.n)
+
+    def kernel(self) -> Law:
+        """Zero command, c_hat and s_norm every period."""
+        return Law(f"{_entries('tau', self.n)}= {'0.0, ' * self.n}\nc_hat = 0.0\n"
+                   "s_norm = 0.0\n", {}, {})
 
 
 _CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,

@@ -40,11 +40,13 @@ simulator unpacks a row again only when p changes). Every other name they
 read is a constant of the plant.
 One generator (``_compile_face``) compiles every face from these strings,
 each on first use: the kernel (all of them), which the simulator splices
-into the unrolled RK4 period (``arolc.sim``), so that a step calls no
-``accel``; ``accel``, the kernel on one state;
-``torque``, _ROW, _MASS and _BIAS at the schedule's time-free value, each
-row of M qdd + N summed left to right; ``mass_matrix``, _ROW and _MASS;
-and ``bias_vector``, _ROW and _BIAS, plus the disturbance at t.
+into its unrolled block of control periods (``arolc.sim``), so that a step
+calls no ``accel``; ``accel``, the kernel on one state;
+``torque``, the torque kernel (``torque_kernel``: _ROW, _MASS and _BIAS at
+the schedule's time-free value, each row of M qdd + N summed left to
+right), which the adaptive-robust law splices where it evaluates the
+nominal model, so that a period calls no ``torque``; ``mass_matrix``, _ROW
+and _MASS; and ``bias_vector``, _ROW and _BIAS, plus the disturbance at t.
 mass_matrix and bias_vector run on a single state's Python floats
 (``math`` trigonometry) or on a stack's (B,) columns (numpy's), with the
 same operations in the same order, so that the rows agree bit for bit
@@ -160,6 +162,16 @@ class PlantModel:
         a, q, v, u = (_entries(prefix, self.dim) for prefix in "aqvu")
         return Kernel(f"{a}= accel(({q}), ({v}), ({u}), t)\n", {"accel": self.accel})
 
+    def torque_kernel(self) -> "Kernel":
+        """The call kernel of ``torque``, tau0, ... = torque((q0, ...), (v0,
+        ...), [a0, ...]), with torque as bound on the instance: the
+        adaptive-robust law splices it where it evaluates the nominal model
+        (``controllers.ArolcController.kernel``), renaming the names
+        ``_TORQUE_IO`` matches. Closed-form plants override it with their
+        inverse dynamics."""
+        tau, q, v, a = (_entries(prefix, self.dim) for prefix in ("tau", "q", "v", "a"))
+        return Kernel(f"{tau}= torque(({q}), ({v}), [{a}])\n", {"torque": self.torque})
+
     def torque(self, q, q_dot, qdd) -> list[float]:
         """Inverse dynamics M(q) qdd + N(q, q_dot) of the time-free terms
         (mass_matrix and bias_vector at t = None), a list of dim Python
@@ -174,7 +186,8 @@ class Kernel(NamedTuple):
 
     source is statements over the positions q0, q1, ..., the rates v0, v1,
     ..., the input's entries u0, u1, ... (floats), the time t and, with a
-    schedule, p, that assign the accelerations a0, a1, ...; its own
+    schedule, p, that assign the accelerations a0, a1, ... (the names
+    ``_KERNEL_IO`` matches); its own
     temporaries (a closed-form plant's m{i}_{j}, n{i} and _ROW names among
     them) match none of these names and start with no underscore. Every
     other name it reads is a constant, the entry of constants of that name,
@@ -190,11 +203,25 @@ class Kernel(NamedTuple):
     whose first line only unpacks p (``name, ... = p``, a plant's _ROW)
     assigns those names nowhere else: the simulator's period runs that
     line only when a stage's p is not the object it last unpacked.
+
+    shared, if not None, maps an ndarray of times to the value that
+    schedule gives at every one of them, where it finds one cheaply, and
+    to None otherwise (a value is never None): the simulator's block then
+    unpacks that value once and hands its stages no values.
     """
 
     source: str
     constants: dict
     schedule: object = None
+    shared: object = None
+
+
+# The names a Kernel's source shares with the function it is spliced into:
+# the entries q{i}, v{i}, a{i} and u{i}, the time t and the schedule's p
+_KERNEL_IO = re.compile(r"([qvau])(\d+)|[tp]")
+# The names a torque kernel (``PlantModel.torque_kernel``) shares with the
+# law it is spliced into: q{i}, v{i}, the accelerations a{i} and tau{i}
+_TORQUE_IO = re.compile(r"(?:q|v|a|tau)\d+")
 
 
 # M's upper entries m{i}_{j} that a plant's _ROW and _MASS name
@@ -212,6 +239,22 @@ def _fold(source: str, constants: dict) -> str:
         lambda m: textwrap.dedent(m.group(2)) if constants[m.group(1)] else "", source)
 
 
+def _matrix(row: str, mass: str, n: int) -> list:
+    """M's entries by row, as a plant's _ROW and _MASS name them: the name
+    of the upper entry m{i}_{j}, None where it is zero."""
+    upper = {(int(i), int(j)) for i, j in _MASS_ENTRY.findall(row + mass)}
+    return [[f"m{min(i, j)}_{max(i, j)}" if (min(i, j), max(i, j)) in upper else None
+             for j in range(n)] for i in range(n)]
+
+
+def _torque_rows(matrix: list) -> str:
+    """The lines tau{i} = M a + N, row i of M (``_matrix``) times the
+    accelerations a0, a1, ... summed left to right, then n{i}."""
+    return "".join(f"tau{i} = " + " + ".join(
+        [f"{m} * a{j}" for j, m in enumerate(entries) if m] + [f"n{i}"]) + "\n"
+        for i, entries in enumerate(matrix))
+
+
 @functools.cache
 def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: tuple,
                   n: int, scheduled: bool):
@@ -226,10 +269,7 @@ def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: 
     [M qdd + N] at p = _schedule(None); mass(_q, p) -> M as nested tuples
     and bias(_q, _q_dot, p) -> (n0, ...), on floats or on (B,) columns.
     """
-    upper = {(int(i), int(j)) for i, j in _MASS_ENTRY.findall(row + mass)}
-    # M's entries by row: the name of the upper entry, None where it is zero
-    matrix = [[f"m{min(i, j)}_{max(i, j)}" if (min(i, j), max(i, j)) in upper else None
-               for j in range(n)] for i in range(n)]
+    matrix = _matrix(row, mass, n)
     state = f"{_entries('q', n)}= _q\n{_entries('v', n)}= _q_dot\n"
     bind = [f"def bind(_schedule, {', '.join(names)}):"]
     if face == "accel":
@@ -242,10 +282,8 @@ def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: 
             bind.append("    _p_free = _schedule(None)")
         args = "_q, _q_dot, _qdd"
         body = (state + f"{_entries('a', n)}= _qdd\n" + ("p = _p_free\n" if scheduled else "")
-                + row + mass + bias)
-        result = "[" + ", ".join(" + ".join(
-            [f"{m} * a{j}" for j, m in enumerate(entries) if m] + [f"n{i}"])
-            for i, entries in enumerate(matrix)) + "]"
+                + row + mass + bias + _torque_rows(matrix))
+        result = f"[{_entries('tau', n)}]"
     elif face == "mass":
         args, body = "_q, p", f"{_entries('q', n)}= _q\n" + row + mass
         result = "(" + "".join(f"({''.join(f'{m or 0.0}, ' for m in entries)}), "
@@ -268,8 +306,8 @@ class _KernelPlant(PlantModel):
     (None: no schedule), and _phase(t) is the index of the phase at a float
     t (0 at t = None) or the int array of those indices over an ndarray of
     times; it may key the windows of its phases (``_window``). _schedule is
-    then Kernel.schedule, and the stacked faces read their p columns from
-    the float table of _phases.
+    then Kernel.schedule and _shared Kernel.shared, and the stacked faces
+    read their p columns from the float table of _phases.
 
     Every face is compiled from the strings (``_compile_face``) on its first
     use and bound to the plant's constants once, each ``if <constant>:``
@@ -285,20 +323,28 @@ class _KernelPlant(PlantModel):
     def _schedule(self, t):
         """p at t: the value of the phase at a float t (phase 0 at t = None);
         over an ndarray of times, nested lists of the same shape holding the
-        value at each. Where the earliest and the latest of the times share
-        a window (``_window``), so do all of them: the phase is then found
-        at the earliest alone, and its value repeated."""
+        value at each: the value all of them share (``_shared``) repeated,
+        where they share one."""
         if not isinstance(t, np.ndarray):
             return self._phases[self._phase(t)]
+        value = self._shared(t)
+        if value is None:
+            return self._phase_arrays[0][self._phase(t)].tolist()
+        for size in reversed(t.shape):
+            value = [value] * size
+        return value
+
+    def _shared(self, t: np.ndarray):
+        """The value of the phase that every time of the ndarray t is in,
+        where the earliest and the latest of them share a window
+        (``_window``), and so all of them do: the phase is then found at the
+        earliest alone. None where they do not, or t is empty."""
         if t.size:
             first, last = t.min().item(), t.max().item()
             window = self._window(first)
             if window is not None and window == self._window(last):
-                value = self._phases[self._phase(first)]
-                for size in reversed(t.shape):
-                    value = [value] * size
-                return value
-        return self._phase_arrays[0][self._phase(t)].tolist()
+                return self._phases[self._phase(first)]
+        return None
 
     def _window(self, t: float):
         """A key of the schedule's window at a float t: two instants with
@@ -322,8 +368,22 @@ class _KernelPlant(PlantModel):
     def kernel(self) -> Kernel:
         constants = dict(self._constants(), cos=math.cos, sin=math.sin,
                          disturbance=self.disturbance if self.disturbance_amp else None)
+        scheduled = self._phases is not None
         return Kernel("".join(self._strings(constants)), constants,
-                      None if self._phases is None else self._schedule)
+                      self._schedule if scheduled else None, self._shared if scheduled else None)
+
+    def torque_kernel(self) -> Kernel:
+        """The inverse dynamics of the time-free terms as source: _ROW, _MASS
+        and _BIAS, then tau{i}, row i of M a + N summed left to right, as the
+        torque face computes them. p, where the plant is scheduled, is the
+        schedule's time-free value, bound as a constant; the constants are
+        the kernel's."""
+        kernel = self.kernel()
+        constants = dict(kernel.constants)
+        if kernel.schedule is not None:
+            constants["p"] = kernel.schedule(None)
+        row, mass, bias, _ = self._strings(kernel.constants)
+        return Kernel(row + mass + bias + _torque_rows(_matrix(row, mass, self.dim)), constants)
 
     @functools.cached_property
     def _faces(self) -> dict:

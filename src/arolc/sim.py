@@ -30,40 +30,61 @@ commands returns there.
 
 Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
-dominates the arithmetic. The RK4 steps of a control period are one
-function, unrolled for the plant's dimension, that runs the plant's
-forward dynamics inline: each closed-form plant states its M, N and solve
-once, as source, and its kernel is the three together (``plants.Kernel``).
-``_compile_step`` splices that kernel into a loop over the period's steps
-at each of the four stages of a step, with one local per entry, the state
-kept in locals from step to step and the divergence guard inline, chained
-comparisons that NaN fails (a stage that raises ValueError, as math's cos
-of an overflowed position does, diverges too); the period returns how many
-steps it completed. A kernel whose first line unpacks the schedule's row
-(a plant's _ROW) runs that line at a stage only when the stage's value is
-not the row it last unpacked, once per period inside one phase. A kernel
-names the input's entries u0, u1, ... as it names q0 and v0, and it gets
-the stage instants only when it reads t. A plant's kernel branches on no
-constant: each ``if <constant>:`` block of its strings is resolved when
-the kernel is built (``plants._fold``), so a plant without a disturbance
-leaves its disturbance lines out, and an undisturbed run builds no
-instants for its steps. The period compiles once per (kernel, n), on the
-first run, through the compile helper (``_codegen``) that also builds the
-plants' faces; a later run binds the plant's constants into the compiled
-period. A step thus calls no ``accel``, except where the plant has no
-kernel or an ``accel`` is set on the instance (a tracer's wrapper, say):
-then the kernel is the call to that ``accel``. This is exact, not an
+dominates the arithmetic. A planned block of control periods is one
+function, unrolled for the plant's dimension, that runs the control law
+and the plant's forward dynamics inline: each closed-form plant states its
+M, N and solve once, as source, and its kernel is the three together
+(``plants.Kernel``); each controller states its period as source too, its
+law (``controllers.Law``). ``_compile_block`` splices the law at the start
+of each period, then, after the period's blend, the plant's kernel at each
+of the four stages of each RK4 step, with one local per entry, the state
+and the law's state (the adaptive gain, the last sliding variable and its
+time) kept in locals from period to period and from block to block, and
+the divergence guard inline, chained comparisons that NaN fails (a stage
+that raises ValueError, as math's cos of an overflowed position does,
+diverges too); the block returns where it stopped. A block whose stage
+instants all share one value of the schedule (``plants.Kernel.shared``:
+the robot's blocks but those through a payload switch) unpacks it once
+and runs steps that read no per-stage values; in the others, a kernel
+whose first line unpacks the schedule's row (a plant's _ROW) runs that
+line at a stage only when the stage's value is not the row it last
+unpacked. A kernel names the input's entries u0, u1, ... as
+it names q0 and v0, and it gets the stage instants only when it reads t. A
+plant's kernel branches on no constant: each ``if <constant>:`` block of
+its strings is resolved when the kernel is built (``plants._fold``), so a
+plant without a disturbance leaves its disturbance lines out, and an
+undisturbed run builds no instants for its steps. The block compiles once
+per (kernel, law, n), on the first run, through the compile helper
+(``_codegen``) that also builds the plants' faces and the laws; a run
+binds the plant's and the law's constants and the law's starting state
+into the compiled block.
+
+The adaptive-robust law is spliced whole, with the nominal model's
+``torque`` face spliced into it (``controllers.ArolcController.kernel``);
+the predictor's law calls its trapezoid table directly, and the zero law
+assigns zeros. What the law checks every period on its own holds for a
+whole run here, so it is checked once: the control period is positive
+(``Scenario.validate``), c_hat starts finite and at least gamma (the
+config, and the law's clamp after), time advances and the sliding
+variable keeps n entries (the block's own periods). A step thus calls no
+``accel`` and a period no law function, except where the run is
+instrumented: where the plant has no kernel or an ``accel`` is set on the
+instance (a tracer's wrapper, say), the kernel is the call to that
+``accel``; where ``controllers.arolc_step`` or ``pcon_step`` is replaced
+by a wrapper, the law is the call to the controller's step, which calls
+it once per period (``controllers._call_law``). This is exact, not an
 approximation: IEEE rounding of +, -, * and / on floats is the rounding
 numpy's elementwise ufuncs apply, and the step keeps the operation order of
 the ndarray expression, so the traces are bit-identical to an ndarray
-integrator. The control period stays on floats too: the controller reads q
-and q_dot as slices of that tuple and the reference as lists of floats
+integrator; the spliced law runs the statements of ``arolc_step`` and
+``pcon_step``. The control period stays on floats too: the law reads q and
+q_dot as the block's locals and the reference as lists of floats
 (evaluated once per block of periods, the trajectory called on the block's
-stamps), and returns its command as a list (``arolc.controllers``, whose
-adaptive-robust law is compiled for n as well, on the first run). Arrays
-begin at the trace: its rows (collected as one flat list of floats and
-written once per block, tau_cmd once per period), the planned lookups and
-the diagnostics fine grid (written once per period).
+stamps). Arrays begin at the trace: its rows (collected as one flat list
+of floats and written once per block, tau_cmd once per period through a
+flat view of its rows), the planned lookups and the diagnostics fine grid
+and per-command records (each collected as one flat list per block and
+written once per block).
 
 ``simulate`` allocates the Trace, sampled at the control rate, before the
 loop, writes each row into it and returns it: the trace is the run's only
@@ -78,7 +99,6 @@ true-delay window, see ``PconConfig.h_estimate``) or None for zero torque.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import re
@@ -88,10 +108,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._checks import require
-from ._codegen import _compile, _entries
-from .controllers import ArolcConfig, PconConfig, make_controller
+from ._codegen import _compile, _entries, _names, _rename
+from .controllers import _LAW_IO, ArolcConfig, Law, PconConfig, make_controller
 from .delays import DelayProfile, blend, delay_at, plan
-from .plants import Kernel, PlantModel
+from .plants import _KERNEL_IO, Kernel, PlantModel
 
 __all__ = [
     "Scenario",
@@ -122,8 +142,6 @@ _MAX_ARRAY_BYTES = 1 << 28
 # least). Blocks bound their temporaries: over the whole grid at once, a 2 s
 # two-link residual at dt = 1e-4 peaks about 2.7 MB higher in resident memory.
 _BLOCK_INSTANTS = 2048
-# the blend's context of a period whose command is finite
-_NO_ERRSTATE = contextlib.nullcontext()
 # The trace rows simulate writes once per block (and e1 from them); tau_cmd,
 # which the blend and the predictor read, every period and h at its start
 _BLOCK_COLUMNS = ("q", "q_dot", "q_desired", "tau_applied", "c_hat", "s_norm")
@@ -301,115 +319,204 @@ def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     return t, h, (index, take, weight), before, after
 
 
-# A kernel's names of one stage: q{i}, v{i}, a{i}, u{i}, t and p
-_STAGE_NAME = re.compile(r"\b(?:([qvau])(\d+)|([tp]))\b")
 # A kernel's first line where it unpacks p alone (a plant's _ROW)
 _ROW_UNPACK = re.compile(r"\A([\w, ]+) = p\n")
 
 
-def _reads(source: str, free: str) -> bool:
-    """Whether a kernel's source reads the time t or the schedule's value p."""
-    return any(m.group(3) == free for m in _STAGE_NAME.finditer(source))
+def _law_local(name: str) -> str:
+    """A law's name in the block: the block's own for the names the two
+    share (``controllers._LAW_IO``), the state's entries those of the
+    block's first stage; _law_ and the name for the law's constants and
+    temporaries."""
+    shared = _LAW_IO.fullmatch(name)
+    if shared is None:
+        return "_law_" + name
+    prefix, i = shared.groups()
+    if prefix is None:
+        return {"t": "_t_k", "k": "_k"}.get(name, "_" + name)
+    return {"q": "_q1_", "v": "_v1_"}.get(prefix, "_" + prefix) + i
 
 
 @functools.cache
-def _compile_step(source: str, names: tuple, n: int):
-    """The classical RK4 steps of one control period of a dimension-n plant
-    whose kernel is source (``plants.Kernel``), unrolled: compiled from
-    source once per (kernel, n), as ``dataclasses`` builds its methods.
-    Returns the function of the kernel's constants names that binds them
-    into the period.
+def _compile_block(source: str, names: tuple, law: str, law_names: tuple, carried: tuple,
+                   auxiliary: bool, n: int):
+    """A block of control periods of a dimension-n plant whose kernel is
+    source (``plants.Kernel``) under the law law (``controllers.Law``, its
+    constants law_names, its state's names carried and whether it is
+    auxiliary), unrolled: compiled from source once per (kernel, law, n), as
+    ``dataclasses`` builds its methods. Returns the function of the kernel's
+    constants names, the law's (each named by ``_law_local``), its state's
+    values at the run's start (named alike), and _blend, _errstate and
+    _inf, that binds them into the block.
 
-    The period, ``rk4_period(y, dt, inputs, instants, values, append)``,
-    advances the 2n floats y = (q, q_dot) by one step per row of inputs,
-    keeping the state in locals from step to step. Row i of inputs is step
-    i's applied input as one flat row of 3n floats, its value at the stage
-    instants t, t + dt/2 and t + dt one after the other. instants and
-    values are read only where the kernel reads t and p: row i of instants
-    is step i's three instants, row i of values the schedule's value at
-    each; the period of a kernel that reads neither ignores them. append,
-    if not None, receives the state after each step, as a tuple.
+    The block, ``block(y, k0, stop, dt_control, dt, tau_cmd, plans,
+    reference, instants, values, shared, rows, fine, cmd)``, runs control
+    periods k0, k0 + 1, ... from the 2n floats y = (q, q_dot), one per entry
+    of plans, keeping the state and the law's state in locals. Period k runs
+    the law at t_k = k dt_control on the state and reference[k - k0] (the
+    triple (qd, qd_dot, qd_ddot) of lists), writes the command to tau_cmd
+    row k (through a flat view of its rows), and blends the applied input of
+    the period (``delays.blend`` on tau_cmd rows 0..k and the plan's (index,
+    take, weight, before, after)), one flat row of 3n floats per RK4 step:
+    its input at t, t + dt/2 and t + dt. It extends rows by the trace row
+    (q, q_dot, qd, the input at t_k, c_hat, s_norm) and cmd, unless None, by
+    the law's u and du, then, unless k is stop (the run's last row), runs
+    one RK4 step per row of the input at step i's instants (instants[k -
+    k0][i], read only where the kernel reads t) and schedule values
+    (values[k - k0][i], read only where it reads p; where shared is not
+    None, the one value of every stage of the block, and values is not
+    read), extending fine, unless None, by the state after each step.
 
-    Returns (y, m): the state after the last of the m steps the period
-    completed. m is the number of rows unless a step diverges: an entry of
-    its new state is not within +-_DIVERGENCE_LIMIT (NaN included), or a
-    stage raises ValueError, as math's cos and sin do on the infinite
-    position of an overflowing stage. The period then stops, and returns
-    None for y and the index of that step for m. The step runs the kernel
-    once per stage, on stage names of its own; a first kernel line that
-    only unpacks p (``plants.Kernel``) runs where the stage's p is not the
-    object the period last unpacked. Each entry is rounded as
-    the ndarray expressions y + (dt / 2) k1, y + (dt / 2) k2, y + dt k3 and
-    y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with k_s = (q_dot,
-    qdd) at stage s. The stage positions that the kernel never reads are
-    left out.
+    Returns (y, j, m): the state after the block and the last period's
+    offset j from k0 and its m steps. A period whose command or c_hat is not
+    finite ends the block with y None and m = -1, after its row (its
+    applied input blended where NaN reads as 0 without a warning); a step
+    that diverges ends it with y None and m the index of that step: an
+    entry of its new state is not within +-_DIVERGENCE_LIMIT (NaN
+    included), or a stage raises ValueError, as math's cos and sin do on
+    the infinite position of an overflowing stage.
+
+    The step runs the kernel once per stage, on stage names of its own; a
+    first kernel line that only unpacks p (``plants.Kernel``) runs where
+    the stage's p is not the object the block last unpacked. Each entry is
+    rounded as the ndarray expressions y + (dt / 2) k1, y + (dt / 2) k2, y +
+    dt k3 and y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) round it, with k_s =
+    (q_dot, qdd) at stage s. The stage positions that the kernel never
+    reads are left out.
     """
-    reads_q = {int(m.group(2)) for m in _STAGE_NAME.finditer(source) if m.group(1) == "q"}
-    # each step's row of inputs, then its instants and its values where read
-    targets = ["(" + "".join(_entries(f"_u_{at}_", n) for at in ("start", "half", "end")) + ")"]
-    tables = ["_inputs"]
-    for free, table in (("t", "_instants"), ("p", "_values")):
-        if _reads(source, free):
-            targets.append(f"(_{free}_start, _{free}_half, _{free}_end)")
-            tables.append(table)
-    loop = (f"for _m, {targets[0]} in enumerate(_inputs):" if len(tables) == 1 else
-            f"for _m, ({', '.join(targets)}) in enumerate(zip({', '.join(tables)})):")
-
+    read = _names(source)
+    reads_q = {int(name[1:]) for name in read if name[0] == "q" and _KERNEL_IO.fullmatch(name)}
+    reads_t, reads_p = "t" in read, "p" in read
     # a row unpack runs only when the stage's p is not the row last unpacked
     row = _ROW_UNPACK.match(source)
     body = source[row.end():] if row else source
 
-    def stage(s, at):
+    def stage(s, at, indent, unpacks):
         # the kernel on stage s: q{i} -> _q{s}_{i}, u{i} -> _u_{at}_{i}, t -> _t_{at}
-        def rename(m):
-            prefix, i, free = m.groups()
+        def rename(name):
+            io = _KERNEL_IO.fullmatch(name)
+            if io is None:
+                return name
+            prefix, i = io.groups()
             if prefix == "u":
                 return f"_u_{at}_{i}"
-            return f"_{prefix}{s}_{i}" if prefix else f"_{free}_{at}"
+            return f"_{prefix}{s}_{i}" if prefix else f"_{name}_{at}"
 
         # (stage 3 reads the p that stage 2 has unpacked)
         unpack = (f"if _p_{at} is not _p_row:\n    {row.group(1)} = _p_row = _p_{at}\n"
-                  if row and s != 3 else "")
-        return textwrap.indent(unpack + _STAGE_NAME.sub(rename, body), " " * 16)
+                  if row and unpacks and s != 3 else "")
+        return textwrap.indent(unpack + _rename(body, rename), " " * indent)
 
-    # stage s runs the kernel at y + h k_{s-1}, k_{s-1} = (_v{s-1}_, _a{s-1}_);
-    # stage 1 at y = (_q1_, _v1_) itself, which the step then advances in place
+    def steps(indent, values):
+        # the period's RK4 steps: each step's row of inputs, then its
+        # instants and, from values (a period's per-stage values), its
+        # schedule values, where the kernel reads them; without values, the
+        # stages read the block's shared value, unpacked at its start
+        targets = ["(" + "".join(_entries(f"_u_{at}_", n) for at in ("start", "half", "end"))
+                   + ")"]
+        tables = ["_inputs"]
+        if reads_t:
+            targets.append("(_t_start, _t_half, _t_end)")
+            tables.append("_period_instants")
+        if values is not None:
+            targets.append("(_p_start, _p_half, _p_end)")
+            tables.append(values)
+        pad = " " * indent
+        lines = [pad + (f"for _m, {targets[0]} in enumerate(_inputs):" if len(tables) == 1 else
+                        f"for _m, ({', '.join(targets)}) in enumerate(zip({', '.join(tables)})):"),
+                 pad + "    try:",
+                 stage(1, "start", indent + 8, values is not None)]
+        for s, h, at in ((2, "_half", "half"), (3, "_half", "half"), (4, "_dt", "end")):
+            lines += [f"{pad}        _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}"
+                      for i in sorted(reads_q)]
+            lines += [f"{pad}        _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
+            lines.append(stage(s, at, indent + 8, values is not None))
+        lines += [pad + "    except ValueError:",
+                  pad + "        return None, _k - _k0, _m"]
+        lines += [f"{pad}    _q1_{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) "
+                  f"+ 2.0 * _v3_{i}) + _v4_{i})" for i in range(n)]
+        lines += [f"{pad}    _v1_{i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
+                  f"+ 2.0 * _a3_{i}) + _a4_{i})" for i in range(n)]
+        guard = " and ".join(f"{-_DIVERGENCE_LIMIT!r} <= {name} <= {_DIVERGENCE_LIMIT!r}"
+                             for name in state.rstrip(", ").split(", "))
+        return lines + [f"{pad}    if not ({guard}):",  # NaN fails it too
+                        pad + "        return None, _k - _k0, _m",
+                        pad + "    if _fine is not None:",
+                        f"{pad}        _fine += ({state})"]
+
     state = _entries("_q1_", n) + _entries("_v1_", n)
-    lines = [f"def bind({', '.join(names)}):",
-             "    def rk4_period(_y, _dt, _inputs, _instants, _values, _append):",
-             f"        {state}= _y",
-             "        _half = 0.5 * _dt",
-             "        _sixth = _dt / 6.0",
-             "        _p_row = None",
-             f"        {loop}",
-             "            try:",
-             stage(1, "start")]
-    for s, h, at in ((2, "_half", "half"), (3, "_half", "half"), (4, "_dt", "end")):
-        lines += [f"                _q{s}_{i} = _q1_{i} + {h} * _v{s - 1}_{i}"
-                  for i in sorted(reads_q)]
-        lines += [f"                _v{s}_{i} = _v1_{i} + {h} * _a{s - 1}_{i}" for i in range(n)]
-        lines.append(stage(s, at))
-    lines += ["            except ValueError:",
-              "                return None, _m"]
-    lines += [f"            _q1_{i} = _q1_{i} + _sixth * (((_v1_{i} + 2.0 * _v2_{i}) "
-              f"+ 2.0 * _v3_{i}) + _v4_{i})" for i in range(n)]
-    lines += [f"            _v1_{i} = _v1_{i} + _sixth * (((_a1_{i} + 2.0 * _a2_{i}) "
-              f"+ 2.0 * _a3_{i}) + _a4_{i})" for i in range(n)]
-    guard = " and ".join(f"{-_DIVERGENCE_LIMIT!r} <= {name} <= {_DIVERGENCE_LIMIT!r}"
-                         for name in state.rstrip(", ").split(", "))
-    lines += [f"            if not ({guard}):",  # NaN fails it too
-              "                return None, _m",
-              "            if _append is not None:",
-              f"                _append(({state}))",
-              f"        return ({state}), len(_inputs)",
-              "    return rk4_period"]
-    return _compile(lines, f"rk4 period, n = {n}")
+    tau, u, du = (_entries(f"_{prefix}", n) for prefix in ("tau", "u", "du"))
+    law_state = [_law_local(name) for name in carried]
+    finite = " and ".join(f"-_inf < _tau{i} < _inf" for i in range(n))
+    blend = "_blend(_tau_cmd, _k + 1, _index, _take, _weight, _before, _after).tolist()"
+    periods = ["_reference", "_plans"] + ["_instants"] * reads_t
+    period_targets = ", ".join(["_desired", "(_index, _take, _weight, _before, _after)"]
+                               + ["_period_instants"] * reads_t)
+    lines = [f"def bind({', '.join([*names, *map(_law_local, law_names), *law_state])}, "
+             "_blend, _errstate, _inf):",
+             "    def block(_y, _k0, _stop, _dt_control, _dt, _tau_cmd, _plans, _reference, "
+             "_instants, _values, _shared, _rows, _fine, _cmd):"]
+    if law_state:
+        lines.append(f"        nonlocal {', '.join(law_state)}")
+    lines += [f"        {state}= _y",
+              "        _commands = memoryview(_tau_cmd).cast('B').cast('d')  # its rows, flat",
+              "        _half = 0.5 * _dt",
+              "        _sixth = _dt / 6.0",
+              "        _p_row = None"]
+    if reads_p:
+        lines += ["        if _shared is not None:",
+                  "            _p_start = _p_half = _p_end = _shared"]
+        if row:
+            lines.append(f"            {row.group(1)} = _p_row = _shared")
+    lines += ["        _k = _k0 - 1",
+              f"        for {period_targets} in zip({', '.join(periods)}):",
+              "            _k += 1",
+              "            _t_k = _k * _dt_control",
+              textwrap.indent(_rename(law, _law_local), " " * 12).rstrip("\n"),
+              f"            _at = _k * {n}",
+              *(f"            _commands[_at + {i}] = _tau{i}" for i in range(n))]
+    if auxiliary:
+        lines += ["            if _cmd is not None:",
+                  f"                _cmd += ({u}{du})"]
+    # a non-finite command (the law overflowed, as for c_hat_init = 1e308)
+    # is NaN where its bracket weighs it 0, silently, and ends the run
+    lines += [f"            if {finite}:",
+              f"                _inputs = {blend}",
+              "                _ok = -_inf < _c_hat < _inf",
+              "            else:",
+              "                with _errstate(invalid='ignore'):",
+              f"                    _inputs = {blend}",
+              "                _ok = False",
+              f"            {_entries('_qd', n)}= _desired[0]",
+              f"            {_entries('_applied', n)}= _inputs[0][:{n}]",
+              f"            _rows += ({state}{_entries('_qd', n)}{_entries('_applied', n)}"
+              "_c_hat, _s_norm)",
+              "            if not _ok:",
+              "                return None, _k - _k0, -1",
+              "            if _k == _stop:",
+              f"                return ({state}), _k - _k0, 0"]
+    if reads_p:
+        lines += ["            if _shared is None:",
+                  *steps(16, "_values[_k - _k0]"),
+                  "            else:",
+                  *steps(16, None)]
+    else:
+        lines += steps(12, None)
+    lines += [f"        return ({state}), _k - _k0, len(_inputs)",
+              "    return block"]
+    return _compile(lines, f"block of control periods, n = {n}")
 
 
-def _rk4_period(kernel: Kernel, n: int):
-    """The unrolled RK4 period of a dimension-n plant (``_compile_step``)
-    with the kernel's constants bound."""
-    return _compile_step(kernel.source, tuple(kernel.constants), n)(**kernel.constants)
+def _bind_block(kernel: Kernel, law: Law, n: int, blend=blend):
+    """The block of control periods of a dimension-n plant whose kernel is
+    kernel under law (``_compile_block``), with their constants, the law's
+    state at the run's start and blend bound."""
+    bind = _compile_block(kernel.source, tuple(kernel.constants), law.source,
+                          tuple(law.constants), tuple(law.state), law.auxiliary, n)
+    return bind(**kernel.constants,
+                **{_law_local(name): value for name, value in law.constants.items()},
+                **{_law_local(name): value for name, value in law.state.items()},
+                _blend=blend, _errstate=np.errstate, _inf=math.inf)
 
 
 def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
@@ -441,16 +548,16 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     # an accel set on the instance (a tracer's wrapper, say) is called,
     # through the base class's call kernel
     kernel = PlantModel.kernel(plant) if "accel" in vars(plant) else plant.kernel()
-    rk4_period = _rk4_period(kernel, n)
-    reads_time = _reads(kernel.source, "t")
+    reads_time = "t" in _names(kernel.source)
     dt = sc.dt
 
     stamps = np.arange(n_rows) * sc.dt_control
     # t, the six (rows, n) arrays q .. tau_applied, then c_hat, s_norm, h
     trace = Trace(stamps, *(np.zeros((n_rows, n)) for _ in range(6)),
                   *(np.zeros(n_rows) for _ in range(3)))
-    controller = make_controller(sc, trace)
-    fine = None
+    law = make_controller(sc, trace).kernel()
+    block = _bind_block(kernel, law, n)
+    fine = fine_rows = cmd = None
     if diagnostics:
         fine = trace.fine = FineRecord(
             np.zeros(n_fine), np.zeros((n_fine, n)), np.zeros((n_fine, n)),
@@ -459,74 +566,61 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         fine.q_dot[0] = qdot0
 
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
-    append = None
-    for k in range(n_rows):
-        t_k = k * sc.dt_control
-        p = k % periods_per_block
-        if p == 0:
-            k0, k1 = k, min(k + periods_per_block, n_rows)
-            stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
-                profile, stamps, k0, k1, steps_per_control, dt, n)
-            trace.h[k0:k1] = stage_h[:, 0, 0]
-            # per period, each step's instants and the schedule's value at
-            # each, where the kernel reads them
-            instants = values = [None] * (k1 - k0)
-            if reads_time:
-                instants = stage_t.tolist()
-            if kernel.schedule is not None:
+    for k0 in range(0, n_rows, periods_per_block):
+        k1 = min(k0 + periods_per_block, n_rows)
+        stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
+            profile, stamps, k0, k1, steps_per_control, dt, n)
+        trace.h[k0:k1] = stage_h[:, 0, 0]
+        # per period, each step's instants and the schedule's value at each,
+        # where the kernel reads them; the schedule's one value instead,
+        # where every instant of the block shares it
+        instants = stage_t.tolist() if reads_time else None
+        shared = values = None
+        if kernel.schedule is not None:
+            shared = kernel.shared(stage_t) if kernel.shared is not None else None
+            if shared is None:
                 values = kernel.schedule(stage_t)
-            # per period, the reference triple at its stamp
-            reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
-            rows = []  # the block's trace rows, flat, written at its end
-        q, q_dot = y[:n], y[n:]
-        desired = reference[p]
-
-        rec = controller.step(t_k, q, q_dot, desired)
-        trace.tau_cmd[k] = rec.tau
-        if fine is not None and rec.u is not None:
-            fine.cmd_u[k] = rec.u
-            fine.cmd_du[k] = rec.du
-
-        # the commands pushed so far fix the applied input of the whole
-        # period: one flat row of 3n floats per step. A non-finite command
-        # (the law overflowed, as for c_hat_init = 1e308) is NaN where its
-        # bracket weighs it 0, silently, and ends the run below
-        finite = all(map(math.isfinite, rec.tau))
-        with _NO_ERRSTATE if finite else np.errstate(invalid="ignore"):
-            inputs = blend(trace.tau_cmd, k + 1, index[p], take[p], weight[p], before[p],
-                           after[p]).tolist()
-        rows += y
-        rows += desired[0]
-        rows += inputs[0][:n]
-        rows.append(rec.c_hat)
-        rows.append(rec.s_norm)
-        if not (finite and math.isfinite(rec.c_hat)):
-            # the command or the adaptation overflowed (a diverging error's
-            # ||s||): no input follows from it, or no law runs on this gain,
-            # so the run diverges at this period
-            _write_rows(trace, k0, rows)
-            raise SimulationDiverged(t_k, trace.head(k + 1, k * steps_per_control + 1))
-        if k == k1 - 1:
-            _write_rows(trace, k0, rows)
-            if k == n_rows - 1:
-                break
-
+        # per period, the reference triple at its stamp
+        reference = list(zip(*(x.tolist() for x in trajectory(stamps[k0:k1]))))
+        rows = []  # the block's trace rows, flat, written at its end
         if fine is not None:
-            states = []  # the fine grid's rows of the period, one per step
-            append = states.append
-        y, m = rk4_period(y, dt, inputs, instants[p], values[p], append)
-        del inputs  # gone before the next period's blend lists its own
-        j = k * steps_per_control + 1  # the fine row after the period's first step
-        if fine is not None and m:
-            block = np.array(states)
-            fine.t[j:j + m] = stage_t[p, :m, 2]
-            fine.q[j:j + m] = block[:, :n]
-            fine.q_dot[j:j + m] = block[:, n:]
+            fine_rows, cmd = [], [] if law.auxiliary else None
+        y, j, m = block(y, k0, n_rows - 1, sc.dt_control, dt, trace.tau_cmd,
+                        list(zip(index, take, weight, before, after)), reference, instants,
+                        values, shared, rows, fine_rows, cmd)
+        _write_rows(trace, k0, rows)
+        if fine is not None:
+            _write_fine(fine, k0 * steps_per_control + 1, stage_t, fine_rows, cmd, k0)
         if y is None:
-            _write_rows(trace, k0, rows)
-            raise SimulationDiverged(float(stage_t[p, m, 2]), trace.head(k + 1, j + m))
-
+            k = k0 + j
+            if m < 0:
+                # the command or the adaptation overflowed (a diverging
+                # error's ||s||): no input follows from it, or no law runs
+                # on this gain, so the run diverges at this period
+                raise SimulationDiverged(k * sc.dt_control,
+                                         trace.head(k + 1, k * steps_per_control + 1))
+            raise SimulationDiverged(float(stage_t[j, m, 2]),
+                                     trace.head(k + 1, k * steps_per_control + 1 + m))
     return trace
+
+
+def _write_fine(fine: FineRecord, start: int, stage_t: np.ndarray, states: list,
+                cmd: list | None, k0: int) -> None:
+    """Write a block's fine grid, states (the 2n floats q, q_dot after each
+    of its steps, one step after another), into fine from row start on,
+    each row's t the end instant of its step in stage_t; and cmd (u and du
+    of one period after another, n each), unless None, into the per-command
+    records from row k0 on."""
+    n = fine.q.shape[1]
+    block = np.array(states).reshape(-1, 2 * n)
+    end = start + len(block)
+    fine.t[start:end] = stage_t[:, :, 2].ravel()[:len(block)]
+    fine.q[start:end] = block[:, :n]
+    fine.q_dot[start:end] = block[:, n:]
+    if cmd is not None:
+        block = np.array(cmd).reshape(-1, 2 * n)
+        fine.cmd_u[k0:k0 + len(block)] = block[:, :n]
+        fine.cmd_du[k0:k0 + len(block)] = block[:, n:]
 
 
 def _write_rows(trace: Trace, k0: int, rows: list) -> None:

@@ -284,9 +284,10 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
     gain decreasing, gain at its floor. Negative intermediate factors are
     clamped to zero: a negative factor means the decrease condition already
     holds for every error, so zero is the valid conservative value. A bound
-    whose terms overflow the float range (c or theta_norm near 1e308) is
-    +inf. A delay whose h E overflows is too large for the bound, as is one
-    with lambda_min(Q - h E) <= 0.
+    whose terms overflow the float range (c, c_hat or theta_norm near
+    1e308) is +inf, also where two overflowed terms meet in inf - inf or
+    inf / inf. A delay whose h E overflows is too large for the bound, as
+    is one with lambda_min(Q - h E) <= 0.
     """
     if case_id not in (1, 2, 3, 4, 5, 6):
         raise ValueError("case_id must be 1..6")
@@ -313,23 +314,31 @@ def ultimate_bound(case_id: int, gains: GainSet, bp: BoundParams) -> float:
         mu = theta * bp_norm / lam
         return mu + math.sqrt(2.0 * bp.Gamma / lam + mu * mu)
     if case_id == 2:
-        mu = max(0.0, 2.0 * c - (alpha + 1.0) * c_hat + theta) * bp_norm / lam
+        mu = _positive_part(2.0 * c - (alpha + 1.0) * c_hat + theta) * bp_norm / lam
         return mu + math.sqrt(2.0 * bp.Gamma / lam + mu * mu)
     if case_id == 3:
-        mu = max(0.0, c - alpha * c_hat + theta) / lam
+        mu = _positive_part(c - alpha * c_hat + theta) / lam
         return mu + math.sqrt(2.0 * (bp.Gamma + gam * gam) / lam + mu * mu)
     if case_id == 4:
         num, x = 4.0 * alpha * bp.Gamma * c_hat, c_hat + theta
     elif case_id == 5:
-        num, x = 4.0 * alpha * bp.Gamma * c_hat, max(0.0, 2.0 * c - c_hat + theta)
+        num, x = 4.0 * alpha * bp.Gamma * c_hat, _positive_part(2.0 * c - c_hat + theta)
     else:
         num, x = 4.0 * alpha * c_hat * (bp.Gamma + gam * gam), c + theta
     # a float's ** 2 raises OverflowError where * gives inf; ** stays, as x * x
     # rounds some squares otherwise
     try:
-        return math.sqrt((num + eps * x ** 2) / (2.0 * alpha * c_hat * lam))
+        bound = math.sqrt((num + eps * x ** 2) / (2.0 * alpha * c_hat * lam))
     except OverflowError:
         return math.inf
+    # NaN is inf / inf: the numerator and the denominator both overflowed
+    return bound if bound == bound else math.inf
+
+
+def _positive_part(x: float) -> float:
+    """max(0, x) of a bound's factor, +inf where x is NaN: an inf - inf of
+    two terms that overflowed, whose sign the floats no longer hold."""
+    return x if x > 0.0 else 0.0 if x <= 0.0 else math.inf
 
 
 def reaching_time(e0_norm: float, bound: float, c0: float) -> float:

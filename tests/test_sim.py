@@ -4,14 +4,15 @@ import math
 import tracemalloc
 import warnings
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arolc import sim
-from arolc.controllers import ArolcConfig, PconConfig, uncertainty_residual
+from arolc import controllers, sim
+from arolc.controllers import ArolcConfig, PconConfig, ZeroController, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, blend, delay_at, interpolate
 from arolc.plants import (
     PayloadSchedule,
@@ -30,9 +31,9 @@ from arolc.sim import (
     Scenario,
     SimulationDiverged,
     Trace,
-    _compile_step,
+    _bind_block,
+    _compile_block,
     _plan_periods,
-    _rk4_period,
     error_dynamics_residual,
     simulate,
     trace_to_csv,
@@ -40,7 +41,7 @@ from arolc.sim import (
 from arolc.stability import GainSet
 from arolc.trajectories import CircleTrajectory, SinusoidTrajectory
 
-from coupled_plant import coupled_plant
+from coupled_plant import CoupledPlant, coupled_plant
 from sampled_data import point_mass_states
 
 ZERO_TRAJ = SinusoidTrajectory(amplitude=(1e-12,), frequency=(1.0,))
@@ -372,6 +373,34 @@ def ndarray_rk4(accel, instants, y, dt, inputs):
     return y + (dt / 6) * (((k1 + 2 * k2) + 2 * k3) + k4)
 
 
+def zero_law(n):
+    """The zero controller's law for n coordinates."""
+    return ZeroController(SimpleNamespace(plant=SimpleNamespace(dim=n)), None).kernel()
+
+
+def _rk4_period(kernel, n):
+    """The RK4 steps of one control period of the simulator's block
+    (``sim._bind_block``), run under the zero law with the blend handed the
+    given inputs in place of the planned lookups: period(y, dt, inputs,
+    instants, values, append) advances the 2n floats y one step per row of
+    inputs (one flat row of 3n floats per step), row i of instants and
+    values being step i's instants and schedule values, and hands append,
+    if not None, the state after each step. Returns (y, m): the state after
+    the m steps the period completed, y None where a step diverged."""
+    def period(y, dt, inputs, instants, values, append):
+        block = _bind_block(kernel, zero_law(n), n,
+                            blend=lambda *plan: SimpleNamespace(tolist=lambda: inputs))
+        states = [] if append is not None else None
+        end, _, m = block(tuple(y), 0, -1, len(inputs) * dt, dt, np.zeros((1, n)),
+                          [(None,) * 5], [([0.0] * n,) * 3], [instants], [values], None, [],
+                          states, None)
+        for i in range(0, len(states or ()), 2 * n):
+            append(tuple(states[i:i + 2 * n]))
+        return end, m
+
+    return period
+
+
 def one_step(kernel, instants, y, dt, inputs):
     """One RK4 step from y through the period of kernel, handed as simulate
     hands them its inputs at the step's instants as one flat row, the
@@ -443,23 +472,27 @@ class TestUnrolledStep:
             self.assert_matches_reference(plant, t, dt, rng)
 
     def test_built_once_per_dimension(self):
-        # compiled once per (kernel, n); a later run binds its constants
+        # compiled once per (kernel, law, n); a later run binds its constants
+        def key(kernel, n):
+            law = zero_law(n)
+            return (kernel.source, tuple(kernel.constants), law.source, tuple(law.constants),
+                    tuple(law.state), law.auxiliary, n)
+
         arm = two_link_plant(TwoLinkParams()).kernel()
-        key = (arm.source, tuple(arm.constants))
-        assert _compile_step(*key, 2) is _compile_step(*key, 2)
-        assert _compile_step(*key, 2) is not _compile_step(*key, 3)
+        assert _compile_block(*key(arm, 2)) is _compile_block(*key(arm, 2))
+        assert _compile_block(*key(arm, 2)) is not _compile_block(*key(arm, 3))
         robot = reduced_wmr_dynamics(WmrParams()).kernel()
-        assert _compile_step(*key, 2) is not _compile_step(robot.source,
-                                                            tuple(robot.constants), 2)
+        assert _compile_block(*key(arm, 2)) is not _compile_block(*key(robot, 2))
+
         def sc():
             return free_scenario(
                 plant=two_link_plant(TwoLinkParams(viscous=0.1)), duration=0.05,
                 trajectory=SinusoidTrajectory(amplitude=(1e-12, 1e-12), frequency=(1.0, 1.0)))
 
         simulate(sc())
-        compiled = _compile_step.cache_info().misses
+        compiled = _compile_block.cache_info().misses
         simulate(sc())
-        assert _compile_step.cache_info().misses == compiled
+        assert _compile_block.cache_info().misses == compiled
 
     @pytest.mark.parametrize("make", [
         lambda: two_link_plant(TwoLinkParams(viscous=0.3), disturbance_amp=0.5),
@@ -570,22 +603,35 @@ class TestPlannedSchedule:
         # checks)
         sc = TestPinnedTraces.shipped("wmr_s1_arolc", "26.0")
         plant = sc.plant
+        # the values of each period that steps (all but the last row's): a
+        # block whose instants all share one value is handed that value
+        # alone, the others each stage's
         seen = []
-        compile_period = sim._rk4_period
+        shared_blocks = []
+        bind_block = sim._bind_block
 
-        def recording(kernel, n):
-            period = compile_period(kernel, n)
+        def recording(kernel, law, n):
+            block = bind_block(kernel, law, n)
 
-            def rk4_period(y, dt, inputs, instants, values, append):
-                assert instants is None and len(values) == len(inputs)
-                seen.append(values)
-                return period(y, dt, inputs, instants, values, append)
+            def recorded(y, k0, stop, dt_control, dt, tau_cmd, plans, reference, instants,
+                         values, shared, *records):
+                assert instants is None and (values is None) != (shared is None)
+                if shared is not None:
+                    shared_blocks.append(k0)
+                    values = [[[shared] * 3] * 10] * len(plans)
+                assert len(values) == len(plans) and all(len(rows) == 10 for rows in values)
+                seen.extend(values[:stop - k0])
+                return block(y, k0, stop, dt_control, dt, tau_cmd, plans, reference, instants,
+                             None if shared is not None else values, shared, *records)
 
-            return rk4_period
+            return recorded
 
-        monkeypatch.setattr(sim, "_rk4_period", recording)
+        monkeypatch.setattr(sim, "_bind_block", recording)
         simulate(sc)
         assert len(seen) == 2_600 and sum(map(len, seen)) == 26_000
+        # the blocks through a switch at 5, 10, 15, 20 and 25 s take each
+        # stage's value, and the rest the block's one value
+        assert len(shared_blocks) == 39 - 5
         read = set()
         for k, values in enumerate(seen):
             for i, rows in enumerate(values):
@@ -594,6 +640,33 @@ class TestPlannedSchedule:
                                 for x in (t, t + sc.dt / 2, t + sc.dt)]
                 read.update(rows)
         assert read == set(plant._phases)
+
+
+    def test_shared_value_steps_as_each_stage_value(self):
+        # a kernel that reads p itself, not through a row, and t: the
+        # coupled plant, its load switching every 2 s. Given windows, its
+        # blocks inside one 2 s window take the schedule's one value, those
+        # through a switch each stage's; the run is byte-identical to the
+        # one whose every block takes each stage's value
+        class Windowed(CoupledPlant):
+            def _window(self, t):
+                return t // 2.0
+
+        def run(cls):
+            plant = cls(0.2, True, CoupledPlant(), disturbance_amp=0.05)
+            return simulate(free_scenario(
+                plant=plant, delay=DelayProfile("S1"), duration=4.5,
+                controller=ArolcConfig(GainSet.identity(3)),
+                trajectory=SinusoidTrajectory(amplitude=(0.1,) * 3, frequency=(1.0,) * 3)),
+                diagnostics=True)
+
+        shared = Windowed(0.2, True).kernel().shared
+        assert shared(np.array([2.1, 3.9])) == 1.5 and shared(np.array([1.9, 2.1])) is None
+        each, windowed = run(CoupledPlant), run(Windowed)
+        for name in ("q", "q_dot", "tau_cmd", "tau_applied", "c_hat"):
+            assert getattr(each, name).tobytes() == getattr(windowed, name).tobytes()
+        for name in ("t", "q", "q_dot", "cmd_u", "cmd_du"):
+            assert getattr(each.fine, name).tobytes() == getattr(windowed.fine, name).tobytes()
 
 
 class TestBlockSchedule:
@@ -762,11 +835,100 @@ class TestDivergenceGuard:
             assert np.array_equal(getattr(partial.fine, name)[:57], getattr(short.fine, name))
 
 
+def _arm_overflow(duration):
+    """A featherweight arm (1e-150 kg links) with stiff friction: a stage
+    rate overflows once the delayed torque arrives, at 0.12 s, and the next
+    stage's cos rejects the infinite position."""
+    return Scenario(
+        plant=two_link_plant(TwoLinkParams(m1=1e-150, m2=1e-150, I1=0.0, I2=0.0,
+                                           viscous=1e10, gravity=0.0)),
+        trajectory=SinusoidTrajectory(), delay=DelayProfile("S4"),
+        controller=ArolcConfig(GainSet.identity(2)), duration=duration,
+        dt=1e-3, dt_control=1e-2, qdot0=np.zeros(2))
+
+
+def _gain_overflow():
+    """A reference of amplitude 1e155: ||s|| overflows and the second
+    period's adaptation drives c_hat to inf."""
+    return Scenario(
+        plant=two_link_plant(TwoLinkParams()),
+        trajectory=SinusoidTrajectory(amplitude=(1e155, 1e155), frequency=(1.0, 1.0)),
+        delay=DelayProfile("S4"), controller=ArolcConfig(GainSet.identity(2)),
+        duration=1.0, dt=1e-3, dt_control=1e-2)
+
+
+class TestCallPath:
+    """A run whose law is wrapped (controllers.arolc_step or pcon_step
+    replaced on the module) and whose plant has an accel set on the
+    instance, as a tracer instruments both, calls them: one law call per
+    period and four accel calls per RK4 step, with every Trace and
+    FineRecord array byte-identical to the run that splices both."""
+
+    RUNS = {
+        "wmr_s1_arolc": lambda: TestPinnedTraces.shipped("wmr_s1_arolc", "1.0"),
+        "wmr_s1_pcon": lambda: TestPinnedTraces.shipped("wmr_s1_pcon", "1.0"),
+        "wmr_s4_pconf": lambda: TestPinnedTraces.shipped("wmr_s4_pconf", "1.0"),
+        "wmr_none": lambda: dataclasses.replace(
+            TestPinnedTraces.shipped("wmr_s1_arolc", "1.0"), controller=None),
+        "two_link_s1_arolc": lambda: TestPinnedTraces.shipped("two_link_s1_arolc", "0.3"),
+        "arm-overflow": lambda: _arm_overflow(0.5),
+        "gain-overflow": _gain_overflow,
+    }
+
+    @staticmethod
+    def run(sc, diagnostics):
+        """The trace of sc, or the partial trace where it diverges."""
+        try:
+            return simulate(sc, diagnostics=diagnostics)
+        except SimulationDiverged as exc:
+            return exc.partial_trace
+
+    @pytest.mark.parametrize("diagnostics", [True, False], ids=["diagnostics", "plain"])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_wrapped_run_is_byte_identical(self, name, diagnostics, monkeypatch):
+        spliced = self.run(self.RUNS[name](), diagnostics)
+        laws, stages = [], []
+        for law in ("arolc_step", "pcon_step"):
+            def counted(*args, inner=getattr(controllers, law)):
+                laws.append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(controllers, law, counted)
+        sc = self.RUNS[name]()
+        accel = sc.plant.accel
+
+        def counted_accel(*args):
+            stages.append(args)
+            return accel(*args)
+
+        sc.plant.accel = counted_accel
+        called = self.run(sc, diagnostics)
+        for f in dataclasses.fields(Trace):
+            if f.name != "fine":
+                a, b = getattr(spliced, f.name), getattr(called, f.name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        assert (spliced.fine is None) == (called.fine is None) == (not diagnostics)
+        for f in dataclasses.fields(sim.FineRecord) if diagnostics else ():
+            a, b = getattr(spliced.fine, f.name), getattr(called.fine, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        steps = round(sc.dt_control / sc.dt)
+        assert len(laws) == (len(called) if sc.controller is not None else 0)
+        if name == "arm-overflow":
+            # the step that diverged called accel at its stages up to the one
+            # whose position math rejects, in the last row's period
+            done, last = (len(called.fine.t) - 1, 1) if diagnostics else ((len(called) - 1)
+                                                                             * steps, steps)
+            assert 4 * done < len(stages) <= 4 * (done + last)
+        else:
+            assert len(stages) == 4 * (len(called) - 1) * steps
+
+
 class TestPinnedTraces:
     """sha256 over every Trace array of the first 2 s of four shipped robot
-    runs, of the first 10.5 s of a fifth (through two payload switches) and
-    of the first 1 s of the shipped two-link run (with its fine-grid q and
-    q_dot), and over that run's error-dynamics residual.
+    runs, of the first 10.5 s of a fifth (through two payload switches), of
+    the first 1 s of the shipped two-link run (with its fine-grid q and
+    q_dot) and of a 2 s robot run through a payload switch (with every
+    FineRecord array), and over the two-link run's error-dynamics residual.
     The digests pin the simulator's floating-point
     results (recorded with numpy 2 / OpenBLAS on x86-64), so a change that
     moves one bit of a trace fails here. The plants' accel and both control
@@ -792,6 +954,11 @@ class TestPinnedTraces:
     SWITCHES_DIGEST = "511886e2a6fd41ce8c1d96ce5db7973c73cf0702c723ef6d62e9aba8b47bd2ad"
     TWO_LINK_RESIDUAL_DIGEST = (
         "cbdd88e8440bd2389bdbd9296ff98c7ec874e4966cb5e36167dc5d44f1e3957b")
+    # every Trace array and every FineRecord array (t, q, q_dot, cmd_u and
+    # cmd_du) of the first 2 s of wmr_s1_arolc with diagnostics, its payload
+    # on for the first 1 s only, so that the run switches at 1 s: the
+    # robot's fine grid, 10 steps per period, and its per-command records
+    ROBOT_FINE_DIGEST = "73133d013d352f0f324a7524c1a0514e9672a797baa067110a363f6f4cf8d6c5"
     # runs whose kernel reads t, which no shipped scenario has: the shipped
     # robot and arm scenarios on the disturbed plants of TestUnrolledStep,
     # the robot for 6 s through its payload switches at 3 s and 5 s, the
@@ -850,6 +1017,18 @@ class TestPinnedTraces:
     def test_two_link_fine_grid_digest(self):
         trace = simulate(self.shipped("two_link_s1_arolc", "1.0"), diagnostics=True)
         assert self.digest(trace) == self.TWO_LINK_FINE_DIGEST
+
+    def test_robot_fine_grid_digest(self):
+        config = load_config("scenarios/wmr_s1_arolc.ini")
+        apply_override(config, "sim.duration", "2.0")
+        apply_override(config, "payload.period_on", "1.0")
+        trace = simulate(build_scenario(config), diagnostics=True)
+        digest = hashlib.sha256()
+        arrays = [getattr(trace, f.name) for f in dataclasses.fields(trace) if f.name != "fine"]
+        arrays += [getattr(trace.fine, f.name) for f in dataclasses.fields(trace.fine)]
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.ROBOT_FINE_DIGEST
 
     @pytest.mark.parametrize("name", sorted(DISTURBED_RUNS))
     def test_disturbed_digest(self, name):
@@ -1309,23 +1488,15 @@ class TestWarningsAndErrors:
         # next stage position is infinite, whose cos math rejects with
         # ValueError. The run ends in SimulationDiverged, with no warning,
         # and its partial trace is the head of the run cut before it
-        def scenario(duration):
-            return Scenario(
-                plant=two_link_plant(TwoLinkParams(m1=1e-150, m2=1e-150, I1=0.0, I2=0.0,
-                                                   viscous=1e10, gravity=0.0)),
-                trajectory=SinusoidTrajectory(), delay=DelayProfile("S4"),
-                controller=ArolcConfig(GainSet.identity(2)), duration=duration,
-                dt=1e-3, dt_control=1e-2, qdot0=np.zeros(2))
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationDiverged) as excinfo:
-                simulate(scenario(0.5), diagnostics=True)
+                simulate(_arm_overflow(0.5), diagnostics=True)
         exc = excinfo.value
         assert exc.time == pytest.approx(0.121, abs=1e-12)
         partial = exc.partial_trace
         assert len(partial) == 13 and len(partial.fine.t) == 121
-        full = simulate(scenario(0.12), diagnostics=True)
+        full = simulate(_arm_overflow(0.12), diagnostics=True)
         for f in dataclasses.fields(partial):
             if f.name != "fine":
                 assert np.array_equal(getattr(partial, f.name), getattr(full, f.name))
@@ -1396,13 +1567,8 @@ class TestTraceCsv:
 
     def test_diverged_partial_trace_bytes_match_savetxt(self, tmp_path):
         # the rows up to the period whose adaptation drove c_hat to inf
-        sc = Scenario(
-            plant=two_link_plant(TwoLinkParams()),
-            trajectory=SinusoidTrajectory(amplitude=(1e155, 1e155), frequency=(1.0, 1.0)),
-            delay=DelayProfile("S4"), controller=ArolcConfig(GainSet.identity(2)),
-            duration=1.0, dt=1e-3, dt_control=1e-2)
         with pytest.raises(SimulationDiverged) as excinfo:
-            simulate(sc)
+            simulate(_gain_overflow())
         partial = excinfo.value.partial_trace
         assert partial.c_hat[-1] == math.inf
         self.assert_bytes_match_savetxt(partial, tmp_path)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -608,6 +609,20 @@ class TestUltimateBound:
         want = math.inf if field in self.READS[case] else ultimate_bound(
             case, gains, BoundParams(h=0.05))
         assert got == want
+
+    # c_hat near the float limit: inf / inf in case 6 and, with c too, in
+    # case 5; 2c - (alpha + 1) c_hat = 2e307 > 0 in case 2, whose inf - inf
+    # max(0.0, nan) read as 0.0
+    @pytest.mark.parametrize("case, fields", [
+        (6, dict(c_hat=1e308)),
+        (5, dict(c=1e308, c_hat=6e307, Gamma=0.5)),
+        (2, dict(c=1e308, c_hat=6e307, alpha=2.0)),
+    ], ids=["case-6", "case-5", "case-2"])
+    def test_overflowing_c_hat_gives_inf(self, case, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ultimate_bound(case, GainSet.identity(2),
+                                  BoundParams(h=0.05, **fields)) == math.inf
 
 
 class TestReachingTime:
