@@ -94,9 +94,9 @@ def delay_at(profile: DelayProfile, t):
 
 
 def max_delay(profile: DelayProfile) -> float:
-    """Supremum of h(t) over all t."""
-    a, b, _ = profile.coefficients
-    return a + b
+    """Supremum of h(t) over all t: a + b, or a where omega = 0 holds h at a."""
+    a, b, omega = profile.coefficients
+    return a + b if omega else a
 
 
 class Plan(NamedTuple):

@@ -204,10 +204,12 @@ class Kernel(NamedTuple):
     assigns those names nowhere else: the simulator's period runs that
     line only when a stage's p is not the object it last unpacked.
 
-    shared, if not None, maps an ndarray of times to the value that
-    schedule gives at every one of them, where it finds one cheaply, and
-    to None otherwise (a value is never None): the simulator's block then
-    unpacks that value once and hands its stages no values.
+    shared, if not None, maps the earliest and the latest of a set of times
+    (floats) to the value that schedule gives at every time between them,
+    where it finds one cheaply, and to None otherwise (a value is never
+    None): the simulator's block, whose first and last stage instants are
+    its extremes, then unpacks that value once and hands its stages no
+    values.
     """
 
     source: str
@@ -327,23 +329,21 @@ class _KernelPlant(PlantModel):
         where they share one."""
         if not isinstance(t, np.ndarray):
             return self._phases[self._phase(t)]
-        value = self._shared(t)
+        value = self._shared(t.min().item(), t.max().item()) if t.size else None
         if value is None:
             return self._phase_arrays[0][self._phase(t)].tolist()
         for size in reversed(t.shape):
             value = [value] * size
         return value
 
-    def _shared(self, t: np.ndarray):
-        """The value of the phase that every time of the ndarray t is in,
-        where the earliest and the latest of them share a window
-        (``_window``), and so all of them do: the phase is then found at the
-        earliest alone. None where they do not, or t is empty."""
-        if t.size:
-            first, last = t.min().item(), t.max().item()
-            window = self._window(first)
-            if window is not None and window == self._window(last):
-                return self._phases[self._phase(first)]
+    def _shared(self, first: float, last: float):
+        """The value of the phase that every time from first through last is
+        in, where the two share a window (``_window``), and so all between
+        them do: the phase is then found at first alone. None where they do
+        not."""
+        window = self._window(first)
+        if window is not None and window == self._window(last):
+            return self._phases[self._phase(first)]
         return None
 
     def _window(self, t: float):

@@ -19,14 +19,24 @@ the stage instants, the schedule's values there and the lookups of a block
 of control periods at once (the schedule on the block's instants, found
 at its first and last instant alone where they share a window of the
 schedule, and ``delays.plan`` among the stamps that bracket the block's
-lookups, one row per period), and once per period blends the pushed
-commands (``delays.blend`` on the tau_cmd rows 0..k) into the applied
-input of the coming period, one flat row of 3n floats per step: its input
-at t, t + dt/2 and t + dt. Each step
-reads its row, and its instants and schedule values where its kernel reads
-them. This is exact: every stage gets, bit for bit, the schedule's value
-at its own instant and the value ``delays.interpolate`` on the pushed
-commands returns there.
+lookups, one row per period). The plan also cuts the block into groups:
+a group runs from a period k_g through every following period whose
+lookups read no command after k_g (all of them at or before stamp k_g,
+which a delay longer than a control period makes true for the next few
+periods), so that once command k_g is pushed, the applied input of the
+whole group is fixed. The block blends the pushed commands
+(``delays.blend`` on the tau_cmd rows 0..k_g) into that input once per
+group, right after the law of period k_g, one flat row of 3n floats per
+step of each of its periods: the step's input at t, t + dt/2 and t + dt.
+Each step reads its row, and its
+instants and schedule values where its kernel reads them. This is exact:
+every stage gets, bit for bit, the schedule's value at its own instant and
+the value ``delays.interpolate`` on the commands pushed by its own period
+returns there, since a later period of a group reads the same brackets,
+weights and command rows, through the same float operations, whether the
+blend runs after its own command or after k_g's. Where a period's lookups
+reach its own command (no delay, or a delay shorter than the control
+period) its group is that period alone.
 
 Between control instants the integrator state is a tuple of 2n Python
 floats, (q, q_dot): for vectors of 2 to 12 entries per-call numpy overhead
@@ -36,7 +46,8 @@ and the plant's forward dynamics inline: each closed-form plant states its
 M, N and solve once, as source, and its kernel is the three together
 (``plants.Kernel``); each controller states its period as source too, its
 law (``controllers.Law``). ``_compile_block`` splices the law at the start
-of each period, then, after the period's blend, the plant's kernel at each
+of each period, then, after the blend of the period's group (where the
+period is the group's first), the plant's kernel at each
 of the four stages of each RK4 step, with one local per entry, the state
 and the law's state (the adaptive gain, the last sliding variable and its
 time) kept in locals from period to period and from block to block, and
@@ -133,9 +144,11 @@ _DIVERGENCE_LIMIT = 1e8
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
 # the plan of the period's block (stage instants, delays, indices, take
 # positions and weights, plus their temporaries while it is built), the
-# blended table and the list copies the steps read: the table's flat rows,
-# and the stage instants and the schedule's values where the kernel reads
-# them; its peak is at most _step_words(n) per RK4 step.
+# blended table of the period's group (a block's periods at most, the
+# period alone where one period fills a block) and the list copies the
+# steps read: the table's flat rows, and the stage instants and the
+# schedule's values where the kernel reads them; its peak is at most
+# _step_words(n) per RK4 step.
 _MAX_ARRAY_BYTES = 1 << 28
 # Instants per block: of error_dynamics_residual's fine grid, and of the RK4
 # stage instants simulate plans at once (whole control periods, one at
@@ -299,24 +312,34 @@ def _n_periods(sc: Scenario) -> int:
 
 def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
-    command stamps of the whole run. Returns the stage instants, shape
-    (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4 steps
-    t = t_k + i dt, which the RK4 step evaluates the plant at; h at those
-    instants; the plan's arrays, one row per period (take and weight of
-    shape (2, steps, 3n), one flat row per step); and per period whether
-    any lookup falls before the first command, and whether any falls at or
-    after the period's own command (the flags of ``blend``). Commands have
-    n entries."""
+    command stamps of the whole run, cut into groups. Returns the stage
+    instants, shape (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4
+    steps t = t_k + i dt, which the RK4 step evaluates the plant at; h at
+    those instants; and one entry per period: for the first period k_g of
+    a group of G periods, the ``blend`` arguments after the first
+    m = k_g + 1 commands at the group's lookups (index; take and weight, of
+    shape (2, G, steps, 3n), one flat row per step; whether any lookup
+    falls before the first command, and whether any falls at or after
+    command k_g), None for the others. A group is the longest run of
+    periods from k_g whose later periods read no command after k_g (every
+    index at most k_g), so its blend gives each of them, bit for bit, the
+    rows of the blend after their own command. Commands have n entries."""
     t = stamps[k0:k1, None] + np.arange(steps) * dt
     t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
     h = delay_at(profile, t)
     index, take, weight = plan(stamps, t - h, n)
-    index = index.reshape(k1 - k0, -1)
-    before = (index == 0).any(axis=1).tolist()
-    after = (index > np.arange(k0, k1)[:, None]).any(axis=1).tolist()
-    take, weight = (np.ascontiguousarray(a.reshape(2, k1 - k0, steps, -1).swapaxes(0, 1))
-                    for a in (take, weight))
-    return t, h, (index, take, weight), before, after
+    periods = k1 - k0
+    index = index.reshape(periods, -1)
+    take, weight = (a.reshape(2, periods, steps, -1) for a in (take, weight))
+    reach, low = index.max(axis=1).tolist(), index.min(axis=1).tolist()
+    plans = [None] * periods
+    first = 0
+    for p in range(1, periods + 1):
+        if p == periods or reach[p] > k0 + first:
+            plans[first] = (index[first:p], take[:, first:p], weight[:, first:p],
+                            0 in low[first:p], reach[first] > k0 + first)
+            first = p
+    return t, h, plans
 
 
 # A kernel's first line where it unpacks p alone (a plant's _ROW)
@@ -354,27 +377,30 @@ def _compile_block(source: str, names: tuple, law: str, law_names: tuple, carrie
     periods k0, k0 + 1, ... from the 2n floats y = (q, q_dot), one per entry
     of plans, keeping the state and the law's state in locals. Period k runs
     the law at t_k = k dt_control on the state and reference[k - k0] (the
-    triple (qd, qd_dot, qd_ddot) of lists), writes the command to tau_cmd
-    row k (through a flat view of its rows), and blends the applied input of
-    the period (``delays.blend`` on tau_cmd rows 0..k and the plan's (index,
-    take, weight, before, after)), one flat row of 3n floats per RK4 step:
-    its input at t, t + dt/2 and t + dt. It extends rows by the trace row
-    (q, q_dot, qd, the input at t_k, c_hat, s_norm) and cmd, unless None, by
-    the law's u and du, then, unless k is stop (the run's last row), runs
-    one RK4 step per row of the input at step i's instants (instants[k -
-    k0][i], read only where the kernel reads t) and schedule values
-    (values[k - k0][i], read only where it reads p; where shared is not
+    triple (qd, qd_dot, qd_ddot) of lists) and writes the command to tau_cmd
+    row k (through a flat view of its rows). Where plans[k - k0] is not None
+    the period is the first of a group (``_plan_periods``), and it blends
+    the applied input of the group's periods (``delays.blend`` on tau_cmd
+    rows 0..k and that entry's arguments), once for the group; the period
+    then takes the group's next rows, one flat row of 3n floats per RK4
+    step: its input at t, t + dt/2 and t + dt. It extends rows by the trace
+    row (q, q_dot, qd, the input at t_k, c_hat, s_norm) and cmd, unless
+    None, by the law's u and du, then, unless k is stop (the run's last
+    row), runs one RK4 step per row of the input at step i's instants
+    (instants[k - k0][i], read only where the kernel reads t) and schedule
+    values (values[k - k0][i], read only where it reads p; where shared is not
     None, the one value of every stage of the block, and values is not
     read), extending fine, unless None, by the state after each step.
 
     Returns (y, j, m): the state after the block and the last period's
     offset j from k0 and its m steps. A period whose command or c_hat is not
-    finite ends the block with y None and m = -1, after its row (its
-    applied input blended where NaN reads as 0 without a warning); a step
-    that diverges ends it with y None and m the index of that step: an
-    entry of its new state is not within +-_DIVERGENCE_LIMIT (NaN
-    included), or a stage raises ValueError, as math's cos and sin do on
-    the infinite position of an overflowing stage.
+    finite ends the block with y None and m = -1, after its row (where it
+    is a group's first, its group's input blended where NaN reads as 0
+    without a warning); a step that diverges ends it with y None and m the
+    index of that step: an entry of its new state is not within
+    +-_DIVERGENCE_LIMIT (NaN included), or a stage raises ValueError, as
+    math's cos and sin do on the infinite position of an overflowing
+    stage.
 
     The step runs the kernel once per stage, on stage names of its own; a
     first kernel line that only unpacks p (``plants.Kernel``) runs where
@@ -448,10 +474,9 @@ def _compile_block(source: str, names: tuple, law: str, law_names: tuple, carrie
     tau, u, du = (_entries(f"_{prefix}", n) for prefix in ("tau", "u", "du"))
     law_state = [_law_local(name) for name in carried]
     finite = " and ".join(f"-_inf < _tau{i} < _inf" for i in range(n))
-    blend = "_blend(_tau_cmd, _k + 1, _index, _take, _weight, _before, _after).tolist()"
+    blend = "_group = iter(_blend(_tau_cmd, _k + 1, *_plan).tolist())"
     periods = ["_reference", "_plans"] + ["_instants"] * reads_t
-    period_targets = ", ".join(["_desired", "(_index, _take, _weight, _before, _after)"]
-                               + ["_period_instants"] * reads_t)
+    period_targets = ", ".join(["_desired", "_plan"] + ["_period_instants"] * reads_t)
     lines = [f"def bind({', '.join([*names, *map(_law_local, law_names), *law_state])}, "
              "_blend, _errstate, _inf):",
              "    def block(_y, _k0, _stop, _dt_control, _dt, _tau_cmd, _plans, _reference, "
@@ -478,15 +503,19 @@ def _compile_block(source: str, names: tuple, law: str, law_names: tuple, carrie
     if auxiliary:
         lines += ["            if _cmd is not None:",
                   f"                _cmd += ({u}{du})"]
-    # a non-finite command (the law overflowed, as for c_hat_init = 1e308)
-    # is NaN where its bracket weighs it 0, silently, and ends the run
+    # a group's first period blends the inputs of all its periods; a
+    # non-finite command (the law overflowed, as for c_hat_init = 1e308) is
+    # NaN there where its bracket weighs it 0, silently, and ends the run
     lines += [f"            if {finite}:",
-              f"                _inputs = {blend}",
               "                _ok = -_inf < _c_hat < _inf",
+              "                if _plan is not None:",
+              f"                    {blend}",
               "            else:",
-              "                with _errstate(invalid='ignore'):",
-              f"                    _inputs = {blend}",
               "                _ok = False",
+              "                if _plan is not None:",
+              "                    with _errstate(invalid='ignore'):",
+              f"                        {blend}",
+              "            _inputs = next(_group)",
               f"            {_entries('_qd', n)}= _desired[0]",
               f"            {_entries('_applied', n)}= _inputs[0][:{n}]",
               f"            _rows += ({state}{_entries('_qd', n)}{_entries('_applied', n)}"
@@ -568,16 +597,18 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
     for k0 in range(0, n_rows, periods_per_block):
         k1 = min(k0 + periods_per_block, n_rows)
-        stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
-            profile, stamps, k0, k1, steps_per_control, dt, n)
+        stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps_per_control,
+                                                dt, n)
         trace.h[k0:k1] = stage_h[:, 0, 0]
         # per period, each step's instants and the schedule's value at each,
         # where the kernel reads them; the schedule's one value instead,
-        # where every instant of the block shares it
+        # where every instant of the block shares it (its first and last
+        # instants are its extremes, as rounding is monotone)
         instants = stage_t.tolist() if reads_time else None
         shared = values = None
         if kernel.schedule is not None:
-            shared = kernel.shared(stage_t) if kernel.shared is not None else None
+            if kernel.shared is not None:
+                shared = kernel.shared(stage_t.item(0), stage_t.item(-1))
             if shared is None:
                 values = kernel.schedule(stage_t)
         # per period, the reference triple at its stamp
@@ -585,9 +616,8 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
         rows = []  # the block's trace rows, flat, written at its end
         if fine is not None:
             fine_rows, cmd = [], [] if law.auxiliary else None
-        y, j, m = block(y, k0, n_rows - 1, sc.dt_control, dt, trace.tau_cmd,
-                        list(zip(index, take, weight, before, after)), reference, instants,
-                        values, shared, rows, fine_rows, cmd)
+        y, j, m = block(y, k0, n_rows - 1, sc.dt_control, dt, trace.tau_cmd, plans,
+                        reference, instants, values, shared, rows, fine_rows, cmd)
         _write_rows(trace, k0, rows)
         if fine is not None:
             _write_fine(fine, k0 * steps_per_control + 1, stage_t, fine_rows, cmd, k0)
@@ -610,15 +640,17 @@ def _write_fine(fine: FineRecord, start: int, stage_t: np.ndarray, states: list,
     of its steps, one step after another), into fine from row start on,
     each row's t the end instant of its step in stage_t; and cmd (u and du
     of one period after another, n each), unless None, into the per-command
-    records from row k0 on."""
+    records from row k0 on. Each list becomes an array through
+    ``np.fromiter``, about a third of ``np.array``'s time on a list of
+    floats."""
     n = fine.q.shape[1]
-    block = np.array(states).reshape(-1, 2 * n)
+    block = np.fromiter(states, float, len(states)).reshape(-1, 2 * n)
     end = start + len(block)
     fine.t[start:end] = stage_t[:, :, 2].ravel()[:len(block)]
     fine.q[start:end] = block[:, :n]
     fine.q_dot[start:end] = block[:, n:]
     if cmd is not None:
-        block = np.array(cmd).reshape(-1, 2 * n)
+        block = np.fromiter(cmd, float, len(cmd)).reshape(-1, 2 * n)
         fine.cmd_u[k0:k0 + len(block)] = block[:, :n]
         fine.cmd_du[k0:k0 + len(block)] = block[:, n:]
 
@@ -628,7 +660,7 @@ def _write_rows(trace: Trace, k0: int, rows: list) -> None:
     c_hat and s_norm of one control period after another, into the trace
     from row k0 on, and their e1."""
     n = trace.n
-    block = np.array(rows).reshape(-1, 4 * n + 2)
+    block = np.fromiter(rows, float, len(rows)).reshape(-1, 4 * n + 2)
     k1 = k0 + len(block)
     for i, name in enumerate(_BLOCK_COLUMNS[:4]):
         getattr(trace, name)[k0:k1] = block[:, i * n:(i + 1) * n]

@@ -112,6 +112,25 @@ class TestBound:
         assert main(["bound", str(path)]) == 0
         assert "feasible: no" in capsys.readouterr().out
 
+    def test_custom_delay_without_frequency_peaks_at_a(self, tmp_path, capsys):
+        # omega = 0 holds h(t) = a + b |sin 0| = a at every t: the peak is a,
+        # so the run is inside the margin, and b, however large, counts for
+        # nothing in bound's peak or in simulate's margin warning
+        text = Path("scenarios/wmr_s1_arolc.ini").read_text()
+        assert text.count("\nkind = S1\n") == 1 and text.count("\nduration = 40.0\n") == 1
+        path = tmp_path / "held.ini"
+        path.write_text(text.replace("\nkind = S1\n", "\nkind = custom\na = 0.01\nb = 0.5\n"
+                                     "omega = 0.0\n")
+                        .replace("\nduration = 40.0\n", "\nduration = 0.3\n"))
+        assert main(["bound", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "peak delay   [s]: 0.010000 (custom)\n" in out and "feasible: yes\n" in out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("name, old, new, named", [
         ("wmr_s1_arolc", "alpha = 2.0", "alpha = abc", "[controller] alpha"),
         ("wmr_s1_arolc", "r = 1.1", "r = abc", "[gains] r"),

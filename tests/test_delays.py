@@ -91,6 +91,13 @@ class TestDelayAt:
             assert (delay_at(DelayProfile(kind), ts) == h).all()
         assert (delay_at(DelayProfile("constant", h0=0.03), ts) == 0.03).all()
 
+    def test_custom_without_frequency_peaks_at_a(self):
+        # omega = 0: h(t) = a + b |sin 0| = a at every t, whatever b
+        profile = DelayProfile("custom", a=0.01, b=0.5, omega=0.0)
+        assert max_delay(profile) == 0.01
+        assert (delay_at(profile, np.linspace(-50.0, 50.0, 101)) == 0.01).all()
+        assert max_delay(DelayProfile("custom", a=0.01, b=0.5, omega=-2.0)) == 0.51
+
     @given(st.sampled_from(KINDS),
            st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
     def test_vector_matches_scalar_calls(self, kind, ts):

@@ -303,33 +303,116 @@ class TestInputTable:
                 assert stage_t[p, i].tolist() == [t, t + dt / 2, t + dt]
 
     # presets; h = 0, where lookups fall at or after the period's own
-    # command; b omega > 1, where t - h(t) is not monotone within a period
+    # command; b omega > 1, where t - h(t) is not monotone within a period;
+    # an integer d, a constant delay of d control periods, whose lookups
+    # land on stamps where dt is binary
     PROFILES = st.one_of(
         st.sampled_from([DelayProfile(kind) for kind in ("S1", "S2", "S3", "S4", "none")]),
         st.just(DelayProfile("constant", h0=0.0)),
         st.builds(lambda a, b, r: DelayProfile("custom", a=a, b=b, omega=r / b),
-                  st.floats(0.0, 0.05), st.floats(0.01, 0.2), st.floats(1.1, 5.0)))
+                  st.floats(0.0, 0.05), st.floats(0.01, 0.2), st.floats(1.1, 5.0)),
+        st.integers(1, 3))
 
     @given(PROFILES, st.integers(2, 40), st.integers(1, 12), st.integers(1, 3),
-           st.sampled_from([1e-3, 2.5e-3, 1.0 / 3.0e3]), st.integers(1, 8), st.data())
+           st.sampled_from([1e-3, 2.5e-3, 1.0 / 3.0e3, 2.0 ** -9]), st.integers(1, 8),
+           st.data())
     def test_planned_blend_matches_interpolate(self, profile, n_rows, steps, n, dt,
                                                per_block, data):
         # every period from the first, so the lookups before the first
-        # command of the delayed profiles are drawn too
+        # command of the delayed profiles are drawn too; each period's rows
+        # are those of its group's blend, after the group's first command
+        if isinstance(profile, int):
+            profile = DelayProfile("constant", h0=profile * steps * dt)
         stamps = np.arange(n_rows) * (steps * dt)
         cmds = np.array(data.draw(st.lists(
             st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
             min_size=n_rows, max_size=n_rows)))
         for k0 in range(0, n_rows, per_block):
             k1 = min(k0 + per_block, n_rows)
-            stage_t, stage_h, (index, take, weight), before, after = _plan_periods(
-                profile, stamps, k0, k1, steps, dt, n)
+            stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps, dt, n)
             assert np.array_equal(stage_h, delay_at(profile, stage_t))
+            assert plans[0] is not None  # a block starts a group
             for p, k in enumerate(range(k0, k1)):
+                if plans[p] is not None:
+                    group, first = blend(cmds, k + 1, *plans[p]), p
                 theta = (stage_t[p] - stage_h[p]).ravel()
                 expected = interpolate(stamps[:k + 1], cmds[:k + 1], theta)
-                table = blend(cmds, k + 1, index[p], take[p], weight[p], before[p], after[p])
+                table = group[p - first]
                 assert np.array_equal(table.reshape(-1, n), expected)
+
+
+class TestBlendGroups:
+    """The block blends once per group of periods whose lookups read no
+    command after the group's first (``sim._plan_periods``), handing each
+    period its rows: one blend per period where each period reads its own
+    command, and a non-finite command inside a group ends the run with the
+    partial trace of a blend per period."""
+
+    @staticmethod
+    def count_blends(sc, monkeypatch):
+        """The trace of a run of sc and the m of each of its blend calls
+        (``_bind_block``'s blend)."""
+        calls = []
+        bind_block = sim._bind_block
+
+        def counting(*args):
+            calls.append(args[1])
+            return blend(*args)
+
+        monkeypatch.setattr(sim, "_bind_block", lambda kernel, law, n: bind_block(
+            kernel, law, n, blend=counting))
+        return simulate(sc), calls
+
+    def test_fixed_delay_blends_once_per_group(self, monkeypatch):
+        # 0.12 s: groups of about 11 periods, and a block's first period
+        # starts one; each blend after its group's first command
+        trace, calls = self.count_blends(TestPinnedTraces.shipped("wmr_s4_arolc", "40.0"),
+                                         monkeypatch)
+        assert len(trace) == 4001 and len(calls) <= 500
+        assert calls[0] == 1 and calls == sorted(set(calls))
+
+    def test_no_delay_blends_every_period(self, monkeypatch):
+        # kind none: every lookup reaches the period's own command
+        config = load_config("scenarios/wmr_s4_arolc.ini")
+        apply_override(config, "sim.duration", "2.0")
+        apply_override(config, "delay.kind", "none")
+        trace, calls = self.count_blends(build_scenario(config), monkeypatch)
+        assert calls == list(range(1, len(trace) + 1))
+
+    # the predictor with a vartheta that makes each command orders of
+    # magnitude larger than the last, before any reaches the arm: a
+    # non-finite command at t (period k) inside the group from period
+    # first, the block's first group under S4 and the second block's under a
+    # constant 1 s delay; sha256 of every Trace and FineRecord array of the
+    # partial trace, recorded with a blend per period
+    NON_FINITE = {
+        "S4": (1e70, DelayProfile("S4"), 0.05, 5, 0,
+               "3e8ec33806686000936dbbd9326c6c57538b4d9973a9fb27366a597dfa09ccb3"),
+        "constant-1s": (2e5, DelayProfile("constant", h0=1.0), 0.74, 74, 68,
+                        "23c74240fb02a63f2aa887611fc839b2baadc28f006d260cf0ed3963e9b94d2c"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE))
+    def test_non_finite_command_inside_a_group(self, name):
+        vartheta, delay, time, k, first, digest = self.NON_FINITE[name]
+        sc = Scenario(plant=two_link_plant(TwoLinkParams()), trajectory=SinusoidTrajectory(),
+                      delay=delay, controller=PconConfig(vartheta=vartheta * np.eye(2)),
+                      duration=1.5, dt=1e-3, dt_control=1e-2)
+        block = sim._BLOCK_INSTANTS // (3 * 10)  # periods of 10 RK4 steps
+        *_, plans = _plan_periods(delay, np.arange(151) * sc.dt_control, first,
+                                  first + block, 10, sc.dt, 2)
+        assert plans[0] is not None and plans[1:k - first + 1] == [None] * (k - first)
+        with pytest.raises(SimulationDiverged) as excinfo:
+            simulate(sc, diagnostics=True)
+        partial = excinfo.value.partial_trace
+        assert excinfo.value.time == time and len(partial) == k + 1
+        assert not np.isfinite(partial.tau_cmd[k]).any() and np.isfinite(partial.q).all()
+        sha = hashlib.sha256()
+        arrays = [getattr(partial, f.name) for f in dataclasses.fields(Trace) if f.name != "fine"]
+        arrays += [getattr(partial.fine, f.name) for f in dataclasses.fields(sim.FineRecord)]
+        for array in arrays:
+            sha.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
 
 
 class _NdarrayAccelPlant(PlantModel):
@@ -380,19 +463,20 @@ def zero_law(n):
 
 def _rk4_period(kernel, n):
     """The RK4 steps of one control period of the simulator's block
-    (``sim._bind_block``), run under the zero law with the blend handed the
-    given inputs in place of the planned lookups: period(y, dt, inputs,
-    instants, values, append) advances the 2n floats y one step per row of
+    (``sim._bind_block``), run under the zero law as a group of its own,
+    whose blend hands the given inputs in place of the planned lookups:
+    period(y, dt, inputs, instants, values, append) advances the 2n floats
+    y one step per row of
     inputs (one flat row of 3n floats per step), row i of instants and
     values being step i's instants and schedule values, and hands append,
     if not None, the state after each step. Returns (y, m): the state after
     the m steps the period completed, y None where a step diverged."""
     def period(y, dt, inputs, instants, values, append):
         block = _bind_block(kernel, zero_law(n), n,
-                            blend=lambda *plan: SimpleNamespace(tolist=lambda: inputs))
+                            blend=lambda *plan: SimpleNamespace(tolist=lambda: [inputs]))
         states = [] if append is not None else None
         end, _, m = block(tuple(y), 0, -1, len(inputs) * dt, dt, np.zeros((1, n)),
-                          [(None,) * 5], [([0.0] * n,) * 3], [instants], [values], None, [],
+                          [()], [([0.0] * n,) * 3], [instants], [values], None, [],
                           states, None)
         for i in range(0, len(states or ()), 2 * n):
             append(tuple(states[i:i + 2 * n]))
@@ -661,7 +745,7 @@ class TestPlannedSchedule:
                 diagnostics=True)
 
         shared = Windowed(0.2, True).kernel().shared
-        assert shared(np.array([2.1, 3.9])) == 1.5 and shared(np.array([1.9, 2.1])) is None
+        assert shared(2.1, 3.9) == 1.5 and shared(1.9, 2.1) is None
         each, windowed = run(CoupledPlant), run(Windowed)
         for name in ("q", "q_dot", "tau_cmd", "tau_applied", "c_hat"):
             assert getattr(each, name).tobytes() == getattr(windowed, name).tobytes()
@@ -1055,8 +1139,11 @@ class TestPinnedTraces:
             apply_override(config, "delay.h0", h0)
         sc = build_scenario(config)
         steps = round(sc.dt_control / sc.dt)
-        *_, after = _plan_periods(sc.delay, np.arange(201) * sc.dt_control, 0, 201, steps,
+        *_, plans = _plan_periods(sc.delay, np.arange(201) * sc.dt_control, 0, 201, steps,
                                   sc.dt, 2)
+        # per period: a period whose lookups reach its own command starts a
+        # group, whose last flag says so
+        after = [plan is not None and plan[-1] for plan in plans]
         assert all(after) if h0 != "0.01" else any(after)
         assert self.digest(simulate(sc)) == self.HOLD_DIGESTS[h0]
 
