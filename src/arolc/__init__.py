@@ -17,7 +17,7 @@ from .controllers import (
     PconConfig,
     StepRecord,
     arolc_step,
-    make_controller,
+    make_law,
     pcon_step,
     uncertainty_residual,
 )

@@ -16,18 +16,18 @@ Two controllers are provided:
   the window (the pconf variant, spelled [controller] kind = pconf in
   scenario files). Its input history is the trace's tau_cmd rows so far.
 
-make_controller(scenario, trace) builds the object of scenario.controller's
-type (ArolcConfig, PconConfig, or None for zero torque), along trace's
-rows, with two methods: step(t, q, q_dot, desired) -> StepRecord, one
-control period, and kernel() -> Law, the run's law as source, which the
-simulator splices into its block of control periods (``arolc.sim``) as it
-splices a plant's kernel. The objects hold state; arolc_step (the law,
-then its adaptation step) and pcon_step stay module functions, each law's
-one entry point. Where one of them is replaced on this module by a wrapper
-(a tracer's span), kernel() is the call to step, which calls the wrapper
-once per period (``_call_law``).
+make_law(scenario, trace) returns the run's law, a Law: one control period
+as source, which the simulator splices into its block of control periods
+(``arolc.sim``) as it splices a plant's kernel. One function per type of
+scenario.controller (ArolcConfig, PconConfig, or None for zero torque)
+builds it, along trace's rows. arolc_step (the law, then its adaptation
+step) and pcon_step are each law's one checked entry point. The
+adaptive-robust Law is the law's statements, except where arolc_step is
+replaced on this module by a wrapper (a tracer's span): it then calls
+arolc_step once per period, the block carrying its state. The predictor's
+Law calls pcon_step, as this module binds it when the run is built.
 
-The control period runs on Python floats: step takes q, q_dot and the
+The control period runs on Python floats: each law takes q, q_dot and the
 reference triple (qd, qd_dot, qd_ddot) as length-n sequences of floats and
 returns the torque as a list of floats. For vectors of 2 to 12 entries
 per-call numpy overhead dominates the arithmetic, so each law is float
@@ -38,13 +38,12 @@ one local per entry. The adaptive-robust law's statements are
 ``_law_lines``: compiled with their checks as arolc_step (``_compile_law``;
 the first step on a config binds the config's rows into it), and without
 them, the nominal model's torque spliced in, as the Law of a run
-(``ArolcController.kernel``), whose checks hold for the whole run and are
-made once. Both compiled laws unpack their inputs in the same lines
+(``_arolc_law``), whose checks hold for the whole run and are made once.
+Both compiled laws unpack their inputs in the same lines
 (``_unpack_inputs``).
 
 The predictor's step is compiled the same way (``_compile_window``), around
-a trapezoid table that each PconController fills for its run; its Law
-calls that table directly. The window
+a trapezoid table that each run binds (``_pcon_law``). The window
 integral is a sum of trapezoids between knots: the window's start, the
 stamps inside it, and t. Only two of them change from
 one period to the next: the first, which starts at the blended value at
@@ -107,10 +106,7 @@ __all__ = [
     "PconConfig",
     "arolc_step",
     "pcon_step",
-    "ArolcController",
-    "PconController",
-    "ZeroController",
-    "make_controller",
+    "make_law",
     "uncertainty_residual",
 ]
 
@@ -161,20 +157,18 @@ class ArolcState(NamedTuple):
 
 
 class StepRecord(NamedTuple):
-    """One control step of any controller.
-
-    Every controller fills tau, c_hat and s_norm (zero where the law has no
-    such quantity). The adaptive-robust law also reports the auxiliary input
-    u = u_hat + du, its switching part du and its new state; the simulator
-    diagnostics record u and du. Vectors are lists of floats.
+    """One step of the adaptive-robust law, as arolc_step returns it: the
+    torque tau, the adapted c_hat, ||s||, the auxiliary input u = u_hat +
+    du, its switching part du and the new state. The simulator diagnostics
+    record u and du. Vectors are lists of floats.
     """
 
     tau: list[float]
-    c_hat: float = 0.0
-    s_norm: float = 0.0
-    u: list[float] | None = None
-    du: list[float] | None = None
-    state: ArolcState | None = None
+    c_hat: float
+    s_norm: float
+    u: list[float]
+    du: list[float]
+    state: ArolcState
 
 
 class Law(NamedTuple):
@@ -206,18 +200,6 @@ class Law(NamedTuple):
 _LAW_IO = re.compile(r"(q|v|tau|u|du)(\d+)|t|k|desired|c_hat|s_norm")
 
 
-def _call_law(step, n: int, auxiliary: bool) -> Law:
-    """The law that calls a controller's step once per period, which looks
-    up arolc_step and pcon_step where it runs them: the path of a run whose
-    law is wrapped (a tracer's span, say)."""
-    tau, q, v, u, du = (_entries(prefix, n) for prefix in ("tau", "q", "v", "u", "du"))
-    source = (f"rec = step(t, ({q}), ({v}), desired)\n{tau}= rec.tau\n"
-              "c_hat = rec.c_hat\ns_norm = rec.s_norm\n")
-    if auxiliary:
-        source += f"{u}= rec.u\n{du}= rec.du\n"
-    return Law(source, {"step": step}, {}, auxiliary)
-
-
 def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
                cfg) -> StepRecord:
     """The adaptive-robust torque at the current gain, then one adaptation
@@ -228,6 +210,11 @@ def arolc_step(state: ArolcState, q, q_dot, desired, torque, t, dt,
     face). record.c_hat and record.state are the adapted ones."""
     law = cfg.__dict__.get("_law") or _bind_law(cfg)
     return law(state, q, q_dot, desired, torque, t, dt)
+
+
+# arolc_step as defined here, in a tuple, where a wrapper set on the
+# module's names (a tracer's span) does not replace it
+_DEFINED = (arolc_step,)
 
 
 def _law_lines(n: int, torque: str, checks: bool) -> list[str]:
@@ -249,7 +236,7 @@ def _law_lines(n: int, torque: str, checks: bool) -> list[str]:
     terms left to right from 0.0 (``_sum``). With checks, the lines raise
     ValueError on a bad c_hat or dt and on time that does not advance or an
     s_prev of the wrong length, where arolc_step checks them; without, the
-    caller has checked them once for its run (``ArolcController.kernel``).
+    caller has checked them once for its run (``_arolc_law``).
     """
     rng = range(n)
     e = [f"ep{j}" for j in rng] + [f"ev{j}" for j in rng]  # e1, then e1_dot
@@ -417,11 +404,6 @@ def pcon_step(history, h, q, q_dot, desired, t, cfg: PconConfig,
     return (table or _bind_window(cfg))(history, h, q, q_dot, desired, t)
 
 
-# the module's laws, kept where a wrapper set on the module (a tracer's span)
-# does not replace them: a controller whose law function is not its own
-# runs the call path (``_call_law``)
-_LAWS = (arolc_step, pcon_step)
-
 # rows a trapezoid table keeps behind its window's first row before it
 # drops the oldest ones, so it holds at most the window plus twice this
 _SLACK = 32
@@ -514,118 +496,84 @@ def _bind_window(cfg: PconConfig):
                               math.inf, bisect_right, integrate, _lengths)
 
 
-class ArolcController:
-    """Adaptive-robust law bound to a plant's nominal model, holding its state."""
+def _arolc_law(sc, trace) -> Law:
+    """The adaptive-robust law of a run from the config's initial state,
+    with a warning where the scenario's peak delay reaches the gains'
+    margin: ``_law_lines`` with the nominal model's torque
+    (``plants.PlantModel.torque_kernel``, its names but q, v, a and tau
+    prefixed nom_, a read as u) spliced in, and the state c_hat, s_prev and
+    t_prev carried from period to period. What arolc_step checks every
+    period holds for the whole run, so it is checked once: the control
+    period here, c_hat_init by the config (the clamp keeps c_hat at gamma or
+    above, and a run ends where it is not finite); time advances and s_prev
+    has n entries by the run's own periods. Where arolc_step is wrapped, the
+    law is the call to it instead, its ArolcState carried as state."""
+    cfg, dt, nominal = sc.controller, sc.dt_control, sc.plant.nominal
+    peak = max_delay(sc.delay)
+    if not check_feasibility(cfg.gains, peak):
+        warnings.warn(
+            f"peak input delay {peak:.4g} s reaches the delay margin "
+            f"{delay_margin(cfg.gains):.4g} s; boundedness is not guaranteed",
+            stacklevel=4,  # the caller of simulate
+        )
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    n = len(cfg.rows[2])
+    if arolc_step is not _DEFINED[0]:
+        tau, q, v, u, du = (_entries(prefix, n) for prefix in ("tau", "q", "v", "u", "du"))
+        return Law(f"rec = arolc_step(state, ({q}), ({v}), desired, torque, t, dt, cfg)\n"
+                   f"state = rec.state\n{tau}= rec.tau\n{u}= rec.u\n{du}= rec.du\n"
+                   "c_hat = rec.c_hat\ns_norm = rec.s_norm\n",
+                   dict(arolc_step=arolc_step, torque=nominal.torque, dt=dt, cfg=cfg),
+                   {"state": cfg.initial_state()}, True)
+    torque = nominal.torque_kernel()
 
-    def __init__(self, sc, trace):
-        self.cfg = sc.controller
-        self.nominal = sc.plant.nominal
-        self.torque = self.nominal.torque
-        self.dt = sc.dt_control
-        self.state = self.cfg.initial_state()
-        peak = max_delay(sc.delay)
-        if not check_feasibility(self.cfg.gains, peak):
-            warnings.warn(
-                f"peak input delay {peak:.4g} s reaches the delay margin "
-                f"{delay_margin(self.cfg.gains):.4g} s; boundedness is not guaranteed",
-                stacklevel=4,  # the caller of simulate
-            )
+    def rename(name):
+        if _TORQUE_IO.fullmatch(name):
+            return "u" + name[1:] if name[0] == "a" else name
+        return "nom_" + name
 
-    def step(self, t, q, q_dot, desired) -> StepRecord:
-        record = arolc_step(self.state, q, q_dot, desired, self.torque, t, self.dt, self.cfg)
-        self.state = record.state
-        return record
-
-    def kernel(self) -> Law:
-        """The law of a run from the config's initial state: ``_law_lines``
-        with the nominal model's torque (``plants.PlantModel.torque_kernel``,
-        its names but q, v, a and tau prefixed nom_, a read as u) spliced
-        in, and the state c_hat, s_prev and t_prev carried from period to
-        period; the call path where arolc_step is wrapped. What arolc_step
-        checks every period holds for the whole run, so it is checked once:
-        the control period here, c_hat_init by the config (the clamp keeps
-        c_hat at gamma or above, and a run ends where it is not finite);
-        time advances and s_prev has n entries by the run's own periods."""
-        n = len(self.cfg.rows[2])
-        if arolc_step is not _LAWS[0]:
-            return _call_law(self.step, n, True)
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        torque = self.nominal.torque_kernel()
-
-        def rename(name):
-            if _TORQUE_IO.fullmatch(name):
-                return "u" + name[1:] if name[0] == "a" else name
-            return "nom_" + name
-
-        source = "\n".join([*_reference_lines(n),
-                            *_law_lines(n, _rename(torque.source, rename), checks=False),
-                            "c_hat = c_new", f"s_prev = {_entries('s', n)}", "t_prev = t"])
-        constants = {**_law_constants(self.cfg), "dt": self.dt,
-                     **{"nom_" + name: value for name, value in torque.constants.items()}}
-        return Law(source + "\n", constants,
-                   {"c_hat": self.cfg.c_hat_init, "s_prev": None, "t_prev": -math.inf}, True)
+    source = "\n".join([*_reference_lines(n),
+                        *_law_lines(n, _rename(torque.source, rename), checks=False),
+                        "c_hat = c_new", f"s_prev = {_entries('s', n)}", "t_prev = t"])
+    constants = {**_law_constants(cfg), "dt": dt,
+                 **{"nom_" + name: value for name, value in torque.constants.items()}}
+    return Law(source + "\n", constants,
+               {"c_hat": cfg.c_hat_init, "s_prev": None, "t_prev": -math.inf}, True)
 
 
-class PconController:
-    """Predictor baseline at row k of trace: integrates the commands of rows
-    before k over the true delay, the trace's h row k, or cfg.h_estimate,
-    through its own trapezoid table (``_bind_window``)."""
-
-    def __init__(self, sc, trace):
-        self.cfg = sc.controller
-        self.trace = trace
-        self.stamps = trace.t.tolist()  # the compiled step bisects a list
-        self.table = _bind_window(self.cfg)
-        self.k = 0
-
-    def step(self, t, q, q_dot, desired) -> StepRecord:
-        k, self.k = self.k, self.k + 1
-        # a Python float, so that the window's ends are Python floats too
-        h = self.trace.h.item(k) if self.cfg.h_estimate is None else self.cfg.h_estimate
-        history = self.stamps, self.trace.tau_cmd, k
-        return StepRecord(pcon_step(history, h, q, q_dot, desired, t, self.cfg,
-                                    self.table))
-
-    def kernel(self) -> Law:
-        """The law of a run from row 0: the controller's trapezoid table
-        called at row k on the trace's rows and its h row k (or the fixed
-        window), c_hat and s_norm zero; the call path where pcon_step is
-        wrapped."""
-        n = len(self.cfg.rows)
-        if pcon_step is not _LAWS[1]:
-            return _call_law(self.step, n, False)
-        h = "h_item(k)" if self.cfg.h_estimate is None else "h_estimate"
-        source = (f"{_entries('tau', n)}= table((stamps, tau_cmd, k), {h}, "
-                  f"({_entries('q', n)}), ({_entries('v', n)}), desired, t)\n"
-                  "c_hat = 0.0\ns_norm = 0.0\n")
-        return Law(source, dict(table=self.table, stamps=self.stamps,
-                                tau_cmd=self.trace.tau_cmd, h_item=self.trace.h.item,
-                                h_estimate=self.cfg.h_estimate), {})
+def _pcon_law(sc, trace) -> Law:
+    """The predictor's law of a run from row 0: pcon_step, as this module
+    binds it when the run is built, at row k on the trace's rows and its h
+    row k (or the fixed window), over the run's trapezoid table
+    (``_bind_window``); c_hat and s_norm zero."""
+    cfg = sc.controller
+    n = len(cfg.rows)
+    # a Python float, so that the window's ends are Python floats too
+    h = "h_item(k)" if cfg.h_estimate is None else "h_estimate"
+    source = (f"{_entries('tau', n)}= pcon_step((stamps, tau_cmd, k), {h}, "
+              f"({_entries('q', n)}), ({_entries('v', n)}), desired, t, cfg, table)\n"
+              "c_hat = 0.0\ns_norm = 0.0\n")
+    # the compiled step bisects a list of stamps
+    return Law(source, dict(pcon_step=pcon_step, stamps=trace.t.tolist(),
+                            tau_cmd=trace.tau_cmd, h_item=trace.h.item,
+                            h_estimate=cfg.h_estimate, cfg=cfg, table=_bind_window(cfg)), {})
 
 
-class ZeroController:
-    """No controller config: the plant runs open loop under zero torque."""
-
-    def __init__(self, sc, trace):
-        self.n = sc.plant.dim
-
-    def step(self, t, q, q_dot, desired) -> StepRecord:
-        return StepRecord([0.0] * self.n)
-
-    def kernel(self) -> Law:
-        """Zero command, c_hat and s_norm every period."""
-        return Law(f"{_entries('tau', self.n)}= {'0.0, ' * self.n}\nc_hat = 0.0\n"
-                   "s_norm = 0.0\n", {}, {})
+def _zero_law(sc, trace) -> Law:
+    """No controller config: zero command, c_hat and s_norm every period,
+    the plant running open loop."""
+    n = sc.plant.dim
+    return Law(f"{_entries('tau', n)}= {'0.0, ' * n}\nc_hat = 0.0\ns_norm = 0.0\n", {}, {})
 
 
-_CONTROLLERS = {ArolcConfig: ArolcController, PconConfig: PconController,
-                type(None): ZeroController}
+_LAWS = {ArolcConfig: _arolc_law, PconConfig: _pcon_law, type(None): _zero_law}
 
 
-def make_controller(sc, trace):
-    """The controller object of sc.controller's config type, along trace's rows."""
-    return _CONTROLLERS[type(sc.controller)](sc, trace)
+def make_law(sc, trace) -> Law:
+    """The run's law (``Law``) for sc.controller's config type, along
+    trace's rows."""
+    return _LAWS[type(sc.controller)](sc, trace)
 
 
 def uncertainty_residual(q, q_dot, q_h, q_dot_h, u_h, qdd_d, qdd_d_h,

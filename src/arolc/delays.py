@@ -11,14 +11,15 @@ command (none has reached the actuator yet) and holds the last command
 after it.
 
 A lookup is two steps. ``plan`` brackets each query instant among the
-stamps: its searchsorted index, the flat positions of the entries of the
-two rows around it (lo and hi stacked) and their weights, searching only
-the stamps that bracket the instants. The plan depends on the instants and
-the stamps alone, so a caller that knows them early (the simulator knows
-every stamp and every RK4 stage instant before its run starts) plans many
-lookups at once. ``blend`` then evaluates the signal of
-the first m commands on a plan's arrays (one take, one product, one sum),
-the only step that reads the command values. ``interpolate`` is the plan
+stamps, once per instant whatever the commands' width: its searchsorted
+index, the two rows around it (lo and hi stacked) and their weights,
+searching only the stamps that bracket the instants. The plan depends on
+the instants and the stamps alone, so a caller that knows them early (the
+simulator knows every stamp and every RK4 stage instant before its run
+starts) plans many lookups at once. ``blend`` then evaluates the signal of
+the first m commands on a plan's arrays (one take of rows, one product by
+the weights over each row's entries, one sum), the only step that reads
+the command values. ``interpolate`` is the plan
 followed by the blend, on any stamped history, and ``integrate`` integrates
 the signal of its first m commands exactly: the plan and the blend at its
 knots, summed as trapezoids (``_trapezoids``). A run's command history is its
@@ -103,19 +104,17 @@ class Plan(NamedTuple):
     """Where query instants of shape S fall among the stamps."""
 
     index: np.ndarray   # S: stamps at or before the instant (searchsorted, right)
-    take: np.ndarray    # (2,) + S + (width,): the flat positions in the values of
-                        # rows j - 1 and j, j clipped to [1, stamps - 1]
+    rows: np.ndarray    # (2,) + S: rows j - 1 and j, j clipped to [1, stamps - 1]
     weight: np.ndarray  # alike: their weights 1 - lam and lam
 
 
-def plan(times, t_query, width: int) -> Plan:
+def plan(times, t_query) -> Plan:
     """The brackets of every instant of the array t_query (any shape) among
-    the stamps times (an array, strictly increasing, at least one), for
-    commands of width entries. It searches only the stamps that bracket
-    the instants: from the one at or before the earliest (or the first)
-    through the one after the latest (or the last), two at least where the
-    latest is not before the first stamp. The plan blends as one over every
-    stamp does."""
+    the stamps times (an array, strictly increasing, at least one). It
+    searches only the stamps that bracket the instants: from the one at or
+    before the earliest (or the first) through the one after the latest (or
+    the last), two at least where the latest is not before the first stamp.
+    The plan blends as one over every stamp does."""
     t_query = np.asarray(t_query, dtype=float)
     first = 0
     if t_query.size and len(times) > 2:
@@ -126,45 +125,39 @@ def plan(times, t_query, width: int) -> Plan:
             times = times[first:last]
     index = np.searchsorted(times, t_query, side="right")
     m = len(times)
-    if m == 1:
-        # every instant is before the one stamp or at or after it, so the
-        # blend reads no weight
-        lo = hi = np.zeros(t_query.shape, dtype=np.intp)
-        lam = np.zeros(t_query.shape)
-    else:
+    # with one stamp every instant is before it or at or after it, so the
+    # blend reads no weight: both rows 0, weights 1 and 0
+    rows, weight = np.zeros((2,) + t_query.shape, np.intp), np.zeros((2,) + t_query.shape)
+    if m > 1:
         # clipping the instants too keeps the weights in [0, 1]; minimum,
         # maximum and take cost a fraction of clip and fancy indexing
-        hi = np.minimum(np.maximum(index, 1), m - 1)
-        lo = hi - 1
+        lo, hi = rows
+        np.minimum(np.maximum(index, 1), m - 1, out=hi)
+        np.subtract(hi, 1, out=lo)
         t0 = times.take(lo)
         t_in = np.minimum(np.maximum(t_query, times[0]), times[-1])
-        lam = (t_in - t0) / (times.take(hi) - t0)
-    rows, lams = np.stack((lo, hi)) * width, np.stack((1.0 - lam, lam))
-    take, weight = np.empty(rows.shape + (width,), np.intp), np.empty(rows.shape + (width,))
-    # one strided write per entry: a broadcast would loop once per instant
-    for j in range(width):
-        take[..., j], weight[..., j] = rows + (first * width + j), lams
-    return Plan(index + first, take, weight)
+        np.divide(t_in - t0, times.take(hi) - t0, out=weight[1])
+    np.subtract(1.0, weight[1], out=weight[0])
+    if first:
+        rows += first
+    return Plan(index + first, rows, weight)
 
 
-def blend(values, m: int, index, take, weight, before: bool = True,
+def blend(values, m: int, index, rows, weight, before: bool = True,
           after: bool = True) -> np.ndarray:
     """The command signal of the first m >= 1 commands (values one row per
     stamp of the plan's history) at the instants of a plan's arrays: an
-    array of take's shape less its leading axis. Zero where the index is 0,
-    the m-th command where it is m or more, the bracket's blend elsewhere;
-    rows past the m-th are read only there. before = False (after = False)
-    states that no index is 0 (m or more) and skips that mask. take and
-    weight may lay the instants out in any shape, index in the same order."""
-    both = values.take(take)
-    both *= weight
+    array of shape S + (entries,), S the instants' shape. Zero where the
+    index is 0, the m-th command where it is m or more, the bracket's blend
+    elsewhere; rows past the m-th are read only there. before = False (after
+    = False) states that no index is 0 (m or more) and skips that mask."""
+    both = values.take(rows, axis=0)
+    both *= weight[..., None]  # each weight over the row's entries
     out = both[0] + both[1]
-    if before or after:
-        rows = out.reshape(index.shape + values.shape[1:])  # one per instant
-        if before:
-            rows[index == 0] = 0.0
-        if after:
-            rows[index >= m] = values[m - 1]
+    if before:
+        out[index == 0] = 0.0
+    if after:
+        out[index >= m] = values[m - 1]
     return out
 
 
@@ -175,7 +168,7 @@ def interpolate(times, values, t_query) -> np.ndarray:
     m = len(times)
     if m == 0:
         return np.zeros((len(t_query),) + values.shape[1:])
-    return blend(values, m, *plan(times, t_query, values.shape[1]))
+    return blend(values, m, *plan(times, t_query))
 
 
 def _trapezoids(knots, rows) -> list[float]:
@@ -210,7 +203,7 @@ def integrate(times, values, m: int, t0: float, t1: float) -> list[float]:
     inside = stamps[stamps.searchsorted(t0, "right"):stamps.searchsorted(t1, "left")]
     knots = np.concatenate(([t0], inside, [t1]))
     with np.errstate(invalid="ignore", over="ignore"):
-        rows = blend(values, m, *plan(stamps, knots, n))
+        rows = blend(values, m, *plan(stamps, knots))
     return _trapezoids(knots.tolist(), rows.tolist())
 
 

@@ -166,7 +166,7 @@ class PlantModel:
         """The call kernel of ``torque``, tau0, ... = torque((q0, ...), (v0,
         ...), [a0, ...]), with torque as bound on the instance: the
         adaptive-robust law splices it where it evaluates the nominal model
-        (``controllers.ArolcController.kernel``), renaming the names
+        (``controllers._arolc_law``), renaming the names
         ``_TORQUE_IO`` matches. Closed-form plants override it with their
         inverse dynamics."""
         tau, q, v, a = (_entries(prefix, self.dim) for prefix in ("tau", "q", "v", "a"))
@@ -241,10 +241,10 @@ def _fold(source: str, constants: dict) -> str:
         lambda m: textwrap.dedent(m.group(2)) if constants[m.group(1)] else "", source)
 
 
-def _matrix(row: str, mass: str, n: int) -> list:
-    """M's entries by row, as a plant's _ROW and _MASS name them: the name
-    of the upper entry m{i}_{j}, None where it is zero."""
-    upper = {(int(i), int(j)) for i, j in _MASS_ENTRY.findall(row + mass)}
+def _matrix(source: str, n: int) -> list:
+    """M's entries by row, as source (a plant's _ROW and _MASS) names them:
+    the name of the upper entry m{i}_{j}, None where it is zero."""
+    upper = {(int(i), int(j)) for i, j in _MASS_ENTRY.findall(source)}
     return [[f"m{min(i, j)}_{max(i, j)}" if (min(i, j), max(i, j)) in upper else None
              for j in range(n)] for i in range(n)]
 
@@ -258,43 +258,38 @@ def _torque_rows(matrix: list) -> str:
 
 
 @functools.cache
-def _compile_face(face: str, row: str, mass: str, bias: str, solve: str, names: tuple,
-                  n: int, scheduled: bool):
+def _compile_face(face: str, source: str, names: tuple, n: int, scheduled: bool):
     """The function bind(_schedule, **constants) that binds a dimension-n
     plant's schedule (None if not scheduled) and its constants names into
-    one face compiled from its strings (see _KernelPlant): compiled once per
-    (face, strings, names, n), on first use. The face's own names start
-    with an underscore, so that no constant is shadowed.
+    one face compiled from source, the strings it runs (see _KernelPlant):
+    compiled once per (face, source, names, n), on first use. The face's own
+    names start with an underscore, so that no constant is shadowed.
 
     accel(_q, _q_dot, _u, t) -> [a0, ...] as Python floats (ndarray entries
-    give numpy scalars), p = _schedule(t); torque(_q, _q_dot, _qdd) ->
-    [M qdd + N] at p = _schedule(None); mass(_q, p) -> M as nested tuples
-    and bias(_q, _q_dot, p) -> (n0, ...), on floats or on (B,) columns.
+    give numpy scalars), p = _schedule(t), the kernel's source;
+    torque(_q, _q_dot, _qdd) -> [M qdd + N], the torque kernel's
+    (``torque_kernel``, p a constant); mass(_q, p) -> M as nested tuples,
+    _ROW and _MASS; and bias(_q, _q_dot, p) -> (n0, ...), _ROW and _BIAS,
+    on floats or on (B,) columns.
     """
-    matrix = _matrix(row, mass, n)
     state = f"{_entries('q', n)}= _q\n{_entries('v', n)}= _q_dot\n"
-    bind = [f"def bind(_schedule, {', '.join(names)}):"]
     if face == "accel":
         args = "_q, _q_dot, _u, t"
         body = (state + f"{_entries('u', n)}= _u\n" + ("p = _schedule(t)\n" if scheduled else "")
-                + row + mass + bias + solve)
+                + source)
         result = f"[{', '.join(f'float(a{i})' for i in range(n))}]"
     elif face == "torque":
-        if scheduled:
-            bind.append("    _p_free = _schedule(None)")
-        args = "_q, _q_dot, _qdd"
-        body = (state + f"{_entries('a', n)}= _qdd\n" + ("p = _p_free\n" if scheduled else "")
-                + row + mass + bias + _torque_rows(matrix))
+        args, body = "_q, _q_dot, _qdd", state + f"{_entries('a', n)}= _qdd\n" + source
         result = f"[{_entries('tau', n)}]"
     elif face == "mass":
-        args, body = "_q, p", f"{_entries('q', n)}= _q\n" + row + mass
+        args, body = "_q, p", f"{_entries('q', n)}= _q\n" + source
         result = "(" + "".join(f"({''.join(f'{m or 0.0}, ' for m in entries)}), "
-                               for entries in matrix) + ")"
+                               for entries in _matrix(source, n)) + ")"
     else:  # bias
-        args, body = "_q, _q_dot, p", state + row + bias
+        args, body = "_q, _q_dot, p", state + source
         result = f"({_entries('n', n)})"
-    return _compile(bind + [f"    def _face({args}):", textwrap.indent(body, " " * 8),
-                            f"        return {result}", "    return _face"],
+    return _compile([f"def bind(_schedule, {', '.join(names)}):", f"    def _face({args}):",
+                     textwrap.indent(body, " " * 8), f"        return {result}", "    return _face"],
                     f"{face} face, n = {n}")
 
 
@@ -314,8 +309,8 @@ class _KernelPlant(PlantModel):
     Every face is compiled from the strings (``_compile_face``) on its first
     use and bound to the plant's constants once, each ``if <constant>:``
     block resolved (``_strings``): the kernel runs all four strings, accel
-    the kernel on one state, torque _ROW, _MASS and _BIAS at the time-free
-    p, mass_matrix _ROW and _MASS, and bias_vector _ROW and _BIAS, on one
+    the kernel on one state, torque the torque kernel (``torque_kernel``),
+    mass_matrix _ROW and _MASS, and bias_vector _ROW and _BIAS, on one
     state's floats or, with numpy's cos and sin bound, on a stack's columns.
     """
 
@@ -325,16 +320,10 @@ class _KernelPlant(PlantModel):
     def _schedule(self, t):
         """p at t: the value of the phase at a float t (phase 0 at t = None);
         over an ndarray of times, nested lists of the same shape holding the
-        value at each: the value all of them share (``_shared``) repeated,
-        where they share one."""
+        value at each, the object that _phases holds."""
         if not isinstance(t, np.ndarray):
             return self._phases[self._phase(t)]
-        value = self._shared(t.min().item(), t.max().item()) if t.size else None
-        if value is None:
-            return self._phase_arrays[0][self._phase(t)].tolist()
-        for size in reversed(t.shape):
-            value = [value] * size
-        return value
+        return self._phase_arrays[0][self._phase(t)].tolist()
 
     def _shared(self, first: float, last: float):
         """The value of the phase that every time from first through last is
@@ -349,8 +338,7 @@ class _KernelPlant(PlantModel):
     def _window(self, t: float):
         """A key of the schedule's window at a float t: two instants with
         equal keys, and every instant between them, are in one phase. None,
-        the default, knows no window, and _schedule then finds the phase
-        of every time."""
+        the default, knows no window, and _shared then finds no value."""
         return None
 
     @functools.cached_property
@@ -374,16 +362,16 @@ class _KernelPlant(PlantModel):
 
     def torque_kernel(self) -> Kernel:
         """The inverse dynamics of the time-free terms as source: _ROW, _MASS
-        and _BIAS, then tau{i}, row i of M a + N summed left to right, as the
-        torque face computes them. p, where the plant is scheduled, is the
-        schedule's time-free value, bound as a constant; the constants are
-        the kernel's."""
+        and _BIAS, then tau{i}, row i of M a + N summed left to right; the
+        torque face is compiled from it. p, where the plant is scheduled, is
+        the schedule's time-free value, bound as a constant; the constants
+        are the kernel's."""
         kernel = self.kernel()
         constants = dict(kernel.constants)
         if kernel.schedule is not None:
             constants["p"] = kernel.schedule(None)
         row, mass, bias, _ = self._strings(kernel.constants)
-        return Kernel(row + mass + bias + _torque_rows(_matrix(row, mass, self.dim)), constants)
+        return Kernel(row + mass + bias + _torque_rows(_matrix(row + mass, self.dim)), constants)
 
     @functools.cached_property
     def _faces(self) -> dict:
@@ -393,11 +381,13 @@ class _KernelPlant(PlantModel):
     def _face(self, face: str, stacked: bool = False):
         bound = self._faces.get((face, stacked))
         if bound is None:
-            kernel = self.kernel()
+            kernel = self.torque_kernel() if face == "torque" else self.kernel()
             constants = (dict(kernel.constants, cos=np.cos, sin=np.sin) if stacked
                          else kernel.constants)
+            row, mass, bias, _ = self._strings(kernel.constants)
+            source = {"mass": row + mass, "bias": row + bias}.get(face, kernel.source)
             bound = self._faces[face, stacked] = _compile_face(
-                face, *self._strings(kernel.constants), tuple(constants), self.dim,
+                face, source, tuple(constants), self.dim,
                 kernel.schedule is not None)(kernel.schedule, **constants)
         return bound
 

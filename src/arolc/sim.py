@@ -1,7 +1,7 @@
 """Deterministic fixed-step simulation of the input-delayed closed loop.
 
 The plant state (q, q_dot) is integrated with classical RK4 at a fixed step
-dt. The controller (``controllers.make_controller``) is stepped every
+dt. The controller's law (``controllers.make_law``) runs every
 dt_control on the sampled state and its command, stamped k dt_control, is
 written to the trace's tau_cmd row k: the run's one command history, which
 the plant receives delayed as ``arolc.delays`` describes and the predictor
@@ -19,7 +19,8 @@ the stage instants, the schedule's values there and the lookups of a block
 of control periods at once (the schedule on the block's instants, found
 at its first and last instant alone where they share a window of the
 schedule, and ``delays.plan`` among the stamps that bracket the block's
-lookups, one row per period). The plan also cuts the block into groups:
+lookups, each lookup's bracket rows and weights once). The plan also cuts
+the block into groups:
 a group runs from a period k_g through every following period whose
 lookups read no command after k_g (all of them at or before stamp k_g,
 which a delay longer than a control period makes true for the next few
@@ -71,24 +72,23 @@ binds the plant's and the law's constants and the law's starting state
 into the compiled block.
 
 The adaptive-robust law is spliced whole, with the nominal model's
-``torque`` face spliced into it (``controllers.ArolcController.kernel``);
-the predictor's law calls its trapezoid table directly, and the zero law
-assigns zeros. What the law checks every period on its own holds for a
-whole run here, so it is checked once: the control period is positive
-(``Scenario.validate``), c_hat starts finite and at least gamma (the
-config, and the law's clamp after), time advances and the sliding
+``torque`` face spliced into it (``controllers._arolc_law``); the
+predictor's law calls ``controllers.pcon_step`` on its trapezoid table, and
+the zero law assigns zeros. What the law checks every period on its own
+holds for a whole run here, so it is checked once: the control period is
+positive (``Scenario.validate``), c_hat starts finite and at least gamma
+(the config, and the law's clamp after), time advances and the sliding
 variable keeps n entries (the block's own periods). A step thus calls no
-``accel`` and a period no law function, except where the run is
-instrumented: where the plant has no kernel or an ``accel`` is set on the
-instance (a tracer's wrapper, say), the kernel is the call to that
-``accel``; where ``controllers.arolc_step`` or ``pcon_step`` is replaced
-by a wrapper, the law is the call to the controller's step, which calls
-it once per period (``controllers._call_law``). This is exact, not an
-approximation: IEEE rounding of +, -, * and / on floats is the rounding
-numpy's elementwise ufuncs apply, and the step keeps the operation order of
-the ndarray expression, so the traces are bit-identical to an ndarray
-integrator; the spliced law runs the statements of ``arolc_step`` and
-``pcon_step``. The control period stays on floats too: the law reads q and
+``accel`` and an adaptive-robust period no law function, except where the
+run is instrumented: where the plant has no kernel or an ``accel`` is set
+on the instance (a tracer's wrapper, say), the kernel is the call to that
+``accel``; where ``controllers.arolc_step`` is replaced by a wrapper, the
+law is the call to it, once per period, the block carrying its state. This
+is exact, not an approximation: IEEE rounding of +, -, * and / on floats is
+the rounding numpy's elementwise ufuncs apply, and the step keeps the
+operation order of the ndarray expression, so the traces are bit-identical
+to an ndarray integrator; the spliced law runs the statements of
+``arolc_step``. The control period stays on floats too: the law reads q and
 q_dot as the block's locals and the reference as lists of floats
 (evaluated once per block of periods, the trajectory called on the block's
 stamps). Arrays begin at the trace: its rows (collected as one flat list
@@ -120,7 +120,7 @@ import numpy as np
 
 from ._checks import require
 from ._codegen import _compile, _entries, _names, _rename
-from .controllers import _LAW_IO, ArolcConfig, Law, PconConfig, make_controller
+from .controllers import _LAW_IO, ArolcConfig, Law, PconConfig, make_law
 from .delays import DelayProfile, blend, delay_at, plan
 from .plants import _KERNEL_IO, Kernel, PlantModel
 
@@ -142,8 +142,8 @@ _DIVERGENCE_LIMIT = 1e8
 # float64 per row; with diagnostics the per-command u and du add 2n, less
 # than the trace's own rows), the applied input of a control period and the
 # diagnostics fine grid (1 + 2n float64 per RK4 step). The applied input is
-# the plan of the period's block (stage instants, delays, indices, take
-# positions and weights, plus their temporaries while it is built), the
+# the plan of the period's block (stage instants, delays, indices, bracket
+# rows and weights, plus their temporaries while it is built), the
 # blended table of the period's group (a block's periods at most, the
 # period alone where one period fills a block) and the list copies the
 # steps read: the table's flat rows, and the stage instants and the
@@ -296,13 +296,13 @@ class Trace:
 def _step_words(n: int) -> int:
     """Words per RK4 step that simulate holds while it steps a control
     period of a dimension-n plant, at most: the growth of tracemalloc's
-    peak per step of a period (1e3 to 3e3 steps under S1, peaking as the
-    next block is planned) is 54 + 24n for point masses of n = 1, 2 and 3
-    and for the arm, 20 words more where the kernel reads t (the step's
-    instants) and 11 more where the schedule switches within a block (its
-    values there): 113 on a robot switching every 4 ms, 147 on a disturbed,
-    scheduled plant of n = 3. The count bounds each of these with 50 words
-    or more to spare. A period's fixed part, about 1e3 words, is left out."""
+    peak per step of a period (1e3 to 3e3 steps under S1) is 60, 65 and 83
+    for point masses of n = 1, 2 and 3, 65 for the arm, 76 on a robot
+    switching every 4 ms and 114 on a disturbed, scheduled plant of n = 3.
+    The count, set when the plan held each lookup once per command entry
+    (54 + 24n words for the point masses then), bounds each of these with
+    50 words or more to spare. A period's fixed part, about 1e3 words, is
+    left out."""
     return 102 + 33 * n
 
 
@@ -310,33 +310,32 @@ def _n_periods(sc: Scenario) -> int:
     return round(sc.duration / sc.dt_control)
 
 
-def _plan_periods(profile, stamps, k0, k1, steps, dt, n):
+def _plan_periods(profile, stamps, k0, k1, steps, dt):
     """The applied-input lookups of control periods k0 .. k1 - 1 against the
     command stamps of the whole run, cut into groups. Returns the stage
     instants, shape (k1 - k0, steps, 3): t, t + dt/2 and t + dt of the RK4
     steps t = t_k + i dt, which the RK4 step evaluates the plant at; h at
     those instants; and one entry per period: for the first period k_g of
     a group of G periods, the ``blend`` arguments after the first
-    m = k_g + 1 commands at the group's lookups (index; take and weight, of
-    shape (2, G, steps, 3n), one flat row per step; whether any lookup
+    m = k_g + 1 commands at the group's lookups (index, of shape (G, steps,
+    3); rows and weight, of shape (2, G, steps, 3); whether any lookup
     falls before the first command, and whether any falls at or after
     command k_g), None for the others. A group is the longest run of
     periods from k_g whose later periods read no command after k_g (every
     index at most k_g), so its blend gives each of them, bit for bit, the
-    rows of the blend after their own command. Commands have n entries."""
+    rows of the blend after their own command."""
     t = stamps[k0:k1, None] + np.arange(steps) * dt
     t = np.stack([t, t + 0.5 * dt, t + dt], axis=-1)
     h = delay_at(profile, t)
-    index, take, weight = plan(stamps, t - h, n)
+    index, rows, weight = plan(stamps, t - h)
     periods = k1 - k0
-    index = index.reshape(periods, -1)
-    take, weight = (a.reshape(2, periods, steps, -1) for a in (take, weight))
-    reach, low = index.max(axis=1).tolist(), index.min(axis=1).tolist()
+    flat = index.reshape(periods, -1)
+    reach, low = flat.max(axis=1).tolist(), flat.min(axis=1).tolist()
     plans = [None] * periods
     first = 0
     for p in range(1, periods + 1):
         if p == periods or reach[p] > k0 + first:
-            plans[first] = (index[first:p], take[:, first:p], weight[:, first:p],
+            plans[first] = (index[first:p], rows[:, first:p], weight[:, first:p],
                             0 in low[first:p], reach[first] > k0 + first)
             first = p
     return t, h, plans
@@ -474,7 +473,10 @@ def _compile_block(source: str, names: tuple, law: str, law_names: tuple, carrie
     tau, u, du = (_entries(f"_{prefix}", n) for prefix in ("tau", "u", "du"))
     law_state = [_law_local(name) for name in carried]
     finite = " and ".join(f"-_inf < _tau{i} < _inf" for i in range(n))
-    blend = "_group = iter(_blend(_tau_cmd, _k + 1, *_plan).tolist())"
+    # each period's rows of its group's (G, steps, 3, n) blend, one flat
+    # row of 3n floats per step
+    blend = (f"_group = iter(_blend(_tau_cmd, _k + 1, *_plan).reshape(len(_plan[0]), -1, "
+             f"{3 * n}).tolist())")
     periods = ["_reference", "_plans"] + ["_instants"] * reads_t
     period_targets = ", ".join(["_desired", "_plan"] + ["_period_instants"] * reads_t)
     lines = [f"def bind({', '.join([*names, *map(_law_local, law_names), *law_state])}, "
@@ -584,7 +586,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     # t, the six (rows, n) arrays q .. tau_applied, then c_hat, s_norm, h
     trace = Trace(stamps, *(np.zeros((n_rows, n)) for _ in range(6)),
                   *(np.zeros(n_rows) for _ in range(3)))
-    law = make_controller(sc, trace).kernel()
+    law = make_law(sc, trace)
     block = _bind_block(kernel, law, n)
     fine = fine_rows = cmd = None
     if diagnostics:
@@ -597,8 +599,7 @@ def simulate(sc: Scenario, diagnostics: bool = False) -> Trace:
     periods_per_block = max(1, _BLOCK_INSTANTS // (3 * steps_per_control))
     for k0 in range(0, n_rows, periods_per_block):
         k1 = min(k0 + periods_per_block, n_rows)
-        stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps_per_control,
-                                                dt, n)
+        stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps_per_control, dt)
         trace.h[k0:k1] = stage_h[:, 0, 0]
         # per period, each step's instants and the schedule's value at each,
         # where the kernel reads them; the schedule's one value instead,
@@ -759,7 +760,7 @@ def error_dynamics_residual(trace: Trace, sc: Scenario,
         # skip the warmup and lookups before the first command
         i = i[(times[i] >= warmup) & (thetas[i] >= cmd_t[0])]
         k = len(i)
-        brackets = plan(cmd_t, thetas[i], trace.n)
+        brackets = plan(cmd_t, thetas[i])
         c_i = blend(c, len(cmd_t), *brackets)
         g_i = blend(g, len(cmd_t), *brackets)
         t_i = times[i]

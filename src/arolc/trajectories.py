@@ -88,8 +88,14 @@ class SinusoidTrajectory:
                              "entry per coordinate")
         require("finite", amplitude=amp, frequency=freq, phase=phase, offset=offset)
         _check_diameter(self)
-        for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp * freq),
-                            ("_neg_amp_freq2", -amp * freq ** 2), ("_phase", phase),
+        # the peak of |qd| and the amplitudes of qd_dot and qd_ddot, each
+        # finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak, amp_freq, neg_amp_freq2 = abs(offset) + abs(amp), amp * freq, -amp * freq ** 2
+        require("finite", **{"offset + amplitude": peak, "amplitude * frequency": amp_freq,
+                             "amplitude * frequency ** 2": neg_amp_freq2})
+        for name, array in (("_freq", freq), ("_amp", amp), ("_amp_freq", amp_freq),
+                            ("_neg_amp_freq2", neg_amp_freq2), ("_phase", phase),
                             ("_offset", offset)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -130,6 +136,8 @@ class CircleTrajectory:
     def __post_init__(self):
         require("positive", radius=self.radius, rate=self.rate, r_bar=self.r_bar, b=self.b)
         _check_diameter(self)
+        # the wheel rates, of which this one is the larger
+        require("finite", **{"rate * (radius + b) / r_bar": self.wheel_rates[1]})
 
     @property
     def diameter(self) -> float:

@@ -420,6 +420,34 @@ class TestOutOfRange:
         assert f"[{section}] {key} " in capsys.readouterr().err
         assert not out.exists()
 
+    # each entry finite, but a constant the trajectory derives from them not:
+    # qd_ddot's amplitude, qd_dot's, the peak of qd, the larger wheel rate
+    @pytest.mark.parametrize("base, entries, message", [
+        (ARM, ("frequency = 1e200 1",), "amplitude * frequency ** 2 must be finite"),
+        (ARM, ("amplitude = 1e308 1", "frequency = 2 1"), "amplitude * frequency must be finite"),
+        (ARM, ("amplitude = 1e308 1", "offset = 1e308 0"), "offset + amplitude must be finite"),
+        (WMR, ("rate = 1e308",), "rate * (radius + b) / r_bar must be finite"),
+    ], ids=["sinusoid-frequency", "sinusoid-amplitude", "sinusoid-offset", "circle-rate"])
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    def test_derived_trajectory_overflow_named(self, base, entries, message, command,
+                                               tmp_path, capsys):
+        # these warned from numpy and then passed (bound) or diverged at
+        # t = 0 (simulate), or blamed [sim] q0
+        text = Path(base).read_text()
+        for entry in entries:
+            text, count = re.subn(rf"(?m)^{entry.split(' = ')[0]} *=.*$", entry, text)
+            assert count == 1
+        path = tmp_path / "big.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(path)] + (["--out", str(out)] if command != "bound"
+                                                else []))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [trajectory] {message}\n"
+        assert not out.exists()
+
     def test_sweep_into_range_violation(self, tmp_path, capsys):
         code = main(["sweep", "scenarios/two_link_s1_arolc.ini", "--param", "plant.m1",
                      "--range=-1:1:1", "--out", str(tmp_path / "s")])

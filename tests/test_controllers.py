@@ -20,7 +20,7 @@ from arolc.controllers import (
     _SLACK,
     _bind_window,
     arolc_step,
-    make_controller,
+    make_law,
     pcon_step,
     uncertainty_residual,
 )
@@ -862,11 +862,11 @@ class TestConfigEquality:
 
 
 class TestControllerProtocol:
-    """make_controller objects are the free functions plus their state."""
+    """A run's law (``controllers.make_law``) commands what its free
+    function, arolc_step or pcon_step, returns on the run's rows, and zero
+    without a controller."""
 
     GAINS = GainSet.identity(2)
-    Q = np.array([0.1, -0.2])
-    Q_DOT = np.array([0.3, 0.05])
 
     def scenario(self, kind, h_estimate=None, delay="S1", **kwargs):
         controller = {
@@ -881,41 +881,66 @@ class TestControllerProtocol:
             controller=controller, **kwargs,
         )
 
-    def test_arolc_step_matches_free_function(self):
-        sc = self.scenario("arolc")
-        ctrl = make_controller(sc, None)
+    def test_arolc_step_matches_free_function(self, monkeypatch):
+        # where arolc_step is wrapped, the law calls it once per period on
+        # the state of the call before, and its records are the run's rows
+        sc = self.scenario("arolc", duration=0.05, dt=1e-3)
+        calls = []
+
+        def recorded(state, *args):
+            calls.append((state, arolc_step(state, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(controllers, "arolc_step", recorded)
+        trace = simulate(sc, diagnostics=True)
+        assert len(calls) == len(trace)
         state = sc.controller.initial_state()
-        for k in range(3):
-            t = 0.01 * k
-            rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
-            ref = arolc_step(state, self.Q, self.Q_DOT, sc.trajectory(t),
-                             sc.plant.nominal.torque, t, sc.dt_control, sc.controller)
+        for k, (given_state, rec) in enumerate(calls):
+            assert given_state is (calls[k - 1][1].state if k else given_state)
+            assert given_state == state
+            t = trace.t.item(k)
+            ref = arolc_step(state, trace.q[k].tolist(), trace.q_dot[k].tolist(),
+                             sc.trajectory(t), sc.plant.nominal.torque, t, sc.dt_control,
+                             sc.controller)
             state = ref.state
-            np.testing.assert_array_equal(rec.tau, ref.tau)
-            np.testing.assert_array_equal(rec.du, ref.du)
-            assert rec.c_hat == ref.c_hat == state.c_hat == ctrl.state.c_hat
-            assert rec.s_norm == ref.s_norm
+            assert rec == ref
+            for row, value in ((trace.tau_cmd, ref.tau), (trace.fine.cmd_u, ref.u),
+                               (trace.fine.cmd_du, ref.du)):
+                assert row[k].tobytes() == np.array(value).tobytes()
+            assert (trace.c_hat[k], trace.s_norm[k]) == (ref.c_hat, ref.s_norm)
 
     @pytest.mark.parametrize("kind", ["pcon", "pconf"])
-    def test_pcon_step_matches_free_function(self, kind):
-        # pconf: the fixed-window variant, h_estimate set. The controller at
-        # row k reads the trace's rows 0 .. k - 1 and, for pcon, its h row
-        sc = self.scenario("pcon", h_estimate=0.05 if kind == "pconf" else None,
-                           duration=0.04, dt=1e-3)
+    def test_pcon_step_matches_free_function(self, kind, monkeypatch):
+        # pconf: the fixed-window variant, h_estimate set. The law at row k
+        # calls pcon_step, as the module binds it when the run is built, on
+        # the trace's rows 0 .. k - 1 and, for pcon, its h row, over one
+        # trapezoid table for the run
+        h_estimate = 0.05 if kind == "pconf" else None
+        sc = self.scenario("pcon", h_estimate=h_estimate, duration=0.04, dt=1e-3)
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return pcon_step(*args)
+
+        monkeypatch.setattr(controllers, "pcon_step", recorded)
         trace = simulate(sc)
-        ctrl = make_controller(sc, trace)
+        assert len(calls) == len(trace)
         for k, t in enumerate(trace.t.tolist()):
-            h = 0.05 if kind == "pconf" else delay_at(sc.delay, t)
-            ref = pcon_step((trace.t.tolist(), trace.tau_cmd, k), h, self.Q, self.Q_DOT,
+            (stamps, values, m), h, q, q_dot, desired, t_call, cfg, table = calls[k]
+            assert stamps == trace.t.tolist() and values is trace.tau_cmd and m == k
+            assert h == (h_estimate if kind == "pconf" else trace.h[k])
+            assert (t_call, cfg, table) == (t, sc.controller, calls[0][-1])
+            ref = pcon_step((stamps, trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
                             sc.trajectory(t), t, sc.controller)
-            rec = ctrl.step(t, self.Q, self.Q_DOT, sc.trajectory(t))
-            np.testing.assert_array_equal(rec.tau, ref)
-            assert (rec.c_hat, rec.s_norm, rec.u) == (0.0, 0.0, None)
+            assert trace.tau_cmd[k].tobytes() == np.array(ref).tobytes()
+        assert not trace.c_hat.any() and not trace.s_norm.any()
 
     @staticmethod
     def assert_replays(sc):
         """Each command of the run is pcon_step on the run's earlier rows,
-        over the true delay or the fixed window."""
+        over the true delay or the fixed window; c_hat and s_norm are zero
+        on every row."""
         trace = simulate(sc)
         h_estimate = sc.controller.h_estimate
         for k, t in enumerate(trace.t.tolist()):
@@ -923,6 +948,7 @@ class TestControllerProtocol:
             ref = pcon_step((trace.t.tolist(), trace.tau_cmd, k), h, trace.q[k], trace.q_dot[k],
                             sc.trajectory(t), t, sc.controller)
             assert trace.tau_cmd[k].tobytes() == np.array(ref).tobytes()
+        assert trace.c_hat.tobytes() == trace.s_norm.tobytes() == bytes(8 * len(trace))
 
     def test_pcon_run_replays_from_its_own_rows(self):
         self.assert_replays(self.scenario("pcon", delay="S1", duration=1.0, dt=1e-3))
@@ -934,9 +960,10 @@ class TestControllerProtocol:
                                           dt=1e-3))
 
     def test_none_commands_zero(self):
-        ctrl = make_controller(self.scenario("none"), None)
-        rec = ctrl.step(0.0, self.Q, self.Q_DOT, SinusoidTrajectory()(0.0))
-        assert rec.tau == [0.0, 0.0]
+        # every row's command, c_hat and s_norm +0.0, and so the applied input
+        trace = simulate(self.scenario("none", duration=0.5, dt=1e-3))
+        for row in (trace.tau_cmd, trace.tau_applied, trace.c_hat, trace.s_norm):
+            assert row.tobytes() == bytes(row.nbytes)
 
 
 class TestArolcRunReadsScenario:
@@ -955,13 +982,17 @@ class TestArolcRunReadsScenario:
         trace = simulate(sc)
         cfg = sc.controller
         state = cfg.initial_state()
-        expected = []
+        expected, commands = [], []
         for k, t in enumerate(trace.t.tolist()):
-            state = arolc_step(state, trace.q[k].tolist(), trace.q_dot[k].tolist(),
-                               sc.trajectory(t), sc.plant.nominal.torque, t, 1e-3, cfg).state
+            rec = arolc_step(state, trace.q[k].tolist(), trace.q_dot[k].tolist(),
+                             sc.trajectory(t), sc.plant.nominal.torque, t, 1e-3, cfg)
+            state = rec.state
             expected.append(state.c_hat)
+            commands.append(rec.tau)
         assert np.ptp(trace.c_hat) > 0.01
         np.testing.assert_array_equal(trace.c_hat, expected)
+        # the run's commands too, bit for bit
+        assert trace.tau_cmd.tobytes() == np.array(commands).tobytes()
 
     def test_margin_warning_reads_controller_gains(self):
         # S1 peaks at 0.1 s: inside the margin of the identity gains
@@ -973,8 +1004,8 @@ class TestArolcRunReadsScenario:
             simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
 
     def test_margin_warning_points_at_the_caller_of_simulate(self):
-        # the warning's stacklevel counts the frames from the controller's
-        # constructor up through make_controller and simulate
+        # the warning's stacklevel counts the frames from the law's function
+        # up through make_law and simulate
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             simulate(self.scenario(GainSet.identity(2, k1=4.0), duration=0.05, dt=1e-3))
@@ -1005,7 +1036,7 @@ def test_margin_warning_iff_infeasible(gains):
                       delay=DelayProfile("constant", h0=h), controller=ArolcConfig(gains))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            make_controller(sc, None)
+            make_law(sc, None)
         assert bool(caught) == (not check_feasibility(gains, h))
 
 

@@ -266,7 +266,7 @@ def test_blend_of_a_prefix_matches_interpolate(data):
     # one plan against the whole history serves every prefix of m commands
     times, values = _history(data)
     queries = np.array(data.draw(st.lists(_TIME, min_size=1, max_size=20)))
-    brackets = plan(times, queries.reshape(1, -1), 2)
+    brackets = plan(times, queries.reshape(1, -1))
     for m in range(1, len(times) + 1):
         expected = interpolate(times[:m], values[:m], queries)
         assert np.array_equal(blend(values, m, *brackets)[0], expected)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arolc import controllers, sim
-from arolc.controllers import ArolcConfig, PconConfig, ZeroController, uncertainty_residual
+from arolc.controllers import ArolcConfig, PconConfig, make_law, uncertainty_residual
 from arolc.delays import DelayBuffer, DelayProfile, blend, delay_at, interpolate
 from arolc.plants import (
     PayloadSchedule,
@@ -294,7 +294,7 @@ class TestInputTable:
         dt_control = steps * dt
         k1 = k0 + periods
         stamps = np.arange(k1 + 1) * dt_control
-        stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, k0, k1, steps, dt, 1)
+        stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, k0, k1, steps, dt)
         assert stage_t.shape == (periods, steps, 3)
         for p, k in enumerate(range(k0, k1)):
             t_k = k * dt_control  # as simulate stamps period k
@@ -329,7 +329,7 @@ class TestInputTable:
             min_size=n_rows, max_size=n_rows)))
         for k0 in range(0, n_rows, per_block):
             k1 = min(k0 + per_block, n_rows)
-            stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps, dt, n)
+            stage_t, stage_h, plans = _plan_periods(profile, stamps, k0, k1, steps, dt)
             assert np.array_equal(stage_h, delay_at(profile, stage_t))
             assert plans[0] is not None  # a block starts a group
             for p, k in enumerate(range(k0, k1)):
@@ -400,7 +400,7 @@ class TestBlendGroups:
                       duration=1.5, dt=1e-3, dt_control=1e-2)
         block = sim._BLOCK_INSTANTS // (3 * 10)  # periods of 10 RK4 steps
         *_, plans = _plan_periods(delay, np.arange(151) * sc.dt_control, first,
-                                  first + block, 10, sc.dt, 2)
+                                  first + block, 10, sc.dt)
         assert plans[0] is not None and plans[1:k - first + 1] == [None] * (k - first)
         with pytest.raises(SimulationDiverged) as excinfo:
             simulate(sc, diagnostics=True)
@@ -458,7 +458,7 @@ def ndarray_rk4(accel, instants, y, dt, inputs):
 
 def zero_law(n):
     """The zero controller's law for n coordinates."""
-    return ZeroController(SimpleNamespace(plant=SimpleNamespace(dim=n)), None).kernel()
+    return make_law(SimpleNamespace(controller=None, plant=SimpleNamespace(dim=n)), None)
 
 
 def _rk4_period(kernel, n):
@@ -472,11 +472,13 @@ def _rk4_period(kernel, n):
     if not None, the state after each step. Returns (y, m): the state after
     the m steps the period completed, y None where a step diverged."""
     def period(y, dt, inputs, instants, values, append):
+        # the group's blend, of shape (1, steps, 3, n), which the block
+        # reshapes to one flat row per step
         block = _bind_block(kernel, zero_law(n), n,
-                            blend=lambda *plan: SimpleNamespace(tolist=lambda: [inputs]))
+                            blend=lambda *plan: np.array(inputs).reshape(1, -1, 3, n))
         states = [] if append is not None else None
         end, _, m = block(tuple(y), 0, -1, len(inputs) * dt, dt, np.zeros((1, n)),
-                          [()], [([0.0] * n,) * 3], [instants], [values], None, [],
+                          [([0],)], [([0.0] * n,) * 3], [instants], [values], None, [],
                           states, None)
         for i in range(0, len(states or ()), 2 * n):
             append(tuple(states[i:i + 2 * n]))
@@ -754,10 +756,8 @@ class TestPlannedSchedule:
 
 
 class TestBlockSchedule:
-    """The schedule on a block's stage instants, found at the block's first
-    and last instant alone where they share a payload window, against the
-    schedule at each instant; blocks that start or end exactly on a
-    switch."""
+    """The schedule on a block's stage instants against the schedule at each
+    instant; blocks that start or end exactly on a switch."""
 
     DT = 2.0 ** -10  # binary steps, on which the binary switches land exactly
     STEPS = 4
@@ -785,7 +785,7 @@ class TestBlockSchedule:
             for size in (1, 3, 68):
                 for k0 in {max(k + j, 0) for j in (-size - 1, -size, -size + 1, -1, 0, 1)}:
                     stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, k0, k0 + size,
-                                                self.STEPS, self.DT, 2)
+                                                self.STEPS, self.DT)
                     starts += stage_t.min() == switch
                     ends += stage_t.max() == switch
                     expected = [[[plant._schedule(x) for x in step] for step in rows]
@@ -793,6 +793,25 @@ class TestBlockSchedule:
                     assert plant._schedule(stage_t) == expected
         if lands:
             assert starts and ends  # blocks that start and end on a switch
+
+    @pytest.mark.parametrize("sched", [
+        PayloadSchedule(period_on=5.0, period_off=5.0),
+        PayloadSchedule(period_on=0.004, period_off=0.006,
+                        offsets=((0.05, 0.02), (-0.03, 0.04))),
+    ], ids=["one-window", "4ms"])
+    def test_schedule_hands_each_instant_the_object_phases_holds(self, sched):
+        # the block unpacks a stage's row only where the stage's value is not
+        # the object it last unpacked, so every instant of one phase must get
+        # that phase's one object, in a block inside one window as in one
+        # through many switches
+        plant = reduced_wmr_dynamics(WmrParams(), payload=sched)
+        stamps = np.arange(200) * (self.STEPS * self.DT)
+        stage_t, *_ = _plan_periods(DelayProfile("S1"), stamps, 3, 71, self.STEPS, self.DT)
+        values = plant.kernel().schedule(stage_t)
+        for rows, instants in zip(values, stage_t.tolist()):
+            for step, times in zip(rows, instants):
+                for value, t in zip(step, times):
+                    assert value is plant._phases[plant._phase(t)]
 
     def test_cycles_sharing_a_phase_are_told_apart(self):
         # 4 ms on, 4 ms off, one offset: instants 0.001 and 0.009 both read
@@ -1140,7 +1159,7 @@ class TestPinnedTraces:
         sc = build_scenario(config)
         steps = round(sc.dt_control / sc.dt)
         *_, plans = _plan_periods(sc.delay, np.arange(201) * sc.dt_control, 0, 201, steps,
-                                  sc.dt, 2)
+                                  sc.dt)
         # per period: a period whose lookups reach its own command starts a
         # group, whose last flag says so
         after = [plan is not None and plan[-1] for plan in plans]
